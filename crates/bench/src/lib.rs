@@ -1,12 +1,6 @@
 //! # `bench` — benchmark harness
 //!
-//! Criterion benchmarks for the simulator itself:
-//!
-//! * `sim_time` — regenerates Fig. 8 (simulation wall-clock time vs number of
-//!   concurrent application instances, local and NFS, cacheless and cached);
-//! * `pagecache_micro` — micro-benchmarks of the LRU list operations and the
-//!   discrete-event engine;
-//! * `ablations` — design-choice ablations called out in `DESIGN.md`
-//!   (block coalescing via chunk size, dirty ratio, sharing policy).
-//!
-//! Run with `cargo bench -p bench`.
+//! Criterion micro-benchmarks for the simulator itself: `pagecache_micro`
+//! covers the LRU list operations and the discrete-event engine. Run with
+//! `cargo bench -p bench` or `scripts/bench.sh`. End-to-end simulator
+//! timings live in the standalone `simbench` crate (see `BENCHMARK.json`).

@@ -8,21 +8,18 @@
 //! * [`DirectFileSystem`] — a local filesystem that always hits the disk
 //!   (the cacheless behaviour of vanilla WRENCH, used as the baseline);
 //! * [`NfsFileSystem`] / [`NfsServer`] — a network filesystem with a client
-//!   read cache and a writethrough server cache (the paper's Exp 3 setup);
-//! * [`FileSystem`] — an enum façade so direct `simfs` users can drive any
-//!   of the three with the same code (the workflow layer dispatches through
-//!   its own `IoBackend` trait instead).
+//!   read cache and a writethrough server cache (the paper's Exp 3 setup).
+//!
+//! All of them report failures as [`pagecache::FsError`], the error type the
+//! kernel emulator shares. The workflow layer drives them, and the emulator,
+//! through its `IoBackend` trait.
 
 #![warn(missing_docs)]
 
-mod error;
-mod fs;
 mod local;
 mod nfs;
 mod registry;
 
-pub use error::FsError;
-pub use fs::FileSystem;
 pub use local::{extend_for_write, CachedFileSystem, DirectFileSystem};
 pub use nfs::{NfsFileSystem, NfsServer};
 pub use registry::FileRegistry;

@@ -2,10 +2,9 @@
 //! cacheless behaviour of vanilla WRENCH).
 
 use des::SimContext;
-use pagecache::{clamp_io_range, FileId, IoController, IoOpStats, MemoryManager};
+use pagecache::{clamp_io_range, FileId, FsError, IoController, IoOpStats, MemoryManager};
 use storage_model::Disk;
 
-use crate::error::FsError;
 use crate::registry::FileRegistry;
 
 /// Grows the registration of `file` so it covers a write of `len` bytes at
@@ -418,11 +417,12 @@ mod tests {
                     .unwrap();
                 let fsync = fs.fsync(&"g".into()).await.unwrap();
                 let fsync_again = fs.fsync(&"g".into()).await.unwrap();
-                (partial, w, fsync, fsync_again)
+                let sync = fs.sync().await;
+                (partial, w, fsync, fsync_again, sync)
             }
         });
         sim.run();
-        let (partial, w, fsync, fsync_again) = h.try_take_result().unwrap();
+        let (partial, w, fsync, fsync_again, sync) = h.try_take_result().unwrap();
         approx(partial.bytes_from_cache, 200.0 * MB);
         approx(partial.bytes_from_disk, 0.0);
         approx(w.bytes_to_cache, 50.0 * MB);
@@ -430,6 +430,8 @@ mod tests {
         approx(fs.disk().used(), 650.0 * MB);
         approx(fsync.bytes_to_disk, 50.0 * MB);
         approx(fsync_again.bytes_to_disk, 0.0);
+        // fsync already cleaned everything, so a host-wide sync writes nothing.
+        approx(sync.bytes_to_disk, 0.0);
         approx(fs.memory_manager().dirty(), 0.0);
     }
 

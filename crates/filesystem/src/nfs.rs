@@ -14,10 +14,9 @@
 //!   added to the server's page cache.
 
 use des::SimContext;
-use pagecache::{FileId, IoOpStats, MemoryManager, DEFAULT_CHUNK_SIZE, EPSILON};
+use pagecache::{FileId, FsError, IoOpStats, MemoryManager, DEFAULT_CHUNK_SIZE, EPSILON};
 use storage_model::{Disk, NetworkLink};
 
-use crate::error::FsError;
 use crate::local::extend_for_write;
 use crate::registry::FileRegistry;
 

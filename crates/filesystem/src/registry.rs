@@ -4,9 +4,7 @@ use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use pagecache::FileId;
-
-use crate::error::FsError;
+use pagecache::{FileId, FsError};
 
 /// Size bookkeeping for the files of one filesystem.
 #[derive(Clone, Default)]

@@ -5,13 +5,8 @@
 //!   --check            diff RESULTS.json against the golden baseline and
 //!                      exit non-zero on any drift
 //!   --update-golden    regenerate the golden baseline from this run
-//!   --threads N        worker threads (default: all cores)
-//!   --shards N         run on the sharded executor: a static round-robin
-//!                      partition of scenarios (and intra-scenario sweep
-//!                      points) over N threads with an index-keyed merge;
-//!                      output is shard-count-independent (0 = classic
-//!                      thread pool, the default)
-//!   --seed N           dispatch-order seed (output is seed-independent)
+//!   --threads N        worker threads (default: all cores; output is
+//!                      thread-count-independent)
 //!   --filter SUBSTR    only run scenarios whose name or group contains
 //!                      SUBSTR (e.g. --filter eviction for the policy
 //!                      comparison group); composes with --list
@@ -76,16 +71,6 @@ fn parse_args() -> Result<Options, String> {
                     .parse()
                     .map_err(|e| format!("invalid --threads: {e}"))?
             }
-            "--seed" => {
-                opts.config.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("invalid --seed: {e}"))?
-            }
-            "--shards" => {
-                opts.config.shards = value("--shards")?
-                    .parse()
-                    .map_err(|e| format!("invalid --shards: {e}"))?
-            }
             "--filter" => opts.config.filter = Some(value("--filter")?),
             "--out" => opts.out = value("--out")?,
             "--golden" => opts.golden = value("--golden")?,
@@ -109,8 +94,8 @@ fn parse_args() -> Result<Options, String> {
 
 const HELP: &str = "\
 Usage: sweep [--check | --update-golden] [--check-frozen PATH] [--threads N]
-             [--shards N] [--seed N] [--filter SUBSTR] [--out PATH]
-             [--golden PATH] [--timings] [--list]
+             [--filter SUBSTR] [--out PATH] [--golden PATH] [--timings]
+             [--list]
 
 Runs every registered scenario in parallel, writes RESULTS.json, and (with
 --check) fails on out-of-tolerance drift from the golden baseline.
@@ -146,21 +131,11 @@ fn main() -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    if opts.config.shards > 0 {
-        eprintln!(
-            "running {} scenarios on the sharded executor, {} shards (seed {})",
-            scenarios.len(),
-            opts.config.shards,
-            opts.config.seed
-        );
-    } else {
-        eprintln!(
-            "running {} scenarios on {} threads (seed {})",
-            scenarios.len(),
-            opts.config.threads,
-            opts.config.seed
-        );
-    }
+    eprintln!(
+        "running {} scenarios on {} threads",
+        scenarios.len(),
+        opts.config.threads
+    );
     let results = run_sweep(&scenarios, &opts.config);
     for s in &results.scenarios {
         match &s.outcome {

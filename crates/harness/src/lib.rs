@@ -11,12 +11,7 @@
 //!   concurrency) wrapped as scenarios;
 //! * [`runner`] — fans scenarios out across `std::thread` workers (one
 //!   single-threaded DES engine per scenario) with order-independent result
-//!   collection, so `RESULTS.json` is bit-identical for any thread count and
-//!   dispatch seed;
-//! * [`shard`] — the sharded parallel executor (`--shards N`): a static
-//!   round-robin partition of independent simulation instances (whole
-//!   scenarios *and* intra-scenario sweep points) over OS threads with an
-//!   index-keyed merge, byte-identical to sequential execution;
+//!   collection, so `RESULTS.json` is bit-identical for any thread count;
 //! * [`json`] — dependency-free, deterministic JSON;
 //! * [`gate`] — diffs results against `baselines/golden.json` with
 //!   per-metric relative tolerances and reports every drift.
@@ -37,11 +32,9 @@ pub mod json;
 pub mod registry;
 pub mod runner;
 pub mod scenario;
-pub mod shard;
 
 pub use gate::{compare, compare_intersection_exact, make_golden, Drift, Tolerances};
 pub use json::{parse, Json};
 pub use registry::registry;
 pub use runner::{run_sweep, ScenarioResult, SweepConfig, SweepResults};
 pub use scenario::{FnScenario, Metrics, Scenario};
-pub use shard::{run_points, run_sharded};

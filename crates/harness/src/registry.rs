@@ -22,7 +22,6 @@ use workflow::{
 };
 
 use crate::scenario::{FnScenario, Metrics, Scenario};
-use crate::shard::run_points;
 
 /// Builds the full scenario registry, in the canonical (output) order.
 pub fn registry() -> Vec<Box<dyn Scenario>> {
@@ -1059,10 +1058,8 @@ fn sweep_readahead_window() -> Result<Metrics, String> {
     let app = ApplicationSpec::new("sweep-readahead")
         .with_initial_file(FileSpec::new("data", file_size))
         .with_task(TaskSpec::program("scan + hot re-read", ops));
-    // Each window size is an independent simulation instance: sweep the
-    // points on the sharded executor and merge the metrics in point order.
-    let points = [0u32, 64, 256, 1024];
-    let per_point = run_points(&points, |&max_mb| {
+    let mut m = Metrics::new();
+    for max_mb in [0u32, 64, 256, 1024] {
         let platform = if max_mb == 0 {
             scaled_platform(8.0 * GB)
         } else {
@@ -1071,16 +1068,10 @@ fn sweep_readahead_window() -> Result<Metrics, String> {
         let report = run(&platform, &app, SimulatorKind::KernelEmu, 1)?;
         let stats = report.run_stats();
         let prefix = format!("window_{max_mb:04}mb");
-        Ok(vec![
-            (format!("{prefix}/read_s"), report.mean_total_read_time()),
-            (format!("{prefix}/bytes_prefetched"), stats.bytes_prefetched),
-            (format!("{prefix}/bytes_from_disk"), stats.bytes_from_disk),
-            (format!("{prefix}/hit_ratio"), stats.cache_hit_ratio),
-        ])
-    })?;
-    let mut m = Metrics::new();
-    for (name, value) in per_point.into_iter().flatten() {
-        m.push(name, value);
+        m.push(format!("{prefix}/read_s"), report.mean_total_read_time());
+        m.push(format!("{prefix}/bytes_prefetched"), stats.bytes_prefetched);
+        m.push(format!("{prefix}/bytes_from_disk"), stats.bytes_from_disk);
+        m.push(format!("{prefix}/hit_ratio"), stats.cache_hit_ratio);
     }
     Ok(m)
 }
@@ -1100,7 +1091,8 @@ fn sweep_throttle_pacing() -> Result<Metrics, String> {
         ("pacing_100", 1.0),
         ("pacing_200", 2.0),
     ];
-    let per_point = run_points(&points, |&(label, pacing)| {
+    let mut m = Metrics::new();
+    for (label, pacing) in points {
         let mut platform = scaled_platform(4.0 * GB).with_throttle_pacing(pacing);
         // A sub-second flusher wakeup, so the background threads actually
         // get to run inside the stalls the pacing creates (the paper-scale
@@ -1111,20 +1103,14 @@ fn sweep_throttle_pacing() -> Result<Metrics, String> {
         let wb = report
             .writeback
             .ok_or_else(|| format!("{label} reported no writeback counters"))?;
-        Ok(vec![
-            (format!("{label}/write_s"), report.mean_total_write_time()),
-            (format!("{label}/throttle_stall_s"), stats.throttle_stall_s),
-            (format!("{label}/peak_dirty"), stats.peak_dirty),
-            (
-                format!("{label}/synchronous_flushed"),
-                wb.synchronous_flushed,
-            ),
-            (format!("{label}/background_flushed"), wb.background_flushed),
-        ])
-    })?;
-    let mut m = Metrics::new();
-    for (name, value) in per_point.into_iter().flatten() {
-        m.push(name, value);
+        m.push(format!("{label}/write_s"), report.mean_total_write_time());
+        m.push(format!("{label}/throttle_stall_s"), stats.throttle_stall_s);
+        m.push(format!("{label}/peak_dirty"), stats.peak_dirty);
+        m.push(
+            format!("{label}/synchronous_flushed"),
+            wb.synchronous_flushed,
+        );
+        m.push(format!("{label}/background_flushed"), wb.background_flushed);
     }
     Ok(m)
 }
@@ -1321,21 +1307,13 @@ fn sweep_dirty_ratio() -> Result<Metrics, String> {
 /// degrade towards the cacheless behaviour.
 fn sweep_cache_size() -> Result<Metrics, String> {
     let app = ApplicationSpec::synthetic_pipeline(3.0 * GB);
-    let points = [4.0, 8.0, 16.0, 32.0];
-    let per_point = run_points(&points, |&memory_gb| {
+    let mut m = Metrics::new();
+    for memory_gb in [4.0, 8.0, 16.0, 32.0] {
         let platform = scaled_platform(memory_gb * GB);
         let report = run(&platform, &app, SimulatorKind::PageCache, 1)?;
         let prefix = format!("mem_{memory_gb:02.0}gb");
-        let mut pm = Metrics::new();
-        pm.push(format!("{prefix}/makespan_s"), report.mean_makespan());
-        push_run_stats(&mut pm, &prefix, &report.run_stats());
-        Ok(pm)
-    })?;
-    let mut m = Metrics::new();
-    for pm in per_point {
-        for (name, value) in pm.entries() {
-            m.push(name.clone(), *value);
-        }
+        m.push(format!("{prefix}/makespan_s"), report.mean_makespan());
+        push_run_stats(&mut m, &prefix, &report.run_stats());
     }
     Ok(m)
 }

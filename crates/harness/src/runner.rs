@@ -8,17 +8,9 @@
 //!
 //! Determinism: results are collected keyed by **registry index** and sorted
 //! before serialization, so `RESULTS.json` is bit-identical for any thread
-//! count. The seed only shuffles the *dispatch order* (via a xorshift
-//! Fisher–Yates pass), which lets the test suite prove order independence:
-//! any `(threads, seed)` combination must produce the same bytes.
-//!
-//! With `shards > 0` the cursor pool is replaced by the sharded executor
-//! ([`crate::shard::run_sharded`]): a *static* round-robin partition of
-//! scenarios over threads with an index-keyed merge, and the same shard count
-//! is propagated to intra-scenario point sweeps
-//! ([`crate::shard::set_point_shards`]). The output is byte-identical either
-//! way — the determinism suite proves `--shards 1/2/8` all match the thread
-//! pool.
+//! count, whichever worker happened to finish which scenario first. The
+//! determinism suite proves it by comparing 1, 2 and 4 threads byte for
+//! byte.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -26,23 +18,15 @@ use std::time::Instant;
 
 use crate::json::Json;
 use crate::scenario::{Metrics, Scenario};
-use crate::shard;
 
 /// Configuration of one sweep run.
 #[derive(Debug, Clone)]
 pub struct SweepConfig {
     /// Number of worker threads (at least 1).
     pub threads: usize,
-    /// Seed for the dispatch-order shuffle. Must not change the output.
-    pub seed: u64,
     /// Only run scenarios whose name or group contains this substring
     /// (`eviction` selects the whole policy-comparison group).
     pub filter: Option<String>,
-    /// When non-zero, run scenarios on the sharded executor with this many
-    /// shards (static round-robin partition) instead of the work-stealing
-    /// thread pool, and let registry point sweeps shard internally by the
-    /// same count. Must not change the output.
-    pub shards: usize,
 }
 
 impl Default for SweepConfig {
@@ -51,9 +35,7 @@ impl Default for SweepConfig {
             threads: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
-            seed: 0,
             filter: None,
-            shards: 0,
         }
     }
 }
@@ -143,30 +125,9 @@ impl SweepResults {
     }
 }
 
-/// A tiny xorshift64* PRNG — the workspace has no rand dependency.
-struct XorShift(u64);
-
-impl XorShift {
-    fn new(seed: u64) -> Self {
-        XorShift(seed.wrapping_mul(2685821657736338717).max(1))
-    }
-
-    fn next(&mut self) -> u64 {
-        let mut x = self.0;
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        self.0 = x;
-        x.wrapping_mul(2685821657736338717)
-    }
-}
-
 /// Runs the scenarios of `registry` according to `config` and returns the
 /// results in registry order.
 pub fn run_sweep(registry: &[Box<dyn Scenario>], config: &SweepConfig) -> SweepResults {
-    // Select, then shuffle the dispatch order with the seed. The shuffle
-    // must not (and provably does not) affect the output: results are
-    // re-keyed by index below.
     let selected: Vec<usize> = (0..registry.len())
         .filter(|&i| match &config.filter {
             Some(f) => {
@@ -175,12 +136,6 @@ pub fn run_sweep(registry: &[Box<dyn Scenario>], config: &SweepConfig) -> SweepR
             None => true,
         })
         .collect();
-    let mut order = selected.clone();
-    let mut rng = XorShift::new(config.seed);
-    for i in (1..order.len()).rev() {
-        let j = (rng.next() % (i as u64 + 1)) as usize;
-        order.swap(i, j);
-    }
 
     // (registry index, outcome, wall-clock seconds) of one finished scenario.
     type Slot = (usize, Result<Metrics, String>, f64);
@@ -201,31 +156,31 @@ pub fn run_sweep(registry: &[Box<dyn Scenario>], config: &SweepConfig) -> SweepR
         (idx, outcome, start.elapsed().as_secs_f64())
     };
 
-    let mut collected: Vec<Slot> = if config.shards > 0 {
-        // Sharded executor: static round-robin partition, index-keyed merge.
-        // Propagate the shard count to intra-scenario point sweeps.
-        shard::set_point_shards(config.shards);
-        let out = shard::run_sharded(order.len(), config.shards, |slot| run_one(order[slot]));
-        shard::set_point_shards(1);
-        out
-    } else {
-        // Classic pool: workers steal the next index off a shared cursor.
-        let cursor = AtomicUsize::new(0);
-        let collected: Mutex<Vec<Slot>> = Mutex::new(Vec::with_capacity(order.len()));
-        let workers = config.threads.max(1).min(order.len().max(1));
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    let slot = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&idx) = order.get(slot) else {
-                        break;
-                    };
-                    collected.lock().unwrap().push(run_one(idx));
-                });
-            }
-        });
-        collected.into_inner().unwrap()
-    };
+    // Workers steal the next scenario off a shared cursor; the index-keyed
+    // sort below makes the completion order irrelevant.
+    let cursor = AtomicUsize::new(0);
+    let collected: Mutex<Vec<Slot>> = Mutex::new(Vec::with_capacity(selected.len()));
+    let workers = config.threads.max(1).min(selected.len().max(1));
+    std::thread::scope(|scope| {
+        for _ in 0..workers {
+            scope.spawn(|| loop {
+                let next = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(&idx) = selected.get(next) else {
+                    break;
+                };
+                // Run the scenario outside the lock, or the workers
+                // serialize on it.
+                let slot = run_one(idx);
+                collected
+                    .lock()
+                    .expect("no worker panics while holding the lock")
+                    .push(slot);
+            });
+        }
+    });
+    let mut collected = collected
+        .into_inner()
+        .expect("no worker panics while holding the lock");
     collected.sort_by_key(|(idx, _, _)| *idx);
     SweepResults {
         scenarios: collected
@@ -282,17 +237,15 @@ mod tests {
     }
 
     #[test]
-    fn results_are_in_registry_order_for_any_threads_and_seed() {
+    fn results_are_in_registry_order_for_any_thread_count() {
         let registry = fake_registry();
         let mut renderings = Vec::new();
-        for (threads, seed) in [(1, 0), (4, 0), (2, 123456789)] {
+        for threads in [1, 2, 4] {
             let results = run_sweep(
                 &registry,
                 &SweepConfig {
                     threads,
-                    seed,
                     filter: None,
-                    shards: 0,
                 },
             );
             let names: Vec<&str> = results.scenarios.iter().map(|s| s.name.as_str()).collect();
@@ -344,9 +297,7 @@ mod tests {
             &registry,
             &SweepConfig {
                 threads: 2,
-                seed: 0,
                 filter: Some("alpha".to_string()),
-                shards: 0,
             },
         );
         assert_eq!(results.scenarios.len(), 1);
@@ -363,46 +314,51 @@ mod tests {
             &registry,
             &SweepConfig {
                 threads: 2,
-                seed: 0,
                 filter: Some("sweep".to_string()),
-                shards: 0,
             },
         );
         assert_eq!(results.scenarios.len(), 3);
     }
 
     #[test]
-    fn sharded_executor_matches_the_thread_pool_bytes() {
-        let registry = fake_registry();
-        let reference = run_sweep(
+    fn workers_run_scenarios_concurrently() {
+        // Each scenario waits for the other one to start, so both succeed
+        // only when two workers run them at the same time.
+        use std::sync::Condvar;
+        use std::time::Duration;
+        static STARTED: (Mutex<u32>, Condvar) = (Mutex::new(0), Condvar::new());
+        fn rendezvous() -> Result<Metrics, String> {
+            let (count, started) = &STARTED;
+            let mut n = count.lock().unwrap();
+            *n += 1;
+            started.notify_all();
+            let (n, _) = started
+                .wait_timeout_while(n, Duration::from_secs(10), |n| *n < 2)
+                .unwrap();
+            if *n < 2 {
+                return Err("the other scenario never started".to_string());
+            }
+            Ok(Metrics::new())
+        }
+        let registry: Vec<Box<dyn Scenario>> = ["a", "b"]
+            .into_iter()
+            .map(|name| {
+                Box::new(FnScenario {
+                    name,
+                    group: "sweep",
+                    description: "",
+                    run: rendezvous,
+                }) as Box<dyn Scenario>
+            })
+            .collect();
+        let results = run_sweep(
             &registry,
             &SweepConfig {
-                threads: 1,
-                seed: 0,
+                threads: 2,
                 filter: None,
-                shards: 0,
             },
-        )
-        .to_json(false)
-        .render_pretty();
-        for (shards, seed) in [(1, 0), (2, 99), (8, 7)] {
-            let sharded = run_sweep(
-                &registry,
-                &SweepConfig {
-                    threads: 1,
-                    seed,
-                    filter: None,
-                    shards,
-                },
-            );
-            let names: Vec<&str> = sharded.scenarios.iter().map(|s| s.name.as_str()).collect();
-            assert_eq!(names, ["alpha", "beta", "gamma_fails"]);
-            assert_eq!(
-                sharded.to_json(false).render_pretty(),
-                reference,
-                "shards={shards} seed={seed}"
-            );
-        }
+        );
+        assert!(results.all_ok(), "{:?}", results.failures());
     }
 
     #[test]

@@ -41,11 +41,10 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use des::SimContext;
-use pagecache::{clamp_io_range, FileId, IoOpStats};
+use pagecache::{clamp_io_range, FileId, FsError, IoOpStats};
 use storage_model::Disk;
 
 use crate::cache::KernelCache;
-use crate::error::KernelFsError;
 
 const EPS: f64 = 1e-6;
 
@@ -119,7 +118,7 @@ impl KernelFileSystem {
     }
 
     /// Registers a pre-existing file without simulating I/O.
-    pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), KernelFsError> {
+    pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), FsError> {
         self.disk.allocate(size)?;
         self.files
             .borrow_mut()
@@ -142,18 +141,18 @@ impl KernelFileSystem {
             .collect()
     }
 
-    fn require_size(&self, file: &FileId) -> Result<f64, KernelFsError> {
+    fn require_size(&self, file: &FileId) -> Result<f64, FsError> {
         self.file_size(file)
-            .ok_or_else(|| KernelFsError::FileNotFound(file.clone()))
+            .ok_or_else(|| FsError::FileNotFound(file.clone()))
     }
 
     /// Deletes a file: frees disk space and drops its cached pages.
-    pub fn delete_file(&self, file: &FileId) -> Result<(), KernelFsError> {
+    pub fn delete_file(&self, file: &FileId) -> Result<(), FsError> {
         let meta = self
             .files
             .borrow_mut()
             .remove(file)
-            .ok_or_else(|| KernelFsError::FileNotFound(file.clone()))?;
+            .ok_or_else(|| FsError::FileNotFound(file.clone()))?;
         self.disk.free(meta.size);
         self.cache.invalidate_file(file);
         Ok(())
@@ -161,7 +160,7 @@ impl KernelFileSystem {
 
     /// Reads a whole file through the emulated cache. A corollary of
     /// [`KernelFileSystem::read_range`] over `[0, size)`.
-    pub async fn read_file(&self, file: &FileId) -> Result<IoOpStats, KernelFsError> {
+    pub async fn read_file(&self, file: &FileId) -> Result<IoOpStats, FsError> {
         self.read_range(file, 0.0, f64::INFINITY).await
     }
 
@@ -174,7 +173,7 @@ impl KernelFileSystem {
         file: &FileId,
         offset: f64,
         len: f64,
-    ) -> Result<IoOpStats, KernelFsError> {
+    ) -> Result<IoOpStats, FsError> {
         let size = self.require_size(file)?;
         let (range_start, amount) = clamp_io_range(offset, len, size);
         let start = self.ctx.now();
@@ -311,9 +310,9 @@ impl KernelFileSystem {
     /// with `balance_dirty_pages`-style throttling). Replaces the file's
     /// registration (truncate semantics), then behaves like a range write of
     /// `[0, size)`.
-    pub async fn write_file(&self, file: &FileId, size: f64) -> Result<IoOpStats, KernelFsError> {
+    pub async fn write_file(&self, file: &FileId, size: f64) -> Result<IoOpStats, FsError> {
         if !size.is_finite() {
-            return Err(KernelFsError::InvalidRange {
+            return Err(FsError::InvalidRange {
                 offset: 0.0,
                 len: size,
             });
@@ -343,9 +342,9 @@ impl KernelFileSystem {
         file: &FileId,
         offset: f64,
         len: f64,
-    ) -> Result<IoOpStats, KernelFsError> {
+    ) -> Result<IoOpStats, FsError> {
         if !offset.is_finite() || !len.is_finite() {
-            return Err(KernelFsError::InvalidRange { offset, len });
+            return Err(FsError::InvalidRange { offset, len });
         }
         let offset = offset.max(0.0);
         let len = len.max(0.0);
@@ -373,12 +372,7 @@ impl KernelFileSystem {
 
     /// The common write loop over `[start, end)`: dirty-threshold balancing,
     /// reclaim, and page insertion at the true offsets.
-    async fn write_span(
-        &self,
-        file: &FileId,
-        start: f64,
-        end: f64,
-    ) -> Result<IoOpStats, KernelFsError> {
+    async fn write_span(&self, file: &FileId, start: f64, end: f64) -> Result<IoOpStats, FsError> {
         self.cache.set_write_open(file, true);
         let t0 = self.ctx.now();
         let mut stats = IoOpStats::default();
@@ -448,7 +442,7 @@ impl KernelFileSystem {
     /// Flushes the file's dirty pages to disk synchronously (`fsync`):
     /// targeted per-file writeback at disk bandwidth, counted as throttled
     /// (synchronous) writeback.
-    pub async fn fsync(&self, file: &FileId) -> Result<IoOpStats, KernelFsError> {
+    pub async fn fsync(&self, file: &FileId) -> Result<IoOpStats, FsError> {
         self.require_size(file)?;
         let start = self.ctx.now();
         let flushed = self.cache.write_back_file(file).await;
@@ -879,7 +873,7 @@ mod tests {
         sim.run();
         assert!(matches!(
             h.try_take_result().unwrap(),
-            Err(KernelFsError::FileNotFound(_))
+            Err(FsError::FileNotFound(_))
         ));
         fs.delete_file(&"a".into()).unwrap();
         assert!(fs.delete_file(&"a".into()).is_err());

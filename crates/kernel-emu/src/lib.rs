@@ -29,11 +29,9 @@
 #![warn(missing_docs)]
 
 mod cache;
-mod error;
 mod fs;
 mod tuning;
 
 pub use cache::{KernelCache, KernelCacheCounters};
-pub use error::KernelFsError;
 pub use fs::{KernelFileSystem, DEFAULT_REQUEST_SIZE};
 pub use tuning::{KernelTuning, LINUX_READAHEAD_MAX, LINUX_READAHEAD_MIN, PAGE_SIZE};

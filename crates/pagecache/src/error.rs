@@ -1,17 +1,21 @@
-//! Structured errors of the emulated filesystem.
+//! The filesystem error type shared by every simulated filesystem.
 
 use std::fmt;
 
-use pagecache::FileId;
 use storage_model::DiskFullError;
 
-/// Errors returned by [`crate::KernelFileSystem`].
+use crate::FileId;
+
+/// Errors returned by the simulated filesystems (`simfs`) and the kernel
+/// emulator (`kernel-emu`).
 #[derive(Debug, Clone, PartialEq)]
-pub enum KernelFsError {
-    /// The file is not registered in the emulated filesystem.
+pub enum FsError {
+    /// The file is not registered in the filesystem.
     FileNotFound(FileId),
     /// The backing disk has no room for the file.
     DiskFull(DiskFullError),
+    /// A file with this name already exists.
+    AlreadyExists(FileId),
     /// A write range with a non-finite offset or length (a finite range is
     /// required: an unbounded write would never terminate).
     InvalidRange {
@@ -22,23 +26,24 @@ pub enum KernelFsError {
     },
 }
 
-impl fmt::Display for KernelFsError {
+impl fmt::Display for FsError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            KernelFsError::FileNotFound(file) => write!(f, "file '{file}' not found"),
-            KernelFsError::DiskFull(e) => write!(f, "{e}"),
-            KernelFsError::InvalidRange { offset, len } => {
+            FsError::FileNotFound(file) => write!(f, "file '{file}' not found"),
+            FsError::DiskFull(e) => write!(f, "{e}"),
+            FsError::AlreadyExists(file) => write!(f, "file '{file}' already exists"),
+            FsError::InvalidRange { offset, len } => {
                 write!(f, "invalid write range: offset {offset}, len {len}")
             }
         }
     }
 }
 
-impl std::error::Error for KernelFsError {}
+impl std::error::Error for FsError {}
 
-impl From<DiskFullError> for KernelFsError {
+impl From<DiskFullError> for FsError {
     fn from(e: DiskFullError) -> Self {
-        KernelFsError::DiskFull(e)
+        FsError::DiskFull(e)
     }
 }
 
@@ -48,9 +53,11 @@ mod tests {
 
     #[test]
     fn display_messages() {
-        let e = KernelFsError::FileNotFound("missing".into());
+        let e = FsError::FileNotFound("missing".into());
         assert!(e.to_string().contains("missing"));
-        let e: KernelFsError = DiskFullError {
+        let e = FsError::AlreadyExists("dup".into());
+        assert!(e.to_string().contains("already exists"));
+        let e: FsError = DiskFullError {
             disk: "d0".into(),
             requested: 10.0,
             available: 5.0,

@@ -47,6 +47,7 @@
 mod block;
 mod config;
 mod controller;
+mod error;
 mod lru;
 mod manager;
 pub mod policy;
@@ -55,6 +56,7 @@ mod stats;
 pub use block::{DataBlock, FileId};
 pub use config::{PageCacheConfig, WriteMode};
 pub use controller::{clamp_io_range, IoController, DEFAULT_CHUNK_SIZE};
+pub use error::FsError;
 pub use lru::{ListKind, LruLists, EPSILON};
 pub use manager::{MemoryManager, MemoryManagerCounters};
 pub use policy::{EvictionPolicy, FileMeta, ReplacementPolicy, MAX_TIERS};

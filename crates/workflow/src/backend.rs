@@ -38,13 +38,12 @@
 use std::collections::BTreeMap;
 
 use des::SimContext;
-use kernel_emu::{KernelCache, KernelFileSystem, KernelFsError, KernelTuning};
+use kernel_emu::{KernelCache, KernelFileSystem, KernelTuning};
 use pagecache::{
-    clamp_io_range, FileId, IoController, IoOpStats, MemoryManager, MemorySample, PageCacheConfig,
+    clamp_io_range, FileId, FsError, IoController, IoOpStats, MemoryManager, MemorySample,
+    PageCacheConfig,
 };
-use simfs::{
-    extend_for_write, CachedFileSystem, DirectFileSystem, FsError, NfsFileSystem, NfsServer,
-};
+use simfs::{extend_for_write, CachedFileSystem, DirectFileSystem, NfsFileSystem, NfsServer};
 use storage_model::{Disk, MemoryDevice, NetworkLink};
 
 use crate::faults::{CrashReport, FileDurability, InjectedFault};
@@ -99,10 +98,9 @@ pub enum ScenarioError {
     InvalidScenario(String),
     /// The back-end cannot run this scenario (e.g. the prototype with NFS).
     Unsupported(String),
-    /// A `simfs` filesystem operation failed.
+    /// A filesystem operation failed, on a `simfs` filesystem or on the
+    /// kernel emulator.
     Filesystem(FsError),
-    /// A kernel-emulator filesystem operation failed.
-    Kernel(KernelFsError),
     /// An operation failed because a scheduled fault fired (see
     /// [`crate::faults::FaultPlan`]).
     Injected(InjectedFault),
@@ -119,7 +117,6 @@ impl std::fmt::Display for ScenarioError {
             ScenarioError::InvalidScenario(m) => write!(f, "invalid scenario: {m}"),
             ScenarioError::Unsupported(m) => write!(f, "unsupported scenario: {m}"),
             ScenarioError::Filesystem(e) => write!(f, "filesystem error: {e}"),
-            ScenarioError::Kernel(e) => write!(f, "filesystem error: {e}"),
             ScenarioError::Injected(e) => write!(f, "{e}"),
             ScenarioError::Crashed => write!(f, "simulated power loss cut the scenario short"),
         }
@@ -130,7 +127,6 @@ impl std::error::Error for ScenarioError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ScenarioError::Filesystem(e) => Some(e),
-            ScenarioError::Kernel(e) => Some(e),
             _ => None,
         }
     }
@@ -139,12 +135,6 @@ impl std::error::Error for ScenarioError {
 impl From<FsError> for ScenarioError {
     fn from(e: FsError) -> Self {
         ScenarioError::Filesystem(e)
-    }
-}
-
-impl From<KernelFsError> for ScenarioError {
-    fn from(e: KernelFsError) -> Self {
-        ScenarioError::Kernel(e)
     }
 }
 
@@ -1235,7 +1225,6 @@ mod tests {
                     matches!(
                         r,
                         Err(ScenarioError::Filesystem(FsError::InvalidRange { .. }))
-                            | Err(ScenarioError::Kernel(KernelFsError::InvalidRange { .. }))
                     ),
                     "{kind:?} {what}: {r:?}"
                 );
@@ -1392,10 +1381,10 @@ mod tests {
         });
         sim.run();
         match h.try_take_result().unwrap() {
-            Err(ScenarioError::Kernel(KernelFsError::FileNotFound(f))) => {
+            Err(ScenarioError::Filesystem(FsError::FileNotFound(f))) => {
                 assert_eq!(f.name(), "nope");
             }
-            other => panic!("expected structured kernel error, got {other:?}"),
+            other => panic!("expected a structured file-not-found error, got {other:?}"),
         }
     }
 }

@@ -53,10 +53,10 @@ use std::rc::Rc;
 
 use des::{select2, Either, SimContext};
 use pagecache::{
-    clamp_io_range, FileId, IoController, IoOpStats, MemoryManager, MemorySample, PageCacheConfig,
-    EPSILON,
+    clamp_io_range, FileId, FsError, IoController, IoOpStats, MemoryManager, MemorySample,
+    PageCacheConfig, EPSILON,
 };
-use simfs::{CachedFileSystem, FileRegistry, FsError};
+use simfs::{CachedFileSystem, FileRegistry};
 use storage_model::{AbortHandle, Disk, MemoryDevice, SharedResource, TransferOutcome};
 
 use crate::backend::{IoBackend, ScenarioError};

@@ -682,7 +682,9 @@ mod tests {
         let scenario = Scenario::new(platform(), app, SimulatorKind::PageCache);
         assert!(matches!(
             run_scenario(&scenario),
-            Err(ScenarioError::Filesystem(simfs::FsError::FileNotFound(_)))
+            Err(ScenarioError::Filesystem(pagecache::FsError::FileNotFound(
+                _
+            )))
         ));
     }
 

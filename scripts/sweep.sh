@@ -14,10 +14,16 @@
 #                                     --filter, e.g.
 #                                     scripts/sweep.sh --list --filter eviction
 #
-# All other flags (--threads, --seed, --filter, --out, --golden, --timings)
-# are forwarded to the sweep binary; see `sweep --help`. --filter matches the
+#   scripts/sweep.sh --check --check-frozen base_golden.json
+#                                     also require every metric of a past
+#                                     golden (e.g. the base revision's,
+#                                     extracted with `git show`) to be
+#                                     bit-identical in this run
+#
+# All other flags (--threads, --filter, --out, --golden, --timings) are
+# forwarded to the sweep binary; see `sweep --help`. --filter matches the
 # scenario name or group, so `--filter eviction` selects the whole
-# policy-comparison group.
+# policy-comparison group. RESULTS.json is byte-identical for any --threads.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

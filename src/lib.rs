@@ -49,7 +49,7 @@ pub mod prelude {
     pub use pagecache::{
         FileId, IoController, IoOpStats, MemoryManager, PageCacheConfig, WriteMode,
     };
-    pub use simfs::{CachedFileSystem, DirectFileSystem, FileSystem, NfsFileSystem, NfsServer};
+    pub use simfs::{CachedFileSystem, DirectFileSystem, NfsFileSystem, NfsServer};
     pub use storage_model::units::{GB, GIB, MB};
     pub use storage_model::{DeviceSpec, Disk, MemoryDevice, NetworkLink, SharedResource};
     pub use workflow::{

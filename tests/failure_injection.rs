@@ -4,43 +4,36 @@ use linux_pagecache_sim::prelude::*;
 use storage_model::units::GIB;
 use workflow::ScenarioError;
 
-#[test]
-fn scenario_fails_cleanly_when_the_disk_fills_up() {
-    // A 10 GiB disk cannot hold the four 4 GB files of the pipeline.
+/// Runs the four-file pipeline on a 10 GiB disk, which cannot hold its four
+/// 4 GB files, and checks that `kind` fails with a structured disk-full cause:
+/// a DiskFull with the exact requested/available byte counts, not a
+/// stringified message.
+fn assert_disk_full(kind: SimulatorKind) {
     let platform = PlatformSpec::uniform(
         64.0 * GB,
         DeviceSpec::symmetric(4812.0 * MB, 0.0, f64::INFINITY),
         DeviceSpec::symmetric(465.0 * MB, 0.0, 10.0 * GIB),
     );
     let app = ApplicationSpec::synthetic_pipeline(4.0 * GB);
-    let err = run_scenario(&Scenario::new(platform, app, SimulatorKind::PageCache)).unwrap_err();
+    let err = run_scenario(&Scenario::new(platform, app, kind)).unwrap_err();
     match err {
-        // The structured error keeps the cause: a DiskFull with the exact
-        // requested/available byte counts, not a stringified message.
-        ScenarioError::Filesystem(simfs::FsError::DiskFull(e)) => {
-            assert!(e.requested > e.available, "unexpected error: {e}")
+        ScenarioError::Filesystem(pagecache::FsError::DiskFull(e)) => {
+            assert!(e.requested > e.available, "{kind:?}: unexpected error: {e}")
         }
-        other => panic!("expected a disk-full filesystem error, got {other:?}"),
+        other => panic!("{kind:?}: expected a disk-full filesystem error, got {other:?}"),
     }
+}
+
+#[test]
+fn scenario_fails_cleanly_when_the_disk_fills_up() {
+    assert_disk_full(SimulatorKind::PageCache);
 }
 
 #[test]
 fn kernel_emulator_also_fails_cleanly_when_the_disk_fills_up() {
     // Error-path parity with the macroscopic back-ends: the kernel emulator
-    // reports the same structured disk-full cause through its own error type.
-    let platform = PlatformSpec::uniform(
-        64.0 * GB,
-        DeviceSpec::symmetric(4812.0 * MB, 0.0, f64::INFINITY),
-        DeviceSpec::symmetric(465.0 * MB, 0.0, 10.0 * GIB),
-    );
-    let app = ApplicationSpec::synthetic_pipeline(4.0 * GB);
-    let err = run_scenario(&Scenario::new(platform, app, SimulatorKind::KernelEmu)).unwrap_err();
-    match err {
-        ScenarioError::Kernel(kernel_emu::KernelFsError::DiskFull(e)) => {
-            assert!(e.requested > e.available, "unexpected error: {e}")
-        }
-        other => panic!("expected a kernel disk-full error, got {other:?}"),
-    }
+    // reports the same structured disk-full cause through the same error type.
+    assert_disk_full(SimulatorKind::KernelEmu);
 }
 
 #[test]
