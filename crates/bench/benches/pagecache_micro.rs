@@ -3,7 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use des::{SimTime, Simulation};
-use pagecache::{EvictionPolicy, FileId, IoController, LruLists, MemoryManager, PageCacheConfig};
+use pagecache::{
+    EvictionPolicy, FileId, IoController, LruLists, MemoryManager, PageCacheConfig, ReclaimScope,
+};
 use storage_model::units::{GB, MB};
 use storage_model::{DeviceSpec, Disk, MemoryDevice, SharedResource, SharingPolicy};
 
@@ -41,8 +43,8 @@ fn bench_lru_operations(c: &mut Criterion) {
                             SimTime::from_secs(i as f64),
                         );
                     }
-                    lru.flush_lru(n as f64 * MB / 2.0, None);
-                    lru.evict(n as f64 * MB / 4.0, None);
+                    lru.flush_lru(n as f64 * MB / 2.0, ReclaimScope::Host(None));
+                    lru.evict(n as f64 * MB / 4.0, ReclaimScope::Host(None));
                     lru.block_count()
                 })
             },
@@ -86,8 +88,8 @@ fn bench_lru_interleaved(c: &mut Criterion) {
                     for (k, file) in files.iter().enumerate() {
                         lru.read_cached(file, per_file, SimTime::from_secs((n + k) as f64));
                     }
-                    lru.flush_lru(n as f64 * MB * 0.15, None);
-                    lru.evict(n as f64 * MB / 4.0, None);
+                    lru.flush_lru(n as f64 * MB * 0.15, ReclaimScope::Host(None));
+                    lru.evict(n as f64 * MB / 4.0, ReclaimScope::Host(None));
                     lru.total_cached()
                 })
             },
@@ -116,8 +118,8 @@ fn bench_lru_interleaved(c: &mut Criterion) {
                 for (k, file) in files.iter().enumerate() {
                     lru.read_cached(file, per_file, SimTime::from_secs((n + k) as f64));
                 }
-                lru.flush_lru(n as f64 * MB * 0.15, None);
-                lru.evict(n as f64 * MB / 4.0, None);
+                lru.flush_lru(n as f64 * MB * 0.15, ReclaimScope::Host(None));
+                lru.evict(n as f64 * MB / 4.0, ReclaimScope::Host(None));
                 lru.total_cached()
             })
         },
@@ -155,8 +157,8 @@ fn bench_lru_policies(c: &mut Criterion) {
                     for (k, file) in files.iter().enumerate() {
                         lru.read_cached(file, per_file, SimTime::from_secs((n + k) as f64));
                     }
-                    lru.flush_lru(n as f64 * MB * 0.15, None);
-                    lru.evict(n as f64 * MB / 4.0, None);
+                    lru.flush_lru(n as f64 * MB * 0.15, ReclaimScope::Host(None));
+                    lru.evict(n as f64 * MB / 4.0, ReclaimScope::Host(None));
                     lru.total_cached()
                 })
             },

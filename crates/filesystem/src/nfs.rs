@@ -13,76 +13,59 @@
 //!   added to the client's page cache, and data read from the server disk is
 //!   added to the server's page cache.
 
+use std::convert::Infallible;
+
 use des::SimContext;
-use pagecache::{FileId, FsError, IoOpStats, MemoryManager, DEFAULT_CHUNK_SIZE, EPSILON};
+use pagecache::{
+    FileId, FsError, IoController, IoOpStats, MemoryManager, DEFAULT_CHUNK_SIZE, EPSILON,
+};
 use storage_model::{Disk, NetworkLink};
 
 use crate::local::extend_for_write;
 use crate::registry::FileRegistry;
 
-/// The NFS server: a remote host with a disk and a (writethrough) page cache.
+/// The NFS server: a remote host with a disk and a (writethrough) page
+/// cache, driven by its own I/O controller.
 #[derive(Clone)]
 pub struct NfsServer {
-    mm: MemoryManager,
-    disk: Disk,
+    io: IoController,
 }
 
 impl NfsServer {
-    /// Creates a server from its Memory Manager (normally configured in
-    /// writethrough mode) and its disk.
-    pub fn new(mm: MemoryManager, disk: Disk) -> Self {
-        NfsServer { mm, disk }
+    /// Creates a server from its I/O controller, whose Memory Manager is
+    /// normally configured in writethrough mode and whose disk stores the
+    /// files.
+    pub fn new(io: IoController) -> Self {
+        NfsServer { io }
     }
 
     /// The server's Memory Manager.
     pub fn memory_manager(&self) -> &MemoryManager {
-        &self.mm
+        self.io.memory_manager()
     }
 
     /// The server's disk.
     pub fn disk(&self) -> &Disk {
-        &self.disk
+        self.io.memory_manager().disk()
     }
 
     /// Serves `amount` bytes of a read of `file` (whose full size is
-    /// `file_size`): data cached on the server is read from memory, the rest
-    /// from the server disk (and added to the server read cache). Returns
-    /// `(from_disk, from_cache)`.
+    /// `file_size`) with the controller's read step: data cached on the
+    /// server is read from memory, the rest from the server disk (and added
+    /// to the server read cache). The server keeps no copy of the data it
+    /// sends. Returns `(from_disk, from_cache)`.
     pub async fn serve_read(&self, file: &FileId, file_size: f64, amount: f64) -> (f64, f64) {
-        if amount <= EPSILON {
-            return (0.0, 0.0);
-        }
-        let cached = self.mm.cached_amount(file);
-        let uncached = (file_size - cached).max(0.0);
-        let from_disk = amount.min(uncached);
-        let from_cache = amount - from_disk;
-        if from_disk > EPSILON {
-            self.mm.evict(from_disk - self.mm.free_memory(), Some(file));
-            let still_missing = from_disk - self.mm.free_memory();
-            if still_missing > EPSILON {
-                self.mm.evict(still_missing, None);
-            }
-            self.disk.read(from_disk).await;
-            self.mm.add_to_cache(file, from_disk);
-        }
-        if from_cache > EPSILON {
-            self.mm.read_from_cache(file, from_cache).await;
-        }
-        (from_disk, from_cache)
+        let mut stats = IoOpStats::default();
+        self.io
+            .read_chunk(file, file_size, amount, false, &mut stats)
+            .await;
+        (stats.bytes_from_disk, stats.bytes_from_cache)
     }
 
     /// Serves a writethrough write of `amount` bytes: synchronous disk write,
     /// then the data is kept in the server cache as clean data.
     pub async fn serve_write(&self, file: &FileId, amount: f64) {
-        if amount <= EPSILON {
-            return;
-        }
-        self.disk.write(amount).await;
-        self.mm.evict(amount - self.mm.free_memory(), None);
-        let to_cache = amount.min(self.mm.free_memory());
-        if to_cache > EPSILON {
-            self.mm.add_to_cache(file, to_cache);
-        }
+        self.io.write_chunk_writethrough(file, amount).await;
     }
 }
 
@@ -92,7 +75,7 @@ pub struct NfsFileSystem {
     ctx: SimContext,
     link: NetworkLink,
     server: NfsServer,
-    client_mm: MemoryManager,
+    client_io: IoController,
     registry: FileRegistry,
     chunk_size: f64,
 }
@@ -110,7 +93,7 @@ impl NfsFileSystem {
             ctx: ctx.clone(),
             link,
             server,
-            client_mm,
+            client_io: IoController::new(ctx, client_mm),
             registry: FileRegistry::new(),
             chunk_size: DEFAULT_CHUNK_SIZE,
         }
@@ -125,7 +108,7 @@ impl NfsFileSystem {
 
     /// The client-side Memory Manager (read cache and anonymous memory).
     pub fn client_memory_manager(&self) -> &MemoryManager {
-        &self.client_mm
+        self.client_io.memory_manager()
     }
 
     /// The server.
@@ -145,16 +128,16 @@ impl NfsFileSystem {
 
     /// Registers a pre-existing file on the server without simulating I/O.
     pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), FsError> {
-        self.server.disk.allocate(size)?;
+        self.server.disk().allocate(size)?;
         self.registry.create(file, size)
     }
 
     /// Deletes a file: releases server disk space and both caches.
     pub fn delete_file(&self, file: &FileId) -> Result<(), FsError> {
         let size = self.registry.remove(file)?;
-        self.server.disk.free(size);
-        self.server.mm.invalidate_file(file);
-        self.client_mm.invalidate_file(file);
+        self.server.disk().free(size);
+        self.server.memory_manager().invalidate_file(file);
+        self.client_memory_manager().invalidate_file(file);
         Ok(())
     }
 
@@ -182,39 +165,20 @@ impl NfsFileSystem {
         let mut remaining = amount;
         while remaining > EPSILON {
             let chunk = remaining.min(self.chunk_size);
-            let client_cached = self.client_mm.cached_amount(file);
-            let uncached = (size - client_cached).max(0.0);
-            let from_remote = chunk.min(uncached);
-            let from_client_cache = chunk - from_remote;
-
-            // Make room on the client for the anonymous copy plus the newly
-            // cached data (the client cache only holds clean data, so eviction
-            // is enough).
-            let required = chunk + from_remote;
-            self.client_mm
-                .evict(required - self.client_mm.free_memory(), Some(file));
-            let still_missing = required - self.client_mm.free_memory();
-            if still_missing > EPSILON {
-                self.client_mm.evict(still_missing, None);
-            }
-
-            if from_remote > EPSILON {
-                let (from_disk, from_server_cache) =
-                    self.server.serve_read(file, size, from_remote).await;
-                self.link.transfer(from_remote).await;
-                self.client_mm.add_to_cache(file, from_remote);
-                stats.bytes_from_disk += from_disk;
-                stats.bytes_from_cache += from_server_cache;
-                stats.bytes_to_cache += from_remote;
-            }
-            if from_client_cache > EPSILON {
-                let read = self
-                    .client_mm
-                    .read_from_cache(file, from_client_cache)
-                    .await;
-                stats.bytes_from_cache += read;
-            }
-            self.client_mm.use_anonymous_memory(chunk);
+            // The client is an application host: Algorithm 2 with the server
+            // (its cache or disk, then the network) as the source.
+            let Ok(()) = self
+                .client_io
+                .read_chunk_via(file, size, chunk, true, &mut stats, |amount| async move {
+                    let (from_disk, from_cache) = self.server.serve_read(file, size, amount).await;
+                    self.link.transfer(amount).await;
+                    Ok::<_, Infallible>(IoOpStats {
+                        bytes_from_disk: from_disk,
+                        bytes_from_cache: from_cache,
+                        ..IoOpStats::default()
+                    })
+                })
+                .await;
             remaining -= chunk;
         }
         stats.duration = self.ctx.now().duration_since(start);
@@ -232,9 +196,9 @@ impl NfsFileSystem {
             });
         }
         if let Some(old) = self.registry.create_or_replace(file, size) {
-            self.server.disk.free(old);
+            self.server.disk().free(old);
         }
-        self.server.disk.allocate(size)?;
+        self.server.disk().allocate(size)?;
         Ok(self.write_amount(file, size).await)
     }
 
@@ -247,7 +211,7 @@ impl NfsFileSystem {
         len: f64,
     ) -> Result<IoOpStats, FsError> {
         let (_offset, len) =
-            extend_for_write(&self.registry, &self.server.disk, file, offset, len)?;
+            extend_for_write(&self.registry, self.server.disk(), file, offset, len)?;
         Ok(self.write_amount(file, len).await)
     }
 
@@ -327,9 +291,9 @@ mod tests {
             &ctx,
             PageCacheConfig::with_memory(server_mem_mb * MB).writethrough(),
             server_memory,
-            server_disk.clone(),
+            server_disk,
         );
-        let server = NfsServer::new(server_mm, server_disk);
+        let server = NfsServer::new(IoController::new(&ctx, server_mm));
         let link = NetworkLink::new(&ctx, "eth0", NET_BW, 0.0);
         let fs = NfsFileSystem::new(&ctx, client_mm, link, server);
         (sim, fs)

@@ -36,6 +36,12 @@
 //! [`TwoList`](pagecache::EvictionPolicy::TwoList) policy ranks every file 0
 //! and grants no second chances, reproducing the historical behaviour
 //! exactly.
+//!
+//! Which files [`KernelCache::evict`] and [`KernelCache::write_back`] may
+//! take is a [`ReclaimScope`], the type the macroscopic model uses too: the
+//! whole host (optionally excluding the file being read) for global reclaim,
+//! or one cache group for [`KernelCache::enforce_group_limits`], so a
+//! tenant's limit runs the same victim ordering as global reclaim.
 
 use std::cell::RefCell;
 use std::collections::{BTreeMap, HashMap};
@@ -43,7 +49,8 @@ use std::rc::Rc;
 
 use des::{JoinHandle, SimContext, SimTime};
 use pagecache::{
-    CacheContentSnapshot, FileId, FileMeta, MemorySample, MemoryTrace, ReplacementPolicy,
+    CacheContentSnapshot, FileId, FileMeta, MemorySample, MemoryTrace, ReclaimScope,
+    ReplacementPolicy,
 };
 use storage_model::{Disk, MemoryDevice};
 
@@ -772,107 +779,6 @@ impl KernelCache {
             .map_or(0.0, |gb| gb.dirty)
     }
 
-    /// Evicts up to `amount` bytes of clean pages belonging to one cache
-    /// group. Same victim ordering and protection passes as
-    /// [`KernelCache::evict`], restricted to the group's files.
-    pub fn evict_group(&self, amount: f64, group: u32) -> f64 {
-        if amount <= EPS {
-            return 0.0;
-        }
-        let mut s = self.state.borrow_mut();
-        let mut order = s.chain_candidates(CLEAN, |p| p.clean() > EPS);
-        order.retain(|&i| s.group_of.get(&s.slot(i).file) == Some(&group));
-        order.sort_by(|&a, &b| {
-            let ka = s.policy.file_rank(&s.slot(a).meta);
-            let kb = s.policy.file_rank(&s.slot(b).meta);
-            (ka, s.slot(a).pages.last_access, &s.slot(a).file).cmp(&(
-                kb,
-                s.slot(b).pages.last_access,
-                &s.slot(b).file,
-            ))
-        });
-        let use_ref = s.policy.uses_reference_bits();
-        let mut evicted = 0.0;
-        for respect_protection in [true, false] {
-            for &i in &order {
-                if evicted >= amount - EPS {
-                    break;
-                }
-                let st = &mut *s;
-                let slot = st.slots[i as usize].as_mut().expect("vacant file slot");
-                if respect_protection
-                    && self.tuning.protect_files_being_written
-                    && slot.pages.write_open
-                {
-                    continue;
-                }
-                if respect_protection && use_ref && st.policy.file_second_chance(&mut slot.meta) {
-                    continue;
-                }
-                let removed = slot.pages.evict_clean(amount - evicted);
-                if removed > EPS {
-                    slot.resident.trim_front(removed);
-                    if slot.pages.cached() <= EPS {
-                        st.policy.file_on_evict(&slot.file, &slot.meta);
-                    }
-                    let f = slot.file.clone();
-                    st.group_adjust(&f, -removed, 0.0);
-                }
-                evicted += removed;
-            }
-            if evicted >= amount - EPS || (!self.tuning.protect_files_being_written && !use_ref) {
-                break;
-            }
-        }
-        s.counters.evicted += evicted;
-        s.cached_total = (s.cached_total - evicted).max(0.0);
-        s.debug_validate();
-        evicted
-    }
-
-    /// Writes back up to `amount` bytes of one cache group's dirty pages,
-    /// oldest dirty file first, simulating the disk writes. Counted as
-    /// throttled (synchronous) writeback. Returns the amount written back.
-    pub async fn write_back_group(&self, amount: f64, group: u32) -> f64 {
-        if amount <= EPS {
-            return 0.0;
-        }
-        let flushed = {
-            let mut s = self.state.borrow_mut();
-            let mut order = s.chain_candidates(DIRTY, |p| p.dirty() > EPS);
-            order.retain(|&i| s.group_of.get(&s.slot(i).file) == Some(&group));
-            let key = |s: &State, i: u32| {
-                let slot = s.slot(i);
-                slot.pages.oldest_dirty.unwrap_or(slot.pages.last_access)
-            };
-            order.sort_by(|&a, &b| {
-                (key(&s, a), &s.slot(a).file).cmp(&(key(&s, b), &s.slot(b).file))
-            });
-            let mut flushed = 0.0;
-            for &i in &order {
-                if flushed >= amount - EPS {
-                    break;
-                }
-                let cleaned = s.slot_mut(i).pages.clean_dirty(amount - flushed);
-                flushed += cleaned;
-                if cleaned > 0.0 {
-                    s.slot_mut(i).dirty.trim_front(cleaned);
-                    s.link(i, CLEAN);
-                    let f = s.slot(i).file.clone();
-                    s.group_adjust(&f, 0.0, -cleaned);
-                }
-            }
-            s.counters.throttled_writeback += flushed;
-            s.dirty_total = (s.dirty_total - flushed).max(0.0);
-            s.debug_validate();
-            flushed
-        };
-        if flushed > EPS {
-            self.disk.write(flushed).await;
-        }
-        flushed
-    }
-
     /// Enforces memcg-style limits on one cache group: writes back the
     /// group's dirty pages above `max_dirty`, evicts its clean pages above
     /// `max_bytes`, and — if the group still exceeds its cap because the
@@ -887,28 +793,32 @@ impl KernelCache {
         let mut flushed = 0.0;
         let over_dirty = self.group_dirty(group) - max_dirty;
         if over_dirty > EPS {
-            flushed += self.write_back_group(over_dirty, group).await;
+            flushed += self
+                .write_back(over_dirty, ReclaimScope::Group(group), true)
+                .await;
         }
         let mut evicted = 0.0;
         let over = self.group_cached(group) - max_bytes;
         if over > EPS {
-            evicted += self.evict_group(over, group);
+            evicted += self.evict(over, ReclaimScope::Group(group));
         }
         let still_over = self.group_cached(group) - max_bytes;
         if still_over > EPS {
-            flushed += self.write_back_group(still_over, group).await;
+            flushed += self
+                .write_back(still_over, ReclaimScope::Group(group), true)
+                .await;
             let rest = self.group_cached(group) - max_bytes;
             if rest > EPS {
-                evicted += self.evict_group(rest, group);
+                evicted += self.evict(rest, ReclaimScope::Group(group));
             }
         }
         (evicted, flushed)
     }
 
-    /// Evicts up to `amount` bytes of clean pages, lowest-ranked and
-    /// least-recently-used file first, skipping files currently being written
-    /// (if the corresponding tunable is enabled) and `exclude`. Returns the
-    /// evicted amount.
+    /// Evicts up to `amount` bytes of clean pages of the files in `scope`,
+    /// lowest-ranked and least-recently-used file first, skipping files
+    /// currently being written (if the corresponding tunable is enabled).
+    /// Returns the evicted amount.
     ///
     /// Candidates come from the has-clean membership chain, so only files
     /// actually holding clean pages are visited; the sort orders victims by
@@ -916,7 +826,7 @@ impl KernelCache {
     /// [`TwoList`](pagecache::EvictionPolicy::TwoList) policy ranks every
     /// file 0, reproducing the historical `(last_access, file name)`
     /// selection order exactly.
-    pub fn evict(&self, amount: f64, exclude: Option<&FileId>) -> f64 {
+    pub fn evict(&self, amount: f64, scope: ReclaimScope<'_>) -> f64 {
         if amount <= EPS {
             return 0.0;
         }
@@ -942,11 +852,11 @@ impl KernelCache {
                 if evicted >= amount - EPS {
                     break;
                 }
-                if exclude.is_some_and(|f| f == &s.slot(i).file) {
-                    continue;
-                }
                 let st = &mut *s;
                 let slot = st.slots[i as usize].as_mut().expect("vacant file slot");
+                if !scope.admits(&slot.file, &st.group_of) {
+                    continue;
+                }
                 if respect_protection
                     && self.tuning.protect_files_being_written
                     && slot.pages.write_open
@@ -980,9 +890,11 @@ impl KernelCache {
         evicted
     }
 
-    /// Writes back up to `amount` bytes of dirty pages, oldest dirty file
-    /// first, and simulates the disk writes. Returns the amount written back.
-    pub async fn write_back(&self, amount: f64, throttled: bool) -> f64 {
+    /// Writes back up to `amount` bytes of dirty pages of the files in
+    /// `scope`, oldest dirty file first, and simulates the disk writes. The
+    /// bytes count as throttled (synchronous) or background writeback.
+    /// Returns the amount written back.
+    pub async fn write_back(&self, amount: f64, scope: ReclaimScope<'_>, throttled: bool) -> f64 {
         if amount <= EPS {
             return 0.0;
         }
@@ -1003,6 +915,9 @@ impl KernelCache {
             for &i in &order {
                 if flushed >= amount - EPS {
                     break;
+                }
+                if !scope.admits(&s.slot(i).file, &s.group_of) {
+                    continue;
                 }
                 let cleaned = s.slot_mut(i).pages.clean_dirty(amount - flushed);
                 flushed += cleaned;
@@ -1053,7 +968,8 @@ impl KernelCache {
                 .map(FilePages::dirty)
                 .sum::<f64>()
         };
-        self.write_back(amount, false).await
+        self.write_back(amount, ReclaimScope::Host(None), false)
+            .await
     }
 
     /// Adds clean pages of a file that were just read from disk. A corollary
@@ -1325,7 +1241,8 @@ impl KernelCache {
             self.write_back_expired().await;
             let over_background = self.dirty() - self.background_threshold();
             if over_background > EPS {
-                self.write_back(over_background, false).await;
+                self.write_back(over_background, ReclaimScope::Host(None), false)
+                    .await;
             }
             let elapsed = self.ctx.now().duration_since(start);
             if elapsed < self.tuning.writeback_interval {
@@ -1396,12 +1313,14 @@ mod tests {
             approx(c.group_cached(2), 80.0 * MB);
             approx(c.group_dirty(2), 80.0 * MB);
             // Group writeback cleans only group 2.
-            let flushed = c.write_back_group(f64::INFINITY, 2).await;
+            let flushed = c
+                .write_back(f64::INFINITY, ReclaimScope::Group(2), true)
+                .await;
             approx(flushed, 80.0 * MB);
             approx(c.group_dirty(2), 0.0);
             approx(c.group_cached(2), 80.0 * MB);
             // Group eviction reclaims only group 1.
-            let evicted = c.evict_group(f64::INFINITY, 1);
+            let evicted = c.evict(f64::INFINITY, ReclaimScope::Group(1));
             approx(evicted, 100.0 * MB);
             approx(c.group_cached(1), 0.0);
             approx(c.cached_amount(&"shared".into()), 50.0 * MB);
@@ -1498,7 +1417,11 @@ mod tests {
         cache.insert_dirty_range(&"f".into(), 0.0, 100.0 * MB);
         let h = sim.spawn({
             let cache = cache.clone();
-            async move { cache.write_back(40.0 * MB, false).await }
+            async move {
+                cache
+                    .write_back(40.0 * MB, ReclaimScope::Host(None), false)
+                    .await
+            }
         });
         sim.run();
         approx(h.try_take_result().unwrap(), 40.0 * MB);
@@ -1539,13 +1462,13 @@ mod tests {
         cache.insert_clean(&"protected".into(), 100.0 * MB);
         cache.set_write_open(&"protected".into(), true);
         cache.insert_clean(&"victim".into(), 100.0 * MB);
-        let evicted = cache.evict(100.0 * MB, None);
+        let evicted = cache.evict(100.0 * MB, ReclaimScope::Host(None));
         approx(evicted, 100.0 * MB);
         approx(cache.cached_amount(&"protected".into()), 100.0 * MB);
         approx(cache.cached_amount(&"victim".into()), 0.0);
         // Under stronger pressure even protected files are reclaimed
         // (second pass).
-        let evicted = cache.evict(100.0 * MB, None);
+        let evicted = cache.evict(100.0 * MB, ReclaimScope::Host(None));
         approx(evicted, 100.0 * MB);
         approx(cache.cached_amount(&"protected".into()), 0.0);
     }
@@ -1560,7 +1483,7 @@ mod tests {
             ctx.sleep(1.0).await;
             c.insert_clean(&"new".into(), 50.0 * MB);
             c.insert_dirty(&"dirty".into(), 50.0 * MB);
-            let evicted = c.evict(60.0 * MB, None);
+            let evicted = c.evict(60.0 * MB, ReclaimScope::Host(None));
             approx(evicted, 60.0 * MB);
             // The older file went first.
             approx(c.cached_amount(&"old".into()), 0.0);
@@ -1578,7 +1501,9 @@ mod tests {
             let cache = cache.clone();
             async move {
                 cache.insert_dirty(&"f".into(), 420.0 * MB);
-                let flushed = cache.write_back(420.0 * MB, true).await;
+                let flushed = cache
+                    .write_back(420.0 * MB, ReclaimScope::Host(None), true)
+                    .await;
                 (flushed, cache.dirty())
             }
         });
@@ -1650,12 +1575,12 @@ mod tests {
         cache.insert_clean(&"b".into(), 50.0 * MB);
         // The re-access sets `a`'s reference bit.
         cache.touch(&"a".into(), 10.0 * MB);
-        approx(cache.evict(50.0 * MB, None), 50.0 * MB);
+        approx(cache.evict(50.0 * MB, ReclaimScope::Host(None)), 50.0 * MB);
         // `a` would be first in name order but is spared once; `b` goes.
         approx(cache.cached_amount(&"a".into()), 50.0 * MB);
         approx(cache.cached_amount(&"b".into()), 0.0);
         // The second chance is consumed: the next eviction reclaims `a`.
-        approx(cache.evict(50.0 * MB, None), 50.0 * MB);
+        approx(cache.evict(50.0 * MB, ReclaimScope::Host(None)), 50.0 * MB);
         approx(cache.cached_amount(&"a".into()), 0.0);
     }
 
@@ -1664,11 +1589,11 @@ mod tests {
         let (_sim, cache) = setup_policy(1000.0, EvictionPolicy::TwoQ);
         cache.insert_clean(&"hot".into(), 50.0 * MB);
         // Fully reclaimed once: the file enters the ghost queue.
-        approx(cache.evict(50.0 * MB, None), 50.0 * MB);
+        approx(cache.evict(50.0 * MB, ReclaimScope::Host(None)), 50.0 * MB);
         // The re-insert is a ghost hit, classifying the file as hot (Am).
         cache.insert_clean(&"hot".into(), 50.0 * MB);
         cache.insert_clean(&"scan".into(), 50.0 * MB);
-        approx(cache.evict(50.0 * MB, None), 50.0 * MB);
+        approx(cache.evict(50.0 * MB, ReclaimScope::Host(None)), 50.0 * MB);
         // The one-shot scan ranks below the ghost-hit file and goes first.
         approx(cache.cached_amount(&"hot".into()), 50.0 * MB);
         approx(cache.cached_amount(&"scan".into()), 0.0);
@@ -1685,7 +1610,7 @@ mod tests {
             cache.touch(&"a_filler".into(), 1.0);
         }
         cache.insert_clean(&"a_young".into(), 50.0 * MB);
-        approx(cache.evict(50.0 * MB, None), 50.0 * MB);
+        approx(cache.evict(50.0 * MB, ReclaimScope::Host(None)), 50.0 * MB);
         // Without generation ranks the name tie-break would reclaim
         // `a_young` first; the older stamp of `z_old` outweighs it.
         approx(cache.cached_amount(&"z_old".into()), 0.0);

@@ -41,7 +41,7 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use des::SimContext;
-use pagecache::{clamp_io_range, FileId, FsError, IoOpStats};
+use pagecache::{clamp_io_range, FileId, FsError, IoOpStats, ReclaimScope};
 use storage_model::Disk;
 
 use crate::cache::KernelCache;
@@ -196,14 +196,17 @@ impl KernelFileSystem {
             let required = chunk + from_disk;
             let missing = required - self.cache.free_memory();
             if missing > EPS {
-                let evicted = self.cache.evict(missing, Some(file));
+                let evicted = self.cache.evict(missing, ReclaimScope::Host(Some(file)));
                 let still = missing - evicted;
                 if still > EPS {
                     // Direct reclaim also writes back dirty pages if eviction
                     // alone is not enough.
-                    let flushed = self.cache.write_back(still, true).await;
+                    let flushed = self
+                        .cache
+                        .write_back(still, ReclaimScope::Host(None), true)
+                        .await;
                     stats.bytes_to_disk += flushed;
-                    self.cache.evict(still, None);
+                    self.cache.evict(still, ReclaimScope::Host(None));
                 }
             }
 
@@ -388,7 +391,10 @@ impl KernelFileSystem {
             if projected_dirty > self.cache.dirty_threshold() {
                 let stall_start = self.ctx.now();
                 let target = (projected_dirty - self.cache.background_threshold()).max(0.0);
-                let flushed = self.cache.write_back(target, true).await;
+                let flushed = self
+                    .cache
+                    .write_back(target, ReclaimScope::Host(None), true)
+                    .await;
                 stats.bytes_to_disk += flushed;
                 let stalled = self.ctx.now().duration_since(stall_start);
                 stats.throttle_stall += stalled;
@@ -398,11 +404,15 @@ impl KernelFileSystem {
             // Make room for the new dirty pages.
             let missing = chunk - self.cache.free_memory();
             if missing > EPS {
-                let evicted = self.cache.evict(missing, Some(file));
+                let evicted = self.cache.evict(missing, ReclaimScope::Host(Some(file)));
                 if missing - evicted > EPS {
-                    let flushed = self.cache.write_back(missing - evicted, true).await;
+                    let flushed = self
+                        .cache
+                        .write_back(missing - evicted, ReclaimScope::Host(None), true)
+                        .await;
                     stats.bytes_to_disk += flushed;
-                    self.cache.evict(missing - evicted, None);
+                    self.cache
+                        .evict(missing - evicted, ReclaimScope::Host(None));
                 }
             }
 
@@ -457,7 +467,10 @@ impl KernelFileSystem {
     /// file first.
     pub async fn sync(&self) -> IoOpStats {
         let start = self.ctx.now();
-        let flushed = self.cache.write_back(self.cache.dirty(), true).await;
+        let flushed = self
+            .cache
+            .write_back(self.cache.dirty(), ReclaimScope::Host(None), true)
+            .await;
         IoOpStats {
             bytes_to_disk: flushed,
             duration: self.ctx.now().duration_since(start),

@@ -7,17 +7,29 @@
 //! disk) before cached data, and inactive-list data before active-list data
 //! (paper Fig. 3).
 //!
+//! The paper applies one read algorithm (Algorithm 2) to local storage and
+//! to both NFS hosts (§III-D), and so does this module: every page-cached
+//! read path — local files, the NFS client and server, the storage fleet's
+//! clients and servers — runs [`IoController::read_chunk_via`], which takes
+//! the uncached share from a caller-supplied source (the host's disk, or a
+//! remote server) and, for readers that are applications, accounts for
+//! their anonymous copy of the data. Writethrough servers write with
+//! [`IoController::write_chunk_writethrough`].
+//!
 //! Every per-chunk step is cheap regardless of how many files are cached:
 //! the headroom/evictable polls are O(1) aggregate reads, and the cache
 //! read/flush calls walk only the target file's blocks / the dirty chains
 //! (see the `lru` module), so interleaved multi-file workloads stay linear
 //! in the data they move.
 
+use std::convert::Infallible;
+use std::future::Future;
+
 use des::SimContext;
 
 use crate::block::FileId;
 use crate::config::WriteMode;
-use crate::lru::EPSILON;
+use crate::lru::{ReclaimScope, EPSILON};
 use crate::manager::MemoryManager;
 use crate::stats::IoOpStats;
 
@@ -105,8 +117,8 @@ impl IoController {
         let mut remaining = amount;
         while remaining > EPSILON {
             let chunk = remaining.min(self.chunk_size);
-            let chunk_stats = self.read_chunk(file, file_size, chunk).await;
-            stats.merge(&chunk_stats);
+            self.read_chunk(file, file_size, chunk, true, &mut stats)
+                .await;
             remaining -= chunk;
         }
         stats.duration = self.ctx.now().duration_since(start);
@@ -159,7 +171,10 @@ impl IoController {
     /// used first.
     pub async fn sync(&self) -> IoOpStats {
         let start = self.ctx.now();
-        let flushed = self.mm.flush(self.mm.dirty(), None).await;
+        let flushed = self
+            .mm
+            .flush(self.mm.dirty(), ReclaimScope::Host(None))
+            .await;
         IoOpStats {
             bytes_to_disk: flushed,
             duration: self.ctx.now().duration_since(start),
@@ -167,54 +182,110 @@ impl IoController {
         }
     }
 
-    /// Reads one chunk (paper Algorithm 2).
-    async fn read_chunk(&self, file: &FileId, file_size: f64, chunk: f64) -> IoOpStats {
-        let start = self.ctx.now();
-        let mut stats = IoOpStats::default();
+    /// Reads one chunk of `file` through the cache, taking the uncached
+    /// share from this host's disk: [`IoController::read_chunk_via`] with
+    /// the disk as the source. Adds the chunk's byte counts to `stats`.
+    pub async fn read_chunk(
+        &self,
+        file: &FileId,
+        file_size: f64,
+        chunk: f64,
+        keep_copy: bool,
+        stats: &mut IoOpStats,
+    ) {
+        let disk = self.mm.disk();
+        let Ok(()) = self
+            .read_chunk_via(
+                file,
+                file_size,
+                chunk,
+                keep_copy,
+                stats,
+                |amount| async move {
+                    disk.read(amount).await;
+                    Ok::<_, Infallible>(IoOpStats {
+                        bytes_from_disk: amount,
+                        ..IoOpStats::default()
+                    })
+                },
+            )
+            .await;
+    }
 
-        // Lines 7-9: how much must come from disk, how much from cache, and
-        // how much memory the chunk needs (one copy in anonymous memory plus
-        // the newly cached data). Under the round-robin access assumption the
-        // uncached part of the file is `fs - mm.cached(fn)`.
+    /// Reads one chunk of `file` (a file of `file_size` bytes) through the
+    /// cache: paper Algorithm 2, the one read step of every page-cached
+    /// host. `fetch(amount)` produces `amount` uncached bytes — from the
+    /// host's disk, or over the network from a server — and returns what
+    /// that cost, which is added to `stats` along with the chunk's cache
+    /// traffic. A reader that is an application (`keep_copy`) holds the
+    /// chunk in anonymous memory afterwards; a server passing data on does
+    /// not, so it only needs room for the bytes it caches. A failed fetch
+    /// aborts the step and is returned as is.
+    pub async fn read_chunk_via<E, Fut>(
+        &self,
+        file: &FileId,
+        file_size: f64,
+        chunk: f64,
+        keep_copy: bool,
+        stats: &mut IoOpStats,
+        mut fetch: impl FnMut(f64) -> Fut,
+    ) -> Result<(), E>
+    where
+        Fut: Future<Output = Result<IoOpStats, E>>,
+    {
+        // Lines 7-9: how much must be fetched, how much comes from cache, and
+        // how much memory the chunk needs (the newly cached data, plus the
+        // reader's anonymous copy). Under the round-robin access assumption
+        // the uncached part of the file is `fs - mm.cached(fn)`.
         let file_uncached = (file_size - self.mm.cached_amount(file)).max(0.0);
         let disk_read = chunk.min(file_uncached);
         let cache_read = chunk - disk_read;
-        let required_mem = chunk + disk_read;
+        let required_mem = if keep_copy {
+            chunk + disk_read
+        } else {
+            disk_read
+        };
 
         // Lines 10-11: make room by flushing dirty data, then evicting clean
-        // data. Negative amounts are no-ops.
+        // data. Negative amounts are no-ops, and so is the flush on a cache
+        // that holds no dirty data (read-only client caches, writethrough
+        // servers).
+        let others = ReclaimScope::Host(Some(file));
         let flush_amount = required_mem - self.mm.free_memory() - self.mm.evictable(Some(file));
-        let flushed = self.mm.flush(flush_amount, Some(file)).await;
-        stats.bytes_to_disk += flushed;
-        let evict_amount = required_mem - self.mm.free_memory();
-        self.mm.evict(evict_amount, Some(file));
+        stats.bytes_to_disk += self.mm.flush(flush_amount, others).await;
+        self.mm.evict(required_mem - self.mm.free_memory(), others);
         // Algorithm 2 assumes the file fits in memory. If it does not, the
         // exclusion above prevents reclaiming the file's own pages and the
         // cache would grow unbounded; fall back to unrestricted eviction,
         // which is what the kernel does under memory pressure.
         let still_missing = required_mem - self.mm.free_memory();
         if still_missing > EPSILON {
-            self.mm.evict(still_missing, None);
+            self.mm.evict(still_missing, ReclaimScope::Host(None));
         }
 
-        // Lines 12-15: read uncached data from disk and add it to the cache.
+        // Lines 12-15: fetch uncached data and add it to the cache.
         if disk_read > EPSILON {
-            self.mm.disk().read(disk_read).await;
+            stats.merge(&fetch(disk_read).await?);
             self.mm.add_to_cache(file, disk_read);
-            stats.bytes_from_disk += disk_read;
             stats.bytes_to_cache += disk_read;
         }
-        // Lines 16-18: read cached data.
+        // Lines 16-18: read cached data. The fallback eviction above may
+        // have reclaimed part of this very share; the reader still gets
+        // every byte, so the shortfall is fetched like uncached data.
         if cache_read > EPSILON {
             let read = self.mm.read_from_cache(file, cache_read).await;
             stats.bytes_from_cache += read;
+            let shortfall = cache_read - read;
+            if shortfall > EPSILON {
+                stats.merge(&fetch(shortfall).await?);
+            }
         }
         // Line 19: the application keeps a copy of the chunk in anonymous
         // memory.
-        self.mm.use_anonymous_memory(chunk);
-
-        stats.duration = self.ctx.now().duration_since(start);
-        stats
+        if keep_copy {
+            self.mm.use_anonymous_memory(chunk);
+        }
+        Ok(())
     }
 
     /// Writes one chunk in writeback mode (paper Algorithm 3).
@@ -228,7 +299,7 @@ impl IoController {
         if remain_dirty > EPSILON {
             // Lines 6-9: make room (if needed) and write to the cache.
             let evict_amount = chunk.min(remain_dirty) - self.mm.free_memory();
-            self.mm.evict(evict_amount, None);
+            self.mm.evict(evict_amount, ReclaimScope::Host(None));
             mem_amt = chunk.min(remain_dirty).min(self.mm.free_memory());
             if mem_amt > EPSILON {
                 self.mm.write_to_cache(file, mem_amt).await;
@@ -244,19 +315,29 @@ impl IoController {
         let stall_start = self.ctx.now();
         let mut remaining = chunk - mem_amt;
         while remaining > EPSILON {
-            let flushed = self.mm.flush(chunk - mem_amt, None).await;
+            let flushed = self
+                .mm
+                .flush(chunk - mem_amt, ReclaimScope::Host(None))
+                .await;
             stats.bytes_to_disk += flushed;
-            self.mm.evict(chunk - mem_amt - self.mm.free_memory(), None);
+            self.mm.evict(
+                chunk - mem_amt - self.mm.free_memory(),
+                ReclaimScope::Host(None),
+            );
             let to_cache = remaining.min(self.mm.free_memory());
             if to_cache > EPSILON {
                 self.mm.write_to_cache(file, to_cache).await;
                 stats.bytes_to_cache += to_cache;
                 remaining -= to_cache;
-            } else if flushed <= EPSILON {
+            } else if flushed <= EPSILON || remaining < 1.0 {
                 // Neither flushing nor eviction can make progress (everything
-                // is anonymous or active). Degrade to a direct disk write for
-                // the remainder so the simulation cannot livelock; the real
-                // kernel would block the writer in balance_dirty_pages.
+                // is anonymous or active), or all that is left is a sub-byte
+                // rounding residue: with memory overcommitted, flushing and
+                // evicting a residue above `EPSILON` frees nothing, and the
+                // loop would flush that residue forever. Degrade to a direct
+                // disk write for the remainder so the simulation cannot
+                // livelock; the real kernel would block the writer in
+                // balance_dirty_pages.
                 self.mm.disk().write(remaining).await;
                 self.mm
                     .add_to_cache(file, self.mm.free_memory().min(remaining));
@@ -272,13 +353,15 @@ impl IoController {
 
     /// Writes one chunk in writethrough mode (paper §III-B, last paragraph):
     /// the disk write is synchronous, then the written data is added to the
-    /// cache (as clean data), evicting older cache entries if needed.
-    async fn write_chunk_writethrough(&self, file: &FileId, chunk: f64) -> IoOpStats {
+    /// cache (as clean data), evicting older cache entries if needed. This
+    /// is also the write step of writethrough servers.
+    pub async fn write_chunk_writethrough(&self, file: &FileId, chunk: f64) -> IoOpStats {
         let start = self.ctx.now();
         let mut stats = IoOpStats::default();
         self.mm.disk().write(chunk).await;
         stats.bytes_to_disk += chunk;
-        self.mm.evict(chunk - self.mm.free_memory(), None);
+        self.mm
+            .evict(chunk - self.mm.free_memory(), ReclaimScope::Host(None));
         let to_cache = chunk.min(self.mm.free_memory());
         if to_cache > EPSILON {
             self.mm.add_to_cache(file, to_cache);
@@ -293,7 +376,7 @@ impl IoController {
 mod tests {
     use super::*;
     use crate::config::PageCacheConfig;
-    use des::Simulation;
+    use des::{SimTime, Simulation};
     use storage_model::{units::MB, DeviceSpec, Disk, MemoryDevice};
 
     const MEM_BW: f64 = 1000.0 * 1e6; // 1000 MB/s
@@ -651,5 +734,73 @@ mod tests {
         approx(stats.bytes_to_disk, 500.0 * MB);
         approx(io.memory_manager().dirty(), 0.0);
         approx(io.memory_manager().cached(), 500.0 * MB);
+    }
+
+    #[test]
+    fn read_refetches_cached_data_lost_to_fallback_eviction() {
+        // 100 MB of RAM, 65 MB anonymous, 30 MB of the 40 MB file cached.
+        // Reading it needs 10 MB for the uncached part plus a 40 MB
+        // anonymous copy, but only 5 MB is free and the file itself is the
+        // only clean data, so the fallback eviction reclaims the 30 MB the
+        // read expected to hit. Those bytes must still reach the reader.
+        let (sim, io) = setup(100.0 * MB, WriteMode::WriteBack);
+        io.memory_manager().use_anonymous_memory(65.0 * MB);
+        io.memory_manager().add_to_cache(&"a".into(), 30.0 * MB);
+        let h = sim.spawn({
+            let io = io.clone();
+            async move { io.read_amount(&"a".into(), 40.0 * MB, 40.0 * MB).await }
+        });
+        sim.run();
+        let stats = h.try_take_result().unwrap();
+        approx(stats.bytes_from_disk + stats.bytes_from_cache, 40.0 * MB);
+        // 10 MB uncached plus the 20 MB evicted share come from disk; the
+        // 10 MB just added to the cache are read from it.
+        approx(stats.bytes_from_disk, 30.0 * MB);
+        approx(stats.bytes_from_cache, 10.0 * MB);
+        io.memory_manager().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn sub_byte_write_residue_under_overcommit_terminates() {
+        // The chunk fits in free memory and dirty headroom but for half a
+        // byte, so the writer caches all of it except a 0.5 B residue.
+        // While its memory write is in flight another task overcommits
+        // memory, after which flushing and evicting the residue frees
+        // nothing: free memory stays 0 and each pass flushes another 0.5 B.
+        let sim = Simulation::new();
+        let ctx = sim.context();
+        let memory = MemoryDevice::new(&ctx, DeviceSpec::symmetric(MEM_BW, 0.0, f64::INFINITY));
+        // A millisecond of latency per disk request bounds how many passes
+        // a looping writer makes in the simulated time allowed below.
+        let disk = Disk::new(
+            &ctx,
+            "disk0",
+            DeviceSpec::symmetric(DISK_BW, 1e-3, f64::INFINITY),
+        );
+        let mut cfg = PageCacheConfig::with_memory(1000.0 * MB);
+        cfg.dirty_ratio = 1.0;
+        let mm = MemoryManager::new(&ctx, cfg, memory, disk);
+        let io = IoController::new(&ctx, mm).with_chunk_size(100.0 * MB);
+        io.memory_manager().use_anonymous_memory(900.0 * MB + 0.5);
+        let writer = sim.spawn({
+            let io = io.clone();
+            async move { io.write_file(&"f".into(), 100.0 * MB).await }
+        });
+        sim.spawn({
+            let io = io.clone();
+            let ctx = ctx.clone();
+            async move {
+                ctx.sleep(0.05).await;
+                io.memory_manager().use_anonymous_memory(MB);
+            }
+        });
+        // Watchdog: the write takes 0.1 s; ten simulated seconds is ample.
+        sim.run_until(SimTime::from_secs(10.0));
+        let stats = writer
+            .try_take_result()
+            .expect("writer still flushing a sub-byte residue");
+        approx(stats.bytes_to_cache, 100.0 * MB - 0.5);
+        assert!(stats.bytes_to_disk >= 0.5 && stats.bytes_to_disk < 2.0);
+        io.memory_manager().check_invariants().unwrap();
     }
 }

@@ -23,6 +23,12 @@
 //! second-chance pass), 2Q splits tier 0/1 into A1in/Am with a ghost FIFO,
 //! and MGLRU treats all four tiers as a rotating generation ring.
 //!
+//! Which files a reclaim call may touch is a third, orthogonal input: a
+//! [`ReclaimScope`] is either the whole host (optionally excluding one
+//! file) or one cache group (a memcg-style tenant). [`LruLists::evict`] and
+//! [`LruLists::flush_lru`] run the same loops for both, so a tenant's
+//! reclaim gets the policy's tier order and second chances unchanged.
+//!
 //! # Why intrusive chains
 //!
 //! The previous implementation stored each list in a `VecDeque<DataBlock>`.
@@ -112,6 +118,31 @@ use crate::policy::{EvictionPolicy, ReplacementPolicy, MAX_TIERS};
 
 /// Bytes below which two amounts are considered equal.
 pub const EPSILON: f64 = 1e-6;
+
+/// Which cached data a reclaim call may take: eviction and flushing here
+/// ([`LruLists::evict`], [`LruLists::flush_lru`]) and eviction and
+/// writeback in the kernel emulator. Both cache models share this type, so
+/// tenant-scoped reclaim runs through the same loops as host-wide reclaim.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReclaimScope<'a> {
+    /// Any file of the host, except the given one (paper Algorithm 2
+    /// excludes the file being read).
+    Host(Option<&'a FileId>),
+    /// Only the files assigned to this cache group (a memcg-style tenant),
+    /// so one tenant's overflow never reclaims a neighbour's pages.
+    Group(u32),
+}
+
+impl ReclaimScope<'_> {
+    /// Whether data of `file` may be reclaimed, given the host's
+    /// file-to-group assignment.
+    pub fn admits(&self, file: &FileId, group_of: &HashMap<FileId, u32>) -> bool {
+        match *self {
+            ReclaimScope::Host(exclude) => exclude != Some(file),
+            ReclaimScope::Group(group) => group_of.get(file) == Some(&group),
+        }
+    }
+}
 
 /// Index of a node in the arena. `NIL` marks the end of a chain.
 type Idx = u32;
@@ -542,121 +573,6 @@ impl LruLists {
     /// Dirty bytes of cache group `group` (all tiers). O(1).
     pub fn group_dirty(&self, group: u32) -> f64 {
         self.group_bytes.get(&group).map_or(0.0, |g| g.dirty)
-    }
-
-    /// Removes up to `amount` bytes of clean data belonging to cache group
-    /// `group` from the evictable tiers — the group-scoped analogue of
-    /// [`LruLists::evict`], same tier order, same LRU order, same
-    /// second-chance passes under reference-bit policies. Blocks of other
-    /// groups (or of no group) are skipped, so one tenant's overflow never
-    /// reclaims a neighbour's pages. Returns the number of bytes evicted.
-    pub fn evict_group(&mut self, amount: f64, group: u32) -> f64 {
-        if amount <= EPSILON || self.group_cached(group) <= EPSILON {
-            return 0.0;
-        }
-        self.balance();
-        let mut evicted = 0.0;
-        let order = self.policy.tier_order();
-        let use_ref = self.policy.uses_reference_bits();
-        let passes = if use_ref { 2 } else { 1 };
-        'reclaim: for pass in 0..passes {
-            for t in order {
-                if !self.evictable_mask[t] {
-                    continue;
-                }
-                let mut i = self.lists[t].recency.head;
-                while i != NIL && evicted < amount - EPSILON {
-                    let next = node_ref(&self.arena, i).links[RECENCY].next;
-                    let is_candidate = {
-                        let b = &node_ref(&self.arena, i).block;
-                        !b.dirty && self.group_of.get(&b.file) == Some(&group)
-                    };
-                    if is_candidate {
-                        if pass == 0 && use_ref && node_ref(&self.arena, i).referenced {
-                            // Second chance: spare the block once.
-                            node_mut(&mut self.arena, i).referenced = false;
-                        } else {
-                            let need = amount - evicted;
-                            let size = node_ref(&self.arena, i).block.size;
-                            if size <= need + EPSILON {
-                                let blk = self.remove_node(i);
-                                evicted += blk.size;
-                                self.policy.on_evict(&blk.file, t);
-                            } else {
-                                node_mut(&mut self.arena, i).block.size -= need;
-                                let file = node_ref(&self.arena, i).block.file.clone();
-                                self.agg_shrink(t, &file, need, false);
-                                evicted += need;
-                                self.policy.on_evict(&file, t);
-                                break 'reclaim;
-                            }
-                        }
-                    }
-                    i = next;
-                }
-                if evicted >= amount - EPSILON {
-                    break 'reclaim;
-                }
-            }
-        }
-        self.debug_validate();
-        evicted
-    }
-
-    /// Marks up to `amount` bytes of dirty data belonging to cache group
-    /// `group` as clean, least recently used first — the group-scoped
-    /// analogue of [`LruLists::flush_lru`], walking the per-tier dirty
-    /// chains and skipping other groups' blocks. Returns the number of bytes
-    /// flushed; the caller simulates the corresponding disk write.
-    pub fn flush_group(&mut self, amount: f64, group: u32) -> f64 {
-        if amount <= EPSILON || self.group_dirty(group) <= EPSILON {
-            return 0.0;
-        }
-        let mut flushed = 0.0;
-        for t in self.policy.tier_order() {
-            if self.lists[t].agg.dirty <= EPSILON {
-                continue;
-            }
-            let mut i = self.lists[t].dirty.head;
-            while i != NIL {
-                let next = node_ref(&self.arena, i).links[DIRTY].next;
-                if flushed >= amount - EPSILON {
-                    self.debug_validate();
-                    return flushed;
-                }
-                let is_candidate = {
-                    let b = &node_ref(&self.arena, i).block;
-                    self.group_of.get(&b.file) == Some(&group)
-                };
-                if is_candidate {
-                    let need = amount - flushed;
-                    let size = node_ref(&self.arena, i).block.size;
-                    if size <= need + EPSILON {
-                        node_mut(&mut self.arena, i).block.dirty = false;
-                        let file = node_ref(&self.arena, i).block.file.clone();
-                        self.unlink_dirty(i);
-                        flushed += size;
-                        self.agg_clean_in_place(t, &file, size);
-                        self.try_coalesce(i);
-                    } else {
-                        let mut head = node_mut(&mut self.arena, i).block.split_off(need);
-                        head.dirty = false;
-                        flushed += head.size;
-                        let file = head.file.clone();
-                        let head_size = head.size;
-                        let head_idx = self.insert_node_before(t, head, i);
-                        self.agg_clean_in_place(t, &file, head_size);
-                        self.agg_note_split(&file);
-                        self.try_coalesce(head_idx);
-                        self.debug_validate();
-                        return flushed;
-                    }
-                }
-                i = next;
-            }
-        }
-        self.debug_validate();
-        flushed
     }
 
     /// Iterates over all blocks, tier 0 first, LRU first within each tier.
@@ -1102,8 +1018,8 @@ impl LruLists {
 
     /// Marks up to `amount` bytes of dirty data as clean, least recently used
     /// first (tiers visited in the policy's reclaim-first order: inactive
-    /// before active under the default 2-list policy), optionally excluding
-    /// one file. The last block is split if it only needs to be partially
+    /// before active under the default 2-list policy), restricted to
+    /// `scope`. The last block is split if it only needs to be partially
     /// flushed. Returns the number of bytes flushed; the caller is
     /// responsible for simulating the corresponding disk write time.
     ///
@@ -1113,8 +1029,12 @@ impl LruLists {
     /// Calling with a non-positive `amount` is a no-op (paper Algorithm 2:
     /// "when called with negative arguments, `flush` and `evict` simply
     /// return").
-    pub fn flush_lru(&mut self, amount: f64, exclude: Option<&FileId>) -> f64 {
-        if amount <= EPSILON || self.total_dirty() <= EPSILON {
+    pub fn flush_lru(&mut self, amount: f64, scope: ReclaimScope<'_>) -> f64 {
+        let dirty = match scope {
+            ReclaimScope::Host(_) => self.total_dirty(),
+            ReclaimScope::Group(group) => self.group_dirty(group),
+        };
+        if amount <= EPSILON || dirty <= EPSILON {
             return 0.0;
         }
         let mut flushed = 0.0;
@@ -1129,9 +1049,7 @@ impl LruLists {
                     self.debug_validate();
                     return flushed;
                 }
-                let is_candidate =
-                    exclude.is_none_or(|f| &node_ref(&self.arena, i).block.file != f);
-                if is_candidate {
+                if scope.admits(&node_ref(&self.arena, i).block.file, &self.group_of) {
                     let need = amount - flushed;
                     let size = node_ref(&self.arena, i).block.size;
                     if size <= need + EPSILON {
@@ -1170,27 +1088,36 @@ impl LruLists {
     /// Removes up to `amount` bytes of clean data from the policy's
     /// evictable tiers (the inactive list under the default 2-list policy),
     /// visiting tiers in the policy's reclaim-first order, least recently
-    /// used first within each, optionally excluding one file. The last block
-    /// is split if it only needs to be partially evicted. Returns the number
-    /// of bytes evicted. Non-positive amounts are a no-op.
+    /// used first within each, restricted to `scope`. The last block is
+    /// split if it only needs to be partially evicted. Returns the number of
+    /// bytes evicted. Non-positive amounts are a no-op.
     ///
     /// Under a policy with reference bits (CLOCK), eviction runs up to two
     /// passes: the first pass clears the reference bit of each referenced
     /// candidate instead of evicting it (the second chance); the second pass
     /// reclaims regardless, guaranteeing progress.
-    pub fn evict(&mut self, amount: f64, exclude: Option<&FileId>) -> f64 {
+    pub fn evict(&mut self, amount: f64, scope: ReclaimScope<'_>) -> f64 {
         if amount <= EPSILON {
             return 0.0;
+        }
+        if let ReclaimScope::Group(group) = scope {
+            if self.group_cached(group) <= EPSILON {
+                return 0.0;
+            }
         }
         // Memory pressure is when the kernel refills the inactive list from
         // the active list; re-balance before reclaiming so long-idle active
         // data becomes evictable.
         self.balance();
-        let available = self.evictable(exclude);
-        if available <= EPSILON {
+        // A host-wide call is capped by the O(1) evictable total, so a call
+        // that cannot free anything never scans the whole inactive list.
+        let target = match scope {
+            ReclaimScope::Host(exclude) => amount.min(self.evictable(exclude)),
+            ReclaimScope::Group(_) => amount,
+        };
+        if target <= EPSILON {
             return 0.0;
         }
-        let target = amount.min(available);
         let mut evicted = 0.0;
         let order = self.policy.tier_order();
         let use_ref = self.policy.uses_reference_bits();
@@ -1205,7 +1132,7 @@ impl LruLists {
                     let next = node_ref(&self.arena, i).links[RECENCY].next;
                     let is_candidate = {
                         let b = &node_ref(&self.arena, i).block;
-                        !b.dirty && exclude.is_none_or(|f| &b.file != f)
+                        !b.dirty && scope.admits(&b.file, &self.group_of)
                     };
                     if is_candidate {
                         if pass == 0 && use_ref && node_ref(&self.arena, i).referenced {
@@ -1714,7 +1641,7 @@ mod tests {
         approx(lru.group_cached(2), 70.0);
         // Flushing and evicting through the global paths keeps the group
         // counters honest.
-        lru.flush_lru(20.0, None);
+        lru.flush_lru(20.0, ReclaimScope::Host(None));
         approx(lru.group_dirty(1), 30.0);
         lru.flush_file(&"a".into());
         approx(lru.group_dirty(1), 0.0);
@@ -1743,7 +1670,7 @@ mod tests {
     }
 
     #[test]
-    fn evict_group_only_touches_the_groups_clean_blocks() {
+    fn group_scoped_evict_only_touches_the_groups_clean_blocks() {
         let mut lru = LruLists::new();
         lru.set_file_group("mine".into(), Some(1));
         lru.set_file_group("dirty".into(), Some(1));
@@ -1752,7 +1679,7 @@ mod tests {
         lru.add_dirty("dirty".into(), 40.0, t(2.0));
         lru.add_clean("theirs".into(), 60.0, t(3.0));
         lru.add_clean("shared".into(), 50.0, t(4.0));
-        let evicted = lru.evict_group(300.0, 1);
+        let evicted = lru.evict(300.0, ReclaimScope::Group(1));
         // Only group 1's clean bytes go; dirty, other-group and ungrouped
         // blocks stay.
         approx(evicted, 100.0);
@@ -1760,25 +1687,25 @@ mod tests {
         approx(lru.group_cached(2), 60.0);
         approx(lru.cached_amount(&"shared".into()), 50.0);
         // Partial eviction splits the block.
-        let evicted = lru.evict_group(30.0, 2);
+        let evicted = lru.evict(30.0, ReclaimScope::Group(2));
         approx(evicted, 30.0);
         approx(lru.group_cached(2), 30.0);
         lru.check_invariants().unwrap();
     }
 
     #[test]
-    fn flush_group_cleans_only_the_groups_dirty_data() {
+    fn group_scoped_flush_cleans_only_the_groups_dirty_data() {
         let mut lru = LruLists::new();
         lru.set_file_group("mine".into(), Some(1));
         lru.set_file_group("theirs".into(), Some(2));
         lru.add_dirty("mine".into(), 100.0, t(1.0));
         lru.add_dirty("theirs".into(), 60.0, t(2.0));
         // Partial flush splits; the neighbour's dirty data is untouched.
-        let flushed = lru.flush_group(30.0, 1);
+        let flushed = lru.flush_lru(30.0, ReclaimScope::Group(1));
         approx(flushed, 30.0);
         approx(lru.group_dirty(1), 70.0);
         approx(lru.group_dirty(2), 60.0);
-        let flushed = lru.flush_group(1000.0, 1);
+        let flushed = lru.flush_lru(1000.0, ReclaimScope::Group(1));
         approx(flushed, 70.0);
         approx(lru.group_dirty(1), 0.0);
         approx(lru.group_cached(1), 100.0);
@@ -1861,7 +1788,7 @@ mod tests {
         lru.add_dirty(f.clone(), 100.0, t(1.0));
         lru.add_dirty(f.clone(), 100.0, t(1.0));
         assert_eq!(lru.block_count(), 2);
-        let flushed = lru.flush_lru(200.0, None);
+        let flushed = lru.flush_lru(200.0, ReclaimScope::Host(None));
         approx(flushed, 200.0);
         approx(lru.total_dirty(), 0.0);
         // Both blocks turned clean and merged into one arena node.
@@ -1879,7 +1806,7 @@ mod tests {
         let f: FileId = "f".into();
         lru.add_dirty(f.clone(), 1000.0, t(1.0));
         for _ in 0..100 {
-            approx(lru.flush_lru(10.0, None), 10.0);
+            approx(lru.flush_lru(10.0, ReclaimScope::Host(None)), 10.0);
         }
         approx(lru.total_dirty(), 0.0);
         approx(lru.cached_amount(&f), 1000.0);
@@ -1966,7 +1893,7 @@ mod tests {
         let mut lru = LruLists::new();
         lru.add_dirty("f1".into(), 100.0, t(1.0));
         lru.add_dirty("f2".into(), 100.0, t(2.0));
-        let flushed = lru.flush_lru(120.0, None);
+        let flushed = lru.flush_lru(120.0, ReclaimScope::Host(None));
         approx(flushed, 120.0);
         approx(lru.total_dirty(), 80.0);
         // The oldest block (f1) is fully clean, f2 was split.
@@ -1980,8 +1907,8 @@ mod tests {
     fn flush_with_nonpositive_amount_is_noop() {
         let mut lru = LruLists::new();
         lru.add_dirty("f1".into(), 100.0, t(1.0));
-        assert_eq!(lru.flush_lru(0.0, None), 0.0);
-        assert_eq!(lru.flush_lru(-50.0, None), 0.0);
+        assert_eq!(lru.flush_lru(0.0, ReclaimScope::Host(None)), 0.0);
+        assert_eq!(lru.flush_lru(-50.0, ReclaimScope::Host(None)), 0.0);
         approx(lru.total_dirty(), 100.0);
     }
 
@@ -1991,7 +1918,7 @@ mod tests {
         lru.add_dirty("f1".into(), 100.0, t(1.0));
         lru.add_dirty("f2".into(), 100.0, t(2.0));
         let f1: FileId = "f1".into();
-        let flushed = lru.flush_lru(150.0, Some(&f1));
+        let flushed = lru.flush_lru(150.0, ReclaimScope::Host(Some(&f1)));
         approx(flushed, 100.0); // only f2 was eligible
         approx(lru.dirty_amount(&f1), 100.0);
         approx(lru.dirty_amount(&"f2".into()), 0.0);
@@ -2002,7 +1929,7 @@ mod tests {
         let mut lru = LruLists::new();
         lru.add_dirty("f1".into(), 60.0, t(1.0));
         lru.add_clean("f2".into(), 500.0, t(2.0));
-        let flushed = lru.flush_lru(1000.0, None);
+        let flushed = lru.flush_lru(1000.0, ReclaimScope::Host(None));
         approx(flushed, 60.0);
         approx(lru.total_dirty(), 0.0);
     }
@@ -2013,7 +1940,7 @@ mod tests {
         lru.add_clean("f1".into(), 100.0, t(1.0));
         lru.add_clean("f2".into(), 100.0, t(2.0));
         lru.add_dirty("f3".into(), 100.0, t(3.0));
-        let evicted = lru.evict(150.0, None);
+        let evicted = lru.evict(150.0, ReclaimScope::Host(None));
         approx(evicted, 150.0);
         approx(lru.cached_amount(&"f1".into()), 0.0);
         approx(lru.cached_amount(&"f2".into()), 50.0);
@@ -2033,10 +1960,10 @@ mod tests {
         lru.add_clean("f3".into(), 100.0, t(4.0));
         let f3: FileId = "f3".into();
         // Only f3 is clean+inactive, and it is excluded -> nothing to evict.
-        let evicted = lru.evict(300.0, Some(&f3));
+        let evicted = lru.evict(300.0, ReclaimScope::Host(Some(&f3)));
         approx(evicted, 0.0);
         // Without the exclusion, only f3 can be evicted.
-        let evicted = lru.evict(300.0, None);
+        let evicted = lru.evict(300.0, ReclaimScope::Host(None));
         approx(evicted, 100.0);
         approx(lru.total_cached(), 200.0);
     }
@@ -2045,7 +1972,7 @@ mod tests {
     fn evict_with_nonpositive_amount_is_noop() {
         let mut lru = LruLists::new();
         lru.add_clean("f1".into(), 100.0, t(1.0));
-        assert_eq!(lru.evict(-10.0, None), 0.0);
+        assert_eq!(lru.evict(-10.0, ReclaimScope::Host(None)), 0.0);
         approx(lru.total_cached(), 100.0);
     }
 
@@ -2107,7 +2034,7 @@ mod tests {
         let mut lru2 = LruLists::new();
         lru2.add_clean(f.clone(), 100.0, t(0.0));
         lru2.read_cached(&f, 100.0, t(1.0)); // now 100 bytes active, 0 inactive
-        let evicted = lru2.evict(50.0, None);
+        let evicted = lru2.evict(50.0, ReclaimScope::Host(None));
         approx(evicted, 50.0);
         lru2.check_invariants().unwrap();
     }
@@ -2135,8 +2062,8 @@ mod tests {
                     t((round * 10 + i) as f64),
                 );
             }
-            lru.flush_lru(100.0, None);
-            lru.evict(100.0, None);
+            lru.flush_lru(100.0, ReclaimScope::Host(None));
+            lru.evict(100.0, ReclaimScope::Host(None));
         }
         assert!(lru.is_empty());
         // The arena never grew past one round's worth of live blocks.
@@ -2189,12 +2116,12 @@ mod tests {
         lru.add_clean("cold".into(), 100.0, t(3.0));
         // Reclaim: the referenced block is spared once, the cold one goes,
         // even though the hot block is the least recently used candidate.
-        let evicted = lru.evict(100.0, None);
+        let evicted = lru.evict(100.0, ReclaimScope::Host(None));
         approx(evicted, 100.0);
         approx(lru.cached_amount(&f), 100.0);
         approx(lru.cached_amount(&"cold".into()), 0.0);
         // Its bit was consumed: the next reclaim takes it.
-        let evicted = lru.evict(100.0, None);
+        let evicted = lru.evict(100.0, ReclaimScope::Host(None));
         approx(evicted, 100.0);
         approx(lru.cached_amount(&f), 0.0);
         lru.check_invariants().unwrap();
@@ -2206,7 +2133,7 @@ mod tests {
         let f: FileId = "reread".into();
         lru.add_clean(f.clone(), 100.0, t(1.0));
         assert_eq!(lru.tier_blocks(0).count(), 1); // probationary A1in
-        lru.evict(100.0, None); // evicted from A1in -> remembered as a ghost
+        lru.evict(100.0, ReclaimScope::Host(None)); // evicted from A1in -> remembered as a ghost
         approx(lru.cached_amount(&f), 0.0);
         // The ghost hit routes the re-fetched data straight to Am (tier 1).
         lru.add_clean(f.clone(), 100.0, t(2.0));
@@ -2214,7 +2141,7 @@ mod tests {
         assert_eq!(lru.tier_blocks(1).count(), 1);
         // A1in drains before Am: the newer cold block is reclaimed first.
         lru.add_clean("cold".into(), 100.0, t(3.0));
-        let evicted = lru.evict(100.0, None);
+        let evicted = lru.evict(100.0, ReclaimScope::Host(None));
         approx(evicted, 100.0);
         approx(lru.cached_amount(&f), 100.0);
         approx(lru.cached_amount(&"cold".into()), 0.0);
@@ -2232,7 +2159,7 @@ mod tests {
         // `a` was promoted before `b` was inserted, but its generation is
         // older than `b`'s insert generation relative to the rotated ring:
         // reclaim drains `a` before touching `b`.
-        let evicted = lru.evict(100.0, None);
+        let evicted = lru.evict(100.0, ReclaimScope::Host(None));
         approx(evicted, 100.0);
         approx(lru.cached_amount(&a), 0.0);
         approx(lru.cached_amount(&b), 100.0);
@@ -2255,10 +2182,10 @@ mod tests {
                         lru.read_cached(&f, 40.0, t(clock));
                     }
                     4 => {
-                        lru.flush_lru(60.0, None);
+                        lru.flush_lru(60.0, ReclaimScope::Host(None));
                     }
                     _ => {
-                        lru.evict(80.0, None);
+                        lru.evict(80.0, ReclaimScope::Host(None));
                     }
                 }
                 lru.check_invariants()

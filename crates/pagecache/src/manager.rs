@@ -15,6 +15,12 @@
 //! visit only the target file's blocks, [`MemoryManager::flush`] and
 //! [`MemoryManager::flush_expired`] only dirty blocks, and every byte
 //! aggregate the controller polls is O(1).
+//!
+//! [`MemoryManager::evict`] and [`MemoryManager::flush`] take a
+//! [`ReclaimScope`]: the controller's read step reclaims host-wide,
+//! excluding the file being read, and
+//! [`MemoryManager::enforce_group_limits`] reclaims within one tenant's
+//! cache group through the same two calls.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -25,7 +31,7 @@ use storage_model::{Disk, MemoryDevice};
 
 use crate::block::FileId;
 use crate::config::PageCacheConfig;
-use crate::lru::{LruLists, EPSILON};
+use crate::lru::{LruLists, ReclaimScope, EPSILON};
 use crate::stats::{CacheContentSnapshot, MemorySample, MemoryTrace};
 
 /// Aggregate counters maintained by the Memory Manager.
@@ -211,25 +217,26 @@ impl MemoryManager {
             .add_clean(file.clone(), amount, now);
     }
 
-    /// Evicts up to `amount` bytes of clean data from the inactive list
-    /// (paper §III-A-3). Eviction takes no simulated time ("cache eviction
-    /// time is negligible in real systems"). Returns the number of bytes
-    /// evicted. Non-positive amounts are a no-op.
-    pub fn evict(&self, amount: f64, exclude: Option<&FileId>) -> f64 {
+    /// Evicts up to `amount` bytes of clean data within `scope` from the
+    /// inactive list (paper §III-A-3). Eviction takes no simulated time
+    /// ("cache eviction time is negligible in real systems"). Returns the
+    /// number of bytes evicted. Non-positive amounts are a no-op.
+    pub fn evict(&self, amount: f64, scope: ReclaimScope<'_>) -> f64 {
         let mut s = self.state.borrow_mut();
-        let evicted = s.lru.evict(amount, exclude);
+        let evicted = s.lru.evict(amount, scope);
         s.counters.evicted += evicted;
         evicted
     }
 
-    /// Flushes up to `amount` bytes of dirty data to disk, least recently used
-    /// first, optionally excluding a file (paper §III-A-3). The disk write
-    /// time is simulated. Returns the number of bytes flushed. Non-positive
-    /// amounts are a no-op.
-    pub async fn flush(&self, amount: f64, exclude: Option<&FileId>) -> f64 {
+    /// Flushes up to `amount` bytes of dirty data within `scope` to disk,
+    /// least recently used first (paper §III-A-3). The disk write time is
+    /// simulated; the bytes count as synchronous (on-demand) flushing.
+    /// Returns the number of bytes flushed. Non-positive amounts are a
+    /// no-op.
+    pub async fn flush(&self, amount: f64, scope: ReclaimScope<'_>) -> f64 {
         let flushed = {
             let mut s = self.state.borrow_mut();
-            let flushed = s.lru.flush_lru(amount, exclude);
+            let flushed = s.lru.flush_lru(amount, scope);
             s.counters.flushed_on_demand += flushed;
             flushed
         };
@@ -313,33 +320,6 @@ impl MemoryManager {
         self.state.borrow().lru.group_dirty(group)
     }
 
-    /// Evicts up to `amount` bytes of clean data belonging to one cache
-    /// group, least recently used first. Like [`MemoryManager::evict`] it
-    /// takes no simulated time. Returns the number of bytes evicted.
-    pub fn evict_group(&self, amount: f64, group: u32) -> f64 {
-        let mut s = self.state.borrow_mut();
-        let evicted = s.lru.evict_group(amount, group);
-        s.counters.evicted += evicted;
-        evicted
-    }
-
-    /// Flushes up to `amount` bytes of one cache group's dirty data to disk,
-    /// least recently used first. The disk write time is simulated; the bytes
-    /// are counted as synchronous (on-demand) flushing. Returns the number of
-    /// bytes written back.
-    pub async fn flush_group(&self, amount: f64, group: u32) -> f64 {
-        let flushed = {
-            let mut s = self.state.borrow_mut();
-            let flushed = s.lru.flush_group(amount, group);
-            s.counters.flushed_on_demand += flushed;
-            flushed
-        };
-        if flushed > EPSILON {
-            self.disk.write(flushed).await;
-        }
-        flushed
-    }
-
     /// Enforces memcg-style limits on one cache group: first writes back the
     /// group's dirty data above `max_dirty`, then evicts the group's clean
     /// data above `max_bytes`; if the group still exceeds its cap because the
@@ -354,21 +334,21 @@ impl MemoryManager {
         let mut flushed = 0.0;
         let over_dirty = self.group_dirty(group) - max_dirty;
         if over_dirty > EPSILON {
-            flushed += self.flush_group(over_dirty, group).await;
+            flushed += self.flush(over_dirty, ReclaimScope::Group(group)).await;
         }
         let mut evicted = 0.0;
         let over = self.group_cached(group) - max_bytes;
         if over > EPSILON {
-            evicted += self.evict_group(over, group);
+            evicted += self.evict(over, ReclaimScope::Group(group));
         }
         // Whatever is still above the cap must be dirty: clean it, then
         // evict again.
         let still_over = self.group_cached(group) - max_bytes;
         if still_over > EPSILON {
-            flushed += self.flush_group(still_over, group).await;
+            flushed += self.flush(still_over, ReclaimScope::Group(group)).await;
             let rest = self.group_cached(group) - max_bytes;
             if rest > EPSILON {
-                evicted += self.evict_group(rest, group);
+                evicted += self.evict(rest, ReclaimScope::Group(group));
             }
         }
         (evicted, flushed)
@@ -589,7 +569,7 @@ mod tests {
             async move {
                 mm.write_to_cache(&"f".into(), 500.0 * MB).await;
                 let t0 = mm.ctx.now().as_secs();
-                let flushed = mm.flush(500.0 * MB, None).await;
+                let flushed = mm.flush(500.0 * MB, ReclaimScope::Host(None)).await;
                 (flushed, mm.ctx.now().as_secs() - t0)
             }
         });
@@ -610,7 +590,7 @@ mod tests {
             let mm = mm.clone();
             async move {
                 mm.write_to_cache(&"f".into(), 100.0 * MB).await;
-                mm.flush(-50.0, None).await
+                mm.flush(-50.0, ReclaimScope::Host(None)).await
             }
         });
         sim.run();
@@ -622,7 +602,7 @@ mod tests {
     fn evict_frees_clean_cache_without_simulated_time() {
         let (sim, mm) = setup(1000.0 * MB);
         mm.add_to_cache(&"f".into(), 600.0 * MB);
-        let evicted = mm.evict(250.0 * MB, None);
+        let evicted = mm.evict(250.0 * MB, ReclaimScope::Host(None));
         approx(evicted, 250.0 * MB);
         approx(mm.cached(), 350.0 * MB);
         approx(mm.counters().evicted, 250.0 * MB);

@@ -9,10 +9,10 @@
 //! within `EPSILON`. The scan here is written against the public block
 //! iterators, independently of the `recompute_*` oracles inside the crate.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use des::SimTime;
-use pagecache::{FileId, LruLists, EPSILON};
+use pagecache::{FileId, LruLists, ReclaimScope, EPSILON};
 
 /// Deterministic xorshift64* PRNG (crates.io is unreachable in this build
 /// environment, so no `rand`).
@@ -117,11 +117,11 @@ fn incremental_aggregates_match_full_scan_over_10k_random_ops() {
             }
             7 => {
                 let exclude = (rng.usize(0, 3) == 0).then_some(file);
-                lru.flush_lru(rng.f64(0.0, 900.0), exclude);
+                lru.flush_lru(rng.f64(0.0, 900.0), ReclaimScope::Host(exclude));
             }
             8 => {
                 let exclude = (rng.usize(0, 3) == 0).then_some(file);
-                lru.evict(rng.f64(0.0, 900.0), exclude);
+                lru.evict(rng.f64(0.0, 900.0), ReclaimScope::Host(exclude));
             }
             _ => match rng.usize(0, 3) {
                 0 => {
@@ -554,7 +554,7 @@ fn arena_lru_matches_naive_scan_model_over_10k_random_ops() {
                 let exclude = (rng.usize(0, 3) == 0).then_some(file);
                 (
                     "flush_lru",
-                    arena.flush_lru(amount, exclude),
+                    arena.flush_lru(amount, ReclaimScope::Host(exclude)),
                     naive.flush_lru(amount, exclude),
                 )
             }
@@ -563,11 +563,11 @@ fn arena_lru_matches_naive_scan_model_over_10k_random_ops() {
                 let exclude = (rng.usize(0, 3) == 0).then_some(file);
                 (
                     "evict",
-                    arena.evict(amount, exclude),
+                    arena.evict(amount, ReclaimScope::Host(exclude)),
                     naive.evict(amount, exclude),
                 )
             }
-            _ => match rng.usize(0, 3) {
+            _ => match rng.usize(0, 4) {
                 0 => (
                     "flush_expired",
                     arena.flush_expired(now, 5.0),
@@ -671,6 +671,8 @@ struct NaivePolicy {
     tiers: [VecDeque<NBlock>; MAX_TIERS],
     policy: Box<dyn ReplacementPolicy>,
     evictable_mask: [bool; MAX_TIERS],
+    /// Cache-group (tenant) assignment per file; group totals are scans.
+    group_of: HashMap<FileId, u32>,
 }
 
 impl NaivePolicy {
@@ -681,7 +683,37 @@ impl NaivePolicy {
             tiers: std::array::from_fn(|_| VecDeque::new()),
             policy,
             evictable_mask,
+            group_of: HashMap::new(),
         }
+    }
+
+    fn set_file_group(&mut self, file: FileId, group: Option<u32>) {
+        match group {
+            Some(g) => self.group_of.insert(file, g),
+            None => self.group_of.remove(&file),
+        };
+    }
+
+    /// Whether `scope` lets a reclaim call take data of `file`.
+    fn in_scope(&self, scope: ReclaimScope<'_>, file: &FileId) -> bool {
+        match scope {
+            ReclaimScope::Host(exclude) => exclude != Some(file),
+            ReclaimScope::Group(g) => self.group_of.get(file) == Some(&g),
+        }
+    }
+
+    fn group_cached(&self, group: u32) -> f64 {
+        self.blocks()
+            .filter(|b| self.group_of.get(&b.file) == Some(&group))
+            .map(|b| b.size)
+            .sum()
+    }
+
+    fn group_dirty(&self, group: u32) -> f64 {
+        self.blocks()
+            .filter(|b| b.dirty && self.group_of.get(&b.file) == Some(&group))
+            .map(|b| b.size)
+            .sum()
     }
 
     fn tier_bytes(&self) -> [f64; MAX_TIERS] {
@@ -859,8 +891,12 @@ impl NaivePolicy {
         taken
     }
 
-    fn flush_lru(&mut self, amount: f64, exclude: Option<&FileId>) -> f64 {
-        if amount <= EPSILON || self.total_dirty() <= EPSILON {
+    fn flush_lru(&mut self, amount: f64, scope: ReclaimScope<'_>) -> f64 {
+        let dirty = match scope {
+            ReclaimScope::Host(_) => self.total_dirty(),
+            ReclaimScope::Group(g) => self.group_dirty(g),
+        };
+        if amount <= EPSILON || dirty <= EPSILON {
             return 0.0;
         }
         let mut flushed = 0.0;
@@ -878,8 +914,8 @@ impl NaivePolicy {
                 if flushed >= amount - EPSILON {
                     return flushed;
                 }
-                let is_candidate =
-                    self.tiers[t][i].block.dirty && exclude != Some(&self.tiers[t][i].block.file);
+                let is_candidate = self.tiers[t][i].block.dirty
+                    && self.in_scope(scope, &self.tiers[t][i].block.file);
                 if is_candidate {
                     let need = amount - flushed;
                     let size = self.tiers[t][i].block.size;
@@ -907,16 +943,23 @@ impl NaivePolicy {
         flushed
     }
 
-    fn evict(&mut self, amount: f64, exclude: Option<&FileId>) -> f64 {
+    fn evict(&mut self, amount: f64, scope: ReclaimScope<'_>) -> f64 {
         if amount <= EPSILON {
             return 0.0;
         }
+        if let ReclaimScope::Group(g) = scope {
+            if self.group_cached(g) <= EPSILON {
+                return 0.0;
+            }
+        }
         self.balance();
-        let available = self.evictable(exclude);
-        if available <= EPSILON {
+        let target = match scope {
+            ReclaimScope::Host(exclude) => amount.min(self.evictable(exclude)),
+            ReclaimScope::Group(_) => amount,
+        };
+        if target <= EPSILON {
             return 0.0;
         }
-        let target = amount.min(available);
         let mut evicted = 0.0;
         let order = self.policy.tier_order();
         let use_ref = self.policy.uses_reference_bits();
@@ -930,7 +973,7 @@ impl NaivePolicy {
                 while i < self.tiers[t].len() && evicted < target - EPSILON {
                     let is_candidate = {
                         let b = &self.tiers[t][i].block;
-                        !b.dirty && exclude != Some(&b.file)
+                        !b.dirty && self.in_scope(scope, &b.file)
                     };
                     if is_candidate {
                         if pass == 0 && use_ref && self.tiers[t][i].referenced {
@@ -1031,17 +1074,27 @@ impl NaivePolicy {
 /// Drives the arena under `kind` and the naive generalized model through the
 /// same 10k random operations, asserting after every single one that the
 /// operation results and every byte aggregate — including the per-tier byte
-/// and dirty totals, which pin down identical victim selection — agree
-/// within `EPSILON`.
+/// and dirty totals, which pin down identical victim selection, and the
+/// per-group totals — agree within `EPSILON`. Flushes and evictions draw
+/// their scope at random: host-wide, host-wide but one file, or one cache
+/// group, so tenant-scoped reclaim (with CLOCK's second chances within a
+/// group) is checked against the same specification as host-wide reclaim.
 fn arena_matches_naive_policy_model(kind: EvictionPolicy, seed: u64) {
     const OPS: usize = 10_000;
     const FILES: usize = 8;
+    const GROUPS: usize = 3;
     let files: Vec<FileId> = (0..FILES)
         .map(|i| FileId::new(format!("file_{i}")))
         .collect();
     let mut rng = Rng(seed);
     let mut arena = LruLists::with_policy(kind);
     let mut naive = NaivePolicy::new(kind);
+    // Two files start ungrouped; the rest spread over the groups.
+    for (i, file) in files.iter().enumerate().take(FILES - 2) {
+        let group = Some((i % GROUPS) as u32);
+        arena.set_file_group(file.clone(), group);
+        naive.set_file_group(file.clone(), group);
+    }
     let mut clock = 0.0;
     for op in 0..OPS {
         // Same timestamp-coincidence mix as the 2-list differential test:
@@ -1072,25 +1125,28 @@ fn arena_matches_naive_policy_model(kind: EvictionPolicy, seed: u64) {
                     naive.read_cached(file, amount, now),
                 )
             }
-            7 => {
+            7 | 8 => {
                 let amount = rng.f64(0.0, 900.0);
-                let exclude = (rng.usize(0, 3) == 0).then_some(file);
-                (
-                    "flush_lru",
-                    arena.flush_lru(amount, exclude),
-                    naive.flush_lru(amount, exclude),
-                )
+                let scope = match rng.usize(0, 4) {
+                    0 => ReclaimScope::Host(Some(file)),
+                    1 => ReclaimScope::Group(rng.usize(0, GROUPS) as u32),
+                    _ => ReclaimScope::Host(None),
+                };
+                if rng.usize(0, 2) == 0 {
+                    (
+                        "flush_lru",
+                        arena.flush_lru(amount, scope),
+                        naive.flush_lru(amount, scope),
+                    )
+                } else {
+                    (
+                        "evict",
+                        arena.evict(amount, scope),
+                        naive.evict(amount, scope),
+                    )
+                }
             }
-            8 => {
-                let amount = rng.f64(0.0, 900.0);
-                let exclude = (rng.usize(0, 3) == 0).then_some(file);
-                (
-                    "evict",
-                    arena.evict(amount, exclude),
-                    naive.evict(amount, exclude),
-                )
-            }
-            _ => match rng.usize(0, 3) {
+            _ => match rng.usize(0, 5) {
                 0 => (
                     "flush_expired",
                     arena.flush_expired(now, 5.0),
@@ -1102,11 +1158,18 @@ fn arena_matches_naive_policy_model(kind: EvictionPolicy, seed: u64) {
                     ("balance", 0.0, 0.0)
                 }
                 2 => ("flush_file", arena.flush_file(file), naive.flush_file(file)),
-                _ => (
+                3 => (
                     "invalidate_file",
                     arena.invalidate_file(file),
                     naive.invalidate_file(file),
                 ),
+                _ => {
+                    let group = rng.usize(0, GROUPS + 1);
+                    let group = (group < GROUPS).then_some(group as u32);
+                    arena.set_file_group(file.clone(), group);
+                    naive.set_file_group(file.clone(), group);
+                    ("set_file_group", 0.0, 0.0)
+                }
             },
         };
         assert_close(&format!("{kind}: {what} result"), a, b, op);
@@ -1189,6 +1252,20 @@ fn arena_matches_naive_policy_model(kind: EvictionPolicy, seed: u64) {
             naive.evictable(Some(probe)),
             op,
         );
+        for g in 0..GROUPS as u32 {
+            assert_close(
+                &format!("{kind}: group {g} cached"),
+                arena.group_cached(g),
+                naive.group_cached(g),
+                op,
+            );
+            assert_close(
+                &format!("{kind}: group {g} dirty"),
+                arena.group_dirty(g),
+                naive.group_dirty(g),
+                op,
+            );
+        }
         arena.check_invariants().unwrap();
     }
     assert!(arena.block_count() > 0);

@@ -933,11 +933,11 @@ impl Backend {
                     ctx,
                     cache_config(true, platform.server_memory),
                     server_memory,
-                    server_disk.clone(),
+                    server_disk,
                 );
                 let link =
                     degenerate_nfs_link(ctx, devices.network_bandwidth, devices.network_latency);
-                let server = NfsServer::new(server_mm, server_disk);
+                let server = NfsServer::new(IoController::new(ctx, server_mm));
                 Ok(Backend::Nfs(
                     NfsFileSystem::new(ctx, client_mm, link, server)
                         .with_chunk_size(platform.chunk_size),

@@ -561,7 +561,8 @@ struct ServerNode {
 
 struct ClientNode {
     host: String,
-    mm: MemoryManager,
+    /// The client's read cache and anonymous memory.
+    io: IoController,
     /// Version of each file the client's read cache holds.
     versions: RefCell<BTreeMap<FileId, u64>>,
     degraded_reads: Cell<u64>,
@@ -626,11 +627,10 @@ impl FleetInner {
             .unwrap_or(0)
     }
 
-    /// Serves `amount` bytes of a read on a server: server-cached data comes
-    /// from its memory, the rest from its disk (entering the server cache).
-    /// Mirrors [`simfs::NfsServer::serve_read`]; it deliberately bypasses
-    /// the server's [`IoController`] so no *anonymous* memory is consumed on
-    /// the server (the data's destination is the client).
+    /// Serves `amount` bytes of a read on a server with its I/O
+    /// controller's read step: server-cached data comes from its memory, the
+    /// rest from its disk (entering the server cache). The server keeps no
+    /// anonymous copy: the data's destination is the client.
     async fn serve_read(
         &self,
         server: usize,
@@ -643,35 +643,15 @@ impl FleetInner {
             .registry()
             .size(file)
             .map_err(|_| NetError::ServerUnavailable(node.host.clone()))?;
-        let amount = amount.min(size);
-        if amount <= EPSILON {
-            return Ok(Fetched {
-                server,
-                from_disk: 0.0,
-                from_server_cache: 0.0,
-            });
-        }
-        let mm = node.fs.memory_manager();
-        let cached = mm.cached_amount(file);
-        let uncached = (size - cached).max(0.0);
-        let from_disk = amount.min(uncached);
-        let from_cache = amount - from_disk;
-        if from_disk > EPSILON {
-            mm.evict(from_disk - mm.free_memory(), Some(file));
-            let still_missing = from_disk - mm.free_memory();
-            if still_missing > EPSILON {
-                mm.evict(still_missing, None);
-            }
-            node.fs.disk().read(from_disk).await;
-            mm.add_to_cache(file, from_disk);
-        }
-        if from_cache > EPSILON {
-            mm.read_from_cache(file, from_cache).await;
-        }
+        let mut stats = IoOpStats::default();
+        node.fs
+            .io_controller()
+            .read_chunk(file, size, amount.min(size), false, &mut stats)
+            .await;
         Ok(Fetched {
             server,
-            from_disk,
-            from_server_cache: from_cache,
+            from_disk: stats.bytes_from_disk,
+            from_server_cache: stats.bytes_from_cache,
         })
     }
 
@@ -970,7 +950,7 @@ impl FleetClient {
             let mm = MemoryManager::new(ctx, cache_config(platform.host_memory), memory, disk);
             clients.push(ClientNode {
                 host,
-                mm,
+                io: IoController::new(ctx, mm).with_chunk_size(platform.chunk_size),
                 versions: RefCell::new(BTreeMap::new()),
                 degraded_reads: Cell::new(0),
                 stale_reads: Cell::new(0),
@@ -1104,58 +1084,38 @@ impl IoBackend for FleetClient {
         let (_start, amount) = clamp_io_range(offset, len, size);
         let start = inner.ctx.now();
         let me = &inner.clients[self.client];
-        let candidates = inner.replicas_of(file);
+        let candidates = &inner.replicas_of(file);
         let mut stats = IoOpStats::default();
         let mut stale = false;
         let mut remaining = amount;
         while remaining > EPSILON {
             let chunk = remaining.min(inner.chunk_size);
-            let client_cached = me.mm.cached_amount(file);
-            let uncached = (size - client_cached).max(0.0);
-            let from_remote = chunk.min(uncached);
-            let from_client_cache = chunk - from_remote;
-
-            // Make room for the anonymous copy plus the newly cached data
-            // (the client cache holds only clean data, so eviction suffices).
-            let required = chunk + from_remote;
-            me.mm.evict(required - me.mm.free_memory(), Some(file));
-            let still_missing = required - me.mm.free_memory();
-            if still_missing > EPSILON {
-                me.mm.evict(still_missing, None);
+            let read = me
+                .io
+                .read_chunk_via(file, size, chunk, true, &mut stats, |amount| async move {
+                    let fetched = inner
+                        .robust_fetch(self.client, candidates, file, amount)
+                        .await?;
+                    let version = inner.server_version(fetched.server, file);
+                    me.versions.borrow_mut().insert(file.clone(), version);
+                    Ok::<_, NetError>(IoOpStats {
+                        bytes_from_disk: fetched.from_disk,
+                        bytes_from_cache: fetched.from_server_cache,
+                        ..IoOpStats::default()
+                    })
+                })
+                .await;
+            if read.is_err() {
+                bump(&me.degraded_reads);
+                bump(&inner.counters.failed_reads);
+                return Err(inner.injected(OpClass::Read, file));
             }
-
-            if from_remote > EPSILON {
-                match inner
-                    .robust_fetch(self.client, &candidates, file, from_remote)
-                    .await
-                {
-                    Ok(fetched) => {
-                        me.mm.add_to_cache(file, from_remote);
-                        let version = inner.server_version(fetched.server, file);
-                        if version < inner.version(file) {
-                            stale = true;
-                        }
-                        me.versions.borrow_mut().insert(file.clone(), version);
-                        stats.bytes_from_disk += fetched.from_disk;
-                        stats.bytes_from_cache += fetched.from_server_cache;
-                        stats.bytes_to_cache += from_remote;
-                    }
-                    Err(_error) => {
-                        bump(&me.degraded_reads);
-                        bump(&inner.counters.failed_reads);
-                        return Err(inner.injected(OpClass::Read, file));
-                    }
-                }
+            // Whether fetched or cached, the chunk is stale if its version
+            // predates the latest write.
+            let version = me.versions.borrow().get(file).copied().unwrap_or(0);
+            if version < inner.version(file) {
+                stale = true;
             }
-            if from_client_cache > EPSILON {
-                let read = me.mm.read_from_cache(file, from_client_cache).await;
-                stats.bytes_from_cache += read;
-                let version = me.versions.borrow().get(file).copied().unwrap_or(0);
-                if version < inner.version(file) {
-                    stale = true;
-                }
-            }
-            me.mm.use_anonymous_memory(chunk);
             remaining -= chunk;
         }
         if stale {
@@ -1216,7 +1176,7 @@ impl IoBackend for FleetClient {
         inner.registry.create_or_replace(file, new_size);
         // Close-to-open: the writer's own cached copy predates the write.
         let me = &inner.clients[self.client];
-        me.mm.invalidate_file(file);
+        me.io.memory_manager().invalidate_file(file);
         me.versions.borrow_mut().remove(file);
         stats.duration = inner.ctx.now().duration_since(start);
         Ok(stats)
@@ -1282,22 +1242,24 @@ impl IoBackend for FleetClient {
 
     fn release_anonymous_memory(&self, amount: f64) {
         self.inner.clients[self.client]
-            .mm
+            .io
+            .memory_manager()
             .release_anonymous_memory(amount);
     }
 
     fn sample_memory(&self) -> Option<MemorySample> {
-        Some(self.inner.clients[self.client].mm.sample())
+        Some(self.inner.clients[self.client].io.memory_manager().sample())
     }
 
     fn memory_trace(&self) -> Option<pagecache::MemoryTrace> {
-        Some(self.inner.clients[self.client].mm.trace())
+        Some(self.inner.clients[self.client].io.memory_manager().trace())
     }
 
     fn cache_snapshot(&self, label: &str) -> Option<pagecache::CacheContentSnapshot> {
         Some(
             self.inner.clients[self.client]
-                .mm
+                .io
+                .memory_manager()
                 .cache_content_snapshot(label),
         )
     }
@@ -1343,7 +1305,7 @@ impl IoBackend for FleetClient {
             }
         }
         for client in &self.inner.clients {
-            client.mm.crash_discard();
+            client.io.memory_manager().crash_discard();
             client.versions.borrow_mut().clear();
         }
         CrashReport { files: merged }

@@ -36,10 +36,11 @@
 //! A [`TenantSpec`] assigns the generator's catalog to a cache group with
 //! memcg-style limits: after each completed request the generator asks the
 //! back-end to enforce `max_cache_bytes` / `max_dirty_bytes` on its group
-//! (writing back and evicting *only that group's* pages — see
-//! `MemoryManager::enforce_group_limits` and
-//! `KernelCache::enforce_group_limits`). Two generators on one host can
-//! therefore model a noisy neighbor with and without cache isolation.
+//! (writing back and evicting *only that group's* pages: both models'
+//! `enforce_group_limits` run their ordinary writeback and eviction loops
+//! under a [`pagecache::ReclaimScope::Group`] scope). Two generators on one
+//! host can therefore model a noisy neighbor with and without cache
+//! isolation.
 
 use std::cell::RefCell;
 use std::collections::HashSet;

@@ -40,14 +40,14 @@ fn nfs_reads_become_cheaper_once_both_caches_are_warm() {
         &ctx,
         PageCacheConfig::with_memory(8.0 * GB).writethrough(),
         server_memory,
-        server_disk.clone(),
+        server_disk,
     );
     let link = NetworkLink::new(&ctx, "net", 3000.0 * MB, 0.0);
     let fs = NfsFileSystem::new(
         &ctx,
         client_mm,
         link,
-        NfsServer::new(server_mm, server_disk),
+        NfsServer::new(IoController::new(&ctx, server_mm)),
     );
     fs.create_file(&FileId::new("data"), 1.0 * GB).unwrap();
 

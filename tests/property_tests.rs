@@ -8,7 +8,7 @@
 
 use des::{SimTime, Simulation};
 use linux_pagecache_sim::prelude::*;
-use pagecache::LruLists;
+use pagecache::{LruLists, ReclaimScope};
 use storage_model::SharedResource;
 
 /// Deterministic xorshift64* PRNG, good enough for property sampling.
@@ -101,10 +101,10 @@ fn lru_lists_invariants_hold_under_random_operations() {
                     lru.read_cached(&file_id(file), amount, now);
                 }
                 CacheOp::Flush { amount } => {
-                    lru.flush_lru(amount, None);
+                    lru.flush_lru(amount, ReclaimScope::Host(None));
                 }
                 CacheOp::Evict { amount } => {
-                    lru.evict(amount, None);
+                    lru.evict(amount, ReclaimScope::Host(None));
                 }
                 CacheOp::FlushExpired => {
                     lru.flush_expired(now, 10.0);
@@ -175,7 +175,7 @@ fn flush_converts_dirty_to_clean_without_losing_data() {
         let flush_amount = rng.f64(0.0, 3000.0);
         let cached_before = lru.total_cached();
         let dirty_before = lru.total_dirty();
-        let flushed = lru.flush_lru(flush_amount, None);
+        let flushed = lru.flush_lru(flush_amount, ReclaimScope::Host(None));
         assert!(flushed <= flush_amount + 1e-6);
         assert!(flushed <= dirty_before + 1e-6);
         assert!((lru.total_cached() - cached_before).abs() < 1e-6);
@@ -201,7 +201,7 @@ fn evict_removes_at_most_requested_clean_data() {
         let evict_amount = rng.f64(0.0, 2000.0);
         let dirty_before = lru.total_dirty();
         let cached_before = lru.total_cached();
-        let evicted = lru.evict(evict_amount, None);
+        let evicted = lru.evict(evict_amount, ReclaimScope::Host(None));
         assert!(evicted <= evict_amount + 1e-6);
         assert!((lru.total_dirty() - dirty_before).abs() < 1e-6);
         assert!((lru.total_cached() - (cached_before - evicted)).abs() < 1e-6);
