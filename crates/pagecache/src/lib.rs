@@ -57,7 +57,7 @@ pub use block::{DataBlock, FileId};
 pub use config::{PageCacheConfig, WriteMode};
 pub use controller::{clamp_io_range, IoController, DEFAULT_CHUNK_SIZE};
 pub use error::FsError;
-pub use lru::{ListKind, LruLists, ReclaimScope, EPSILON};
+pub use lru::{ListKind, LruLists, LruWork, ReclaimScope, EPSILON};
 pub use manager::{MemoryManager, MemoryManagerCounters};
 pub use policy::{EvictionPolicy, FileMeta, ReplacementPolicy, MAX_TIERS};
 pub use stats::{CacheContentSnapshot, IoOpStats, MemorySample, MemoryTrace};

@@ -47,13 +47,16 @@
 //!   order, earliest `last_access` first;
 //! * the **per-file chain** of its `(file, list)` pair — the same recency
 //!   order restricted to one file's blocks;
-//! * the **dirty chain** of its list — the same recency order restricted to
-//!   dirty blocks (a block is linked here exactly while `dirty` is true).
+//! * the **clean chain** or the **dirty chain** of its list — the same
+//!   recency order restricted to clean or to dirty blocks. A block is on
+//!   exactly one of the two, so they share one link pair.
 //!
-//! Every chain is a subsequence of its list's recency chain, so traversing a
-//! per-file or dirty chain visits exactly the blocks a full scan would have
-//! selected, in the same order — behaviour is preserved, only the skipped
-//! work disappears.
+//! Every chain is a subsequence of its list's recency chain, ties included,
+//! so traversing a per-file, clean or dirty chain visits exactly the blocks
+//! a full scan would have selected, in the same order — behaviour is
+//! preserved, only the skipped work disappears. A block that turns clean in
+//! place (a flush) is therefore linked into the clean chain right after its
+//! nearest clean predecessor in recency order, not by timestamp.
 //!
 //! # Complexity
 //!
@@ -62,18 +65,25 @@
 //! | `add_clean` / `add_dirty` | O(1) append | O(1) append |
 //! | `read_cached` (file with k blocks) | O(n) scan + O(n) shifts | O(k) |
 //! | `flush_lru` (d dirty blocks touched) | O(n) scan | O(d) |
-//! | `evict` (e blocks removed) | O(n) shifts | O(e + skipped) |
+//! | `evict` (e blocks removed) | O(n) shifts | O(e + out-of-scope clean blocks) |
 //! | `flush_expired` (d dirty blocks) | O(n) scan | O(d) |
 //! | `invalidate_file` (k blocks) | O(n) scan | O(k) |
-//! | `balance` (per demotion) | O(1) decide + O(n) shift | O(1) decide + O(g) walk |
+//! | `balance` (per demotion) | O(1) decide + O(n) shift | O(1) decide + amortised O(1) insert |
 //! | byte aggregates | O(1) | O(1) |
 //!
-//! where g is the number of inactive blocks more recent than the demoted
-//! block (0 in the common append-ordered case, and bounded by min(g, n−g)
-//! in general: out-of-order insertions walk the recency chain from both
-//! ends alternately instead of binary-searching, which keeps the common
-//! monotonic-time append O(1), caps the demotion walk at the nearer end,
-//! and never shifts elements).
+//! Eviction walks the clean chains only, so dirty data that piles up at the
+//! head of the inactive list (it has not expired yet) is never stepped over.
+//! A demotion is the one out-of-order insertion: the demoted block is older
+//! than the newest blocks of its target list. `insert_sorted` walks the
+//! target chain from both ends alternately, and the front cursor starts at
+//! the chain's **finger**, the node of its previous out-of-order insert,
+//! whenever that node is no later than the new one. Demotions come from the
+//! head of a sorted list, so their timestamps rarely decrease and each walk
+//! resumes where the last one ended. When a finger's node leaves the chain,
+//! the finger moves to its predecessor. Turning a block clean in place steps
+//! back over the dirty blocks right before it to find its clean
+//! predecessor. [`LruLists::work`] counts the blocks eviction and flushing
+//! visited and the steps sorted inserts walked.
 //!
 //! To bound arena growth on flush-heavy workloads, recency-adjacent blocks
 //! of the same file on an **evictable** tier that are both clean, *share
@@ -92,9 +102,9 @@
 //! # Invariants
 //!
 //! * Structure: every chain is doubly linked and consistent with its
-//!   head/tail; the dirty and per-file chains are exactly the recency chain
-//!   filtered by dirtiness / file; recency chains are sorted by
-//!   `last_access`.
+//!   head/tail, and its finger is `NIL` or one of its own nodes; the clean,
+//!   dirty and per-file chains are exactly the recency chain filtered by
+//!   dirtiness / file; recency chains are sorted by `last_access`.
 //! * Aggregates: for each tier, `agg.bytes` / `agg.dirty` equal the sum of
 //!   sizes / dirty sizes of its blocks; for each file, `FileBytes { cached,
 //!   dirty, inactive_bytes, inactive_clean, blocks }` equal the same sums
@@ -148,10 +158,11 @@ impl ReclaimScope<'_> {
 type Idx = u32;
 const NIL: Idx = u32::MAX;
 
-/// The three intrusive link dimensions of a node.
+/// The three intrusive link dimensions of a node. A block is on exactly one
+/// of its tier's clean and dirty chains, so both share the [`STATE`] slot.
 const RECENCY: usize = 0;
 const FILE: usize = 1;
-const DIRTY: usize = 2;
+const STATE: usize = 2;
 
 /// The two classic LRU lists of the default 2-list policy, kept for API
 /// compatibility. Internally blocks live on numbered tiers; under
@@ -177,11 +188,15 @@ const UNLINKED: Link = Link {
     next: NIL,
 };
 
-/// Endpoints of one intrusive chain.
+/// Endpoints of one intrusive chain, plus the finger [`insert_sorted`]
+/// resumes from.
 #[derive(Debug, Clone, Copy)]
 struct Chain {
     head: Idx,
     tail: Idx,
+    /// The node of this chain's last out-of-order insert, or `NIL`.
+    /// [`unlink`] moves it to its predecessor, so it never dangles.
+    finger: Idx,
 }
 
 impl Default for Chain {
@@ -189,6 +204,7 @@ impl Default for Chain {
         Chain {
             head: NIL,
             tail: NIL,
+            finger: NIL,
         }
     }
 }
@@ -215,7 +231,7 @@ struct Node {
     /// CLOCK reference bit: set when the block was re-accessed, granting it
     /// a second chance during eviction under policies that use it.
     referenced: bool,
-    /// Links indexed by [`RECENCY`], [`FILE`], [`DIRTY`].
+    /// Links indexed by [`RECENCY`], [`FILE`], [`STATE`].
     links: [Link; 3],
 }
 
@@ -233,9 +249,13 @@ fn node_mut(arena: &mut [Slot], i: Idx) -> &mut Node {
     }
 }
 
-/// Unlinks node `i` from `chain` along link dimension `lk`.
+/// Unlinks node `i` from `chain` along link dimension `lk`. A finger on
+/// `i` moves to its predecessor, which is no later than `i`.
 fn unlink(arena: &mut [Slot], chain: &mut Chain, lk: usize, i: Idx) {
     let Link { prev, next } = node_ref(arena, i).links[lk];
+    if chain.finger == i {
+        chain.finger = prev;
+    }
     if prev != NIL {
         node_mut(arena, prev).links[lk].next = next;
     } else {
@@ -278,34 +298,43 @@ fn insert_before(arena: &mut [Slot], chain: &mut Chain, lk: usize, anchor: Idx, 
 
 /// Inserts node `i` keeping `chain` sorted by `last_access`, after any
 /// existing nodes with the same timestamp (the same tie rule as
-/// `partition_point` in the `VecDeque` implementation). O(1) for the common
-/// append case (monotonic simulated time); an out-of-order insert (a
-/// demotion) walks from *both* ends alternately, so it costs O(min(g, n−g))
-/// where g is the number of newer nodes — never a full-list walk, and no
-/// element shifts, ever.
-fn insert_sorted(arena: &mut [Slot], chain: &mut Chain, lk: usize, i: Idx) {
+/// `partition_point` in the `VecDeque` implementation), and returns the
+/// number of walk steps it took. O(1) for the common append case
+/// (monotonic simulated time). An out-of-order insert (a demotion) walks
+/// from both ends alternately; the front cursor starts at the chain's
+/// finger when the finger is no later than `i`, since every node before
+/// it is then no later either. Demotions come from the head of a sorted
+/// tier, so their timestamps rarely decrease and the walk is amortised
+/// O(1). The position is the same wherever the walk starts.
+fn insert_sorted(arena: &mut [Slot], chain: &mut Chain, lk: usize, i: Idx) -> u64 {
     let la = node_ref(arena, i).block.last_access;
     if chain.tail == NIL || node_ref(arena, chain.tail).block.last_access <= la {
         insert_before(arena, chain, lk, NIL, i);
-        return;
+        return 0;
     }
     // The sorted position is before the first node with a later timestamp;
     // both cursors converge on that boundary, whichever side is closer wins.
     let mut back = chain.tail; // invariant: back's timestamp > la
-    let mut front = chain.head;
-    loop {
+    let mut front = chain.head; // invariant: every node before front is <= la
+    if chain.finger != NIL && node_ref(arena, chain.finger).block.last_access <= la {
+        front = chain.finger;
+    }
+    let mut steps = 0;
+    let anchor = loop {
+        steps += 1;
         let prev = node_ref(arena, back).links[lk].prev;
         if prev == NIL || node_ref(arena, prev).block.last_access <= la {
-            insert_before(arena, chain, lk, back, i);
-            return;
+            break back;
         }
         back = prev;
         if node_ref(arena, front).block.last_access > la {
-            insert_before(arena, chain, lk, front, i);
-            return;
+            break front;
         }
         front = node_ref(arena, front).links[lk].next;
-    }
+    };
+    insert_before(arena, chain, lk, anchor, i);
+    chain.finger = i;
+    steps
 }
 
 /// Incrementally maintained byte totals of one list.
@@ -361,13 +390,41 @@ struct FileBytes {
     blocks: usize,
 }
 
-/// Per-tier state: the recency and dirty chains plus the byte aggregates.
+/// Per-tier state: the recency, clean and dirty chains plus the byte
+/// aggregates.
 #[derive(Debug, Default, Clone)]
 struct ListState {
     recency: Chain,
+    clean: Chain,
     dirty: Chain,
     len: usize,
     agg: ListAgg,
+}
+
+impl ListState {
+    /// The clean or the dirty chain, whichever a block of that dirtiness is
+    /// linked into along [`STATE`].
+    fn state_chain(&mut self, dirty: bool) -> &mut Chain {
+        if dirty {
+            &mut self.dirty
+        } else {
+            &mut self.clean
+        }
+    }
+}
+
+/// Deterministic work counts of the list operations: how many blocks the
+/// reclaim loops visited and how far out-of-order inserts walked. Counts,
+/// not timers, so they repeat exactly on any machine.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct LruWork {
+    /// Blocks visited by [`LruLists::evict`] (both passes under CLOCK).
+    pub evict_visits: u64,
+    /// Blocks visited by [`LruLists::flush_lru`].
+    pub flush_visits: u64,
+    /// Steps walked by out-of-order sorted inserts (demotions); each step
+    /// advances both cursors by one node. Appends take none.
+    pub insert_steps: u64,
 }
 
 /// Per-file state: the byte aggregates plus one per-tier file chain.
@@ -402,6 +459,7 @@ pub struct LruLists {
     /// Cached [`ReplacementPolicy::evictable_tiers`] answer, so the hot
     /// aggregate paths never touch the policy object.
     evictable_mask: [bool; MAX_TIERS],
+    work: LruWork,
 }
 
 impl Default for LruLists {
@@ -423,18 +481,24 @@ impl LruLists {
         LruLists {
             arena: Vec::new(),
             free_head: NIL,
-            lists: std::array::from_fn(|_| ListState::default()),
+            lists: Default::default(),
             per_file: HashMap::new(),
             group_of: HashMap::new(),
             group_bytes: HashMap::new(),
             policy,
             evictable_mask,
+            work: LruWork::default(),
         }
     }
 
     /// The eviction policy this cache runs under.
     pub fn policy_kind(&self) -> EvictionPolicy {
         self.policy.kind()
+    }
+
+    /// Work counts accumulated since the lists were created.
+    pub fn work(&self) -> LruWork {
+        self.work
     }
 
     /// Total number of blocks across all tiers.
@@ -753,7 +817,7 @@ impl LruLists {
     }
 
     /// Inserts `block` as a new node on `tier`: updates the aggregates and
-    /// links it into the recency, per-file and (if dirty) dirty chains at its
+    /// links it into the recency, per-file and clean or dirty chains at its
     /// sorted position. O(1) in the common append case.
     fn insert_node(&mut self, tier: usize, block: DataBlock, referenced: bool) -> Idx {
         self.agg_insert(tier, &block);
@@ -765,21 +829,22 @@ impl LruLists {
             referenced,
             links: [UNLINKED; 3],
         });
-        insert_sorted(&mut self.arena, &mut self.lists[tier].recency, RECENCY, idx);
-        self.lists[tier].len += 1;
+        let list = &mut self.lists[tier];
+        let mut steps = insert_sorted(&mut self.arena, &mut list.recency, RECENCY, idx);
+        list.len += 1;
+        steps += insert_sorted(&mut self.arena, list.state_chain(dirty), STATE, idx);
         let entry = self.per_file.get_mut(&file).expect("agg_insert created it");
-        insert_sorted(&mut self.arena, &mut entry.chains[tier], FILE, idx);
-        if dirty {
-            insert_sorted(&mut self.arena, &mut self.lists[tier].dirty, DIRTY, idx);
-        }
+        steps += insert_sorted(&mut self.arena, &mut entry.chains[tier], FILE, idx);
+        self.work.insert_steps += steps;
         idx
     }
 
     /// Inserts `block` as a new clean node on `tier` directly before `anchor`
     /// (a node of the same file, whose reference bit the split head shares)
-    /// in the recency and per-file chains. Used by the flush split, where the
-    /// clean head must sit right before the dirty remainder; total bytes are
-    /// unchanged, so the caller adjusts the aggregates via
+    /// in the recency and per-file chains, and into the clean chain. Used by
+    /// the flush split, where the clean head must sit right before the dirty
+    /// remainder; total bytes are unchanged, so the caller adjusts the
+    /// aggregates via
     /// [`LruLists::agg_clean_in_place`] + [`LruLists::agg_note_split`].
     fn insert_node_before(&mut self, tier: usize, block: DataBlock, anchor: Idx) -> Idx {
         debug_assert!(!block.dirty, "flush split head must be clean");
@@ -801,7 +866,28 @@ impl LruLists {
         self.lists[tier].len += 1;
         let entry = self.per_file.get_mut(&file).expect("remainder keeps entry");
         insert_before(&mut self.arena, &mut entry.chains[tier], FILE, anchor, idx);
+        self.link_clean(idx);
         idx
+    }
+
+    /// Links node `i`, clean and already on its recency chain, into its
+    /// tier's clean chain right after its nearest clean predecessor in
+    /// recency order. Linking by timestamp would misplace it among equal
+    /// timestamps: the clean chain must be exactly the clean subsequence of
+    /// the recency chain, ties included.
+    fn link_clean(&mut self, i: Idx) {
+        let tier = node_ref(&self.arena, i).tier;
+        let mut prev = node_ref(&self.arena, i).links[RECENCY].prev;
+        while prev != NIL && node_ref(&self.arena, prev).block.dirty {
+            prev = node_ref(&self.arena, prev).links[RECENCY].prev;
+        }
+        let clean = &mut self.lists[tier].clean;
+        let anchor = if prev == NIL {
+            clean.head
+        } else {
+            node_ref(&self.arena, prev).links[STATE].next
+        };
+        insert_before(&mut self.arena, clean, STATE, anchor, i);
     }
 
     /// Unlinks node `i` from every chain, updates the aggregates, frees the
@@ -818,19 +904,28 @@ impl LruLists {
             .get_mut(&file)
             .expect("linked block has entry");
         unlink(&mut self.arena, &mut entry.chains[tier], FILE, i);
-        if dirty {
-            unlink(&mut self.arena, &mut self.lists[tier].dirty, DIRTY, i);
-        }
+        let chain = self.lists[tier].state_chain(dirty);
+        unlink(&mut self.arena, chain, STATE, i);
         let node = self.release(i);
         self.agg_remove(tier, &node.block);
         node.block
     }
 
-    /// Removes node `i` from the dirty chain of its tier (after its block was
-    /// marked clean in place).
-    fn unlink_dirty(&mut self, i: Idx) {
-        let t = node_ref(&self.arena, i).tier;
-        unlink(&mut self.arena, &mut self.lists[t].dirty, DIRTY, i);
+    /// Turns dirty node `i` clean in place (a flush): moves it from its
+    /// tier's dirty chain to the clean chain, updates the aggregates and
+    /// coalesces it with its neighbours. Returns the bytes cleaned. Never
+    /// frees a node other than `i` and its recency predecessor.
+    fn clean_in_place(&mut self, i: Idx) -> f64 {
+        let (tier, file, size) = {
+            let n = node_mut(&mut self.arena, i);
+            n.block.dirty = false;
+            (n.tier, n.block.file.clone(), n.block.size)
+        };
+        unlink(&mut self.arena, &mut self.lists[tier].dirty, STATE, i);
+        self.link_clean(i);
+        self.agg_clean_in_place(tier, &file, size);
+        self.try_coalesce(i);
+        size
     }
 
     /// Whether nodes `a` and `b` (recency-adjacent, `a` before `b`) can be
@@ -864,6 +959,7 @@ impl LruLists {
         debug_assert_eq!(node_ref(&self.arena, from).links[RECENCY].next, into);
         let t = node_ref(&self.arena, from).tier;
         unlink(&mut self.arena, &mut self.lists[t].recency, RECENCY, from);
+        unlink(&mut self.arena, &mut self.lists[t].clean, STATE, from);
         self.lists[t].len -= 1;
         let file = node_ref(&self.arena, from).block.file.clone();
         let entry = self
@@ -1044,21 +1140,17 @@ impl LruLists {
             }
             let mut i = self.lists[t].dirty.head;
             while i != NIL {
-                let next = node_ref(&self.arena, i).links[DIRTY].next;
+                let next = node_ref(&self.arena, i).links[STATE].next;
                 if flushed >= amount - EPSILON {
                     self.debug_validate();
                     return flushed;
                 }
+                self.work.flush_visits += 1;
                 if scope.admits(&node_ref(&self.arena, i).block.file, &self.group_of) {
                     let need = amount - flushed;
                     let size = node_ref(&self.arena, i).block.size;
                     if size <= need + EPSILON {
-                        node_mut(&mut self.arena, i).block.dirty = false;
-                        let file = node_ref(&self.arena, i).block.file.clone();
-                        self.unlink_dirty(i);
-                        flushed += size;
-                        self.agg_clean_in_place(t, &file, size);
-                        self.try_coalesce(i);
+                        flushed += self.clean_in_place(i);
                     } else {
                         let mut head = node_mut(&mut self.arena, i).block.split_off(need);
                         head.dirty = false;
@@ -1091,6 +1183,9 @@ impl LruLists {
     /// used first within each, restricted to `scope`. The last block is
     /// split if it only needs to be partially evicted. Returns the number of
     /// bytes evicted. Non-positive amounts are a no-op.
+    ///
+    /// Walks only the per-tier clean chains, so dirty blocks are never
+    /// visited: the cost is O(evicted + out-of-scope clean blocks).
     ///
     /// Under a policy with reference bits (CLOCK), eviction runs up to two
     /// passes: the first pass clears the reference bit of each referenced
@@ -1127,14 +1222,13 @@ impl LruLists {
                 if !self.evictable_mask[t] {
                     continue;
                 }
-                let mut i = self.lists[t].recency.head;
+                let mut i = self.lists[t].clean.head;
                 while i != NIL && evicted < target - EPSILON {
-                    let next = node_ref(&self.arena, i).links[RECENCY].next;
-                    let is_candidate = {
-                        let b = &node_ref(&self.arena, i).block;
-                        !b.dirty && scope.admits(&b.file, &self.group_of)
-                    };
-                    if is_candidate {
+                    self.work.evict_visits += 1;
+                    let next = node_ref(&self.arena, i).links[STATE].next;
+                    let b = &node_ref(&self.arena, i).block;
+                    debug_assert!(!b.dirty, "dirty block on a clean chain");
+                    if scope.admits(&b.file, &self.group_of) {
                         if pass == 0 && use_ref && node_ref(&self.arena, i).referenced {
                             // Second chance: spare the block once.
                             node_mut(&mut self.arena, i).referenced = false;
@@ -1178,17 +1272,9 @@ impl LruLists {
         for t in 0..MAX_TIERS {
             let mut i = self.lists[t].dirty.head;
             while i != NIL {
-                let next = node_ref(&self.arena, i).links[DIRTY].next;
+                let next = node_ref(&self.arena, i).links[STATE].next;
                 if node_ref(&self.arena, i).block.is_expired(now, expire) {
-                    node_mut(&mut self.arena, i).block.dirty = false;
-                    let (file, size) = {
-                        let b = &node_ref(&self.arena, i).block;
-                        (b.file.clone(), b.size)
-                    };
-                    self.unlink_dirty(i);
-                    flushed += size;
-                    self.agg_clean_in_place(t, &file, size);
-                    self.try_coalesce(i);
+                    flushed += self.clean_in_place(i);
                 }
                 i = next;
             }
@@ -1215,12 +1301,7 @@ impl LruLists {
                 // successor stays valid.
                 let next = node_ref(&self.arena, i).links[FILE].next;
                 if node_ref(&self.arena, i).block.dirty {
-                    let size = node_ref(&self.arena, i).block.size;
-                    node_mut(&mut self.arena, i).block.dirty = false;
-                    self.unlink_dirty(i);
-                    flushed += size;
-                    self.agg_clean_in_place(t, file, size);
-                    self.try_coalesce(i);
+                    flushed += self.clean_in_place(i);
                 }
                 i = next;
             }
@@ -1260,8 +1341,8 @@ impl LruLists {
     /// description of the kernel behaviour). The demotion decision is O(1) —
     /// the byte totals are incremental, so no list is re-summed per demoted
     /// block — and re-linking the demoted block costs O(1) in the
-    /// append-ordered case and at most a walk from the nearer end of the
-    /// target chain otherwise; no elements are ever shifted.
+    /// append-ordered case and an amortised O(1) walk from the target
+    /// chain's finger otherwise; no elements are ever shifted.
     pub fn balance(&mut self) {
         loop {
             let bytes = self.tier_bytes();
@@ -1305,40 +1386,46 @@ impl LruLists {
     }
 
     /// Verifies the chain structure against the recency chains: every chain
-    /// doubly linked and consistent with its endpoints, the dirty and
-    /// per-file chains exactly the recency chain filtered by dirtiness /
-    /// file, and the slab bookkeeping (lengths, free list) coherent.
+    /// doubly linked and consistent with its endpoints, its finger `NIL` or
+    /// one of its own nodes, the clean, dirty and per-file chains exactly
+    /// the recency chain filtered by dirtiness / file (ties included), and
+    /// the slab bookkeeping (lengths, free list) coherent.
     pub fn check_chains(&self) -> Result<(), String> {
-        let collect = |head: Idx, lk: usize| -> Result<Vec<Idx>, String> {
+        // Walks `chain` along `lk`, checking its links, tail and finger.
+        let collect = |chain: &Chain, lk: usize| -> Result<Vec<Idx>, String> {
             let mut out = Vec::new();
             let mut prev = NIL;
-            let mut i = head;
+            let mut i = chain.head;
             while i != NIL {
                 if i as usize >= self.arena.len() {
-                    return Err(format!("chain index {i} out of arena bounds"));
+                    return Err(format!("index {i} out of arena bounds"));
                 }
                 let Slot::Occupied(n) = &self.arena[i as usize] else {
-                    return Err(format!("chain references vacant slot {i}"));
+                    return Err(format!("references vacant slot {i}"));
                 };
                 if n.links[lk].prev != prev {
-                    return Err(format!("node {i}: bad prev link in dimension {lk}"));
+                    return Err(format!("node {i} has a bad prev link"));
                 }
                 out.push(i);
                 prev = i;
                 i = n.links[lk].next;
                 if out.len() > self.arena.len() {
-                    return Err("chain cycle detected".into());
+                    return Err("cycle detected".into());
                 }
+            }
+            if prev != chain.tail {
+                return Err("tail mismatch".into());
+            }
+            if chain.finger != NIL && !out.contains(&chain.finger) {
+                return Err(format!("finger {} is not on the chain", chain.finger));
             }
             Ok(out)
         };
         let mut occupied = 0usize;
         for k in 0..MAX_TIERS {
             let list = &self.lists[k];
-            let recency = collect(list.recency.head, RECENCY)?;
-            if recency.last().copied().unwrap_or(NIL) != list.recency.tail {
-                return Err(format!("list {k}: recency tail mismatch"));
-            }
+            let recency =
+                collect(&list.recency, RECENCY).map_err(|e| format!("list {k} recency: {e}"))?;
             if recency.len() != list.len {
                 return Err(format!(
                     "list {k}: recency chain has {} nodes, len counter says {}",
@@ -1352,35 +1439,40 @@ impl LruLists {
                 }
             }
             occupied += recency.len();
-            let dirty = collect(list.dirty.head, DIRTY)?;
-            if dirty.last().copied().unwrap_or(NIL) != list.dirty.tail {
-                return Err(format!("list {k}: dirty tail mismatch"));
-            }
-            let expected_dirty: Vec<Idx> = recency
-                .iter()
-                .copied()
-                .filter(|&i| node_ref(&self.arena, i).block.dirty)
-                .collect();
-            if dirty != expected_dirty {
-                return Err(format!(
-                    "list {k}: dirty chain is not the dirty subsequence of the recency chain"
-                ));
-            }
-            for (file, entry) in &self.per_file {
-                let fchain = collect(entry.chains[k].head, FILE)?;
-                if fchain.last().copied().unwrap_or(NIL) != entry.chains[k].tail {
-                    return Err(format!("file {file}: chain tail mismatch on list {k}"));
-                }
+            for (chain, dirty, what) in
+                [(&list.clean, false, "clean"), (&list.dirty, true, "dirty")]
+            {
+                let actual = collect(chain, STATE).map_err(|e| format!("list {k} {what}: {e}"))?;
                 let expected: Vec<Idx> = recency
                     .iter()
                     .copied()
-                    .filter(|&i| &node_ref(&self.arena, i).block.file == file)
+                    .filter(|&i| node_ref(&self.arena, i).block.dirty == dirty)
                     .collect();
+                if actual != expected {
+                    return Err(format!(
+                        "list {k}: {what} chain is not the {what} subsequence of the recency chain"
+                    ));
+                }
+            }
+            let mut by_file: HashMap<&FileId, Vec<Idx>> = HashMap::new();
+            for &i in &recency {
+                let file = &node_ref(&self.arena, i).block.file;
+                by_file.entry(file).or_default().push(i);
+            }
+            for (file, entry) in &self.per_file {
+                let fchain = collect(&entry.chains[k], FILE)
+                    .map_err(|e| format!("file {file} list {k}: {e}"))?;
+                let expected = by_file.remove(file).unwrap_or_default();
                 if fchain != expected {
                     return Err(format!(
                         "file {file}: chain is not its subsequence of list {k}'s recency chain"
                     ));
                 }
+            }
+            if let Some(file) = by_file.keys().next() {
+                return Err(format!(
+                    "file {file}: blocks on list {k} but no per-file entry"
+                ));
             }
         }
         let vacant = self

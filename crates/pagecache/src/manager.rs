@@ -9,11 +9,12 @@
 //! accesses from several applications naturally share bandwidth.
 //!
 //! The underlying [`LruLists`] are an intrusive slab arena with per-file and
-//! per-list dirty chains, so the per-request operations the controller drives
-//! scale with the data they touch, not with the total cache population:
-//! [`MemoryManager::read_from_cache`] and [`MemoryManager::invalidate_file`]
-//! visit only the target file's blocks, [`MemoryManager::flush`] and
-//! [`MemoryManager::flush_expired`] only dirty blocks, and every byte
+//! per-list clean and dirty chains, so the per-request operations the
+//! controller drives scale with the data they touch, not with the total
+//! cache population: [`MemoryManager::read_from_cache`] and
+//! [`MemoryManager::invalidate_file`] visit only the target file's blocks,
+//! [`MemoryManager::flush`] and [`MemoryManager::flush_expired`] only dirty
+//! blocks, [`MemoryManager::evict`] only clean blocks, and every byte
 //! aggregate the controller polls is O(1).
 //!
 //! [`MemoryManager::evict`] and [`MemoryManager::flush`] take a
@@ -31,7 +32,7 @@ use storage_model::{Disk, MemoryDevice};
 
 use crate::block::FileId;
 use crate::config::PageCacheConfig;
-use crate::lru::{LruLists, ReclaimScope, EPSILON};
+use crate::lru::{LruLists, LruWork, ReclaimScope, EPSILON};
 use crate::stats::{CacheContentSnapshot, MemorySample, MemoryTrace};
 
 /// Aggregate counters maintained by the Memory Manager.
@@ -46,6 +47,9 @@ pub struct MemoryManagerCounters {
     pub evicted: f64,
     /// Number of wakeups of the periodical flusher.
     pub flusher_runs: u64,
+    /// Work counts of the LRU lists: blocks visited by eviction and
+    /// flushing, and steps walked by out-of-order inserts.
+    pub lru: LruWork,
 }
 
 struct MmState {
@@ -175,9 +179,13 @@ impl MemoryManager {
         self.state.borrow().lru.block_count()
     }
 
-    /// Aggregate counters (flushed/evicted bytes, flusher runs).
+    /// Aggregate counters (flushed/evicted bytes, flusher runs, LRU work).
     pub fn counters(&self) -> MemoryManagerCounters {
-        self.state.borrow().counters
+        let s = self.state.borrow();
+        MemoryManagerCounters {
+            lru: s.lru.work(),
+            ..s.counters
+        }
     }
 
     /// Runs the LRU invariant checks (for tests).

@@ -83,7 +83,7 @@ fn scan_per_file(lru: &LruLists) -> BTreeMap<FileId, f64> {
     map
 }
 
-fn assert_close(what: &str, incremental: f64, scanned: f64, op: usize) {
+fn assert_close(what: impl std::fmt::Display, incremental: f64, scanned: f64, op: usize) {
     assert!(
         (incremental - scanned).abs() < EPSILON + 1e-9 * scanned.abs(),
         "op {op}: {what}: incremental {incremental} != scan {scanned}"
@@ -586,7 +586,7 @@ fn arena_lru_matches_naive_scan_model_over_10k_random_ops() {
                 ),
             },
         };
-        assert_close(&format!("{what} result"), a, b, op);
+        assert_close(format_args!("{what} result"), a, b, op);
         assert_close(
             "total_cached",
             arena.total_cached(),
@@ -755,13 +755,6 @@ impl NaivePolicy {
     fn cached_amount(&self, file: &FileId) -> f64 {
         self.blocks()
             .filter(|b| &b.file == file)
-            .map(|b| b.size)
-            .sum()
-    }
-
-    fn dirty_amount(&self, file: &FileId) -> f64 {
-        self.blocks()
-            .filter(|b| b.dirty && &b.file == file)
             .map(|b| b.size)
             .sum()
     }
@@ -1071,15 +1064,202 @@ impl NaivePolicy {
     }
 }
 
+/// One kind of operation a differential run draws.
+#[derive(Clone, Copy)]
+enum Draw {
+    AddClean,
+    AddDirty,
+    Read,
+    /// A flush or an eviction, in a random scope.
+    Reclaim,
+    /// Expiry, balance, `flush_file`, invalidation or a group change.
+    Maintain,
+}
+
+/// The operation mix and timing of a differential run.
+struct Mix {
+    /// The clock stands still when a draw from `0..hold.1` falls below
+    /// `hold.0`, so that share of the operations repeats a timestamp.
+    hold: (usize, usize),
+    /// Operation kinds, drawn uniformly.
+    draws: [Draw; 10],
+    /// Upper bound of flush and evict amounts: small ones split blocks.
+    reclaim_max: f64,
+    /// Dirty expiry of `flush_expired`, seconds.
+    expire: f64,
+}
+
+/// Distinct timestamps with some coincidences: equal timestamps arm the
+/// arena's coalescing paths.
+const STEADY: Mix = Mix {
+    hold: (1, 8),
+    draws: [
+        Draw::AddClean,
+        Draw::AddClean,
+        Draw::AddClean,
+        Draw::AddDirty,
+        Draw::AddDirty,
+        Draw::Read,
+        Draw::Read,
+        Draw::Reclaim,
+        Draw::Reclaim,
+        Draw::Maintain,
+    ],
+    reclaim_max: 900.0,
+    expire: 5.0,
+};
+
+/// Most operations share a timestamp, with frequent flush splits,
+/// `flush_file`, `flush_expired`, invalidations and demotions: blocks that
+/// turn clean in place land among equal timestamps, and demotion fingers
+/// go stale often. The clean chain must follow the recency order through
+/// all of it.
+const TIED: Mix = Mix {
+    hold: (9, 10),
+    draws: [
+        Draw::AddClean,
+        Draw::AddDirty,
+        Draw::AddDirty,
+        Draw::Read,
+        Draw::Read,
+        Draw::Reclaim,
+        Draw::Reclaim,
+        Draw::Maintain,
+        Draw::Maintain,
+        Draw::Maintain,
+    ],
+    reclaim_max: 150.0,
+    expire: 0.5,
+};
+
+/// Asserts that the arena and the naive model agree on every byte
+/// aggregate, including the per-tier byte and dirty totals, which pin down
+/// identical victim selection, and the per-file and per-group totals, and
+/// that the arena's own invariants hold.
+fn assert_models_agree(
+    kind: EvictionPolicy,
+    arena: &LruLists,
+    naive: &NaivePolicy,
+    files: &[FileId],
+    probe: &FileId,
+    groups: u32,
+    op: usize,
+) {
+    // Per-tier totals, not just the evictable/protected split: stateful
+    // policies (MGLRU's ring, 2Q's ghosts) take per-tier bytes as their
+    // decision input, so any drift here would snowball into different
+    // victims.
+    for t in 0..MAX_TIERS {
+        let arena_bytes: f64 = arena.tier_blocks(t).map(|b| b.size).sum();
+        let arena_dirty: f64 = arena
+            .tier_blocks(t)
+            .filter(|b| b.dirty)
+            .map(|b| b.size)
+            .sum();
+        let naive_bytes: f64 = naive.tiers[t].iter().map(|n| n.block.size).sum();
+        let naive_dirty: f64 = naive.tiers[t]
+            .iter()
+            .filter(|n| n.block.dirty)
+            .map(|n| n.block.size)
+            .sum();
+        assert_close(
+            format_args!("{kind}: tier {t} bytes"),
+            arena_bytes,
+            naive_bytes,
+            op,
+        );
+        assert_close(
+            format_args!("{kind}: tier {t} dirty"),
+            arena_dirty,
+            naive_dirty,
+            op,
+        );
+    }
+    assert_close(
+        format_args!("{kind}: total_cached"),
+        arena.total_cached(),
+        naive.total_cached(),
+        op,
+    );
+    assert_close(
+        format_args!("{kind}: total_dirty"),
+        arena.total_dirty(),
+        naive.total_dirty(),
+        op,
+    );
+    assert_close(
+        format_args!("{kind}: inactive_bytes"),
+        arena.inactive_bytes(),
+        naive.inactive_bytes(),
+        op,
+    );
+    assert_close(
+        format_args!("{kind}: active_bytes"),
+        arena.active_bytes(),
+        naive.active_bytes(),
+        op,
+    );
+    assert_close(
+        format_args!("{kind}: evictable"),
+        arena.evictable(None),
+        naive.evictable(None),
+        op,
+    );
+    assert_close(
+        format_args!("{kind}: evictable(exclude {probe})"),
+        arena.evictable(Some(probe)),
+        naive.evictable(Some(probe)),
+        op,
+    );
+    // Every file's totals, from one scan of the naive model.
+    let mut scanned: HashMap<&FileId, (f64, f64)> = HashMap::new();
+    for b in naive.blocks() {
+        let (cached, dirty) = scanned.entry(&b.file).or_default();
+        *cached += b.size;
+        if b.dirty {
+            *dirty += b.size;
+        }
+    }
+    for file in files {
+        let (cached, dirty) = scanned.get(file).copied().unwrap_or_default();
+        assert_close(
+            format_args!("{kind}: cached_amount({file})"),
+            arena.cached_amount(file),
+            cached,
+            op,
+        );
+        assert_close(
+            format_args!("{kind}: dirty_amount({file})"),
+            arena.dirty_amount(file),
+            dirty,
+            op,
+        );
+    }
+    for g in 0..groups {
+        assert_close(
+            format_args!("{kind}: group {g} cached"),
+            arena.group_cached(g),
+            naive.group_cached(g),
+            op,
+        );
+        assert_close(
+            format_args!("{kind}: group {g} dirty"),
+            arena.group_dirty(g),
+            naive.group_dirty(g),
+            op,
+        );
+    }
+    arena.check_invariants().unwrap();
+}
+
 /// Drives the arena under `kind` and the naive generalized model through the
-/// same 10k random operations, asserting after every single one that the
-/// operation results and every byte aggregate — including the per-tier byte
-/// and dirty totals, which pin down identical victim selection, and the
-/// per-group totals — agree within `EPSILON`. Flushes and evictions draw
-/// their scope at random: host-wide, host-wide but one file, or one cache
-/// group, so tenant-scoped reclaim (with CLOCK's second chances within a
-/// group) is checked against the same specification as host-wide reclaim.
-fn arena_matches_naive_policy_model(kind: EvictionPolicy, seed: u64) {
+/// same 10k random operations drawn from `mix`, asserting after every
+/// single one that the operation results and every byte aggregate agree
+/// within `EPSILON`. Flushes and evictions draw their scope at random:
+/// host-wide, host-wide but one file, or one cache group, so tenant-scoped
+/// reclaim (with CLOCK's second chances within a group) is checked against
+/// the same specification as host-wide reclaim.
+fn arena_matches_naive_policy_model(kind: EvictionPolicy, seed: u64, mix: &Mix) {
     const OPS: usize = 10_000;
     const FILES: usize = 8;
     const GROUPS: usize = 3;
@@ -1097,27 +1277,25 @@ fn arena_matches_naive_policy_model(kind: EvictionPolicy, seed: u64) {
     }
     let mut clock = 0.0;
     for op in 0..OPS {
-        // Same timestamp-coincidence mix as the 2-list differential test:
-        // equal timestamps arm the arena's coalescing paths.
-        if rng.usize(0, 8) != 0 {
+        if rng.usize(0, mix.hold.1) >= mix.hold.0 {
             clock += rng.f64(0.01, 1.0);
         }
         let now = SimTime::from_secs(clock);
         let file = &files[rng.usize(0, FILES)];
-        let (what, a, b) = match rng.usize(0, 10) {
-            0..=2 => {
+        let (what, a, b) = match mix.draws[rng.usize(0, 10)] {
+            Draw::AddClean => {
                 let size = rng.f64(0.5, 400.0);
                 arena.add_clean(file.clone(), size, now);
                 naive.add_clean(file.clone(), size, now);
                 ("add_clean", 0.0, 0.0)
             }
-            3 | 4 => {
+            Draw::AddDirty => {
                 let size = rng.f64(0.5, 400.0);
                 arena.add_dirty(file.clone(), size, now);
                 naive.add_dirty(file.clone(), size, now);
                 ("add_dirty", 0.0, 0.0)
             }
-            5 | 6 => {
+            Draw::Read => {
                 let amount = rng.f64(1.0, 900.0);
                 (
                     "read_cached",
@@ -1125,8 +1303,8 @@ fn arena_matches_naive_policy_model(kind: EvictionPolicy, seed: u64) {
                     naive.read_cached(file, amount, now),
                 )
             }
-            7 | 8 => {
-                let amount = rng.f64(0.0, 900.0);
+            Draw::Reclaim => {
+                let amount = rng.f64(0.0, mix.reclaim_max);
                 let scope = match rng.usize(0, 4) {
                     0 => ReclaimScope::Host(Some(file)),
                     1 => ReclaimScope::Group(rng.usize(0, GROUPS) as u32),
@@ -1146,11 +1324,11 @@ fn arena_matches_naive_policy_model(kind: EvictionPolicy, seed: u64) {
                     )
                 }
             }
-            _ => match rng.usize(0, 5) {
+            Draw::Maintain => match rng.usize(0, 5) {
                 0 => (
                     "flush_expired",
-                    arena.flush_expired(now, 5.0),
-                    naive.flush_expired(now, 5.0),
+                    arena.flush_expired(now, mix.expire),
+                    naive.flush_expired(now, mix.expire),
                 ),
                 1 => {
                     arena.balance();
@@ -1172,101 +1350,9 @@ fn arena_matches_naive_policy_model(kind: EvictionPolicy, seed: u64) {
                 }
             },
         };
-        assert_close(&format!("{kind}: {what} result"), a, b, op);
-        // Per-tier totals, not just the evictable/protected split: stateful
-        // policies (MGLRU's ring, 2Q's ghosts) take per-tier bytes as their
-        // decision input, so any drift here would snowball into different
-        // victims.
-        for t in 0..MAX_TIERS {
-            let arena_bytes: f64 = arena.tier_blocks(t).map(|b| b.size).sum();
-            let arena_dirty: f64 = arena
-                .tier_blocks(t)
-                .filter(|b| b.dirty)
-                .map(|b| b.size)
-                .sum();
-            let naive_bytes: f64 = naive.tiers[t].iter().map(|n| n.block.size).sum();
-            let naive_dirty: f64 = naive.tiers[t]
-                .iter()
-                .filter(|n| n.block.dirty)
-                .map(|n| n.block.size)
-                .sum();
-            assert_close(
-                &format!("{kind}: tier {t} bytes"),
-                arena_bytes,
-                naive_bytes,
-                op,
-            );
-            assert_close(
-                &format!("{kind}: tier {t} dirty"),
-                arena_dirty,
-                naive_dirty,
-                op,
-            );
-        }
-        assert_close(
-            &format!("{kind}: total_cached"),
-            arena.total_cached(),
-            naive.total_cached(),
-            op,
-        );
-        assert_close(
-            &format!("{kind}: total_dirty"),
-            arena.total_dirty(),
-            naive.total_dirty(),
-            op,
-        );
-        assert_close(
-            &format!("{kind}: inactive_bytes"),
-            arena.inactive_bytes(),
-            naive.inactive_bytes(),
-            op,
-        );
-        assert_close(
-            &format!("{kind}: active_bytes"),
-            arena.active_bytes(),
-            naive.active_bytes(),
-            op,
-        );
-        assert_close(
-            &format!("{kind}: evictable"),
-            arena.evictable(None),
-            naive.evictable(None),
-            op,
-        );
+        assert_close(format_args!("{kind}: {what} result"), a, b, op);
         let probe = &files[rng.usize(0, FILES)];
-        assert_close(
-            &format!("{kind}: cached_amount"),
-            arena.cached_amount(probe),
-            naive.cached_amount(probe),
-            op,
-        );
-        assert_close(
-            &format!("{kind}: dirty_amount"),
-            arena.dirty_amount(probe),
-            naive.dirty_amount(probe),
-            op,
-        );
-        assert_close(
-            &format!("{kind}: evictable(exclude)"),
-            arena.evictable(Some(probe)),
-            naive.evictable(Some(probe)),
-            op,
-        );
-        for g in 0..GROUPS as u32 {
-            assert_close(
-                &format!("{kind}: group {g} cached"),
-                arena.group_cached(g),
-                naive.group_cached(g),
-                op,
-            );
-            assert_close(
-                &format!("{kind}: group {g} dirty"),
-                arena.group_dirty(g),
-                naive.group_dirty(g),
-                op,
-            );
-        }
-        arena.check_invariants().unwrap();
+        assert_models_agree(kind, &arena, &naive, &files, probe, GROUPS as u32, op);
     }
     assert!(arena.block_count() > 0);
     // Coalescing can only reduce block granularity, never add to it.
@@ -1283,20 +1369,178 @@ fn arena_matches_naive_policy_model(kind: EvictionPolicy, seed: u64) {
 fn arena_two_list_matches_generalized_naive_model_over_10k_random_ops() {
     // The generalized model must reduce to the 2-list one when driven by the
     // default policy; this also cross-checks the two naive models.
-    arena_matches_naive_policy_model(EvictionPolicy::TwoList, 0xBADC0FFEE);
+    arena_matches_naive_policy_model(EvictionPolicy::TwoList, 0xBADC0FFEE, &STEADY);
 }
 
 #[test]
 fn arena_clock_matches_naive_model_over_10k_random_ops() {
-    arena_matches_naive_policy_model(EvictionPolicy::Clock, 0xC10C4);
+    arena_matches_naive_policy_model(EvictionPolicy::Clock, 0xC10C4, &STEADY);
 }
 
 #[test]
 fn arena_two_q_matches_naive_model_over_10k_random_ops() {
-    arena_matches_naive_policy_model(EvictionPolicy::TwoQ, 0x7707);
+    arena_matches_naive_policy_model(EvictionPolicy::TwoQ, 0x7707, &STEADY);
 }
 
 #[test]
 fn arena_mglru_matches_naive_model_over_10k_random_ops() {
-    arena_matches_naive_policy_model(EvictionPolicy::MglruGen, 0x91123);
+    arena_matches_naive_policy_model(EvictionPolicy::MglruGen, 0x91123, &STEADY);
+}
+
+#[test]
+fn arena_matches_naive_models_over_10k_tie_heavy_ops() {
+    for (kind, seed) in [
+        (EvictionPolicy::TwoList, 0x71E5),
+        (EvictionPolicy::Clock, 0x71E6),
+        (EvictionPolicy::TwoQ, 0x71E7),
+        (EvictionPolicy::MglruGen, 0x71E8),
+    ] {
+        arena_matches_naive_policy_model(kind, seed, &TIED);
+    }
+}
+
+/// One step of a scripted differential run.
+enum Step {
+    /// Advance the clock to this time, seconds.
+    At(f64),
+    Clean(&'static str, f64),
+    Dirty(&'static str, f64),
+    Read(&'static str, f64),
+    Evict(f64),
+    FlushFile(&'static str),
+    Invalidate(&'static str),
+    Balance,
+}
+
+/// Demotions under the 2-list policy whose finger, the node of the previous
+/// out-of-order insert, was evicted, merged away or invalidated before the
+/// next one. `unlink` must move a finger off a node before it is freed;
+/// a finger left on a freed or reused slot would misplace the next insert
+/// or panic, and the next demotion here must land in sorted order.
+#[test]
+fn demotions_after_a_stale_finger_match_the_naive_model() {
+    use Step::*;
+    let script = [
+        // Active [X@2, Y@4] over inactive [D@1 dirty, Z@3]: the balance
+        // demotes X behind D, an out-of-order insert.
+        At(1.0),
+        Dirty("d", 5.0),
+        Clean("x", 100.0),
+        Clean("y", 100.0),
+        At(2.0),
+        Read("x", 100.0),
+        At(3.0),
+        Clean("z", 10.0),
+        At(4.0),
+        Read("y", 100.0),
+        Balance,
+        // The finger X is evicted; the next demotion (Y@4) starts from D.
+        Evict(100.0),
+        At(5.0),
+        Clean("w", 10.0),
+        // The finger Y is invalidated; Z and W are promoted and Z is
+        // demoted behind the clean V@7.
+        Invalidate("y"),
+        At(6.0),
+        Read("z", 10.0),
+        Read("w", 10.0),
+        At(7.0),
+        Clean("v", 1.0),
+        // Active [Q@9 clean, Q@9 dirty] is demoted, in that order, in front
+        // of the clean U@10. The clean Q becomes the clean chain's finger;
+        // flushing the dirty Q merges the clean one into it, and the finger
+        // moves to V@7.
+        At(8.0),
+        Clean("q", 10.0),
+        At(9.0),
+        Read("q", 10.0),
+        Dirty("q", 40.0),
+        Read("q", 40.0),
+        At(10.0),
+        Clean("u", 1.0),
+        Evict(20.0),
+        Balance,
+        FlushFile("q"),
+        // Demoting Q@11 into the clean chain starts from the moved finger.
+        At(11.0),
+        Read("q", 50.0),
+        At(12.0),
+        Clean("t", 1.0),
+    ];
+    let kind = EvictionPolicy::TwoList;
+    let files: Vec<FileId> = ["d", "x", "y", "z", "w", "v", "q", "u", "t"]
+        .into_iter()
+        .map(FileId::new)
+        .collect();
+    let mut arena = LruLists::with_policy(kind);
+    let mut naive = NaivePolicy::new(kind);
+    let mut now = SimTime::ZERO;
+    for (op, step) in script.iter().enumerate() {
+        let (a, b) = match *step {
+            At(secs) => {
+                now = SimTime::from_secs(secs);
+                (0.0, 0.0)
+            }
+            Clean(f, size) => {
+                arena.add_clean(FileId::new(f), size, now);
+                naive.add_clean(FileId::new(f), size, now);
+                (0.0, 0.0)
+            }
+            Dirty(f, size) => {
+                arena.add_dirty(FileId::new(f), size, now);
+                naive.add_dirty(FileId::new(f), size, now);
+                (0.0, 0.0)
+            }
+            Read(f, amount) => (
+                arena.read_cached(&FileId::new(f), amount, now),
+                naive.read_cached(&FileId::new(f), amount, now),
+            ),
+            Evict(amount) => (
+                arena.evict(amount, ReclaimScope::Host(None)),
+                naive.evict(amount, ReclaimScope::Host(None)),
+            ),
+            FlushFile(f) => (
+                arena.flush_file(&FileId::new(f)),
+                naive.flush_file(&FileId::new(f)),
+            ),
+            Invalidate(f) => (
+                arena.invalidate_file(&FileId::new(f)),
+                naive.invalidate_file(&FileId::new(f)),
+            ),
+            Balance => {
+                arena.balance();
+                naive.balance();
+                (0.0, 0.0)
+            }
+        };
+        assert_close(format_args!("step {op} result"), a, b, op);
+        assert_models_agree(
+            kind,
+            &arena,
+            &naive,
+            &files,
+            &files[op % files.len()],
+            0,
+            op,
+        );
+        // The arena's recency order is the naive model's, block by block
+        // up to coalescing: compare (file, last access, dirty) runs.
+        for t in 0..MAX_TIERS {
+            let runs = |blocks: Vec<&DataBlock>| {
+                let mut out: Vec<(FileId, SimTime, bool)> = Vec::new();
+                for b in blocks {
+                    let key = (b.file.clone(), b.last_access, b.dirty);
+                    if out.last() != Some(&key) {
+                        out.push(key);
+                    }
+                }
+                out
+            };
+            assert_eq!(
+                runs(arena.tier_blocks(t).collect()),
+                runs(naive.tiers[t].iter().map(|n| &n.block).collect()),
+                "step {op}: tier {t} order differs"
+            );
+        }
+    }
 }

@@ -25,6 +25,30 @@ pub struct DeviceSet {
     pub network_latency: f64,
 }
 
+impl DeviceSet {
+    /// Why these devices cannot be simulated, if they cannot: a bandwidth
+    /// that is not positive and finite, or a negative latency. Every check
+    /// is written so that NaN fails it.
+    fn error(&self) -> Option<&'static str> {
+        let bandwidth = |b: f64| b > 0.0 && b.is_finite();
+        let latency = |l: f64| l >= 0.0;
+        let device = |d: &DeviceSpec| {
+            bandwidth(d.read_bandwidth) && bandwidth(d.write_bandwidth) && latency(d.latency)
+        };
+        if !device(&self.memory) {
+            Some("memory bandwidth must be positive and finite, its latency non-negative")
+        } else if !device(&self.disk) {
+            Some("disk bandwidth must be positive and finite, its latency non-negative")
+        } else if !device(&self.remote_disk) {
+            Some("remote disk bandwidth must be positive and finite, its latency non-negative")
+        } else if !(bandwidth(self.network_bandwidth) && latency(self.network_latency)) {
+            Some("network bandwidth must be positive and finite, its latency non-negative")
+        } else {
+            None
+        }
+    }
+}
+
 /// Where the application's files live.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StorageKind {
@@ -177,13 +201,24 @@ impl PlatformSpec {
         self
     }
 
-    /// Validates the platform description.
+    /// Validates the platform description. Every check is written so that
+    /// NaN fails it.
     pub fn validate(&self) -> Result<(), String> {
-        if self.host_memory <= 0.0 {
+        let positive = |x: f64| x > 0.0;
+        if !positive(self.host_memory) {
             return Err("host memory must be positive".to_string());
         }
-        if self.chunk_size <= 0.0 {
+        if !positive(self.server_memory) {
+            return Err("server memory must be positive".to_string());
+        }
+        if !positive(self.chunk_size) {
             return Err("chunk size must be positive".to_string());
+        }
+        if let Some(e) = self.simulated.error() {
+            return Err(format!("simulated {e}"));
+        }
+        if let Some(e) = self.real.error() {
+            return Err(format!("real {e}"));
         }
         if !(0.0..=1.0).contains(&self.dirty_ratio) {
             return Err("dirty ratio must be in [0, 1]".to_string());

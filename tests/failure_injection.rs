@@ -158,3 +158,71 @@ fn invalid_platforms_are_rejected_before_any_simulation() {
     let err = run_scenario(&Scenario::new(platform, app, SimulatorKind::PageCache)).unwrap_err();
     assert!(matches!(err, ScenarioError::InvalidPlatform(_)));
 }
+
+#[test]
+fn malformed_sizes_and_devices_are_rejected_on_every_simulator() {
+    let valid = PlatformSpec::uniform(
+        8.0 * GB,
+        DeviceSpec::symmetric(4812.0 * MB, 0.0, f64::INFINITY),
+        DeviceSpec::symmetric(465.0 * MB, 0.0, f64::INFINITY),
+    );
+    type Mutation = Box<dyn Fn(&mut PlatformSpec)>;
+    let mut cases: Vec<(String, Mutation)> = vec![
+        (
+            "NaN host memory".into(),
+            Box::new(|p| p.host_memory = f64::NAN),
+        ),
+        (
+            "NaN server memory".into(),
+            Box::new(|p| p.server_memory = f64::NAN),
+        ),
+        (
+            "NaN chunk size".into(),
+            Box::new(|p| p.chunk_size = f64::NAN),
+        ),
+    ];
+    for bandwidth in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        cases.push((
+            format!("disk read bandwidth {bandwidth}"),
+            Box::new(move |p| p.simulated.disk.read_bandwidth = bandwidth),
+        ));
+        cases.push((
+            format!("real disk write bandwidth {bandwidth}"),
+            Box::new(move |p| p.real.disk.write_bandwidth = bandwidth),
+        ));
+        cases.push((
+            format!("memory bandwidth {bandwidth}"),
+            Box::new(move |p| {
+                p.simulated.memory = DeviceSpec::symmetric(bandwidth, 0.0, f64::INFINITY);
+                p.real.memory = p.simulated.memory;
+            }),
+        ));
+    }
+    for latency in [-1.0, f64::NAN] {
+        cases.push((
+            format!("disk latency {latency}"),
+            Box::new(move |p| {
+                p.simulated.disk.latency = latency;
+                p.real.disk.latency = latency;
+            }),
+        ));
+    }
+    let app = ApplicationSpec::synthetic_pipeline(1.0 * GB);
+    for (what, mutate) in &cases {
+        let mut platform = valid.clone();
+        mutate(&mut platform);
+        for kind in [
+            SimulatorKind::Cacheless,
+            SimulatorKind::Prototype,
+            SimulatorKind::PageCache,
+            SimulatorKind::KernelEmu,
+        ] {
+            let result = run_scenario(&Scenario::new(platform.clone(), app.clone(), kind));
+            assert!(
+                matches!(result, Err(ScenarioError::InvalidPlatform(_))),
+                "{what} on {kind:?}: expected InvalidPlatform, got {:?}",
+                result.map(|_| "a report")
+            );
+        }
+    }
+}
