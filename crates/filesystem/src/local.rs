@@ -1,9 +1,9 @@
 //! Local filesystems: page-cached (the paper's model) and direct (the
-//! cacheless behaviour of vanilla WRENCH).
+//! cacheless behaviour of vanilla WRENCH, also over an NFS link).
 
 use des::SimContext;
 use pagecache::{clamp_io_range, FileId, FsError, IoController, IoOpStats, MemoryManager};
-use storage_model::Disk;
+use storage_model::{Disk, NetworkLink};
 
 use crate::registry::FileRegistry;
 
@@ -15,9 +15,9 @@ use crate::registry::FileRegistry;
 /// len)` actually written.
 ///
 /// Shared by every filesystem whose registration is a [`FileRegistry`]
-/// (the local filesystems, NFS, and `workflow`'s cacheless NFS mount), so
-/// the extend-never-shrink rule lives in one place.
-pub fn extend_for_write(
+/// (the local and direct filesystems and NFS), so the extend-never-shrink
+/// rule lives in one place.
+pub(crate) fn extend_for_write(
     registry: &FileRegistry,
     disk: &Disk,
     file: &FileId,
@@ -165,24 +165,37 @@ impl CachedFileSystem {
     }
 }
 
-/// A local filesystem that bypasses the page cache entirely: every read and
-/// write is a disk access at disk bandwidth. This reproduces the behaviour of
-/// the original (cacheless) WRENCH simulator the paper compares against.
+/// A filesystem that bypasses the page cache entirely: every read and write
+/// is a disk access at disk bandwidth. This reproduces the behaviour of the
+/// original (cacheless) WRENCH simulator the paper compares against.
+///
+/// Mounted remotely ([`DirectFileSystem::with_link`]), it is vanilla
+/// WRENCH's cacheless NFS: every access also crosses the client–server
+/// link, reads disk then link, writes link then disk.
 #[derive(Clone)]
 pub struct DirectFileSystem {
     ctx: SimContext,
     disk: Disk,
+    link: Option<NetworkLink>,
     registry: FileRegistry,
 }
 
 impl DirectFileSystem {
-    /// Creates a direct (cacheless) filesystem on `disk`.
+    /// Creates a direct (cacheless) filesystem on a local `disk`.
     pub fn new(ctx: &SimContext, disk: Disk) -> Self {
         DirectFileSystem {
             ctx: ctx.clone(),
             disk,
+            link: None,
             registry: FileRegistry::new(),
         }
+    }
+
+    /// Mounts the filesystem over `link`: `disk` becomes the server's disk
+    /// and every transfer also crosses the link.
+    pub fn with_link(mut self, link: NetworkLink) -> Self {
+        self.link = Some(link);
+        self
     }
 
     /// The backing disk.
@@ -208,7 +221,7 @@ impl DirectFileSystem {
     }
 
     /// Reads `len` bytes at `offset` directly from disk (no cache: every
-    /// byte pays the disk bandwidth).
+    /// byte pays the disk bandwidth, then the link's if mounted remotely).
     pub async fn read_range(
         &self,
         file: &FileId,
@@ -220,6 +233,9 @@ impl DirectFileSystem {
         let start = self.ctx.now();
         if amount > 0.0 {
             self.disk.read(amount).await;
+            if let Some(link) = &self.link {
+                link.transfer(amount).await;
+            }
         }
         Ok(IoOpStats {
             bytes_from_disk: amount,
@@ -255,9 +271,14 @@ impl DirectFileSystem {
         self.write_amount(len).await
     }
 
+    /// Ships `amount` bytes over the link (if mounted remotely), then
+    /// writes them to disk; zero-length writes touch neither device.
     async fn write_amount(&self, amount: f64) -> Result<IoOpStats, FsError> {
         let start = self.ctx.now();
         if amount > 0.0 {
+            if let Some(link) = &self.link {
+                link.transfer(amount).await;
+            }
             self.disk.write(amount).await;
         }
         Ok(IoOpStats {

@@ -817,7 +817,7 @@ impl KernelCache {
 
     /// Evicts up to `amount` bytes of clean pages of the files in `scope`,
     /// lowest-ranked and least-recently-used file first, skipping files
-    /// currently being written (if the corresponding tunable is enabled).
+    /// currently being written unless nothing else is left to reclaim.
     /// Returns the evicted amount.
     ///
     /// Candidates come from the has-clean membership chain, so only files
@@ -857,10 +857,7 @@ impl KernelCache {
                 if !scope.admits(&slot.file, &st.group_of) {
                     continue;
                 }
-                if respect_protection
-                    && self.tuning.protect_files_being_written
-                    && slot.pages.write_open
-                {
+                if respect_protection && slot.pages.write_open {
                     continue;
                 }
                 if respect_protection && use_ref && st.policy.file_second_chance(&mut slot.meta) {
@@ -880,7 +877,7 @@ impl KernelCache {
                 }
                 evicted += removed;
             }
-            if evicted >= amount - EPS || (!self.tuning.protect_files_being_written && !use_ref) {
+            if evicted >= amount - EPS {
                 break;
             }
         }

@@ -35,9 +35,6 @@ pub struct KernelTuning {
     /// `vm.dirty_writeback_centisecs` in seconds: wakeup period of the
     /// writeback threads.
     pub writeback_interval: f64,
-    /// Whether eviction avoids pages of files currently opened for writing
-    /// (the kernel behaviour the paper could not easily reproduce).
-    pub protect_files_being_written: bool,
     /// Initial readahead window in bytes, granted when a file stream is
     /// detected as sequential (Linux `get_init_ra_size`; see
     /// [`LINUX_READAHEAD_MIN`]). Only meaningful when `readahead_max > 0`.
@@ -75,7 +72,6 @@ impl KernelTuning {
             dirty_background_ratio: 0.10,
             dirty_expire: 30.0,
             writeback_interval: 5.0,
-            protect_files_being_written: true,
             readahead_min: 0.0,
             readahead_max: 0.0,
             throttle_pacing: 0.0,

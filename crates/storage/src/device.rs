@@ -288,9 +288,8 @@ impl NetworkLink {
         }
     }
 
-    /// Wraps an existing shared channel as a link. Used by the network
-    /// fabric to hand out `NetworkLink` views of fabric-owned links (e.g.
-    /// the degenerate one-client/one-server NFS fabric).
+    /// Wraps an existing shared channel as a link, e.g. a `NetworkLink` view
+    /// of a link owned by the network fabric.
     pub fn from_channel(link: SharedResource) -> Self {
         NetworkLink { link }
     }

@@ -1,5 +1,5 @@
-//! Simulator back-ends: the four ways a scenario can be executed, unified
-//! behind the [`IoBackend`] trait.
+//! Simulator back-ends: the four ways a scenario can be executed, served
+//! through one [`Backend`] enum.
 //!
 //! | Back-end | Paper counterpart | Devices | Page cache |
 //! |---|---|---|---|
@@ -8,31 +8,24 @@
 //! | [`SimulatorKind::PageCache`] | WRENCH-cache | simulated (symmetric) | macroscopic model |
 //! | [`SimulatorKind::KernelEmu`] | the real cluster | measured (asymmetric) | page-granularity emulator |
 //!
-//! Six concrete filesystems implement [`IoBackend`]: the three `simfs`
-//! filesystems ([`CachedFileSystem`], [`DirectFileSystem`],
-//! [`NfsFileSystem`]), the kernel emulator ([`KernelFileSystem`]), the
-//! cacheless NFS mount ([`DirectNfs`]), and the replicated storage fleet
-//! ([`crate::net::FleetClient`], for
-//! [`StorageKind::Fleet`] platforms). [`Backend::build`] picks and
-//! constructs the right one for a platform/simulator combination; the
-//! [`Backend`] enum it returns forwards every trait method to the inner
-//! filesystem through a single dispatch macro, so the scenario runner stays
-//! monomorphic (no `dyn`, no per-method match duplication).
-//!
-//! The legacy NFS back-ends build their single client–server link as a
-//! *degenerate fabric* (two hosts, one link) of the network tier; the
-//! link's shared channel is constructed with identical parameters, so
-//! historical NFS predictions are bit-identical.
+//! [`Backend::build`] picks and constructs the filesystem for a
+//! platform/simulator combination: one of the three `simfs` filesystems
+//! ([`CachedFileSystem`], [`DirectFileSystem`] — local, or mounted over an
+//! NFS link for cacheless NFS — and [`NfsFileSystem`]), the kernel emulator
+//! ([`KernelFileSystem`]), or the replicated storage fleet
+//! ([`crate::net::FleetClient`], for [`StorageKind::Fleet`] platforms).
+//! Each [`Backend`] method matches on the variant and calls that
+//! filesystem's own method, so the runner stays monomorphic (no `dyn`) and
+//! each operation's per-back-end semantics sit in one `match`.
 //!
 //! ## `fsync` semantics per back-end
 //!
 //! | Back-end | `fsync(file)` | `sync` |
 //! |---|---|---|
 //! | cached local | targeted per-file dirty writeback at disk bandwidth | flush all dirty data |
-//! | direct local | no-op (writes are synchronous) | no-op |
+//! | direct (local or NFS) | no-op (writes are synchronous) | no-op |
 //! | NFS | no-op (no client write cache; writethrough server) | no-op |
 //! | kernel emulator | per-file dirty-page writeback, counted as throttled writeback | flush all dirty pages |
-//! | direct NFS | no-op (writes are synchronous) | no-op |
 //! | fleet | flush the file on every reachable replica (write-back servers) | flush all reachable servers |
 
 use std::collections::BTreeMap;
@@ -40,14 +33,14 @@ use std::collections::BTreeMap;
 use des::SimContext;
 use kernel_emu::{KernelCache, KernelFileSystem, KernelTuning};
 use pagecache::{
-    clamp_io_range, FileId, FsError, IoController, IoOpStats, MemoryManager, MemorySample,
-    PageCacheConfig,
+    CacheContentSnapshot, FileId, FsError, IoController, IoOpStats, MemoryManager, MemorySample,
+    MemoryTrace, PageCacheConfig,
 };
-use simfs::{extend_for_write, CachedFileSystem, DirectFileSystem, NfsFileSystem, NfsServer};
+use simfs::{CachedFileSystem, DirectFileSystem, NfsFileSystem, NfsServer};
 use storage_model::{Disk, MemoryDevice, NetworkLink};
 
 use crate::faults::{CrashReport, FileDurability, InjectedFault};
-use crate::net::{Fabric, FleetClient, NetReport};
+use crate::net::{FleetClient, NetReport};
 use crate::platform::{DeviceSet, PlatformSpec, StorageKind};
 use crate::report::WritebackCounters;
 
@@ -138,109 +131,249 @@ impl From<FsError> for ScenarioError {
     }
 }
 
-/// The unified surface every simulator back-end exposes to the scenario
-/// runner: offset-granular I/O (`read_range` / `write_range` / `fsync` /
-/// `sync`), plus the lifecycle and introspection hooks the runner needs.
-/// Whole-file operations are corollaries of the range operations, not
-/// primitives.
+/// A fully constructed simulation back-end: one variant per filesystem.
 ///
-/// The futures returned by the async methods are deliberately `!Send`: the
-/// DES engine is single-threaded and back-ends share `Rc` state.
-#[allow(async_fn_in_trait)]
-pub trait IoBackend {
+/// Every operation is an inherent method that matches on the variant and
+/// calls that filesystem's own method, so each operation's per-back-end
+/// semantics (see the module-level tables) sit in one `match`. Async
+/// methods return `!Send` futures: the DES engine is single-threaded and
+/// the filesystems share `Rc` state.
+#[derive(Clone)]
+pub enum Backend {
+    /// Local filesystem with page caching (WRENCH-cache behaviour).
+    Cached(CachedFileSystem),
+    /// Filesystem without page caching (vanilla WRENCH behaviour), local or
+    /// mounted over an NFS link.
+    Direct(DirectFileSystem),
+    /// NFS mount (client read cache, writethrough server).
+    Nfs(NfsFileSystem),
+    /// The kernel-fidelity emulator.
+    Kernel(KernelFileSystem),
+    /// One client's view of a replicated storage fleet (see [`crate::net`]).
+    Fleet(FleetClient),
+}
+
+impl Backend {
     /// Registers a pre-existing file without simulating any I/O.
-    fn create_file(&self, file: &FileId, size: f64) -> Result<(), ScenarioError>;
+    pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), ScenarioError> {
+        match self {
+            Backend::Cached(fs) => fs.create_file(file, size)?,
+            Backend::Direct(fs) => fs.create_file(file, size)?,
+            Backend::Nfs(fs) => fs.create_file(file, size)?,
+            Backend::Kernel(fs) => fs.create_file(file, size)?,
+            Backend::Fleet(fleet) => fleet.create_file(file, size)?,
+        }
+        Ok(())
+    }
 
     /// Reads `len` bytes of `file` starting at `offset` (`len =
     /// f64::INFINITY` reads to end of file; the range is clamped to the
     /// file).
-    async fn read_range(
+    pub async fn read_range(
         &self,
         file: &FileId,
         offset: f64,
         len: f64,
-    ) -> Result<IoOpStats, ScenarioError>;
+    ) -> Result<IoOpStats, ScenarioError> {
+        Ok(match self {
+            Backend::Cached(fs) => fs.read_range(file, offset, len).await?,
+            Backend::Direct(fs) => fs.read_range(file, offset, len).await?,
+            Backend::Nfs(fs) => fs.read_range(file, offset, len).await?,
+            Backend::Kernel(fs) => fs.read_range(file, offset, len).await?,
+            Backend::Fleet(fleet) => fleet.read_range(file, offset, len).await?,
+        })
+    }
 
     /// Writes `len` bytes at `offset`, creating the file or extending it to
     /// `offset + len` as needed. Range writes never shrink a file.
-    async fn write_range(
+    pub async fn write_range(
         &self,
         file: &FileId,
         offset: f64,
         len: f64,
-    ) -> Result<IoOpStats, ScenarioError>;
+    ) -> Result<IoOpStats, ScenarioError> {
+        Ok(match self {
+            Backend::Cached(fs) => fs.write_range(file, offset, len).await?,
+            Backend::Direct(fs) => fs.write_range(file, offset, len).await?,
+            Backend::Nfs(fs) => fs.write_range(file, offset, len).await?,
+            Backend::Kernel(fs) => fs.write_range(file, offset, len).await?,
+            Backend::Fleet(fleet) => fleet.write_range(file, offset, len).await?,
+        })
+    }
 
-    /// Flushes the file's dirty cached data to stable storage. A no-op on
-    /// back-ends whose writes are already synchronous (see the module-level
-    /// semantics table).
-    async fn fsync(&self, file: &FileId) -> Result<IoOpStats, ScenarioError>;
-
-    /// Flushes all dirty cached data of the host to stable storage.
-    async fn sync(&self) -> Result<IoOpStats, ScenarioError>;
-
-    /// Reads a whole file — a corollary of [`IoBackend::read_range`] over
+    /// Reads a whole file — a corollary of [`Backend::read_range`] over
     /// `[0, size)`.
-    async fn read_file(&self, file: &FileId) -> Result<IoOpStats, ScenarioError> {
+    pub async fn read_file(&self, file: &FileId) -> Result<IoOpStats, ScenarioError> {
         self.read_range(file, 0.0, f64::INFINITY).await
     }
 
-    /// Writes a whole file. The default is the range-write corollary
-    /// (`write_range(0, size)`, extend-never-shrink); every provided
-    /// back-end overrides it with whole-file **replace** semantics (the old
-    /// registration is freed first), matching the classic API uniformly.
-    async fn write_file(&self, file: &FileId, size: f64) -> Result<IoOpStats, ScenarioError> {
-        self.write_range(file, 0.0, size).await
+    /// Writes a whole file of `size` bytes. Unlike [`Backend::write_range`]
+    /// it **replaces** the file on every back-end: the old registration is
+    /// freed first (truncate semantics).
+    pub async fn write_file(&self, file: &FileId, size: f64) -> Result<IoOpStats, ScenarioError> {
+        Ok(match self {
+            Backend::Cached(fs) => fs.write_file(file, size).await?,
+            Backend::Direct(fs) => fs.write_file(file, size).await?,
+            Backend::Nfs(fs) => fs.write_file(file, size).await?,
+            Backend::Kernel(fs) => fs.write_file(file, size).await?,
+            Backend::Fleet(fleet) => fleet.write_file(file, size).await?,
+        })
     }
 
-    /// Starts the background flusher / writeback threads (if the back-end
-    /// has a page cache).
-    fn start_background(&self) {}
+    /// Flushes the file's dirty cached data to stable storage. A no-op on
+    /// back-ends whose writes are already synchronous (see the module-level
+    /// `fsync` table).
+    pub async fn fsync(&self, file: &FileId) -> Result<IoOpStats, ScenarioError> {
+        Ok(match self {
+            Backend::Cached(fs) => fs.fsync(file).await?,
+            Backend::Direct(fs) => fs.fsync(file).await?,
+            Backend::Nfs(fs) => fs.fsync(file).await?,
+            Backend::Kernel(fs) => fs.fsync(file).await?,
+            Backend::Fleet(fleet) => fleet.fsync(file).await?,
+        })
+    }
+
+    /// Flushes all dirty cached data of the host to stable storage.
+    pub async fn sync(&self) -> Result<IoOpStats, ScenarioError> {
+        Ok(match self {
+            Backend::Cached(fs) => fs.sync().await,
+            Backend::Direct(fs) => fs.sync().await,
+            Backend::Nfs(fs) => fs.sync().await,
+            Backend::Kernel(fs) => fs.sync().await,
+            Backend::Fleet(fleet) => fleet.sync().await?,
+        })
+    }
+
+    /// Starts the background flusher / writeback threads of the back-ends
+    /// that write back (the NFS client has no write cache and its server is
+    /// writethrough).
+    pub fn start_background(&self) {
+        match self {
+            Backend::Cached(fs) => {
+                fs.memory_manager().spawn_periodical_flusher();
+            }
+            Backend::Kernel(fs) => {
+                fs.cache().spawn_writeback_threads();
+            }
+            Backend::Fleet(fleet) => fleet.start_background(),
+            Backend::Direct(_) | Backend::Nfs(_) => {}
+        }
+    }
 
     /// Stops the background threads so the simulation can terminate.
-    fn stop_background(&self) {}
-
-    /// Releases anonymous memory used by the application (no-op on back-ends
-    /// without memory modelling).
-    fn release_anonymous_memory(&self, _amount: f64) {}
-
-    /// Takes a memory sample (`None` on back-ends without memory modelling).
-    fn sample_memory(&self) -> Option<MemorySample> {
-        None
+    pub fn stop_background(&self) {
+        match self {
+            Backend::Cached(fs) => fs.memory_manager().stop(),
+            Backend::Kernel(fs) => fs.cache().stop(),
+            Backend::Fleet(fleet) => fleet.stop_background(),
+            Backend::Direct(_) | Backend::Nfs(_) => {}
+        }
     }
 
-    /// The collected memory trace, if any.
-    fn memory_trace(&self) -> Option<pagecache::MemoryTrace> {
-        None
+    /// Releases anonymous memory used by the application (no-op on the
+    /// cacheless back-end, which models no memory).
+    pub fn release_anonymous_memory(&self, amount: f64) {
+        match self {
+            Backend::Cached(fs) => fs.memory_manager().release_anonymous_memory(amount),
+            Backend::Nfs(fs) => fs.client_memory_manager().release_anonymous_memory(amount),
+            Backend::Kernel(fs) => fs.cache().release_anonymous_memory(amount),
+            Backend::Fleet(fleet) => fleet
+                .client_memory_manager()
+                .release_anonymous_memory(amount),
+            Backend::Direct(_) => {}
+        }
     }
 
-    /// A labelled snapshot of the cache content per file, if the back-end
-    /// has a cache.
-    fn cache_snapshot(&self, _label: &str) -> Option<pagecache::CacheContentSnapshot> {
-        None
+    /// Takes a memory sample of the (client) host; `None` on the cacheless
+    /// back-end.
+    pub fn sample_memory(&self) -> Option<MemorySample> {
+        match self {
+            Backend::Cached(fs) => Some(fs.memory_manager().sample()),
+            Backend::Nfs(fs) => Some(fs.client_memory_manager().sample()),
+            Backend::Kernel(fs) => Some(fs.cache().sample()),
+            Backend::Fleet(fleet) => Some(fleet.client_memory_manager().sample()),
+            Backend::Direct(_) => None,
+        }
     }
 
-    /// Cumulative writeback/eviction counters of the back-end's page cache,
-    /// if it has one. These are the per-run statistics the sweep harness
-    /// records next to the simulated times.
-    fn writeback_counters(&self) -> Option<WritebackCounters> {
-        None
+    /// The collected memory trace of the (client) host, if any.
+    pub fn memory_trace(&self) -> Option<MemoryTrace> {
+        match self {
+            Backend::Cached(fs) => Some(fs.memory_manager().trace()),
+            Backend::Nfs(fs) => Some(fs.client_memory_manager().trace()),
+            Backend::Kernel(fs) => Some(fs.cache().trace()),
+            Backend::Fleet(fleet) => Some(fleet.client_memory_manager().trace()),
+            Backend::Direct(_) => None,
+        }
+    }
+
+    /// A labelled snapshot of the (client) cache content per file, if the
+    /// back-end has a cache.
+    pub fn cache_snapshot(&self, label: &str) -> Option<CacheContentSnapshot> {
+        match self {
+            Backend::Cached(fs) => Some(fs.memory_manager().cache_content_snapshot(label)),
+            Backend::Nfs(fs) => Some(fs.client_memory_manager().cache_content_snapshot(label)),
+            Backend::Kernel(fs) => Some(fs.cache().cache_content_snapshot(label)),
+            Backend::Fleet(fleet) => {
+                Some(fleet.client_memory_manager().cache_content_snapshot(label))
+            }
+            Backend::Direct(_) => None,
+        }
+    }
+
+    /// Cumulative writeback/eviction counters of the back-end's page cache
+    /// (the fleet sums its servers'), if it has one. These are the per-run
+    /// statistics the sweep harness records next to the simulated times.
+    pub fn writeback_counters(&self) -> Option<WritebackCounters> {
+        match self {
+            Backend::Cached(fs) => Some(model_writeback(fs.memory_manager())),
+            Backend::Nfs(fs) => Some(model_writeback(fs.client_memory_manager())),
+            Backend::Kernel(fs) => {
+                let c = fs.cache().counters();
+                Some(WritebackCounters {
+                    background_flushed: c.background_writeback,
+                    synchronous_flushed: c.throttled_writeback,
+                    evicted: c.evicted,
+                })
+            }
+            Backend::Fleet(fleet) => Some(fleet.writeback_counters()),
+            Backend::Direct(_) => None,
+        }
     }
 
     /// Assigns `file` to a cache group (tenant) for memcg-style accounting.
-    /// No-op on back-ends without a cache model.
-    fn set_file_group(&self, _file: &FileId, _group: u32) {}
+    /// No-op on back-ends without a host-wide cache model.
+    pub fn set_file_group(&self, file: &FileId, group: u32) {
+        match self {
+            Backend::Cached(fs) => fs.memory_manager().set_file_group(file, Some(group)),
+            Backend::Kernel(fs) => fs.cache().set_file_group(file, Some(group)),
+            Backend::Direct(_) | Backend::Nfs(_) | Backend::Fleet(_) => {}
+        }
+    }
 
     /// Enforces per-group cache limits: writes back the group's dirty bytes
     /// above `max_dirty` and evicts its cached bytes above `max_bytes`.
     /// Returns `(evicted, flushed)`; `(0.0, 0.0)` on back-ends without a
-    /// cache model (nothing is cached, so every limit trivially holds).
-    async fn enforce_group_limits(
+    /// host-wide cache model (every limit trivially holds).
+    pub async fn enforce_group_limits(
         &self,
-        _group: u32,
-        _max_bytes: f64,
-        _max_dirty: f64,
+        group: u32,
+        max_bytes: f64,
+        max_dirty: f64,
     ) -> (f64, f64) {
-        (0.0, 0.0)
+        match self {
+            Backend::Cached(fs) => {
+                fs.memory_manager()
+                    .enforce_group_limits(group, max_bytes, max_dirty)
+                    .await
+            }
+            Backend::Kernel(fs) => {
+                fs.cache()
+                    .enforce_group_limits(group, max_bytes, max_dirty)
+                    .await
+            }
+            Backend::Direct(_) | Backend::Nfs(_) | Backend::Fleet(_) => (0.0, 0.0),
+        }
     }
 
     /// Simulated power loss: discards all volatile state (page cache,
@@ -249,600 +382,37 @@ pub trait IoBackend {
     /// writethrough report every file fully durable. Takes no simulated
     /// time, and the back-end remains usable afterwards (modelling the node
     /// after a reboot with a cold cache).
-    fn crash(&self) -> CrashReport;
-
-    /// Short label of the back-end kind.
-    fn kind_label(&self) -> &'static str;
-}
-
-impl IoBackend for CachedFileSystem {
-    fn create_file(&self, file: &FileId, size: f64) -> Result<(), ScenarioError> {
-        CachedFileSystem::create_file(self, file, size).map_err(ScenarioError::from)
-    }
-
-    async fn read_range(
-        &self,
-        file: &FileId,
-        offset: f64,
-        len: f64,
-    ) -> Result<IoOpStats, ScenarioError> {
-        CachedFileSystem::read_range(self, file, offset, len)
-            .await
-            .map_err(ScenarioError::from)
-    }
-
-    async fn write_range(
-        &self,
-        file: &FileId,
-        offset: f64,
-        len: f64,
-    ) -> Result<IoOpStats, ScenarioError> {
-        CachedFileSystem::write_range(self, file, offset, len)
-            .await
-            .map_err(ScenarioError::from)
-    }
-
-    async fn write_file(&self, file: &FileId, size: f64) -> Result<IoOpStats, ScenarioError> {
-        CachedFileSystem::write_file(self, file, size)
-            .await
-            .map_err(ScenarioError::from)
-    }
-
-    async fn fsync(&self, file: &FileId) -> Result<IoOpStats, ScenarioError> {
-        CachedFileSystem::fsync(self, file)
-            .await
-            .map_err(ScenarioError::from)
-    }
-
-    async fn sync(&self) -> Result<IoOpStats, ScenarioError> {
-        Ok(CachedFileSystem::sync(self).await)
-    }
-
-    fn start_background(&self) {
-        self.memory_manager().spawn_periodical_flusher();
-    }
-
-    fn stop_background(&self) {
-        self.memory_manager().stop();
-    }
-
-    fn release_anonymous_memory(&self, amount: f64) {
-        self.memory_manager().release_anonymous_memory(amount);
-    }
-
-    fn sample_memory(&self) -> Option<MemorySample> {
-        Some(self.memory_manager().sample())
-    }
-
-    fn memory_trace(&self) -> Option<pagecache::MemoryTrace> {
-        Some(self.memory_manager().trace())
-    }
-
-    fn cache_snapshot(&self, label: &str) -> Option<pagecache::CacheContentSnapshot> {
-        Some(self.memory_manager().cache_content_snapshot(label))
-    }
-
-    fn writeback_counters(&self) -> Option<WritebackCounters> {
-        let c = self.memory_manager().counters();
-        Some(WritebackCounters {
-            background_flushed: c.flushed_background,
-            synchronous_flushed: c.flushed_on_demand,
-            evicted: c.evicted,
-        })
-    }
-
-    fn set_file_group(&self, file: &FileId, group: u32) {
-        self.memory_manager().set_file_group(file, Some(group));
-    }
-
-    async fn enforce_group_limits(&self, group: u32, max_bytes: f64, max_dirty: f64) -> (f64, f64) {
-        self.memory_manager()
-            .enforce_group_limits(group, max_bytes, max_dirty)
-            .await
-    }
-
-    fn crash(&self) -> CrashReport {
-        // The macroscopic model tracks dirty *amounts*, not positions: the
-        // durable part of each file is approximated as its leading span.
-        let lost: BTreeMap<_, _> = self.memory_manager().crash_discard().into_iter().collect();
-        CrashReport {
-            files: self
-                .registry()
-                .list()
-                .into_iter()
-                .map(|(file, size)| {
-                    let dirty = lost.get(&file).copied().unwrap_or(0.0);
-                    (file, FileDurability::from_dirty_amount(size, dirty))
-                })
-                .collect(),
+    pub fn crash(&self) -> CrashReport {
+        match self {
+            Backend::Cached(fs) => crash_cached(fs),
+            // Every write went straight to the disk: nothing to lose.
+            Backend::Direct(fs) => CrashReport::all_durable(fs.registry().list()),
+            Backend::Nfs(fs) => {
+                // No client write cache and a writethrough server: only the
+                // warm read caches are lost, every written byte is durable.
+                fs.client_memory_manager().crash_discard();
+                fs.server().memory_manager().crash_discard();
+                CrashReport::all_durable(fs.registry().list())
+            }
+            Backend::Kernel(fs) => {
+                // The emulator keeps a byte-exact dirty-range ledger: the
+                // durable ranges are its complement within each file.
+                let lost: BTreeMap<_, _> = fs.cache().crash_discard().into_iter().collect();
+                CrashReport {
+                    files: fs
+                        .list_files()
+                        .into_iter()
+                        .map(|(file, size)| {
+                            let ranges = lost.get(&file).map(Vec::as_slice).unwrap_or(&[]);
+                            (file, FileDurability::from_lost_ranges(size, ranges))
+                        })
+                        .collect(),
+                }
+            }
+            Backend::Fleet(fleet) => fleet.crash(),
         }
     }
 
-    fn kind_label(&self) -> &'static str {
-        "cached-local"
-    }
-}
-
-impl IoBackend for DirectFileSystem {
-    fn create_file(&self, file: &FileId, size: f64) -> Result<(), ScenarioError> {
-        DirectFileSystem::create_file(self, file, size).map_err(ScenarioError::from)
-    }
-
-    async fn read_range(
-        &self,
-        file: &FileId,
-        offset: f64,
-        len: f64,
-    ) -> Result<IoOpStats, ScenarioError> {
-        DirectFileSystem::read_range(self, file, offset, len)
-            .await
-            .map_err(ScenarioError::from)
-    }
-
-    async fn write_range(
-        &self,
-        file: &FileId,
-        offset: f64,
-        len: f64,
-    ) -> Result<IoOpStats, ScenarioError> {
-        DirectFileSystem::write_range(self, file, offset, len)
-            .await
-            .map_err(ScenarioError::from)
-    }
-
-    async fn write_file(&self, file: &FileId, size: f64) -> Result<IoOpStats, ScenarioError> {
-        DirectFileSystem::write_file(self, file, size)
-            .await
-            .map_err(ScenarioError::from)
-    }
-
-    async fn fsync(&self, file: &FileId) -> Result<IoOpStats, ScenarioError> {
-        DirectFileSystem::fsync(self, file)
-            .await
-            .map_err(ScenarioError::from)
-    }
-
-    async fn sync(&self) -> Result<IoOpStats, ScenarioError> {
-        Ok(DirectFileSystem::sync(self).await)
-    }
-
-    fn crash(&self) -> CrashReport {
-        // Every write went straight to the disk: nothing to lose.
-        CrashReport::all_durable(self.registry().list())
-    }
-
-    fn kind_label(&self) -> &'static str {
-        "direct-local"
-    }
-}
-
-impl IoBackend for NfsFileSystem {
-    fn create_file(&self, file: &FileId, size: f64) -> Result<(), ScenarioError> {
-        NfsFileSystem::create_file(self, file, size).map_err(ScenarioError::from)
-    }
-
-    async fn read_range(
-        &self,
-        file: &FileId,
-        offset: f64,
-        len: f64,
-    ) -> Result<IoOpStats, ScenarioError> {
-        NfsFileSystem::read_range(self, file, offset, len)
-            .await
-            .map_err(ScenarioError::from)
-    }
-
-    async fn write_range(
-        &self,
-        file: &FileId,
-        offset: f64,
-        len: f64,
-    ) -> Result<IoOpStats, ScenarioError> {
-        NfsFileSystem::write_range(self, file, offset, len)
-            .await
-            .map_err(ScenarioError::from)
-    }
-
-    async fn write_file(&self, file: &FileId, size: f64) -> Result<IoOpStats, ScenarioError> {
-        NfsFileSystem::write_file(self, file, size)
-            .await
-            .map_err(ScenarioError::from)
-    }
-
-    async fn fsync(&self, file: &FileId) -> Result<IoOpStats, ScenarioError> {
-        NfsFileSystem::fsync(self, file)
-            .await
-            .map_err(ScenarioError::from)
-    }
-
-    async fn sync(&self) -> Result<IoOpStats, ScenarioError> {
-        Ok(NfsFileSystem::sync(self).await)
-    }
-
-    fn release_anonymous_memory(&self, amount: f64) {
-        self.client_memory_manager()
-            .release_anonymous_memory(amount);
-    }
-
-    fn sample_memory(&self) -> Option<MemorySample> {
-        Some(self.client_memory_manager().sample())
-    }
-
-    fn memory_trace(&self) -> Option<pagecache::MemoryTrace> {
-        Some(self.client_memory_manager().trace())
-    }
-
-    fn cache_snapshot(&self, label: &str) -> Option<pagecache::CacheContentSnapshot> {
-        Some(self.client_memory_manager().cache_content_snapshot(label))
-    }
-
-    fn writeback_counters(&self) -> Option<WritebackCounters> {
-        let c = self.client_memory_manager().counters();
-        Some(WritebackCounters {
-            background_flushed: c.flushed_background,
-            synchronous_flushed: c.flushed_on_demand,
-            evicted: c.evicted,
-        })
-    }
-
-    fn crash(&self) -> CrashReport {
-        // No client write cache and a writethrough server: only the warm
-        // read caches are lost, every written byte is already durable.
-        self.client_memory_manager().crash_discard();
-        self.server().memory_manager().crash_discard();
-        CrashReport::all_durable(self.registry().list())
-    }
-
-    fn kind_label(&self) -> &'static str {
-        "nfs"
-    }
-}
-
-impl IoBackend for KernelFileSystem {
-    fn create_file(&self, file: &FileId, size: f64) -> Result<(), ScenarioError> {
-        KernelFileSystem::create_file(self, file, size).map_err(ScenarioError::from)
-    }
-
-    async fn read_range(
-        &self,
-        file: &FileId,
-        offset: f64,
-        len: f64,
-    ) -> Result<IoOpStats, ScenarioError> {
-        KernelFileSystem::read_range(self, file, offset, len)
-            .await
-            .map_err(ScenarioError::from)
-    }
-
-    async fn write_range(
-        &self,
-        file: &FileId,
-        offset: f64,
-        len: f64,
-    ) -> Result<IoOpStats, ScenarioError> {
-        KernelFileSystem::write_range(self, file, offset, len)
-            .await
-            .map_err(ScenarioError::from)
-    }
-
-    async fn write_file(&self, file: &FileId, size: f64) -> Result<IoOpStats, ScenarioError> {
-        KernelFileSystem::write_file(self, file, size)
-            .await
-            .map_err(ScenarioError::from)
-    }
-
-    async fn fsync(&self, file: &FileId) -> Result<IoOpStats, ScenarioError> {
-        KernelFileSystem::fsync(self, file)
-            .await
-            .map_err(ScenarioError::from)
-    }
-
-    async fn sync(&self) -> Result<IoOpStats, ScenarioError> {
-        Ok(KernelFileSystem::sync(self).await)
-    }
-
-    fn start_background(&self) {
-        self.cache().spawn_writeback_threads();
-    }
-
-    fn stop_background(&self) {
-        self.cache().stop();
-    }
-
-    fn release_anonymous_memory(&self, amount: f64) {
-        self.cache().release_anonymous_memory(amount);
-    }
-
-    fn sample_memory(&self) -> Option<MemorySample> {
-        Some(self.cache().sample())
-    }
-
-    fn memory_trace(&self) -> Option<pagecache::MemoryTrace> {
-        Some(self.cache().trace())
-    }
-
-    fn cache_snapshot(&self, label: &str) -> Option<pagecache::CacheContentSnapshot> {
-        Some(self.cache().cache_content_snapshot(label))
-    }
-
-    fn writeback_counters(&self) -> Option<WritebackCounters> {
-        let c = self.cache().counters();
-        Some(WritebackCounters {
-            background_flushed: c.background_writeback,
-            synchronous_flushed: c.throttled_writeback,
-            evicted: c.evicted,
-        })
-    }
-
-    fn set_file_group(&self, file: &FileId, group: u32) {
-        self.cache().set_file_group(file, Some(group));
-    }
-
-    async fn enforce_group_limits(&self, group: u32, max_bytes: f64, max_dirty: f64) -> (f64, f64) {
-        self.cache()
-            .enforce_group_limits(group, max_bytes, max_dirty)
-            .await
-    }
-
-    fn crash(&self) -> CrashReport {
-        // The emulator keeps a byte-exact dirty-range ledger: the durable
-        // ranges are its complement within each file.
-        let lost: BTreeMap<_, _> = self.cache().crash_discard().into_iter().collect();
-        CrashReport {
-            files: self
-                .list_files()
-                .into_iter()
-                .map(|(file, size)| {
-                    let ranges = lost.get(&file).map(Vec::as_slice).unwrap_or(&[]);
-                    (file, FileDurability::from_lost_ranges(size, ranges))
-                })
-                .collect(),
-        }
-    }
-
-    fn kind_label(&self) -> &'static str {
-        "kernel-emu"
-    }
-}
-
-/// A cacheless NFS mount (vanilla WRENCH with remote storage): every access is
-/// a network transfer plus a server disk access.
-#[derive(Clone)]
-pub struct DirectNfs {
-    ctx: SimContext,
-    link: NetworkLink,
-    server_disk: Disk,
-    registry: simfs::FileRegistry,
-}
-
-impl DirectNfs {
-    fn new(ctx: &SimContext, link: NetworkLink, server_disk: Disk) -> Self {
-        DirectNfs {
-            ctx: ctx.clone(),
-            link,
-            server_disk,
-            registry: simfs::FileRegistry::new(),
-        }
-    }
-}
-
-impl IoBackend for DirectNfs {
-    fn create_file(&self, file: &FileId, size: f64) -> Result<(), ScenarioError> {
-        self.server_disk
-            .allocate(size)
-            .map_err(FsError::from)
-            .map_err(ScenarioError::from)?;
-        self.registry
-            .create(file, size)
-            .map_err(ScenarioError::from)
-    }
-
-    async fn read_range(
-        &self,
-        file: &FileId,
-        offset: f64,
-        len: f64,
-    ) -> Result<IoOpStats, ScenarioError> {
-        let size = self.registry.size(file).map_err(ScenarioError::from)?;
-        let (_start, amount) = clamp_io_range(offset, len, size);
-        let start = self.ctx.now();
-        if amount > 0.0 {
-            self.server_disk.read(amount).await;
-            self.link.transfer(amount).await;
-        }
-        Ok(IoOpStats {
-            bytes_from_disk: amount,
-            duration: self.ctx.now().duration_since(start),
-            ..IoOpStats::default()
-        })
-    }
-
-    async fn write_range(
-        &self,
-        file: &FileId,
-        offset: f64,
-        len: f64,
-    ) -> Result<IoOpStats, ScenarioError> {
-        let (_offset, len) = extend_for_write(&self.registry, &self.server_disk, file, offset, len)
-            .map_err(ScenarioError::from)?;
-        let start = self.ctx.now();
-        if len > 0.0 {
-            self.link.transfer(len).await;
-            self.server_disk.write(len).await;
-        }
-        Ok(IoOpStats {
-            bytes_to_disk: len,
-            duration: self.ctx.now().duration_since(start),
-            ..IoOpStats::default()
-        })
-    }
-
-    async fn write_file(&self, file: &FileId, size: f64) -> Result<IoOpStats, ScenarioError> {
-        // Whole-file writes replace the registration (truncate semantics),
-        // consistent with every other back-end's `write_file`.
-        if !size.is_finite() {
-            return Err(ScenarioError::Filesystem(FsError::InvalidRange {
-                offset: 0.0,
-                len: size,
-            }));
-        }
-        if let Some(old) = self.registry.create_or_replace(file, size) {
-            self.server_disk.free(old);
-        }
-        self.server_disk
-            .allocate(size)
-            .map_err(FsError::from)
-            .map_err(ScenarioError::from)?;
-        let start = self.ctx.now();
-        self.link.transfer(size).await;
-        self.server_disk.write(size).await;
-        Ok(IoOpStats {
-            bytes_to_disk: size,
-            duration: self.ctx.now().duration_since(start),
-            ..IoOpStats::default()
-        })
-    }
-
-    async fn fsync(&self, file: &FileId) -> Result<IoOpStats, ScenarioError> {
-        self.registry.size(file).map_err(ScenarioError::from)?;
-        Ok(IoOpStats::default())
-    }
-
-    async fn sync(&self) -> Result<IoOpStats, ScenarioError> {
-        Ok(IoOpStats::default())
-    }
-
-    fn crash(&self) -> CrashReport {
-        // Writes are synchronous writethrough transfers: all durable.
-        CrashReport::all_durable(self.registry.list())
-    }
-
-    fn kind_label(&self) -> &'static str {
-        "direct-nfs"
-    }
-}
-
-/// A fully constructed simulation back-end. Every variant implements
-/// [`IoBackend`]; the enum forwards each call through one dispatch macro so
-/// the runner stays monomorphic without per-method match duplication.
-#[derive(Clone)]
-pub enum Backend {
-    /// Local filesystem with page caching (WRENCH-cache behaviour).
-    Cached(CachedFileSystem),
-    /// Local filesystem without page caching (vanilla WRENCH behaviour).
-    Direct(DirectFileSystem),
-    /// NFS mount (client read cache, writethrough server).
-    Nfs(NfsFileSystem),
-    /// The kernel-fidelity emulator.
-    Kernel(KernelFileSystem),
-    /// Cacheless remote storage.
-    DirectNfs(DirectNfs),
-    /// One client's view of a replicated storage fleet (see [`crate::net`]).
-    Fleet(FleetClient),
-}
-
-/// Forwards one method call to whichever filesystem the back-end holds.
-macro_rules! dispatch {
-    ($self:expr, $b:ident => $body:expr) => {
-        match $self {
-            Backend::Cached($b) => $body,
-            Backend::Direct($b) => $body,
-            Backend::Nfs($b) => $body,
-            Backend::Kernel($b) => $body,
-            Backend::DirectNfs($b) => $body,
-            Backend::Fleet($b) => $body,
-        }
-    };
-}
-
-impl IoBackend for Backend {
-    // The concrete filesystems keep inherent methods with the same names as
-    // the trait's (their crate-local, structured-error API), so the forwards
-    // below use UFCS to target the trait impls unambiguously.
-    fn create_file(&self, file: &FileId, size: f64) -> Result<(), ScenarioError> {
-        dispatch!(self, b => IoBackend::create_file(b, file, size))
-    }
-
-    async fn read_range(
-        &self,
-        file: &FileId,
-        offset: f64,
-        len: f64,
-    ) -> Result<IoOpStats, ScenarioError> {
-        dispatch!(self, b => IoBackend::read_range(b, file, offset, len).await)
-    }
-
-    async fn write_range(
-        &self,
-        file: &FileId,
-        offset: f64,
-        len: f64,
-    ) -> Result<IoOpStats, ScenarioError> {
-        dispatch!(self, b => IoBackend::write_range(b, file, offset, len).await)
-    }
-
-    async fn fsync(&self, file: &FileId) -> Result<IoOpStats, ScenarioError> {
-        dispatch!(self, b => IoBackend::fsync(b, file).await)
-    }
-
-    async fn sync(&self) -> Result<IoOpStats, ScenarioError> {
-        dispatch!(self, b => IoBackend::sync(b).await)
-    }
-
-    async fn read_file(&self, file: &FileId) -> Result<IoOpStats, ScenarioError> {
-        dispatch!(self, b => IoBackend::read_file(b, file).await)
-    }
-
-    async fn write_file(&self, file: &FileId, size: f64) -> Result<IoOpStats, ScenarioError> {
-        dispatch!(self, b => IoBackend::write_file(b, file, size).await)
-    }
-
-    fn start_background(&self) {
-        dispatch!(self, b => b.start_background())
-    }
-
-    fn stop_background(&self) {
-        dispatch!(self, b => b.stop_background())
-    }
-
-    fn release_anonymous_memory(&self, amount: f64) {
-        dispatch!(self, b => b.release_anonymous_memory(amount))
-    }
-
-    fn sample_memory(&self) -> Option<MemorySample> {
-        dispatch!(self, b => b.sample_memory())
-    }
-
-    fn memory_trace(&self) -> Option<pagecache::MemoryTrace> {
-        dispatch!(self, b => b.memory_trace())
-    }
-
-    fn cache_snapshot(&self, label: &str) -> Option<pagecache::CacheContentSnapshot> {
-        dispatch!(self, b => b.cache_snapshot(label))
-    }
-
-    fn writeback_counters(&self) -> Option<WritebackCounters> {
-        dispatch!(self, b => b.writeback_counters())
-    }
-
-    fn set_file_group(&self, file: &FileId, group: u32) {
-        dispatch!(self, b => IoBackend::set_file_group(b, file, group))
-    }
-
-    async fn enforce_group_limits(&self, group: u32, max_bytes: f64, max_dirty: f64) -> (f64, f64) {
-        dispatch!(self, b => IoBackend::enforce_group_limits(b, group, max_bytes, max_dirty).await)
-    }
-
-    fn crash(&self) -> CrashReport {
-        dispatch!(self, b => IoBackend::crash(b))
-    }
-
-    fn kind_label(&self) -> &'static str {
-        dispatch!(self, b => b.kind_label())
-    }
-}
-
-impl Backend {
     /// Builds the devices and filesystem for a platform and simulator kind.
     pub fn build(
         ctx: &SimContext,
@@ -910,10 +480,11 @@ impl Backend {
                 ))
             }
             (StorageKind::Nfs, SimulatorKind::Cacheless) => {
-                let link =
-                    degenerate_nfs_link(ctx, devices.network_bandwidth, devices.network_latency);
+                let link = nfs_link(ctx, &devices);
                 let server_disk = Disk::new(ctx, "nfs-server-disk", devices.remote_disk);
-                Ok(Backend::DirectNfs(DirectNfs::new(ctx, link, server_disk)))
+                Ok(Backend::Direct(
+                    DirectFileSystem::new(ctx, server_disk).with_link(link),
+                ))
             }
             (StorageKind::Nfs, SimulatorKind::PageCache | SimulatorKind::KernelEmu) => {
                 // The ground truth for NFS uses the same macroscopic NFS model
@@ -935,8 +506,7 @@ impl Backend {
                     server_memory,
                     server_disk,
                 );
-                let link =
-                    degenerate_nfs_link(ctx, devices.network_bandwidth, devices.network_latency);
+                let link = nfs_link(ctx, &devices);
                 let server = NfsServer::new(IoController::new(ctx, server_mm));
                 Ok(Backend::Nfs(
                     NfsFileSystem::new(ctx, client_mm, link, server)
@@ -987,17 +557,42 @@ impl Backend {
     }
 }
 
-/// The legacy one-client/one-server NFS topology, expressed as a degenerate
-/// fabric: two hosts joined by one link. The link's shared channel is
-/// constructed with exactly the same parameters as the historical
-/// `NetworkLink`, so NFS predictions are bit-identical.
-fn degenerate_nfs_link(ctx: &SimContext, bandwidth: f64, latency: f64) -> NetworkLink {
-    let fabric = Fabric::new(ctx);
-    fabric.add_host("client");
-    fabric.add_host("server");
-    fabric.add_link("nfs-link", bandwidth, latency);
-    fabric.add_route("client", "server", "nfs-link");
-    NetworkLink::from_channel(fabric.link_channel("nfs-link").expect("link just added"))
+/// The single client–server link of the NFS back-ends.
+fn nfs_link(ctx: &SimContext, devices: &DeviceSet) -> NetworkLink {
+    NetworkLink::new(
+        ctx,
+        "nfs-link",
+        devices.network_bandwidth,
+        devices.network_latency,
+    )
+}
+
+/// Writeback/eviction counters of a macroscopic page cache.
+pub(crate) fn model_writeback(mm: &MemoryManager) -> WritebackCounters {
+    let c = mm.counters();
+    WritebackCounters {
+        background_flushed: c.flushed_background,
+        synchronous_flushed: c.flushed_on_demand,
+        evicted: c.evicted,
+    }
+}
+
+/// Crash of a cached filesystem: discards its dirty data and reports what
+/// survives. The macroscopic model tracks dirty *amounts*, not positions:
+/// the durable part of each file is approximated as its leading span.
+pub(crate) fn crash_cached(fs: &CachedFileSystem) -> CrashReport {
+    let lost: BTreeMap<_, _> = fs.memory_manager().crash_discard().into_iter().collect();
+    CrashReport {
+        files: fs
+            .registry()
+            .list()
+            .into_iter()
+            .map(|(file, size)| {
+                let dirty = lost.get(&file).copied().unwrap_or(0.0);
+                (file, FileDurability::from_dirty_amount(size, dirty))
+            })
+            .collect(),
+    }
 }
 
 #[cfg(test)]
@@ -1015,6 +610,15 @@ mod tests {
         )
     }
 
+    /// Asserts that the memory and cache introspection of `backend` is
+    /// present exactly when it models a page cache.
+    fn assert_cache_seams(backend: &Backend, has_cache: bool, what: &str) {
+        assert_eq!(backend.sample_memory().is_some(), has_cache, "{what}");
+        assert_eq!(backend.memory_trace().is_some(), has_cache, "{what}");
+        assert_eq!(backend.cache_snapshot("x").is_some(), has_cache, "{what}");
+        assert_eq!(backend.writeback_counters().is_some(), has_cache, "{what}");
+    }
+
     #[test]
     fn build_all_local_backends() {
         let sim = Simulation::new();
@@ -1022,8 +626,11 @@ mod tests {
         for kind in SimulatorKind::all() {
             let backend = Backend::build(&ctx, &platform(), kind).unwrap();
             // Cacheless has no memory model; the others do.
-            let has_memory = backend.sample_memory().is_some();
-            assert_eq!(has_memory, kind != SimulatorKind::Cacheless, "{kind:?}");
+            assert_cache_seams(
+                &backend,
+                kind != SimulatorKind::Cacheless,
+                &format!("{kind:?}"),
+            );
         }
     }
 
@@ -1039,11 +646,22 @@ mod tests {
         ] {
             let backend = Backend::build(&ctx, &platform, kind).unwrap();
             backend.create_file(&"f".into(), 100.0 * MB).unwrap();
+            // Cacheless NFS has no memory model; the NFS client cache does.
+            let what = format!("nfs {kind:?}");
+            assert_cache_seams(&backend, kind != SimulatorKind::Cacheless, &what);
         }
         assert!(matches!(
             Backend::build(&ctx, &platform, SimulatorKind::Prototype),
             Err(ScenarioError::Unsupported(_))
         ));
+        let fleet = fleet_platform();
+        let backend = Backend::build(&ctx, &fleet, SimulatorKind::PageCache).unwrap();
+        backend.create_file(&"f".into(), 100.0 * MB).unwrap();
+        assert_cache_seams(&backend, true, "fleet");
+    }
+
+    fn fleet_platform() -> PlatformSpec {
+        platform().with_fleet(crate::net::FleetSpec::new(2, 3, 2))
     }
 
     #[test]
@@ -1165,20 +783,16 @@ mod tests {
         // Whole-file rewrite with a smaller size: every back-end replaces
         // the registration (truncate semantics), so a later whole read sees
         // the new size.
-        for (kind, nfs) in [
-            (SimulatorKind::Cacheless, false),
-            (SimulatorKind::PageCache, false),
-            (SimulatorKind::KernelEmu, false),
-            (SimulatorKind::PageCache, true),
-            (SimulatorKind::Cacheless, true),
+        for (kind, p) in [
+            (SimulatorKind::Cacheless, platform()),
+            (SimulatorKind::PageCache, platform()),
+            (SimulatorKind::KernelEmu, platform()),
+            (SimulatorKind::PageCache, platform().with_nfs()),
+            (SimulatorKind::Cacheless, platform().with_nfs()),
+            (SimulatorKind::PageCache, fleet_platform()),
         ] {
             let sim = Simulation::new();
             let ctx = sim.context();
-            let p = if nfs {
-                platform().with_nfs()
-            } else {
-                platform()
-            };
             let backend = Backend::build(&ctx, &p, kind).unwrap();
             let h = sim.spawn({
                 let backend = backend.clone();
@@ -1194,8 +808,40 @@ mod tests {
             let total = read.bytes_from_disk + read.bytes_from_cache;
             assert!(
                 (total - 100.0 * MB).abs() < MB,
-                "{kind:?} nfs={nfs}: whole read saw {total} bytes"
+                "{kind:?} {:?}: whole read saw {total} bytes",
+                p.storage
             );
+        }
+    }
+
+    #[test]
+    fn zero_byte_writes_touch_no_device_on_cacheless_backends() {
+        // Cacheless back-ends skip zero-length I/O: a zero-byte write, whole
+        // file or range, pays neither the disk's nor the link's latency.
+        let mut p = platform();
+        p.simulated.disk = DeviceSpec::symmetric(465.0 * MB, 0.01, f64::INFINITY);
+        p.simulated.remote_disk = p.simulated.disk;
+        p.simulated.network_latency = 0.01;
+        for p in [p.clone(), p.with_nfs()] {
+            let sim = Simulation::new();
+            let ctx = sim.context();
+            let backend = Backend::build(&ctx, &p, SimulatorKind::Cacheless).unwrap();
+            let h = sim.spawn({
+                let backend = backend.clone();
+                async move {
+                    let whole = backend.write_file(&"f".into(), 0.0).await.unwrap();
+                    let range = backend.write_range(&"g".into(), 0.0, 0.0).await.unwrap();
+                    (whole, range)
+                }
+            });
+            sim.run();
+            let (whole, range) = h.try_take_result().unwrap();
+            for (what, stats) in [("write_file", whole), ("write_range", range)] {
+                assert_eq!(stats.duration, 0.0, "{:?} {what}", p.storage);
+                assert_eq!(stats.bytes_to_disk, 0.0, "{:?} {what}", p.storage);
+            }
+            assert_eq!(sim.now().as_secs(), 0.0, "{:?}", p.storage);
+            assert_eq!(backend.crash().files.len(), 2, "{:?}", p.storage);
         }
     }
 

@@ -16,9 +16,9 @@
 //! ([`PlatformSpec::with_fleet`]) whose clients ride out faults with
 //! timeouts, backoff retries, hedged reads, and failover.
 //!
-//! All back-ends live behind the [`IoBackend`] trait, whose primitives are
-//! **offset-granular**: `read_range`, `write_range`, `fsync`, `sync`.
-//! Whole-file operations are corollaries (`read_file ≡ read_range(0, size)`),
+//! All back-ends are served through the [`Backend`] enum, whose primitives
+//! are **offset-granular**: `read_range`, `write_range`, `fsync`, `sync`.
+//! Whole-file reads are corollaries (`read_file ≡ read_range(0, size)`),
 //! not primitives.
 //!
 //! ## Workload programs
@@ -90,7 +90,7 @@ mod runner;
 mod spec;
 pub mod traffic;
 
-pub use backend::{Backend, DirectNfs, IoBackend, ScenarioError, SimulatorKind};
+pub use backend::{Backend, ScenarioError, SimulatorKind};
 pub use faults::{
     CrashReport, ErrorMode, FaultEvent, FaultPlan, FileDurability, InjectedFault,
     InjectedFaultKind, IoErrorSpec, OpClass, RetryPolicy, Trigger,

@@ -13,9 +13,9 @@
 //! (modelling its NIC as the shared bottleneck) and every client routes to
 //! the server through that link, so concurrent requests from many clients to
 //! one server share its bandwidth fairly ([`storage_model::SharedResource`])
-//! and pay the link latency per transfer. The legacy one-client/one-server
-//! NFS back-end is re-expressed as a degenerate fabric (one host pair, one
-//! link) and produces bit-identical predictions.
+//! and pay the link latency per transfer. A fabric link is the same shared
+//! channel as the plain [`storage_model::NetworkLink`] of the single-link
+//! NFS back-ends, so a one-link fabric times transfers identically.
 //!
 //! ## Faults
 //!
@@ -53,13 +53,13 @@ use std::rc::Rc;
 
 use des::{select2, Either, SimContext};
 use pagecache::{
-    clamp_io_range, FileId, FsError, IoController, IoOpStats, MemoryManager, MemorySample,
-    PageCacheConfig, EPSILON,
+    clamp_io_range, FileId, FsError, IoController, IoOpStats, MemoryManager, PageCacheConfig,
+    EPSILON,
 };
 use simfs::{CachedFileSystem, FileRegistry};
 use storage_model::{AbortHandle, Disk, MemoryDevice, SharedResource, TransferOutcome};
 
-use crate::backend::{IoBackend, ScenarioError};
+use crate::backend::{crash_cached, model_writeback, ScenarioError};
 use crate::faults::{
     CrashReport, FileDurability, InjectedFault, InjectedFaultKind, OpClass, RetryPolicy,
 };
@@ -215,8 +215,8 @@ impl Fabric {
     }
 
     /// The shared channel behind a link, if registered. Lets other models
-    /// (e.g. the degenerate single-link NFS back-end) reuse a fabric-owned
-    /// link directly.
+    /// reuse a fabric-owned link directly (e.g. as a
+    /// [`storage_model::NetworkLink`]).
     pub fn link_channel(&self, name: &str) -> Option<SharedResource> {
         self.inner
             .links
@@ -377,9 +377,6 @@ pub struct ClientPolicy {
     /// second copy of the request is sent to the next replica and the first
     /// answer wins.
     pub hedge_delay: Option<f64>,
-    /// Whether retried reads fail over to the other replicas (round-robin
-    /// over the replica ring) instead of hammering the primary.
-    pub failover: bool,
 }
 
 impl Default for ClientPolicy {
@@ -388,7 +385,6 @@ impl Default for ClientPolicy {
             timeout: f64::INFINITY,
             retry: RetryPolicy::new(3, 0.2),
             hedge_delay: None,
-            failover: true,
         }
     }
 }
@@ -409,12 +405,6 @@ impl ClientPolicy {
     /// Enables hedged reads after `delay` seconds.
     pub fn with_hedge(mut self, delay: f64) -> Self {
         self.hedge_delay = Some(delay);
-        self
-    }
-
-    /// Enables or disables read failover.
-    pub fn with_failover(mut self, failover: bool) -> Self {
-        self.failover = failover;
         self
     }
 
@@ -696,20 +686,16 @@ impl FleetInner {
     }
 
     /// A read request under the full robustness policy: timeout, hedging,
-    /// backoff retries, and failover across the replica ring.
+    /// backoff retries, and failover across the replica ring (retries walk
+    /// the ring round-robin instead of hammering the primary).
     async fn robust_fetch(
         &self,
         client: usize,
-        candidates: &[usize],
+        targets: &[usize],
         file: &FileId,
         amount: f64,
     ) -> Result<Fetched, NetError> {
         let policy = self.spec.policy;
-        let targets = if policy.failover {
-            candidates
-        } else {
-            &candidates[..1]
-        };
         let mut attempt: u32 = 1;
         loop {
             let slot = (attempt - 1) as usize % targets.len();
@@ -750,7 +736,7 @@ impl FleetInner {
             };
             match outcome {
                 Ok(fetched) => {
-                    if fetched.server != candidates[0] {
+                    if fetched.server != targets[0] {
                         bump(&self.counters.failovers);
                     }
                     return Ok(fetched);
@@ -848,31 +834,6 @@ impl FleetInner {
         }
     }
 
-    /// Durability of one server's files at this instant (discarding its
-    /// dirty cached data), in the same leading-span approximation as the
-    /// local back-ends.
-    fn crash_one(&self, server: usize) -> CrashReport {
-        let node = &self.servers[server];
-        let lost: BTreeMap<_, _> = node
-            .fs
-            .memory_manager()
-            .crash_discard()
-            .into_iter()
-            .collect();
-        CrashReport {
-            files: node
-                .fs
-                .registry()
-                .list()
-                .into_iter()
-                .map(|(file, size)| {
-                    let dirty = lost.get(&file).copied().unwrap_or(0.0);
-                    (file, FileDurability::from_dirty_amount(size, dirty))
-                })
-                .collect(),
-        }
-    }
-
     fn injected(&self, op: OpClass, file: &FileId) -> ScenarioError {
         ScenarioError::Injected(InjectedFault {
             kind: InjectedFaultKind::Network,
@@ -884,9 +845,9 @@ impl FleetInner {
     }
 }
 
-/// One client's view of a replicated storage fleet. Implements
-/// [`IoBackend`]; cloning shares the fleet, and [`FleetClient::for_client`]
-/// re-homes the view onto another client host.
+/// One client's view of a replicated storage fleet, served to the runner
+/// through [`crate::Backend::Fleet`]; cloning shares the fleet, and
+/// [`FleetClient::for_client`] re-homes the view onto another client host.
 #[derive(Clone)]
 pub struct FleetClient {
     inner: Rc<FleetInner>,
@@ -1023,7 +984,7 @@ impl FleetClient {
         node.alive.set(false);
         node.fs.memory_manager().stop();
         self.inner.fabric.set_host_down(&node.host);
-        let report = self.inner.crash_one(index);
+        let report = crash_cached(&node.fs);
         self.inner
             .crashes
             .borrow_mut()
@@ -1054,33 +1015,36 @@ impl FleetClient {
             server_crashes: self.inner.crashes.borrow().clone(),
         }
     }
-}
 
-impl IoBackend for FleetClient {
-    fn create_file(&self, file: &FileId, size: f64) -> Result<(), ScenarioError> {
-        self.inner
-            .registry
-            .create(file, size)
-            .map_err(ScenarioError::from)?;
+    /// The client host's Memory Manager: its read cache and the
+    /// application's anonymous memory.
+    pub fn client_memory_manager(&self) -> &MemoryManager {
+        self.inner.clients[self.client].io.memory_manager()
+    }
+
+    /// Registers a pre-existing file on the fleet and on every live replica
+    /// without simulating any I/O.
+    pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), ScenarioError> {
+        self.inner.registry.create(file, size)?;
         for &s in &self.inner.replicas_of(file) {
             let node = &self.inner.servers[s];
             if node.alive.get() {
-                node.fs
-                    .create_file(file, size)
-                    .map_err(ScenarioError::from)?;
+                node.fs.create_file(file, size)?;
             }
         }
         Ok(())
     }
 
-    async fn read_range(
+    /// Reads `len` bytes at `offset` through the client's read cache;
+    /// misses are fetched from the replicas under the client policy.
+    pub async fn read_range(
         &self,
         file: &FileId,
         offset: f64,
         len: f64,
     ) -> Result<IoOpStats, ScenarioError> {
         let inner = &self.inner;
-        let size = inner.registry.size(file).map_err(ScenarioError::from)?;
+        let size = inner.registry.size(file)?;
         let (_start, amount) = clamp_io_range(offset, len, size);
         let start = inner.ctx.now();
         let me = &inner.clients[self.client];
@@ -1126,7 +1090,10 @@ impl IoBackend for FleetClient {
         Ok(stats)
     }
 
-    async fn write_range(
+    /// Writes `len` bytes at `offset` to every replica (primary first),
+    /// creating the file or extending it as needed; never shrinks it. The
+    /// write succeeds if at least one replica accepted it.
+    pub async fn write_range(
         &self,
         file: &FileId,
         offset: f64,
@@ -1182,9 +1149,32 @@ impl IoBackend for FleetClient {
         Ok(stats)
     }
 
-    async fn fsync(&self, file: &FileId) -> Result<IoOpStats, ScenarioError> {
+    /// Writes a whole file of `size` bytes, replacing the old one (truncate
+    /// semantics): the fleet's registration is emptied and every live,
+    /// reachable replica drops its copy before the range write. A file the
+    /// fleet does not hold yet is a plain range write.
+    pub async fn write_file(&self, file: &FileId, size: f64) -> Result<IoOpStats, ScenarioError> {
         let inner = &self.inner;
-        inner.registry.size(file).map_err(ScenarioError::from)?;
+        if size.is_finite() && size >= 0.0 && inner.registry.exists(file) {
+            inner.registry.create_or_replace(file, 0.0);
+            let client_host = &inner.clients[self.client].host;
+            for &server in &inner.replicas_of(file) {
+                let node = &inner.servers[server];
+                if node.alive.get()
+                    && node.fs.registry().exists(file)
+                    && inner.fabric.check_path(client_host, &node.host).is_ok()
+                {
+                    node.fs.delete_file(file)?;
+                }
+            }
+        }
+        self.write_range(file, 0.0, size).await
+    }
+
+    /// Flushes the file on every reachable replica (write-back servers).
+    pub async fn fsync(&self, file: &FileId) -> Result<IoOpStats, ScenarioError> {
+        let inner = &self.inner;
+        inner.registry.size(file)?;
         let start = inner.ctx.now();
         let client_host = inner.clients[self.client].host.clone();
         let mut stats = IoOpStats::default();
@@ -1207,7 +1197,8 @@ impl IoBackend for FleetClient {
         Ok(stats)
     }
 
-    async fn sync(&self) -> Result<IoOpStats, ScenarioError> {
+    /// Flushes all dirty data of every reachable server.
+    pub async fn sync(&self) -> Result<IoOpStats, ScenarioError> {
         let inner = &self.inner;
         let start = inner.ctx.now();
         let client_host = inner.clients[self.client].host.clone();
@@ -1224,7 +1215,8 @@ impl IoBackend for FleetClient {
         Ok(stats)
     }
 
-    fn start_background(&self) {
+    /// Starts the periodical flusher of every live server.
+    pub fn start_background(&self) {
         for node in &self.inner.servers {
             if node.alive.get() {
                 node.fs.memory_manager().spawn_periodical_flusher();
@@ -1232,7 +1224,8 @@ impl IoBackend for FleetClient {
         }
     }
 
-    fn stop_background(&self) {
+    /// Stops the flushers of every live server.
+    pub fn stop_background(&self) {
         for node in &self.inner.servers {
             if node.alive.get() {
                 node.fs.memory_manager().stop();
@@ -1240,50 +1233,28 @@ impl IoBackend for FleetClient {
         }
     }
 
-    fn release_anonymous_memory(&self, amount: f64) {
-        self.inner.clients[self.client]
-            .io
-            .memory_manager()
-            .release_anonymous_memory(amount);
-    }
-
-    fn sample_memory(&self) -> Option<MemorySample> {
-        Some(self.inner.clients[self.client].io.memory_manager().sample())
-    }
-
-    fn memory_trace(&self) -> Option<pagecache::MemoryTrace> {
-        Some(self.inner.clients[self.client].io.memory_manager().trace())
-    }
-
-    fn cache_snapshot(&self, label: &str) -> Option<pagecache::CacheContentSnapshot> {
-        Some(
-            self.inner.clients[self.client]
-                .io
-                .memory_manager()
-                .cache_content_snapshot(label),
-        )
-    }
-
-    fn writeback_counters(&self) -> Option<WritebackCounters> {
+    /// Writeback/eviction counters summed over the servers' page caches.
+    pub fn writeback_counters(&self) -> WritebackCounters {
         let mut total = WritebackCounters::default();
         for node in &self.inner.servers {
-            let c = node.fs.memory_manager().counters();
-            total.background_flushed += c.flushed_background;
-            total.synchronous_flushed += c.flushed_on_demand;
+            let c = model_writeback(node.fs.memory_manager());
+            total.background_flushed += c.background_flushed;
+            total.synchronous_flushed += c.synchronous_flushed;
             total.evicted += c.evicted;
         }
-        Some(total)
+        total
     }
 
-    fn crash(&self) -> CrashReport {
+    /// Fleet-wide power loss (see [`crate::Backend::crash`]).
+    pub fn crash(&self) -> CrashReport {
         // Fleet-wide power loss: every server loses its dirty cached data;
         // a file survives as well as its most-durable replica. Servers that
         // crashed earlier contribute the durability recorded at their crash
         // (their dirty data was already lost then).
         let mut merged: BTreeMap<FileId, FileDurability> = BTreeMap::new();
-        for (server, node) in self.inner.servers.iter().enumerate() {
+        for node in &self.inner.servers {
             let report = if node.alive.get() {
-                self.inner.crash_one(server)
+                crash_cached(&node.fs)
             } else {
                 self.inner
                     .crashes
@@ -1309,10 +1280,6 @@ impl IoBackend for FleetClient {
             client.versions.borrow_mut().clear();
         }
         CrashReport { files: merged }
-    }
-
-    fn kind_label(&self) -> &'static str {
-        "fleet"
     }
 }
 
@@ -1481,7 +1448,9 @@ mod tests {
                 assert!((write.bytes_to_cache - 40.0 * MB).abs() < 1.0);
                 let read = backend.read_range(&file, 0.0, 20.0 * MB).await.unwrap();
                 assert!((read.bytes_from_cache + read.bytes_from_disk - 20.0 * MB).abs() < 1.0);
-                backend.release_anonymous_memory(20.0 * MB);
+                backend
+                    .client_memory_manager()
+                    .release_anonymous_memory(20.0 * MB);
             }
         });
         sim.run();
@@ -1553,7 +1522,9 @@ mod tests {
                 let primary = server_host(backend.primary_of(&file));
                 assert!(backend.crash_server(&primary));
                 backend.read_range(&file, 0.0, 20.0 * MB).await.unwrap();
-                backend.release_anonymous_memory(20.0 * MB);
+                backend
+                    .client_memory_manager()
+                    .release_anonymous_memory(20.0 * MB);
             }
         });
         sim.run();
@@ -1646,7 +1617,9 @@ mod tests {
             let backend = backend.clone();
             async move {
                 backend.read_range(&file, 0.0, 10.0 * MB).await.unwrap();
-                backend.release_anonymous_memory(10.0 * MB);
+                backend
+                    .client_memory_manager()
+                    .release_anonymous_memory(10.0 * MB);
             }
         });
         sim.run();
@@ -1680,7 +1653,9 @@ mod tests {
                 // Lose the primary: reads fail over to the stale secondary.
                 assert!(backend.crash_server(&server_host(replicas[0])));
                 backend.read_range(&file, 0.0, 10.0 * MB).await.unwrap();
-                backend.release_anonymous_memory(10.0 * MB);
+                backend
+                    .client_memory_manager()
+                    .release_anonymous_memory(10.0 * MB);
             }
         });
         sim.run();

@@ -17,7 +17,7 @@ use std::time::Instant;
 use des::Simulation;
 use pagecache::FileId;
 
-use crate::backend::{Backend, IoBackend, ScenarioError, SimulatorKind};
+use crate::backend::{Backend, ScenarioError, SimulatorKind};
 use crate::faults::{FaultEvent, FaultPlan, FaultState, InjectedFault, OpClass};
 use crate::platform::{PlatformSpec, StorageKind};
 use crate::report::{InstanceReport, ScenarioReport, TaskReport, TaskStatus};

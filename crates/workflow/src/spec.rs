@@ -64,7 +64,7 @@ pub enum Op {
     /// Spin the CPU for the given number of simulated seconds.
     Compute(f64),
     /// Flush the file's dirty cached data to stable storage (semantics per
-    /// back-end are documented on [`crate::IoBackend`]).
+    /// back-end are documented on [`crate::Backend`]).
     Fsync(String),
     /// Flush all dirty cached data of the host.
     Sync,

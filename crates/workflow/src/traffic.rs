@@ -1,5 +1,5 @@
 //! Request-serving traffic tier: synthetic load generation over any
-//! [`IoBackend`].
+//! [`Backend`].
 //!
 //! Where a [`TaskSpec`](crate::TaskSpec) program is a *fixed* sequence of
 //! operations, a [`TrafficSpec`] describes a *stream* of requests against a
@@ -49,7 +49,7 @@ use std::rc::Rc;
 use des::SimContext;
 use pagecache::{FileId, IoOpStats};
 
-use crate::backend::{Backend, IoBackend, ScenarioError};
+use crate::backend::{Backend, ScenarioError};
 use crate::faults::{FaultState, OpClass};
 
 /// Lowest latency resolved by the histogram, seconds. Everything below lands

@@ -54,9 +54,8 @@ pub mod prelude {
     pub use storage_model::{DeviceSpec, Disk, MemoryDevice, NetworkLink, SharedResource};
     pub use workflow::{
         run_scenario, ApplicationSpec, ClientPolicy, CrashReport, ErrorMode, FaultEvent, FaultPlan,
-        FileSpec, FleetSpec, IoBackend, IoErrorSpec, NetReport, Op, OpClass, PlatformSpec,
-        RetryPolicy, RunStats, Scenario, ScenarioReport, SimulatorKind, StorageKind, TaskSpec,
-        TaskStatus, TenantSpec, TrafficGenReport, TrafficReport, TrafficSpec, Trigger,
-        WritebackCounters,
+        FileSpec, FleetSpec, IoErrorSpec, NetReport, Op, OpClass, PlatformSpec, RetryPolicy,
+        RunStats, Scenario, ScenarioReport, SimulatorKind, StorageKind, TaskSpec, TaskStatus,
+        TenantSpec, TrafficGenReport, TrafficReport, TrafficSpec, Trigger, WritebackCounters,
     };
 }

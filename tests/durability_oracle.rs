@@ -19,8 +19,8 @@ use pagecache::FileId;
 use storage_model::units::{GB, MB};
 use storage_model::DeviceSpec;
 use workflow::{
-    run_scenario, ApplicationSpec, Backend, CrashReport, FaultPlan, IoBackend, Op, PlatformSpec,
-    Scenario, SimulatorKind, TaskSpec,
+    run_scenario, ApplicationSpec, Backend, CrashReport, FaultPlan, Op, PlatformSpec, Scenario,
+    SimulatorKind, TaskSpec,
 };
 
 const FILE_SIZE: f64 = 64.0 * MB;

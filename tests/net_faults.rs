@@ -132,7 +132,7 @@ fn flapping_link_retries_and_converges() {
 
 #[test]
 fn degenerate_fabric_link_matches_a_plain_network_link() {
-    // The legacy NFS back-end now draws its link from a one-client,
+    // The fleet draws its links from a fabric; take a one-client,
     // one-server, one-link fabric. A channel obtained through the fabric
     // must behave bit-identically to a directly constructed NetworkLink.
     let sim = Simulation::new();

@@ -13,8 +13,8 @@ use pagecache::IoOpStats;
 use storage_model::units::{GB, MB};
 use storage_model::DeviceSpec;
 use workflow::{
-    run_scenario, ApplicationSpec, Backend, FileSpec, IoBackend, PlatformSpec, Scenario,
-    SimulatorKind, TaskSpec,
+    run_scenario, ApplicationSpec, Backend, FileSpec, PlatformSpec, Scenario, SimulatorKind,
+    TaskSpec,
 };
 
 fn platform() -> PlatformSpec {
