@@ -19,16 +19,16 @@
 //! # Mechanism vs. policy
 //!
 //! Like `pagecache::lru`, this module is *mechanism*: the file slab, the
-//! page accounting, the resident/durability range ledgers, and the
-//! clean/dirty membership chains. The *decisions* — in what order files are
-//! picked as eviction victims, whether a file gets a second chance, and how
+//! page accounting, the resident/durability range ledgers, and the ordered
+//! reclaim indexes. The *decisions* — in what order files are picked as
+//! eviction victims, whether a file gets a second chance, and how
 //! re-accessed files are classified — are delegated to the
 //! [`ReplacementPolicy`] configured via [`KernelTuning::eviction_policy`].
 //! Because the emulator tracks occupancy per file (not per block), it
 //! consumes the trait's *file-granular* hooks, driven off a per-file
 //! [`FileMeta`] stored in each slab slot: `file_admit` on inserts,
 //! `file_touch` on re-accesses, `file_rank` as the victim-ordering prefix
-//! (eviction sorts candidates by `(rank, last_access, file name)`),
+//! (victims go in `(rank, last_access, file name)` order),
 //! `file_second_chance` during the protection pass of [`KernelCache::evict`]
 //! and `file_on_evict` when a file's pages are fully reclaimed. Writeback
 //! order stays policy-independent: it is a durability concern (oldest dirty
@@ -42,9 +42,34 @@
 //! whole host (optionally excluding the file being read) for global reclaim,
 //! or one cache group for [`KernelCache::enforce_group_limits`], so a
 //! tenant's limit runs the same victim ordering as global reclaim.
+//!
+//! # Reclaim indexes
+//!
+//! Reclaim order is kept in ordered sets that every mutation updates, the
+//! way the kernel keeps its LRU lists, instead of being sorted on each call:
+//!
+//! * the **clean index** holds exactly the files with clean pages, keyed
+//!   `(rank, last_access, file name)`. It is split in two: files not open
+//!   for writing, the only ones the protecting first eviction pass may
+//!   take, and files open for writing, which the second pass merges back
+//!   in key order. So neither pass steps over files it cannot take;
+//! * the **dirty index** holds exactly the files with dirty pages, keyed
+//!   `(oldest dirty time, file name)`. Writeback walks it from the front,
+//!   and the expired files are a prefix of it.
+//!
+//! An eviction or writeback that takes `k` files visits `k` index entries
+//! plus the ones its scope or a second chance skips, at O(log F) each for
+//! F cached files. Inserts, writeback, eviction, `set_write_open` and the
+//! policy's `file_admit` re-key the file they change at O(log F). A
+//! re-access ([`KernelCache::touch`], the read-hit path) only marks its
+//! slot stale: the next eviction or writeback re-keys the stale slots
+//! before it walks, so a hot file read many times between reclaims is
+//! re-keyed once. [`KernelCache::work`] counts the entries each walk
+//! visits.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::ops::Bound::{Excluded, Unbounded};
 use std::rc::Rc;
 
 use des::{JoinHandle, SimContext, SimTime};
@@ -58,13 +83,26 @@ use crate::tuning::KernelTuning;
 
 const EPS: f64 = 1e-6;
 
-/// Slot index into the file slab. `NIL` terminates a chain.
-const NIL: u32 = u32::MAX;
+/// The two halves of the clean index: files not open for writing, and files
+/// open for writing (indexed by `FilePages::write_open`).
+const CLOSED: usize = 0;
+const WRITE_OPEN: usize = 1;
 
-/// Chain dimensions threaded through [`FileSlot`]s: files that (may) hold
-/// clean pages, and files that (may) hold dirty pages.
-const CLEAN: usize = 0;
-const DIRTY: usize = 1;
+/// A clean-index entry, in victim order: `(policy rank, last access, file
+/// name, slot)`. Names are unique, so the slot only carries the payload.
+type CleanKey = (u32, SimTime, FileId, u32);
+
+/// A dirty-index entry, in writeback order: `(oldest dirty time, file name,
+/// slot)`.
+type DirtyKey = (SimTime, FileId, u32);
+
+/// The first entry of `set` after `after` (from the front when `None`).
+fn first_after<'a, K: Ord>(set: &'a BTreeSet<K>, after: Option<&K>) -> Option<&'a K> {
+    match after {
+        Some(k) => set.range((Excluded(k), Unbounded)).next(),
+        None => set.first(),
+    }
+}
 
 /// Sorted, disjoint, half-open byte ranges: the emulator's record of *which*
 /// offsets of a file are resident in the cache. The float aggregates of
@@ -75,7 +113,7 @@ const DIRTY: usize = 1;
 /// inserts only add uncovered bytes, and eviction trims ranges by the
 /// evicted amount, lowest offsets first (the least recently used end under
 /// the sequential-access assumption the macroscopic model also makes).
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default, Clone, PartialEq)]
 struct RangeSet {
     spans: Vec<(f64, f64)>,
 }
@@ -178,36 +216,8 @@ impl RangeSet {
     }
 }
 
-/// One prev/next pair of an intrusive membership chain.
-#[derive(Debug, Clone, Copy)]
-struct Link {
-    prev: u32,
-    next: u32,
-}
-
-const UNLINKED: Link = Link {
-    prev: NIL,
-    next: NIL,
-};
-
-/// Endpoints of one membership chain.
-#[derive(Debug, Clone, Copy)]
-struct Chain {
-    head: u32,
-    tail: u32,
-}
-
-impl Default for Chain {
-    fn default() -> Self {
-        Chain {
-            head: NIL,
-            tail: NIL,
-        }
-    }
-}
-
 /// Per-file cache occupancy, split by LRU list and dirtiness.
-#[derive(Debug, Default, Clone, Copy)]
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
 struct FilePages {
     inactive_clean: f64,
     inactive_dirty: f64,
@@ -284,8 +294,43 @@ pub struct KernelCacheCounters {
     pub throttle_stall_seconds: f64,
 }
 
-/// One file's slab slot: its page accounting plus the intrusive links of the
-/// two membership chains (same per-file chain idea as `pagecache::lru`).
+/// Deterministic work counters of the reclaim walks: index entries visited,
+/// skipped ones included. Counts, not timers, so they are identical on any
+/// machine.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct KernelCacheWork {
+    /// Clean-index entries visited by [`KernelCache::evict`] (both passes).
+    pub evict_visits: u64,
+    /// Dirty-index entries visited by [`KernelCache::write_back`] and
+    /// [`KernelCache::write_back_expired`].
+    pub writeback_visits: u64,
+}
+
+/// Where a slot's entries sit in the reclaim indexes: the clean entry's
+/// `(rank, last_access, write_open)` and the dirty entry's time, `None`
+/// when the file holds no clean (dirty) pages. The name and slot parts of
+/// the keys are the slot's own.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+struct IndexPos {
+    clean: Option<(u32, SimTime, bool)>,
+    dirty: Option<SimTime>,
+}
+
+impl IndexPos {
+    /// Where `slot` belongs: in the clean index iff it holds clean pages, in
+    /// the dirty index iff it holds dirty pages.
+    fn of(slot: &FileSlot, policy: &dyn ReplacementPolicy) -> Self {
+        let p = &slot.pages;
+        IndexPos {
+            clean: (p.clean() > EPS)
+                .then(|| (policy.file_rank(&slot.meta), p.last_access, p.write_open)),
+            dirty: (p.dirty() > EPS).then(|| p.oldest_dirty.unwrap_or(p.last_access)),
+        }
+    }
+}
+
+/// One file's slab slot: its page accounting, policy metadata and range
+/// ledgers, plus where it sits in the reclaim indexes.
 #[derive(Debug, Clone)]
 struct FileSlot {
     file: FileId,
@@ -305,10 +350,13 @@ struct FileSlot {
     /// aggregates: overlapping rewrites inflate the aggregates but not the
     /// ledger.
     dirty: RangeSet,
-    /// Links indexed by [`CLEAN`] / [`DIRTY`].
-    links: [Link; 2],
-    /// Whether the slot is currently a member of each chain.
-    linked: [bool; 2],
+    /// The slot's current index entries. Equal to `IndexPos::of` the slot
+    /// unless `stale` is set.
+    indexed: IndexPos,
+    /// Set by [`KernelCache::touch`], which moves the file's key (last
+    /// access, policy rank) without re-keying it; the slot is then listed in
+    /// `State::stale` until a reclaim walk re-keys it.
+    stale: bool,
 }
 
 /// Incrementally maintained byte totals of one cache group (tenant) — the
@@ -319,18 +367,29 @@ struct GroupBytes {
     dirty: f64,
 }
 
+/// The mutable state of one [`KernelCache`]: a slab of per-file slots, the
+/// name index over it, and the ordered reclaim indexes (see the module
+/// docs). For F cached files: a name lookup is O(log F); every insert,
+/// writeback step and eviction step re-keys the file it changes in
+/// O(log F); [`KernelCache::touch`] is O(1) and leaves its re-key to the
+/// next reclaim walk; the byte totals are O(1).
 struct State {
     /// File name -> slab slot. The sorted index is kept for
-    /// [`KernelCache::cached_per_file`] snapshots; per-page-state traversal
-    /// goes through the membership chains instead of scanning this map.
+    /// [`KernelCache::cached_per_file`] snapshots; reclaim goes through the
+    /// ordered indexes below instead of scanning this map.
     index: BTreeMap<FileId, u32>,
     slots: Vec<Option<FileSlot>>,
     free_slots: Vec<u32>,
-    /// Membership chains indexed by [`CLEAN`] / [`DIRTY`]: a conservative
-    /// superset of the files with clean / dirty pages. Writeback and eviction
-    /// walk these chains — visiting only candidate files — and lazily unlink
-    /// members that no longer qualify.
-    chains: [Chain; 2],
+    /// The clean index, split by [`CLOSED`] / [`WRITE_OPEN`]: exactly the
+    /// files holding clean pages, in victim order. O(log F) to re-key.
+    clean: [BTreeSet<CleanKey>; 2],
+    /// The dirty index: exactly the files holding dirty pages, oldest dirty
+    /// data first.
+    dirty: BTreeSet<DirtyKey>,
+    /// Slots marked stale by [`KernelCache::touch`] (each listed at least
+    /// once while its flag is set), drained before every reclaim walk.
+    stale: Vec<u32>,
+    work: KernelCacheWork,
     anonymous: f64,
     /// Incrementally maintained sum of `FilePages::cached` over all files,
     /// so that [`KernelCache::cached`] (polled on every simulated request) is
@@ -348,7 +407,7 @@ struct State {
     counters: KernelCacheCounters,
     /// Replacement policy: decides victim-file ordering, second chances and
     /// re-access classification via the file-granular trait hooks. The
-    /// mechanism (slab, chains, ledgers) above is policy-independent.
+    /// mechanism (slab, indexes, ledgers) above is policy-independent.
     policy: Box<dyn ReplacementPolicy>,
     stop: bool,
 }
@@ -377,8 +436,8 @@ impl State {
             meta: FileMeta::default(),
             resident: RangeSet::default(),
             dirty: RangeSet::default(),
-            links: [UNLINKED; 2],
-            linked: [false, false],
+            indexed: IndexPos::default(),
+            stale: false,
         };
         let i = match self.free_slots.pop() {
             Some(i) => {
@@ -387,75 +446,95 @@ impl State {
             }
             None => {
                 self.slots.push(Some(slot));
-                let i = (self.slots.len() - 1) as u32;
-                assert!(i != NIL, "file slab exhausted u32 index space");
-                i
+                u32::try_from(self.slots.len() - 1).expect("file slab exhausted u32 index space")
             }
         };
         self.index.insert(file.clone(), i);
         i
     }
 
-    /// Links slot `i` into chain `dim` (no-op if already a member). O(1).
-    fn link(&mut self, i: u32, dim: usize) {
-        if self.slot(i).linked[dim] {
-            return;
-        }
-        let tail = self.chains[dim].tail;
-        {
-            let s = self.slot_mut(i);
-            s.linked[dim] = true;
-            s.links[dim] = Link {
-                prev: tail,
-                next: NIL,
-            };
-        }
-        if tail != NIL {
-            self.slot_mut(tail).links[dim].next = i;
-        } else {
-            self.chains[dim].head = i;
-        }
-        self.chains[dim].tail = i;
-    }
-
-    /// Unlinks slot `i` from chain `dim` (no-op if not a member). O(1).
-    fn unlink(&mut self, i: u32, dim: usize) {
-        if !self.slot(i).linked[dim] {
-            return;
-        }
-        let Link { prev, next } = self.slot(i).links[dim];
-        if prev != NIL {
-            self.slot_mut(prev).links[dim].next = next;
-        } else {
-            self.chains[dim].head = next;
-        }
-        if next != NIL {
-            self.slot_mut(next).links[dim].prev = prev;
-        } else {
-            self.chains[dim].tail = prev;
-        }
-        let s = self.slot_mut(i);
-        s.links[dim] = UNLINKED;
-        s.linked[dim] = false;
-    }
-
-    /// Collects the members of chain `dim` that still satisfy `qualifies`,
-    /// lazily unlinking the ones that no longer do. The result is unordered;
-    /// callers sort it to reproduce the historical (timestamp, file-name)
-    /// selection order exactly.
-    fn chain_candidates(&mut self, dim: usize, qualifies: impl Fn(&FilePages) -> bool) -> Vec<u32> {
-        let mut out = Vec::new();
-        let mut i = self.chains[dim].head;
-        while i != NIL {
-            let next = self.slot(i).links[dim].next;
-            if qualifies(&self.slot(i).pages) {
-                out.push(i);
-            } else {
-                self.unlink(i, dim);
+    /// Moves slot `i`'s index entries to `to`. O(log F) per entry that
+    /// moves; a no-op when the position is unchanged.
+    fn place(&mut self, i: u32, to: IndexPos) {
+        let slot = self.slots[i as usize].as_mut().expect("vacant file slot");
+        let from = slot.indexed;
+        if from.clean != to.clean {
+            if let Some((rank, t, open)) = from.clean {
+                self.clean[open as usize].remove(&(rank, t, slot.file.clone(), i));
             }
-            i = next;
+            if let Some((rank, t, open)) = to.clean {
+                self.clean[open as usize].insert((rank, t, slot.file.clone(), i));
+            }
         }
-        out
+        if from.dirty != to.dirty {
+            if let Some(t) = from.dirty {
+                self.dirty.remove(&(t, slot.file.clone(), i));
+            }
+            if let Some(t) = to.dirty {
+                self.dirty.insert((t, slot.file.clone(), i));
+            }
+        }
+        slot.indexed = to;
+    }
+
+    /// Re-keys slot `i` from its pages and policy metadata.
+    fn rekey(&mut self, i: u32) {
+        let slot = self.slots[i as usize].as_mut().expect("vacant file slot");
+        slot.stale = false;
+        let to = IndexPos::of(slot, &*self.policy);
+        self.place(i, to);
+    }
+
+    /// Re-keys every slot [`KernelCache::touch`] marked stale.
+    fn drain_stale(&mut self) {
+        while let Some(i) = self.stale.pop() {
+            if self.slots[i as usize].as_ref().is_some_and(|s| s.stale) {
+                self.rekey(i);
+            }
+        }
+    }
+
+    /// The first entry of the clean-index halves `sets` after `after`, in
+    /// victim order: one step of an ordered merge.
+    fn next_clean(&self, sets: &[usize], after: Option<&CleanKey>) -> Option<CleanKey> {
+        sets.iter()
+            .filter_map(|&set| first_after(&self.clean[set], after))
+            .min()
+            .cloned()
+    }
+
+    /// Evicts up to `need` clean bytes of slot `i`, keeping the resident
+    /// ranges, the policy and the group totals in step. Does not re-key.
+    /// Returns the bytes removed.
+    fn evict_from(&mut self, i: u32, need: f64) -> f64 {
+        let slot = self.slots[i as usize].as_mut().expect("vacant file slot");
+        let removed = slot.pages.evict_clean(need);
+        if removed > EPS {
+            // Keep the range view in sync: reclaimed pages leave from the
+            // lowest offsets (the LRU end under sequential access).
+            slot.resident.trim_front(removed);
+            if slot.pages.cached() <= EPS {
+                self.policy.file_on_evict(&slot.file, &slot.meta);
+            }
+            let f = slot.file.clone();
+            self.group_adjust(&f, -removed, 0.0);
+        }
+        removed
+    }
+
+    /// Writes back (marks clean) up to `need` dirty bytes of slot `i` and
+    /// re-keys it. Returns the bytes cleaned.
+    fn write_back_from(&mut self, i: u32, need: f64) -> f64 {
+        let cleaned = self.slot_mut(i).pages.clean_dirty(need);
+        if cleaned > 0.0 {
+            // Partial writeback cleans the durability ledger from the lowest
+            // offsets (deterministic approximation).
+            self.slot_mut(i).dirty.trim_front(cleaned);
+            let f = self.slot(i).file.clone();
+            self.group_adjust(&f, 0.0, -cleaned);
+        }
+        self.rekey(i);
+        cleaned
     }
 
     /// Applies byte deltas to the cache-group aggregates of `file` (no-op
@@ -470,8 +549,8 @@ impl State {
         gb.dirty = (gb.dirty + d_dirty).max(0.0);
     }
 
-    /// Scan-based oracle for the incremental totals and the membership
-    /// chains; compiled into debug builds only.
+    /// Scan-based oracle for the incremental totals and the reclaim
+    /// indexes; compiled into debug builds only.
     #[inline]
     fn debug_validate(&self) {
         #[cfg(debug_assertions)]
@@ -534,37 +613,53 @@ impl State {
                     );
                 }
             }
-            // Every qualifying file must be a chain member (the chains may
-            // conservatively hold more; they are pruned lazily).
-            for (dim, qualifies) in [
-                (
-                    CLEAN,
-                    (|p: &FilePages| p.clean() > EPS) as fn(&FilePages) -> bool,
-                ),
-                (DIRTY, |p: &FilePages| p.dirty() > EPS),
-            ] {
-                for (file, &i) in &self.index {
-                    let s = self.slot(i);
-                    debug_assert!(
-                        !qualifies(&s.pages) || s.linked[dim],
-                        "file {file} qualifies for chain {dim} but is not linked"
+            // The indexes hold exactly the entries a scan of the slab
+            // derives: every slot sits where its pages and policy metadata
+            // put it, except a stale slot, which keeps its recorded entries
+            // until the next drain and must be listed for it.
+            let listed: std::collections::HashSet<u32> = self.stale.iter().copied().collect();
+            let mut entries = [0usize; 3];
+            for (i, slot) in self.slots.iter().enumerate() {
+                let Some(slot) = slot else { continue };
+                let i = i as u32;
+                let file = &slot.file;
+                if slot.stale {
+                    debug_assert!(listed.contains(&i), "file {file}: stale but not listed");
+                } else {
+                    debug_assert_eq!(
+                        slot.indexed,
+                        IndexPos::of(slot, &*self.policy),
+                        "file {file}: index entries differ from a scan"
                     );
                 }
-                // The chain is structurally sound and every member is live.
-                let mut seen = 0usize;
-                let mut prev = NIL;
-                let mut i = self.chains[dim].head;
-                while i != NIL {
-                    let s = self.slot(i);
-                    debug_assert!(s.linked[dim]);
-                    debug_assert_eq!(s.links[dim].prev, prev);
-                    prev = i;
-                    i = s.links[dim].next;
-                    seen += 1;
-                    debug_assert!(seen <= self.slots.len(), "chain cycle");
+                debug_assert!(
+                    slot.pages.dirty() <= EPS || slot.pages.oldest_dirty.is_some(),
+                    "file {file}: dirty pages without a dirty time"
+                );
+                if let Some((rank, t, open)) = slot.indexed.clean {
+                    debug_assert!(
+                        self.clean[open as usize].contains(&(rank, t, file.clone(), i)),
+                        "file {file}: missing from the clean index"
+                    );
+                    entries[open as usize] += 1;
                 }
-                debug_assert_eq!(self.chains[dim].tail, prev);
+                if let Some(t) = slot.indexed.dirty {
+                    debug_assert!(
+                        self.dirty.contains(&(t, file.clone(), i)),
+                        "file {file}: missing from the dirty index"
+                    );
+                    entries[2] += 1;
+                }
             }
+            debug_assert_eq!(
+                entries,
+                [
+                    self.clean[CLOSED].len(),
+                    self.clean[WRITE_OPEN].len(),
+                    self.dirty.len()
+                ],
+                "the indexes hold entries no slot records"
+            );
         }
     }
 }
@@ -595,7 +690,10 @@ impl KernelCache {
                 index: BTreeMap::new(),
                 slots: Vec::new(),
                 free_slots: Vec::new(),
-                chains: [Chain::default(), Chain::default()],
+                clean: Default::default(),
+                dirty: BTreeSet::new(),
+                stale: Vec::new(),
+                work: KernelCacheWork::default(),
                 anonymous: 0.0,
                 cached_total: 0.0,
                 dirty_total: 0.0,
@@ -674,6 +772,11 @@ impl KernelCache {
         self.state.borrow().counters
     }
 
+    /// Work counters of the reclaim walks (index entries visited).
+    pub fn work(&self) -> KernelCacheWork {
+        self.state.borrow().work
+    }
+
     /// Records readahead disk traffic (bytes actually read ahead of demand).
     pub fn note_prefetch(&self, bytes: f64) {
         if bytes > 0.0 {
@@ -708,6 +811,7 @@ impl KernelCache {
         let mut s = self.state.borrow_mut();
         let i = s.ensure_slot(file);
         s.slot_mut(i).pages.write_open = open;
+        s.rekey(i);
     }
 
     /// Drops all cached pages of a file.
@@ -716,8 +820,7 @@ impl KernelCache {
         let Some(i) = s.index.remove(file) else {
             return 0.0;
         };
-        s.unlink(i, CLEAN);
-        s.unlink(i, DIRTY);
+        s.place(i, IndexPos::default());
         let pages = s.slots[i as usize]
             .take()
             .expect("indexed slot is live")
@@ -820,66 +923,65 @@ impl KernelCache {
     /// currently being written unless nothing else is left to reclaim.
     /// Returns the evicted amount.
     ///
-    /// Candidates come from the has-clean membership chain, so only files
-    /// actually holding clean pages are visited; the sort orders victims by
-    /// `(policy rank, last_access, file name)`. The default
-    /// [`TwoList`](pagecache::EvictionPolicy::TwoList) policy ranks every
-    /// file 0, reproducing the historical `(last_access, file name)`
-    /// selection order exactly.
+    /// Victims come off the clean index in `(policy rank, last_access, file
+    /// name)` order; the first pass walks only the files not open for
+    /// writing. The default [`TwoList`](pagecache::EvictionPolicy::TwoList)
+    /// policy ranks every file 0, reproducing the historical
+    /// `(last_access, file name)` selection order exactly.
     pub fn evict(&self, amount: f64, scope: ReclaimScope<'_>) -> f64 {
         if amount <= EPS {
             return 0.0;
         }
         let mut s = self.state.borrow_mut();
-        let mut order = s.chain_candidates(CLEAN, |p| p.clean() > EPS);
-        order.sort_by(|&a, &b| {
-            let ka = s.policy.file_rank(&s.slot(a).meta);
-            let kb = s.policy.file_rank(&s.slot(b).meta);
-            (ka, s.slot(a).pages.last_access, &s.slot(a).file).cmp(&(
-                kb,
-                s.slot(b).pages.last_access,
-                &s.slot(b).file,
-            ))
-        });
+        s.drain_stale();
         let use_ref = s.policy.uses_reference_bits();
         let mut evicted = 0.0;
+        // Slots re-keyed only after the walk, so both passes walk the order
+        // the call started with: files given a second chance, and files left
+        // with a residue of at most EPS clean bytes (which the second pass
+        // may still take).
+        let mut deferred = Vec::new();
         // First pass: respect the write-open protection (and, under a
         // reference-bit policy, grant referenced files one second chance);
         // second pass: ignore both if we are still short (the kernel will
         // reclaim those pages too under sufficient pressure).
-        for respect_protection in [true, false] {
-            for &i in &order {
+        for (respect_protection, sets) in [(true, &[CLOSED][..]), (false, &[CLOSED, WRITE_OPEN])] {
+            let mut after = None;
+            loop {
                 if evicted >= amount - EPS {
                     break;
                 }
+                let Some(key) = s.next_clean(sets, after.as_ref()) else {
+                    break;
+                };
+                let i = key.3;
+                after = Some(key);
                 let st = &mut *s;
+                st.work.evict_visits += 1;
                 let slot = st.slots[i as usize].as_mut().expect("vacant file slot");
                 if !scope.admits(&slot.file, &st.group_of) {
                     continue;
                 }
-                if respect_protection && slot.pages.write_open {
-                    continue;
-                }
                 if respect_protection && use_ref && st.policy.file_second_chance(&mut slot.meta) {
+                    deferred.push(i);
                     continue;
                 }
-                let removed = slot.pages.evict_clean(amount - evicted);
-                if removed > EPS {
-                    // Keep the range view in sync: reclaimed pages leave from
-                    // the lowest offsets (the LRU end under sequential
-                    // access).
-                    slot.resident.trim_front(removed);
-                    if slot.pages.cached() <= EPS {
-                        st.policy.file_on_evict(&slot.file, &slot.meta);
-                    }
-                    let f = slot.file.clone();
-                    st.group_adjust(&f, -removed, 0.0);
+                evicted += st.evict_from(i, amount - evicted);
+                let left = st.slot(i).pages.clean();
+                if left > 0.0 && left <= EPS {
+                    deferred.push(i);
+                } else {
+                    // Emptied files leave the index; the key of a file that
+                    // keeps clean pages has not moved.
+                    st.rekey(i);
                 }
-                evicted += removed;
             }
             if evicted >= amount - EPS {
                 break;
             }
+        }
+        for i in deferred {
+            s.rekey(i);
         }
         s.counters.evicted += evicted;
         s.cached_total = (s.cached_total - evicted).max(0.0);
@@ -888,46 +990,32 @@ impl KernelCache {
     }
 
     /// Writes back up to `amount` bytes of dirty pages of the files in
-    /// `scope`, oldest dirty file first, and simulates the disk writes. The
-    /// bytes count as throttled (synchronous) or background writeback.
-    /// Returns the amount written back.
+    /// `scope`, oldest dirty file first (ties by file name), and simulates
+    /// the disk writes. The bytes count as throttled (synchronous) or
+    /// background writeback. Returns the amount written back.
     pub async fn write_back(&self, amount: f64, scope: ReclaimScope<'_>, throttled: bool) -> f64 {
         if amount <= EPS {
             return 0.0;
         }
         let flushed = {
             let mut s = self.state.borrow_mut();
-            // Oldest-dirty-first over the has-dirty chain members only; ties
-            // break on the file name, matching the historical stable sort
-            // over the name-ordered file table.
-            let mut order = s.chain_candidates(DIRTY, |p| p.dirty() > EPS);
-            let key = |s: &State, i: u32| {
-                let slot = s.slot(i);
-                slot.pages.oldest_dirty.unwrap_or(slot.pages.last_access)
-            };
-            order.sort_by(|&a, &b| {
-                (key(&s, a), &s.slot(a).file).cmp(&(key(&s, b), &s.slot(b).file))
-            });
+            s.drain_stale();
             let mut flushed = 0.0;
-            for &i in &order {
+            let mut after = None;
+            loop {
                 if flushed >= amount - EPS {
                     break;
                 }
+                let Some(key) = first_after(&s.dirty, after.as_ref()).cloned() else {
+                    break;
+                };
+                let i = key.2;
+                after = Some(key);
+                s.work.writeback_visits += 1;
                 if !scope.admits(&s.slot(i).file, &s.group_of) {
                     continue;
                 }
-                let cleaned = s.slot_mut(i).pages.clean_dirty(amount - flushed);
-                flushed += cleaned;
-                if cleaned > 0.0 {
-                    // Partial writeback cleans the durability ledger from
-                    // the lowest offsets (deterministic approximation).
-                    s.slot_mut(i).dirty.trim_front(cleaned);
-                    // The cleaned pages are now clean cache: make sure the
-                    // file is reachable by the eviction pass.
-                    s.link(i, CLEAN);
-                    let f = s.slot(i).file.clone();
-                    s.group_adjust(&f, 0.0, -cleaned);
-                }
+                flushed += s.write_back_from(i, amount - flushed);
             }
             if throttled {
                 s.counters.throttled_writeback += flushed;
@@ -951,19 +1039,25 @@ impl KernelCache {
             return 0.0;
         }
         let amount = {
-            // Walk only the has-dirty chain members (pruning stale ones).
             let mut s = self.state.borrow_mut();
-            let candidates = s.chain_candidates(DIRTY, |p| p.dirty() > EPS);
-            candidates
-                .iter()
-                .map(|&i| &s.slot(i).pages)
-                .filter(|p| {
-                    p.oldest_dirty
-                        .map(|t| now.duration_since(t) > self.tuning.dirty_expire)
-                        .unwrap_or(false)
-                })
-                .map(FilePages::dirty)
-                .sum::<f64>()
+            s.drain_stale();
+            let st = &mut *s;
+            // The dirty index is oldest first, so the expired files are a
+            // prefix of it.
+            let mut amount = 0.0;
+            for &(t, _, i) in &st.dirty {
+                st.work.writeback_visits += 1;
+                let expired = now.duration_since(t) > self.tuning.dirty_expire;
+                if !expired {
+                    break;
+                }
+                amount += st.slots[i as usize]
+                    .as_ref()
+                    .expect("vacant file slot")
+                    .pages
+                    .dirty();
+            }
+            amount
         };
         self.write_back(amount, ReclaimScope::Host(None), false)
             .await
@@ -1037,8 +1131,10 @@ impl KernelCache {
             st.policy.file_admit(&slot.file, &mut slot.meta);
             added
         };
+        // Re-keyed even when nothing was added: the access and the policy's
+        // admission moved the file's key.
+        s.rekey(i);
         if added > EPS {
-            s.link(i, CLEAN);
             s.cached_total += added;
             s.group_adjust(file, added, 0.0);
         }
@@ -1082,7 +1178,7 @@ impl KernelCache {
             }
             (added, redirty_inactive + redirty_active)
         };
-        s.link(i, DIRTY);
+        s.rekey(i);
         s.cached_total += added;
         s.dirty_total += added + redirtied;
         s.group_adjust(file, added, added + redirtied);
@@ -1103,9 +1199,7 @@ impl KernelCache {
                 return 0.0;
             }
             let cleaned = s.slot_mut(i).pages.clean_dirty(dirty);
-            if cleaned > 0.0 {
-                s.link(i, CLEAN);
-            }
+            s.rekey(i);
             // Every written position of the file is now on disk.
             s.slot_mut(i).dirty = RangeSet::default();
             s.counters.throttled_writeback += cleaned;
@@ -1147,7 +1241,9 @@ impl KernelCache {
         s.index.clear();
         s.slots.clear();
         s.free_slots.clear();
-        s.chains = [Chain::default(), Chain::default()];
+        s.clean = Default::default();
+        s.dirty.clear();
+        s.stale.clear();
         s.anonymous = 0.0;
         s.cached_total = 0.0;
         s.dirty_total = 0.0;
@@ -1161,6 +1257,7 @@ impl KernelCache {
     /// Records a second access to `bytes` of a file: promotes them from the
     /// inactive to the active list and notifies the replacement policy
     /// (reference bit / hotness / generation stamp, depending on the policy).
+    /// O(1): the file's new key is applied by the next reclaim walk.
     pub fn touch(&self, file: &FileId, bytes: f64) {
         if bytes <= EPS {
             return;
@@ -1173,6 +1270,15 @@ impl KernelCache {
             slot.pages.promote(bytes);
             slot.pages.last_access = now;
             st.policy.file_touch(&slot.file, &mut slot.meta);
+            if !slot.stale {
+                slot.stale = true;
+                st.stale.push(i);
+                // Slots re-keyed since they were listed stay listed, so
+                // drain once the list outgrows the slab: it stays O(F).
+                if st.stale.len() > st.slots.len() {
+                    st.drain_stale();
+                }
+            }
         }
     }
 
@@ -1769,6 +1875,328 @@ mod tests {
                 assert!(w[0].1 < w[1].0, "op {op}: touching/unsorted spans");
             }
             assert!(rs.spans.iter().all(|&(a, b)| b > a), "op {op}: empty span");
+        }
+    }
+
+    /// The selection the indexes replaced, kept as the differential test's
+    /// reference: scan the slab for candidates and sort them on every call.
+    /// Byte bookkeeping goes through the same helpers as the indexed walks;
+    /// the indexes are re-keyed afterwards only so the oracle holds.
+    impl KernelCache {
+        fn evict_by_sort(&self, amount: f64, scope: ReclaimScope<'_>) -> f64 {
+            if amount <= EPS {
+                return 0.0;
+            }
+            let mut s = self.state.borrow_mut();
+            let mut order: Vec<u32> = (0..s.slots.len() as u32)
+                .filter(|&i| {
+                    s.slots[i as usize]
+                        .as_ref()
+                        .is_some_and(|sl| sl.pages.clean() > EPS)
+                })
+                .collect();
+            order.sort_by_key(|&i| {
+                let slot = s.slot(i);
+                let rank = s.policy.file_rank(&slot.meta);
+                (rank, slot.pages.last_access, slot.file.clone())
+            });
+            let use_ref = s.policy.uses_reference_bits();
+            let mut evicted = 0.0;
+            for respect_protection in [true, false] {
+                for &i in &order {
+                    if evicted >= amount - EPS {
+                        break;
+                    }
+                    let st = &mut *s;
+                    let slot = st.slots[i as usize].as_mut().unwrap();
+                    if !scope.admits(&slot.file, &st.group_of) {
+                        continue;
+                    }
+                    if respect_protection && slot.pages.write_open {
+                        continue;
+                    }
+                    if respect_protection && use_ref && st.policy.file_second_chance(&mut slot.meta)
+                    {
+                        continue;
+                    }
+                    evicted += st.evict_from(i, amount - evicted);
+                }
+                if evicted >= amount - EPS {
+                    break;
+                }
+            }
+            for &i in &order {
+                s.rekey(i);
+            }
+            s.counters.evicted += evicted;
+            s.cached_total = (s.cached_total - evicted).max(0.0);
+            s.debug_validate();
+            evicted
+        }
+
+        /// Files with dirty pages in writeback order.
+        fn dirty_order_by_sort(s: &State) -> Vec<u32> {
+            let mut order: Vec<u32> = (0..s.slots.len() as u32)
+                .filter(|&i| {
+                    s.slots[i as usize]
+                        .as_ref()
+                        .is_some_and(|sl| sl.pages.dirty() > EPS)
+                })
+                .collect();
+            order.sort_by_key(|&i| {
+                let p = &s.slot(i).pages;
+                (
+                    p.oldest_dirty.unwrap_or(p.last_access),
+                    s.slot(i).file.clone(),
+                )
+            });
+            order
+        }
+
+        async fn write_back_by_sort(
+            &self,
+            amount: f64,
+            scope: ReclaimScope<'_>,
+            throttled: bool,
+        ) -> f64 {
+            if amount <= EPS {
+                return 0.0;
+            }
+            let flushed = {
+                let mut s = self.state.borrow_mut();
+                let mut flushed = 0.0;
+                for i in Self::dirty_order_by_sort(&s) {
+                    if flushed >= amount - EPS {
+                        break;
+                    }
+                    if scope.admits(&s.slot(i).file, &s.group_of) {
+                        flushed += s.write_back_from(i, amount - flushed);
+                    }
+                }
+                if throttled {
+                    s.counters.throttled_writeback += flushed;
+                } else {
+                    s.counters.background_writeback += flushed;
+                }
+                s.dirty_total = (s.dirty_total - flushed).max(0.0);
+                s.debug_validate();
+                flushed
+            };
+            if flushed > EPS {
+                self.disk.write(flushed).await;
+            }
+            flushed
+        }
+
+        /// The expired amount: every file whose oldest dirty page passed
+        /// the expiration age, summed in writeback order.
+        fn expired_by_sort(&self) -> f64 {
+            let now = self.ctx.now();
+            let s = self.state.borrow();
+            Self::dirty_order_by_sort(&s)
+                .into_iter()
+                .map(|i| &s.slot(i).pages)
+                .filter(|p| {
+                    p.oldest_dirty
+                        .is_some_and(|t| now.duration_since(t) > self.tuning.dirty_expire)
+                })
+                .map(FilePages::dirty)
+                .sum()
+        }
+    }
+
+    /// Everything observable about a cache: per-file pages, policy metadata
+    /// and range ledgers, the totals and counters, the policy's own state
+    /// (2Q ghost queue, MGLRU clock) and the simulated time.
+    fn observe(sim: &Simulation, cache: &KernelCache) -> String {
+        let s = cache.state.borrow();
+        let files: Vec<_> = s
+            .index
+            .iter()
+            .map(|(f, &i)| {
+                let slot = s.slot(i);
+                (f, slot.pages, slot.meta, &slot.resident, &slot.dirty)
+            })
+            .collect();
+        format!(
+            "{files:?} {} {} {:?} {:?} {:?}",
+            s.cached_total,
+            s.dirty_total,
+            s.counters,
+            s.policy,
+            sim.now()
+        )
+    }
+
+    /// Runs one operation to completion on `sim` and returns its result.
+    fn complete<T: 'static>(
+        sim: &Simulation,
+        op: impl std::future::Future<Output = T> + 'static,
+    ) -> T {
+        let h = sim.spawn(op);
+        sim.run();
+        h.try_take_result().expect("operation finished")
+    }
+
+    /// Differential test of the reclaim indexes: two caches run the same
+    /// 10k random operations, one selecting eviction victims, writeback
+    /// order and the expired amount from its indexes, the other with the
+    /// sort-based reference above. Every result and the full observable
+    /// state must agree bit for bit after every operation, for each policy.
+    /// The operations cover write-open protection, CLOCK second chances
+    /// (`touch` sets the bit), 2Q/MGLRU rank changes on admit and touch,
+    /// host scopes with an excluded file, group scopes, invalidation with
+    /// slot reuse, and crashes.
+    #[test]
+    fn indexed_reclaim_matches_the_sort_based_selection() {
+        const OPS: usize = 10_000;
+        let files: Vec<FileId> = (0..12).map(|k| FileId::new(format!("f{k:02}"))).collect();
+        for policy in [
+            EvictionPolicy::TwoList,
+            EvictionPolicy::Clock,
+            EvictionPolicy::TwoQ,
+            EvictionPolicy::MglruGen,
+        ] {
+            let (sim_a, indexed) = setup_policy(1000.0, policy);
+            let (sim_b, sorted) = setup_policy(1000.0, policy);
+            let mut rng = XorShift::new(0x5eed_0000 + policy as u64);
+            let mut evictions = 0;
+            for op in 0..OPS {
+                let f = files[rng.below(files.len() as u64) as usize].clone();
+                let mb = |rng: &mut XorShift, n: u64| (1 + rng.below(n)) as f64 * MB;
+                let (a, b) = match rng.below(100) {
+                    0..=17 => {
+                        let start = rng.below(64) as f64 * MB;
+                        let end = start + mb(&mut rng, 32);
+                        let r = (
+                            indexed.insert_clean_range(&f, start, end),
+                            sorted.insert_clean_range(&f, start, end),
+                        );
+                        (r.0.to_bits(), r.1.to_bits())
+                    }
+                    18..=31 => {
+                        let start = rng.below(64) as f64 * MB;
+                        let end = start + mb(&mut rng, 32);
+                        indexed.insert_dirty_range(&f, start, end);
+                        sorted.insert_dirty_range(&f, start, end);
+                        (0, 0)
+                    }
+                    32..=45 => {
+                        let bytes = mb(&mut rng, 40);
+                        indexed.touch(&f, bytes);
+                        sorted.touch(&f, bytes);
+                        (0, 0)
+                    }
+                    46..=51 => {
+                        let open = rng.below(2) == 0;
+                        indexed.set_write_open(&f, open);
+                        sorted.set_write_open(&f, open);
+                        (0, 0)
+                    }
+                    52..=53 => {
+                        let group = [None, Some(1), Some(2)][rng.below(3) as usize];
+                        indexed.set_file_group(&f, group);
+                        sorted.set_file_group(&f, group);
+                        (0, 0)
+                    }
+                    54..=71 => {
+                        evictions += 1;
+                        let amount = if rng.below(20) == 0 {
+                            f64::INFINITY
+                        } else {
+                            mb(&mut rng, 120) * 0.75
+                        };
+                        let group = 1 + rng.below(2) as u32;
+                        let scope = |pick: u64| match pick {
+                            0 => ReclaimScope::Host(Some(&f)),
+                            1 => ReclaimScope::Group(group),
+                            _ => ReclaimScope::Host(None),
+                        };
+                        let pick = rng.below(4);
+                        let r = (
+                            indexed.evict(amount, scope(pick)),
+                            sorted.evict_by_sort(amount, scope(pick)),
+                        );
+                        (r.0.to_bits(), r.1.to_bits())
+                    }
+                    72..=81 => {
+                        let amount = mb(&mut rng, 80) * 0.6;
+                        let throttled = rng.below(2) == 0;
+                        let (group, pick) = (1 + rng.below(2) as u32, rng.below(4));
+                        let (fa, fb) = (f.clone(), f.clone());
+                        let (ca, cb) = (indexed.clone(), sorted.clone());
+                        let r = (
+                            complete(&sim_a, async move {
+                                let scope = match pick {
+                                    0 => ReclaimScope::Host(Some(&fa)),
+                                    1 => ReclaimScope::Group(group),
+                                    _ => ReclaimScope::Host(None),
+                                };
+                                ca.write_back(amount, scope, throttled).await
+                            }),
+                            complete(&sim_b, async move {
+                                let scope = match pick {
+                                    0 => ReclaimScope::Host(Some(&fb)),
+                                    1 => ReclaimScope::Group(group),
+                                    _ => ReclaimScope::Host(None),
+                                };
+                                cb.write_back_by_sort(amount, scope, throttled).await
+                            }),
+                        );
+                        (r.0.to_bits(), r.1.to_bits())
+                    }
+                    82..=86 => {
+                        let expired = sorted.expired_by_sort();
+                        let (ca, cb) = (indexed.clone(), sorted.clone());
+                        let r = (
+                            complete(&sim_a, async move { ca.write_back_expired().await }),
+                            complete(&sim_b, async move {
+                                cb.write_back_by_sort(expired, ReclaimScope::Host(None), false)
+                                    .await
+                            }),
+                        );
+                        (r.0.to_bits(), r.1.to_bits())
+                    }
+                    87..=88 => {
+                        let (ca, cb, fa, fb) =
+                            (indexed.clone(), sorted.clone(), f.clone(), f.clone());
+                        let r = (
+                            complete(&sim_a, async move { ca.write_back_file(&fa).await }),
+                            complete(&sim_b, async move { cb.write_back_file(&fb).await }),
+                        );
+                        (r.0.to_bits(), r.1.to_bits())
+                    }
+                    89..=91 => {
+                        let r = (indexed.invalidate_file(&f), sorted.invalidate_file(&f));
+                        (r.0.to_bits(), r.1.to_bits())
+                    }
+                    92 if rng.below(10) == 0 => {
+                        let r = (indexed.crash_discard(), sorted.crash_discard());
+                        assert_eq!(r.0, r.1, "{policy:?} op {op}: lost ranges");
+                        (0, 0)
+                    }
+                    _ => {
+                        // Advance time; zero-length steps keep access-time
+                        // ties (broken by file name) common.
+                        let dt = rng.below(4) as f64 * 5.0;
+                        let (ca, cb) = (indexed.ctx.clone(), sorted.ctx.clone());
+                        complete(&sim_a, async move { ca.sleep(dt).await });
+                        complete(&sim_b, async move { cb.sleep(dt).await });
+                        (0, 0)
+                    }
+                };
+                assert_eq!(a, b, "{policy:?} op {op}: results differ");
+                assert_eq!(
+                    observe(&sim_a, &indexed),
+                    observe(&sim_b, &sorted),
+                    "{policy:?} op {op}: states differ"
+                );
+            }
+            assert!(evictions > OPS / 10, "{policy:?}: too few evictions");
+            assert!(
+                indexed.counters().evicted > 0.0,
+                "{policy:?}: nothing evicted"
+            );
         }
     }
 

@@ -32,6 +32,6 @@ mod cache;
 mod fs;
 mod tuning;
 
-pub use cache::{KernelCache, KernelCacheCounters};
+pub use cache::{KernelCache, KernelCacheCounters, KernelCacheWork};
 pub use fs::{KernelFileSystem, DEFAULT_REQUEST_SIZE};
 pub use tuning::{KernelTuning, LINUX_READAHEAD_MAX, LINUX_READAHEAD_MIN, PAGE_SIZE};

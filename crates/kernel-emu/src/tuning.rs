@@ -116,8 +116,17 @@ impl KernelTuning {
         if self.dirty_background_ratio > self.dirty_ratio {
             return Err("dirty_background_ratio must not exceed dirty_ratio".to_string());
         }
-        if self.writeback_interval <= 0.0 || self.dirty_expire < 0.0 {
-            return Err("writeback interval must be positive and expire non-negative".to_string());
+        if !(self.writeback_interval > 0.0 && self.writeback_interval.is_finite()) {
+            return Err(format!(
+                "writeback interval must be positive and finite, got {}",
+                self.writeback_interval
+            ));
+        }
+        if self.dirty_expire.is_nan() || self.dirty_expire < 0.0 {
+            return Err(format!(
+                "dirty expire must be non-negative, got {}",
+                self.dirty_expire
+            ));
         }
         if !(self.readahead_min >= 0.0
             && self.readahead_max >= 0.0
@@ -174,6 +183,18 @@ mod tests {
         bad = t;
         bad.total_memory = 0.0;
         assert!(bad.validate().is_err());
+        // NaN must fail every check: a NaN interval would spin the
+        // writeback loop, a NaN expiry would silently disable expiry.
+        for interval in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            bad = t;
+            bad.writeback_interval = interval;
+            assert!(bad.validate().is_err(), "writeback interval {interval}");
+        }
+        for expire in [-1.0, f64::NAN] {
+            bad = t;
+            bad.dirty_expire = expire;
+            assert!(bad.validate().is_err(), "dirty expire {expire}");
+        }
     }
 
     #[test]

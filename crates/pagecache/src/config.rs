@@ -103,15 +103,15 @@ impl PageCacheConfig {
                 self.dirty_ratio
             ));
         }
-        if self.dirty_expire < 0.0 {
+        if self.dirty_expire.is_nan() || self.dirty_expire < 0.0 {
             return Err(format!(
                 "dirty expire must be >= 0, got {}",
                 self.dirty_expire
             ));
         }
-        if self.flush_interval <= 0.0 {
+        if !(self.flush_interval > 0.0 && self.flush_interval.is_finite()) {
             return Err(format!(
-                "flush interval must be > 0, got {}",
+                "flush interval must be positive and finite, got {}",
                 self.flush_interval
             ));
         }
@@ -158,8 +158,15 @@ mod tests {
         cfg.dirty_ratio = 1.5;
         assert!(cfg.validate().is_err());
         cfg.dirty_ratio = 0.2;
-        cfg.flush_interval = 0.0;
-        assert!(cfg.validate().is_err());
+        for interval in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            cfg.flush_interval = interval;
+            assert!(cfg.validate().is_err(), "flush interval {interval}");
+        }
+        cfg.flush_interval = 5.0;
+        for expire in [-1.0, f64::NAN] {
+            cfg.dirty_expire = expire;
+            assert!(cfg.validate().is_err(), "dirty expire {expire}");
+        }
     }
 
     #[test]

@@ -245,6 +245,12 @@ impl PlatformSpec {
         if !(self.throttle_pacing >= 0.0 && self.throttle_pacing.is_finite()) {
             return Err("throttle pacing must be finite and non-negative".to_string());
         }
+        if !(positive(self.flush_interval) && self.flush_interval.is_finite()) {
+            return Err("flush interval must be positive and finite".to_string());
+        }
+        if self.dirty_expire.is_nan() || self.dirty_expire < 0.0 {
+            return Err("dirty expire must be non-negative".to_string());
+        }
         match (&self.storage, &self.fleet) {
             (StorageKind::Fleet, None) => {
                 return Err("fleet storage requires a fleet spec (see with_fleet)".to_string());
@@ -343,6 +349,21 @@ mod tests {
         p.host_memory = GB;
         p.dirty_ratio = 2.0;
         assert!(p.validate().is_err());
+        p.dirty_ratio = 0.2;
+        for interval in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            p.flush_interval = interval;
+            assert!(p.validate().is_err(), "flush interval {interval}");
+        }
+        p.flush_interval = 5.0;
+        for expire in [-1.0, f64::NAN] {
+            p.dirty_expire = expire;
+            assert!(p.validate().is_err(), "dirty expire {expire}");
+        }
+        // Zero expires dirty data at the next flush; infinity never does.
+        for expire in [0.0, f64::INFINITY] {
+            p.dirty_expire = expire;
+            assert!(p.validate().is_ok(), "dirty expire {expire}");
+        }
         p.dirty_ratio = 0.2;
         p.chunk_size = -1.0;
         assert!(p.validate().is_err());

@@ -198,6 +198,21 @@ fn malformed_sizes_and_devices_are_rejected_on_every_simulator() {
             }),
         ));
     }
+    // Flusher settings reach both cache models: a zero or negative interval
+    // used to panic inside them, a NaN one hung the emulator's writeback
+    // loop, and a NaN expiry silently disabled expiry.
+    for interval in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+        cases.push((
+            format!("flush interval {interval}"),
+            Box::new(move |p| p.flush_interval = interval),
+        ));
+    }
+    for expire in [-1.0, f64::NAN] {
+        cases.push((
+            format!("dirty expire {expire}"),
+            Box::new(move |p| p.dirty_expire = expire),
+        ));
+    }
     for latency in [-1.0, f64::NAN] {
         cases.push((
             format!("disk latency {latency}"),
