@@ -112,11 +112,11 @@ fn main() -> ExitCode {
 
     let scenarios = registry();
     if opts.list {
-        let matches = |s: &dyn harness::Scenario| match &opts.config.filter {
-            Some(f) => s.name().contains(f.as_str()) || s.group().contains(f.as_str()),
+        let matches = |s: &harness::Scenario| match &opts.config.filter {
+            Some(f) => s.name.contains(f.as_str()) || s.group.contains(f.as_str()),
             None => true,
         };
-        let listed: Vec<_> = scenarios.iter().filter(|s| matches(s.as_ref())).collect();
+        let listed: Vec<_> = scenarios.iter().filter(|s| matches(s)).collect();
         match &opts.config.filter {
             Some(f) => println!(
                 "{} of {} registered scenarios match --filter {f:?}:",
@@ -126,7 +126,7 @@ fn main() -> ExitCode {
             None => println!("{} registered scenarios:", listed.len()),
         }
         for s in listed {
-            println!("  [{:<8}] {:<32} {}", s.group(), s.name(), s.description());
+            println!("  [{:<8}] {:<32} {}", s.group, s.name, s.description);
         }
         return ExitCode::SUCCESS;
     }

@@ -4,7 +4,7 @@
 //! must track the page-cache behaviour of a real system. This crate is the
 //! subsystem that keeps the reproduction honest about it:
 //!
-//! * [`scenario`] — the [`Scenario`] trait: a named,
+//! * [`scenario`] — the [`Scenario`] registry entry: a named,
 //!   deterministic simulation run producing ordered `(metric, value)` pairs;
 //! * [`registry`](mod@registry) — every paper figure/table, the `examples/` workloads, and
 //!   synthetic sweeps (dirty ratios, cache size, read/write mix,
@@ -37,4 +37,4 @@ pub use gate::{compare, compare_intersection_exact, make_golden, Drift, Toleranc
 pub use json::{parse, Json};
 pub use registry::registry;
 pub use runner::{run_sweep, ScenarioResult, SweepConfig, SweepResults};
-pub use scenario::{FnScenario, Metrics, Scenario};
+pub use scenario::{Metrics, Scenario};

@@ -21,288 +21,284 @@ use workflow::{
     TrafficGenReport, TrafficSpec,
 };
 
-use crate::scenario::{FnScenario, Metrics, Scenario};
+use crate::scenario::{Metrics, Scenario};
 
 /// Builds the full scenario registry, in the canonical (output) order.
-pub fn registry() -> Vec<Box<dyn Scenario>> {
-    let scenarios: Vec<FnScenario> = vec![
-        FnScenario {
+pub fn registry() -> Vec<Scenario> {
+    vec![
+        Scenario {
             name: "table1_synthetic_parameters",
             group: "paper",
             description: "Table I: synthetic application CPU time vs input size",
             run: table1,
         },
-        FnScenario {
+        Scenario {
             name: "table2_nighres_parameters",
             group: "paper",
             description: "Table II: Nighres step input/output sizes and CPU times",
             run: table2,
         },
-        FnScenario {
+        Scenario {
             name: "table3_bandwidths",
             group: "paper",
             description: "Table III: measured and simulated device bandwidths",
             run: table3,
         },
-        FnScenario {
+        Scenario {
             name: "fig4a_exp1_errors",
             group: "paper",
             description: "Fig. 4a: per-phase I/O times and errors of Exp 1",
             run: fig4a,
         },
-        FnScenario {
+        Scenario {
             name: "fig4b_memory_profiles",
             group: "paper",
             description: "Fig. 4b: memory profile peaks of Exp 1",
             run: fig4b,
         },
-        FnScenario {
+        Scenario {
             name: "fig4c_cache_contents",
             group: "paper",
             description: "Fig. 4c: cache content after each I/O phase of Exp 1",
             run: fig4c,
         },
-        FnScenario {
+        Scenario {
             name: "fig5_exp2_concurrent_local",
             group: "paper",
             description: "Fig. 5: concurrent instances on local storage (Exp 2)",
             run: fig5,
         },
-        FnScenario {
+        Scenario {
             name: "fig6_exp4_nighres",
             group: "paper",
             description: "Fig. 6: Nighres per-phase times and errors (Exp 4)",
             run: fig6,
         },
-        FnScenario {
+        Scenario {
             name: "fig7_exp3_concurrent_nfs",
             group: "paper",
             description: "Fig. 7: concurrent instances on NFS storage (Exp 3)",
             run: fig7,
         },
-        FnScenario {
+        Scenario {
             name: "fig8_simulated_durations",
             group: "paper",
             description: "Fig. 8 configurations, gated on simulated virtual time",
             run: fig8,
         },
-        FnScenario {
+        Scenario {
             name: "example_quickstart",
             group: "examples",
             description: "examples/quickstart.rs: double read, cacheless vs cached",
             run: example_quickstart,
         },
-        FnScenario {
+        Scenario {
             name: "example_synthetic_pipeline",
             group: "examples",
             description: "examples/synthetic_pipeline.rs: 3-task pipeline, all back-ends",
             run: example_synthetic_pipeline,
         },
-        FnScenario {
+        Scenario {
             name: "example_nighres_workflow",
             group: "examples",
             description: "examples/nighres_workflow.rs: Nighres on a 16 GB node",
             run: example_nighres_workflow,
         },
-        FnScenario {
+        Scenario {
             name: "example_nfs_cluster",
             group: "examples",
             description: "examples/nfs_cluster.rs: pipelines against an NFS server",
             run: example_nfs_cluster,
         },
-        FnScenario {
+        Scenario {
             name: "example_concurrent_instances",
             group: "examples",
             description: "examples/concurrent_instances.rs: contention plateau",
             run: example_concurrent_instances,
         },
-        FnScenario {
+        Scenario {
             name: "example_database_workload",
             group: "examples",
             description: "examples/database_workload.rs: commit loop (Repeat+Fsync) + checkpoint",
             run: example_database_workload,
         },
-        FnScenario {
+        Scenario {
             name: "prog_database_fsync",
             group: "programs",
             description: "CAWL-style interleaved small writes + fsync, all four back-ends",
             run: prog_database_fsync,
         },
-        FnScenario {
+        Scenario {
             name: "prog_random_partial_reread",
             group: "programs",
             description: "random 64 MB partial re-reads at several cache-to-working-set ratios",
             run: prog_random_partial_reread,
         },
-        FnScenario {
+        Scenario {
             name: "prog_scan_then_reread",
             group: "programs",
             description: "full scan followed by repeated hot-set re-reads, all four back-ends",
             run: prog_scan_then_reread,
         },
-        FnScenario {
+        Scenario {
             name: "prog_fsync_storm",
             group: "programs",
             description: "many small files written and fsync'd back to back",
             run: prog_fsync_storm,
         },
-        FnScenario {
+        Scenario {
             name: "prog_strided_reads",
             group: "programs",
             description: "strided read passes at several strides, model vs emulator hit ratios",
             run: prog_strided_reads,
         },
-        FnScenario {
+        Scenario {
             name: "prog_seq_random_switch",
             group: "programs",
             description: "sequential-random-sequential mode switches under readahead",
             run: prog_seq_random_switch,
         },
-        FnScenario {
+        Scenario {
             name: "prog_write_burst_throttle",
             group: "programs",
             description: "write bursts straddling the dirty thresholds, paced vs unpaced",
             run: prog_write_burst_throttle,
         },
-        FnScenario {
+        Scenario {
             name: "sweep_dirty_ratio",
             group: "sweep",
             description: "write behaviour across vm.dirty_ratio / dirty_background_ratio",
             run: sweep_dirty_ratio,
         },
-        FnScenario {
+        Scenario {
             name: "sweep_cache_size",
             group: "sweep",
             description: "hit ratio and makespan across host memory sizes",
             run: sweep_cache_size,
         },
-        FnScenario {
+        Scenario {
             name: "sweep_rw_mix",
             group: "sweep",
             description: "makespan and write routing across read/write mixes",
             run: sweep_rw_mix,
         },
-        FnScenario {
+        Scenario {
             name: "sweep_concurrency",
             group: "sweep",
             description: "read/write contention across concurrent-instance counts",
             run: sweep_concurrency,
         },
-        FnScenario {
+        Scenario {
             name: "sweep_readahead_window",
             group: "sweep",
             description: "sequential scan + re-read across readahead window sizes",
             run: sweep_readahead_window,
         },
-        FnScenario {
+        Scenario {
             name: "sweep_throttle_pacing",
             group: "sweep",
             description: "write-burst behaviour across balance_dirty_pages pacing strengths",
             run: sweep_throttle_pacing,
         },
-        FnScenario {
+        Scenario {
             name: "sweep_eviction_policy_reread",
             group: "eviction",
             description: "hot-set re-reads between one-shot scans, per replacement policy",
             run: sweep_eviction_policy_reread,
         },
-        FnScenario {
+        Scenario {
             name: "sweep_eviction_policy_strided",
             group: "eviction",
             description: "repeated strided read passes under pressure, per replacement policy",
             run: sweep_eviction_policy_strided,
         },
-        FnScenario {
+        Scenario {
             name: "sweep_eviction_policy_write_burst",
             group: "eviction",
             description: "write bursts straddling the dirty thresholds, per replacement policy",
             run: sweep_eviction_policy_write_burst,
         },
-        FnScenario {
+        Scenario {
             name: "fault_crash_before_fsync_database",
             group: "faults",
             description: "power loss before the fsync: the unflushed WAL record is lost",
             run: fault_crash_before_fsync_database,
         },
-        FnScenario {
+        Scenario {
             name: "fault_crash_after_fsync_database",
             group: "faults",
             description: "power loss after the fsync: the committed WAL record survives",
             run: fault_crash_after_fsync_database,
         },
-        FnScenario {
+        Scenario {
             name: "fault_writeback_storm_crash",
             group: "faults",
             description: "crash mid-writeback: a durable prefix survives, then a restart pass",
             run: fault_writeback_storm_crash,
         },
-        FnScenario {
+        Scenario {
             name: "fault_nfs_outage_retry_storm",
             group: "faults",
             description: "a transient NFS outage ridden out by retrying tasks with backoff",
             run: fault_nfs_outage_retry_storm,
         },
-        FnScenario {
+        Scenario {
             name: "fault_eio_degraded",
             group: "faults",
             description: "persistent EIO on one output file: degraded completion, others finish",
             run: fault_eio_degraded,
         },
-        FnScenario {
+        Scenario {
             name: "fault_retry_backoff_sweep",
             group: "faults",
             description: "one transient write error across exponential-backoff strengths",
             run: fault_retry_backoff_sweep,
         },
-        FnScenario {
+        Scenario {
             name: "netf_partition_stampede",
             group: "net_faults",
             description: "hot-file cache stampede while a partition cuts half the fleet's clients",
             run: netf_partition_stampede,
         },
-        FnScenario {
+        Scenario {
             name: "netf_server_crash_failover",
             group: "net_faults",
             description: "a replica server crashes mid write-back storm; reads fail over",
             run: netf_server_crash_failover,
         },
-        FnScenario {
+        Scenario {
             name: "netf_flapping_link_retry_storm",
             group: "net_faults",
             description: "flapping server links ridden out by timeout + backoff clients",
             run: netf_flapping_link_retry_storm,
         },
-        FnScenario {
+        Scenario {
             name: "traffic_zipf_steady_state",
             group: "traffic",
             description: "open-loop Zipf(1) request serving on both cached back-ends",
             run: traffic_zipf_steady_state,
         },
-        FnScenario {
+        Scenario {
             name: "traffic_open_vs_closed_saturation",
             group: "traffic",
             description:
                 "open loop past capacity piles queueing into the tail; closed loop self-throttles",
             run: traffic_open_vs_closed_saturation,
         },
-        FnScenario {
+        Scenario {
             name: "traffic_cache_pressure_tail_latency",
             group: "traffic",
             description: "read p99 degrades when the Zipf hot set exceeds the tenant's cache limit",
             run: traffic_cache_pressure_tail_latency,
         },
-        FnScenario {
+        Scenario {
             name: "traffic_noisy_neighbor_isolation",
             group: "traffic",
             description:
                 "an uncapped ingest hog dirty-throttles the whole host unless memcg-style limits pin it",
             run: traffic_noisy_neighbor_isolation,
         },
-    ];
-    scenarios
-        .into_iter()
-        .map(|s| Box::new(s) as Box<dyn Scenario>)
-        .collect()
+    ]
 }
 
 fn err(e: impl std::fmt::Display) -> String {
@@ -1916,7 +1912,7 @@ mod tests {
             "need >= 13 scenarios, have {}",
             scenarios.len()
         );
-        let names: Vec<&str> = scenarios.iter().map(|s| s.name()).collect();
+        let names: Vec<&str> = scenarios.iter().map(|s| s.name).collect();
         let mut dedup = names.clone();
         dedup.sort();
         dedup.dedup();
@@ -1932,30 +1928,21 @@ mod tests {
             "traffic",
         ] {
             assert!(
-                scenarios.iter().any(|s| s.group() == group),
+                scenarios.iter().any(|s| s.group == group),
                 "no scenario in group {group}"
             );
         }
         // Ten paper artefacts, at least three synthetic sweeps, at least
         // four workload-program scenarios, and at least five fault-injection
         // scenarios, per the acceptance criteria.
-        assert_eq!(
-            scenarios.iter().filter(|s| s.group() == "paper").count(),
-            10
-        );
-        assert!(scenarios.iter().filter(|s| s.group() == "sweep").count() >= 3);
-        assert!(scenarios.iter().filter(|s| s.group() == "programs").count() >= 4);
-        assert!(scenarios.iter().filter(|s| s.group() == "faults").count() >= 5);
-        assert!(scenarios.iter().filter(|s| s.group() == "eviction").count() >= 3);
-        assert!(
-            scenarios
-                .iter()
-                .filter(|s| s.group() == "net_faults")
-                .count()
-                >= 3
-        );
-        assert!(scenarios.iter().filter(|s| s.group() == "traffic").count() >= 3);
-        assert!(scenarios.iter().all(|s| !s.description().is_empty()));
+        assert_eq!(scenarios.iter().filter(|s| s.group == "paper").count(), 10);
+        assert!(scenarios.iter().filter(|s| s.group == "sweep").count() >= 3);
+        assert!(scenarios.iter().filter(|s| s.group == "programs").count() >= 4);
+        assert!(scenarios.iter().filter(|s| s.group == "faults").count() >= 5);
+        assert!(scenarios.iter().filter(|s| s.group == "eviction").count() >= 3);
+        assert!(scenarios.iter().filter(|s| s.group == "net_faults").count() >= 3);
+        assert!(scenarios.iter().filter(|s| s.group == "traffic").count() >= 3);
+        assert!(scenarios.iter().all(|s| !s.description.is_empty()));
     }
 
     #[test]

@@ -127,11 +127,11 @@ impl SweepResults {
 
 /// Runs the scenarios of `registry` according to `config` and returns the
 /// results in registry order.
-pub fn run_sweep(registry: &[Box<dyn Scenario>], config: &SweepConfig) -> SweepResults {
+pub fn run_sweep(registry: &[Scenario], config: &SweepConfig) -> SweepResults {
     let selected: Vec<usize> = (0..registry.len())
         .filter(|&i| match &config.filter {
             Some(f) => {
-                registry[i].name().contains(f.as_str()) || registry[i].group().contains(f.as_str())
+                registry[i].name.contains(f.as_str()) || registry[i].group.contains(f.as_str())
             }
             None => true,
         })
@@ -144,7 +144,7 @@ pub fn run_sweep(registry: &[Box<dyn Scenario>], config: &SweepConfig) -> SweepR
         // A panicking scenario must fail *that scenario*, not tear down the
         // whole sweep with it.
         let outcome =
-            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| registry[idx].run()))
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| (registry[idx].run)()))
                 .unwrap_or_else(|panic| {
                     let msg = panic
                         .downcast_ref::<&str>()
@@ -186,8 +186,8 @@ pub fn run_sweep(registry: &[Box<dyn Scenario>], config: &SweepConfig) -> SweepR
         scenarios: collected
             .into_iter()
             .map(|(idx, outcome, wall_clock_seconds)| ScenarioResult {
-                name: registry[idx].name().to_string(),
-                group: registry[idx].group().to_string(),
+                name: registry[idx].name.to_string(),
+                group: registry[idx].group.to_string(),
                 outcome,
                 wall_clock_seconds,
             })
@@ -198,9 +198,8 @@ pub fn run_sweep(registry: &[Box<dyn Scenario>], config: &SweepConfig) -> SweepR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::FnScenario;
 
-    fn fake_registry() -> Vec<Box<dyn Scenario>> {
+    fn fake_registry() -> Vec<Scenario> {
         fn a() -> Result<Metrics, String> {
             let mut m = Metrics::new();
             m.push("x", 1.0);
@@ -215,24 +214,24 @@ mod tests {
             Err("boom".to_string())
         }
         vec![
-            Box::new(FnScenario {
+            Scenario {
                 name: "alpha",
                 group: "sweep",
                 description: "",
                 run: a,
-            }),
-            Box::new(FnScenario {
+            },
+            Scenario {
                 name: "beta",
                 group: "sweep",
                 description: "",
                 run: b,
-            }),
-            Box::new(FnScenario {
+            },
+            Scenario {
                 name: "gamma_fails",
                 group: "sweep",
                 description: "",
                 run: c,
-            }),
+            },
         ]
     }
 
@@ -266,19 +265,19 @@ mod tests {
         fn ok() -> Result<Metrics, String> {
             Ok(Metrics::new())
         }
-        let registry: Vec<Box<dyn Scenario>> = vec![
-            Box::new(FnScenario {
+        let registry = vec![
+            Scenario {
                 name: "bad",
                 group: "sweep",
                 description: "",
                 run: panics,
-            }),
-            Box::new(FnScenario {
+            },
+            Scenario {
                 name: "good",
                 group: "sweep",
                 description: "",
                 run: ok,
-            }),
+            },
         ];
         let results = run_sweep(&registry, &SweepConfig::default());
         assert_eq!(results.scenarios.len(), 2);
@@ -340,15 +339,13 @@ mod tests {
             }
             Ok(Metrics::new())
         }
-        let registry: Vec<Box<dyn Scenario>> = ["a", "b"]
+        let registry: Vec<Scenario> = ["a", "b"]
             .into_iter()
-            .map(|name| {
-                Box::new(FnScenario {
-                    name,
-                    group: "sweep",
-                    description: "",
-                    run: rendezvous,
-                }) as Box<dyn Scenario>
+            .map(|name| Scenario {
+                name,
+                group: "sweep",
+                description: "",
+                run: rendezvous,
             })
             .collect();
         let results = run_sweep(

@@ -1,4 +1,4 @@
-//! The [`Scenario`] trait and the metric record a scenario produces.
+//! The [`Scenario`] registry entry and the metric record a scenario produces.
 //!
 //! A harness scenario is a **self-contained, deterministic** simulation run:
 //! it builds its own platform and application, runs one or more DES engines
@@ -50,49 +50,17 @@ impl Metrics {
     }
 }
 
-/// One entry of the sweep registry.
-pub trait Scenario: Send + Sync {
+/// One entry of the sweep registry: a named, described function pointer
+/// (trivially `Send + Sync`).
+pub struct Scenario {
     /// Unique scenario name (the key in `RESULTS.json`).
-    fn name(&self) -> &'static str;
-
-    /// Group the scenario belongs to: `"paper"`, `"examples"`, or `"sweep"`.
-    fn group(&self) -> &'static str;
-
-    /// One-line description shown by `sweep --list`.
-    fn description(&self) -> &'static str;
-
-    /// Runs the scenario and returns its metrics.
-    fn run(&self) -> Result<Metrics, String>;
-}
-
-/// A scenario backed by a plain function pointer (trivially `Send + Sync`).
-pub struct FnScenario {
-    /// Unique scenario name.
     pub name: &'static str,
-    /// Scenario group.
+    /// Group the scenario belongs to (`"paper"`, `"examples"`, `"sweep"`, ...).
     pub group: &'static str,
-    /// One-line description.
+    /// One-line description shown by `sweep --list`.
     pub description: &'static str,
-    /// The scenario body.
+    /// The scenario body: runs the scenario and returns its metrics.
     pub run: fn() -> Result<Metrics, String>,
-}
-
-impl Scenario for FnScenario {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn group(&self) -> &'static str {
-        self.group
-    }
-
-    fn description(&self) -> &'static str {
-        self.description
-    }
-
-    fn run(&self) -> Result<Metrics, String> {
-        (self.run)()
-    }
 }
 
 #[cfg(test)]
@@ -119,20 +87,18 @@ mod tests {
     }
 
     #[test]
-    fn fn_scenario_delegates() {
+    fn scenario_runs_its_body() {
         fn body() -> Result<Metrics, String> {
             let mut m = Metrics::new();
             m.push("x", 1.5);
             Ok(m)
         }
-        let s = FnScenario {
+        let s = Scenario {
             name: "test",
             group: "sweep",
             description: "a test scenario",
             run: body,
         };
-        assert_eq!(s.name(), "test");
-        assert_eq!(s.group(), "sweep");
-        assert_eq!(s.run().unwrap().entries(), &[("x".to_string(), 1.5)]);
+        assert_eq!((s.run)().unwrap().entries(), &[("x".to_string(), 1.5)]);
     }
 }

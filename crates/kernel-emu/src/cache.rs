@@ -23,9 +23,9 @@
 //! reclaim indexes. The *decisions* — in what order files are picked as
 //! eviction victims, whether a file gets a second chance, and how
 //! re-accessed files are classified — are delegated to the
-//! [`ReplacementPolicy`] configured via [`KernelTuning::eviction_policy`].
+//! [`Policy`] configured via [`KernelTuning::eviction_policy`].
 //! Because the emulator tracks occupancy per file (not per block), it
-//! consumes the trait's *file-granular* hooks, driven off a per-file
+//! consumes the policy's *file-granular* hooks, driven off a per-file
 //! [`FileMeta`] stored in each slab slot: `file_admit` on inserts,
 //! `file_touch` on re-accesses, `file_rank` as the victim-ordering prefix
 //! (victims go in `(rank, last_access, file name)` order),
@@ -74,14 +74,12 @@ use std::rc::Rc;
 
 use des::{JoinHandle, SimContext, SimTime};
 use pagecache::{
-    CacheContentSnapshot, FileId, FileMeta, MemorySample, MemoryTrace, ReclaimScope,
-    ReplacementPolicy,
+    CacheContentSnapshot, FileId, FileMeta, MemorySample, MemoryTrace, Policy, ReclaimScope,
+    EPSILON,
 };
 use storage_model::{Disk, MemoryDevice};
 
 use crate::tuning::KernelTuning;
-
-const EPS: f64 = 1e-6;
 
 /// The two halves of the clean index: files not open for writing, and files
 /// open for writing (indexed by `FilePages::write_open`).
@@ -145,7 +143,7 @@ impl RangeSet {
             if sa >= b {
                 break;
             }
-            if sa > cursor + EPS {
+            if sa > cursor + EPSILON {
                 gaps.push((cursor, sa.min(b)));
             }
             cursor = cursor.max(sb);
@@ -153,7 +151,7 @@ impl RangeSet {
                 break;
             }
         }
-        if cursor < b - EPS {
+        if cursor < b - EPSILON {
             gaps.push((cursor, b));
         }
         gaps
@@ -161,14 +159,14 @@ impl RangeSet {
 
     /// Adds `[a, b)`, merging overlapping or touching spans.
     fn insert(&mut self, a: f64, b: f64) {
-        if b - a <= EPS {
+        if b - a <= EPSILON {
             return;
         }
         let mut merged = (a, b);
         let mut out = Vec::with_capacity(self.spans.len() + 1);
         let mut iter = self.spans.iter().peekable();
         while let Some(&&(sa, sb)) = iter.peek() {
-            if sb < a - EPS {
+            if sb < a - EPSILON {
                 out.push((sa, sb));
                 iter.next();
             } else {
@@ -176,7 +174,7 @@ impl RangeSet {
             }
         }
         while let Some(&&(sa, sb)) = iter.peek() {
-            if sa <= b + EPS {
+            if sa <= b + EPSILON {
                 merged.0 = merged.0.min(sa);
                 merged.1 = merged.1.max(sb);
                 iter.next();
@@ -193,11 +191,11 @@ impl RangeSet {
     fn trim_front(&mut self, mut amount: f64) {
         let mut drop_to = 0;
         for span in self.spans.iter_mut() {
-            if amount <= EPS {
+            if amount <= EPSILON {
                 break;
             }
             let len = span.1 - span.0;
-            if len <= amount + EPS {
+            if len <= amount + EPSILON {
                 amount -= len;
                 drop_to += 1;
             } else {
@@ -250,7 +248,7 @@ impl FilePages {
         let from_active = self.active_dirty.min(amount - from_inactive);
         self.active_dirty -= from_active;
         self.active_clean += from_active;
-        if self.dirty() <= EPS {
+        if self.dirty() <= EPSILON {
             self.oldest_dirty = None;
         }
         from_inactive + from_active
@@ -319,12 +317,12 @@ struct IndexPos {
 impl IndexPos {
     /// Where `slot` belongs: in the clean index iff it holds clean pages, in
     /// the dirty index iff it holds dirty pages.
-    fn of(slot: &FileSlot, policy: &dyn ReplacementPolicy) -> Self {
+    fn of(slot: &FileSlot, policy: &Policy) -> Self {
         let p = &slot.pages;
         IndexPos {
-            clean: (p.clean() > EPS)
+            clean: (p.clean() > EPSILON)
                 .then(|| (policy.file_rank(&slot.meta), p.last_access, p.write_open)),
-            dirty: (p.dirty() > EPS).then(|| p.oldest_dirty.unwrap_or(p.last_access)),
+            dirty: (p.dirty() > EPSILON).then(|| p.oldest_dirty.unwrap_or(p.last_access)),
         }
     }
 }
@@ -336,7 +334,7 @@ struct FileSlot {
     file: FileId,
     pages: FilePages,
     /// Per-file policy metadata (reference bit, hotness, generation) consumed
-    /// by the file-granular [`ReplacementPolicy`] hooks.
+    /// by the file-granular [`Policy`] hooks.
     meta: FileMeta,
     /// Which byte offsets of the file are resident (`total()` always equals
     /// `pages.cached()`).
@@ -406,9 +404,9 @@ struct State {
     trace: MemoryTrace,
     counters: KernelCacheCounters,
     /// Replacement policy: decides victim-file ordering, second chances and
-    /// re-access classification via the file-granular trait hooks. The
+    /// re-access classification via the file-granular hooks. The
     /// mechanism (slab, indexes, ledgers) above is policy-independent.
-    policy: Box<dyn ReplacementPolicy>,
+    policy: Policy,
     stop: bool,
 }
 
@@ -481,7 +479,7 @@ impl State {
     fn rekey(&mut self, i: u32) {
         let slot = self.slots[i as usize].as_mut().expect("vacant file slot");
         slot.stale = false;
-        let to = IndexPos::of(slot, &*self.policy);
+        let to = IndexPos::of(slot, &self.policy);
         self.place(i, to);
     }
 
@@ -509,11 +507,11 @@ impl State {
     fn evict_from(&mut self, i: u32, need: f64) -> f64 {
         let slot = self.slots[i as usize].as_mut().expect("vacant file slot");
         let removed = slot.pages.evict_clean(need);
-        if removed > EPS {
+        if removed > EPSILON {
             // Keep the range view in sync: reclaimed pages leave from the
             // lowest offsets (the LRU end under sequential access).
             slot.resident.trim_front(removed);
-            if slot.pages.cached() <= EPS {
+            if slot.pages.cached() <= EPSILON {
                 self.policy.file_on_evict(&slot.file, &slot.meta);
             }
             let f = slot.file.clone();
@@ -559,13 +557,13 @@ impl State {
             let cached: f64 = live().map(|s| s.pages.cached()).sum();
             let dirty: f64 = live().map(|s| s.pages.dirty()).sum();
             debug_assert!(
-                (self.cached_total - cached).abs() <= EPS + 1e-9 * cached.abs(),
+                (self.cached_total - cached).abs() <= EPSILON + 1e-9 * cached.abs(),
                 "cached_total {} != scan {}",
                 self.cached_total,
                 cached
             );
             debug_assert!(
-                (self.dirty_total - dirty).abs() <= EPS + 1e-9 * dirty.abs(),
+                (self.dirty_total - dirty).abs() <= EPSILON + 1e-9 * dirty.abs(),
                 "dirty_total {} != scan {}",
                 self.dirty_total,
                 dirty
@@ -583,13 +581,13 @@ impl State {
             for (&g, gb) in &self.group_bytes {
                 let sc = group_scan.get(&g).copied().unwrap_or_default();
                 debug_assert!(
-                    (gb.cached - sc.cached).abs() <= EPS + 1e-9 * sc.cached.abs(),
+                    (gb.cached - sc.cached).abs() <= EPSILON + 1e-9 * sc.cached.abs(),
                     "group {g} cached {} != scan {}",
                     gb.cached,
                     sc.cached
                 );
                 debug_assert!(
-                    (gb.dirty - sc.dirty).abs() <= EPS + 1e-9 * sc.dirty.abs(),
+                    (gb.dirty - sc.dirty).abs() <= EPSILON + 1e-9 * sc.dirty.abs(),
                     "group {g} dirty {} != scan {}",
                     gb.dirty,
                     sc.dirty
@@ -608,7 +606,7 @@ impl State {
                 );
                 for w in s.resident.spans.windows(2) {
                     debug_assert!(
-                        w[0].1 <= w[1].0 + EPS,
+                        w[0].1 <= w[1].0 + EPSILON,
                         "file {file}: overlapping/unsorted resident spans"
                     );
                 }
@@ -628,12 +626,12 @@ impl State {
                 } else {
                     debug_assert_eq!(
                         slot.indexed,
-                        IndexPos::of(slot, &*self.policy),
+                        IndexPos::of(slot, &self.policy),
                         "file {file}: index entries differ from a scan"
                     );
                 }
                 debug_assert!(
-                    slot.pages.dirty() <= EPS || slot.pages.oldest_dirty.is_some(),
+                    slot.pages.dirty() <= EPSILON || slot.pages.oldest_dirty.is_some(),
                     "file {file}: dirty pages without a dirty time"
                 );
                 if let Some((rank, t, open)) = slot.indexed.clean {
@@ -762,7 +760,7 @@ impl KernelCache {
         s.index
             .iter()
             .map(|(k, &i)| (k, &s.slot(i).pages))
-            .filter(|(_, p)| p.cached() > EPS)
+            .filter(|(_, p)| p.cached() > EPSILON)
             .map(|(k, p)| (k.clone(), p.cached()))
             .collect()
     }
@@ -895,23 +893,23 @@ impl KernelCache {
     ) -> (f64, f64) {
         let mut flushed = 0.0;
         let over_dirty = self.group_dirty(group) - max_dirty;
-        if over_dirty > EPS {
+        if over_dirty > EPSILON {
             flushed += self
                 .write_back(over_dirty, ReclaimScope::Group(group), true)
                 .await;
         }
         let mut evicted = 0.0;
         let over = self.group_cached(group) - max_bytes;
-        if over > EPS {
+        if over > EPSILON {
             evicted += self.evict(over, ReclaimScope::Group(group));
         }
         let still_over = self.group_cached(group) - max_bytes;
-        if still_over > EPS {
+        if still_over > EPSILON {
             flushed += self
                 .write_back(still_over, ReclaimScope::Group(group), true)
                 .await;
             let rest = self.group_cached(group) - max_bytes;
-            if rest > EPS {
+            if rest > EPSILON {
                 evicted += self.evict(rest, ReclaimScope::Group(group));
             }
         }
@@ -929,7 +927,7 @@ impl KernelCache {
     /// policy ranks every file 0, reproducing the historical
     /// `(last_access, file name)` selection order exactly.
     pub fn evict(&self, amount: f64, scope: ReclaimScope<'_>) -> f64 {
-        if amount <= EPS {
+        if amount <= EPSILON {
             return 0.0;
         }
         let mut s = self.state.borrow_mut();
@@ -938,7 +936,7 @@ impl KernelCache {
         let mut evicted = 0.0;
         // Slots re-keyed only after the walk, so both passes walk the order
         // the call started with: files given a second chance, and files left
-        // with a residue of at most EPS clean bytes (which the second pass
+        // with a residue of at most EPSILON clean bytes (which the second pass
         // may still take).
         let mut deferred = Vec::new();
         // First pass: respect the write-open protection (and, under a
@@ -948,7 +946,7 @@ impl KernelCache {
         for (respect_protection, sets) in [(true, &[CLOSED][..]), (false, &[CLOSED, WRITE_OPEN])] {
             let mut after = None;
             loop {
-                if evicted >= amount - EPS {
+                if evicted >= amount - EPSILON {
                     break;
                 }
                 let Some(key) = s.next_clean(sets, after.as_ref()) else {
@@ -968,7 +966,7 @@ impl KernelCache {
                 }
                 evicted += st.evict_from(i, amount - evicted);
                 let left = st.slot(i).pages.clean();
-                if left > 0.0 && left <= EPS {
+                if left > 0.0 && left <= EPSILON {
                     deferred.push(i);
                 } else {
                     // Emptied files leave the index; the key of a file that
@@ -976,7 +974,7 @@ impl KernelCache {
                     st.rekey(i);
                 }
             }
-            if evicted >= amount - EPS {
+            if evicted >= amount - EPSILON {
                 break;
             }
         }
@@ -994,7 +992,7 @@ impl KernelCache {
     /// the disk writes. The bytes count as throttled (synchronous) or
     /// background writeback. Returns the amount written back.
     pub async fn write_back(&self, amount: f64, scope: ReclaimScope<'_>, throttled: bool) -> f64 {
-        if amount <= EPS {
+        if amount <= EPSILON {
             return 0.0;
         }
         let flushed = {
@@ -1003,7 +1001,7 @@ impl KernelCache {
             let mut flushed = 0.0;
             let mut after = None;
             loop {
-                if flushed >= amount - EPS {
+                if flushed >= amount - EPSILON {
                     break;
                 }
                 let Some(key) = first_after(&s.dirty, after.as_ref()).cloned() else {
@@ -1026,7 +1024,7 @@ impl KernelCache {
             s.debug_validate();
             flushed
         };
-        if flushed > EPS {
+        if flushed > EPSILON {
             self.disk.write(flushed).await;
         }
         flushed
@@ -1035,7 +1033,7 @@ impl KernelCache {
     /// Writes back every dirty page older than the expiration age.
     pub async fn write_back_expired(&self) -> f64 {
         let now = self.ctx.now();
-        if self.dirty() <= EPS {
+        if self.dirty() <= EPSILON {
             return 0.0;
         }
         let amount = {
@@ -1080,14 +1078,6 @@ impl KernelCache {
         self.insert_dirty_range(file, start, start + bytes);
     }
 
-    /// Bytes of `[start, end)` of `file` that are resident in the cache.
-    pub fn resident_len(&self, file: &FileId, start: f64, end: f64) -> f64 {
-        let s = self.state.borrow();
-        s.index
-            .get(file)
-            .map_or(0.0, |&i| s.slot(i).resident.covered_len(start, end))
-    }
-
     /// The sub-ranges of `[start, end)` of `file` that are *not* resident, in
     /// offset order — the disk-read plan of a range read. Callers capture
     /// this *before* any reclaim they trigger, so the bytes they insert
@@ -1115,7 +1105,7 @@ impl KernelCache {
     /// the range view grow by the same amount. Returns the number of bytes
     /// actually inserted.
     pub fn insert_clean_range(&self, file: &FileId, start: f64, end: f64) -> f64 {
-        if end - start <= EPS {
+        if end - start <= EPSILON {
             return 0.0;
         }
         let now = self.ctx.now();
@@ -1134,7 +1124,7 @@ impl KernelCache {
         // Re-keyed even when nothing was added: the access and the policy's
         // admission moved the file's key.
         s.rekey(i);
-        if added > EPS {
+        if added > EPSILON {
             s.cached_total += added;
             s.group_adjust(file, added, 0.0);
         }
@@ -1148,7 +1138,7 @@ impl KernelCache {
     /// (clean pages move to the dirty share, already-dirty pages stay
     /// dirty), so rewriting the same record does not inflate the cache.
     pub fn insert_dirty_range(&self, file: &FileId, start: f64, end: f64) {
-        if end - start <= EPS {
+        if end - start <= EPSILON {
             return;
         }
         let now = self.ctx.now();
@@ -1195,7 +1185,7 @@ impl KernelCache {
                 return 0.0;
             };
             let dirty = s.slot(i).pages.dirty();
-            if dirty <= EPS {
+            if dirty <= EPSILON {
                 return 0.0;
             }
             let cleaned = s.slot_mut(i).pages.clean_dirty(dirty);
@@ -1208,7 +1198,7 @@ impl KernelCache {
             s.debug_validate();
             cleaned
         };
-        if flushed > EPS {
+        if flushed > EPSILON {
             self.disk.write(flushed).await;
         }
         flushed
@@ -1259,7 +1249,7 @@ impl KernelCache {
     /// (reference bit / hotness / generation stamp, depending on the policy).
     /// O(1): the file's new key is applied by the next reclaim walk.
     pub fn touch(&self, file: &FileId, bytes: f64) {
-        if bytes <= EPS {
+        if bytes <= EPSILON {
             return;
         }
         let now = self.ctx.now();
@@ -1269,7 +1259,7 @@ impl KernelCache {
             let slot = st.slots[i as usize].as_mut().expect("vacant file slot");
             slot.pages.promote(bytes);
             slot.pages.last_access = now;
-            st.policy.file_touch(&slot.file, &mut slot.meta);
+            st.policy.file_touch(&mut slot.meta);
             if !slot.stale {
                 slot.stale = true;
                 st.stale.push(i);
@@ -1343,7 +1333,7 @@ impl KernelCache {
             let start = self.ctx.now();
             self.write_back_expired().await;
             let over_background = self.dirty() - self.background_threshold();
-            if over_background > EPS {
+            if over_background > EPSILON {
                 self.write_back(over_background, ReclaimScope::Host(None), false)
                     .await;
             }
@@ -1884,7 +1874,7 @@ mod tests {
     /// the indexes are re-keyed afterwards only so the oracle holds.
     impl KernelCache {
         fn evict_by_sort(&self, amount: f64, scope: ReclaimScope<'_>) -> f64 {
-            if amount <= EPS {
+            if amount <= EPSILON {
                 return 0.0;
             }
             let mut s = self.state.borrow_mut();
@@ -1892,7 +1882,7 @@ mod tests {
                 .filter(|&i| {
                     s.slots[i as usize]
                         .as_ref()
-                        .is_some_and(|sl| sl.pages.clean() > EPS)
+                        .is_some_and(|sl| sl.pages.clean() > EPSILON)
                 })
                 .collect();
             order.sort_by_key(|&i| {
@@ -1904,7 +1894,7 @@ mod tests {
             let mut evicted = 0.0;
             for respect_protection in [true, false] {
                 for &i in &order {
-                    if evicted >= amount - EPS {
+                    if evicted >= amount - EPSILON {
                         break;
                     }
                     let st = &mut *s;
@@ -1921,7 +1911,7 @@ mod tests {
                     }
                     evicted += st.evict_from(i, amount - evicted);
                 }
-                if evicted >= amount - EPS {
+                if evicted >= amount - EPSILON {
                     break;
                 }
             }
@@ -1940,7 +1930,7 @@ mod tests {
                 .filter(|&i| {
                     s.slots[i as usize]
                         .as_ref()
-                        .is_some_and(|sl| sl.pages.dirty() > EPS)
+                        .is_some_and(|sl| sl.pages.dirty() > EPSILON)
                 })
                 .collect();
             order.sort_by_key(|&i| {
@@ -1959,14 +1949,14 @@ mod tests {
             scope: ReclaimScope<'_>,
             throttled: bool,
         ) -> f64 {
-            if amount <= EPS {
+            if amount <= EPSILON {
                 return 0.0;
             }
             let flushed = {
                 let mut s = self.state.borrow_mut();
                 let mut flushed = 0.0;
                 for i in Self::dirty_order_by_sort(&s) {
-                    if flushed >= amount - EPS {
+                    if flushed >= amount - EPSILON {
                         break;
                     }
                     if scope.admits(&s.slot(i).file, &s.group_of) {
@@ -1982,7 +1972,7 @@ mod tests {
                 s.debug_validate();
                 flushed
             };
-            if flushed > EPS {
+            if flushed > EPSILON {
                 self.disk.write(flushed).await;
             }
             flushed

@@ -41,12 +41,10 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use des::SimContext;
-use pagecache::{clamp_io_range, FileId, FsError, IoOpStats, ReclaimScope};
+use pagecache::{clamp_io_range, FileId, FsError, IoOpStats, ReclaimScope, EPSILON};
 use storage_model::Disk;
 
 use crate::cache::KernelCache;
-
-const EPS: f64 = 1e-6;
 
 /// Default request size used by the emulated VFS layer (bytes).
 pub const DEFAULT_REQUEST_SIZE: f64 = 100.0 * 1e6;
@@ -180,7 +178,7 @@ impl KernelFileSystem {
         let mut stats = IoOpStats::default();
         let mut pos = range_start;
         let end = range_start + amount;
-        while end - pos > EPS {
+        while end - pos > EPSILON {
             let chunk_end = (pos + self.request_size).min(end);
             let chunk = chunk_end - pos;
             // The disk-read plan is captured *before* reclaim: if direct
@@ -195,10 +193,10 @@ impl KernelFileSystem {
             // Reclaim: make room for the anonymous copy plus the new pages.
             let required = chunk + from_disk;
             let missing = required - self.cache.free_memory();
-            if missing > EPS {
+            if missing > EPSILON {
                 let evicted = self.cache.evict(missing, ReclaimScope::Host(Some(file)));
                 let still = missing - evicted;
-                if still > EPS {
+                if still > EPSILON {
                     // Direct reclaim also writes back dirty pages if eviction
                     // alone is not enough.
                     let flushed = self
@@ -210,7 +208,7 @@ impl KernelFileSystem {
                 }
             }
 
-            if from_disk > EPS {
+            if from_disk > EPSILON {
                 self.disk.read(from_disk).await;
                 for &(a, b) in &plan {
                     self.cache.insert_clean_range(file, a, b);
@@ -218,7 +216,7 @@ impl KernelFileSystem {
                 stats.bytes_from_disk += from_disk;
                 stats.bytes_to_cache += from_disk;
             }
-            if from_cache > EPS {
+            if from_cache > EPSILON {
                 self.cache.memory().read(from_cache).await;
                 self.cache.touch(file, from_cache);
                 stats.bytes_from_cache += from_cache;
@@ -250,7 +248,7 @@ impl KernelFileSystem {
     ) {
         let tuning = self.cache.tuning();
         let (ra_min, ra_max) = (tuning.readahead_min, tuning.readahead_max);
-        if ra_max <= EPS {
+        if ra_max <= EPSILON {
             return;
         }
         let window = {
@@ -263,12 +261,12 @@ impl KernelFileSystem {
             // the file and starts at offset 0 (Linux fires initial readahead
             // from `do_sync_mmap_readahead` / `page_cache_sync_ra` there).
             let sequential = match meta.ra_next {
-                Some(next) => (start - next).abs() <= EPS,
-                None => start.abs() <= EPS,
+                Some(next) => (start - next).abs() <= EPSILON,
+                None => start.abs() <= EPSILON,
             };
             meta.ra_window = if !sequential {
                 0.0
-            } else if meta.ra_window <= EPS {
+            } else if meta.ra_window <= EPSILON {
                 ra_min.min(ra_max)
             } else {
                 (meta.ra_window * 2.0).min(ra_max)
@@ -276,7 +274,7 @@ impl KernelFileSystem {
             meta.ra_next = Some(end);
             meta.ra_window
         };
-        if window <= EPS {
+        if window <= EPSILON {
             return;
         }
         let ra_end = (end + window).min(file_size);
@@ -287,16 +285,16 @@ impl KernelFileSystem {
         let mut planned = 0.0;
         let mut plan = Vec::new();
         for (a, b) in self.cache.uncovered(file, end, ra_end) {
-            if planned >= budget - EPS {
+            if planned >= budget - EPSILON {
                 break;
             }
             let b = b.min(a + (budget - planned));
-            if b - a > EPS {
+            if b - a > EPSILON {
                 planned += b - a;
                 plan.push((a, b));
             }
         }
-        if planned <= EPS {
+        if planned <= EPSILON {
             return;
         }
         self.disk.read(planned).await;
@@ -380,7 +378,7 @@ impl KernelFileSystem {
         let t0 = self.ctx.now();
         let mut stats = IoOpStats::default();
         let mut pos = start;
-        while end - pos > EPS {
+        while end - pos > EPSILON {
             let chunk_end = (pos + self.request_size).min(end);
             let chunk = chunk_end - pos;
 
@@ -403,9 +401,9 @@ impl KernelFileSystem {
 
             // Make room for the new dirty pages.
             let missing = chunk - self.cache.free_memory();
-            if missing > EPS {
+            if missing > EPSILON {
                 let evicted = self.cache.evict(missing, ReclaimScope::Host(Some(file)));
-                if missing - evicted > EPS {
+                if missing - evicted > EPSILON {
                     let flushed = self
                         .cache
                         .write_back(missing - evicted, ReclaimScope::Host(None), true)
@@ -432,10 +430,10 @@ impl KernelFileSystem {
                 let background = self.cache.background_threshold();
                 let limit = self.cache.dirty_threshold();
                 let dirty = self.cache.dirty();
-                if dirty > background + EPS && limit > background + EPS {
+                if dirty > background + EPSILON && limit > background + EPSILON {
                     let ramp = ((dirty - background) / (limit - background)).min(1.0);
                     let pause = pacing * ramp * self.disk.ideal_write_time(chunk);
-                    if pause > EPS {
+                    if pause > EPSILON {
                         self.ctx.sleep(pause).await;
                         stats.throttle_stall += pause;
                         self.cache.note_throttle_stall(pause);

@@ -34,4 +34,5 @@ mod tuning;
 
 pub use cache::{KernelCache, KernelCacheCounters, KernelCacheWork};
 pub use fs::{KernelFileSystem, DEFAULT_REQUEST_SIZE};
-pub use tuning::{KernelTuning, LINUX_READAHEAD_MAX, LINUX_READAHEAD_MIN, PAGE_SIZE};
+pub use storage_model::units::PAGE_SIZE;
+pub use tuning::{KernelTuning, LINUX_READAHEAD_MAX, LINUX_READAHEAD_MIN};

@@ -1,9 +1,7 @@
 //! Kernel tunables of the emulator (the `vm.*` sysctls of the real cluster).
 
 use pagecache::EvictionPolicy;
-
-/// Size of a page in bytes (4 KiB).
-pub const PAGE_SIZE: f64 = 4096.0;
+use storage_model::units::PAGE_SIZE;
 
 /// The initial readahead window Linux grants a fresh sequential stream
 /// before any doubling (16 pages = 64 KiB, the common `get_init_ra_size`
@@ -146,16 +144,6 @@ impl KernelTuning {
         }
         Ok(())
     }
-
-    /// Rounds a byte count up to whole pages, the granularity the emulator
-    /// tracks.
-    pub fn round_to_pages(bytes: f64) -> f64 {
-        if bytes <= 0.0 {
-            0.0
-        } else {
-            (bytes / PAGE_SIZE).ceil() * PAGE_SIZE
-        }
-    }
 }
 
 #[cfg(test)]
@@ -218,17 +206,5 @@ mod tests {
         assert!(t.with_throttle_pacing(1.0).validate().is_ok());
         assert!(t.with_throttle_pacing(-0.5).validate().is_err());
         assert!(t.with_throttle_pacing(f64::NAN).validate().is_err());
-    }
-
-    #[test]
-    fn page_rounding() {
-        assert_eq!(KernelTuning::round_to_pages(0.0), 0.0);
-        assert_eq!(KernelTuning::round_to_pages(-5.0), 0.0);
-        assert_eq!(KernelTuning::round_to_pages(1.0), PAGE_SIZE);
-        assert_eq!(KernelTuning::round_to_pages(PAGE_SIZE), PAGE_SIZE);
-        assert_eq!(
-            KernelTuning::round_to_pages(PAGE_SIZE + 1.0),
-            2.0 * PAGE_SIZE
-        );
     }
 }

@@ -59,5 +59,5 @@ pub use controller::{clamp_io_range, IoController, DEFAULT_CHUNK_SIZE};
 pub use error::FsError;
 pub use lru::{ListKind, LruLists, LruWork, ReclaimScope, EPSILON};
 pub use manager::{MemoryManager, MemoryManagerCounters};
-pub use policy::{EvictionPolicy, FileMeta, ReplacementPolicy, MAX_TIERS};
+pub use policy::{EvictionPolicy, FileMeta, Policy, MAX_TIERS};
 pub use stats::{CacheContentSnapshot, IoOpStats, MemorySample, MemoryTrace};

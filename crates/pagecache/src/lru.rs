@@ -10,7 +10,7 @@
 //! aggregates and O(1) intrusive re-linking. Which tier a block joins on
 //! first touch, where a re-accessed block is promoted, which tiers eviction
 //! may reclaim from and in what order, and when blocks demote between tiers
-//! are all *policy* decisions, delegated to a [`ReplacementPolicy`]
+//! are all *policy* decisions, delegated to a [`Policy`] value
 //! (see [`crate::policy`]).
 //!
 //! Under the default [`EvictionPolicy::TwoList`] policy this reproduces the
@@ -124,7 +124,7 @@ use std::collections::{BTreeMap, HashMap};
 use des::SimTime;
 
 use crate::block::{DataBlock, FileId};
-use crate::policy::{EvictionPolicy, ReplacementPolicy, MAX_TIERS};
+use crate::policy::{EvictionPolicy, Policy, MAX_TIERS};
 
 /// Bytes below which two amounts are considered equal.
 pub const EPSILON: f64 = 1e-6;
@@ -437,7 +437,7 @@ struct FileState {
 }
 
 /// The LRU lists (tiers) holding all cached data blocks of one host; the
-/// tier decisions are delegated to the configured [`ReplacementPolicy`].
+/// tier decisions are delegated to the configured [`Policy`].
 #[derive(Debug, Clone)]
 pub struct LruLists {
     arena: Vec<Slot>,
@@ -455,10 +455,7 @@ pub struct LruLists {
     /// `agg_clean_in_place`, `agg_shrink`), so memcg-style limits are O(1)
     /// to poll.
     group_bytes: HashMap<u32, GroupBytes>,
-    policy: Box<dyn ReplacementPolicy>,
-    /// Cached [`ReplacementPolicy::evictable_tiers`] answer, so the hot
-    /// aggregate paths never touch the policy object.
-    evictable_mask: [bool; MAX_TIERS],
+    policy: Policy,
     work: LruWork,
 }
 
@@ -476,8 +473,6 @@ impl LruLists {
 
     /// Creates an empty cache under the given eviction policy.
     pub fn with_policy(policy: EvictionPolicy) -> Self {
-        let policy = policy.build();
-        let evictable_mask = policy.evictable_tiers();
         LruLists {
             arena: Vec::new(),
             free_head: NIL,
@@ -485,8 +480,7 @@ impl LruLists {
             per_file: HashMap::new(),
             group_of: HashMap::new(),
             group_bytes: HashMap::new(),
-            policy,
-            evictable_mask,
+            policy: policy.build(),
             work: LruWork::default(),
         }
     }
@@ -535,7 +529,7 @@ impl LruLists {
     /// default 2-list policy). O(1).
     pub fn inactive_bytes(&self) -> f64 {
         (0..MAX_TIERS)
-            .filter(|&t| self.evictable_mask[t])
+            .filter(|&t| self.policy.evictable_tiers()[t])
             .map(|t| self.lists[t].agg.bytes)
             .sum()
     }
@@ -544,7 +538,7 @@ impl LruLists {
     /// default 2-list policy). O(1).
     pub fn active_bytes(&self) -> f64 {
         (0..MAX_TIERS)
-            .filter(|&t| !self.evictable_mask[t])
+            .filter(|&t| !self.policy.evictable_tiers()[t])
             .map(|t| self.lists[t].agg.bytes)
             .sum()
     }
@@ -585,7 +579,7 @@ impl LruLists {
     /// remove, optionally excluding one file. O(1).
     pub fn evictable(&self, exclude: Option<&FileId>) -> f64 {
         let total: f64 = (0..MAX_TIERS)
-            .filter(|&t| self.evictable_mask[t])
+            .filter(|&t| self.policy.evictable_tiers()[t])
             .map(|t| (self.lists[t].agg.bytes - self.lists[t].agg.dirty).max(0.0))
             .sum();
         let excluded = exclude
@@ -709,7 +703,7 @@ impl LruLists {
                 gb.dirty += block.size;
             }
         }
-        let evictable = self.evictable_mask[tier];
+        let evictable = self.policy.evictable_tiers()[tier];
         let f = &mut self.per_file.entry(block.file.clone()).or_default().bytes;
         f.cached += block.size;
         f.blocks += 1;
@@ -736,7 +730,7 @@ impl LruLists {
                 }
             }
         }
-        let evictable = self.evictable_mask[tier];
+        let evictable = self.policy.evictable_tiers()[tier];
         if let Some(entry) = self.per_file.get_mut(&block.file) {
             let f = &mut entry.bytes;
             f.cached = (f.cached - block.size).max(0.0);
@@ -770,7 +764,7 @@ impl LruLists {
                 gb.dirty = (gb.dirty - amount).max(0.0);
             }
         }
-        let evictable = self.evictable_mask[tier];
+        let evictable = self.policy.evictable_tiers()[tier];
         if let Some(f) = self.per_file.get_mut(file) {
             f.bytes.dirty = (f.bytes.dirty - amount).max(0.0);
             if evictable {
@@ -792,7 +786,7 @@ impl LruLists {
                 }
             }
         }
-        let evictable = self.evictable_mask[tier];
+        let evictable = self.policy.evictable_tiers()[tier];
         if let Some(f) = self.per_file.get_mut(file) {
             let f = &mut f.bytes;
             f.cached = (f.cached - amount).max(0.0);
@@ -942,7 +936,7 @@ impl LruLists {
         let na = node_ref(&self.arena, a);
         let nb = node_ref(&self.arena, b);
         na.tier == nb.tier
-            && self.evictable_mask[na.tier]
+            && self.policy.evictable_tiers()[na.tier]
             && na.referenced == nb.referenced
             && !na.block.dirty
             && !nb.block.dirty
@@ -985,7 +979,7 @@ impl LruLists {
     fn try_coalesce(&mut self, i: Idx) -> Idx {
         {
             let n = node_ref(&self.arena, i);
-            if !self.evictable_mask[n.tier] || n.block.dirty {
+            if !self.policy.evictable_tiers()[n.tier] || n.block.dirty {
                 return i;
             }
         }
@@ -1046,7 +1040,7 @@ impl LruLists {
             return 0.0;
         }
         let bytes = self.tier_bytes();
-        let dest = self.policy.promote_tier(file, &bytes);
+        let dest = self.policy.promote_tier(&bytes);
         let referenced = self.policy.uses_reference_bits();
         let taken = self.take_for_read(file, amount);
         let mut clean_total = 0.0;
@@ -1219,7 +1213,7 @@ impl LruLists {
         let passes = if use_ref { 2 } else { 1 };
         'reclaim: for pass in 0..passes {
             for t in order {
-                if !self.evictable_mask[t] {
+                if !self.policy.evictable_tiers()[t] {
                     continue;
                 }
                 let mut i = self.lists[t].clean.head;
@@ -1624,7 +1618,7 @@ impl LruLists {
     fn recompute_per_file(&self) -> HashMap<FileId, FileBytes> {
         let mut map: HashMap<FileId, FileBytes> = HashMap::new();
         for t in 0..MAX_TIERS {
-            let evictable = self.evictable_mask[t];
+            let evictable = self.policy.evictable_tiers()[t];
             for b in self.tier_blocks(t) {
                 let f = map.entry(b.file.clone()).or_default();
                 f.cached += b.size;

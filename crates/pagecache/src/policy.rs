@@ -1,14 +1,14 @@
-//! Pluggable eviction policies: the *decision* half of the page-cache
-//! replacement machinery.
+//! Eviction policies: the *decision* half of the page-cache replacement
+//! machinery.
 //!
 //! PR 3's intrusive slab arena (`pagecache::lru`) and the kernel emulator's
 //! file slab (`kernel-emu::cache`) are pure *mechanism*: chains, byte
 //! aggregates, resident-range ledgers. Which block or file to admit where,
 //! when to promote it, and in what order to reclaim it is *policy* — and
 //! recent work ("Cache is King: Smart Page Eviction with eBPF", LearnedCache)
-//! treats exactly that as the swappable component of a page cache. This
-//! module factors the decisions behind one [`ReplacementPolicy`] trait so
-//! both mechanisms can run any of four classic policies:
+//! treats exactly that as the swappable component of a page cache. Both
+//! mechanisms hold one [`Policy`] value, built by [`EvictionPolicy::build`],
+//! and ask it every decision; each hook is one `match` on the policy kind:
 //!
 //! | policy | literature / Linux counterpart |
 //! |---|---|
@@ -23,36 +23,33 @@
 //! an intrusive recency chain with incremental aggregates. The policy decides
 //! everything tier-shaped:
 //!
-//! * [`ReplacementPolicy::insert_tier`] — where a first-touch block lands
-//!   (2Q routes ghost-hit files straight to Am; MGLRU picks a middle
-//!   generation, aging the ring lazily when the oldest generation drains);
-//! * [`ReplacementPolicy::promote_tier`] — where a re-accessed block goes;
-//! * [`ReplacementPolicy::tier_order`] — the reclaim-first scan order
-//!   (MGLRU rotates it as generations age);
-//! * [`ReplacementPolicy::evictable_tiers`] — which tiers eviction may
-//!   reclaim from (the 2-list policy protects its active tier);
-//! * [`ReplacementPolicy::demotion`] — the rebalance rule (the 2-list
-//!   policy's "active at most twice the inactive" demotion loop);
-//! * [`ReplacementPolicy::uses_reference_bits`] /
-//!   [`ReplacementPolicy::on_evict`] — CLOCK's second chance and 2Q's ghost
-//!   bookkeeping.
+//! * [`Policy::insert_tier`] — where a first-touch block lands (2Q routes
+//!   ghost-hit files straight to Am; MGLRU picks a middle generation, aging
+//!   the ring lazily when the oldest generation drains);
+//! * [`Policy::promote_tier`] — where a re-accessed block goes;
+//! * [`Policy::tier_order`] — the reclaim-first scan order (MGLRU rotates it
+//!   as generations age);
+//! * [`Policy::evictable_tiers`] — which tiers eviction may reclaim from
+//!   (the 2-list policy protects its active tier);
+//! * [`Policy::demotion`] — the rebalance rule (the 2-list policy's "active
+//!   at most twice the inactive" demotion loop);
+//! * [`Policy::uses_reference_bits`] / [`Policy::on_evict`] — CLOCK's second
+//!   chance and 2Q's ghost bookkeeping.
 //!
 //! # File-granular hooks (kernel emulator mechanism)
 //!
-//! The emulator tracks occupancy per *file*, so the same trait also carries
+//! The emulator tracks occupancy per *file*, so the policy also answers
 //! file-level hooks operating on a per-file [`FileMeta`] (reference bit, 2Q
 //! hot flag, MGLRU generation stamp) stored by the mechanism:
-//! [`ReplacementPolicy::file_admit`], [`ReplacementPolicy::file_touch`],
-//! [`ReplacementPolicy::file_rank`] (a victim-ordering prefix — the
-//! mechanism sorts candidates by `(rank, last_access, name)`),
-//! [`ReplacementPolicy::file_second_chance`] and
-//! [`ReplacementPolicy::file_on_evict`].
+//! [`Policy::file_admit`], [`Policy::file_touch`], [`Policy::file_rank`] (a
+//! victim-ordering prefix — the mechanism orders candidates by
+//! `(rank, last_access, name)`), [`Policy::file_second_chance`] and
+//! [`Policy::file_on_evict`].
 //!
-//! The default [`EvictionPolicy::TwoList`] policy answers every hook exactly
-//! the way the pre-trait hard-wired code behaved (insert inactive, promote
-//! to active, 2× demotion rule, rank 0 everywhere), so the default
-//! predictions are bit-identical to the historical ones — the frozen golden
-//! baselines prove it.
+//! The default [`EvictionPolicy::TwoList`] policy answers every hook the way
+//! the paper's model behaves (insert inactive, promote to active, 2×
+//! demotion rule, rank 0 everywhere); the frozen golden baselines pin its
+//! predictions bit-for-bit.
 
 use std::collections::VecDeque;
 use std::fmt;
@@ -74,7 +71,7 @@ const MGLRU_AGE_PERIOD: u32 = 32;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum EvictionPolicy {
     /// The kernel's classic active/inactive 2-list policy (paper §III-A-1).
-    /// The default; reproduces the pre-trait predictions bit-identically.
+    /// The default; its predictions are pinned by the frozen goldens.
     #[default]
     TwoList,
     /// CLOCK: one list with second-chance reference bits.
@@ -107,12 +104,10 @@ impl EvictionPolicy {
     }
 
     /// Instantiates the policy's decision state.
-    pub fn build(self) -> Box<dyn ReplacementPolicy> {
-        match self {
-            EvictionPolicy::TwoList => Box::new(TwoListPolicy),
-            EvictionPolicy::Clock => Box::new(ClockPolicy),
-            EvictionPolicy::TwoQ => Box::new(TwoQPolicy::default()),
-            EvictionPolicy::MglruGen => Box::new(MglruPolicy::default()),
+    pub fn build(self) -> Policy {
+        Policy {
+            kind: self,
+            ..Policy::default()
         }
     }
 }
@@ -152,212 +147,182 @@ pub struct FileMeta {
     pub gen: u32,
 }
 
-/// The decision half of a replacement scheme, consumed by both the
+/// The decision state of one cache's eviction policy, consumed by both the
 /// block-granular `pagecache::lru` mechanism (tier hooks) and the
 /// file-granular `kernel-emu` mechanism (file hooks). See the module docs
 /// for the contract of each hook.
-pub trait ReplacementPolicy: fmt::Debug {
+///
+/// Per policy, the tiers mean:
+///
+/// * **2-list:** tier 0 is the inactive list, tier 1 the active list; the
+///   active list is kept at most twice the inactive one.
+/// * **CLOCK:** one tier whose re-accessed blocks carry a reference bit. The
+///   reclaim scan clears the bit and spares the block once; a second pass
+///   reclaims regardless. File-granular: a touched file survives the first
+///   reclaim pass once.
+/// * **2Q:** tier 0 is the probationary A1in FIFO, tier 1 the protected main
+///   list Am, and `ghosts` the A1out FIFO remembering recently reclaimed
+///   probationary files. A first-touch block of a ghost file is admitted
+///   straight to Am; reclaim drains A1in before touching Am.
+/// * **MGLRU:** the four tiers form a ring of generations, `oldest` pointing
+///   at the reclaim-first one. Inserts land two generations above the
+///   oldest, promotions in the youngest; when the oldest generation drains,
+///   the ring rotates (lazy aging). File-granular: each file carries the
+///   generation stamp of its last access, and reclaim evicts older
+///   generations first.
+#[derive(Debug, Clone, Default)]
+pub struct Policy {
+    kind: EvictionPolicy,
+    /// 2Q's A1out ghost FIFO (empty under every other policy).
+    ghosts: VecDeque<FileId>,
+    /// MGLRU's reclaim-first generation; 0 under every other policy, so
+    /// [`Policy::tier_order`] is the identity there.
+    oldest: usize,
+    /// MGLRU's file-granular generation counter.
+    current_gen: u32,
+    /// MGLRU file accesses since the cache was created.
+    touches: u32,
+}
+
+impl Policy {
     /// The named policy this state implements.
-    fn kind(&self) -> EvictionPolicy;
+    pub fn kind(&self) -> EvictionPolicy {
+        self.kind
+    }
 
     // ---- Tier hooks (block-granular mechanism) ----
 
     /// Tier a newly inserted (first-touch) block joins. `tier_bytes` holds
     /// the current per-tier byte totals (MGLRU ages its ring off them; 2Q
     /// consults its ghost FIFO for `file`).
-    fn insert_tier(&mut self, file: &FileId, tier_bytes: &[f64; MAX_TIERS]) -> usize;
+    pub fn insert_tier(&mut self, file: &FileId, tier_bytes: &[f64; MAX_TIERS]) -> usize {
+        match self.kind {
+            EvictionPolicy::TwoList | EvictionPolicy::Clock => 0,
+            // An A1out hit earned the main list; a cold first touch is
+            // probationary.
+            EvictionPolicy::TwoQ => self.ghost_hit(file) as usize,
+            EvictionPolicy::MglruGen => {
+                self.age(tier_bytes);
+                (self.oldest + 2) % MAX_TIERS
+            }
+        }
+    }
 
     /// Tier a re-accessed block is re-inserted into.
-    fn promote_tier(&mut self, file: &FileId, tier_bytes: &[f64; MAX_TIERS]) -> usize;
+    pub fn promote_tier(&mut self, tier_bytes: &[f64; MAX_TIERS]) -> usize {
+        match self.kind {
+            EvictionPolicy::TwoList | EvictionPolicy::TwoQ => 1,
+            EvictionPolicy::Clock => 0,
+            EvictionPolicy::MglruGen => {
+                self.age(tier_bytes);
+                (self.oldest + 3) % MAX_TIERS
+            }
+        }
+    }
 
     /// The tier scan order for consumption, flushing and reclaim:
     /// least-protected (reclaim-first) tier first.
-    fn tier_order(&self) -> [usize; MAX_TIERS];
+    pub fn tier_order(&self) -> [usize; MAX_TIERS] {
+        std::array::from_fn(|i| (self.oldest + i) % MAX_TIERS)
+    }
 
     /// Which tiers eviction may reclaim clean blocks from. Static per
-    /// policy; the mechanism caches it for its O(1) aggregate split.
-    fn evictable_tiers(&self) -> [bool; MAX_TIERS];
+    /// policy.
+    pub fn evictable_tiers(&self) -> [bool; MAX_TIERS] {
+        match self.kind {
+            EvictionPolicy::TwoList | EvictionPolicy::Clock => [true, false, false, false],
+            // Both queues are reclaimable; the scan order drains A1in first.
+            EvictionPolicy::TwoQ => [true, true, false, false],
+            EvictionPolicy::MglruGen => [true; MAX_TIERS],
+        }
+    }
 
     /// One rebalance step: `Some((from, to))` demotes the LRU block of tier
     /// `from` into tier `to`; `None` ends the rebalance loop. Called with
     /// the current per-tier byte totals and block counts.
-    fn demotion(
-        &self,
-        tier_bytes: &[f64; MAX_TIERS],
-        tier_lens: &[usize; MAX_TIERS],
-    ) -> Option<(usize, usize)>;
-
-    /// Whether re-accessed blocks carry a reference bit that grants them a
-    /// second chance during eviction (CLOCK).
-    fn uses_reference_bits(&self) -> bool {
-        false
-    }
-
-    /// Eviction removed bytes of `file` from `tier` (whole block or split).
-    /// 2Q records ghosts of files reclaimed from its probationary tier.
-    fn on_evict(&mut self, _file: &FileId, _tier: usize) {}
-
-    // ---- File hooks (file-granular mechanism) ----
-
-    /// A file (re-)entered the cache: classify it. 2Q turns a ghost hit
-    /// into a hot admission; MGLRU stamps the current generation.
-    fn file_admit(&mut self, _file: &FileId, _meta: &mut FileMeta) {}
-
-    /// A resident file was accessed again (a cache hit / `touch`).
-    fn file_touch(&mut self, _file: &FileId, _meta: &mut FileMeta) {}
-
-    /// Victim-ordering prefix: eviction sorts candidate files by
-    /// `(rank, last_access, name)`, lowest rank first. Rank 0 for every
-    /// file reproduces the historical pure-LRU order.
-    fn file_rank(&self, _meta: &FileMeta) -> u32 {
-        0
-    }
-
-    /// Whether this file gets a second chance this reclaim pass (CLOCK:
-    /// clears the reference bit and returns `true` once).
-    fn file_second_chance(&self, _meta: &mut FileMeta) -> bool {
-        false
-    }
-
-    /// A file's pages were fully reclaimed (2Q ghost bookkeeping).
-    fn file_on_evict(&mut self, _file: &FileId, _meta: &FileMeta) {}
-
-    /// Clones the policy state behind the object.
-    fn box_clone(&self) -> Box<dyn ReplacementPolicy>;
-}
-
-impl Clone for Box<dyn ReplacementPolicy> {
-    fn clone(&self) -> Self {
-        self.box_clone()
-    }
-}
-
-const IDENTITY_ORDER: [usize; MAX_TIERS] = [0, 1, 2, 3];
-
-/// The classic active/inactive 2-list policy. Tier 0 is the inactive list,
-/// tier 1 the active list; tiers 2 and 3 stay empty. Every answer matches
-/// the pre-trait hard-wired behaviour exactly.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TwoListPolicy;
-
-impl ReplacementPolicy for TwoListPolicy {
-    fn kind(&self) -> EvictionPolicy {
-        EvictionPolicy::TwoList
-    }
-
-    fn insert_tier(&mut self, _file: &FileId, _tier_bytes: &[f64; MAX_TIERS]) -> usize {
-        0
-    }
-
-    fn promote_tier(&mut self, _file: &FileId, _tier_bytes: &[f64; MAX_TIERS]) -> usize {
-        1
-    }
-
-    fn tier_order(&self) -> [usize; MAX_TIERS] {
-        IDENTITY_ORDER
-    }
-
-    fn evictable_tiers(&self) -> [bool; MAX_TIERS] {
-        [true, false, false, false]
-    }
-
-    fn demotion(
+    pub fn demotion(
         &self,
         tier_bytes: &[f64; MAX_TIERS],
         tier_lens: &[usize; MAX_TIERS],
     ) -> Option<(usize, usize)> {
         // The kernel keeps the active list at most twice the inactive list
-        // (paper §III-A-1); identical comparison to the historical loop.
-        if tier_lens[1] > 0 && tier_bytes[1] > 2.0 * tier_bytes[0] + EPSILON {
-            Some((1, 0))
-        } else {
-            None
+        // (paper §III-A-1).
+        let over = self.kind == EvictionPolicy::TwoList
+            && tier_lens[1] > 0
+            && tier_bytes[1] > 2.0 * tier_bytes[0] + EPSILON;
+        over.then_some((1, 0))
+    }
+
+    /// Whether re-accessed blocks carry a reference bit that grants them a
+    /// second chance during eviction (CLOCK).
+    pub fn uses_reference_bits(&self) -> bool {
+        self.kind == EvictionPolicy::Clock
+    }
+
+    /// Eviction removed bytes of `file` from `tier` (whole block or split).
+    /// 2Q records ghosts of files reclaimed from its probationary tier.
+    pub fn on_evict(&mut self, file: &FileId, tier: usize) {
+        if self.kind == EvictionPolicy::TwoQ && tier == 0 {
+            self.remember(file);
         }
     }
 
-    fn box_clone(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(*self)
-    }
-}
+    // ---- File hooks (file-granular mechanism) ----
 
-/// CLOCK / second chance: a single list whose re-accessed blocks carry a
-/// reference bit. The reclaim scan clears the bit and spares the block once;
-/// a second pass reclaims regardless, guaranteeing progress. File-granular:
-/// a touched file survives the first reclaim pass once.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClockPolicy;
-
-impl ReplacementPolicy for ClockPolicy {
-    fn kind(&self) -> EvictionPolicy {
-        EvictionPolicy::Clock
-    }
-
-    fn insert_tier(&mut self, _file: &FileId, _tier_bytes: &[f64; MAX_TIERS]) -> usize {
-        0
-    }
-
-    fn promote_tier(&mut self, _file: &FileId, _tier_bytes: &[f64; MAX_TIERS]) -> usize {
-        0
-    }
-
-    fn tier_order(&self) -> [usize; MAX_TIERS] {
-        IDENTITY_ORDER
-    }
-
-    fn evictable_tiers(&self) -> [bool; MAX_TIERS] {
-        [true, false, false, false]
-    }
-
-    fn demotion(
-        &self,
-        _tier_bytes: &[f64; MAX_TIERS],
-        _tier_lens: &[usize; MAX_TIERS],
-    ) -> Option<(usize, usize)> {
-        None
-    }
-
-    fn uses_reference_bits(&self) -> bool {
-        true
-    }
-
-    fn file_touch(&mut self, _file: &FileId, meta: &mut FileMeta) {
-        meta.referenced = true;
-    }
-
-    fn file_second_chance(&self, meta: &mut FileMeta) -> bool {
-        if meta.referenced {
-            meta.referenced = false;
-            true
-        } else {
-            false
+    /// A file (re-)entered the cache: classify it. 2Q turns a ghost hit
+    /// into a hot admission; MGLRU stamps the current generation.
+    pub fn file_admit(&mut self, file: &FileId, meta: &mut FileMeta) {
+        match self.kind {
+            EvictionPolicy::TwoList | EvictionPolicy::Clock => {}
+            EvictionPolicy::TwoQ => {
+                if self.ghost_hit(file) {
+                    meta.hot = true;
+                }
+            }
+            EvictionPolicy::MglruGen => meta.gen = self.stamp(),
         }
     }
 
-    fn box_clone(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(*self)
-    }
-}
-
-/// 2Q: tier 0 is the probationary A1in FIFO, tier 1 the protected main list
-/// Am, and `ghosts` the A1out FIFO remembering recently reclaimed
-/// probationary files. A first-touch block of a ghost file is admitted
-/// straight to Am; reclaim drains A1in before touching Am.
-#[derive(Debug, Clone)]
-pub struct TwoQPolicy {
-    ghosts: VecDeque<FileId>,
-    capacity: usize,
-}
-
-impl Default for TwoQPolicy {
-    fn default() -> Self {
-        TwoQPolicy {
-            ghosts: VecDeque::new(),
-            capacity: TWO_Q_GHOSTS,
+    /// A resident file was accessed again (a cache hit / `touch`).
+    pub fn file_touch(&mut self, meta: &mut FileMeta) {
+        match self.kind {
+            EvictionPolicy::TwoList => {}
+            EvictionPolicy::Clock => meta.referenced = true,
+            EvictionPolicy::TwoQ => meta.hot = true,
+            EvictionPolicy::MglruGen => meta.gen = self.stamp(),
         }
     }
-}
 
-impl TwoQPolicy {
+    /// Victim-ordering prefix: eviction orders candidate files by
+    /// `(rank, last_access, name)`, lowest rank first. Rank 0 for every
+    /// file is pure LRU order.
+    pub fn file_rank(&self, meta: &FileMeta) -> u32 {
+        match self.kind {
+            EvictionPolicy::TwoList | EvictionPolicy::Clock => 0,
+            // Cold (A1in) files are reclaimed entirely before any hot (Am)
+            // file.
+            EvictionPolicy::TwoQ => meta.hot as u32,
+            // Older generation stamps are reclaimed first.
+            EvictionPolicy::MglruGen => meta.gen,
+        }
+    }
+
+    /// Whether this file gets a second chance this reclaim pass (CLOCK:
+    /// clears the reference bit and returns `true` once).
+    pub fn file_second_chance(&self, meta: &mut FileMeta) -> bool {
+        self.kind == EvictionPolicy::Clock && std::mem::take(&mut meta.referenced)
+    }
+
+    /// A file's pages were fully reclaimed (2Q ghost bookkeeping).
+    pub fn file_on_evict(&mut self, file: &FileId, meta: &FileMeta) {
+        if self.kind == EvictionPolicy::TwoQ && !meta.hot {
+            self.remember(file);
+        }
+    }
+
+    // ---- Policy state ----
+
+    /// 2Q: consumes `file`'s ghost entry, if any.
     fn ghost_hit(&mut self, file: &FileId) -> bool {
         if let Some(pos) = self.ghosts.iter().position(|g| g == file) {
             self.ghosts.remove(pos);
@@ -367,99 +332,19 @@ impl TwoQPolicy {
         }
     }
 
+    /// 2Q: remembers `file` in the bounded ghost FIFO.
     fn remember(&mut self, file: &FileId) {
         if self.ghosts.iter().any(|g| g == file) {
             return;
         }
         self.ghosts.push_back(file.clone());
-        while self.ghosts.len() > self.capacity {
+        while self.ghosts.len() > TWO_Q_GHOSTS {
             self.ghosts.pop_front();
         }
     }
-}
 
-impl ReplacementPolicy for TwoQPolicy {
-    fn kind(&self) -> EvictionPolicy {
-        EvictionPolicy::TwoQ
-    }
-
-    fn insert_tier(&mut self, file: &FileId, _tier_bytes: &[f64; MAX_TIERS]) -> usize {
-        if self.ghost_hit(file) {
-            1 // A1out hit: the file earned the main list.
-        } else {
-            0 // Cold first touch: probationary A1in.
-        }
-    }
-
-    fn promote_tier(&mut self, _file: &FileId, _tier_bytes: &[f64; MAX_TIERS]) -> usize {
-        1
-    }
-
-    fn tier_order(&self) -> [usize; MAX_TIERS] {
-        IDENTITY_ORDER
-    }
-
-    fn evictable_tiers(&self) -> [bool; MAX_TIERS] {
-        // Both queues are reclaimable; the scan order drains A1in first.
-        [true, true, false, false]
-    }
-
-    fn demotion(
-        &self,
-        _tier_bytes: &[f64; MAX_TIERS],
-        _tier_lens: &[usize; MAX_TIERS],
-    ) -> Option<(usize, usize)> {
-        None
-    }
-
-    fn on_evict(&mut self, file: &FileId, tier: usize) {
-        if tier == 0 {
-            self.remember(file);
-        }
-    }
-
-    fn file_admit(&mut self, file: &FileId, meta: &mut FileMeta) {
-        if self.ghost_hit(file) {
-            meta.hot = true;
-        }
-    }
-
-    fn file_touch(&mut self, _file: &FileId, meta: &mut FileMeta) {
-        meta.hot = true;
-    }
-
-    fn file_rank(&self, meta: &FileMeta) -> u32 {
-        // Cold (A1in) files are reclaimed entirely before any hot (Am) file.
-        meta.hot as u32
-    }
-
-    fn file_on_evict(&mut self, file: &FileId, meta: &FileMeta) {
-        if !meta.hot {
-            self.remember(file);
-        }
-    }
-
-    fn box_clone(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(self.clone())
-    }
-}
-
-/// MGLRU-style generations: the four tiers form a ring of generations,
-/// `oldest` pointing at the reclaim-first one. Inserts land two generations
-/// above the oldest, promotions in the youngest; when the oldest generation
-/// drains, the ring rotates (lazy aging) and the drained list becomes the
-/// new youngest. File-granular: each file carries the generation stamp of
-/// its last access, and reclaim evicts older generations first.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MglruPolicy {
-    oldest: usize,
-    current_gen: u32,
-    touches: u32,
-}
-
-impl MglruPolicy {
-    /// Rotates the ring past drained leading generations (at most a full
-    /// cycle), so reclaim-first always points at data when any exists.
+    /// MGLRU: rotates the ring past drained leading generations (at most a
+    /// full cycle), so reclaim-first always points at data when any exists.
     fn age(&mut self, tier_bytes: &[f64; MAX_TIERS]) {
         for _ in 0..MAX_TIERS - 1 {
             if tier_bytes[self.oldest] > EPSILON {
@@ -472,68 +357,14 @@ impl MglruPolicy {
         }
     }
 
-    /// Stamps one file access, advancing the generation counter every
-    /// [`MGLRU_AGE_PERIOD`] accesses.
+    /// MGLRU: stamps one file access, advancing the generation counter
+    /// every [`MGLRU_AGE_PERIOD`] accesses.
     fn stamp(&mut self) -> u32 {
         self.touches = self.touches.wrapping_add(1);
         if self.touches.is_multiple_of(MGLRU_AGE_PERIOD) {
             self.current_gen = self.current_gen.saturating_add(1);
         }
         self.current_gen
-    }
-}
-
-impl ReplacementPolicy for MglruPolicy {
-    fn kind(&self) -> EvictionPolicy {
-        EvictionPolicy::MglruGen
-    }
-
-    fn insert_tier(&mut self, _file: &FileId, tier_bytes: &[f64; MAX_TIERS]) -> usize {
-        self.age(tier_bytes);
-        (self.oldest + 2) % MAX_TIERS
-    }
-
-    fn promote_tier(&mut self, _file: &FileId, tier_bytes: &[f64; MAX_TIERS]) -> usize {
-        self.age(tier_bytes);
-        (self.oldest + 3) % MAX_TIERS
-    }
-
-    fn tier_order(&self) -> [usize; MAX_TIERS] {
-        [
-            self.oldest,
-            (self.oldest + 1) % MAX_TIERS,
-            (self.oldest + 2) % MAX_TIERS,
-            (self.oldest + 3) % MAX_TIERS,
-        ]
-    }
-
-    fn evictable_tiers(&self) -> [bool; MAX_TIERS] {
-        [true; MAX_TIERS]
-    }
-
-    fn demotion(
-        &self,
-        _tier_bytes: &[f64; MAX_TIERS],
-        _tier_lens: &[usize; MAX_TIERS],
-    ) -> Option<(usize, usize)> {
-        None
-    }
-
-    fn file_admit(&mut self, _file: &FileId, meta: &mut FileMeta) {
-        meta.gen = self.stamp();
-    }
-
-    fn file_touch(&mut self, _file: &FileId, meta: &mut FileMeta) {
-        meta.gen = self.stamp();
-    }
-
-    fn file_rank(&self, meta: &FileMeta) -> u32 {
-        // Older generation stamps are reclaimed first.
-        meta.gen
-    }
-
-    fn box_clone(&self) -> Box<dyn ReplacementPolicy> {
-        Box::new(*self)
     }
 }
 
@@ -546,6 +377,7 @@ mod tests {
         for p in EvictionPolicy::ALL {
             assert_eq!(p.as_str().parse::<EvictionPolicy>().unwrap(), p);
             assert_eq!(p.to_string(), p.as_str());
+            assert_eq!(p.build().kind(), p);
         }
         assert_eq!(
             "2q".parse::<EvictionPolicy>().unwrap(),
@@ -555,12 +387,109 @@ mod tests {
         assert_eq!(EvictionPolicy::default(), EvictionPolicy::TwoList);
     }
 
+    /// Pins every policy's answers directly, so a changed answer fails here
+    /// even though the differential tests (which drive mechanism and
+    /// reference with the same policy) would both accept it.
+    #[test]
+    fn every_policy_answers_its_documented_decisions() {
+        struct Expect {
+            kind: EvictionPolicy,
+            insert: usize,
+            promote: usize,
+            evictable: [bool; MAX_TIERS],
+            reference_bits: bool,
+            /// `file_rank` of a cold, a hot and a generation-7 file.
+            ranks: [u32; 3],
+            /// `file_second_chance` of a cold file, then of a touched file.
+            second_chance: [bool; 2],
+            /// Whether a probationary eviction leaves a ghost that routes
+            /// the file's next insert to tier 1.
+            ghost_round_trip: bool,
+        }
+        let table = [
+            Expect {
+                kind: EvictionPolicy::TwoList,
+                insert: 0,
+                promote: 1,
+                evictable: [true, false, false, false],
+                reference_bits: false,
+                ranks: [0, 0, 0],
+                second_chance: [false, false],
+                ghost_round_trip: false,
+            },
+            Expect {
+                kind: EvictionPolicy::Clock,
+                insert: 0,
+                promote: 0,
+                evictable: [true, false, false, false],
+                reference_bits: true,
+                ranks: [0, 0, 0],
+                second_chance: [false, true],
+                ghost_round_trip: false,
+            },
+            Expect {
+                kind: EvictionPolicy::TwoQ,
+                insert: 0,
+                promote: 1,
+                evictable: [true, true, false, false],
+                reference_bits: false,
+                ranks: [0, 1, 0],
+                second_chance: [false, false],
+                ghost_round_trip: true,
+            },
+            Expect {
+                kind: EvictionPolicy::MglruGen,
+                insert: 2,
+                promote: 3,
+                evictable: [true; MAX_TIERS],
+                reference_bits: false,
+                ranks: [0, 0, 7],
+                second_chance: [false, false],
+                ghost_round_trip: false,
+            },
+        ];
+        let zero = [0.0; MAX_TIERS];
+        let f: FileId = "f".into();
+        for e in table {
+            let kind = e.kind;
+            let mut p = kind.build();
+            assert_eq!(p.insert_tier(&f, &zero), e.insert, "{kind} insert");
+            assert_eq!(p.promote_tier(&zero), e.promote, "{kind} promote");
+            assert_eq!(p.tier_order(), [0, 1, 2, 3], "{kind} order");
+            assert_eq!(p.evictable_tiers(), e.evictable, "{kind} evictable");
+            assert_eq!(p.uses_reference_bits(), e.reference_bits, "{kind} bits");
+
+            let cold = FileMeta::default();
+            let hot = FileMeta { hot: true, ..cold };
+            let stamped = FileMeta { gen: 7, ..cold };
+            let ranks = [cold, hot, stamped].map(|m| p.file_rank(&m));
+            assert_eq!(ranks, e.ranks, "{kind} ranks");
+
+            let mut meta = FileMeta::default();
+            let before = p.file_second_chance(&mut meta);
+            p.file_touch(&mut meta);
+            let after = p.file_second_chance(&mut meta);
+            assert_eq!([before, after], e.second_chance, "{kind} second chance");
+            assert!(!meta.referenced, "{kind} leaves the bit cleared");
+
+            let mut p = kind.build();
+            p.on_evict(&f, 0);
+            let routed = p.insert_tier(&f, &zero) == 1;
+            assert_eq!(routed, e.ghost_round_trip, "{kind} block ghost");
+            let mut p = kind.build();
+            p.file_on_evict(&f, &FileMeta::default());
+            let mut meta = FileMeta::default();
+            p.file_admit(&f, &mut meta);
+            assert_eq!(meta.hot, e.ghost_round_trip, "{kind} file ghost");
+        }
+    }
+
     #[test]
     fn two_list_reproduces_historical_answers() {
         let mut p = EvictionPolicy::TwoList.build();
         let zero = [0.0; MAX_TIERS];
         assert_eq!(p.insert_tier(&"f".into(), &zero), 0);
-        assert_eq!(p.promote_tier(&"f".into(), &zero), 1);
+        assert_eq!(p.promote_tier(&zero), 1);
         assert_eq!(p.evictable_tiers(), [true, false, false, false]);
         assert!(!p.uses_reference_bits());
         // The 2x demotion rule, byte for byte.
@@ -571,11 +500,20 @@ mod tests {
         assert_eq!(p.demotion(&[10.0, 20.0, 0.0, 0.0], &[1, 1, 0, 0]), None);
         assert_eq!(p.demotion(&[0.0, 100.0, 0.0, 0.0], &[0, 0, 0, 0]), None);
         assert_eq!(p.file_rank(&FileMeta::default()), 0);
+        // No other policy demotes.
+        for kind in [
+            EvictionPolicy::Clock,
+            EvictionPolicy::TwoQ,
+            EvictionPolicy::MglruGen,
+        ] {
+            let p = kind.build();
+            assert_eq!(p.demotion(&[10.0, 21.0, 0.0, 0.0], &[1, 1, 0, 0]), None);
+        }
     }
 
     #[test]
     fn two_q_ghost_routes_to_main_list() {
-        let mut p = TwoQPolicy::default();
+        let mut p = EvictionPolicy::TwoQ.build();
         let zero = [0.0; MAX_TIERS];
         let f: FileId = "f".into();
         assert_eq!(p.insert_tier(&f, &zero), 0);
@@ -590,7 +528,7 @@ mod tests {
 
     #[test]
     fn two_q_ghost_fifo_is_bounded() {
-        let mut p = TwoQPolicy::default();
+        let mut p = EvictionPolicy::TwoQ.build();
         for i in 0..2 * TWO_Q_GHOSTS {
             p.on_evict(&FileId::new(format!("f{i}")), 0);
         }
@@ -606,10 +544,10 @@ mod tests {
 
     #[test]
     fn clock_second_chance_clears_the_bit() {
-        let mut p = ClockPolicy;
+        let mut p = EvictionPolicy::Clock.build();
         let mut meta = FileMeta::default();
         assert!(!p.file_second_chance(&mut meta));
-        p.file_touch(&"f".into(), &mut meta);
+        p.file_touch(&mut meta);
         assert!(meta.referenced);
         assert!(p.file_second_chance(&mut meta));
         assert!(!meta.referenced);
@@ -618,7 +556,7 @@ mod tests {
 
     #[test]
     fn mglru_ring_rotates_when_oldest_drains() {
-        let mut p = MglruPolicy::default();
+        let mut p = EvictionPolicy::MglruGen.build();
         assert_eq!(p.tier_order(), [0, 1, 2, 3]);
         // Data only in tier 2 (the insert gen): the ring ages until the
         // oldest generation points at it.
@@ -626,17 +564,17 @@ mod tests {
         assert_eq!(p.insert_tier(&"f".into(), &bytes), (2 + 2) % 4);
         assert_eq!(p.tier_order(), [2, 3, 0, 1]);
         // An empty cache does not spin the ring.
-        let mut fresh = MglruPolicy::default();
+        let mut fresh = EvictionPolicy::MglruGen.build();
         fresh.age(&[0.0; MAX_TIERS]);
         assert_eq!(fresh.oldest, 0);
     }
 
     #[test]
     fn mglru_generation_counter_advances() {
-        let mut p = MglruPolicy::default();
+        let mut p = EvictionPolicy::MglruGen.build();
         let mut meta = FileMeta::default();
         for _ in 0..MGLRU_AGE_PERIOD {
-            p.file_touch(&"f".into(), &mut meta);
+            p.file_touch(&mut meta);
         }
         assert_eq!(meta.gen, 1);
         assert_eq!(p.file_rank(&meta), 1);

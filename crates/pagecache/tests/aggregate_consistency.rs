@@ -649,7 +649,7 @@ fn arena_lru_matches_naive_scan_model_over_10k_random_ops() {
 // generalized tier model driving its own copy of the same policy state.
 // ---------------------------------------------------------------------------
 
-use pagecache::{EvictionPolicy, ReplacementPolicy, MAX_TIERS};
+use pagecache::{EvictionPolicy, Policy, MAX_TIERS};
 
 /// A block plus its CLOCK reference bit — the naive model keeps the bit per
 /// block, exactly like the arena's `Node`.
@@ -659,7 +659,7 @@ struct NBlock {
 }
 
 /// A generalized scan-based model of `LruLists` under any
-/// [`ReplacementPolicy`]: up to [`MAX_TIERS`] `VecDeque` tiers sorted by last
+/// [`Policy`]: up to [`MAX_TIERS`] `VecDeque` tiers sorted by last
 /// access, no incremental counters, no coalescing. It owns its own copy of
 /// the policy state and calls the tier hooks in exactly the sequence the
 /// arena does (one `insert_tier` per add, one `promote_tier` per cached
@@ -669,20 +669,16 @@ struct NBlock {
 /// is safe because 2Q's ghost insert is push-if-absent.
 struct NaivePolicy {
     tiers: [VecDeque<NBlock>; MAX_TIERS],
-    policy: Box<dyn ReplacementPolicy>,
-    evictable_mask: [bool; MAX_TIERS],
+    policy: Policy,
     /// Cache-group (tenant) assignment per file; group totals are scans.
     group_of: HashMap<FileId, u32>,
 }
 
 impl NaivePolicy {
     fn new(kind: EvictionPolicy) -> Self {
-        let policy = kind.build();
-        let evictable_mask = policy.evictable_tiers();
         NaivePolicy {
             tiers: std::array::from_fn(|_| VecDeque::new()),
-            policy,
-            evictable_mask,
+            policy: kind.build(),
             group_of: HashMap::new(),
         }
     }
@@ -738,7 +734,7 @@ impl NaivePolicy {
 
     fn inactive_bytes(&self) -> f64 {
         (0..MAX_TIERS)
-            .filter(|&t| self.evictable_mask[t])
+            .filter(|&t| self.policy.evictable_tiers()[t])
             .flat_map(|t| &self.tiers[t])
             .map(|n| n.block.size)
             .sum()
@@ -746,7 +742,7 @@ impl NaivePolicy {
 
     fn active_bytes(&self) -> f64 {
         (0..MAX_TIERS)
-            .filter(|&t| !self.evictable_mask[t])
+            .filter(|&t| !self.policy.evictable_tiers()[t])
             .flat_map(|t| &self.tiers[t])
             .map(|n| n.block.size)
             .sum()
@@ -761,7 +757,7 @@ impl NaivePolicy {
 
     fn evictable(&self, exclude: Option<&FileId>) -> f64 {
         (0..MAX_TIERS)
-            .filter(|&t| self.evictable_mask[t])
+            .filter(|&t| self.policy.evictable_tiers()[t])
             .flat_map(|t| &self.tiers[t])
             .filter(|n| !n.block.dirty && exclude != Some(&n.block.file))
             .map(|n| n.block.size)
@@ -816,7 +812,7 @@ impl NaivePolicy {
             return 0.0;
         }
         let bytes = self.tier_bytes();
-        let dest = self.policy.promote_tier(file, &bytes);
+        let dest = self.policy.promote_tier(&bytes);
         let referenced = self.policy.uses_reference_bits();
         let taken = self.take_for_read(file, amount);
         let mut clean_total = 0.0;
@@ -959,7 +955,7 @@ impl NaivePolicy {
         let passes = if use_ref { 2 } else { 1 };
         'reclaim: for pass in 0..passes {
             for t in order {
-                if !self.evictable_mask[t] {
+                if !self.policy.evictable_tiers()[t] {
                     continue;
                 }
                 let mut i = 0;

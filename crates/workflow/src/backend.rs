@@ -31,10 +31,10 @@
 use std::collections::BTreeMap;
 
 use des::SimContext;
-use kernel_emu::{KernelCache, KernelFileSystem, KernelTuning};
+use kernel_emu::{KernelCache, KernelFileSystem};
 use pagecache::{
     CacheContentSnapshot, FileId, FsError, IoController, IoOpStats, MemoryManager, MemorySample,
-    MemoryTrace, PageCacheConfig,
+    MemoryTrace,
 };
 use simfs::{CachedFileSystem, DirectFileSystem, NfsFileSystem, NfsServer};
 use storage_model::{Disk, MemoryDevice, NetworkLink};
@@ -438,18 +438,6 @@ impl Backend {
         let memory = MemoryDevice::new(ctx, devices.memory);
         let disk = Disk::new(ctx, "local-disk", devices.disk);
 
-        let cache_config = |write_through: bool, total: f64| {
-            let mut cfg = PageCacheConfig::with_memory(total)
-                .with_dirty_ratio(platform.dirty_ratio)
-                .with_dirty_expire(platform.dirty_expire)
-                .with_flush_interval(platform.flush_interval)
-                .with_eviction_policy(platform.eviction_policy);
-            if write_through {
-                cfg = cfg.writethrough();
-            }
-            cfg
-        };
-
         match (platform.storage, kind) {
             (StorageKind::Local, SimulatorKind::Cacheless) => {
                 Ok(Backend::Direct(DirectFileSystem::new(ctx, disk)))
@@ -457,7 +445,7 @@ impl Backend {
             (StorageKind::Local, SimulatorKind::PageCache | SimulatorKind::Prototype) => {
                 let mm = MemoryManager::new(
                     ctx,
-                    cache_config(false, platform.host_memory),
+                    platform.cache_config(platform.host_memory),
                     memory,
                     disk.clone(),
                 );
@@ -465,16 +453,7 @@ impl Backend {
                 Ok(Backend::Cached(CachedFileSystem::new(io, disk)))
             }
             (StorageKind::Local, SimulatorKind::KernelEmu) => {
-                let mut tuning = KernelTuning::with_memory(platform.host_memory);
-                tuning.dirty_ratio = platform.dirty_ratio;
-                tuning.dirty_background_ratio = platform.dirty_background_ratio;
-                tuning.dirty_expire = platform.dirty_expire;
-                tuning.writeback_interval = platform.flush_interval;
-                tuning.readahead_min = platform.readahead_min;
-                tuning.readahead_max = platform.readahead_max;
-                tuning.throttle_pacing = platform.throttle_pacing;
-                tuning.eviction_policy = platform.eviction_policy;
-                let cache = KernelCache::new(ctx, tuning, memory, disk.clone());
+                let cache = KernelCache::new(ctx, platform.kernel_tuning(), memory, disk.clone());
                 Ok(Backend::Kernel(
                     KernelFileSystem::new(ctx, cache, disk).with_request_size(platform.chunk_size),
                 ))
@@ -494,7 +473,7 @@ impl Backend {
                 // no write cache.
                 let client_mm = MemoryManager::new(
                     ctx,
-                    cache_config(false, platform.host_memory),
+                    platform.cache_config(platform.host_memory),
                     memory,
                     disk,
                 );
@@ -502,7 +481,7 @@ impl Backend {
                 let server_disk = Disk::new(ctx, "nfs-server-disk", devices.remote_disk);
                 let server_mm = MemoryManager::new(
                     ctx,
-                    cache_config(true, platform.server_memory),
+                    platform.cache_config(platform.server_memory).writethrough(),
                     server_memory,
                     server_disk,
                 );

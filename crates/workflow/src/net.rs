@@ -52,10 +52,7 @@ use std::future::Future;
 use std::rc::Rc;
 
 use des::{select2, Either, SimContext};
-use pagecache::{
-    clamp_io_range, FileId, FsError, IoController, IoOpStats, MemoryManager, PageCacheConfig,
-    EPSILON,
-};
+use pagecache::{clamp_io_range, FileId, FsError, IoController, IoOpStats, MemoryManager, EPSILON};
 use simfs::{CachedFileSystem, FileRegistry};
 use storage_model::{AbortHandle, Disk, MemoryDevice, SharedResource, TransferOutcome};
 
@@ -867,13 +864,6 @@ impl FleetClient {
         spec: &FleetSpec,
     ) -> Result<FleetClient, ScenarioError> {
         spec.validate().map_err(ScenarioError::InvalidPlatform)?;
-        let cache_config = |total: f64| {
-            PageCacheConfig::with_memory(total)
-                .with_dirty_ratio(platform.dirty_ratio)
-                .with_dirty_expire(platform.dirty_expire)
-                .with_flush_interval(platform.flush_interval)
-                .with_eviction_policy(platform.eviction_policy)
-        };
         let fabric = Fabric::new(ctx);
         let mut servers = Vec::with_capacity(spec.servers);
         for i in 0..spec.servers {
@@ -885,7 +875,7 @@ impl FleetClient {
             let disk = Disk::new(ctx, format!("{host}-disk"), devices.remote_disk);
             let mm = MemoryManager::new(
                 ctx,
-                cache_config(platform.server_memory),
+                platform.cache_config(platform.server_memory),
                 memory,
                 disk.clone(),
             );
@@ -908,7 +898,12 @@ impl FleetClient {
             // The client cache holds only clean data; its disk is never
             // written but the Memory Manager needs a flush target.
             let disk = Disk::new(ctx, format!("{host}-disk"), devices.disk);
-            let mm = MemoryManager::new(ctx, cache_config(platform.host_memory), memory, disk);
+            let mm = MemoryManager::new(
+                ctx,
+                platform.cache_config(platform.host_memory),
+                memory,
+                disk,
+            );
             clients.push(ClientNode {
                 host,
                 io: IoController::new(ctx, mm).with_chunk_size(platform.chunk_size),

@@ -8,6 +8,8 @@
 //! * `real` — the measured, asymmetric bandwidths of the cluster, used by the
 //!   kernel-emulator ground truth.
 
+use kernel_emu::KernelTuning;
+use pagecache::PageCacheConfig;
 use storage_model::DeviceSpec;
 
 /// Devices of one host (plus the optional NFS server side).
@@ -201,17 +203,40 @@ impl PlatformSpec {
         self
     }
 
+    /// The macroscopic page-cache configuration of a host with
+    /// `total_memory` bytes of RAM under this platform's flusher and policy
+    /// settings (write-back; NFS servers switch it to writethrough).
+    pub fn cache_config(&self, total_memory: f64) -> PageCacheConfig {
+        PageCacheConfig {
+            dirty_ratio: self.dirty_ratio,
+            dirty_expire: self.dirty_expire,
+            flush_interval: self.flush_interval,
+            eviction_policy: self.eviction_policy,
+            ..PageCacheConfig::with_memory(total_memory)
+        }
+    }
+
+    /// The kernel emulator's tunables for this platform's host.
+    pub fn kernel_tuning(&self) -> KernelTuning {
+        KernelTuning {
+            dirty_ratio: self.dirty_ratio,
+            dirty_background_ratio: self.dirty_background_ratio,
+            dirty_expire: self.dirty_expire,
+            writeback_interval: self.flush_interval,
+            readahead_min: self.readahead_min,
+            readahead_max: self.readahead_max,
+            throttle_pacing: self.throttle_pacing,
+            eviction_policy: self.eviction_policy,
+            ..KernelTuning::with_memory(self.host_memory)
+        }
+    }
+
     /// Validates the platform description. Every check is written so that
-    /// NaN fails it.
+    /// NaN fails it. The memory, dirty-data, readahead and pacing settings
+    /// are checked by the cache models' own `validate`, on exactly the
+    /// configurations the back-ends are built from.
     pub fn validate(&self) -> Result<(), String> {
-        let positive = |x: f64| x > 0.0;
-        if !positive(self.host_memory) {
-            return Err("host memory must be positive".to_string());
-        }
-        if !positive(self.server_memory) {
-            return Err("server memory must be positive".to_string());
-        }
-        if !positive(self.chunk_size) {
+        if self.chunk_size.is_nan() || self.chunk_size <= 0.0 {
             return Err("chunk size must be positive".to_string());
         }
         if let Some(e) = self.simulated.error() {
@@ -220,37 +245,6 @@ impl PlatformSpec {
         if let Some(e) = self.real.error() {
             return Err(format!("real {e}"));
         }
-        if !(0.0..=1.0).contains(&self.dirty_ratio) {
-            return Err("dirty ratio must be in [0, 1]".to_string());
-        }
-        if !(0.0..=1.0).contains(&self.dirty_background_ratio) {
-            return Err("background dirty ratio must be in [0, 1]".to_string());
-        }
-        if self.dirty_background_ratio > self.dirty_ratio {
-            return Err("background dirty ratio must not exceed the dirty ratio".to_string());
-        }
-        if !(self.readahead_min >= 0.0
-            && self.readahead_max >= 0.0
-            && self.readahead_min.is_finite()
-            && self.readahead_max.is_finite())
-        {
-            return Err("readahead windows must be finite and non-negative".to_string());
-        }
-        if self.readahead_max > 0.0 && self.readahead_min <= 0.0 {
-            return Err("readahead_min must be positive when readahead is enabled".to_string());
-        }
-        if self.readahead_min > self.readahead_max {
-            return Err("readahead_min must not exceed readahead_max".to_string());
-        }
-        if !(self.throttle_pacing >= 0.0 && self.throttle_pacing.is_finite()) {
-            return Err("throttle pacing must be finite and non-negative".to_string());
-        }
-        if !(positive(self.flush_interval) && self.flush_interval.is_finite()) {
-            return Err("flush interval must be positive and finite".to_string());
-        }
-        if self.dirty_expire.is_nan() || self.dirty_expire < 0.0 {
-            return Err("dirty expire must be non-negative".to_string());
-        }
         match (&self.storage, &self.fleet) {
             (StorageKind::Fleet, None) => {
                 return Err("fleet storage requires a fleet spec (see with_fleet)".to_string());
@@ -258,7 +252,15 @@ impl PlatformSpec {
             (StorageKind::Fleet, Some(fleet)) => fleet.validate()?,
             _ => {}
         }
-        Ok(())
+        self.cache_config(self.host_memory)
+            .validate()
+            .map_err(|e| format!("host page cache: {e}"))?;
+        self.cache_config(self.server_memory)
+            .validate()
+            .map_err(|e| format!("server page cache: {e}"))?;
+        self.kernel_tuning()
+            .validate()
+            .map_err(|e| format!("kernel tuning: {e}"))
     }
 }
 

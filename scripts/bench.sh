@@ -5,7 +5,9 @@
 # (BENCH_PR1.json, BENCH_PR3.json, ...).
 #
 # Usage:
-#   scripts/bench.sh [output.json]        full run (default: BENCH_PR10.json)
+#   scripts/bench.sh [output.json]        full run (default: BENCH_LOCAL.json,
+#                                         untracked; name a BENCH_PR<n>.json
+#                                         explicitly to record a snapshot)
 #   BENCH_SMOKE=1 scripts/bench.sh out    one tiny sample per bench — fast CI
 #                                         smoke, numbers are noisy and must
 #                                         never be compared with full runs
@@ -17,7 +19,7 @@
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
-out="${1:-BENCH_PR10.json}"
+out="${1:-BENCH_LOCAL.json}"
 
 BENCH_JSON="$(pwd)/$out" cargo bench -p bench --bench pagecache_micro
 echo "wrote $out"

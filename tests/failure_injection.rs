@@ -180,6 +180,19 @@ fn malformed_sizes_and_devices_are_rejected_on_every_simulator() {
             "NaN chunk size".into(),
             Box::new(|p| p.chunk_size = f64::NAN),
         ),
+        // Infinite memory used to pass the platform checks and then panic
+        // inside the cache models' constructors.
+        (
+            "infinite host memory".into(),
+            Box::new(|p| p.host_memory = f64::INFINITY),
+        ),
+        (
+            "infinite NFS server memory".into(),
+            Box::new(|p| {
+                p.storage = StorageKind::Nfs;
+                p.server_memory = f64::INFINITY;
+            }),
+        ),
     ];
     for bandwidth in [0.0, -1.0, f64::NAN, f64::INFINITY] {
         cases.push((
