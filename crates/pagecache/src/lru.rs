@@ -85,6 +85,13 @@
 //! predecessor. [`LruLists::work`] counts the blocks eviction and flushing
 //! visited and the steps sorted inserts walked.
 //!
+//! Each public call that takes a [`FileId`] looks the name up once (a
+//! [`ReclaimScope::Host`] exclusion is resolved once per call too); every
+//! block step after that — aggregate updates, chain links, merges, the
+//! demotions of [`LruLists::balance`], scope checks — indexes the file
+//! slot stored in the node, so no block step hashes a name. (A grouped
+//! file's group byte counters are still found by group id.)
+//!
 //! To bound arena growth on flush-heavy workloads, recency-adjacent blocks
 //! of the same file on an **evictable** tier that are both clean, *share
 //! the same last access time* and carry the same reference bit are coalesced
@@ -105,20 +112,31 @@
 //!   head/tail, and its finger is `NIL` or one of its own nodes; the clean,
 //!   dirty and per-file chains are exactly the recency chain filtered by
 //!   dirtiness / file; recency chains are sorted by `last_access`.
+//! * File table: per-file state lives in slots of one table (a name index
+//!   `FileId -> slot`, the slots, a free list), and each node stores its
+//!   file's slot. The name index and the live slots are inverse maps, every
+//!   node's slot names its block's file, and every vacant slot is on the
+//!   free list exactly once. A slot is freed when its last block leaves and
+//!   it carries no cache group; a grouped slot outlives its blocks, because
+//!   the assignment is configuration. A slot without blocks has empty
+//!   chains and exactly zero bytes.
 //! * Aggregates: for each tier, `agg.bytes` / `agg.dirty` equal the sum of
 //!   sizes / dirty sizes of its blocks; for each file, `FileBytes { cached,
 //!   dirty, inactive_bytes, inactive_clean, blocks }` equal the same sums
 //!   restricted to that file (`inactive_*` counting the policy's evictable
-//!   tiers, and `blocks` its exact block count, used to drop empty entries).
+//!   tiers, and `blocks` its exact block count, used to free empty slots);
+//!   for each cache group, the same sums over the blocks whose slot carries
+//!   that group.
 //!
 //! In debug builds every public mutator re-derives all counters from a full
-//! scan (the `recompute_*` oracles), validates the chain structure, and
-//! `debug_assert!`s agreement, so the O(1) readers and O(k) walks can never
-//! silently drift from the scan-based truth.
+//! scan (the `recompute_*` oracles), validates the chain structure and the
+//! file table, and `debug_assert!`s agreement, so the O(1) readers and O(k)
+//! walks can never silently drift from the scan-based truth.
 //!
 //! All byte amounts are `f64`; a small epsilon absorbs floating-point dust
 //! when blocks are split by partial reads, flushes and evictions.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
 use des::SimTime;
@@ -231,6 +249,8 @@ struct Node {
     /// CLOCK reference bit: set when the block was re-accessed, granting it
     /// a second chance during eviction under policies that use it.
     referenced: bool,
+    /// The file-table slot of the block's file.
+    file_slot: u32,
     /// Links indexed by [`RECENCY`], [`FILE`], [`STATE`].
     links: [Link; 3],
 }
@@ -247,6 +267,10 @@ fn node_mut(arena: &mut [Slot], i: Idx) -> &mut Node {
         Slot::Occupied(n) => n,
         Slot::Vacant { .. } => panic!("chain references vacant arena slot {i}"),
     }
+}
+
+fn file_mut(files: &mut [Option<FileState>], s: u32) -> &mut FileState {
+    files[s as usize].as_mut().expect("vacant file slot")
 }
 
 /// Unlinks node `i` from `chain` along link dimension `lk`. A finger on
@@ -427,13 +451,27 @@ pub struct LruWork {
     pub insert_steps: u64,
 }
 
-/// Per-file state: the byte aggregates plus one per-tier file chain.
-#[derive(Debug, Default, Clone)]
+/// One slot of the file table: a file's name, byte aggregates, per-tier
+/// file chains and cache-group assignment.
+#[derive(Debug, Clone)]
 struct FileState {
+    file: FileId,
     bytes: FileBytes,
     /// File chains indexed by tier: this file's blocks on each tier, in
     /// recency order.
     chains: [Chain; MAX_TIERS],
+    /// Cache-group (tenant) assignment, or `None`. Configuration, not cache
+    /// state: it keeps the slot alive after the file's last block leaves.
+    group: Option<u32>,
+}
+
+/// A [`ReclaimScope`] with its file resolved to a file-table slot.
+#[derive(Debug, Clone, Copy)]
+enum SlotScope {
+    /// Every slot except this one (`None` excludes nothing).
+    Host(Option<u32>),
+    /// The slots assigned to this cache group.
+    Group(u32),
 }
 
 /// The LRU lists (tiers) holding all cached data blocks of one host; the
@@ -445,11 +483,13 @@ pub struct LruLists {
     /// Indexed by tier; under the default 2-list policy tier 0 is the
     /// inactive list and tier 1 the active list.
     lists: [ListState; MAX_TIERS],
-    per_file: HashMap<FileId, FileState>,
-    /// Cache-group (tenant) assignment per file. Files without an entry
-    /// belong to no group; the assignment survives full eviction of the
-    /// file (it is configuration, not cache state).
-    group_of: HashMap<FileId, u32>,
+    /// File name -> file-table slot. Public calls resolve a name here once;
+    /// every step after that indexes `files` by slot.
+    file_index: HashMap<FileId, u32>,
+    /// The file table: one slot per file that has blocks or a cache group.
+    files: Vec<Option<FileState>>,
+    /// Vacant slots of `files`, reused before the table grows.
+    free_files: Vec<u32>,
     /// Per-group byte aggregates, mirrored at the same four accounting
     /// choke points as the per-file counters (`agg_insert`, `agg_remove`,
     /// `agg_clean_in_place`, `agg_shrink`), so memcg-style limits are O(1)
@@ -477,8 +517,9 @@ impl LruLists {
             arena: Vec::new(),
             free_head: NIL,
             lists: Default::default(),
-            per_file: HashMap::new(),
-            group_of: HashMap::new(),
+            file_index: HashMap::new(),
+            files: Vec::new(),
+            free_files: Vec::new(),
             group_bytes: HashMap::new(),
             policy: policy.build(),
             work: LruWork::default(),
@@ -545,12 +586,13 @@ impl LruLists {
 
     /// Cached bytes belonging to `file`. O(1) expected.
     pub fn cached_amount(&self, file: &FileId) -> f64 {
-        self.per_file.get(file).map_or(0.0, |f| f.bytes.cached)
+        self.slot_of(file)
+            .map_or(0.0, |s| self.file(s).bytes.cached)
     }
 
     /// Dirty bytes belonging to `file`. O(1) expected.
     pub fn dirty_amount(&self, file: &FileId) -> f64 {
-        self.per_file.get(file).map_or(0.0, |f| f.bytes.dirty)
+        self.slot_of(file).map_or(0.0, |s| self.file(s).bytes.dirty)
     }
 
     /// Cached bytes per file (used to reproduce Fig. 4c). O(F log F) in the
@@ -558,33 +600,27 @@ impl LruLists {
     /// share the interned file names (cloning a [`FileId`] is a refcount
     /// bump, not a string copy).
     pub fn cached_per_file(&self) -> BTreeMap<FileId, f64> {
-        self.per_file
+        self.files
             .iter()
-            .filter(|(_, f)| f.bytes.cached > EPSILON)
-            .map(|(k, f)| (k.clone(), f.bytes.cached))
+            .flatten()
+            .filter(|f| f.bytes.cached > EPSILON)
+            .map(|f| (f.file.clone(), f.bytes.cached))
             .collect()
-    }
-
-    /// Iterates over the per-file cached amounts without cloning any key.
-    /// Iteration order is unspecified; use [`LruLists::cached_per_file`] for a
-    /// sorted snapshot.
-    pub fn per_file_cached(&self) -> impl Iterator<Item = (&FileId, f64)> {
-        self.per_file
-            .iter()
-            .filter(|(_, f)| f.bytes.cached > EPSILON)
-            .map(|(k, f)| (k, f.bytes.cached))
     }
 
     /// Clean bytes on the evictable tiers that [`LruLists::evict`] could
     /// remove, optionally excluding one file. O(1).
     pub fn evictable(&self, exclude: Option<&FileId>) -> f64 {
+        self.evictable_except(exclude.and_then(|f| self.slot_of(f)))
+    }
+
+    /// [`LruLists::evictable`] with the excluded file resolved to its slot.
+    fn evictable_except(&self, excluded: Option<u32>) -> f64 {
         let total: f64 = (0..MAX_TIERS)
             .filter(|&t| self.policy.evictable_tiers()[t])
             .map(|t| (self.lists[t].agg.bytes - self.lists[t].agg.dirty).max(0.0))
             .sum();
-        let excluded = exclude
-            .and_then(|f| self.per_file.get(f))
-            .map_or(0.0, |f| f.bytes.inactive_clean);
+        let excluded = excluded.map_or(0.0, |s| self.file(s).bytes.inactive_clean);
         (total - excluded).max(0.0)
     }
 
@@ -594,33 +630,33 @@ impl LruLists {
     /// not matter. The assignment itself is configuration and survives full
     /// eviction of the file.
     pub fn set_file_group(&mut self, file: FileId, group: Option<u32>) {
-        let (cached, dirty) = self
-            .per_file
-            .get(&file)
-            .map_or((0.0, 0.0), |f| (f.bytes.cached, f.bytes.dirty));
-        if let Some(old) = self.group_of.get(&file).copied() {
-            if let Some(gb) = self.group_bytes.get_mut(&old) {
-                gb.cached = (gb.cached - cached).max(0.0);
-                gb.dirty = (gb.dirty - dirty).max(0.0);
+        let slot = match group {
+            Some(_) => Some(self.slot_for(&file)),
+            None => self.slot_of(&file),
+        };
+        if let Some(s) = slot {
+            let f = self.file(s);
+            let (cached, dirty, old) = (f.bytes.cached, f.bytes.dirty, f.group);
+            if let Some(old) = old {
+                if let Some(gb) = self.group_bytes.get_mut(&old) {
+                    gb.cached = (gb.cached - cached).max(0.0);
+                    gb.dirty = (gb.dirty - dirty).max(0.0);
+                }
             }
-        }
-        match group {
-            Some(g) => {
-                self.group_of.insert(file, g);
+            if let Some(g) = group {
                 let gb = self.group_bytes.entry(g).or_default();
                 gb.cached += cached;
                 gb.dirty += dirty;
             }
-            None => {
-                self.group_of.remove(&file);
-            }
+            file_mut(&mut self.files, s).group = group;
+            self.release_if_unused(s);
         }
         self.debug_validate();
     }
 
     /// The cache group `file` is assigned to, if any. O(1) expected.
     pub fn file_group(&self, file: &FileId) -> Option<u32> {
-        self.group_of.get(file).copied()
+        self.slot_of(file).and_then(|s| self.file(s).group)
     }
 
     /// Cached bytes of cache group `group` (clean + dirty, all tiers). O(1).
@@ -692,93 +728,142 @@ impl LruLists {
         }
     }
 
-    /// Records a block joining `tier` in the aggregates. The counters only
-    /// need its metadata; chain membership is handled separately.
-    fn agg_insert(&mut self, tier: usize, block: &DataBlock) {
-        self.lists[tier].agg.add(block.size, block.dirty);
-        if let Some(&g) = self.group_of.get(&block.file) {
-            let gb = self.group_bytes.entry(g).or_default();
-            gb.cached += block.size;
-            if block.dirty {
-                gb.dirty += block.size;
+    /// The slot of `file`, if it has one. The one name lookup of a call.
+    fn slot_of(&self, file: &FileId) -> Option<u32> {
+        self.file_index.get(file).copied()
+    }
+
+    /// The slot of `file`, created empty and ungrouped if it has none.
+    fn slot_for(&mut self, file: &FileId) -> u32 {
+        match self.file_index.entry(file.clone()) {
+            Entry::Occupied(e) => *e.get(),
+            Entry::Vacant(e) => {
+                let state = FileState {
+                    file: e.key().clone(),
+                    bytes: FileBytes::default(),
+                    chains: Default::default(),
+                    group: None,
+                };
+                let s = match self.free_files.pop() {
+                    Some(s) => {
+                        self.files[s as usize] = Some(state);
+                        s
+                    }
+                    None => {
+                        self.files.push(Some(state));
+                        u32::try_from(self.files.len() - 1).expect("file table exceeds u32")
+                    }
+                };
+                *e.insert(s)
             }
         }
+    }
+
+    fn file(&self, s: u32) -> &FileState {
+        self.files[s as usize].as_ref().expect("vacant file slot")
+    }
+
+    /// Frees slot `s` once it holds no block and no cache group, so the
+    /// table stays bounded by the live and grouped files.
+    fn release_if_unused(&mut self, s: u32) {
+        let f = self.file(s);
+        if f.bytes.blocks == 0 && f.group.is_none() {
+            let f = self.files[s as usize].take().expect("vacant file slot");
+            self.file_index.remove(&f.file);
+            self.free_files.push(s);
+        }
+    }
+
+    /// Records a block of slot `s` joining `tier` in the aggregates. The
+    /// counters only need its size and dirtiness; chain membership is
+    /// handled separately.
+    fn agg_insert(&mut self, tier: usize, s: u32, size: f64, dirty: bool) {
+        self.lists[tier].agg.add(size, dirty);
         let evictable = self.policy.evictable_tiers()[tier];
-        let f = &mut self.per_file.entry(block.file.clone()).or_default().bytes;
-        f.cached += block.size;
+        let entry = file_mut(&mut self.files, s);
+        if let Some(g) = entry.group {
+            let gb = self.group_bytes.entry(g).or_default();
+            gb.cached += size;
+            if dirty {
+                gb.dirty += size;
+            }
+        }
+        let f = &mut entry.bytes;
+        f.cached += size;
         f.blocks += 1;
-        if block.dirty {
-            f.dirty += block.size;
+        if dirty {
+            f.dirty += size;
         }
         if evictable {
-            f.inactive_bytes += block.size;
-            if !block.dirty {
-                f.inactive_clean += block.size;
+            f.inactive_bytes += size;
+            if !dirty {
+                f.inactive_clean += size;
             }
         }
     }
 
-    /// Records a block leaving `tier` in the aggregates, dropping the
-    /// per-file entry once its last block is gone.
-    fn agg_remove(&mut self, tier: usize, block: &DataBlock) {
-        self.lists[tier].agg.sub(block.size, block.dirty);
-        if let Some(&g) = self.group_of.get(&block.file) {
-            if let Some(gb) = self.group_bytes.get_mut(&g) {
-                gb.cached = (gb.cached - block.size).max(0.0);
-                if block.dirty {
-                    gb.dirty = (gb.dirty - block.size).max(0.0);
-                }
-            }
-        }
+    /// Records a block of slot `s` leaving `tier` in the aggregates. The
+    /// slot's counters restart from exact zero once its last block is gone;
+    /// the caller frees the slot with [`LruLists::release_if_unused`].
+    fn agg_remove(&mut self, tier: usize, s: u32, size: f64, dirty: bool) {
+        self.lists[tier].agg.sub(size, dirty);
         let evictable = self.policy.evictable_tiers()[tier];
-        if let Some(entry) = self.per_file.get_mut(&block.file) {
-            let f = &mut entry.bytes;
-            f.cached = (f.cached - block.size).max(0.0);
-            f.blocks = f.blocks.saturating_sub(1);
-            if block.dirty {
-                f.dirty = (f.dirty - block.size).max(0.0);
-            }
-            if evictable {
-                f.inactive_bytes = (f.inactive_bytes - block.size).max(0.0);
-                if !block.dirty {
-                    f.inactive_clean = (f.inactive_clean - block.size).max(0.0);
+        let entry = file_mut(&mut self.files, s);
+        if let Some(g) = entry.group {
+            if let Some(gb) = self.group_bytes.get_mut(&g) {
+                gb.cached = (gb.cached - size).max(0.0);
+                if dirty {
+                    gb.dirty = (gb.dirty - size).max(0.0);
                 }
             }
-            if f.blocks == 0 {
-                debug_assert!(
-                    entry.chains.iter().all(|c| c.is_empty()),
-                    "dropping per-file entry with linked blocks"
-                );
-                self.per_file.remove(&block.file);
+        }
+        let f = &mut entry.bytes;
+        f.cached = (f.cached - size).max(0.0);
+        f.blocks = f.blocks.saturating_sub(1);
+        if dirty {
+            f.dirty = (f.dirty - size).max(0.0);
+        }
+        if evictable {
+            f.inactive_bytes = (f.inactive_bytes - size).max(0.0);
+            if !dirty {
+                f.inactive_clean = (f.inactive_clean - size).max(0.0);
             }
+        }
+        if f.blocks == 0 {
+            debug_assert!(
+                entry.chains.iter().all(|c| c.is_empty()),
+                "emptied file slot with linked blocks"
+            );
+            entry.bytes = FileBytes::default();
         }
     }
 
-    /// Records `amount` bytes of a dirty block on `tier` turning clean in
-    /// place (a flush). Sizes do not change, only dirtiness.
-    fn agg_clean_in_place(&mut self, tier: usize, file: &FileId, amount: f64) {
+    /// Records `amount` bytes of a dirty block of slot `s` on `tier` turning
+    /// clean in place (a flush). Sizes do not change, only dirtiness.
+    fn agg_clean_in_place(&mut self, tier: usize, s: u32, amount: f64) {
         let agg = &mut self.lists[tier].agg;
         agg.dirty = (agg.dirty - amount).max(0.0);
-        if let Some(&g) = self.group_of.get(file) {
+        let evictable = self.policy.evictable_tiers()[tier];
+        let entry = file_mut(&mut self.files, s);
+        if let Some(g) = entry.group {
             if let Some(gb) = self.group_bytes.get_mut(&g) {
                 gb.dirty = (gb.dirty - amount).max(0.0);
             }
         }
-        let evictable = self.policy.evictable_tiers()[tier];
-        if let Some(f) = self.per_file.get_mut(file) {
-            f.bytes.dirty = (f.bytes.dirty - amount).max(0.0);
-            if evictable {
-                f.bytes.inactive_clean += amount;
-            }
+        entry.bytes.dirty = (entry.bytes.dirty - amount).max(0.0);
+        if evictable {
+            entry.bytes.inactive_clean += amount;
         }
     }
 
-    /// Records a block on `tier` shrinking by `amount` bytes in place with
-    /// unchanged block count (a partial eviction or a partial take; the split
-    /// head is accounted separately when it is re-inserted).
-    fn agg_shrink(&mut self, tier: usize, file: &FileId, amount: f64, dirty: bool) {
+    /// Records a block of slot `s` on `tier` shrinking by `amount` bytes in
+    /// place with unchanged block count (a partial eviction or a partial
+    /// take; the split head is accounted separately when it is re-inserted).
+    fn agg_shrink(&mut self, tier: usize, s: u32, amount: f64, dirty: bool) {
         self.lists[tier].agg.sub(amount, dirty);
-        if let Some(&g) = self.group_of.get(file) {
+        let evictable = self.policy.evictable_tiers()[tier];
+        let entry = file_mut(&mut self.files, s);
+        if let Some(g) = entry.group {
             if let Some(gb) = self.group_bytes.get_mut(&g) {
                 gb.cached = (gb.cached - amount).max(0.0);
                 if dirty {
@@ -786,48 +871,43 @@ impl LruLists {
                 }
             }
         }
-        let evictable = self.policy.evictable_tiers()[tier];
-        if let Some(f) = self.per_file.get_mut(file) {
-            let f = &mut f.bytes;
-            f.cached = (f.cached - amount).max(0.0);
-            if dirty {
-                f.dirty = (f.dirty - amount).max(0.0);
-            }
-            if evictable {
-                f.inactive_bytes = (f.inactive_bytes - amount).max(0.0);
-                if !dirty {
-                    f.inactive_clean = (f.inactive_clean - amount).max(0.0);
-                }
+        let f = &mut entry.bytes;
+        f.cached = (f.cached - amount).max(0.0);
+        if dirty {
+            f.dirty = (f.dirty - amount).max(0.0);
+        }
+        if evictable {
+            f.inactive_bytes = (f.inactive_bytes - amount).max(0.0);
+            if !dirty {
+                f.inactive_clean = (f.inactive_clean - amount).max(0.0);
             }
         }
     }
 
-    /// Records one extra block of `file` appearing without any byte change
+    /// Records one extra block of slot `s` appearing without any byte change
     /// (a block split whose both halves stay in the lists).
-    fn agg_note_split(&mut self, file: &FileId) {
-        if let Some(f) = self.per_file.get_mut(file) {
-            f.bytes.blocks += 1;
-        }
+    fn agg_note_split(&mut self, s: u32) {
+        file_mut(&mut self.files, s).bytes.blocks += 1;
     }
 
-    /// Inserts `block` as a new node on `tier`: updates the aggregates and
-    /// links it into the recency, per-file and clean or dirty chains at its
-    /// sorted position. O(1) in the common append case.
-    fn insert_node(&mut self, tier: usize, block: DataBlock, referenced: bool) -> Idx {
-        self.agg_insert(tier, &block);
-        let file = block.file.clone();
+    /// Inserts `block` of slot `s` as a new node on `tier`: updates the
+    /// aggregates and links it into the recency, per-file and clean or dirty
+    /// chains at its sorted position. O(1) in the common append case.
+    fn insert_node(&mut self, tier: usize, s: u32, block: DataBlock, referenced: bool) -> Idx {
+        self.agg_insert(tier, s, block.size, block.dirty);
         let dirty = block.dirty;
         let idx = self.alloc(Node {
             block,
             tier,
             referenced,
+            file_slot: s,
             links: [UNLINKED; 3],
         });
         let list = &mut self.lists[tier];
         let mut steps = insert_sorted(&mut self.arena, &mut list.recency, RECENCY, idx);
         list.len += 1;
         steps += insert_sorted(&mut self.arena, list.state_chain(dirty), STATE, idx);
-        let entry = self.per_file.get_mut(&file).expect("agg_insert created it");
+        let entry = file_mut(&mut self.files, s);
         steps += insert_sorted(&mut self.arena, &mut entry.chains[tier], FILE, idx);
         self.work.insert_steps += steps;
         idx
@@ -842,12 +922,15 @@ impl LruLists {
     /// [`LruLists::agg_clean_in_place`] + [`LruLists::agg_note_split`].
     fn insert_node_before(&mut self, tier: usize, block: DataBlock, anchor: Idx) -> Idx {
         debug_assert!(!block.dirty, "flush split head must be clean");
-        let file = block.file.clone();
-        let referenced = node_ref(&self.arena, anchor).referenced;
+        let (referenced, s) = {
+            let n = node_ref(&self.arena, anchor);
+            (n.referenced, n.file_slot)
+        };
         let idx = self.alloc(Node {
             block,
             tier,
             referenced,
+            file_slot: s,
             links: [UNLINKED; 3],
         });
         insert_before(
@@ -858,7 +941,7 @@ impl LruLists {
             idx,
         );
         self.lists[tier].len += 1;
-        let entry = self.per_file.get_mut(&file).expect("remainder keeps entry");
+        let entry = file_mut(&mut self.files, s);
         insert_before(&mut self.arena, &mut entry.chains[tier], FILE, anchor, idx);
         self.link_clean(idx);
         idx
@@ -884,24 +967,31 @@ impl LruLists {
         insert_before(&mut self.arena, clean, STATE, anchor, i);
     }
 
-    /// Unlinks node `i` from every chain, updates the aggregates, frees the
-    /// slot and returns the block. O(1).
-    fn remove_node(&mut self, i: Idx) -> DataBlock {
-        let (tier, file, dirty) = {
+    /// Unlinks node `i` from every chain, updates the aggregates and frees
+    /// its arena slot, but keeps its file slot even when it empties, so the
+    /// caller can re-insert data of the same file without a name lookup.
+    /// O(1).
+    fn detach_node(&mut self, i: Idx) -> Node {
+        let (tier, s, dirty) = {
             let n = node_ref(&self.arena, i);
-            (n.tier, n.block.file.clone(), n.block.dirty)
+            (n.tier, n.file_slot, n.block.dirty)
         };
         unlink(&mut self.arena, &mut self.lists[tier].recency, RECENCY, i);
         self.lists[tier].len -= 1;
-        let entry = self
-            .per_file
-            .get_mut(&file)
-            .expect("linked block has entry");
+        let entry = file_mut(&mut self.files, s);
         unlink(&mut self.arena, &mut entry.chains[tier], FILE, i);
         let chain = self.lists[tier].state_chain(dirty);
         unlink(&mut self.arena, chain, STATE, i);
         let node = self.release(i);
-        self.agg_remove(tier, &node.block);
+        self.agg_remove(tier, s, node.block.size, node.block.dirty);
+        node
+    }
+
+    /// [`LruLists::detach_node`], then frees the file slot if that was its
+    /// last block. Returns the block.
+    fn remove_node(&mut self, i: Idx) -> DataBlock {
+        let node = self.detach_node(i);
+        self.release_if_unused(node.file_slot);
         node.block
     }
 
@@ -910,14 +1000,14 @@ impl LruLists {
     /// coalesces it with its neighbours. Returns the bytes cleaned. Never
     /// frees a node other than `i` and its recency predecessor.
     fn clean_in_place(&mut self, i: Idx) -> f64 {
-        let (tier, file, size) = {
+        let (tier, s, size) = {
             let n = node_mut(&mut self.arena, i);
             n.block.dirty = false;
-            (n.tier, n.block.file.clone(), n.block.size)
+            (n.tier, n.file_slot, n.block.size)
         };
         unlink(&mut self.arena, &mut self.lists[tier].dirty, STATE, i);
         self.link_clean(i);
-        self.agg_clean_in_place(tier, &file, size);
+        self.agg_clean_in_place(tier, s, size);
         self.try_coalesce(i);
         size
     }
@@ -941,7 +1031,7 @@ impl LruLists {
             && !na.block.dirty
             && !nb.block.dirty
             && na.block.last_access == nb.block.last_access
-            && na.block.file == nb.block.file
+            && na.file_slot == nb.file_slot
     }
 
     /// Merges recency-adjacent node `from` into its successor `into` (same
@@ -951,25 +1041,22 @@ impl LruLists {
     fn merge_into(&mut self, from: Idx, into: Idx) {
         debug_assert!(self.mergeable(from, into));
         debug_assert_eq!(node_ref(&self.arena, from).links[RECENCY].next, into);
-        let t = node_ref(&self.arena, from).tier;
+        let (t, s) = {
+            let n = node_ref(&self.arena, from);
+            (n.tier, n.file_slot)
+        };
         unlink(&mut self.arena, &mut self.lists[t].recency, RECENCY, from);
         unlink(&mut self.arena, &mut self.lists[t].clean, STATE, from);
         self.lists[t].len -= 1;
-        let file = node_ref(&self.arena, from).block.file.clone();
-        let entry = self
-            .per_file
-            .get_mut(&file)
-            .expect("linked block has entry");
+        let entry = file_mut(&mut self.files, s);
         unlink(&mut self.arena, &mut entry.chains[t], FILE, from);
+        entry.bytes.blocks -= 1;
         let from_node = self.release(from);
         let into_node = node_mut(&mut self.arena, into);
         into_node.block.size += from_node.block.size;
         // Clean blocks never expire, so the merged entry time is inert; keep
         // the earlier one for a deterministic, order-independent result.
         into_node.block.entry_time = into_node.block.entry_time.min(from_node.block.entry_time);
-        if let Some(f) = self.per_file.get_mut(&file) {
-            f.bytes.blocks -= 1;
-        }
     }
 
     /// Opportunistically coalesces node `i` with its recency neighbors when
@@ -996,6 +1083,24 @@ impl LruLists {
         cur
     }
 
+    /// Resolves `scope`'s excluded file to its slot: the call's one name
+    /// lookup.
+    fn resolve(&self, scope: ReclaimScope<'_>) -> SlotScope {
+        match scope {
+            ReclaimScope::Host(exclude) => SlotScope::Host(exclude.and_then(|f| self.slot_of(f))),
+            ReclaimScope::Group(g) => SlotScope::Group(g),
+        }
+    }
+
+    /// Whether a reclaim call restricted to `scope` may take node `i`.
+    fn admits(&self, scope: SlotScope, i: Idx) -> bool {
+        let s = node_ref(&self.arena, i).file_slot;
+        match scope {
+            SlotScope::Host(excluded) => excluded != Some(s),
+            SlotScope::Group(g) => self.file(s).group == Some(g),
+        }
+    }
+
     /// Adds a clean block (data just read from disk) to the tier the policy
     /// admits first-touch data to (the inactive list under the default
     /// 2-list policy).
@@ -1003,9 +1108,10 @@ impl LruLists {
         if size <= EPSILON {
             return;
         }
+        let s = self.slot_for(&file);
         let bytes = self.tier_bytes();
         let tier = self.policy.insert_tier(&file, &bytes);
-        let idx = self.insert_node(tier, DataBlock::clean(file, size, now), false);
+        let idx = self.insert_node(tier, s, DataBlock::clean(file, size, now), false);
         self.try_coalesce(idx);
         self.balance();
         self.debug_validate();
@@ -1017,9 +1123,10 @@ impl LruLists {
         if size <= EPSILON {
             return;
         }
+        let s = self.slot_for(&file);
         let bytes = self.tier_bytes();
         let tier = self.policy.insert_tier(&file, &bytes);
-        self.insert_node(tier, DataBlock::dirty(file, size, now), false);
+        self.insert_node(tier, s, DataBlock::dirty(file, size, now), false);
         self.balance();
         self.debug_validate();
     }
@@ -1036,13 +1143,19 @@ impl LruLists {
     /// the cost is O(k) in the file's block count, independent of how many
     /// blocks of other files surround them.
     pub fn read_cached(&mut self, file: &FileId, amount: f64, now: SimTime) -> f64 {
-        if amount <= EPSILON || self.cached_amount(file) <= EPSILON {
+        if amount <= EPSILON {
+            return 0.0;
+        }
+        let Some(s) = self.slot_of(file) else {
+            return 0.0;
+        };
+        if self.file(s).bytes.cached <= EPSILON {
             return 0.0;
         }
         let bytes = self.tier_bytes();
         let dest = self.policy.promote_tier(&bytes);
         let referenced = self.policy.uses_reference_bits();
-        let taken = self.take_for_read(file, amount);
+        let taken = self.take_for_read(s, amount);
         let mut clean_total = 0.0;
         let mut read_total = 0.0;
         for blk in taken {
@@ -1055,39 +1168,38 @@ impl LruLists {
                     last_access: now,
                     dirty: true,
                 };
-                self.insert_node(dest, promoted, referenced);
+                self.insert_node(dest, s, promoted, referenced);
             } else {
                 clean_total += blk.size;
             }
         }
         if clean_total > EPSILON {
             let merged = DataBlock::clean(file.clone(), clean_total, now);
-            let idx = self.insert_node(dest, merged, referenced);
+            let idx = self.insert_node(dest, s, merged, referenced);
             self.try_coalesce(idx);
         }
+        self.release_if_unused(s);
         self.debug_validate();
         read_total
     }
 
-    /// Removes up to `amount` bytes of `file` from the tiers in the policy's
-    /// reclaim-first order, LRU first, splitting the last block if needed.
-    /// Walks only the file's own chains.
-    fn take_for_read(&mut self, file: &FileId, amount: f64) -> Vec<DataBlock> {
+    /// Removes up to `amount` bytes of slot `s` from the tiers in the
+    /// policy's reclaim-first order, LRU first, splitting the last block if
+    /// needed. Walks only the file's own chains, and keeps the slot even if
+    /// it empties (the caller re-inserts the taken data).
+    fn take_for_read(&mut self, s: u32, amount: f64) -> Vec<DataBlock> {
         let mut taken = Vec::new();
         let mut remaining = amount;
         for tier in self.policy.tier_order() {
             if remaining <= EPSILON {
                 break;
             }
-            let Some(entry) = self.per_file.get(file) else {
-                break;
-            };
-            let mut i = entry.chains[tier].head;
+            let mut i = self.file(s).chains[tier].head;
             while i != NIL && remaining > EPSILON {
                 let next = node_ref(&self.arena, i).links[FILE].next;
                 let size = node_ref(&self.arena, i).block.size;
                 if size <= remaining + EPSILON {
-                    let blk = self.remove_node(i);
+                    let blk = self.detach_node(i).block;
                     remaining -= blk.size;
                     taken.push(blk);
                 } else {
@@ -1095,7 +1207,7 @@ impl LruLists {
                     // The head leaves the list (it is re-accounted when the
                     // promotion re-inserts it); the remainder keeps the block
                     // count.
-                    self.agg_shrink(tier, file, head.size, head.dirty);
+                    self.agg_shrink(tier, s, head.size, head.dirty);
                     taken.push(head);
                     remaining = 0.0;
                     break;
@@ -1127,6 +1239,7 @@ impl LruLists {
         if amount <= EPSILON || dirty <= EPSILON {
             return 0.0;
         }
+        let scope = self.resolve(scope);
         let mut flushed = 0.0;
         for t in self.policy.tier_order() {
             if self.lists[t].agg.dirty <= EPSILON {
@@ -1140,16 +1253,17 @@ impl LruLists {
                     return flushed;
                 }
                 self.work.flush_visits += 1;
-                if scope.admits(&node_ref(&self.arena, i).block.file, &self.group_of) {
+                if self.admits(scope, i) {
                     let need = amount - flushed;
                     let size = node_ref(&self.arena, i).block.size;
                     if size <= need + EPSILON {
                         flushed += self.clean_in_place(i);
                     } else {
-                        let mut head = node_mut(&mut self.arena, i).block.split_off(need);
+                        let n = node_mut(&mut self.arena, i);
+                        let s = n.file_slot;
+                        let mut head = n.block.split_off(need);
                         head.dirty = false;
                         flushed += head.size;
-                        let file = head.file.clone();
                         let head_size = head.size;
                         // Same last-access time as the remainder: insert right
                         // before it to keep the chains ordered. Splitting a
@@ -1157,8 +1271,8 @@ impl LruLists {
                         // leaves total bytes unchanged: only the dirty share
                         // and the block count move.
                         let head_idx = self.insert_node_before(t, head, i);
-                        self.agg_clean_in_place(t, &file, head_size);
-                        self.agg_note_split(&file);
+                        self.agg_clean_in_place(t, s, head_size);
+                        self.agg_note_split(s);
                         self.try_coalesce(head_idx);
                         self.debug_validate();
                         return flushed;
@@ -1200,9 +1314,10 @@ impl LruLists {
         self.balance();
         // A host-wide call is capped by the O(1) evictable total, so a call
         // that cannot free anything never scans the whole inactive list.
+        let scope = self.resolve(scope);
         let target = match scope {
-            ReclaimScope::Host(exclude) => amount.min(self.evictable(exclude)),
-            ReclaimScope::Group(_) => amount,
+            SlotScope::Host(excluded) => amount.min(self.evictable_except(excluded)),
+            SlotScope::Group(_) => amount,
         };
         if target <= EPSILON {
             return 0.0;
@@ -1220,9 +1335,11 @@ impl LruLists {
                 while i != NIL && evicted < target - EPSILON {
                     self.work.evict_visits += 1;
                     let next = node_ref(&self.arena, i).links[STATE].next;
-                    let b = &node_ref(&self.arena, i).block;
-                    debug_assert!(!b.dirty, "dirty block on a clean chain");
-                    if scope.admits(&b.file, &self.group_of) {
+                    debug_assert!(
+                        !node_ref(&self.arena, i).block.dirty,
+                        "dirty block on a clean chain"
+                    );
+                    if self.admits(scope, i) {
                         if pass == 0 && use_ref && node_ref(&self.arena, i).referenced {
                             // Second chance: spare the block once.
                             node_mut(&mut self.arena, i).referenced = false;
@@ -1234,11 +1351,13 @@ impl LruLists {
                                 evicted += blk.size;
                                 self.policy.on_evict(&blk.file, t);
                             } else {
-                                node_mut(&mut self.arena, i).block.size -= need;
-                                let file = node_ref(&self.arena, i).block.file.clone();
-                                self.agg_shrink(t, &file, need, false);
+                                let n = node_mut(&mut self.arena, i);
+                                n.block.size -= need;
+                                let s = n.file_slot;
+                                self.agg_shrink(t, s, need, false);
                                 evicted += need;
-                                self.policy.on_evict(&file, t);
+                                let file = &node_ref(&self.arena, i).block.file;
+                                self.policy.on_evict(file, t);
                                 break 'reclaim;
                             }
                         }
@@ -1283,12 +1402,15 @@ impl LruLists {
     /// Returns the number of bytes to be written back; the caller is
     /// responsible for simulating the corresponding disk write time.
     pub fn flush_file(&mut self, file: &FileId) -> f64 {
-        if self.dirty_amount(file) <= EPSILON {
+        let Some(s) = self.slot_of(file) else {
+            return 0.0;
+        };
+        if self.file(s).bytes.dirty <= EPSILON {
             return 0.0;
         }
         let mut flushed = 0.0;
         for t in 0..MAX_TIERS {
-            let mut i = self.per_file.get(file).map_or(NIL, |e| e.chains[t].head);
+            let mut i = self.file(s).chains[t].head;
             while i != NIL {
                 // Coalescing only ever merges `i` or its already-visited
                 // predecessor into a *later* surviving node, so the captured
@@ -1308,22 +1430,19 @@ impl LruLists {
     /// deleted). Returns the number of bytes removed. Walks only the file's
     /// own chains: O(k) in the file's block count.
     pub fn invalidate_file(&mut self, file: &FileId) -> f64 {
-        if !self.per_file.contains_key(file) {
+        let Some(s) = self.slot_of(file) else {
             return 0.0;
-        }
+        };
         let mut removed = 0.0;
         for k in 0..MAX_TIERS {
-            let mut i = self
-                .per_file
-                .get(file)
-                .map_or(NIL, |entry| entry.chains[k].head);
+            let mut i = self.file(s).chains[k].head;
             while i != NIL {
                 let next = node_ref(&self.arena, i).links[FILE].next;
-                let blk = self.remove_node(i);
-                removed += blk.size;
+                removed += self.detach_node(i).block.size;
                 i = next;
             }
         }
+        self.release_if_unused(s);
         self.debug_validate();
         removed
     }
@@ -1345,8 +1464,8 @@ impl LruLists {
                 break;
             };
             let head = self.lists[from].recency.head;
-            let demoted = self.remove_node(head);
-            let idx = self.insert_node(to, demoted, false);
+            let demoted = self.detach_node(head);
+            let idx = self.insert_node(to, demoted.file_slot, demoted.block, false);
             self.try_coalesce(idx);
         }
     }
@@ -1382,9 +1501,11 @@ impl LruLists {
     /// Verifies the chain structure against the recency chains: every chain
     /// doubly linked and consistent with its endpoints, its finger `NIL` or
     /// one of its own nodes, the clean, dirty and per-file chains exactly
-    /// the recency chain filtered by dirtiness / file (ties included), and
-    /// the slab bookkeeping (lengths, free list) coherent.
+    /// the recency chain filtered by dirtiness / file (ties included), the
+    /// slab bookkeeping (lengths, free list) coherent, and the file table
+    /// consistent (`check_file_table`).
     pub fn check_chains(&self) -> Result<(), String> {
+        self.check_file_table()?;
         // Walks `chain` along `lk`, checking its links, tail and finger.
         let collect = |chain: &Chain, lk: usize| -> Result<Vec<Idx>, String> {
             let mut out = Vec::new();
@@ -1448,25 +1569,32 @@ impl LruLists {
                     ));
                 }
             }
-            let mut by_file: HashMap<&FileId, Vec<Idx>> = HashMap::new();
+            let mut by_slot: HashMap<u32, Vec<Idx>> = HashMap::new();
             for &i in &recency {
-                let file = &node_ref(&self.arena, i).block.file;
-                by_file.entry(file).or_default().push(i);
+                let n = node_ref(&self.arena, i);
+                let named = self
+                    .files
+                    .get(n.file_slot as usize)
+                    .and_then(Option::as_ref);
+                if named.map(|f| &f.file) != Some(&n.block.file) {
+                    return Err(format!(
+                        "node {i}: file slot {} does not name its file {}",
+                        n.file_slot, n.block.file
+                    ));
+                }
+                by_slot.entry(n.file_slot).or_default().push(i);
             }
-            for (file, entry) in &self.per_file {
+            for (s, entry) in self.files.iter().enumerate() {
+                let Some(entry) = entry else { continue };
+                let file = &entry.file;
                 let fchain = collect(&entry.chains[k], FILE)
                     .map_err(|e| format!("file {file} list {k}: {e}"))?;
-                let expected = by_file.remove(file).unwrap_or_default();
+                let expected = by_slot.remove(&(s as u32)).unwrap_or_default();
                 if fchain != expected {
                     return Err(format!(
                         "file {file}: chain is not its subsequence of list {k}'s recency chain"
                     ));
                 }
-            }
-            if let Some(file) = by_file.keys().next() {
-                return Err(format!(
-                    "file {file}: blocks on list {k} but no per-file entry"
-                ));
             }
         }
         let vacant = self
@@ -1502,6 +1630,55 @@ impl LruLists {
         Ok(())
     }
 
+    /// Verifies the file table: the name index and the live slots are
+    /// inverse maps, every vacant slot is on the free list exactly once, and
+    /// a live slot without blocks carries a cache group (an ungrouped one
+    /// must have been freed).
+    fn check_file_table(&self) -> Result<(), String> {
+        for (file, &s) in &self.file_index {
+            let named = self.files.get(s as usize).and_then(Option::as_ref);
+            if named.map(|f| &f.file) != Some(file) {
+                return Err(format!(
+                    "name index maps {file} to slot {s}, which names another file"
+                ));
+            }
+        }
+        let live = self.files.iter().flatten().count();
+        if live != self.file_index.len() {
+            return Err(format!(
+                "file table has {live} live slots but the name index {} names",
+                self.file_index.len()
+            ));
+        }
+        let mut on_free_list = vec![false; self.files.len()];
+        for &s in &self.free_files {
+            match self.files.get(s as usize) {
+                Some(None) if !on_free_list[s as usize] => on_free_list[s as usize] = true,
+                _ => {
+                    return Err(format!(
+                        "free file list holds slot {s}, live or listed twice"
+                    ))
+                }
+            }
+        }
+        if live + self.free_files.len() != self.files.len() {
+            return Err(format!(
+                "file table has {} slots but {live} live + {} free",
+                self.files.len(),
+                self.free_files.len()
+            ));
+        }
+        for f in self.files.iter().flatten() {
+            if f.bytes.blocks == 0 && f.group.is_none() {
+                return Err(format!(
+                    "file {}: empty ungrouped slot was not freed",
+                    f.file
+                ));
+            }
+        }
+        Ok(())
+    }
+
     /// Verifies every incremental aggregate against a full-scan recomputation
     /// (the oracles the O(1) readers replaced). O(n); used by
     /// [`LruLists::check_invariants`], the randomized consistency tests and
@@ -1527,23 +1704,37 @@ impl LruLists {
             }
         }
         let scan = self.recompute_per_file();
-        if scan.len() != self.per_file.len() {
-            return Err(format!(
-                "per-file map has {} entries, scan found {}",
-                self.per_file.len(),
-                scan.len()
-            ));
+        if let Some(s) = scan
+            .keys()
+            .find(|&&s| self.files.get(s as usize).is_none_or(Option::is_none))
+        {
+            return Err(format!("blocks reference vacant file slot {s}"));
         }
-        for (file, expected) in &scan {
-            let Some(actual) = self.per_file.get(file) else {
-                return Err(format!("file {file} missing from per-file map"));
-            };
-            let actual = &actual.bytes;
+        for (s, entry) in self.files.iter().enumerate() {
+            let Some(entry) = entry else { continue };
+            let file = &entry.file;
+            let actual = &entry.bytes;
+            let expected = scan.get(&(s as u32)).copied().unwrap_or_default();
             if actual.blocks != expected.blocks {
                 return Err(format!(
                     "file {file}: block counter {} != scan {}",
                     actual.blocks, expected.blocks
                 ));
+            }
+            if actual.blocks == 0 {
+                let zero = [
+                    actual.cached,
+                    actual.dirty,
+                    actual.inactive_bytes,
+                    actual.inactive_clean,
+                ]
+                .iter()
+                .all(|&b| b == 0.0);
+                if !zero || entry.chains.iter().any(|c| !c.is_empty()) {
+                    return Err(format!(
+                        "file {file}: slot without blocks keeps bytes or chains"
+                    ));
+                }
             }
             for (what, a, b) in [
                 ("cached", actual.cached, expected.cached),
@@ -1565,16 +1756,18 @@ impl LruLists {
             }
         }
         // Group aggregates: recompute each group's cached/dirty sums from a
-        // full block scan and compare; tracked groups absent from the scan
-        // must have (approximately) zero counters.
+        // full block scan, taking each block's group from its file slot, and
+        // compare; tracked groups absent from the scan must have
+        // (approximately) zero counters.
         let mut group_scan: HashMap<u32, GroupBytes> = HashMap::new();
         for t in 0..MAX_TIERS {
-            for b in self.tier_blocks(t) {
-                if let Some(&g) = self.group_of.get(&b.file) {
+            let mut nodes = self.tier_blocks(t);
+            while let Some(n) = nodes.next_node() {
+                if let Some(g) = self.file(n.file_slot).group {
                     let gb = group_scan.entry(g).or_default();
-                    gb.cached += b.size;
-                    if b.dirty {
-                        gb.dirty += b.size;
+                    gb.cached += n.block.size;
+                    if n.block.dirty {
+                        gb.dirty += n.block.size;
                     }
                 }
             }
@@ -1614,13 +1807,15 @@ impl LruLists {
         agg
     }
 
-    /// Scan-based oracle for the per-file aggregates.
-    fn recompute_per_file(&self) -> HashMap<FileId, FileBytes> {
-        let mut map: HashMap<FileId, FileBytes> = HashMap::new();
+    /// Scan-based oracle for the per-file aggregates, keyed by file slot.
+    fn recompute_per_file(&self) -> HashMap<u32, FileBytes> {
+        let mut map: HashMap<u32, FileBytes> = HashMap::new();
         for t in 0..MAX_TIERS {
             let evictable = self.policy.evictable_tiers()[t];
-            for b in self.tier_blocks(t) {
-                let f = map.entry(b.file.clone()).or_default();
+            let mut nodes = self.tier_blocks(t);
+            while let Some(n) = nodes.next_node() {
+                let b = &n.block;
+                let f = map.entry(n.file_slot).or_default();
                 f.cached += b.size;
                 f.blocks += 1;
                 if b.dirty {
@@ -1661,16 +1856,23 @@ pub struct ChainBlocks<'a> {
     lk: usize,
 }
 
-impl<'a> Iterator for ChainBlocks<'a> {
-    type Item = &'a DataBlock;
-
-    fn next(&mut self) -> Option<&'a DataBlock> {
+impl<'a> ChainBlocks<'a> {
+    /// The next node of the chain; `next` yields its block.
+    fn next_node(&mut self) -> Option<&'a Node> {
         if self.cur == NIL {
             return None;
         }
         let node = node_ref(self.arena, self.cur);
         self.cur = node.links[self.lk].next;
-        Some(&node.block)
+        Some(node)
+    }
+}
+
+impl<'a> Iterator for ChainBlocks<'a> {
+    type Item = &'a DataBlock;
+
+    fn next(&mut self) -> Option<&'a DataBlock> {
+        self.next_node().map(|n| &n.block)
     }
 }
 
@@ -2171,9 +2373,85 @@ mod tests {
         approx(*map.get(&"f1".into()).unwrap(), 125.0);
         approx(*map.get(&"f2".into()).unwrap(), 50.0);
         assert_eq!(map.len(), 2);
-        // The zero-clone iterator reports the same totals.
-        let sum: f64 = lru.per_file_cached().map(|(_, v)| v).sum();
-        approx(sum, 175.0);
+        approx(map.values().sum(), 175.0);
+    }
+
+    #[test]
+    fn fully_evicted_file_leaves_the_table_until_it_is_read_again() {
+        let mut lru = LruLists::new();
+        let f: FileId = "f".into();
+        lru.add_clean(f.clone(), 100.0, t(1.0));
+        lru.add_clean("other".into(), 50.0, t(2.0));
+        approx(lru.evict(100.0, ReclaimScope::Host(None)), 100.0);
+        approx(lru.cached_amount(&f), 0.0);
+        assert!(!lru.cached_per_file().contains_key(&f));
+        assert_eq!(lru.file_index.len(), 1, "the empty slot is freed");
+        lru.add_clean(f.clone(), 40.0, t(3.0));
+        approx(lru.cached_amount(&f), 40.0);
+        approx(lru.dirty_amount(&f), 0.0);
+        approx(lru.evictable(Some(&f)), 50.0);
+        approx(lru.cached_per_file()[&f], 40.0);
+        lru.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn grouped_file_keeps_its_group_through_full_eviction() {
+        let mut lru = LruLists::new();
+        let f: FileId = "f".into();
+        lru.set_file_group(f.clone(), Some(3));
+        lru.add_clean(f.clone(), 100.0, t(1.0));
+        approx(lru.evict(100.0, ReclaimScope::Group(3)), 100.0);
+        assert_eq!(lru.file_group(&f), Some(3));
+        approx(lru.group_cached(3), 0.0);
+        assert!(!lru.cached_per_file().contains_key(&f));
+        lru.check_invariants().unwrap();
+        // The group's bytes come back with the file's data.
+        lru.add_clean(f.clone(), 60.0, t(2.0));
+        approx(lru.group_cached(3), 60.0);
+        lru.add_dirty(f.clone(), 20.0, t(3.0));
+        approx(lru.group_dirty(3), 20.0);
+        // Clearing the group of an empty file frees its slot.
+        lru.invalidate_file(&f);
+        assert_eq!(lru.file_group(&f), Some(3));
+        lru.set_file_group(f.clone(), None);
+        assert_eq!(lru.file_group(&f), None);
+        assert!(lru.file_index.is_empty());
+        lru.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn invalidated_file_re_added_under_a_fresh_id_reuses_its_slot() {
+        let mut lru = LruLists::new();
+        lru.add_dirty(FileId::new("f"), 100.0, t(1.0));
+        let slot = lru.file_index[&FileId::new("f")];
+        approx(lru.invalidate_file(&FileId::new("f")), 100.0);
+        assert!(lru.file_index.is_empty());
+        lru.add_clean(FileId::new("f"), 30.0, t(2.0));
+        assert_eq!(lru.file_index[&FileId::new("f")], slot);
+        assert_eq!(lru.files.len(), 1);
+        approx(lru.cached_amount(&FileId::new("f")), 30.0);
+        approx(lru.dirty_amount(&FileId::new("f")), 0.0);
+        lru.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn add_invalidate_cycles_keep_the_file_table_bounded() {
+        let mut lru = LruLists::new();
+        lru.set_file_group("grouped".into(), Some(1));
+        lru.add_clean("live".into(), 10.0, t(0.0));
+        for i in 0..10_000 {
+            let f = FileId::new(format!("f{i}"));
+            lru.add_dirty(f.clone(), 10.0, t(i as f64));
+            lru.invalidate_file(&f);
+        }
+        assert_eq!(lru.file_index.len(), 2, "one live and one grouped file");
+        // The peak: those two plus the one file being cycled.
+        assert!(
+            lru.files.len() <= 3,
+            "file table grew to {}",
+            lru.files.len()
+        );
+        lru.check_invariants().unwrap();
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! [`MemoryManager::invalidate_file`] visit only the target file's blocks,
 //! [`MemoryManager::flush`] and [`MemoryManager::flush_expired`] only dirty
 //! blocks, [`MemoryManager::evict`] only clean blocks, and every byte
-//! aggregate the controller polls is O(1).
+//! aggregate the controller polls is O(1). Per-file state lives in a slot
+//! table: each call here resolves the file name once, and the block steps
+//! behind it index slots instead of hashing names.
 //!
 //! [`MemoryManager::evict`] and [`MemoryManager::flush`] take a
 //! [`ReclaimScope`]: the controller's read step reclaims host-wide,
