@@ -26,15 +26,26 @@
 //!
 //! ## Cancellation
 //!
-//! [`SimContext::cancel_timer`] revokes the timer's action (an O(1) map
-//! removal) and tells the wheel, which reclaims dead keys eagerly: once
-//! cancelled keys outnumber live ones the wheel compacts in one pass, so
+//! [`SimContext::cancel_timer`] revokes the timer's action (an O(1) slab
+//! removal, which also makes the [`TimerId`] stale: cancelling it again, or
+//! after its slot went to a new timer, is a no-op) and tells the wheel,
+//! which reclaims dead keys eagerly: once cancelled keys outnumber live
+//! ones the wheel compacts in one pass, so
 //! timeout/hedge-heavy workloads (every `select2` loser drops a `Sleep`)
 //! keep the scheduler's physical size bounded by ~2× the live timer count
 //! instead of accumulating garbage until pop.
+//!
+//! ## Tables
+//!
+//! Tasks and timer actions live in two [`Slab`]s. A [`TaskId`] or
+//! [`TimerId`] is a slab key, so locating one is an index, not a hash, and a
+//! stale id (a waker that outlived its task, a fired timer's id) never
+//! reaches the task or timer that reused its slot. Wakers push task ids onto
+//! a shared queue; the run loop swaps it with a buffer of its own, so a wake
+//! allocates nothing.
 
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
@@ -44,27 +55,16 @@ use std::task::{Context, Poll, Waker};
 use std::sync::Mutex;
 
 use crate::scheduler::{TimerKey, TimerWheel};
+use crate::slab::Slab;
 use crate::time::SimTime;
 
 pub use crate::scheduler::TimerId;
 
-/// Identifier of a spawned process. Encodes a slab slot index in the low 32
-/// bits and a reuse generation in the high 32 bits, so a stale wake-up for a
-/// completed task can never resume an unrelated process that recycled its
-/// slot.
+/// Identifier of a spawned process: its key in the engine's task [`Slab`]
+/// (a slot index in the low 32 bits, the slot's reuse generation in the high
+/// 32 bits), so a stale wake-up for a completed task can never resume an
+/// unrelated process that recycled its slot.
 pub type TaskId = u64;
-
-fn task_id(index: u32, generation: u32) -> TaskId {
-    (generation as u64) << 32 | index as u64
-}
-
-fn task_index(id: TaskId) -> u32 {
-    id as u32
-}
-
-fn task_generation(id: TaskId) -> u32 {
-    (id >> 32) as u32
-}
 
 type LocalFuture = Pin<Box<dyn Future<Output = ()> + 'static>>;
 
@@ -87,27 +87,39 @@ struct TaskSlot {
     queued: bool,
 }
 
+/// Work counters of one [`Simulation`], returned by [`Simulation::stats`].
+/// Each is a plain count, so it is identical on any machine.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct EngineStats {
+    /// Timers that fired: wake-ups plus callbacks run.
+    pub events_fired: u64,
+    /// Times a task's future was polled.
+    pub task_polls: u64,
+    /// Timers scheduled: sleeps that had to wait, plus callbacks.
+    pub timers_scheduled: u64,
+    /// Timers cancelled before they fired.
+    pub timers_cancelled: u64,
+    /// Most timers armed at once.
+    pub peak_live_timers: u64,
+}
+
 struct Engine {
     now: SimTime,
     seq: u64,
     wheel: TimerWheel,
     /// Liveness authority: a timer is armed iff its action is here. The
-    /// wheel's stored keys are validated against this map on peek/pop.
-    timers: HashMap<TimerId, TimerAction>,
-    /// Task slab: `slots[i]` is `Some` while task `i` is alive.
-    slots: Vec<Option<TaskSlot>>,
-    /// Reuse generation of each slot; bumped when a task completes so stale
-    /// [`TaskId`]s (from wakers outliving their task) are recognised.
-    generations: Vec<u32>,
-    /// Indices of vacated slots available for reuse.
-    free_slots: Vec<u32>,
-    /// Number of live (spawned, not yet completed) tasks.
-    live_tasks: usize,
-    /// Slot indices of tasks ready to be polled, FIFO.
-    ready: VecDeque<u32>,
-    next_timer_id: u64,
-    /// Tasks woken through a `Waker`; drained into `ready` by the run loop.
+    /// wheel's stored keys are validated against this slab on peek/pop.
+    timers: Slab<TimerAction>,
+    /// Live (spawned, not yet completed) tasks.
+    tasks: Slab<TaskSlot>,
+    /// Tasks ready to be polled, FIFO.
+    ready: VecDeque<TaskId>,
+    /// Tasks woken through a `Waker`; swapped with `woken` by the run loop.
     wake_queue: Arc<Mutex<Vec<TaskId>>>,
+    /// The run loop's side of the wake queue: drained, then swapped back
+    /// empty, so both buffers keep their capacity.
+    woken: Vec<TaskId>,
+    stats: EngineStats,
 }
 
 impl Engine {
@@ -116,37 +128,26 @@ impl Engine {
             now: SimTime::ZERO,
             seq: 0,
             wheel: TimerWheel::new(),
-            timers: HashMap::new(),
-            slots: Vec::new(),
-            generations: Vec::new(),
-            free_slots: Vec::new(),
-            live_tasks: 0,
+            timers: Slab::new(),
+            tasks: Slab::new(),
             ready: VecDeque::new(),
-            next_timer_id: 0,
             wake_queue: Arc::new(Mutex::new(Vec::new())),
+            woken: Vec::new(),
+            stats: EngineStats::default(),
         }
     }
 
     fn schedule(&mut self, at: SimTime, action: TimerAction) -> TimerId {
-        let id = TimerId::from_raw(self.next_timer_id);
-        self.next_timer_id += 1;
+        let id = TimerId::from_raw(self.timers.insert(action));
         self.seq += 1;
         self.wheel.schedule(TimerKey {
             time: at.max(self.now),
             seq: self.seq,
             id,
         });
-        self.timers.insert(id, action);
+        self.stats.timers_scheduled += 1;
+        self.stats.peak_live_timers = self.stats.peak_live_timers.max(self.timers.len() as u64);
         id
-    }
-
-    /// Vacates a completed task's slot and bumps its generation so any
-    /// outstanding wake-up for it becomes a recognised no-op.
-    fn remove_task(&mut self, index: u32) {
-        self.slots[index as usize] = None;
-        self.generations[index as usize] = self.generations[index as usize].wrapping_add(1);
-        self.free_slots.push(index);
-        self.live_tasks -= 1;
     }
 }
 
@@ -233,29 +234,18 @@ impl SimContext {
         };
         let id = {
             let mut eng = self.engine.borrow_mut();
-            let index = match eng.free_slots.pop() {
-                Some(i) => i,
-                None => {
-                    eng.slots.push(None);
-                    eng.generations.push(0);
-                    let i = (eng.slots.len() - 1) as u32;
-                    assert!(i != u32::MAX, "task slab exhausted u32 index space");
-                    i
-                }
-            };
-            let id = task_id(index, eng.generations[index as usize]);
-            // The task's one waker, shared by every poll of its lifetime.
-            let waker = Waker::from(Arc::new(SimWaker {
-                task: id,
-                queue: Arc::clone(&eng.wake_queue),
-            }));
-            eng.slots[index as usize] = Some(TaskSlot {
+            let eng = &mut *eng;
+            let queue = &eng.wake_queue;
+            let id = eng.tasks.insert_with(|id| TaskSlot {
                 fut: Some(Box::pin(wrapped)),
-                waker,
+                // The task's one waker, shared by every poll of its lifetime.
+                waker: Waker::from(Arc::new(SimWaker {
+                    task: id,
+                    queue: Arc::clone(queue),
+                })),
                 queued: true,
             });
-            eng.ready.push_back(index);
-            eng.live_tasks += 1;
+            eng.ready.push_back(id);
             id
         };
         JoinHandle { state, task: id }
@@ -282,11 +272,12 @@ impl SimContext {
     pub fn cancel_timer(&self, id: TimerId) {
         let mut eng = self.engine.borrow_mut();
         let eng = &mut *eng;
-        if eng.timers.remove(&id).is_some() {
+        if eng.timers.remove(id.raw()).is_some() {
+            eng.stats.timers_cancelled += 1;
             eng.wheel.note_cancel();
             if eng.wheel.should_compact() {
                 let timers = &eng.timers;
-                eng.wheel.compact(|t| timers.contains_key(&t));
+                eng.wheel.compact(|t| timers.contains(t.raw()));
             }
         }
     }
@@ -298,7 +289,7 @@ impl SimContext {
     }
 
     fn replace_waker(&self, id: TimerId, waker: Waker) {
-        if let Some(action) = self.engine.borrow_mut().timers.get_mut(&id) {
+        if let Some(action) = self.engine.borrow_mut().timers.get_mut(id.raw()) {
             *action = TimerAction::Wake(waker);
         }
     }
@@ -450,7 +441,12 @@ impl Simulation {
 
     /// Number of processes that have been spawned and not yet completed.
     pub fn pending_tasks(&self) -> usize {
-        self.engine.borrow().live_tasks
+        self.engine.borrow().tasks.len()
+    }
+
+    /// The engine's work counters so far.
+    pub fn stats(&self) -> EngineStats {
+        self.engine.borrow().stats
     }
 
     /// Runs until no more work can make progress, returning the final virtual
@@ -505,33 +501,40 @@ impl Simulation {
 
     fn drain_wake_queue(&self) {
         let mut eng = self.engine.borrow_mut();
-        let woken: Vec<TaskId> = std::mem::take(&mut *eng.wake_queue.lock().unwrap());
-        for task in woken {
-            let index = task_index(task);
-            // Stale wake-ups (completed task, possibly recycled slot) are
-            // recognised by the generation mismatch; duplicate wake-ups by
-            // the queued bit — no scan of the ready queue.
-            if eng.generations.get(index as usize) == Some(&task_generation(task)) {
-                if let Some(slot) = eng.slots[index as usize].as_mut() {
-                    if !slot.queued {
-                        slot.queued = true;
-                        eng.ready.push_back(index);
-                    }
+        let eng = &mut *eng;
+        std::mem::swap(
+            &mut *eng
+                .wake_queue
+                .lock()
+                .expect("no waker panics holding the queue"),
+            &mut eng.woken,
+        );
+        for &task in &eng.woken {
+            // Stale wake-ups (completed task, possibly recycled slot) find
+            // no slot; duplicate wake-ups are caught by the queued bit — no
+            // scan of the ready queue.
+            if let Some(slot) = eng.tasks.get_mut(task) {
+                if !slot.queued {
+                    slot.queued = true;
+                    eng.ready.push_back(task);
                 }
             }
         }
+        eng.woken.clear();
     }
 
-    fn poll_task(&self, index: u32) {
+    fn poll_task(&self, task: TaskId) {
         let (mut fut, waker) = {
             let mut eng = self.engine.borrow_mut();
-            let Some(slot) = eng.slots[index as usize].as_mut() else {
+            let eng = &mut *eng;
+            let Some(slot) = eng.tasks.get_mut(task) else {
                 return; // already completed
             };
             slot.queued = false;
             let Some(fut) = slot.fut.take() else {
                 return; // re-entrant poll; cannot happen single-threaded
             };
+            eng.stats.task_polls += 1;
             // The cached waker: cloning is a refcount bump, not an allocation.
             (fut, slot.waker.clone())
         };
@@ -539,8 +542,10 @@ impl Simulation {
         let done = fut.as_mut().poll(&mut cx).is_ready();
         let mut eng = self.engine.borrow_mut();
         if done {
-            eng.remove_task(index);
-        } else if let Some(slot) = eng.slots[index as usize].as_mut() {
+            // Bumps the slot's generation: any outstanding wake-up for this
+            // task becomes a recognised no-op.
+            eng.tasks.remove(task);
+        } else if let Some(slot) = eng.tasks.get_mut(task) {
             slot.fut = Some(fut);
         }
     }
@@ -555,7 +560,7 @@ impl Simulation {
             // a live timer — a timer left in place by a horizon stop keeps
             // its original (time, seq) position.
             let timers = &eng.timers;
-            let Some(key) = eng.wheel.peek(|t| timers.contains_key(&t)) else {
+            let Some(key) = eng.wheel.peek(|t| timers.contains(t.raw())) else {
                 return false;
             };
             if key.time > horizon {
@@ -564,11 +569,12 @@ impl Simulation {
             }
             let key = eng
                 .wheel
-                .pop(|t| timers.contains_key(&t))
+                .pop(|t| timers.contains(t.raw()))
                 .expect("peeked key is present");
             eng.now = eng.now.max(key.time);
+            eng.stats.events_fired += 1;
             eng.timers
-                .remove(&key.id)
+                .remove(key.id.raw())
                 .expect("live timer has an action")
         };
         match action {
@@ -586,16 +592,16 @@ impl Drop for Simulation {
         // dropped *after* the borrow is released: dropping a task future can
         // run `Drop` impls (e.g. `Sleep` cancelling its timer) that re-enter
         // the engine.
-        let (timers, wheel, slots, ready) = {
+        let (timers, wheel, tasks, ready) = {
             let mut eng = self.engine.borrow_mut();
             (
                 std::mem::take(&mut eng.timers),
                 std::mem::take(&mut eng.wheel),
-                std::mem::take(&mut eng.slots),
+                std::mem::take(&mut eng.tasks),
                 std::mem::take(&mut eng.ready),
             )
         };
-        drop((timers, wheel, slots, ready));
+        drop((timers, wheel, tasks, ready));
     }
 }
 
@@ -882,6 +888,119 @@ mod tests {
         }
         sim.run();
         assert_eq!(*log.borrow(), vec![("near", 20.0), ("far", 100.0)]);
+    }
+
+    #[test]
+    fn stats_count_polls_timers_and_events() {
+        let sim = Simulation::new();
+        let ctx = sim.context();
+        let cancelled = ctx.schedule_callback(SimTime::from_secs(3.0), |_| {
+            panic!("cancelled timer must not fire")
+        });
+        ctx.cancel_timer(cancelled);
+        ctx.schedule_callback(SimTime::from_secs(1.5), |_| {});
+        for delay in [1.0, 2.0] {
+            let ctx = ctx.clone();
+            sim.spawn(async move { ctx.sleep(delay).await });
+        }
+        sim.run();
+        assert_eq!(
+            sim.stats(),
+            EngineStats {
+                // Two wake-ups and the callback.
+                events_fired: 3,
+                // Each sleeper: one poll that arms its timer, one that ends.
+                task_polls: 4,
+                timers_scheduled: 4,
+                // Only the explicit cancel: a sleeper dropping its fired
+                // timer's id cancels nothing.
+                timers_cancelled: 1,
+                // The callback and both sleeps.
+                peak_live_timers: 3,
+            }
+        );
+    }
+
+    #[test]
+    fn stale_timer_id_cannot_cancel_the_timer_that_reused_its_slot() {
+        let sim = Simulation::new();
+        let ctx = sim.context();
+        let fired = ctx.schedule_callback(SimTime::from_secs(1.0), |_| {});
+        sim.run();
+        let hit = Rc::new(Cell::new(false));
+        let h = Rc::clone(&hit);
+        let armed = ctx.schedule_callback(SimTime::from_secs(2.0), move |_| h.set(true));
+        assert_eq!(armed.raw() as u32, fired.raw() as u32, "slot reused");
+        assert_ne!(armed, fired);
+        ctx.cancel_timer(fired);
+        assert_eq!(sim.stats().timers_cancelled, 0);
+        sim.run();
+        assert!(hit.get(), "the new timer stayed armed");
+        assert_eq!(sim.now().as_secs(), 2.0);
+    }
+
+    #[test]
+    fn simultaneous_timers_in_recycled_slots_fire_in_schedule_order() {
+        let sim = Simulation::new();
+        let ctx = sim.context();
+        let far: Vec<TimerId> = (0..4)
+            .map(|_| ctx.schedule_callback(SimTime::from_secs(10.0), |_| {}))
+            .collect();
+        // Free slots 1, 3, 0: later timers take them in the order 0, 3, 1.
+        for i in [1, 3, 0] {
+            ctx.cancel_timer(far[i]);
+        }
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let slots: Vec<u32> = ["x", "y", "z"]
+            .into_iter()
+            .map(|tag| {
+                let log = Rc::clone(&log);
+                let id = ctx.schedule_callback(SimTime::from_secs(5.0), move |_| {
+                    log.borrow_mut().push(tag)
+                });
+                id.raw() as u32
+            })
+            .collect();
+        assert_eq!(slots, [0, 3, 1]);
+        sim.run();
+        assert_eq!(*log.borrow(), ["x", "y", "z"]);
+        assert_eq!(sim.now().as_secs(), 10.0);
+    }
+
+    #[test]
+    fn stale_task_wake_after_slot_reuse_is_a_no_op() {
+        let sim = Simulation::new();
+        let stale: Rc<RefCell<Option<Waker>>> = Rc::default();
+        let first = sim.spawn({
+            let stale = Rc::clone(&stale);
+            std::future::poll_fn(move |cx| {
+                *stale.borrow_mut() = Some(cx.waker().clone());
+                Poll::Ready(())
+            })
+        });
+        sim.run();
+        // A task that counts its polls and never finishes on its own.
+        let polls = Rc::new(Cell::new(0));
+        let own: Rc<RefCell<Option<Waker>>> = Rc::default();
+        let second = sim.spawn({
+            let (polls, own) = (Rc::clone(&polls), Rc::clone(&own));
+            std::future::poll_fn(move |cx| {
+                polls.set(polls.get() + 1);
+                *own.borrow_mut() = Some(cx.waker().clone());
+                Poll::<()>::Pending
+            })
+        });
+        sim.run();
+        assert_eq!(second.id() as u32, first.id() as u32, "slot reused");
+        assert_ne!(second.id(), first.id());
+        assert_eq!(polls.get(), 1);
+        stale.borrow_mut().take().unwrap().wake();
+        sim.run();
+        assert_eq!(polls.get(), 1, "the stale wake polled nothing");
+        own.borrow().as_ref().unwrap().wake_by_ref();
+        sim.run();
+        assert_eq!(polls.get(), 2, "the task's own waker still works");
+        assert_eq!(sim.stats().task_polls, 3);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!   same trace.
 //! * **Speed**: timers live in a hierarchical timer wheel (O(1) amortized
 //!   schedule/cancel/pop; see the [`scheduler`] module) rather than a binary
-//!   heap, while preserving the exact `(time, seq)` firing order.
+//!   heap, while preserving the exact `(time, seq)` firing order. Tasks,
+//!   timers and device flows live in generational [`Slab`]s, so no event
+//!   hashes an id.
 //!
 //! ## Example
 //!
@@ -40,9 +42,13 @@
 mod engine;
 pub mod scheduler;
 mod select;
+mod slab;
 pub mod sync;
 mod time;
 
-pub use engine::{JoinHandle, SimContext, Simulation, Sleep, TaskId, TimerId, YieldNow};
+pub use engine::{
+    EngineStats, JoinHandle, SimContext, Simulation, Sleep, TaskId, TimerId, YieldNow,
+};
 pub use select::{select2, Either, Select2};
+pub use slab::Slab;
 pub use time::SimTime;

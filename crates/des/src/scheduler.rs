@@ -54,7 +54,7 @@
 //!
 //! ## Cancellation
 //!
-//! Cancellation is O(1): the engine removes the timer's action from its map
+//! Cancellation is O(1): the engine removes the timer's action from its slab
 //! and calls [`TimerWheel::note_cancel`]; the dead key is discarded when it
 //! surfaces at the front, or reclaimed in bulk by [`TimerWheel::compact`]
 //! once cancelled keys outnumber live ones ([`TimerWheel::should_compact`]).
@@ -84,7 +84,7 @@ impl TimerId {
     /// Builds a `TimerId` from a raw integer.
     ///
     /// Only scheduler-level tests and benchmarks construct ids directly; the
-    /// engine allocates them from its own counter.
+    /// engine's ids are keys in its timer [`Slab`](crate::Slab).
     pub fn from_raw(raw: u64) -> TimerId {
         TimerId(raw)
     }

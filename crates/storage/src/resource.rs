@@ -33,11 +33,18 @@
 //! * flow cancellation: lazy deletion; the stale heap entry is skipped when
 //!   it surfaces — amortised **O(log n)**.
 //!
+//! Flows live in a generational [`Slab`]: a flow's key locates it with one
+//! index, and removing the flow makes the key stale.
+//!
 //! ## Invariants
 //!
 //! * `active` equals the number of flows not yet completed, and the heap
-//!   contains exactly one live entry per active flow (plus stale entries for
-//!   cancelled flows, recognised by their missing id).
+//!   contains exactly one live entry per active flow, plus stale entries for
+//!   cancelled flows. A stale entry's key no longer addresses a flow: its
+//!   generation is behind the slot's, even when a newer flow reuses the
+//!   slot.
+//! * Heap entries tie-break on the flow's start sequence number, never on
+//!   its key, so flows that finish together complete in start order.
 //! * For every active flow, `finish_volume - volume` is its remaining bytes.
 //! * `volume` is monotonically non-decreasing while flows are active, and is
 //!   rebased to zero whenever the resource goes idle so that long simulations
@@ -49,13 +56,13 @@
 
 use std::cell::RefCell;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
-use des::{SimContext, SimTime, TimerId};
+use des::{SimContext, SimTime, Slab, TimerId};
 
 /// Residual byte count under which a flow is considered complete (guards
 /// against floating-point dust).
@@ -84,12 +91,15 @@ struct Flow {
 /// Min-heap entry: a flow and the virtual service at which it completes.
 struct HeapEntry {
     finish_volume: f64,
-    id: u64,
+    /// Start sequence number: the tie-break between equal finish volumes.
+    seq: u64,
+    /// The flow's key in `Inner::flows`; stale once the flow is removed.
+    key: u64,
 }
 
 impl PartialEq for HeapEntry {
     fn eq(&self, other: &Self) -> bool {
-        self.id == other.id && self.finish_volume.total_cmp(&other.finish_volume) == Ordering::Equal
+        self.cmp(other) == Ordering::Equal
     }
 }
 
@@ -98,11 +108,11 @@ impl Eq for HeapEntry {}
 impl Ord for HeapEntry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Reversed: BinaryHeap is a max-heap, we need the smallest finish
-        // volume on top. Ties break by insertion order (lower id first).
+        // volume on top. Ties break by start order (lower seq first).
         other
             .finish_volume
             .total_cmp(&self.finish_volume)
-            .then_with(|| other.id.cmp(&self.id))
+            .then_with(|| other.seq.cmp(&self.seq))
     }
 }
 
@@ -117,7 +127,7 @@ struct Inner {
     bandwidth: f64,
     latency: f64,
     sharing: SharingPolicy,
-    flows: HashMap<u64, Flow>,
+    flows: Slab<Flow>,
     /// Live flows ordered by finish volume; may contain stale entries for
     /// cancelled flows (lazy deletion).
     queue: BinaryHeap<HeapEntry>,
@@ -125,6 +135,7 @@ struct Inner {
     active: usize,
     /// Cumulative fair-share virtual service in bytes (see module docs).
     volume: f64,
+    /// Start sequence number of the next flow (see [`HeapEntry::seq`]).
     next_flow: u64,
     last_update: SimTime,
     timer: Option<TimerId>,
@@ -165,7 +176,7 @@ impl Inner {
     /// Drops stale heap entries (cancelled flows) from the top.
     fn skim_stale(&mut self) {
         while let Some(top) = self.queue.peek() {
-            match self.flows.get(&top.id) {
+            match self.flows.get(top.key) {
                 Some(f) if !f.done => break,
                 _ => {
                     self.queue.pop();
@@ -181,8 +192,8 @@ impl Inner {
             self.skim_stale();
             match self.queue.peek() {
                 Some(top) if top.finish_volume <= self.volume + EPSILON_BYTES => {
-                    let id = self.queue.pop().expect("peeked entry exists").id;
-                    self.complete_flow(id);
+                    let key = self.queue.pop().expect("peeked entry exists").key;
+                    self.complete_flow(key);
                 }
                 _ => break,
             }
@@ -190,8 +201,8 @@ impl Inner {
         self.maybe_rebase();
     }
 
-    fn complete_flow(&mut self, id: u64) {
-        let flow = self.flows.get_mut(&id).expect("live entry has a flow");
+    fn complete_flow(&mut self, key: u64) {
+        let flow = self.flows.get_mut(key).expect("live entry has a flow");
         debug_assert!(!flow.done);
         flow.done = true;
         self.active -= 1;
@@ -228,8 +239,8 @@ impl Inner {
             self.skim_stale();
             match self.queue.peek() {
                 Some(top) if top.finish_volume <= min_finish + EPSILON_BYTES => {
-                    let id = self.queue.pop().expect("peeked entry exists").id;
-                    self.complete_flow(id);
+                    let key = self.queue.pop().expect("peeked entry exists").key;
+                    self.complete_flow(key);
                 }
                 _ => break,
             }
@@ -248,8 +259,8 @@ impl Inner {
     }
 
     /// Bytes transferred so far: everything injected minus what active flows
-    /// still owe. O(active); only used by stats queries, never on the event
-    /// path.
+    /// still owe, summed in slot order. O(slab slots); only used by stats
+    /// queries, never on the event path.
     fn bytes_done(&self) -> f64 {
         let owed: f64 = self.flows.values().map(|f| self.remaining(f)).sum();
         (self.total_injected - owed).max(0.0)
@@ -298,7 +309,7 @@ impl SharedResource {
                 bandwidth,
                 latency,
                 sharing,
-                flows: HashMap::new(),
+                flows: Slab::new(),
                 queue: BinaryHeap::new(),
                 active: 0,
                 volume: 0.0,
@@ -367,10 +378,10 @@ impl SharedResource {
         if bytes <= 0.0 {
             return;
         }
-        let id = self.add_flow(bytes);
+        let key = self.add_flow(bytes);
         FlowDone {
             resource: self.clone(),
-            id,
+            key,
         }
         .await
     }
@@ -398,29 +409,31 @@ impl SharedResource {
         )
     }
 
+    /// Starts a flow of `bytes` and returns its key.
     fn add_flow(&self, bytes: f64) -> u64 {
-        let id = {
+        let key = {
             let mut inner = self.inner.borrow_mut();
             let now = self.ctx.now();
             inner.sync(now);
-            let id = inner.next_flow;
+            let seq = inner.next_flow;
             inner.next_flow += 1;
             let finish_volume = inner.volume + bytes;
-            inner.flows.insert(
-                id,
-                Flow {
-                    finish_volume,
-                    done: false,
-                    waker: None,
-                },
-            );
-            inner.queue.push(HeapEntry { finish_volume, id });
+            let key = inner.flows.insert(Flow {
+                finish_volume,
+                done: false,
+                waker: None,
+            });
+            inner.queue.push(HeapEntry {
+                finish_volume,
+                seq,
+                key,
+            });
             inner.active += 1;
             inner.total_injected += bytes;
-            id
+            key
         };
         self.reschedule();
-        id
+        key
     }
 
     /// Re-arms the completion timer after any change to the flow set.
@@ -473,7 +486,7 @@ impl SharedResource {
 /// Future resolving when a specific flow has transferred all its bytes.
 struct FlowDone {
     resource: SharedResource,
-    id: u64,
+    key: u64,
 }
 
 impl Future for FlowDone {
@@ -481,10 +494,10 @@ impl Future for FlowDone {
 
     fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
         let mut inner = self.resource.inner.borrow_mut();
-        match inner.flows.get_mut(&self.id) {
+        match inner.flows.get_mut(self.key) {
             None => Poll::Ready(()),
             Some(flow) if flow.done => {
-                inner.flows.remove(&self.id);
+                inner.flows.remove(self.key);
                 Poll::Ready(())
             }
             Some(flow) => {
@@ -502,16 +515,16 @@ impl Drop for FlowDone {
         // behind and skipped lazily when it reaches the top.
         let removed = {
             let mut inner = self.resource.inner.borrow_mut();
-            if inner.flows.get(&self.id).map(|f| !f.done).unwrap_or(false) {
+            if inner.flows.get(self.key).is_some_and(|f| !f.done) {
                 let now = self.resource.ctx.now();
                 inner.sync(now);
-                let flow = inner.flows.remove(&self.id).expect("checked above");
+                let flow = inner.flows.remove(self.key).expect("checked above");
                 inner.total_injected -= inner.remaining(&flow);
                 inner.active -= 1;
                 inner.maybe_rebase();
                 true
             } else {
-                inner.flows.remove(&self.id);
+                inner.flows.remove(self.key);
                 false
             }
         };
@@ -1074,6 +1087,66 @@ mod abort_tests {
         // abandoned latency timer must not drag the clock to t=10.
         approx(res.total_bytes(), 0.0);
         assert_eq!(sim.now().as_secs(), 2.0);
+    }
+
+    #[test]
+    fn stale_heap_entry_of_an_aborted_flow_leaves_its_slot_successor_alone() {
+        // 100 B/s. D (400 B), A (600 B) and C (2000 B) start at t=0; A is
+        // aborted at t=1, and B (1000 B) starts at t=1.5 in A's slot. A's
+        // heap entry (finish volume 600) stays buried under D's (400) until
+        // D completes at t=11.75. If it were taken for B's, B would complete
+        // at volume 600 instead of its own 1058.33.
+        //   0–1 s:     D, A, C at 33.3 B/s  -> volume 33.3
+        //   1–1.5 s:   D, C at 50 B/s       -> volume 58.3
+        //   1.5–11.75: D, B, C at 33.3 B/s  -> D done at volume 400
+        //   then B, C at 50 B/s: B done at 11.75 + 658.3/50 = 24.9167 s,
+        //   then C alone: 941.7 B at 100 B/s -> 34.3333 s.
+        let sim = Simulation::new();
+        let ctx = sim.context();
+        let res = SharedResource::new(&ctx, "link", 100.0, 0.0);
+        let timed = |start: f64, bytes: f64| {
+            let (res, ctx) = (res.clone(), ctx.clone());
+            sim.spawn(async move {
+                ctx.sleep(start).await;
+                res.transfer(bytes).await;
+                ctx.now().as_secs()
+            })
+        };
+        let d = timed(0.0, 400.0);
+        let a = sim.spawn({
+            let res = res.clone();
+            let ctx = ctx.clone();
+            async move {
+                let (fut, handle) = res.transfer_abortable(600.0);
+                ctx.schedule_callback(des::SimTime::from_secs(1.0), move |_| handle.abort());
+                fut.await
+            }
+        });
+        let c = timed(0.0, 2000.0);
+        let b = timed(1.5, 1000.0);
+        let shared_slot = Rc::new(std::cell::Cell::new(false));
+        ctx.schedule_callback(des::SimTime::from_secs(2.0), {
+            let (res, shared_slot) = (res.clone(), Rc::clone(&shared_slot));
+            move |_| {
+                let inner = res.inner.borrow();
+                let keys: Vec<u64> = inner.queue.iter().map(|e| e.key).collect();
+                shared_slot.set(
+                    keys.iter()
+                        .any(|&k| keys.iter().any(|&o| o != k && o as u32 == k as u32)),
+                );
+            }
+        });
+        sim.run();
+        assert!(
+            shared_slot.get(),
+            "B's entry and A's stale one share a slot"
+        );
+        assert_eq!(a.try_take_result(), Some(TransferOutcome::Aborted));
+        approx(d.try_take_result().unwrap(), 11.75);
+        approx(b.try_take_result().unwrap(), 24.0 + 11.0 / 12.0);
+        approx(c.try_take_result().unwrap(), 34.0 + 1.0 / 3.0);
+        assert_eq!(res.completed_flows(), 3);
+        assert_eq!(res.active_flows(), 0);
     }
 }
 

@@ -43,7 +43,6 @@
 //! isolation.
 
 use std::cell::RefCell;
-use std::collections::HashSet;
 use std::rc::Rc;
 
 use des::SimContext;
@@ -590,7 +589,9 @@ struct Request {
 
 /// Mutable run state of one generator, shared by its request tasks.
 struct GenState {
-    created: HashSet<usize>,
+    /// The id of each catalog file, by catalog index, once created: later
+    /// requests clone it instead of naming the file again.
+    files: Vec<Option<FileId>>,
     issued: u64,
     completed: u64,
     failed: u64,
@@ -609,9 +610,9 @@ struct GenState {
 }
 
 impl GenState {
-    fn new(start: f64) -> Self {
+    fn new(start: f64, catalog_files: usize) -> Self {
         GenState {
-            created: HashSet::new(),
+            files: vec![None; catalog_files],
             issued: 0,
             completed: 0,
             failed: 0,
@@ -714,7 +715,9 @@ async fn execute_request(gen: Rc<GenCtx>, req: Request, base: f64) -> Result<(),
         faults,
     } = &*gen;
     let group = *group;
-    let id = catalog_file(spec, req.file);
+    let known = state.borrow().files[req.file].clone();
+    let first_touch = known.is_none();
+    let id = known.unwrap_or_else(|| catalog_file(spec, req.file));
     let class = if req.is_read {
         OpClass::Read
     } else {
@@ -729,13 +732,11 @@ async fn execute_request(gen: Rc<GenCtx>, req: Request, base: f64) -> Result<(),
     }
     // Lazy catalog: the file springs into existence (and into the tenant's
     // cache group) on first touch.
-    {
-        let mut s = state.borrow_mut();
-        if s.created.insert(req.file) {
-            backend.create_file(&id, file_size(spec, req.file))?;
-            if spec.tenant.is_some() {
-                backend.set_file_group(&id, group);
-            }
+    if first_touch {
+        state.borrow_mut().files[req.file] = Some(id.clone());
+        backend.create_file(&id, file_size(spec, req.file))?;
+        if spec.tenant.is_some() {
+            backend.set_file_group(&id, group);
         }
     }
     state.borrow_mut().note_in_flight(ctx.now().as_secs(), 1);
@@ -795,7 +796,7 @@ pub(crate) async fn run_generator(
 ) -> Result<TrafficGenReport, ScenarioError> {
     let requests = plan_requests(spec);
     let start = ctx.now().as_secs();
-    let state = Rc::new(RefCell::new(GenState::new(start)));
+    let state = Rc::new(RefCell::new(GenState::new(start, spec.catalog_files)));
     let gen = Rc::new(GenCtx {
         ctx: ctx.clone(),
         backend: backend.clone(),
