@@ -18,12 +18,14 @@
 
 /// One slot: the generation of its current (or next) occupant, and the
 /// occupant itself.
+#[derive(Debug, Clone)]
 struct Entry<T> {
     generation: u32,
     value: Option<T>,
 }
 
 /// A slab of `T` addressed by generational `u64` keys. See the module docs.
+#[derive(Debug, Clone)]
 pub struct Slab<T> {
     entries: Vec<Entry<T>>,
     /// Indices of vacated slots, reused last-in first-out.
@@ -135,7 +137,15 @@ impl<T> Slab<T> {
 
     /// The stored values in slot order.
     pub fn values(&self) -> impl Iterator<Item = &T> {
-        self.entries.iter().filter_map(|e| e.value.as_ref())
+        self.iter().map(|(_, v)| v)
+    }
+
+    /// The stored values with their keys, in slot order.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &T)> {
+        self.entries
+            .iter()
+            .enumerate()
+            .filter_map(|(i, e)| e.value.as_ref().map(|v| (key(i as u32, e.generation), v)))
     }
 }
 
@@ -189,6 +199,9 @@ mod tests {
             slab.values().copied().collect::<Vec<_>>(),
             [0, 10, 2, 30, 4]
         );
+        for (key, &value) in slab.iter() {
+            assert_eq!(slab.get(key), Some(&value), "iter yields live keys");
+        }
     }
 
     #[test]

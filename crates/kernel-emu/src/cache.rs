@@ -18,15 +18,17 @@
 //!
 //! # Mechanism vs. policy
 //!
-//! Like `pagecache::lru`, this module is *mechanism*: the file slab, the
-//! page accounting, the resident/durability range ledgers, and the ordered
-//! reclaim indexes. The *decisions* — in what order files are picked as
-//! eviction victims, whether a file gets a second chance, and how
-//! re-accessed files are classified — are delegated to the
-//! [`Policy`] configured via [`KernelTuning::eviction_policy`].
+//! Like `pagecache::lru`, this module is *mechanism*: the per-file slots of
+//! a [`FileTable`] (the table `pagecache::lru` keeps its per-file state in
+//! too: name index, slots, cache-group assignment and group byte totals),
+//! the page accounting, the resident/durability range ledgers, and the
+//! ordered reclaim indexes. The *decisions* — in what order files are
+//! picked as eviction victims, whether a file gets a second chance, and how
+//! re-accessed files are classified — are delegated to the [`Policy`]
+//! configured via [`KernelTuning::eviction_policy`].
 //! Because the emulator tracks occupancy per file (not per block), it
 //! consumes the policy's *file-granular* hooks, driven off a per-file
-//! [`FileMeta`] stored in each slab slot: `file_admit` on inserts,
+//! [`FileMeta`] stored in each file's slot: `file_admit` on inserts,
 //! `file_touch` on re-accesses, `file_rank` as the victim-ordering prefix
 //! (victims go in `(rank, last_access, file name)` order),
 //! `file_second_chance` during the protection pass of [`KernelCache::evict`]
@@ -41,7 +43,9 @@
 //! take is a [`ReclaimScope`], the type the macroscopic model uses too: the
 //! whole host (optionally excluding the file being read) for global reclaim,
 //! or one cache group for [`KernelCache::enforce_group_limits`], so a
-//! tenant's limit runs the same victim ordering as global reclaim.
+//! tenant's limit runs the same victim ordering as global reclaim. A call
+//! resolves its scope against the file table once; each index entry it
+//! visits is then checked by slot key, without a name lookup.
 //!
 //! # Reclaim indexes
 //!
@@ -59,23 +63,24 @@
 //!
 //! An eviction or writeback that takes `k` files visits `k` index entries
 //! plus the ones its scope or a second chance skips, at O(log F) each for
-//! F cached files. Inserts, writeback, eviction, `set_write_open` and the
-//! policy's `file_admit` re-key the file they change at O(log F). A
-//! re-access ([`KernelCache::touch`], the read-hit path) only marks its
-//! slot stale: the next eviction or writeback re-keys the stale slots
-//! before it walks, so a hot file read many times between reclaims is
-//! re-keyed once. [`KernelCache::work`] counts the entries each walk
+//! F cached files; a file name lookup in the table is O(1) expected.
+//! Inserts, writeback, eviction, `set_write_open` and the policy's
+//! `file_admit` re-key the file they change at O(log F). A re-access
+//! ([`KernelCache::touch`], the read-hit path) only marks its slot stale:
+//! the next eviction or writeback re-keys the stale slots before it walks,
+//! so a hot file read many times between reclaims is re-keyed once.
+//! [`KernelCache::work`] counts the reclaim calls and the entries each walk
 //! visits.
 
 use std::cell::RefCell;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound::{Excluded, Unbounded};
 use std::rc::Rc;
 
 use des::{JoinHandle, SimContext, SimTime};
 use pagecache::{
-    CacheContentSnapshot, FileId, FileMeta, MemorySample, MemoryTrace, Policy, ReclaimScope,
-    EPSILON,
+    CacheContentSnapshot, FileId, FileMeta, FileTable, MemorySample, MemoryTrace, Policy,
+    ReclaimScope, EPSILON,
 };
 use storage_model::{Disk, MemoryDevice};
 
@@ -87,12 +92,12 @@ const CLOSED: usize = 0;
 const WRITE_OPEN: usize = 1;
 
 /// A clean-index entry, in victim order: `(policy rank, last access, file
-/// name, slot)`. Names are unique, so the slot only carries the payload.
-type CleanKey = (u32, SimTime, FileId, u32);
+/// name, slot key)`. Names are unique, so the key only carries the payload.
+type CleanKey = (u32, SimTime, FileId, u64);
 
 /// A dirty-index entry, in writeback order: `(oldest dirty time, file name,
-/// slot)`.
-type DirtyKey = (SimTime, FileId, u32);
+/// slot key)`.
+type DirtyKey = (SimTime, FileId, u64);
 
 /// The first entry of `set` after `after` (from the front when `None`).
 fn first_after<'a, K: Ord>(set: &'a BTreeSet<K>, after: Option<&K>) -> Option<&'a K> {
@@ -292,11 +297,17 @@ pub struct KernelCacheCounters {
     pub throttle_stall_seconds: f64,
 }
 
-/// Deterministic work counters of the reclaim walks: index entries visited,
-/// skipped ones included. Counts, not timers, so they are identical on any
-/// machine.
+/// Deterministic work counters of the reclaim walks: calls, and index
+/// entries visited, skipped ones included. Counts, not timers, so they are
+/// identical on any machine.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct KernelCacheWork {
+    /// Calls of [`KernelCache::evict`] with an amount above [`EPSILON`].
+    pub evict_calls: u64,
+    /// Calls of [`KernelCache::write_back`] with an amount above
+    /// [`EPSILON`], including those [`KernelCache::write_back_expired`]
+    /// makes.
+    pub writeback_calls: u64,
     /// Clean-index entries visited by [`KernelCache::evict`] (both passes).
     pub evict_visits: u64,
     /// Dirty-index entries visited by [`KernelCache::write_back`] and
@@ -327,11 +338,12 @@ impl IndexPos {
     }
 }
 
-/// One file's slab slot: its page accounting, policy metadata and range
-/// ledgers, plus where it sits in the reclaim indexes.
-#[derive(Debug, Clone)]
+/// One file's state in the file table: its page accounting, policy metadata
+/// and range ledgers, plus where it sits in the reclaim indexes. The default
+/// is a fresh slot: no pages, not open for writing, default policy metadata,
+/// empty ledgers, in no index.
+#[derive(Debug, Default, Clone)]
 struct FileSlot {
-    file: FileId,
     pages: FilePages,
     /// Per-file policy metadata (reference bit, hotness, generation) consumed
     /// by the file-granular [`Policy`] hooks.
@@ -357,27 +369,19 @@ struct FileSlot {
     stale: bool,
 }
 
-/// Incrementally maintained byte totals of one cache group (tenant) — the
-/// emulator-side memcg analogue of `pagecache`'s group aggregates.
-#[derive(Debug, Default, Clone, Copy)]
-struct GroupBytes {
-    cached: f64,
-    dirty: f64,
-}
-
-/// The mutable state of one [`KernelCache`]: a slab of per-file slots, the
-/// name index over it, and the ordered reclaim indexes (see the module
-/// docs). For F cached files: a name lookup is O(log F); every insert,
-/// writeback step and eviction step re-keys the file it changes in
-/// O(log F); [`KernelCache::touch`] is O(1) and leaves its re-key to the
-/// next reclaim walk; the byte totals are O(1).
+/// The mutable state of one [`KernelCache`]: the file table of per-file
+/// slots and the ordered reclaim indexes (see the module docs). For F
+/// cached files: a name lookup is O(1) expected; every insert, writeback
+/// step and eviction step re-keys the file it changes in O(log F);
+/// [`KernelCache::touch`] is O(1) and leaves its re-key to the next reclaim
+/// walk; the byte totals, group totals included, are O(1).
 struct State {
-    /// File name -> slab slot. The sorted index is kept for
-    /// [`KernelCache::cached_per_file`] snapshots; reclaim goes through the
-    /// ordered indexes below instead of scanning this map.
-    index: BTreeMap<FileId, u32>,
-    slots: Vec<Option<FileSlot>>,
-    free_slots: Vec<u32>,
+    /// Per-file slots behind the name index, with each file's cache group
+    /// (configuration, not cache state: it survives eviction,
+    /// invalidation and crashes) and the group byte totals, moved at every
+    /// site that moves `cached_total` / `dirty_total`. Reclaim goes through
+    /// the ordered indexes below instead of scanning the table.
+    files: FileTable<FileSlot>,
     /// The clean index, split by [`CLOSED`] / [`WRITE_OPEN`]: exactly the
     /// files holding clean pages, in victim order. O(log F) to re-key.
     clean: [BTreeSet<CleanKey>; 2],
@@ -386,7 +390,7 @@ struct State {
     dirty: BTreeSet<DirtyKey>,
     /// Slots marked stale by [`KernelCache::touch`] (each listed at least
     /// once while its flag is set), drained before every reclaim walk.
-    stale: Vec<u32>,
+    stale: Vec<u64>,
     work: KernelCacheWork,
     anonymous: f64,
     /// Incrementally maintained sum of `FilePages::cached` over all files,
@@ -395,89 +399,47 @@ struct State {
     cached_total: f64,
     /// Incrementally maintained sum of `FilePages::dirty` over all files.
     dirty_total: f64,
-    /// Cache-group (tenant) assignment per file. Configuration, not cache
-    /// state: assignments survive eviction and crashes.
-    group_of: HashMap<FileId, u32>,
-    /// Per-group byte totals, mirrored at every site that moves
-    /// `cached_total` / `dirty_total` (verified by the debug oracle).
-    group_bytes: HashMap<u32, GroupBytes>,
     trace: MemoryTrace,
     counters: KernelCacheCounters,
     /// Replacement policy: decides victim-file ordering, second chances and
     /// re-access classification via the file-granular hooks. The
-    /// mechanism (slab, indexes, ledgers) above is policy-independent.
+    /// mechanism (file table, indexes, ledgers) above is policy-independent.
     policy: Policy,
     stop: bool,
 }
 
 impl State {
-    fn slot(&self, i: u32) -> &FileSlot {
-        self.slots[i as usize].as_ref().expect("vacant file slot")
-    }
-
-    fn slot_mut(&mut self, i: u32) -> &mut FileSlot {
-        self.slots[i as usize].as_mut().expect("vacant file slot")
-    }
-
     fn pages(&self, file: &FileId) -> Option<&FilePages> {
-        self.index.get(file).map(|&i| &self.slot(i).pages)
-    }
-
-    /// Returns the slab slot of `file`, creating an empty one if needed.
-    fn ensure_slot(&mut self, file: &FileId) -> u32 {
-        if let Some(&i) = self.index.get(file) {
-            return i;
-        }
-        let slot = FileSlot {
-            file: file.clone(),
-            pages: FilePages::default(),
-            meta: FileMeta::default(),
-            resident: RangeSet::default(),
-            dirty: RangeSet::default(),
-            indexed: IndexPos::default(),
-            stale: false,
-        };
-        let i = match self.free_slots.pop() {
-            Some(i) => {
-                self.slots[i as usize] = Some(slot);
-                i
-            }
-            None => {
-                self.slots.push(Some(slot));
-                u32::try_from(self.slots.len() - 1).expect("file slab exhausted u32 index space")
-            }
-        };
-        self.index.insert(file.clone(), i);
-        i
+        self.files.key(file).map(|i| &self.files.get(i).pages)
     }
 
     /// Moves slot `i`'s index entries to `to`. O(log F) per entry that
     /// moves; a no-op when the position is unchanged.
-    fn place(&mut self, i: u32, to: IndexPos) {
-        let slot = self.slots[i as usize].as_mut().expect("vacant file slot");
-        let from = slot.indexed;
+    fn place(&mut self, i: u64, to: IndexPos) {
+        let from = self.files.get(i).indexed;
+        let file = self.files.name(i);
         if from.clean != to.clean {
             if let Some((rank, t, open)) = from.clean {
-                self.clean[open as usize].remove(&(rank, t, slot.file.clone(), i));
+                self.clean[open as usize].remove(&(rank, t, file.clone(), i));
             }
             if let Some((rank, t, open)) = to.clean {
-                self.clean[open as usize].insert((rank, t, slot.file.clone(), i));
+                self.clean[open as usize].insert((rank, t, file.clone(), i));
             }
         }
         if from.dirty != to.dirty {
             if let Some(t) = from.dirty {
-                self.dirty.remove(&(t, slot.file.clone(), i));
+                self.dirty.remove(&(t, file.clone(), i));
             }
             if let Some(t) = to.dirty {
-                self.dirty.insert((t, slot.file.clone(), i));
+                self.dirty.insert((t, file.clone(), i));
             }
         }
-        slot.indexed = to;
+        self.files.get_mut(i).indexed = to;
     }
 
     /// Re-keys slot `i` from its pages and policy metadata.
-    fn rekey(&mut self, i: u32) {
-        let slot = self.slots[i as usize].as_mut().expect("vacant file slot");
+    fn rekey(&mut self, i: u64) {
+        let slot = self.files.get_mut(i);
         slot.stale = false;
         let to = IndexPos::of(slot, &self.policy);
         self.place(i, to);
@@ -486,7 +448,7 @@ impl State {
     /// Re-keys every slot [`KernelCache::touch`] marked stale.
     fn drain_stale(&mut self) {
         while let Some(i) = self.stale.pop() {
-            if self.slots[i as usize].as_ref().is_some_and(|s| s.stale) {
+            if self.files.contains(i) && self.files.get(i).stale {
                 self.rekey(i);
             }
         }
@@ -504,47 +466,35 @@ impl State {
     /// Evicts up to `need` clean bytes of slot `i`, keeping the resident
     /// ranges, the policy and the group totals in step. Does not re-key.
     /// Returns the bytes removed.
-    fn evict_from(&mut self, i: u32, need: f64) -> f64 {
-        let slot = self.slots[i as usize].as_mut().expect("vacant file slot");
+    fn evict_from(&mut self, i: u64, need: f64) -> f64 {
+        let slot = self.files.get_mut(i);
         let removed = slot.pages.evict_clean(need);
         if removed > EPSILON {
             // Keep the range view in sync: reclaimed pages leave from the
             // lowest offsets (the LRU end under sequential access).
             slot.resident.trim_front(removed);
             if slot.pages.cached() <= EPSILON {
-                self.policy.file_on_evict(&slot.file, &slot.meta);
+                let meta = slot.meta;
+                self.policy.file_on_evict(self.files.name(i), &meta);
             }
-            let f = slot.file.clone();
-            self.group_adjust(&f, -removed, 0.0);
+            self.files.adjust_group(i, -removed, 0.0);
         }
         removed
     }
 
     /// Writes back (marks clean) up to `need` dirty bytes of slot `i` and
     /// re-keys it. Returns the bytes cleaned.
-    fn write_back_from(&mut self, i: u32, need: f64) -> f64 {
-        let cleaned = self.slot_mut(i).pages.clean_dirty(need);
+    fn write_back_from(&mut self, i: u64, need: f64) -> f64 {
+        let slot = self.files.get_mut(i);
+        let cleaned = slot.pages.clean_dirty(need);
         if cleaned > 0.0 {
             // Partial writeback cleans the durability ledger from the lowest
             // offsets (deterministic approximation).
-            self.slot_mut(i).dirty.trim_front(cleaned);
-            let f = self.slot(i).file.clone();
-            self.group_adjust(&f, 0.0, -cleaned);
+            slot.dirty.trim_front(cleaned);
+            self.files.adjust_group(i, 0.0, -cleaned);
         }
         self.rekey(i);
         cleaned
-    }
-
-    /// Applies byte deltas to the cache-group aggregates of `file` (no-op
-    /// for ungrouped files). Negative deltas saturate at zero, matching the
-    /// clamping of the global totals.
-    fn group_adjust(&mut self, file: &FileId, d_cached: f64, d_dirty: f64) {
-        let Some(&g) = self.group_of.get(file) else {
-            return;
-        };
-        let gb = self.group_bytes.entry(g).or_default();
-        gb.cached = (gb.cached + d_cached).max(0.0);
-        gb.dirty = (gb.dirty + d_dirty).max(0.0);
     }
 
     /// Scan-based oracle for the incremental totals and the reclaim
@@ -553,7 +503,7 @@ impl State {
     fn debug_validate(&self) {
         #[cfg(debug_assertions)]
         {
-            let live = || self.slots.iter().flatten();
+            let live = || self.files.iter().map(|(_, _, slot)| slot);
             let cached: f64 = live().map(|s| s.pages.cached()).sum();
             let dirty: f64 = live().map(|s| s.pages.dirty()).sum();
             debug_assert!(
@@ -568,59 +518,32 @@ impl State {
                 self.dirty_total,
                 dirty
             );
-            debug_assert_eq!(self.index.len() + self.free_slots.len(), self.slots.len());
-            // Group aggregates must match a scan through the assignment map.
-            let mut group_scan: HashMap<u32, GroupBytes> = HashMap::new();
-            for slot in live() {
-                if let Some(&g) = self.group_of.get(&slot.file) {
-                    let gb = group_scan.entry(g).or_default();
-                    gb.cached += slot.pages.cached();
-                    gb.dirty += slot.pages.dirty();
-                }
+            // The name index and the group totals.
+            if let Err(e) = self.files.check(|s| (s.pages.cached(), s.pages.dirty())) {
+                panic!("file table diverged from a scan: {e}");
             }
-            for (&g, gb) in &self.group_bytes {
-                let sc = group_scan.get(&g).copied().unwrap_or_default();
-                debug_assert!(
-                    (gb.cached - sc.cached).abs() <= EPSILON + 1e-9 * sc.cached.abs(),
-                    "group {g} cached {} != scan {}",
-                    gb.cached,
-                    sc.cached
-                );
-                debug_assert!(
-                    (gb.dirty - sc.dirty).abs() <= EPSILON + 1e-9 * sc.dirty.abs(),
-                    "group {g} dirty {} != scan {}",
-                    gb.dirty,
-                    sc.dirty
-                );
-            }
-            // The per-file resident ranges and the float aggregates must
-            // describe the same number of bytes, and the spans must be
-            // sorted and disjoint.
-            for (file, &i) in &self.index {
-                let s = self.slot(i);
-                let resident = s.resident.total();
-                let cached = s.pages.cached();
+            // The indexes hold exactly the entries a scan of the slots
+            // derives: every slot sits where its pages and policy metadata
+            // put it, except a stale slot, which keeps its recorded entries
+            // until the next drain and must be listed for it.
+            let listed: std::collections::HashSet<u64> = self.stale.iter().copied().collect();
+            let mut entries = [0usize; 3];
+            for (i, file, slot) in self.files.iter() {
+                // The resident ranges and the float aggregates describe the
+                // same number of bytes, and the spans are sorted and
+                // disjoint.
+                let resident = slot.resident.total();
+                let cached = slot.pages.cached();
                 debug_assert!(
                     (resident - cached).abs() <= 1e-3 + 1e-6 * cached.abs(),
                     "file {file}: resident ranges {resident} != cached bytes {cached}"
                 );
-                for w in s.resident.spans.windows(2) {
+                for w in slot.resident.spans.windows(2) {
                     debug_assert!(
                         w[0].1 <= w[1].0 + EPSILON,
                         "file {file}: overlapping/unsorted resident spans"
                     );
                 }
-            }
-            // The indexes hold exactly the entries a scan of the slab
-            // derives: every slot sits where its pages and policy metadata
-            // put it, except a stale slot, which keeps its recorded entries
-            // until the next drain and must be listed for it.
-            let listed: std::collections::HashSet<u32> = self.stale.iter().copied().collect();
-            let mut entries = [0usize; 3];
-            for (i, slot) in self.slots.iter().enumerate() {
-                let Some(slot) = slot else { continue };
-                let i = i as u32;
-                let file = &slot.file;
                 if slot.stale {
                     debug_assert!(listed.contains(&i), "file {file}: stale but not listed");
                 } else {
@@ -685,9 +608,7 @@ impl KernelCache {
             memory,
             disk,
             state: Rc::new(RefCell::new(State {
-                index: BTreeMap::new(),
-                slots: Vec::new(),
-                free_slots: Vec::new(),
+                files: FileTable::new(),
                 clean: Default::default(),
                 dirty: BTreeSet::new(),
                 stale: Vec::new(),
@@ -695,8 +616,6 @@ impl KernelCache {
                 anonymous: 0.0,
                 cached_total: 0.0,
                 dirty_total: 0.0,
-                group_of: HashMap::new(),
-                group_bytes: HashMap::new(),
                 trace: MemoryTrace::new(),
                 counters: KernelCacheCounters::default(),
                 policy: tuning.eviction_policy.build(),
@@ -757,11 +676,10 @@ impl KernelCache {
     /// Cached bytes per file.
     pub fn cached_per_file(&self) -> BTreeMap<FileId, f64> {
         let s = self.state.borrow();
-        s.index
+        s.files
             .iter()
-            .map(|(k, &i)| (k, &s.slot(i).pages))
-            .filter(|(_, p)| p.cached() > EPSILON)
-            .map(|(k, p)| (k.clone(), p.cached()))
+            .filter(|(_, _, slot)| slot.pages.cached() > EPSILON)
+            .map(|(_, file, slot)| (file.clone(), slot.pages.cached()))
             .collect()
     }
 
@@ -807,26 +725,24 @@ impl KernelCache {
     /// Marks a file as being written (protected from eviction) or not.
     pub fn set_write_open(&self, file: &FileId, open: bool) {
         let mut s = self.state.borrow_mut();
-        let i = s.ensure_slot(file);
-        s.slot_mut(i).pages.write_open = open;
+        let i = s.files.key_or_insert(file);
+        s.files.get_mut(i).pages.write_open = open;
         s.rekey(i);
     }
 
-    /// Drops all cached pages of a file.
+    /// Drops all cached pages of a file. A grouped file keeps its group
+    /// (in a fresh slot); an ungrouped one leaves the file table.
     pub fn invalidate_file(&self, file: &FileId) -> f64 {
         let mut s = self.state.borrow_mut();
-        let Some(i) = s.index.remove(file) else {
+        let Some(i) = s.files.key(file) else {
             return 0.0;
         };
         s.place(i, IndexPos::default());
-        let pages = s.slots[i as usize]
-            .take()
-            .expect("indexed slot is live")
-            .pages;
-        s.free_slots.push(i);
+        let pages = s.files.get(i).pages;
+        s.files.adjust_group(i, -pages.cached(), -pages.dirty());
+        s.files.discard(i);
         s.cached_total = (s.cached_total - pages.cached()).max(0.0);
         s.dirty_total = (s.dirty_total - pages.dirty()).max(0.0);
-        s.group_adjust(file, -pages.cached(), -pages.dirty());
         s.debug_validate();
         pages.cached()
     }
@@ -838,46 +754,20 @@ impl KernelCache {
     /// crashes — they are configuration, not cache state.
     pub fn set_file_group(&self, file: &FileId, group: Option<u32>) {
         let mut s = self.state.borrow_mut();
-        let (cached, dirty) = s
-            .pages(file)
-            .map(|p| (p.cached(), p.dirty()))
-            .unwrap_or((0.0, 0.0));
-        if let Some(&old) = s.group_of.get(file) {
-            if let Some(gb) = s.group_bytes.get_mut(&old) {
-                gb.cached = (gb.cached - cached).max(0.0);
-                gb.dirty = (gb.dirty - dirty).max(0.0);
-            }
-        }
-        match group {
-            Some(g) => {
-                s.group_of.insert(file.clone(), g);
-                let gb = s.group_bytes.entry(g).or_default();
-                gb.cached += cached;
-                gb.dirty += dirty;
-            }
-            None => {
-                s.group_of.remove(file);
-            }
-        }
+        s.files.set_group(file, group, |slot| {
+            (slot.pages.cached(), slot.pages.dirty())
+        });
         s.debug_validate();
     }
 
     /// Cached bytes (clean + dirty) currently attributed to a cache group.
     pub fn group_cached(&self, group: u32) -> f64 {
-        self.state
-            .borrow()
-            .group_bytes
-            .get(&group)
-            .map_or(0.0, |gb| gb.cached)
+        self.state.borrow().files.group_cached(group)
     }
 
     /// Dirty bytes currently attributed to a cache group.
     pub fn group_dirty(&self, group: u32) -> f64 {
-        self.state
-            .borrow()
-            .group_bytes
-            .get(&group)
-            .map_or(0.0, |gb| gb.dirty)
+        self.state.borrow().files.group_dirty(group)
     }
 
     /// Enforces memcg-style limits on one cache group: writes back the
@@ -931,7 +821,9 @@ impl KernelCache {
             return 0.0;
         }
         let mut s = self.state.borrow_mut();
+        s.work.evict_calls += 1;
         s.drain_stale();
+        let scope = s.files.resolve(scope);
         let use_ref = s.policy.uses_reference_bits();
         let mut evicted = 0.0;
         // Slots re-keyed only after the walk, so both passes walk the order
@@ -956,16 +848,16 @@ impl KernelCache {
                 after = Some(key);
                 let st = &mut *s;
                 st.work.evict_visits += 1;
-                let slot = st.slots[i as usize].as_mut().expect("vacant file slot");
-                if !scope.admits(&slot.file, &st.group_of) {
+                if !st.files.admits(scope, i) {
                     continue;
                 }
-                if respect_protection && use_ref && st.policy.file_second_chance(&mut slot.meta) {
+                let meta = &mut st.files.get_mut(i).meta;
+                if respect_protection && use_ref && st.policy.file_second_chance(meta) {
                     deferred.push(i);
                     continue;
                 }
                 evicted += st.evict_from(i, amount - evicted);
-                let left = st.slot(i).pages.clean();
+                let left = st.files.get(i).pages.clean();
                 if left > 0.0 && left <= EPSILON {
                     deferred.push(i);
                 } else {
@@ -997,7 +889,9 @@ impl KernelCache {
         }
         let flushed = {
             let mut s = self.state.borrow_mut();
+            s.work.writeback_calls += 1;
             s.drain_stale();
+            let scope = s.files.resolve(scope);
             let mut flushed = 0.0;
             let mut after = None;
             loop {
@@ -1010,7 +904,7 @@ impl KernelCache {
                 let i = key.2;
                 after = Some(key);
                 s.work.writeback_visits += 1;
-                if !scope.admits(&s.slot(i).file, &s.group_of) {
+                if !s.files.admits(scope, i) {
                     continue;
                 }
                 flushed += s.write_back_from(i, amount - flushed);
@@ -1049,11 +943,7 @@ impl KernelCache {
                 if !expired {
                     break;
                 }
-                amount += st.slots[i as usize]
-                    .as_ref()
-                    .expect("vacant file slot")
-                    .pages
-                    .dirty();
+                amount += st.files.get(i).pages.dirty();
             }
             amount
         };
@@ -1084,9 +974,9 @@ impl KernelCache {
     /// afterwards are exactly the bytes they read from disk.
     pub fn uncovered(&self, file: &FileId, start: f64, end: f64) -> Vec<(f64, f64)> {
         let s = self.state.borrow();
-        s.index.get(file).map_or_else(
+        s.files.key(file).map_or_else(
             || vec![(start, end)],
-            |&i| s.slot(i).resident.gaps(start, end),
+            |i| s.files.get(i).resident.gaps(start, end),
         )
     }
 
@@ -1094,9 +984,9 @@ impl KernelCache {
     /// cached).
     pub fn resident_high_water(&self, file: &FileId) -> f64 {
         let s = self.state.borrow();
-        s.index
-            .get(file)
-            .map_or(0.0, |&i| s.slot(i).resident.high_water())
+        s.files
+            .key(file)
+            .map_or(0.0, |i| s.files.get(i).resident.high_water())
     }
 
     /// Adds the *non-resident* part of `[start, end)` of `file` as clean
@@ -1110,15 +1000,15 @@ impl KernelCache {
         }
         let now = self.ctx.now();
         let mut s = self.state.borrow_mut();
-        let i = s.ensure_slot(file);
+        let i = s.files.key_or_insert(file);
         let added = {
             let st = &mut *s;
-            let slot = st.slots[i as usize].as_mut().expect("vacant file slot");
+            let slot = st.files.get_mut(i);
             let added = (end - start) - slot.resident.covered_len(start, end);
             slot.resident.insert(start, end);
             slot.pages.inactive_clean += added;
             slot.pages.last_access = now;
-            st.policy.file_admit(&slot.file, &mut slot.meta);
+            st.policy.file_admit(file, &mut slot.meta);
             added
         };
         // Re-keyed even when nothing was added: the access and the policy's
@@ -1126,7 +1016,7 @@ impl KernelCache {
         s.rekey(i);
         if added > EPSILON {
             s.cached_total += added;
-            s.group_adjust(file, added, 0.0);
+            s.files.adjust_group(i, added, 0.0);
         }
         s.debug_validate();
         added
@@ -1143,11 +1033,11 @@ impl KernelCache {
         }
         let now = self.ctx.now();
         let mut s = self.state.borrow_mut();
-        let i = s.ensure_slot(file);
+        let i = s.files.key_or_insert(file);
         let (added, redirtied) = {
             let st = &mut *s;
-            let slot = st.slots[i as usize].as_mut().expect("vacant file slot");
-            st.policy.file_admit(&slot.file, &mut slot.meta);
+            let slot = st.files.get_mut(i);
+            st.policy.file_admit(file, &mut slot.meta);
             let overlap = slot.resident.covered_len(start, end);
             let added = (end - start) - overlap;
             slot.resident.insert(start, end);
@@ -1171,30 +1061,30 @@ impl KernelCache {
         s.rekey(i);
         s.cached_total += added;
         s.dirty_total += added + redirtied;
-        s.group_adjust(file, added, added + redirtied);
+        s.files.adjust_group(i, added, added + redirtied);
         s.debug_validate();
     }
 
     /// Writes back every dirty page of one file (`fsync`), simulating the
-    /// disk write. O(1) bookkeeping via the file's slab slot. Counted as
+    /// disk write. O(1) bookkeeping via the file's slot. Counted as
     /// throttled (synchronous) writeback. Returns the amount written back.
     pub async fn write_back_file(&self, file: &FileId) -> f64 {
         let flushed = {
             let mut s = self.state.borrow_mut();
-            let Some(&i) = s.index.get(file) else {
+            let Some(i) = s.files.key(file) else {
                 return 0.0;
             };
-            let dirty = s.slot(i).pages.dirty();
+            let dirty = s.files.get(i).pages.dirty();
             if dirty <= EPSILON {
                 return 0.0;
             }
-            let cleaned = s.slot_mut(i).pages.clean_dirty(dirty);
+            let cleaned = s.files.get_mut(i).pages.clean_dirty(dirty);
             s.rekey(i);
             // Every written position of the file is now on disk.
-            s.slot_mut(i).dirty = RangeSet::default();
+            s.files.get_mut(i).dirty = RangeSet::default();
             s.counters.throttled_writeback += cleaned;
             s.dirty_total = (s.dirty_total - cleaned).max(0.0);
-            s.group_adjust(file, 0.0, -cleaned);
+            s.files.adjust_group(i, 0.0, -cleaned);
             s.debug_validate();
             cleaned
         };
@@ -1209,9 +1099,9 @@ impl KernelCache {
     /// Sorted and disjoint; empty for fully written-back (or unknown) files.
     pub fn dirty_ranges(&self, file: &FileId) -> Vec<(f64, f64)> {
         let s = self.state.borrow();
-        s.index
-            .get(file)
-            .map_or_else(Vec::new, |&i| s.slot(i).dirty.spans.clone())
+        s.files
+            .key(file)
+            .map_or_else(Vec::new, |i| s.files.get(i).dirty.spans.clone())
     }
 
     /// Simulated power loss: drops every cached page and all anonymous
@@ -1220,26 +1110,22 @@ impl KernelCache {
     /// not the volatile state. Takes no simulated time.
     pub fn crash_discard(&self) -> Vec<(FileId, Vec<(f64, f64)>)> {
         let mut s = self.state.borrow_mut();
-        let entries: Vec<(FileId, u32)> = s.index.iter().map(|(k, &i)| (k.clone(), i)).collect();
-        let mut lost = Vec::new();
-        for (file, i) in entries {
-            let slot = s.slots[i as usize].take().expect("indexed slot is live");
-            if !slot.dirty.spans.is_empty() {
-                lost.push((file, slot.dirty.spans));
-            }
-        }
-        s.index.clear();
-        s.slots.clear();
-        s.free_slots.clear();
+        // Group *totals* are volatile cache state and reset with it; the
+        // group *assignments* are configuration and survive the crash.
+        let mut lost: Vec<_> = s
+            .files
+            .discard_all()
+            .into_iter()
+            .filter(|(_, slot)| !slot.dirty.spans.is_empty())
+            .map(|(file, slot)| (file, slot.dirty.spans))
+            .collect();
+        lost.sort_by(|a, b| a.0.cmp(&b.0));
         s.clean = Default::default();
         s.dirty.clear();
         s.stale.clear();
         s.anonymous = 0.0;
         s.cached_total = 0.0;
         s.dirty_total = 0.0;
-        // Group *aggregates* are volatile cache state and reset with it; the
-        // group *assignments* are configuration and survive the crash.
-        s.group_bytes.clear();
         s.debug_validate();
         lost
     }
@@ -1255,8 +1141,8 @@ impl KernelCache {
         let now = self.ctx.now();
         let mut s = self.state.borrow_mut();
         let st = &mut *s;
-        if let Some(&i) = st.index.get(file) {
-            let slot = st.slots[i as usize].as_mut().expect("vacant file slot");
+        if let Some(i) = st.files.key(file) {
+            let slot = st.files.get_mut(i);
             slot.pages.promote(bytes);
             slot.pages.last_access = now;
             st.policy.file_touch(&mut slot.meta);
@@ -1264,8 +1150,8 @@ impl KernelCache {
                 slot.stale = true;
                 st.stale.push(i);
                 // Slots re-keyed since they were listed stay listed, so
-                // drain once the list outgrows the slab: it stays O(F).
-                if st.stale.len() > st.slots.len() {
+                // drain once the list outgrows the table: it stays O(F).
+                if st.stale.len() > st.files.len() {
                     st.drain_stale();
                 }
             }
@@ -1454,6 +1340,45 @@ mod tests {
         // The file still belongs to group 3 after the crash.
         cache.insert_clean(&"f".into(), 40.0 * MB);
         approx(cache.group_cached(3), 40.0 * MB);
+        // And after an invalidation: its new bytes count to the group again.
+        approx(cache.invalidate_file(&"f".into()), 40.0 * MB);
+        approx(cache.group_cached(3), 0.0);
+        cache.insert_dirty(&"f".into(), 25.0 * MB);
+        approx(cache.group_cached(3), 25.0 * MB);
+        approx(cache.group_dirty(3), 25.0 * MB);
+    }
+
+    /// The state of `file`'s slot, formatted.
+    fn slot_state(cache: &KernelCache, file: &FileId) -> String {
+        let s = cache.state.borrow();
+        format!(
+            "{:?}",
+            s.files.get(s.files.key(file).expect("file has a slot"))
+        )
+    }
+
+    #[test]
+    fn an_invalidated_grouped_file_comes_back_like_an_ungrouped_one() {
+        // One cache with the file grouped, one without; the same history.
+        let runs = [Some(4), None].map(|group| {
+            let (_sim, cache) = setup_policy(1000.0, EvictionPolicy::Clock);
+            let f: FileId = "f".into();
+            cache.set_file_group(&f, group);
+            cache.set_write_open(&f, true);
+            cache.insert_dirty_range(&f, 0.0, 30.0 * MB);
+            cache.touch(&f, 10.0 * MB); // sets the CLOCK reference bit
+            approx(cache.invalidate_file(&f), 30.0 * MB);
+            cache.insert_dirty_range(&f, 0.0, 10.0 * MB);
+            let s = cache.state.borrow();
+            let i = s.files.key(&f).unwrap();
+            let slot = s.files.get(i);
+            assert!(!slot.pages.write_open, "{group:?}: still protected");
+            assert_eq!(slot.meta, FileMeta::default(), "{group:?}: stale metadata");
+            assert_eq!(s.files.group(i), group);
+            drop(s);
+            slot_state(&cache, &f)
+        });
+        assert_eq!(runs[0], runs[1]);
     }
 
     fn approx(a: f64, b: f64) {
@@ -1530,6 +1455,8 @@ mod tests {
         cache.insert_clean(&"clean".into(), 100.0 * MB);
         cache.insert_dirty_range(&"wal".into(), 0.0, 30.0 * MB);
         cache.insert_dirty_range(&"logged".into(), 0.0, 10.0 * MB);
+        // Written after "wal", sorts before it.
+        cache.insert_dirty_range(&"journal".into(), 5.0 * MB, 8.0 * MB);
         cache.use_anonymous_memory(50.0 * MB);
         // A written-back file has nothing to lose.
         let h = sim.spawn({
@@ -1539,7 +1466,14 @@ mod tests {
         sim.run();
         approx(h.try_take_result().unwrap(), 10.0 * MB);
         let lost = cache.crash_discard();
-        assert_eq!(lost, vec![("wal".into(), vec![(0.0, 30.0 * MB)])]);
+        assert_eq!(
+            lost,
+            vec![
+                ("journal".into(), vec![(5.0 * MB, 8.0 * MB)]),
+                ("wal".into(), vec![(0.0, 30.0 * MB)])
+            ],
+            "sorted by file id"
+        );
         approx(cache.cached(), 0.0);
         approx(cache.dirty(), 0.0);
         approx(cache.anonymous(), 0.0);
@@ -1547,6 +1481,32 @@ mod tests {
         // The cache keeps working after the reset.
         cache.insert_clean(&"fresh".into(), 10.0 * MB);
         approx(cache.cached(), 10.0 * MB);
+    }
+
+    #[test]
+    fn work_counts_every_reclaim_call_with_a_positive_amount() {
+        let (sim, cache) = setup(1000.0);
+        cache.insert_clean(&"c".into(), 100.0 * MB);
+        cache.insert_dirty(&"d".into(), 100.0 * MB);
+        let c = cache.clone();
+        let h = sim.spawn(async move {
+            c.evict(0.0, ReclaimScope::Host(None));
+            c.write_back(-1.0, ReclaimScope::Host(None), false).await;
+            assert_eq!((c.work().evict_calls, c.work().writeback_calls), (0, 0));
+            c.evict(10.0 * MB, ReclaimScope::Host(None));
+            c.evict(10.0 * MB, ReclaimScope::Group(1)); // nothing in the group
+            c.write_back(10.0 * MB, ReclaimScope::Host(None), true)
+                .await;
+            c.write_back(10.0 * MB, ReclaimScope::Group(1), true).await;
+            c.write_back_file(&"d".into()).await; // not a reclaim call
+            c.write_back_expired().await; // nothing dirty: no call
+            c.work()
+        });
+        sim.run();
+        let work = h.try_take_result().unwrap();
+        assert_eq!((work.evict_calls, work.writeback_calls), (2, 2));
+        // The group eviction visits "c" in both passes without taking it.
+        assert_eq!((work.evict_visits, work.writeback_visits), (3, 2));
     }
 
     #[test]
@@ -1869,26 +1829,33 @@ mod tests {
     }
 
     /// The selection the indexes replaced, kept as the differential test's
-    /// reference: scan the slab for candidates and sort them on every call.
-    /// Byte bookkeeping goes through the same helpers as the indexed walks;
-    /// the indexes are re-keyed afterwards only so the oracle holds.
+    /// reference: scan the file table for candidates and sort them on every
+    /// call, and check the scope by file name and group. Byte bookkeeping
+    /// goes through the same helpers as the indexed walks; the indexes are
+    /// re-keyed afterwards only so the oracle holds.
     impl KernelCache {
+        fn in_scope(s: &State, scope: ReclaimScope<'_>, i: u64) -> bool {
+            match scope {
+                ReclaimScope::Host(exclude) => exclude != Some(s.files.name(i)),
+                ReclaimScope::Group(g) => s.files.group(i) == Some(g),
+            }
+        }
+
         fn evict_by_sort(&self, amount: f64, scope: ReclaimScope<'_>) -> f64 {
             if amount <= EPSILON {
                 return 0.0;
             }
             let mut s = self.state.borrow_mut();
-            let mut order: Vec<u32> = (0..s.slots.len() as u32)
-                .filter(|&i| {
-                    s.slots[i as usize]
-                        .as_ref()
-                        .is_some_and(|sl| sl.pages.clean() > EPSILON)
-                })
+            let mut order: Vec<u64> = s
+                .files
+                .iter()
+                .filter(|(_, _, slot)| slot.pages.clean() > EPSILON)
+                .map(|(i, _, _)| i)
                 .collect();
             order.sort_by_key(|&i| {
-                let slot = s.slot(i);
+                let slot = s.files.get(i);
                 let rank = s.policy.file_rank(&slot.meta);
-                (rank, slot.pages.last_access, slot.file.clone())
+                (rank, slot.pages.last_access, s.files.name(i).clone())
             });
             let use_ref = s.policy.uses_reference_bits();
             let mut evicted = 0.0;
@@ -1898,10 +1865,10 @@ mod tests {
                         break;
                     }
                     let st = &mut *s;
-                    let slot = st.slots[i as usize].as_mut().unwrap();
-                    if !scope.admits(&slot.file, &st.group_of) {
+                    if !Self::in_scope(st, scope, i) {
                         continue;
                     }
+                    let slot = st.files.get_mut(i);
                     if respect_protection && slot.pages.write_open {
                         continue;
                     }
@@ -1925,19 +1892,18 @@ mod tests {
         }
 
         /// Files with dirty pages in writeback order.
-        fn dirty_order_by_sort(s: &State) -> Vec<u32> {
-            let mut order: Vec<u32> = (0..s.slots.len() as u32)
-                .filter(|&i| {
-                    s.slots[i as usize]
-                        .as_ref()
-                        .is_some_and(|sl| sl.pages.dirty() > EPSILON)
-                })
+        fn dirty_order_by_sort(s: &State) -> Vec<u64> {
+            let mut order: Vec<u64> = s
+                .files
+                .iter()
+                .filter(|(_, _, slot)| slot.pages.dirty() > EPSILON)
+                .map(|(i, _, _)| i)
                 .collect();
             order.sort_by_key(|&i| {
-                let p = &s.slot(i).pages;
+                let p = &s.files.get(i).pages;
                 (
                     p.oldest_dirty.unwrap_or(p.last_access),
-                    s.slot(i).file.clone(),
+                    s.files.name(i).clone(),
                 )
             });
             order
@@ -1959,7 +1925,7 @@ mod tests {
                     if flushed >= amount - EPSILON {
                         break;
                     }
-                    if scope.admits(&s.slot(i).file, &s.group_of) {
+                    if Self::in_scope(&s, scope, i) {
                         flushed += s.write_back_from(i, amount - flushed);
                     }
                 }
@@ -1985,7 +1951,7 @@ mod tests {
             let s = self.state.borrow();
             Self::dirty_order_by_sort(&s)
                 .into_iter()
-                .map(|i| &s.slot(i).pages)
+                .map(|i| &s.files.get(i).pages)
                 .filter(|p| {
                     p.oldest_dirty
                         .is_some_and(|t| now.duration_since(t) > self.tuning.dirty_expire)
@@ -1995,19 +1961,20 @@ mod tests {
         }
     }
 
-    /// Everything observable about a cache: per-file pages, policy metadata
-    /// and range ledgers, the totals and counters, the policy's own state
-    /// (2Q ghost queue, MGLRU clock) and the simulated time.
+    /// Everything observable about a cache: per-file pages, policy metadata,
+    /// range ledgers and group, the totals and counters, the policy's own
+    /// state (2Q ghost queue, MGLRU clock) and the simulated time.
     fn observe(sim: &Simulation, cache: &KernelCache) -> String {
         let s = cache.state.borrow();
-        let files: Vec<_> = s
-            .index
+        let mut files: Vec<_> = s
+            .files
             .iter()
-            .map(|(f, &i)| {
-                let slot = s.slot(i);
-                (f, slot.pages, slot.meta, &slot.resident, &slot.dirty)
+            .map(|(i, f, slot)| {
+                let group = s.files.group(i);
+                (f, slot.pages, slot.meta, &slot.resident, &slot.dirty, group)
             })
             .collect();
+        files.sort_by(|a, b| a.0.cmp(b.0));
         format!(
             "{files:?} {} {} {:?} {:?} {:?}",
             s.cached_total,

@@ -30,12 +30,11 @@ const WRITES_PER_READ: usize = 4;
 
 /// What one run measured.
 struct Run {
-    evict_calls: u64,
+    /// The cache's work counters, call counts included.
     work: KernelCacheWork,
     /// Files holding cached pages, summed over the eviction calls: what a
     /// collect-and-sort selection visits.
     cached_files: u64,
-    writeback_calls: u64,
     /// Files written back, summed over the writeback calls.
     files_written_back: u64,
     /// Bytes of the files being written that eviction took (second pass).
@@ -56,17 +55,14 @@ fn serve(writers: usize) -> Run {
         let cache = cache.clone();
         async move {
             let mut run = Run {
-                evict_calls: 0,
                 work: KernelCacheWork::default(),
                 cached_files: 0,
-                writeback_calls: 0,
                 files_written_back: 0,
                 evicted_while_written: 0.0,
             };
             let make_room = |run: &mut Run| {
                 let excess = cache.cached() + CHUNK - CAPACITY;
                 if excess > 0.0 {
-                    run.evict_calls += 1;
                     run.cached_files += cache.cached_per_file().len() as u64;
                     cache.evict(excess, ReclaimScope::Host(None));
                 }
@@ -90,7 +86,6 @@ fn serve(writers: usize) -> Run {
                 }
 
                 if n % WRITEBACK_EVERY == WRITEBACK_EVERY - 1 {
-                    run.writeback_calls += 1;
                     run.files_written_back += outputs
                         .iter()
                         .filter(|f| !cache.dirty_ranges(f).is_empty())
@@ -117,16 +112,19 @@ fn eviction_visits_stay_flat_as_writers_double() {
     let small = serve(64);
     let large = serve(128);
     for (writers, run) in [(64, &small), (128, &large)] {
-        let per_call = run.work.evict_visits as f64 / run.evict_calls as f64;
-        let sorted_per_call = run.cached_files as f64 / run.evict_calls as f64;
+        let per_call = run.work.evict_visits as f64 / run.work.evict_calls as f64;
+        let sorted_per_call = run.cached_files as f64 / run.work.evict_calls as f64;
         println!(
             "{writers} writers: {} evict calls, {per_call:.2} visits per call \
              (a full sort: {sorted_per_call:.1} files per call); {} writeback calls, \
              {} visits for {} files written back",
-            run.evict_calls, run.writeback_calls, run.work.writeback_visits, run.files_written_back
+            run.work.evict_calls,
+            run.work.writeback_calls,
+            run.work.writeback_visits,
+            run.files_written_back
         );
         assert!(
-            run.evict_calls > 1_000,
+            run.work.evict_calls > 1_000,
             "{writers} writers: too little pressure"
         );
         assert!(
@@ -144,8 +142,8 @@ fn eviction_visits_stay_flat_as_writers_double() {
             "{writers} writers: writeback visited files it did not write back"
         );
     }
-    let per_call = |r: &Run| r.work.evict_visits as f64 / r.evict_calls as f64;
-    let sorted = |r: &Run| r.cached_files as f64 / r.evict_calls as f64;
+    let per_call = |r: &Run| r.work.evict_visits as f64 / r.work.evict_calls as f64;
+    let sorted = |r: &Run| r.cached_files as f64 / r.work.evict_calls as f64;
     // The regime is one where a full sort would grow with the writers...
     assert!(
         sorted(&large) >= 1.5 * sorted(&small),

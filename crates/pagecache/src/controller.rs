@@ -29,7 +29,8 @@ use des::SimContext;
 
 use crate::block::FileId;
 use crate::config::WriteMode;
-use crate::lru::{ReclaimScope, EPSILON};
+use crate::file_table::ReclaimScope;
+use crate::lru::EPSILON;
 use crate::manager::MemoryManager;
 use crate::stats::IoOpStats;
 

@@ -48,6 +48,7 @@ mod block;
 mod config;
 mod controller;
 mod error;
+mod file_table;
 mod lru;
 mod manager;
 pub mod policy;
@@ -57,7 +58,8 @@ pub use block::{DataBlock, FileId};
 pub use config::{PageCacheConfig, WriteMode};
 pub use controller::{clamp_io_range, IoController, DEFAULT_CHUNK_SIZE};
 pub use error::FsError;
-pub use lru::{ListKind, LruLists, LruWork, ReclaimScope, EPSILON};
+pub use file_table::{FileTable, ReclaimScope, SlotScope};
+pub use lru::{ListKind, LruLists, LruWork, EPSILON};
 pub use manager::{MemoryManager, MemoryManagerCounters};
 pub use policy::{EvictionPolicy, FileMeta, Policy, MAX_TIERS};
 pub use stats::{CacheContentSnapshot, IoOpStats, MemorySample, MemoryTrace};

@@ -90,7 +90,9 @@
 //! block step after that — aggregate updates, chain links, merges, the
 //! demotions of [`LruLists::balance`], scope checks — indexes the file
 //! slot stored in the node, so no block step hashes a name. (A grouped
-//! file's group byte counters are still found by group id.)
+//! file's group byte counters are still found by group id.) The slots, the
+//! name index and the group totals are a [`FileTable`], the same table the
+//! kernel emulator keeps its per-file state in.
 //!
 //! To bound arena growth on flush-heavy workloads, recency-adjacent blocks
 //! of the same file on an **evictable** tier that are both clean, *share
@@ -112,11 +114,10 @@
 //!   head/tail, and its finger is `NIL` or one of its own nodes; the clean,
 //!   dirty and per-file chains are exactly the recency chain filtered by
 //!   dirtiness / file; recency chains are sorted by `last_access`.
-//! * File table: per-file state lives in slots of one table (a name index
-//!   `FileId -> slot`, the slots, a free list), and each node stores its
-//!   file's slot. The name index and the live slots are inverse maps, every
-//!   node's slot names its block's file, and every vacant slot is on the
-//!   free list exactly once. A slot is freed when its last block leaves and
+//! * File table: per-file state lives in the slots of a [`FileTable`], and
+//!   each node stores its file's slot key. The table's name index and live
+//!   slots are inverse maps ([`FileTable::check`]), and every node's slot
+//!   names its block's file. A slot is freed when its last block leaves and
 //!   it carries no cache group; a grouped slot outlives its blocks, because
 //!   the assignment is configuration. A slot without blocks has empty
 //!   chains and exactly zero bytes.
@@ -125,8 +126,8 @@
 //!   dirty, inactive_bytes, inactive_clean, blocks }` equal the same sums
 //!   restricted to that file (`inactive_*` counting the policy's evictable
 //!   tiers, and `blocks` its exact block count, used to free empty slots);
-//!   for each cache group, the same sums over the blocks whose slot carries
-//!   that group.
+//!   for each cache group, the table's totals equal the sums of the
+//!   per-file `cached` and `dirty` over the slots that carry that group.
 //!
 //! In debug builds every public mutator re-derives all counters from a full
 //! scan (the `recompute_*` oracles), validates the chain structure and the
@@ -136,41 +137,16 @@
 //! All byte amounts are `f64`; a small epsilon absorbs floating-point dust
 //! when blocks are split by partial reads, flushes and evictions.
 
-use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 
 use des::SimTime;
 
 use crate::block::{DataBlock, FileId};
+use crate::file_table::{FileTable, ReclaimScope, SlotScope};
 use crate::policy::{EvictionPolicy, Policy, MAX_TIERS};
 
 /// Bytes below which two amounts are considered equal.
 pub const EPSILON: f64 = 1e-6;
-
-/// Which cached data a reclaim call may take: eviction and flushing here
-/// ([`LruLists::evict`], [`LruLists::flush_lru`]) and eviction and
-/// writeback in the kernel emulator. Both cache models share this type, so
-/// tenant-scoped reclaim runs through the same loops as host-wide reclaim.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReclaimScope<'a> {
-    /// Any file of the host, except the given one (paper Algorithm 2
-    /// excludes the file being read).
-    Host(Option<&'a FileId>),
-    /// Only the files assigned to this cache group (a memcg-style tenant),
-    /// so one tenant's overflow never reclaims a neighbour's pages.
-    Group(u32),
-}
-
-impl ReclaimScope<'_> {
-    /// Whether data of `file` may be reclaimed, given the host's
-    /// file-to-group assignment.
-    pub fn admits(&self, file: &FileId, group_of: &HashMap<FileId, u32>) -> bool {
-        match *self {
-            ReclaimScope::Host(exclude) => exclude != Some(file),
-            ReclaimScope::Group(group) => group_of.get(file) == Some(&group),
-        }
-    }
-}
 
 /// Index of a node in the arena. `NIL` marks the end of a chain.
 type Idx = u32;
@@ -244,13 +220,14 @@ enum Slot {
 #[derive(Debug, Clone)]
 struct Node {
     block: DataBlock,
-    /// The tier (list) this block resides on.
-    tier: usize,
+    /// The tier (list) this block resides on. A `u8` keeps the node at 88
+    /// bytes next to its 64-bit file key.
+    tier: u8,
     /// CLOCK reference bit: set when the block was re-accessed, granting it
     /// a second chance during eviction under policies that use it.
     referenced: bool,
-    /// The file-table slot of the block's file.
-    file_slot: u32,
+    /// The file-table key of the block's file.
+    file_slot: u64,
     /// Links indexed by [`RECENCY`], [`FILE`], [`STATE`].
     links: [Link; 3],
 }
@@ -267,10 +244,6 @@ fn node_mut(arena: &mut [Slot], i: Idx) -> &mut Node {
         Slot::Occupied(n) => n,
         Slot::Vacant { .. } => panic!("chain references vacant arena slot {i}"),
     }
-}
-
-fn file_mut(files: &mut [Option<FileState>], s: u32) -> &mut FileState {
-    files[s as usize].as_mut().expect("vacant file slot")
 }
 
 /// Unlinks node `i` from `chain` along link dimension `lk`. A finger on
@@ -386,17 +359,6 @@ impl ListAgg {
     }
 }
 
-/// Incrementally maintained byte totals of one cache group (tenant). Memcg
-/// analogue: the per-cgroup page counters the kernel keeps next to the
-/// global LRU accounting.
-#[derive(Debug, Default, Clone, Copy)]
-struct GroupBytes {
-    /// Cached bytes of the group's files (all tiers, clean + dirty).
-    cached: f64,
-    /// Dirty bytes of the group's files (all tiers).
-    dirty: f64,
-}
-
 /// Incrementally maintained byte totals of one file.
 #[derive(Debug, Default, Clone, Copy)]
 struct FileBytes {
@@ -437,11 +399,15 @@ impl ListState {
     }
 }
 
-/// Deterministic work counts of the list operations: how many blocks the
-/// reclaim loops visited and how far out-of-order inserts walked. Counts,
-/// not timers, so they repeat exactly on any machine.
+/// Deterministic work counts of the list operations: how often the reclaim
+/// loops ran, how many blocks they visited and how far out-of-order inserts
+/// walked. Counts, not timers, so they repeat exactly on any machine.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct LruWork {
+    /// Calls of [`LruLists::evict`] with an amount above [`EPSILON`].
+    pub evict_calls: u64,
+    /// Calls of [`LruLists::flush_lru`] with an amount above [`EPSILON`].
+    pub flush_calls: u64,
     /// Blocks visited by [`LruLists::evict`] (both passes under CLOCK).
     pub evict_visits: u64,
     /// Blocks visited by [`LruLists::flush_lru`].
@@ -451,27 +417,14 @@ pub struct LruWork {
     pub insert_steps: u64,
 }
 
-/// One slot of the file table: a file's name, byte aggregates, per-tier
-/// file chains and cache-group assignment.
-#[derive(Debug, Clone)]
+/// A file's state in the file table: its byte aggregates and per-tier file
+/// chains.
+#[derive(Debug, Default, Clone)]
 struct FileState {
-    file: FileId,
     bytes: FileBytes,
     /// File chains indexed by tier: this file's blocks on each tier, in
     /// recency order.
     chains: [Chain; MAX_TIERS],
-    /// Cache-group (tenant) assignment, or `None`. Configuration, not cache
-    /// state: it keeps the slot alive after the file's last block leaves.
-    group: Option<u32>,
-}
-
-/// A [`ReclaimScope`] with its file resolved to a file-table slot.
-#[derive(Debug, Clone, Copy)]
-enum SlotScope {
-    /// Every slot except this one (`None` excludes nothing).
-    Host(Option<u32>),
-    /// The slots assigned to this cache group.
-    Group(u32),
 }
 
 /// The LRU lists (tiers) holding all cached data blocks of one host; the
@@ -483,18 +436,12 @@ pub struct LruLists {
     /// Indexed by tier; under the default 2-list policy tier 0 is the
     /// inactive list and tier 1 the active list.
     lists: [ListState; MAX_TIERS],
-    /// File name -> file-table slot. Public calls resolve a name here once;
-    /// every step after that indexes `files` by slot.
-    file_index: HashMap<FileId, u32>,
     /// The file table: one slot per file that has blocks or a cache group.
-    files: Vec<Option<FileState>>,
-    /// Vacant slots of `files`, reused before the table grows.
-    free_files: Vec<u32>,
-    /// Per-group byte aggregates, mirrored at the same four accounting
+    /// Public calls resolve a name here once; every step after that uses
+    /// the slot key. Its group totals move at the same four accounting
     /// choke points as the per-file counters (`agg_insert`, `agg_remove`,
-    /// `agg_clean_in_place`, `agg_shrink`), so memcg-style limits are O(1)
-    /// to poll.
-    group_bytes: HashMap<u32, GroupBytes>,
+    /// `agg_clean_in_place`, `agg_shrink`).
+    files: FileTable<FileState>,
     policy: Policy,
     work: LruWork,
 }
@@ -517,10 +464,7 @@ impl LruLists {
             arena: Vec::new(),
             free_head: NIL,
             lists: Default::default(),
-            file_index: HashMap::new(),
-            files: Vec::new(),
-            free_files: Vec::new(),
-            group_bytes: HashMap::new(),
+            files: FileTable::new(),
             policy: policy.build(),
             work: LruWork::default(),
         }
@@ -586,13 +530,16 @@ impl LruLists {
 
     /// Cached bytes belonging to `file`. O(1) expected.
     pub fn cached_amount(&self, file: &FileId) -> f64 {
-        self.slot_of(file)
-            .map_or(0.0, |s| self.file(s).bytes.cached)
+        self.files
+            .key(file)
+            .map_or(0.0, |s| self.files.get(s).bytes.cached)
     }
 
     /// Dirty bytes belonging to `file`. O(1) expected.
     pub fn dirty_amount(&self, file: &FileId) -> f64 {
-        self.slot_of(file).map_or(0.0, |s| self.file(s).bytes.dirty)
+        self.files
+            .key(file)
+            .map_or(0.0, |s| self.files.get(s).bytes.dirty)
     }
 
     /// Cached bytes per file (used to reproduce Fig. 4c). O(F log F) in the
@@ -602,25 +549,24 @@ impl LruLists {
     pub fn cached_per_file(&self) -> BTreeMap<FileId, f64> {
         self.files
             .iter()
-            .flatten()
-            .filter(|f| f.bytes.cached > EPSILON)
-            .map(|f| (f.file.clone(), f.bytes.cached))
+            .filter(|(_, _, f)| f.bytes.cached > EPSILON)
+            .map(|(_, file, f)| (file.clone(), f.bytes.cached))
             .collect()
     }
 
     /// Clean bytes on the evictable tiers that [`LruLists::evict`] could
     /// remove, optionally excluding one file. O(1).
     pub fn evictable(&self, exclude: Option<&FileId>) -> f64 {
-        self.evictable_except(exclude.and_then(|f| self.slot_of(f)))
+        self.evictable_except(exclude.and_then(|f| self.files.key(f)))
     }
 
     /// [`LruLists::evictable`] with the excluded file resolved to its slot.
-    fn evictable_except(&self, excluded: Option<u32>) -> f64 {
+    fn evictable_except(&self, excluded: Option<u64>) -> f64 {
         let total: f64 = (0..MAX_TIERS)
             .filter(|&t| self.policy.evictable_tiers()[t])
             .map(|t| (self.lists[t].agg.bytes - self.lists[t].agg.dirty).max(0.0))
             .sum();
-        let excluded = excluded.map_or(0.0, |s| self.file(s).bytes.inactive_clean);
+        let excluded = excluded.map_or(0.0, |s| self.files.get(s).bytes.inactive_clean);
         (total - excluded).max(0.0)
     }
 
@@ -630,25 +576,10 @@ impl LruLists {
     /// not matter. The assignment itself is configuration and survives full
     /// eviction of the file.
     pub fn set_file_group(&mut self, file: FileId, group: Option<u32>) {
-        let slot = match group {
-            Some(_) => Some(self.slot_for(&file)),
-            None => self.slot_of(&file),
-        };
+        let slot = self
+            .files
+            .set_group(&file, group, |f| (f.bytes.cached, f.bytes.dirty));
         if let Some(s) = slot {
-            let f = self.file(s);
-            let (cached, dirty, old) = (f.bytes.cached, f.bytes.dirty, f.group);
-            if let Some(old) = old {
-                if let Some(gb) = self.group_bytes.get_mut(&old) {
-                    gb.cached = (gb.cached - cached).max(0.0);
-                    gb.dirty = (gb.dirty - dirty).max(0.0);
-                }
-            }
-            if let Some(g) = group {
-                let gb = self.group_bytes.entry(g).or_default();
-                gb.cached += cached;
-                gb.dirty += dirty;
-            }
-            file_mut(&mut self.files, s).group = group;
             self.release_if_unused(s);
         }
         self.debug_validate();
@@ -656,17 +587,17 @@ impl LruLists {
 
     /// The cache group `file` is assigned to, if any. O(1) expected.
     pub fn file_group(&self, file: &FileId) -> Option<u32> {
-        self.slot_of(file).and_then(|s| self.file(s).group)
+        self.files.key(file).and_then(|s| self.files.group(s))
     }
 
     /// Cached bytes of cache group `group` (clean + dirty, all tiers). O(1).
     pub fn group_cached(&self, group: u32) -> f64 {
-        self.group_bytes.get(&group).map_or(0.0, |g| g.cached)
+        self.files.group_cached(group)
     }
 
     /// Dirty bytes of cache group `group` (all tiers). O(1).
     pub fn group_dirty(&self, group: u32) -> f64 {
-        self.group_bytes.get(&group).map_or(0.0, |g| g.dirty)
+        self.files.group_dirty(group)
     }
 
     /// Iterates over all blocks, tier 0 first, LRU first within each tier.
@@ -728,67 +659,22 @@ impl LruLists {
         }
     }
 
-    /// The slot of `file`, if it has one. The one name lookup of a call.
-    fn slot_of(&self, file: &FileId) -> Option<u32> {
-        self.file_index.get(file).copied()
-    }
-
-    /// The slot of `file`, created empty and ungrouped if it has none.
-    fn slot_for(&mut self, file: &FileId) -> u32 {
-        match self.file_index.entry(file.clone()) {
-            Entry::Occupied(e) => *e.get(),
-            Entry::Vacant(e) => {
-                let state = FileState {
-                    file: e.key().clone(),
-                    bytes: FileBytes::default(),
-                    chains: Default::default(),
-                    group: None,
-                };
-                let s = match self.free_files.pop() {
-                    Some(s) => {
-                        self.files[s as usize] = Some(state);
-                        s
-                    }
-                    None => {
-                        self.files.push(Some(state));
-                        u32::try_from(self.files.len() - 1).expect("file table exceeds u32")
-                    }
-                };
-                *e.insert(s)
-            }
-        }
-    }
-
-    fn file(&self, s: u32) -> &FileState {
-        self.files[s as usize].as_ref().expect("vacant file slot")
-    }
-
     /// Frees slot `s` once it holds no block and no cache group, so the
     /// table stays bounded by the live and grouped files.
-    fn release_if_unused(&mut self, s: u32) {
-        let f = self.file(s);
-        if f.bytes.blocks == 0 && f.group.is_none() {
-            let f = self.files[s as usize].take().expect("vacant file slot");
-            self.file_index.remove(&f.file);
-            self.free_files.push(s);
+    fn release_if_unused(&mut self, s: u64) {
+        if self.files.get(s).bytes.blocks == 0 {
+            self.files.discard(s);
         }
     }
 
     /// Records a block of slot `s` joining `tier` in the aggregates. The
     /// counters only need its size and dirtiness; chain membership is
     /// handled separately.
-    fn agg_insert(&mut self, tier: usize, s: u32, size: f64, dirty: bool) {
+    fn agg_insert(&mut self, tier: usize, s: u64, size: f64, dirty: bool) {
         self.lists[tier].agg.add(size, dirty);
         let evictable = self.policy.evictable_tiers()[tier];
-        let entry = file_mut(&mut self.files, s);
-        if let Some(g) = entry.group {
-            let gb = self.group_bytes.entry(g).or_default();
-            gb.cached += size;
-            if dirty {
-                gb.dirty += size;
-            }
-        }
-        let f = &mut entry.bytes;
+        let d_dirty = if dirty { size } else { 0.0 };
+        let f = &mut self.files.adjust_group(s, size, d_dirty).bytes;
         f.cached += size;
         f.blocks += 1;
         if dirty {
@@ -805,18 +691,11 @@ impl LruLists {
     /// Records a block of slot `s` leaving `tier` in the aggregates. The
     /// slot's counters restart from exact zero once its last block is gone;
     /// the caller frees the slot with [`LruLists::release_if_unused`].
-    fn agg_remove(&mut self, tier: usize, s: u32, size: f64, dirty: bool) {
+    fn agg_remove(&mut self, tier: usize, s: u64, size: f64, dirty: bool) {
         self.lists[tier].agg.sub(size, dirty);
         let evictable = self.policy.evictable_tiers()[tier];
-        let entry = file_mut(&mut self.files, s);
-        if let Some(g) = entry.group {
-            if let Some(gb) = self.group_bytes.get_mut(&g) {
-                gb.cached = (gb.cached - size).max(0.0);
-                if dirty {
-                    gb.dirty = (gb.dirty - size).max(0.0);
-                }
-            }
-        }
+        let d_dirty = if dirty { -size } else { 0.0 };
+        let entry = self.files.adjust_group(s, -size, d_dirty);
         let f = &mut entry.bytes;
         f.cached = (f.cached - size).max(0.0);
         f.blocks = f.blocks.saturating_sub(1);
@@ -840,16 +719,11 @@ impl LruLists {
 
     /// Records `amount` bytes of a dirty block of slot `s` on `tier` turning
     /// clean in place (a flush). Sizes do not change, only dirtiness.
-    fn agg_clean_in_place(&mut self, tier: usize, s: u32, amount: f64) {
+    fn agg_clean_in_place(&mut self, tier: usize, s: u64, amount: f64) {
         let agg = &mut self.lists[tier].agg;
         agg.dirty = (agg.dirty - amount).max(0.0);
         let evictable = self.policy.evictable_tiers()[tier];
-        let entry = file_mut(&mut self.files, s);
-        if let Some(g) = entry.group {
-            if let Some(gb) = self.group_bytes.get_mut(&g) {
-                gb.dirty = (gb.dirty - amount).max(0.0);
-            }
-        }
+        let entry = self.files.adjust_group(s, 0.0, -amount);
         entry.bytes.dirty = (entry.bytes.dirty - amount).max(0.0);
         if evictable {
             entry.bytes.inactive_clean += amount;
@@ -859,19 +733,11 @@ impl LruLists {
     /// Records a block of slot `s` on `tier` shrinking by `amount` bytes in
     /// place with unchanged block count (a partial eviction or a partial
     /// take; the split head is accounted separately when it is re-inserted).
-    fn agg_shrink(&mut self, tier: usize, s: u32, amount: f64, dirty: bool) {
+    fn agg_shrink(&mut self, tier: usize, s: u64, amount: f64, dirty: bool) {
         self.lists[tier].agg.sub(amount, dirty);
         let evictable = self.policy.evictable_tiers()[tier];
-        let entry = file_mut(&mut self.files, s);
-        if let Some(g) = entry.group {
-            if let Some(gb) = self.group_bytes.get_mut(&g) {
-                gb.cached = (gb.cached - amount).max(0.0);
-                if dirty {
-                    gb.dirty = (gb.dirty - amount).max(0.0);
-                }
-            }
-        }
-        let f = &mut entry.bytes;
+        let d_dirty = if dirty { -amount } else { 0.0 };
+        let f = &mut self.files.adjust_group(s, -amount, d_dirty).bytes;
         f.cached = (f.cached - amount).max(0.0);
         if dirty {
             f.dirty = (f.dirty - amount).max(0.0);
@@ -886,19 +752,19 @@ impl LruLists {
 
     /// Records one extra block of slot `s` appearing without any byte change
     /// (a block split whose both halves stay in the lists).
-    fn agg_note_split(&mut self, s: u32) {
-        file_mut(&mut self.files, s).bytes.blocks += 1;
+    fn agg_note_split(&mut self, s: u64) {
+        self.files.get_mut(s).bytes.blocks += 1;
     }
 
     /// Inserts `block` of slot `s` as a new node on `tier`: updates the
     /// aggregates and links it into the recency, per-file and clean or dirty
     /// chains at its sorted position. O(1) in the common append case.
-    fn insert_node(&mut self, tier: usize, s: u32, block: DataBlock, referenced: bool) -> Idx {
+    fn insert_node(&mut self, tier: usize, s: u64, block: DataBlock, referenced: bool) -> Idx {
         self.agg_insert(tier, s, block.size, block.dirty);
         let dirty = block.dirty;
         let idx = self.alloc(Node {
             block,
-            tier,
+            tier: tier as u8,
             referenced,
             file_slot: s,
             links: [UNLINKED; 3],
@@ -907,7 +773,7 @@ impl LruLists {
         let mut steps = insert_sorted(&mut self.arena, &mut list.recency, RECENCY, idx);
         list.len += 1;
         steps += insert_sorted(&mut self.arena, list.state_chain(dirty), STATE, idx);
-        let entry = file_mut(&mut self.files, s);
+        let entry = self.files.get_mut(s);
         steps += insert_sorted(&mut self.arena, &mut entry.chains[tier], FILE, idx);
         self.work.insert_steps += steps;
         idx
@@ -928,7 +794,7 @@ impl LruLists {
         };
         let idx = self.alloc(Node {
             block,
-            tier,
+            tier: tier as u8,
             referenced,
             file_slot: s,
             links: [UNLINKED; 3],
@@ -941,7 +807,7 @@ impl LruLists {
             idx,
         );
         self.lists[tier].len += 1;
-        let entry = file_mut(&mut self.files, s);
+        let entry = self.files.get_mut(s);
         insert_before(&mut self.arena, &mut entry.chains[tier], FILE, anchor, idx);
         self.link_clean(idx);
         idx
@@ -953,7 +819,7 @@ impl LruLists {
     /// timestamps: the clean chain must be exactly the clean subsequence of
     /// the recency chain, ties included.
     fn link_clean(&mut self, i: Idx) {
-        let tier = node_ref(&self.arena, i).tier;
+        let tier = node_ref(&self.arena, i).tier as usize;
         let mut prev = node_ref(&self.arena, i).links[RECENCY].prev;
         while prev != NIL && node_ref(&self.arena, prev).block.dirty {
             prev = node_ref(&self.arena, prev).links[RECENCY].prev;
@@ -974,11 +840,11 @@ impl LruLists {
     fn detach_node(&mut self, i: Idx) -> Node {
         let (tier, s, dirty) = {
             let n = node_ref(&self.arena, i);
-            (n.tier, n.file_slot, n.block.dirty)
+            (n.tier as usize, n.file_slot, n.block.dirty)
         };
         unlink(&mut self.arena, &mut self.lists[tier].recency, RECENCY, i);
         self.lists[tier].len -= 1;
-        let entry = file_mut(&mut self.files, s);
+        let entry = self.files.get_mut(s);
         unlink(&mut self.arena, &mut entry.chains[tier], FILE, i);
         let chain = self.lists[tier].state_chain(dirty);
         unlink(&mut self.arena, chain, STATE, i);
@@ -1003,7 +869,7 @@ impl LruLists {
         let (tier, s, size) = {
             let n = node_mut(&mut self.arena, i);
             n.block.dirty = false;
-            (n.tier, n.file_slot, n.block.size)
+            (n.tier as usize, n.file_slot, n.block.size)
         };
         unlink(&mut self.arena, &mut self.lists[tier].dirty, STATE, i);
         self.link_clean(i);
@@ -1026,7 +892,7 @@ impl LruLists {
         let na = node_ref(&self.arena, a);
         let nb = node_ref(&self.arena, b);
         na.tier == nb.tier
-            && self.policy.evictable_tiers()[na.tier]
+            && self.policy.evictable_tiers()[na.tier as usize]
             && na.referenced == nb.referenced
             && !na.block.dirty
             && !nb.block.dirty
@@ -1043,12 +909,12 @@ impl LruLists {
         debug_assert_eq!(node_ref(&self.arena, from).links[RECENCY].next, into);
         let (t, s) = {
             let n = node_ref(&self.arena, from);
-            (n.tier, n.file_slot)
+            (n.tier as usize, n.file_slot)
         };
         unlink(&mut self.arena, &mut self.lists[t].recency, RECENCY, from);
         unlink(&mut self.arena, &mut self.lists[t].clean, STATE, from);
         self.lists[t].len -= 1;
-        let entry = file_mut(&mut self.files, s);
+        let entry = self.files.get_mut(s);
         unlink(&mut self.arena, &mut entry.chains[t], FILE, from);
         entry.bytes.blocks -= 1;
         let from_node = self.release(from);
@@ -1066,7 +932,7 @@ impl LruLists {
     fn try_coalesce(&mut self, i: Idx) -> Idx {
         {
             let n = node_ref(&self.arena, i);
-            if !self.policy.evictable_tiers()[n.tier] || n.block.dirty {
+            if !self.policy.evictable_tiers()[n.tier as usize] || n.block.dirty {
                 return i;
             }
         }
@@ -1083,22 +949,9 @@ impl LruLists {
         cur
     }
 
-    /// Resolves `scope`'s excluded file to its slot: the call's one name
-    /// lookup.
-    fn resolve(&self, scope: ReclaimScope<'_>) -> SlotScope {
-        match scope {
-            ReclaimScope::Host(exclude) => SlotScope::Host(exclude.and_then(|f| self.slot_of(f))),
-            ReclaimScope::Group(g) => SlotScope::Group(g),
-        }
-    }
-
     /// Whether a reclaim call restricted to `scope` may take node `i`.
     fn admits(&self, scope: SlotScope, i: Idx) -> bool {
-        let s = node_ref(&self.arena, i).file_slot;
-        match scope {
-            SlotScope::Host(excluded) => excluded != Some(s),
-            SlotScope::Group(g) => self.file(s).group == Some(g),
-        }
+        self.files.admits(scope, node_ref(&self.arena, i).file_slot)
     }
 
     /// Adds a clean block (data just read from disk) to the tier the policy
@@ -1108,7 +961,7 @@ impl LruLists {
         if size <= EPSILON {
             return;
         }
-        let s = self.slot_for(&file);
+        let s = self.files.key_or_insert(&file);
         let bytes = self.tier_bytes();
         let tier = self.policy.insert_tier(&file, &bytes);
         let idx = self.insert_node(tier, s, DataBlock::clean(file, size, now), false);
@@ -1123,7 +976,7 @@ impl LruLists {
         if size <= EPSILON {
             return;
         }
-        let s = self.slot_for(&file);
+        let s = self.files.key_or_insert(&file);
         let bytes = self.tier_bytes();
         let tier = self.policy.insert_tier(&file, &bytes);
         self.insert_node(tier, s, DataBlock::dirty(file, size, now), false);
@@ -1146,10 +999,10 @@ impl LruLists {
         if amount <= EPSILON {
             return 0.0;
         }
-        let Some(s) = self.slot_of(file) else {
+        let Some(s) = self.files.key(file) else {
             return 0.0;
         };
-        if self.file(s).bytes.cached <= EPSILON {
+        if self.files.get(s).bytes.cached <= EPSILON {
             return 0.0;
         }
         let bytes = self.tier_bytes();
@@ -1187,14 +1040,14 @@ impl LruLists {
     /// policy's reclaim-first order, LRU first, splitting the last block if
     /// needed. Walks only the file's own chains, and keeps the slot even if
     /// it empties (the caller re-inserts the taken data).
-    fn take_for_read(&mut self, s: u32, amount: f64) -> Vec<DataBlock> {
+    fn take_for_read(&mut self, s: u64, amount: f64) -> Vec<DataBlock> {
         let mut taken = Vec::new();
         let mut remaining = amount;
         for tier in self.policy.tier_order() {
             if remaining <= EPSILON {
                 break;
             }
-            let mut i = self.file(s).chains[tier].head;
+            let mut i = self.files.get(s).chains[tier].head;
             while i != NIL && remaining > EPSILON {
                 let next = node_ref(&self.arena, i).links[FILE].next;
                 let size = node_ref(&self.arena, i).block.size;
@@ -1232,14 +1085,18 @@ impl LruLists {
     /// "when called with negative arguments, `flush` and `evict` simply
     /// return").
     pub fn flush_lru(&mut self, amount: f64, scope: ReclaimScope<'_>) -> f64 {
+        if amount <= EPSILON {
+            return 0.0;
+        }
+        self.work.flush_calls += 1;
         let dirty = match scope {
             ReclaimScope::Host(_) => self.total_dirty(),
             ReclaimScope::Group(group) => self.group_dirty(group),
         };
-        if amount <= EPSILON || dirty <= EPSILON {
+        if dirty <= EPSILON {
             return 0.0;
         }
-        let scope = self.resolve(scope);
+        let scope = self.files.resolve(scope);
         let mut flushed = 0.0;
         for t in self.policy.tier_order() {
             if self.lists[t].agg.dirty <= EPSILON {
@@ -1303,6 +1160,7 @@ impl LruLists {
         if amount <= EPSILON {
             return 0.0;
         }
+        self.work.evict_calls += 1;
         if let ReclaimScope::Group(group) = scope {
             if self.group_cached(group) <= EPSILON {
                 return 0.0;
@@ -1314,7 +1172,7 @@ impl LruLists {
         self.balance();
         // A host-wide call is capped by the O(1) evictable total, so a call
         // that cannot free anything never scans the whole inactive list.
-        let scope = self.resolve(scope);
+        let scope = self.files.resolve(scope);
         let target = match scope {
             SlotScope::Host(excluded) => amount.min(self.evictable_except(excluded)),
             SlotScope::Group(_) => amount,
@@ -1402,15 +1260,15 @@ impl LruLists {
     /// Returns the number of bytes to be written back; the caller is
     /// responsible for simulating the corresponding disk write time.
     pub fn flush_file(&mut self, file: &FileId) -> f64 {
-        let Some(s) = self.slot_of(file) else {
+        let Some(s) = self.files.key(file) else {
             return 0.0;
         };
-        if self.file(s).bytes.dirty <= EPSILON {
+        if self.files.get(s).bytes.dirty <= EPSILON {
             return 0.0;
         }
         let mut flushed = 0.0;
         for t in 0..MAX_TIERS {
-            let mut i = self.file(s).chains[t].head;
+            let mut i = self.files.get(s).chains[t].head;
             while i != NIL {
                 // Coalescing only ever merges `i` or its already-visited
                 // predecessor into a *later* surviving node, so the captured
@@ -1430,12 +1288,12 @@ impl LruLists {
     /// deleted). Returns the number of bytes removed. Walks only the file's
     /// own chains: O(k) in the file's block count.
     pub fn invalidate_file(&mut self, file: &FileId) -> f64 {
-        let Some(s) = self.slot_of(file) else {
+        let Some(s) = self.files.key(file) else {
             return 0.0;
         };
         let mut removed = 0.0;
         for k in 0..MAX_TIERS {
-            let mut i = self.file(s).chains[k].head;
+            let mut i = self.files.get(s).chains[k].head;
             while i != NIL {
                 let next = node_ref(&self.arena, i).links[FILE].next;
                 removed += self.detach_node(i).block.size;
@@ -1501,11 +1359,9 @@ impl LruLists {
     /// Verifies the chain structure against the recency chains: every chain
     /// doubly linked and consistent with its endpoints, its finger `NIL` or
     /// one of its own nodes, the clean, dirty and per-file chains exactly
-    /// the recency chain filtered by dirtiness / file (ties included), the
-    /// slab bookkeeping (lengths, free list) coherent, and the file table
-    /// consistent (`check_file_table`).
+    /// the recency chain filtered by dirtiness / file (ties included), and
+    /// the slab bookkeeping (lengths, free list) coherent.
     pub fn check_chains(&self) -> Result<(), String> {
-        self.check_file_table()?;
         // Walks `chain` along `lk`, checking its links, tail and finger.
         let collect = |chain: &Chain, lk: usize| -> Result<Vec<Idx>, String> {
             let mut out = Vec::new();
@@ -1549,7 +1405,7 @@ impl LruLists {
                 ));
             }
             for &i in &recency {
-                if node_ref(&self.arena, i).tier != k {
+                if node_ref(&self.arena, i).tier as usize != k {
                     return Err(format!("node {i} linked into the wrong list"));
                 }
             }
@@ -1569,14 +1425,12 @@ impl LruLists {
                     ));
                 }
             }
-            let mut by_slot: HashMap<u32, Vec<Idx>> = HashMap::new();
+            let mut by_slot: HashMap<u64, Vec<Idx>> = HashMap::new();
             for &i in &recency {
                 let n = node_ref(&self.arena, i);
-                let named = self
-                    .files
-                    .get(n.file_slot as usize)
-                    .and_then(Option::as_ref);
-                if named.map(|f| &f.file) != Some(&n.block.file) {
+                if !self.files.contains(n.file_slot)
+                    || self.files.name(n.file_slot) != &n.block.file
+                {
                     return Err(format!(
                         "node {i}: file slot {} does not name its file {}",
                         n.file_slot, n.block.file
@@ -1584,12 +1438,10 @@ impl LruLists {
                 }
                 by_slot.entry(n.file_slot).or_default().push(i);
             }
-            for (s, entry) in self.files.iter().enumerate() {
-                let Some(entry) = entry else { continue };
-                let file = &entry.file;
+            for (s, file, entry) in self.files.iter() {
                 let fchain = collect(&entry.chains[k], FILE)
                     .map_err(|e| format!("file {file} list {k}: {e}"))?;
-                let expected = by_slot.remove(&(s as u32)).unwrap_or_default();
+                let expected = by_slot.remove(&s).unwrap_or_default();
                 if fchain != expected {
                     return Err(format!(
                         "file {file}: chain is not its subsequence of list {k}'s recency chain"
@@ -1630,57 +1482,9 @@ impl LruLists {
         Ok(())
     }
 
-    /// Verifies the file table: the name index and the live slots are
-    /// inverse maps, every vacant slot is on the free list exactly once, and
-    /// a live slot without blocks carries a cache group (an ungrouped one
-    /// must have been freed).
-    fn check_file_table(&self) -> Result<(), String> {
-        for (file, &s) in &self.file_index {
-            let named = self.files.get(s as usize).and_then(Option::as_ref);
-            if named.map(|f| &f.file) != Some(file) {
-                return Err(format!(
-                    "name index maps {file} to slot {s}, which names another file"
-                ));
-            }
-        }
-        let live = self.files.iter().flatten().count();
-        if live != self.file_index.len() {
-            return Err(format!(
-                "file table has {live} live slots but the name index {} names",
-                self.file_index.len()
-            ));
-        }
-        let mut on_free_list = vec![false; self.files.len()];
-        for &s in &self.free_files {
-            match self.files.get(s as usize) {
-                Some(None) if !on_free_list[s as usize] => on_free_list[s as usize] = true,
-                _ => {
-                    return Err(format!(
-                        "free file list holds slot {s}, live or listed twice"
-                    ))
-                }
-            }
-        }
-        if live + self.free_files.len() != self.files.len() {
-            return Err(format!(
-                "file table has {} slots but {live} live + {} free",
-                self.files.len(),
-                self.free_files.len()
-            ));
-        }
-        for f in self.files.iter().flatten() {
-            if f.bytes.blocks == 0 && f.group.is_none() {
-                return Err(format!(
-                    "file {}: empty ungrouped slot was not freed",
-                    f.file
-                ));
-            }
-        }
-        Ok(())
-    }
-
     /// Verifies every incremental aggregate against a full-scan recomputation
-    /// (the oracles the O(1) readers replaced). O(n); used by
+    /// (the oracles the O(1) readers replaced), including the file table's
+    /// group totals ([`FileTable::check`]). O(n); used by
     /// [`LruLists::check_invariants`], the randomized consistency tests and
     /// the `debug_assert!` validation after every mutation.
     pub fn check_aggregates(&self) -> Result<(), String> {
@@ -1703,18 +1507,14 @@ impl LruLists {
                 ));
             }
         }
+        self.files.check(|f| (f.bytes.cached, f.bytes.dirty))?;
         let scan = self.recompute_per_file();
-        if let Some(s) = scan
-            .keys()
-            .find(|&&s| self.files.get(s as usize).is_none_or(Option::is_none))
-        {
+        if let Some(s) = scan.keys().find(|&&s| !self.files.contains(s)) {
             return Err(format!("blocks reference vacant file slot {s}"));
         }
-        for (s, entry) in self.files.iter().enumerate() {
-            let Some(entry) = entry else { continue };
-            let file = &entry.file;
+        for (s, file, entry) in self.files.iter() {
             let actual = &entry.bytes;
-            let expected = scan.get(&(s as u32)).copied().unwrap_or_default();
+            let expected = scan.get(&s).copied().unwrap_or_default();
             if actual.blocks != expected.blocks {
                 return Err(format!(
                     "file {file}: block counter {} != scan {}",
@@ -1722,6 +1522,9 @@ impl LruLists {
                 ));
             }
             if actual.blocks == 0 {
+                if self.files.group(s).is_none() {
+                    return Err(format!("file {file}: empty ungrouped slot was not freed"));
+                }
                 let zero = [
                     actual.cached,
                     actual.dirty,
@@ -1755,46 +1558,6 @@ impl LruLists {
                 }
             }
         }
-        // Group aggregates: recompute each group's cached/dirty sums from a
-        // full block scan, taking each block's group from its file slot, and
-        // compare; tracked groups absent from the scan must have
-        // (approximately) zero counters.
-        let mut group_scan: HashMap<u32, GroupBytes> = HashMap::new();
-        for t in 0..MAX_TIERS {
-            let mut nodes = self.tier_blocks(t);
-            while let Some(n) = nodes.next_node() {
-                if let Some(g) = self.file(n.file_slot).group {
-                    let gb = group_scan.entry(g).or_default();
-                    gb.cached += n.block.size;
-                    if n.block.dirty {
-                        gb.dirty += n.block.size;
-                    }
-                }
-            }
-        }
-        for (&g, expected) in &group_scan {
-            let actual = self.group_bytes.get(&g).copied().unwrap_or_default();
-            if !close(actual.cached, expected.cached) {
-                return Err(format!(
-                    "group {g}: cached counter {} != scan {}",
-                    actual.cached, expected.cached
-                ));
-            }
-            if !close(actual.dirty, expected.dirty) {
-                return Err(format!(
-                    "group {g}: dirty counter {} != scan {}",
-                    actual.dirty, expected.dirty
-                ));
-            }
-        }
-        for (&g, gb) in &self.group_bytes {
-            if !group_scan.contains_key(&g) && (gb.cached > EPSILON || gb.dirty > EPSILON) {
-                return Err(format!(
-                    "group {g}: counters ({}, {}) but no blocks in the scan",
-                    gb.cached, gb.dirty
-                ));
-            }
-        }
         Ok(())
     }
 
@@ -1808,8 +1571,8 @@ impl LruLists {
     }
 
     /// Scan-based oracle for the per-file aggregates, keyed by file slot.
-    fn recompute_per_file(&self) -> HashMap<u32, FileBytes> {
-        let mut map: HashMap<u32, FileBytes> = HashMap::new();
+    fn recompute_per_file(&self) -> HashMap<u64, FileBytes> {
+        let mut map: HashMap<u64, FileBytes> = HashMap::new();
         for t in 0..MAX_TIERS {
             let evictable = self.policy.evictable_tiers()[t];
             let mut nodes = self.tier_blocks(t);
@@ -2385,7 +2148,7 @@ mod tests {
         approx(lru.evict(100.0, ReclaimScope::Host(None)), 100.0);
         approx(lru.cached_amount(&f), 0.0);
         assert!(!lru.cached_per_file().contains_key(&f));
-        assert_eq!(lru.file_index.len(), 1, "the empty slot is freed");
+        assert_eq!(lru.files.len(), 1, "the empty slot is freed");
         lru.add_clean(f.clone(), 40.0, t(3.0));
         approx(lru.cached_amount(&f), 40.0);
         approx(lru.dirty_amount(&f), 0.0);
@@ -2410,12 +2173,22 @@ mod tests {
         approx(lru.group_cached(3), 60.0);
         lru.add_dirty(f.clone(), 20.0, t(3.0));
         approx(lru.group_dirty(3), 20.0);
+        // Invalidation drops the data but keeps the group: new bytes of the
+        // file count to it again.
+        approx(lru.invalidate_file(&f), 80.0);
+        assert_eq!(lru.file_group(&f), Some(3));
+        approx(lru.group_cached(3), 0.0);
+        approx(lru.group_dirty(3), 0.0);
+        lru.add_dirty(f.clone(), 25.0, t(4.0));
+        approx(lru.group_cached(3), 25.0);
+        approx(lru.group_dirty(3), 25.0);
+        lru.check_invariants().unwrap();
         // Clearing the group of an empty file frees its slot.
         lru.invalidate_file(&f);
         assert_eq!(lru.file_group(&f), Some(3));
         lru.set_file_group(f.clone(), None);
         assert_eq!(lru.file_group(&f), None);
-        assert!(lru.file_index.is_empty());
+        assert!(lru.files.is_empty());
         lru.check_invariants().unwrap();
     }
 
@@ -2423,11 +2196,13 @@ mod tests {
     fn invalidated_file_re_added_under_a_fresh_id_reuses_its_slot() {
         let mut lru = LruLists::new();
         lru.add_dirty(FileId::new("f"), 100.0, t(1.0));
-        let slot = lru.file_index[&FileId::new("f")];
+        let slot = lru.files.key(&FileId::new("f")).unwrap();
         approx(lru.invalidate_file(&FileId::new("f")), 100.0);
-        assert!(lru.file_index.is_empty());
+        assert!(lru.files.is_empty());
         lru.add_clean(FileId::new("f"), 30.0, t(2.0));
-        assert_eq!(lru.file_index[&FileId::new("f")], slot);
+        let key = lru.files.key(&FileId::new("f")).unwrap();
+        assert_eq!(key as u32, slot as u32, "the freed slot is reused");
+        assert_ne!(key, slot, "under a new key");
         assert_eq!(lru.files.len(), 1);
         approx(lru.cached_amount(&FileId::new("f")), 30.0);
         approx(lru.dirty_amount(&FileId::new("f")), 0.0);
@@ -2442,16 +2217,32 @@ mod tests {
         for i in 0..10_000 {
             let f = FileId::new(format!("f{i}"));
             lru.add_dirty(f.clone(), 10.0, t(i as f64));
+            // The peak: the live and the grouped file plus the one file
+            // being cycled, so every slot index stays below 3.
+            let slot = lru.files.key(&f).unwrap() as u32;
+            assert!(slot < 3, "file table grew to slot {slot}");
             lru.invalidate_file(&f);
         }
-        assert_eq!(lru.file_index.len(), 2, "one live and one grouped file");
-        // The peak: those two plus the one file being cycled.
-        assert!(
-            lru.files.len() <= 3,
-            "file table grew to {}",
-            lru.files.len()
-        );
+        assert_eq!(lru.files.len(), 2, "one live and one grouped file");
         lru.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn work_counts_every_reclaim_call_with_a_positive_amount() {
+        let mut lru = LruLists::new();
+        lru.add_dirty("d".into(), 100.0, t(1.0));
+        lru.add_clean("c".into(), 100.0, t(2.0));
+        lru.evict(0.0, ReclaimScope::Host(None));
+        lru.flush_lru(-1.0, ReclaimScope::Host(None));
+        assert_eq!((lru.work().evict_calls, lru.work().flush_calls), (0, 0));
+        lru.evict(10.0, ReclaimScope::Host(None));
+        lru.evict(10.0, ReclaimScope::Group(1)); // nothing in the group
+        lru.flush_lru(10.0, ReclaimScope::Host(None));
+        lru.flush_lru(10.0, ReclaimScope::Group(1));
+        lru.flush_lru(10.0, ReclaimScope::Host(None));
+        let work = lru.work();
+        assert_eq!((work.evict_calls, work.flush_calls), (2, 3));
+        assert_eq!((work.evict_visits, work.flush_visits), (1, 2));
     }
 
     #[test]

@@ -34,7 +34,8 @@ use storage_model::{Disk, MemoryDevice};
 
 use crate::block::FileId;
 use crate::config::PageCacheConfig;
-use crate::lru::{LruLists, LruWork, ReclaimScope, EPSILON};
+use crate::file_table::ReclaimScope;
+use crate::lru::{LruLists, LruWork, EPSILON};
 use crate::stats::{CacheContentSnapshot, MemorySample, MemoryTrace};
 
 /// Aggregate counters maintained by the Memory Manager.

@@ -1,8 +1,9 @@
 //! Eviction policies: the *decision* half of the page-cache replacement
 //! machinery.
 //!
-//! PR 3's intrusive slab arena (`pagecache::lru`) and the kernel emulator's
-//! file slab (`kernel-emu::cache`) are pure *mechanism*: chains, byte
+//! The intrusive slab arena of `pagecache::lru` and the kernel emulator's
+//! per-file slots (`kernel-emu::cache`; both keep per-file state in a
+//! [`FileTable`](crate::FileTable)) are pure *mechanism*: chains, byte
 //! aggregates, resident-range ledgers. Which block or file to admit where,
 //! when to promote it, and in what order to reclaim it is *policy* — and
 //! recent work ("Cache is King: Smart Page Eviction with eBPF", LearnedCache)

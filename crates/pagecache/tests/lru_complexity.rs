@@ -95,6 +95,8 @@ fn serve(ops: usize) -> LruWork {
     }
     let work = lru.work();
     LruWork {
+        evict_calls: work.evict_calls - warm.evict_calls,
+        flush_calls: work.flush_calls - warm.flush_calls,
         evict_visits: work.evict_visits - warm.evict_visits,
         flush_visits: work.flush_visits - warm.flush_visits,
         insert_steps: work.insert_steps - warm.insert_steps,
