@@ -153,17 +153,6 @@ pub fn run_exp1_for_size(
     })
 }
 
-/// Runs Exp 1 for every requested file size.
-pub fn run_exp1(
-    platform: &PlatformSpec,
-    file_sizes: &[f64],
-) -> Result<Vec<Exp1SizeResult>, ScenarioError> {
-    file_sizes
-        .iter()
-        .map(|&size| run_exp1_for_size(platform, size))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -212,13 +201,5 @@ mod tests {
         assert!(result.wrench_cache_trace.is_some());
         assert_eq!(result.real_snapshots.len(), 6);
         assert_eq!(result.wrench_cache_snapshots.len(), 6);
-    }
-
-    #[test]
-    fn exp1_runs_for_multiple_sizes() {
-        let platform = scaled_platform(16.0 * GB);
-        let results = run_exp1(&platform, &[1.0 * GB, 2.0 * GB]).unwrap();
-        assert_eq!(results.len(), 2);
-        assert!(results[0].file_size < results[1].file_size);
     }
 }

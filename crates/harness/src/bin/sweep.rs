@@ -9,7 +9,10 @@
 //!                      thread-count-independent)
 //!   --filter SUBSTR    only run scenarios whose name or group contains
 //!                      SUBSTR (e.g. --filter eviction for the policy
-//!                      comparison group); composes with --list
+//!                      comparison group, --filter paper_scale for the
+//!                      paper's figures at the paper's scale); composes
+//!                      with --list, and --check and --check-frozen then
+//!                      check the selected scenarios only
 //!   --out PATH         where to write RESULTS.json (default: RESULTS.json)
 //!   --golden PATH      golden baseline path (default: baselines/golden.json)
 //!   --check-frozen P   additionally require every metric of the frozen
@@ -29,7 +32,8 @@
 use std::process::ExitCode;
 
 use harness::{
-    compare, compare_intersection_exact, make_golden, parse, registry, run_sweep, SweepConfig,
+    compare, compare_intersection_exact, make_golden, parse, registry, restrict, run_sweep, Json,
+    SweepConfig,
 };
 
 struct Options {
@@ -111,41 +115,47 @@ fn main() -> ExitCode {
     };
 
     let scenarios = registry();
+    let selected: Vec<&harness::Scenario> = scenarios
+        .iter()
+        .filter(|s| opts.config.selects(s))
+        .collect();
+    // A filtered run is checked against the scenarios it selected only; an
+    // unfiltered one against the whole reference, so a scenario missing
+    // from the run still fails.
+    let reference = |doc: Json| match opts.config.filter {
+        Some(_) => restrict(&doc, &selected.iter().map(|s| s.name).collect::<Vec<_>>()),
+        None => doc,
+    };
     if opts.list {
-        let matches = |s: &harness::Scenario| match &opts.config.filter {
-            Some(f) => s.name.contains(f.as_str()) || s.group.contains(f.as_str()),
-            None => true,
-        };
-        let listed: Vec<_> = scenarios.iter().filter(|s| matches(s)).collect();
         match &opts.config.filter {
             Some(f) => println!(
                 "{} of {} registered scenarios match --filter {f:?}:",
-                listed.len(),
+                selected.len(),
                 scenarios.len()
             ),
-            None => println!("{} registered scenarios:", listed.len()),
+            None => println!("{} registered scenarios:", selected.len()),
         }
-        for s in listed {
-            println!("  [{:<8}] {:<32} {}", s.group, s.name, s.description);
+        for s in &selected {
+            println!("  [{:<11}] {:<38} {}", s.group, s.name, s.description);
         }
         return ExitCode::SUCCESS;
     }
 
     eprintln!(
         "running {} scenarios on {} threads",
-        scenarios.len(),
+        selected.len(),
         opts.config.threads
     );
     let results = run_sweep(&scenarios, &opts.config);
     for s in &results.scenarios {
         match &s.outcome {
             Ok(m) => eprintln!(
-                "  ok   {:<32} {:>4} metrics  {:>7.2}s",
+                "  ok   {:<38} {:>4} metrics  {:>7.2}s",
                 s.name,
                 m.len(),
                 s.wall_clock_seconds
             ),
-            Err(e) => eprintln!("  FAIL {:<32} {e}", s.name),
+            Err(e) => eprintln!("  FAIL {:<38} {e}", s.name),
         }
     }
     eprintln!(
@@ -173,7 +183,7 @@ fn main() -> ExitCode {
             .map_err(|e| e.to_string())
             .and_then(|text| parse(&text))
         {
-            Ok(doc) => doc,
+            Ok(doc) => reference(doc),
             Err(e) => {
                 eprintln!("sweep: cannot read frozen reference {frozen_path}: {e}");
                 return ExitCode::from(2);
@@ -232,7 +242,7 @@ fn main() -> ExitCode {
             }
         };
         let golden = match parse(&golden_text) {
-            Ok(doc) => doc,
+            Ok(doc) => reference(doc),
             Err(e) => {
                 eprintln!("sweep: golden baseline {} is malformed: {e}", opts.golden);
                 return ExitCode::from(2);

@@ -247,6 +247,23 @@ pub fn compare_intersection_exact(reference: &Json, results: &Json) -> Result<Ve
     Ok(drifts)
 }
 
+/// A copy of a result or golden document with its `scenarios` section
+/// restricted to the named scenarios. A filtered sweep checks against the
+/// golden (and a frozen reference) through this, so the scenarios it did
+/// not select are not reported missing; an unfiltered run must not use it,
+/// so that a scenario gone from the registry still fails the gate.
+pub fn restrict(doc: &Json, scenarios: &[&str]) -> Json {
+    let mut doc = doc.clone();
+    if let Json::Obj(pairs) = &mut doc {
+        for (_, section) in pairs.iter_mut().filter(|(key, _)| key == "scenarios") {
+            if let Json::Obj(section) = section {
+                section.retain(|(name, _)| scenarios.contains(&name.as_str()));
+            }
+        }
+    }
+    doc
+}
+
 /// Attaches a tolerances section to a result document, producing a complete
 /// golden file. Existing tolerances (when regenerating) are carried over.
 pub fn make_golden(results: &Json, previous_golden: Option<&Json>) -> Json {
@@ -395,6 +412,51 @@ mod tests {
         let drifts = compare_intersection_exact(&reference, &results).unwrap();
         assert_eq!(drifts.len(), 1);
         assert!(matches!(&drifts[0], Drift::Value { tolerance, .. } if *tolerance == 0.0));
+    }
+
+    #[test]
+    fn restricted_reference_checks_only_the_selected_scenarios() {
+        let golden = parse(
+            "{\"version\":1,\"tolerances\":{\"default_rel\":1e-6},\"scenarios\":{\
+              \"picked\":{\"group\":\"eviction\",\"metrics\":{\"m\":1.0}},\
+              \"other\":{\"group\":\"paper\",\"metrics\":{\"m\":2.0}}}}",
+        )
+        .unwrap();
+        let filtered_run = parse(
+            "{\"version\":1,\"scenarios\":{\
+              \"picked\":{\"group\":\"eviction\",\"metrics\":{\"m\":1.0}}}}",
+        )
+        .unwrap();
+        // Unrestricted, the unselected scenario is missing; restricted to
+        // the selection, a clean filtered run passes both comparisons and
+        // the tolerances survive.
+        assert_eq!(
+            compare(&golden, &filtered_run).unwrap(),
+            vec![Drift::MissingScenario("other".to_string())]
+        );
+        let reference = restrict(&golden, &["picked"]);
+        assert!(reference.get("tolerances").is_some());
+        assert_eq!(compare(&reference, &filtered_run).unwrap(), Vec::new());
+        assert_eq!(
+            compare_intersection_exact(&reference, &filtered_run).unwrap(),
+            Vec::new()
+        );
+        // A drifted metric in a selected scenario still fails.
+        let drifted = parse(
+            "{\"version\":1,\"scenarios\":{\
+              \"picked\":{\"group\":\"eviction\",\"metrics\":{\"m\":1.5}}}}",
+        )
+        .unwrap();
+        assert!(matches!(
+            compare(&reference, &drifted).unwrap().as_slice(),
+            [Drift::Value { key, .. }] if key == "picked/m"
+        ));
+        assert_eq!(
+            compare_intersection_exact(&reference, &drifted)
+                .unwrap()
+                .len(),
+            1
+        );
     }
 
     #[test]

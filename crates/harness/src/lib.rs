@@ -6,7 +6,8 @@
 //!
 //! * [`scenario`] — the [`Scenario`] registry entry: a named,
 //!   deterministic simulation run producing ordered `(metric, value)` pairs;
-//! * [`registry`](mod@registry) — every paper figure/table, the `examples/` workloads, and
+//! * [`registry`](mod@registry) — every paper figure/table (each figure at a
+//!   scaled-down and at the paper's own scale), the `examples/` workloads, and
 //!   synthetic sweeps (dirty ratios, cache size, read/write mix,
 //!   concurrency) wrapped as scenarios;
 //! * [`runner`] — fans scenarios out across `std::thread` workers (one
@@ -33,7 +34,7 @@ pub mod registry;
 pub mod runner;
 pub mod scenario;
 
-pub use gate::{compare, compare_intersection_exact, make_golden, Drift, Tolerances};
+pub use gate::{compare, compare_intersection_exact, make_golden, restrict, Drift, Tolerances};
 pub use json::{parse, Json};
 pub use registry::registry;
 pub use runner::{run_sweep, ScenarioResult, SweepConfig, SweepResults};

@@ -2,16 +2,21 @@
 //! `examples/` workloads, and a set of synthetic parameter sweeps, wrapped as
 //! deterministic [`Scenario`]s.
 //!
-//! All scenarios run proportionally scaled-down configurations (the `--quick`
-//! scale of the report binaries) so the whole sweep finishes in seconds; the
-//! error orderings and cache behaviours the paper reports are preserved at
-//! this scale, as the `experiments` test suite verifies. Wall-clock derived
-//! numbers (Fig. 8's y-axis) are replaced by their deterministic counterpart
+//! Each paper figure runs at two scales, from one metric function that
+//! takes the scale as input. The `paper` group runs proportionally
+//! scaled-down configurations, so the whole sweep finishes in well under a
+//! second; the error orderings and cache behaviours the paper reports are
+//! preserved at this scale, as the `experiments` test suite verifies. The
+//! `paper_scale` group runs the paper's own configurations, so the golden
+//! pins the numbers the paper's figures show. Wall-clock derived numbers
+//! (Fig. 8's y-axis) are replaced by their deterministic counterpart
 //! (simulated virtual time), because golden baselines must be
 //! machine-independent.
 
-use experiments::platform::scaled_platform;
-use experiments::{run_exp1_for_size, run_exp2, run_exp3, run_exp4};
+use experiments::{
+    concurrency_sweep, exp1_file_sizes, paper_platform, run_exp1_for_size, run_exp2, run_exp3,
+    run_exp4, scaled_platform, EXP2_FILE_SIZE,
+};
 use storage_model::units::{GB, MB};
 use workflow::net::{primary_server, server_host, server_link};
 use workflow::{
@@ -48,43 +53,85 @@ pub fn registry() -> Vec<Scenario> {
             name: "fig4a_exp1_errors",
             group: "paper",
             description: "Fig. 4a: per-phase I/O times and errors of Exp 1",
-            run: fig4a,
+            run: || fig4a(Scale::Quick),
         },
         Scenario {
             name: "fig4b_memory_profiles",
             group: "paper",
             description: "Fig. 4b: memory profile peaks of Exp 1",
-            run: fig4b,
+            run: || fig4b(Scale::Quick),
         },
         Scenario {
             name: "fig4c_cache_contents",
             group: "paper",
             description: "Fig. 4c: cache content after each I/O phase of Exp 1",
-            run: fig4c,
+            run: || fig4c(Scale::Quick),
         },
         Scenario {
             name: "fig5_exp2_concurrent_local",
             group: "paper",
             description: "Fig. 5: concurrent instances on local storage (Exp 2)",
-            run: fig5,
+            run: || fig5(Scale::Quick),
         },
         Scenario {
             name: "fig6_exp4_nighres",
             group: "paper",
             description: "Fig. 6: Nighres per-phase times and errors (Exp 4)",
-            run: fig6,
+            run: || fig6(Scale::Quick),
         },
         Scenario {
             name: "fig7_exp3_concurrent_nfs",
             group: "paper",
             description: "Fig. 7: concurrent instances on NFS storage (Exp 3)",
-            run: fig7,
+            run: || fig7(Scale::Quick),
         },
         Scenario {
             name: "fig8_simulated_durations",
             group: "paper",
             description: "Fig. 8 configurations, gated on simulated virtual time",
-            run: fig8,
+            run: || fig8(Scale::Quick),
+        },
+        Scenario {
+            name: "fig4a_exp1_errors_paper_scale",
+            group: "paper_scale",
+            description: "Fig. 4a at the paper's scale: Exp 1 at 20 and 100 GB",
+            run: || fig4a(Scale::Paper),
+        },
+        Scenario {
+            name: "fig4b_memory_profiles_paper_scale",
+            group: "paper_scale",
+            description: "Fig. 4b at the paper's scale: memory profile peaks",
+            run: || fig4b(Scale::Paper),
+        },
+        Scenario {
+            name: "fig4c_cache_contents_paper_scale",
+            group: "paper_scale",
+            description: "Fig. 4c at the paper's scale: cache content per file",
+            run: || fig4c(Scale::Paper),
+        },
+        Scenario {
+            name: "fig5_exp2_concurrent_local_paper_scale",
+            group: "paper_scale",
+            description: "Fig. 5 at the paper's scale: 1-32 instances of 3 GB, local",
+            run: || fig5(Scale::Paper),
+        },
+        Scenario {
+            name: "fig6_exp4_nighres_paper_scale",
+            group: "paper_scale",
+            description: "Fig. 6 at the paper's scale: Nighres on the 250 GiB node",
+            run: || fig6(Scale::Paper),
+        },
+        Scenario {
+            name: "fig7_exp3_concurrent_nfs_paper_scale",
+            group: "paper_scale",
+            description: "Fig. 7 at the paper's scale: 1-32 instances of 3 GB, NFS",
+            run: || fig7(Scale::Paper),
+        },
+        Scenario {
+            name: "fig8_simulated_durations_paper_scale",
+            group: "paper_scale",
+            description: "Fig. 8 at the paper's scale, gated on simulated virtual time",
+            run: || fig8(Scale::Paper),
         },
         Scenario {
             name: "example_quickstart",
@@ -382,122 +429,217 @@ fn table3() -> Result<Metrics, String> {
     Ok(m)
 }
 
-/// Plain-data projection of one Exp 1 run: everything fig4a/b/c report,
-/// without the `Rc`-based types of the full result, so it can live in a
-/// `OnceLock` shared across worker threads.
-#[derive(Clone)]
+/// The two configurations of every paper figure. `Quick` is the `paper`
+/// group's proportionally scaled-down one, which finishes in milliseconds
+/// even with the debug oracles on; `Paper` is the paper's own (the
+/// `paper_scale` group): the 250 GiB node, Exp 1 at 20 and 100 GB, and
+/// Exps 2/3 and Fig. 8 at 1–32 instances of 3 GB.
+#[derive(Debug, Clone, Copy)]
+enum Scale {
+    Quick,
+    Paper,
+}
+
+impl Scale {
+    /// The node of Exp 1 (Figs. 4a–c) and Exp 4 (Fig. 6).
+    fn node(self) -> PlatformSpec {
+        match self {
+            Scale::Quick => scaled_platform(16.0 * GB),
+            Scale::Paper => paper_platform(),
+        }
+    }
+
+    /// Exp 1's input file sizes.
+    fn exp1_sizes(self) -> Vec<f64> {
+        match self {
+            Scale::Quick => vec![2.0 * GB],
+            Scale::Paper => exp1_file_sizes(),
+        }
+    }
+
+    /// The metric-name prefix of one Exp 1 size: none at quick scale, which
+    /// has one size, and `20gb/`, `100gb/` at the paper's.
+    fn exp1_prefix(self, size: f64) -> String {
+        match self {
+            Scale::Quick => String::new(),
+            Scale::Paper => format!("{:.0}gb/", size / GB),
+        }
+    }
+
+    /// Node, file size and instance counts of Exps 2/3 (Figs. 5 and 7).
+    fn concurrency(self) -> (PlatformSpec, f64, Vec<usize>) {
+        match self {
+            Scale::Quick => (scaled_platform(32.0 * GB), 1.0 * GB, vec![1, 4, 8]),
+            Scale::Paper => (paper_platform(), EXP2_FILE_SIZE, concurrency_sweep()),
+        }
+    }
+
+    /// Fig. 8's instance counts. Its node and file size are Exps 2/3's.
+    fn fig8_instances(self) -> Vec<usize> {
+        match self {
+            Scale::Quick => vec![1, 2, 4, 8],
+            Scale::Paper => concurrency_sweep(),
+        }
+    }
+}
+
+/// One cache-content snapshot of Fig. 4c.
+struct Snapshot {
+    /// `"real"` or `"wrench_cache"`.
+    simulator: &'static str,
+    /// The phase it follows (`"Read 1"`, ...).
+    label: String,
+    /// Total cached bytes.
+    total: f64,
+    /// Cached bytes per file, in file-name order.
+    per_file: Vec<(String, f64)>,
+}
+
+/// Plain-data projection of one Exp 1 run at one file size: everything
+/// fig4a/b/c report, without the `Rc`-based types of the full result, so it
+/// can live in a `OnceLock` shared across worker threads.
 struct Exp1Summary {
+    /// Prefix of every metric of this size (see [`Scale::exp1_prefix`]).
+    prefix: String,
     /// (label, real, prototype, cacheless, wrench_cache) per phase.
     phases: Vec<(String, f64, f64, f64, f64)>,
     /// (prototype, cacheless, wrench_cache) mean errors, percent.
     mean_errors: (f64, f64, f64),
     /// (label, max_used, max_cached, max_dirty, samples) per memory trace.
     traces: Vec<(&'static str, f64, f64, f64, f64)>,
-    /// (simulator label, snapshot label, total bytes, file count) per
-    /// cache-content snapshot.
-    snapshots: Vec<(&'static str, String, f64, f64)>,
+    /// Every cache-content snapshot, the emulator's first.
+    snapshots: Vec<Snapshot>,
 }
 
-/// Exp 1 at harness scale: 2 GB files on a 16 GB node. Three scenarios
-/// (fig4a/b/c) report different views of this one experiment, so the run is
-/// computed once and shared — it is deterministic, so whichever worker gets
-/// there first produces the same result.
-fn exp1_summary() -> Result<Exp1Summary, String> {
-    static EXP1: std::sync::OnceLock<Result<Exp1Summary, String>> = std::sync::OnceLock::new();
-    EXP1.get_or_init(|| {
-        let result = run_exp1_for_size(&scaled_platform(16.0 * GB), 2.0 * GB).map_err(err)?;
-        let mut traces = Vec::new();
-        for (label, trace) in [
-            ("real", &result.real_trace),
-            ("prototype", &result.prototype_trace),
-            ("wrench_cache", &result.wrench_cache_trace),
-        ] {
-            let trace = trace
-                .as_ref()
-                .ok_or_else(|| format!("{label} trace missing"))?;
-            traces.push((
-                label,
-                trace.max_used(),
-                trace.max_cached(),
-                trace.max_dirty(),
-                trace.len() as f64,
-            ));
+fn summarize_exp1(scale: Scale, size: f64) -> Result<Exp1Summary, String> {
+    let result = run_exp1_for_size(&scale.node(), size).map_err(err)?;
+    let mut traces = Vec::new();
+    for (label, trace) in [
+        ("real", &result.real_trace),
+        ("prototype", &result.prototype_trace),
+        ("wrench_cache", &result.wrench_cache_trace),
+    ] {
+        let trace = trace
+            .as_ref()
+            .ok_or_else(|| format!("{label} trace missing"))?;
+        traces.push((
+            label,
+            trace.max_used(),
+            trace.max_cached(),
+            trace.max_dirty(),
+            trace.len() as f64,
+        ));
+    }
+    let mut snapshots = Vec::new();
+    for (simulator, snaps) in [
+        ("real", &result.real_snapshots),
+        ("wrench_cache", &result.wrench_cache_snapshots),
+    ] {
+        for snap in snaps {
+            snapshots.push(Snapshot {
+                simulator,
+                label: snap.label.clone(),
+                total: snap.total(),
+                per_file: snap
+                    .per_file
+                    .iter()
+                    .map(|(file, bytes)| (file.to_string(), *bytes))
+                    .collect(),
+            });
         }
-        let mut snapshots = Vec::new();
-        for (label, snaps) in [
-            ("real", &result.real_snapshots),
-            ("wrench_cache", &result.wrench_cache_snapshots),
-        ] {
-            for snap in snaps {
-                snapshots.push((
-                    label,
-                    snap.label.clone(),
-                    snap.total(),
-                    snap.per_file.len() as f64,
-                ));
+    }
+    Ok(Exp1Summary {
+        prefix: scale.exp1_prefix(size),
+        phases: result
+            .phases
+            .iter()
+            .map(|p| {
+                (
+                    p.label.clone(),
+                    p.real,
+                    p.prototype,
+                    p.cacheless,
+                    p.wrench_cache,
+                )
+            })
+            .collect(),
+        mean_errors: (
+            result.mean_error_prototype(),
+            result.mean_error_cacheless(),
+            result.mean_error_wrench_cache(),
+        ),
+        traces,
+        snapshots,
+    })
+}
+
+/// Exp 1 at every file size of `scale`. Three scenarios (fig4a/b/c) report
+/// different views of this one experiment, so each scale's runs are
+/// computed once and shared — they are deterministic, so whichever worker
+/// gets there first produces the same result.
+fn exp1_runs(scale: Scale) -> Result<&'static [Exp1Summary], String> {
+    type Runs = std::sync::OnceLock<Result<Vec<Exp1Summary>, String>>;
+    static EXP1: [Runs; 2] = [Runs::new(), Runs::new()];
+    EXP1[scale as usize]
+        .get_or_init(|| {
+            scale
+                .exp1_sizes()
+                .into_iter()
+                .map(|size| summarize_exp1(scale, size))
+                .collect()
+        })
+        .as_deref()
+        .map_err(String::clone)
+}
+
+/// Fig. 4a: per-phase I/O times and the mean errors of Exp 1.
+fn fig4a(scale: Scale) -> Result<Metrics, String> {
+    let mut m = Metrics::new();
+    for run in exp1_runs(scale)? {
+        let p = &run.prefix;
+        for (label, real, prototype, cacheless, wrench_cache) in &run.phases {
+            let phase = key(label);
+            m.push(format!("{p}{phase}/real_s"), *real);
+            m.push(format!("{p}{phase}/prototype_s"), *prototype);
+            m.push(format!("{p}{phase}/cacheless_s"), *cacheless);
+            m.push(format!("{p}{phase}/wrench_cache_s"), *wrench_cache);
+        }
+        let (prototype, cacheless, wrench_cache) = run.mean_errors;
+        m.push(format!("{p}mean_error_pct/prototype"), prototype);
+        m.push(format!("{p}mean_error_pct/cacheless"), cacheless);
+        m.push(format!("{p}mean_error_pct/wrench_cache"), wrench_cache);
+    }
+    Ok(m)
+}
+
+/// Fig. 4b: the peaks of Exp 1's memory profiles.
+fn fig4b(scale: Scale) -> Result<Metrics, String> {
+    let mut m = Metrics::new();
+    for run in exp1_runs(scale)? {
+        let p = &run.prefix;
+        for (label, max_used, max_cached, max_dirty, samples) in &run.traces {
+            m.push(format!("{p}{label}/max_used"), *max_used);
+            m.push(format!("{p}{label}/max_cached"), *max_cached);
+            m.push(format!("{p}{label}/max_dirty"), *max_dirty);
+            m.push(format!("{p}{label}/samples"), *samples);
+        }
+    }
+    Ok(m)
+}
+
+/// Fig. 4c: the cache content after each I/O phase of Exp 1, in total and
+/// per file.
+fn fig4c(scale: Scale) -> Result<Metrics, String> {
+    let mut m = Metrics::new();
+    for run in exp1_runs(scale)? {
+        for snap in &run.snapshots {
+            let at = format!("{}{}/{}", run.prefix, snap.simulator, key(&snap.label));
+            m.push(format!("{at}/total"), snap.total);
+            m.push(format!("{at}/files"), snap.per_file.len() as f64);
+            for (file, bytes) in &snap.per_file {
+                m.push(format!("{at}/cached/{file}"), *bytes);
             }
         }
-        Ok(Exp1Summary {
-            phases: result
-                .phases
-                .iter()
-                .map(|p| {
-                    (
-                        p.label.clone(),
-                        p.real,
-                        p.prototype,
-                        p.cacheless,
-                        p.wrench_cache,
-                    )
-                })
-                .collect(),
-            mean_errors: (
-                result.mean_error_prototype(),
-                result.mean_error_cacheless(),
-                result.mean_error_wrench_cache(),
-            ),
-            traces,
-            snapshots,
-        })
-    })
-    .clone()
-}
-
-fn fig4a() -> Result<Metrics, String> {
-    let result = exp1_summary()?;
-    let mut m = Metrics::new();
-    for (label, real, prototype, cacheless, wrench_cache) in &result.phases {
-        let phase = key(label);
-        m.push(format!("{phase}/real_s"), *real);
-        m.push(format!("{phase}/prototype_s"), *prototype);
-        m.push(format!("{phase}/cacheless_s"), *cacheless);
-        m.push(format!("{phase}/wrench_cache_s"), *wrench_cache);
-    }
-    let (prototype, cacheless, wrench_cache) = result.mean_errors;
-    m.push("mean_error_pct/prototype", prototype);
-    m.push("mean_error_pct/cacheless", cacheless);
-    m.push("mean_error_pct/wrench_cache", wrench_cache);
-    Ok(m)
-}
-
-fn fig4b() -> Result<Metrics, String> {
-    let result = exp1_summary()?;
-    let mut m = Metrics::new();
-    for (label, max_used, max_cached, max_dirty, samples) in &result.traces {
-        m.push(format!("{label}/max_used"), *max_used);
-        m.push(format!("{label}/max_cached"), *max_cached);
-        m.push(format!("{label}/max_dirty"), *max_dirty);
-        m.push(format!("{label}/samples"), *samples);
-    }
-    Ok(m)
-}
-
-fn fig4c() -> Result<Metrics, String> {
-    let result = exp1_summary()?;
-    let mut m = Metrics::new();
-    for (simulator, label, total, files) in &result.snapshots {
-        m.push(format!("{simulator}/{}/total", key(label)), *total);
-        m.push(format!("{simulator}/{}/files", key(label)), *files);
     }
     Ok(m)
 }
@@ -514,15 +656,18 @@ fn push_concurrency_sweep(m: &mut Metrics, sweep: &experiments::ConcurrencySweep
     }
 }
 
-fn fig5() -> Result<Metrics, String> {
-    let sweep = run_exp2(&scaled_platform(32.0 * GB), 1.0 * GB, &[1, 4, 8]).map_err(err)?;
+/// Fig. 5 (Exp 2): concurrent instances on local storage.
+fn fig5(scale: Scale) -> Result<Metrics, String> {
+    let (platform, size, instances) = scale.concurrency();
+    let sweep = run_exp2(&platform, size, &instances).map_err(err)?;
     let mut m = Metrics::new();
     push_concurrency_sweep(&mut m, &sweep);
     Ok(m)
 }
 
-fn fig6() -> Result<Metrics, String> {
-    let result = run_exp4(&scaled_platform(16.0 * GB)).map_err(err)?;
+/// Fig. 6 (Exp 4): the Nighres workflow's per-phase times and errors.
+fn fig6(scale: Scale) -> Result<Metrics, String> {
+    let result = run_exp4(&scale.node()).map_err(err)?;
     let mut m = Metrics::new();
     for p in &result.phases {
         let phase = key(&p.label);
@@ -538,8 +683,10 @@ fn fig6() -> Result<Metrics, String> {
     Ok(m)
 }
 
-fn fig7() -> Result<Metrics, String> {
-    let sweep = run_exp3(&scaled_platform(32.0 * GB), 1.0 * GB, &[1, 4, 8]).map_err(err)?;
+/// Fig. 7 (Exp 3): concurrent instances on NFS storage.
+fn fig7(scale: Scale) -> Result<Metrics, String> {
+    let (platform, size, instances) = scale.concurrency();
+    let sweep = run_exp3(&platform, size, &instances).map_err(err)?;
     let mut m = Metrics::new();
     push_concurrency_sweep(&mut m, &sweep);
     Ok(m)
@@ -549,11 +696,11 @@ fn fig7() -> Result<Metrics, String> {
 /// is the *simulated* duration of each of its four configurations — a
 /// deterministic proxy that still catches behavioural drift in every
 /// configuration Fig. 8 measures.
-fn fig8() -> Result<Metrics, String> {
-    let platform = scaled_platform(32.0 * GB);
-    let app = ApplicationSpec::synthetic_pipeline(1.0 * GB);
+fn fig8(scale: Scale) -> Result<Metrics, String> {
+    let (platform, size, _) = scale.concurrency();
+    let app = ApplicationSpec::synthetic_pipeline(size);
     let mut m = Metrics::new();
-    for instances in [1usize, 2, 4, 8] {
+    for instances in scale.fig8_instances() {
         for (label, kind, nfs) in [
             ("cacheless_local", SimulatorKind::Cacheless, false),
             ("cacheless_nfs", SimulatorKind::Cacheless, true),
@@ -1919,6 +2066,7 @@ mod tests {
         assert_eq!(names.len(), dedup.len(), "duplicate scenario names");
         for group in [
             "paper",
+            "paper_scale",
             "examples",
             "sweep",
             "programs",
@@ -1932,10 +2080,18 @@ mod tests {
                 "no scenario in group {group}"
             );
         }
-        // Ten paper artefacts, at least three synthetic sweeps, at least
-        // four workload-program scenarios, and at least five fault-injection
+        // Ten paper artefacts, their seven figures again at the paper's
+        // scale, at least three synthetic sweeps, at least four
+        // workload-program scenarios, and at least five fault-injection
         // scenarios, per the acceptance criteria.
         assert_eq!(scenarios.iter().filter(|s| s.group == "paper").count(), 10);
+        assert_eq!(
+            scenarios
+                .iter()
+                .filter(|s| s.group == "paper_scale")
+                .count(),
+            7
+        );
         assert!(scenarios.iter().filter(|s| s.group == "sweep").count() >= 3);
         assert!(scenarios.iter().filter(|s| s.group == "programs").count() >= 4);
         assert!(scenarios.iter().filter(|s| s.group == "faults").count() >= 5);

@@ -40,6 +40,16 @@ impl Default for SweepConfig {
     }
 }
 
+impl SweepConfig {
+    /// Whether the filter selects `scenario`: its name or group contains
+    /// the filter string, or there is no filter.
+    pub fn selects(&self, scenario: &Scenario) -> bool {
+        self.filter
+            .as_deref()
+            .is_none_or(|f| scenario.name.contains(f) || scenario.group.contains(f))
+    }
+}
+
 /// Outcome of one scenario within a sweep.
 #[derive(Debug, Clone)]
 pub struct ScenarioResult {
@@ -129,12 +139,7 @@ impl SweepResults {
 /// results in registry order.
 pub fn run_sweep(registry: &[Scenario], config: &SweepConfig) -> SweepResults {
     let selected: Vec<usize> = (0..registry.len())
-        .filter(|&i| match &config.filter {
-            Some(f) => {
-                registry[i].name.contains(f.as_str()) || registry[i].group.contains(f.as_str())
-            }
-            None => true,
-        })
+        .filter(|&i| config.selects(&registry[i]))
         .collect();
 
     // (registry index, outcome, wall-clock seconds) of one finished scenario.

@@ -5,7 +5,9 @@
 //! * the gate passes a run against its own golden and catches synthetic
 //!   drift end to end.
 
-use harness::{compare, make_golden, parse, registry, run_sweep, Drift, Json, SweepConfig};
+use harness::{
+    compare, make_golden, parse, registry, run_sweep, Drift, Json, Scenario, SweepConfig,
+};
 
 fn config(threads: usize, filter: Option<&str>) -> SweepConfig {
     SweepConfig {
@@ -14,9 +16,19 @@ fn config(threads: usize, filter: Option<&str>) -> SweepConfig {
     }
 }
 
+/// The registry, without the `paper_scale` group in debug builds: there
+/// the cache models' scan oracles make the paper's scale take minutes per
+/// figure. The release tests and `sweep --check` run the group.
+fn scenarios() -> Vec<Scenario> {
+    registry()
+        .into_iter()
+        .filter(|s| !(cfg!(debug_assertions) && s.group == "paper_scale"))
+        .collect()
+}
+
 #[test]
 fn full_sweep_is_bit_identical_across_thread_counts() {
-    let scenarios = registry();
+    let scenarios = scenarios();
     assert!(
         scenarios.len() >= 13,
         "registry must cover >= 13 scenarios, has {}",

@@ -8,16 +8,30 @@
 //! revision's* `baselines/golden.json` (extracted with `git show`), which
 //! proves that a change regenerating the golden did not move any
 //! pre-existing prediction.
+//!
+//! Debug builds skip the `paper_scale` group: there the cache models' scan
+//! oracles make the paper's scale take minutes per figure. The release
+//! tests and `sweep --check` run it.
 
-use harness::{compare_intersection_exact, parse, registry, run_sweep, SweepConfig};
+use harness::{compare_intersection_exact, parse, registry, restrict, run_sweep, SweepConfig};
 
 const FROZEN: &str = include_str!("../../../baselines/golden.json");
 
 #[test]
 fn pre_existing_golden_metrics_are_bit_identical() {
+    let scenarios: Vec<_> = registry()
+        .into_iter()
+        .filter(|s| !(cfg!(debug_assertions) && s.group == "paper_scale"))
+        .collect();
+    let names: Vec<&str> = scenarios.iter().map(|s| s.name).collect();
     let frozen = parse(FROZEN).expect("frozen baseline parses");
+    let frozen = if cfg!(debug_assertions) {
+        restrict(&frozen, &names)
+    } else {
+        frozen
+    };
     let results = run_sweep(
-        &registry(),
+        &scenarios,
         &SweepConfig {
             threads: 4,
             filter: None,

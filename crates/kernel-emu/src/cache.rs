@@ -210,13 +210,6 @@ impl RangeSet {
         }
         self.spans.drain(..drop_to);
     }
-
-    /// End offset of the highest resident span (0 when empty). The
-    /// amount-based legacy insert APIs append here, so sequential whole-file
-    /// traffic lays its pages down at the true offsets.
-    fn high_water(&self) -> f64 {
-        self.spans.last().map_or(0.0, |&(_, b)| b)
-    }
 }
 
 /// Per-file cache occupancy, split by LRU list and dirtiness.
@@ -951,23 +944,6 @@ impl KernelCache {
             .await
     }
 
-    /// Adds clean pages of a file that were just read from disk. A corollary
-    /// of [`KernelCache::insert_clean_range`] at the file's resident
-    /// high-water mark (sequential whole-file traffic lands at its true
-    /// offsets).
-    pub fn insert_clean(&self, file: &FileId, bytes: f64) {
-        let start = self.resident_high_water(file);
-        self.insert_clean_range(file, start, start + bytes);
-    }
-
-    /// Adds dirty pages of a file that were just written by an application.
-    /// A corollary of [`KernelCache::insert_dirty_range`] at the file's
-    /// resident high-water mark.
-    pub fn insert_dirty(&self, file: &FileId, bytes: f64) {
-        let start = self.resident_high_water(file);
-        self.insert_dirty_range(file, start, start + bytes);
-    }
-
     /// The sub-ranges of `[start, end)` of `file` that are *not* resident, in
     /// offset order — the disk-read plan of a range read. Callers capture
     /// this *before* any reclaim they trigger, so the bytes they insert
@@ -978,15 +954,6 @@ impl KernelCache {
             || vec![(start, end)],
             |i| s.files.get(i).resident.gaps(start, end),
         )
-    }
-
-    /// End offset of the file's highest resident span (0 when nothing is
-    /// cached).
-    pub fn resident_high_water(&self, file: &FileId) -> f64 {
-        let s = self.state.borrow();
-        s.files
-            .key(file)
-            .map_or(0.0, |i| s.files.get(i).resident.high_water())
     }
 
     /// Adds the *non-resident* part of `[start, end)` of `file` as clean
@@ -1244,6 +1211,39 @@ mod tests {
     use des::Simulation;
     use pagecache::EvictionPolicy;
     use storage_model::{units::MB, DeviceSpec};
+
+    impl RangeSet {
+        /// End offset of the highest resident span (0 when empty).
+        fn high_water(&self) -> f64 {
+            self.spans.last().map_or(0.0, |&(_, b)| b)
+        }
+    }
+
+    /// Amount-based inserts: each appends at the file's resident high-water
+    /// mark, so sequential whole-file traffic lays its pages down at the
+    /// true offsets.
+    impl KernelCache {
+        /// Adds `bytes` of clean pages at the file's high-water mark.
+        fn insert_clean(&self, file: &FileId, bytes: f64) {
+            let start = self.resident_high_water(file);
+            self.insert_clean_range(file, start, start + bytes);
+        }
+
+        /// Adds `bytes` of dirty pages at the file's high-water mark.
+        fn insert_dirty(&self, file: &FileId, bytes: f64) {
+            let start = self.resident_high_water(file);
+            self.insert_dirty_range(file, start, start + bytes);
+        }
+
+        /// End offset of the file's highest resident span (0 when nothing
+        /// is cached).
+        fn resident_high_water(&self, file: &FileId) -> f64 {
+            let s = self.state.borrow();
+            s.files
+                .key(file)
+                .map_or(0.0, |i| s.files.get(i).resident.high_water())
+        }
+    }
 
     fn setup(total_mb: f64) -> (Simulation, KernelCache) {
         let sim = Simulation::new();

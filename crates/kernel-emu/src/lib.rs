@@ -23,8 +23,6 @@
 //! Table III (whereas the simulators use the symmetric averages). Simulators
 //! are then evaluated by their error against this emulator, exactly as the
 //! paper evaluates WRENCH and WRENCH-cache against the real cluster.
-//!
-//! See `DESIGN.md` (§5, substitutions) for the full rationale.
 
 #![warn(missing_docs)]
 

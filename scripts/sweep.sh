@@ -10,6 +10,9 @@
 #   scripts/sweep.sh --update-golden  regenerate the golden baseline (do this
 #                                     in the same commit that legitimately
 #                                     changes predictions, and say why)
+#   scripts/sweep.sh --filter paper_scale
+#                                     reproduce the paper's figures at the
+#                                     paper's scale (numbers in RESULTS.json)
 #   scripts/sweep.sh --list           list registered scenarios; composes with
 #                                     --filter, e.g.
 #                                     scripts/sweep.sh --list --filter eviction
@@ -23,7 +26,8 @@
 # All other flags (--threads, --filter, --out, --golden, --timings) are
 # forwarded to the sweep binary; see `sweep --help`. --filter matches the
 # scenario name or group, so `--filter eviction` selects the whole
-# policy-comparison group. RESULTS.json is byte-identical for any --threads.
+# policy-comparison group; with --check, only the selected scenarios are
+# checked. RESULTS.json is byte-identical for any --threads.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."

@@ -18,7 +18,8 @@
 //! * [`kernel_emu`] — a page-granularity kernel emulator used as the
 //!   "real system" ground truth;
 //! * [`workflow`] — platforms, applications, and the scenario runner;
-//! * [`experiments`] — the reproduction of every table and figure of the paper.
+//! * [`experiments`] — the experiments behind every table and figure of the
+//!   paper, which the scenario registry of `crates/harness` runs and gates.
 //!
 //! ## Quick start
 //!
