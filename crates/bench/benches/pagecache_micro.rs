@@ -228,8 +228,9 @@ fn bench_io_controller(c: &mut Criterion) {
                     );
                     let io = IoController::new(&ctx, mm);
                     sim.spawn(async move {
-                        io.write_file(&"out".into(), file_gb * GB).await;
-                        io.read_file(&"out".into(), file_gb * GB).await;
+                        let size = file_gb * GB;
+                        io.write_amount(&"out".into(), size).await;
+                        io.read_amount(&"out".into(), size, size).await;
                     });
                     sim.run().as_secs()
                 })

@@ -43,7 +43,6 @@ mod engine;
 pub mod scheduler;
 mod select;
 mod slab;
-pub mod sync;
 mod time;
 
 pub use engine::{

@@ -26,11 +26,6 @@ impl<A, B> Either<A, B> {
     pub fn is_left(&self) -> bool {
         matches!(self, Either::Left(_))
     }
-
-    /// Whether this is the [`Either::Right`] variant.
-    pub fn is_right(&self) -> bool {
-        matches!(self, Either::Right(_))
-    }
 }
 
 /// Runs two futures concurrently and resolves with the output of whichever

@@ -41,13 +41,6 @@ pub struct ConcurrencySweep {
     pub points: Vec<ConcurrencyPoint>,
 }
 
-impl ConcurrencySweep {
-    /// Maximum ground-truth write time observed (the plateau level of Fig. 5).
-    pub fn max_real_write(&self) -> f64 {
-        self.points.iter().map(|p| p.real_write).fold(0.0, f64::max)
-    }
-}
-
 /// Runs one concurrency sweep (Exp 2 if `nfs` is false, Exp 3 if true).
 pub fn run_concurrency_sweep(
     platform: &PlatformSpec,

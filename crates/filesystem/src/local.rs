@@ -2,17 +2,17 @@
 //! cacheless behaviour of vanilla WRENCH, also over an NFS link).
 
 use des::SimContext;
-use pagecache::{clamp_io_range, FileId, FsError, IoController, IoOpStats, MemoryManager};
+use pagecache::{
+    check_write_range, clamp_io_range, FileId, FsError, IoController, IoOpStats, MemoryManager,
+};
 use storage_model::{Disk, NetworkLink};
 
 use crate::registry::FileRegistry;
 
 /// Grows the registration of `file` so it covers a write of `len` bytes at
 /// `offset`, allocating the extra disk space on `disk`. Creates the file
-/// when it does not exist; never shrinks it (range writes extend, deleting
-/// and rewriting truncates). Rejects non-finite ranges — a write, unlike a
-/// read, has no end-of-file to clamp to. Returns the clamped `(offset,
-/// len)` actually written.
+/// when it does not exist; never shrinks it. Rejects the ranges
+/// [`check_write_range`] rejects.
 ///
 /// Shared by every filesystem whose registration is a [`FileRegistry`]
 /// (the local and direct filesystems and NFS), so the extend-never-shrink
@@ -23,12 +23,8 @@ pub(crate) fn extend_for_write(
     file: &FileId,
     offset: f64,
     len: f64,
-) -> Result<(f64, f64), FsError> {
-    if !offset.is_finite() || !len.is_finite() {
-        return Err(FsError::InvalidRange { offset, len });
-    }
-    let offset = offset.max(0.0);
-    let len = len.max(0.0);
+) -> Result<(), FsError> {
+    check_write_range(offset, len)?;
     let new_end = offset + len;
     match registry.size(file) {
         Ok(old) if new_end > old => {
@@ -41,7 +37,7 @@ pub(crate) fn extend_for_write(
             registry.create(file, new_end)?;
         }
     }
-    Ok((offset, len))
+    Ok(())
 }
 
 /// A local filesystem whose I/O goes through the simulated page cache
@@ -91,12 +87,6 @@ impl CachedFileSystem {
         self.registry.create(file, size)
     }
 
-    /// Reads a whole file through the page cache. A corollary of
-    /// [`CachedFileSystem::read_range`] over `[0, size)`.
-    pub async fn read_file(&self, file: &FileId) -> Result<IoOpStats, FsError> {
-        self.read_range(file, 0.0, f64::INFINITY).await
-    }
-
     /// Reads `len` bytes of `file` starting at `offset` through the page
     /// cache (`len = f64::INFINITY` reads to end of file; the range is
     /// clamped to the file). The macroscopic cache model is amount-based, so
@@ -113,33 +103,16 @@ impl CachedFileSystem {
         Ok(self.io.read_amount(file, size, amount).await)
     }
 
-    /// Writes (creates or overwrites) a file of `size` bytes through the page
-    /// cache. Unlike [`CachedFileSystem::write_range`], this replaces the
-    /// file registration: the old size is freed first (truncate semantics).
-    pub async fn write_file(&self, file: &FileId, size: f64) -> Result<IoOpStats, FsError> {
-        if !size.is_finite() {
-            return Err(FsError::InvalidRange {
-                offset: 0.0,
-                len: size,
-            });
-        }
-        if let Some(old) = self.registry.create_or_replace(file, size) {
-            self.disk.free(old);
-        }
-        self.disk.allocate(size)?;
-        Ok(self.io.write_amount(file, size).await)
-    }
-
     /// Writes `len` bytes at `offset` through the page cache, creating the
     /// file or extending it to `offset + len` as needed. Range writes never
-    /// shrink a file; delete and rewrite to truncate.
+    /// shrink a file.
     pub async fn write_range(
         &self,
         file: &FileId,
         offset: f64,
         len: f64,
     ) -> Result<IoOpStats, FsError> {
-        let (_offset, len) = extend_for_write(&self.registry, &self.disk, file, offset, len)?;
+        extend_for_write(&self.registry, &self.disk, file, offset, len)?;
         Ok(self.io.write_amount(file, len).await)
     }
 
@@ -154,14 +127,6 @@ impl CachedFileSystem {
     /// Flushes all dirty cached data of the host to disk (`sync`).
     pub async fn sync(&self) -> IoOpStats {
         self.io.sync().await
-    }
-
-    /// Deletes a file: drops its cached data and frees its disk space.
-    pub fn delete_file(&self, file: &FileId) -> Result<(), FsError> {
-        let size = self.registry.remove(file)?;
-        self.disk.free(size);
-        self.memory_manager().invalidate_file(file);
-        Ok(())
     }
 }
 
@@ -214,12 +179,6 @@ impl DirectFileSystem {
         self.registry.create(file, size)
     }
 
-    /// Reads a whole file directly from disk. A corollary of
-    /// [`DirectFileSystem::read_range`] over `[0, size)`.
-    pub async fn read_file(&self, file: &FileId) -> Result<IoOpStats, FsError> {
-        self.read_range(file, 0.0, f64::INFINITY).await
-    }
-
     /// Reads `len` bytes at `offset` directly from disk (no cache: every
     /// byte pays the disk bandwidth, then the link's if mounted remotely).
     pub async fn read_range(
@@ -244,21 +203,6 @@ impl DirectFileSystem {
         })
     }
 
-    /// Writes a file directly to disk (truncate semantics).
-    pub async fn write_file(&self, file: &FileId, size: f64) -> Result<IoOpStats, FsError> {
-        if !size.is_finite() {
-            return Err(FsError::InvalidRange {
-                offset: 0.0,
-                len: size,
-            });
-        }
-        if let Some(old) = self.registry.create_or_replace(file, size) {
-            self.disk.free(old);
-        }
-        self.disk.allocate(size)?;
-        self.write_amount(size).await
-    }
-
     /// Writes `len` bytes at `offset` directly to disk, creating or
     /// extending the file as needed (never shrinking it).
     pub async fn write_range(
@@ -267,7 +211,7 @@ impl DirectFileSystem {
         offset: f64,
         len: f64,
     ) -> Result<IoOpStats, FsError> {
-        let (_offset, len) = extend_for_write(&self.registry, &self.disk, file, offset, len)?;
+        extend_for_write(&self.registry, &self.disk, file, offset, len)?;
         self.write_amount(len).await
     }
 
@@ -299,13 +243,6 @@ impl DirectFileSystem {
     /// dirty).
     pub async fn sync(&self) -> IoOpStats {
         IoOpStats::default()
-    }
-
-    /// Deletes a file and frees its disk space.
-    pub fn delete_file(&self, file: &FileId) -> Result<(), FsError> {
-        let size = self.registry.remove(file)?;
-        self.disk.free(size);
-        Ok(())
     }
 }
 
@@ -351,9 +288,18 @@ mod tests {
         let h = sim.spawn({
             let fs = fs.clone();
             async move {
-                let cold = fs.read_file(&"input".into()).await.unwrap();
-                let warm = fs.read_file(&"input".into()).await.unwrap();
-                let write = fs.write_file(&"output".into(), 300.0 * MB).await.unwrap();
+                let cold = fs
+                    .read_range(&"input".into(), 0.0, f64::INFINITY)
+                    .await
+                    .unwrap();
+                let warm = fs
+                    .read_range(&"input".into(), 0.0, f64::INFINITY)
+                    .await
+                    .unwrap();
+                let write = fs
+                    .write_range(&"output".into(), 0.0, 300.0 * MB)
+                    .await
+                    .unwrap();
                 (cold, warm, write)
             }
         });
@@ -368,43 +314,18 @@ mod tests {
     }
 
     #[test]
-    fn cached_fs_missing_file_and_delete() {
+    fn cached_fs_missing_file() {
         let sim = Simulation::new();
         let fs = cached_fs(&sim, 1_000.0, f64::INFINITY);
         let h = sim.spawn({
             let fs = fs.clone();
-            async move { fs.read_file(&"nope".into()).await }
+            async move { fs.read_range(&"nope".into(), 0.0, f64::INFINITY).await }
         });
         sim.run();
         assert!(matches!(
             h.try_take_result().unwrap(),
             Err(FsError::FileNotFound(_))
         ));
-
-        fs.create_file(&"f".into(), 100.0 * MB).unwrap();
-        fs.memory_manager().add_to_cache(&"f".into(), 100.0 * MB);
-        fs.delete_file(&"f".into()).unwrap();
-        approx(fs.disk().used(), 0.0);
-        approx(fs.memory_manager().cached(), 0.0);
-        assert!(fs.delete_file(&"f".into()).is_err());
-    }
-
-    #[test]
-    fn cached_fs_overwrite_frees_old_space() {
-        let sim = Simulation::new();
-        let fs = cached_fs(&sim, 10_000.0, 1_000.0 * MB);
-        let h = sim.spawn({
-            let fs = fs.clone();
-            async move {
-                fs.write_file(&"f".into(), 800.0 * MB).await.unwrap();
-                // Overwriting with a smaller file must free the old allocation
-                // first, otherwise this would exceed the 1 GB disk.
-                fs.write_file(&"f".into(), 600.0 * MB).await.unwrap();
-            }
-        });
-        sim.run();
-        assert!(h.is_finished());
-        approx(fs.disk().used(), 600.0 * MB);
     }
 
     #[test]
@@ -426,7 +347,9 @@ mod tests {
             let fs = fs.clone();
             async move {
                 // Whole read, then a partial re-read: full cache hit.
-                fs.read_file(&"f".into()).await.unwrap();
+                fs.read_range(&"f".into(), 0.0, f64::INFINITY)
+                    .await
+                    .unwrap();
                 let partial = fs
                     .read_range(&"f".into(), 100.0 * MB, 200.0 * MB)
                     .await
@@ -495,10 +418,19 @@ mod tests {
         let h = sim.spawn({
             let fs = fs.clone();
             async move {
-                let r1 = fs.read_file(&"input".into()).await.unwrap();
+                let r1 = fs
+                    .read_range(&"input".into(), 0.0, f64::INFINITY)
+                    .await
+                    .unwrap();
                 // A second read is just as slow: no cache.
-                let r2 = fs.read_file(&"input".into()).await.unwrap();
-                let w = fs.write_file(&"out".into(), 200.0 * MB).await.unwrap();
+                let r2 = fs
+                    .read_range(&"input".into(), 0.0, f64::INFINITY)
+                    .await
+                    .unwrap();
+                let w = fs
+                    .write_range(&"out".into(), 0.0, 200.0 * MB)
+                    .await
+                    .unwrap();
                 (r1, r2, w)
             }
         });
@@ -509,11 +441,6 @@ mod tests {
         approx(r1.bytes_from_disk, 500.0 * MB);
         approx(w.duration, 2.0);
         approx(w.bytes_to_disk, 200.0 * MB);
-        fs.delete_file(&"out".into()).unwrap();
-        approx(fs.disk().used(), 500.0 * MB);
-        assert!(matches!(
-            fs.delete_file(&"missing".into()),
-            Err(FsError::FileNotFound(_))
-        ));
+        approx(fs.disk().used(), 700.0 * MB);
     }
 }

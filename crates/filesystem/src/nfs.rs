@@ -132,26 +132,12 @@ impl NfsFileSystem {
         self.registry.create(file, size)
     }
 
-    /// Deletes a file: releases server disk space and both caches.
-    pub fn delete_file(&self, file: &FileId) -> Result<(), FsError> {
-        let size = self.registry.remove(file)?;
-        self.server.disk().free(size);
-        self.server.memory_manager().invalidate_file(file);
-        self.client_memory_manager().invalidate_file(file);
-        Ok(())
-    }
-
-    /// Reads a whole file over NFS. Client-cached data is read from client
-    /// memory; the rest is served by the server (from its cache or disk) and
-    /// travels over the network, after which it enters the client read cache.
-    /// A corollary of [`NfsFileSystem::read_range`] over `[0, size)`.
-    pub async fn read_file(&self, file: &FileId) -> Result<IoOpStats, FsError> {
-        self.read_range(file, 0.0, f64::INFINITY).await
-    }
-
-    /// Reads `len` bytes at `offset` over NFS. Both caches are amount-based
-    /// (macroscopic model), so a partial re-read is served client-side for up
-    /// to `min(len, client_cached)` bytes.
+    /// Reads `len` bytes at `offset` over NFS (`len = f64::INFINITY` reads
+    /// to end of file). Client-cached data is read from client memory; the
+    /// rest is served by the server (from its cache or disk) and travels
+    /// over the network, after which it enters the client read cache. Both
+    /// caches are amount-based (macroscopic model), so a partial re-read is
+    /// served client-side for up to `min(len, client_cached)` bytes.
     pub async fn read_range(
         &self,
         file: &FileId,
@@ -185,33 +171,17 @@ impl NfsFileSystem {
         Ok(stats)
     }
 
-    /// Writes a whole file over NFS: data travels over the network and is
-    /// written through on the server (no client write cache). Truncate
-    /// semantics: the old registration is replaced.
-    pub async fn write_file(&self, file: &FileId, size: f64) -> Result<IoOpStats, FsError> {
-        if !size.is_finite() {
-            return Err(FsError::InvalidRange {
-                offset: 0.0,
-                len: size,
-            });
-        }
-        if let Some(old) = self.registry.create_or_replace(file, size) {
-            self.server.disk().free(old);
-        }
-        self.server.disk().allocate(size)?;
-        Ok(self.write_amount(file, size).await)
-    }
-
     /// Writes `len` bytes at `offset` over NFS, creating the file or
-    /// extending it to `offset + len` as needed (never shrinking it).
+    /// extending it to `offset + len` as needed (never shrinking it). The
+    /// data travels over the network and is written through on the server
+    /// (no client write cache).
     pub async fn write_range(
         &self,
         file: &FileId,
         offset: f64,
         len: f64,
     ) -> Result<IoOpStats, FsError> {
-        let (_offset, len) =
-            extend_for_write(&self.registry, self.server.disk(), file, offset, len)?;
+        extend_for_write(&self.registry, self.server.disk(), file, offset, len)?;
         Ok(self.write_amount(file, len).await)
     }
 
@@ -305,7 +275,11 @@ mod tests {
         fs.create_file(&"f".into(), 500.0 * MB).unwrap();
         let h = sim.spawn({
             let fs = fs.clone();
-            async move { fs.read_file(&"f".into()).await.unwrap() }
+            async move {
+                fs.read_range(&"f".into(), 0.0, f64::INFINITY)
+                    .await
+                    .unwrap()
+            }
         });
         sim.run();
         let stats = h.try_take_result().unwrap();
@@ -330,9 +304,14 @@ mod tests {
         let h = sim.spawn({
             let fs = fs.clone();
             async move {
-                fs.read_file(&"f".into()).await.unwrap();
+                fs.read_range(&"f".into(), 0.0, f64::INFINITY)
+                    .await
+                    .unwrap();
                 let net_before = fs.link().channel().total_bytes();
-                let warm = fs.read_file(&"f".into()).await.unwrap();
+                let warm = fs
+                    .read_range(&"f".into(), 0.0, f64::INFINITY)
+                    .await
+                    .unwrap();
                 (warm, fs.link().channel().total_bytes() - net_before)
             }
         });
@@ -348,7 +327,11 @@ mod tests {
         let (sim, fs) = setup(10_000.0, 10_000.0);
         let h = sim.spawn({
             let fs = fs.clone();
-            async move { fs.write_file(&"out".into(), 300.0 * MB).await.unwrap() }
+            async move {
+                fs.write_range(&"out".into(), 0.0, 300.0 * MB)
+                    .await
+                    .unwrap()
+            }
         });
         sim.run();
         let stats = h.try_take_result().unwrap();
@@ -371,9 +354,14 @@ mod tests {
         let h = sim.spawn({
             let fs = fs.clone();
             async move {
-                fs.write_file(&"out".into(), 300.0 * MB).await.unwrap();
+                fs.write_range(&"out".into(), 0.0, 300.0 * MB)
+                    .await
+                    .unwrap();
                 let disk_before = fs.server().disk().total_bytes_read();
-                let r = fs.read_file(&"out".into()).await.unwrap();
+                let r = fs
+                    .read_range(&"out".into(), 0.0, f64::INFINITY)
+                    .await
+                    .unwrap();
                 (r, fs.server().disk().total_bytes_read() - disk_before)
             }
         });
@@ -385,21 +373,17 @@ mod tests {
     }
 
     #[test]
-    fn missing_file_and_delete() {
+    fn missing_file() {
         let (sim, fs) = setup(1_000.0, 1_000.0);
         let h = sim.spawn({
             let fs = fs.clone();
-            async move { fs.read_file(&"missing".into()).await }
+            async move { fs.read_range(&"missing".into(), 0.0, f64::INFINITY).await }
         });
         sim.run();
         assert!(matches!(
             h.try_take_result().unwrap(),
             Err(FsError::FileNotFound(_))
         ));
-        fs.create_file(&"f".into(), 100.0 * MB).unwrap();
-        fs.delete_file(&"f".into()).unwrap();
-        approx(fs.server().disk().used(), 0.0);
-        assert!(fs.delete_file(&"f".into()).is_err());
     }
 
     #[test]
@@ -408,7 +392,11 @@ mod tests {
         let (sim, fs) = setup(10_000.0, 200.0);
         let h = sim.spawn({
             let fs = fs.clone();
-            async move { fs.write_file(&"big".into(), 500.0 * MB).await.unwrap() }
+            async move {
+                fs.write_range(&"big".into(), 0.0, 500.0 * MB)
+                    .await
+                    .unwrap()
+            }
         });
         sim.run();
         assert!(h.is_finished());

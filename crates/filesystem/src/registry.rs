@@ -48,14 +48,6 @@ impl FileRegistry {
         self.files.borrow().contains_key(file)
     }
 
-    /// Removes a file, returning its size.
-    pub fn remove(&self, file: &FileId) -> Result<f64, FsError> {
-        self.files
-            .borrow_mut()
-            .remove(file)
-            .ok_or_else(|| FsError::FileNotFound(file.clone()))
-    }
-
     /// Names and sizes of all registered files.
     pub fn list(&self) -> Vec<(FileId, f64)> {
         self.files
@@ -86,7 +78,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn create_lookup_remove() {
+    fn create_and_lookup() {
         let reg = FileRegistry::new();
         assert!(reg.is_empty());
         reg.create(&"a".into(), 100.0).unwrap();
@@ -95,8 +87,6 @@ mod tests {
         assert!(!reg.exists(&"b".into()));
         assert_eq!(reg.len(), 1);
         assert_eq!(reg.total_bytes(), 100.0);
-        assert_eq!(reg.remove(&"a".into()).unwrap(), 100.0);
-        assert!(reg.is_empty());
     }
 
     #[test]
@@ -116,10 +106,6 @@ mod tests {
         let reg = FileRegistry::new();
         assert!(matches!(
             reg.size(&"missing".into()),
-            Err(FsError::FileNotFound(_))
-        ));
-        assert!(matches!(
-            reg.remove(&"missing".into()),
             Err(FsError::FileNotFound(_))
         ));
     }

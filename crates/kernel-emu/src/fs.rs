@@ -6,7 +6,8 @@
 //! cache's *resident page ranges*: a request for `[offset, offset + len)`
 //! reads exactly the non-resident sub-ranges from disk and serves the rest
 //! from memory, so random and partial access patterns are modelled at page
-//! fidelity. Whole-file operations are corollaries of the range operations.
+//! fidelity. A range write creates the file or extends it, and never
+//! shrinks it.
 //!
 //! ## Readahead
 //!
@@ -41,7 +42,9 @@ use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use des::SimContext;
-use pagecache::{clamp_io_range, FileId, FsError, IoOpStats, ReclaimScope, EPSILON};
+use pagecache::{
+    check_write_range, clamp_io_range, FileId, FsError, IoOpStats, ReclaimScope, EPSILON,
+};
 use storage_model::Disk;
 
 use crate::cache::KernelCache;
@@ -142,24 +145,6 @@ impl KernelFileSystem {
     fn require_size(&self, file: &FileId) -> Result<f64, FsError> {
         self.file_size(file)
             .ok_or_else(|| FsError::FileNotFound(file.clone()))
-    }
-
-    /// Deletes a file: frees disk space and drops its cached pages.
-    pub fn delete_file(&self, file: &FileId) -> Result<(), FsError> {
-        let meta = self
-            .files
-            .borrow_mut()
-            .remove(file)
-            .ok_or_else(|| FsError::FileNotFound(file.clone()))?;
-        self.disk.free(meta.size);
-        self.cache.invalidate_file(file);
-        Ok(())
-    }
-
-    /// Reads a whole file through the emulated cache. A corollary of
-    /// [`KernelFileSystem::read_range`] over `[0, size)`.
-    pub async fn read_file(&self, file: &FileId) -> Result<IoOpStats, FsError> {
-        self.read_range(file, 0.0, f64::INFINITY).await
     }
 
     /// Reads `len` bytes of `file` starting at `offset` through the emulated
@@ -307,48 +292,17 @@ impl KernelFileSystem {
         stats.bytes_prefetched += planned;
     }
 
-    /// Writes a whole file through the emulated cache (writeback semantics
-    /// with `balance_dirty_pages`-style throttling). Replaces the file's
-    /// registration (truncate semantics), then behaves like a range write of
-    /// `[0, size)`.
-    pub async fn write_file(&self, file: &FileId, size: f64) -> Result<IoOpStats, FsError> {
-        if !size.is_finite() {
-            return Err(FsError::InvalidRange {
-                offset: 0.0,
-                len: size,
-            });
-        }
-        // Truncate semantics: the registration (and with it the readahead
-        // stream) is replaced wholesale, and — like `open(O_TRUNC)` — the
-        // old resident pages are dropped, dirty ones discarded unwritten.
-        // Without this, pages beyond the new EOF would linger as phantom
-        // cached bytes no read can ever hit (reads clamp to the new size).
-        if let Some(old) = self
-            .files
-            .borrow_mut()
-            .insert(file.clone(), FileMeta::new(size))
-        {
-            self.disk.free(old.size);
-            self.cache.invalidate_file(file);
-        }
-        self.disk.allocate(size)?;
-        self.write_span(file, 0.0, size.max(0.0)).await
-    }
-
-    /// Writes `len` bytes at `offset` through the emulated cache, creating
-    /// the file or extending it to `offset + len` as needed (never shrinking
-    /// it).
+    /// Writes `len` bytes at `offset` through the emulated cache (writeback
+    /// semantics with `balance_dirty_pages`-style throttling), creating the
+    /// file or extending it to `offset + len` as needed (never shrinking
+    /// it). Rejects the ranges [`check_write_range`] rejects.
     pub async fn write_range(
         &self,
         file: &FileId,
         offset: f64,
         len: f64,
     ) -> Result<IoOpStats, FsError> {
-        if !offset.is_finite() || !len.is_finite() {
-            return Err(FsError::InvalidRange { offset, len });
-        }
-        let offset = offset.max(0.0);
-        let len = len.max(0.0);
+        check_write_range(offset, len)?;
         let new_end = offset + len;
         let old = self.file_size(file);
         match old {
@@ -520,9 +474,15 @@ mod tests {
         let h = sim.spawn({
             let fs = fs.clone();
             async move {
-                let cold = fs.read_file(&"f".into()).await.unwrap();
+                let cold = fs
+                    .read_range(&"f".into(), 0.0, f64::INFINITY)
+                    .await
+                    .unwrap();
                 fs.cache().release_anonymous_memory(1000.0 * MB);
-                let warm = fs.read_file(&"f".into()).await.unwrap();
+                let warm = fs
+                    .read_range(&"f".into(), 0.0, f64::INFINITY)
+                    .await
+                    .unwrap();
                 (cold, warm)
             }
         });
@@ -573,7 +533,11 @@ mod tests {
         let (sim, fs) = setup(10_000.0);
         let h = sim.spawn({
             let fs = fs.clone();
-            async move { fs.write_file(&"out".into(), 500.0 * MB).await.unwrap() }
+            async move {
+                fs.write_range(&"out".into(), 0.0, 500.0 * MB)
+                    .await
+                    .unwrap()
+            }
         });
         sim.run();
         let stats = h.try_take_result().unwrap();
@@ -604,35 +568,13 @@ mod tests {
     }
 
     #[test]
-    fn write_file_truncation_drops_stale_pages() {
-        let (sim, fs) = setup(10_000.0);
-        fs.create_file(&"f".into(), 1000.0 * MB).unwrap();
-        let h = sim.spawn({
-            let fs = fs.clone();
-            async move {
-                // Make the whole 1000 MB resident, then truncate to 100 MB.
-                fs.read_file(&"f".into()).await.unwrap();
-                fs.cache().release_anonymous_memory(1000.0 * MB);
-                fs.write_file(&"f".into(), 100.0 * MB).await.unwrap();
-            }
-        });
-        sim.run();
-        assert!(h.is_finished());
-        // No phantom pages beyond the new EOF: exactly the rewritten 100 MB
-        // is cached (and dirty), not 1000 MB.
-        approx_pct(fs.cache().cached_amount(&"f".into()), 100.0 * MB, 0.1);
-        approx_pct(fs.cache().dirty(), 100.0 * MB, 0.1);
-        assert_eq!(fs.file_size(&"f".into()), Some(100.0 * MB));
-    }
-
-    #[test]
     fn fsync_writes_back_only_the_target_file() {
         let (sim, fs) = setup(10_000.0);
         let h = sim.spawn({
             let fs = fs.clone();
             async move {
-                fs.write_file(&"a".into(), 420.0 * MB).await.unwrap();
-                fs.write_file(&"b".into(), 100.0 * MB).await.unwrap();
+                fs.write_range(&"a".into(), 0.0, 420.0 * MB).await.unwrap();
+                fs.write_range(&"b".into(), 0.0, 100.0 * MB).await.unwrap();
                 let t0 = fs.ctx.now().as_secs();
                 let s = fs.fsync(&"a".into()).await.unwrap();
                 (s, fs.ctx.now().as_secs() - t0)
@@ -660,7 +602,11 @@ mod tests {
         let (sim, fs) = setup(1000.0);
         let h = sim.spawn({
             let fs = fs.clone();
-            async move { fs.write_file(&"out".into(), 600.0 * MB).await.unwrap() }
+            async move {
+                fs.write_range(&"out".into(), 0.0, 600.0 * MB)
+                    .await
+                    .unwrap()
+            }
         });
         sim.run();
         let stats = h.try_take_result().unwrap();
@@ -687,7 +633,9 @@ mod tests {
         let h = sim.spawn({
             let fs = fs.clone();
             async move {
-                fs.write_file(&"out".into(), 1500.0 * MB).await.unwrap();
+                fs.write_range(&"out".into(), 0.0, 1500.0 * MB)
+                    .await
+                    .unwrap();
                 let dirty_right_after = fs.cache().dirty();
                 ctx.sleep(10.0).await;
                 let dirty_later = fs.cache().dirty();
@@ -716,7 +664,11 @@ mod tests {
         fs.create_file(&"f".into(), 1000.0 * MB).unwrap();
         let h = sim.spawn({
             let fs = fs.clone();
-            async move { fs.read_file(&"f".into()).await.unwrap() }
+            async move {
+                fs.read_range(&"f".into(), 0.0, f64::INFINITY)
+                    .await
+                    .unwrap()
+            }
         });
         sim.run();
         let stats = h.try_take_result().unwrap();
@@ -821,7 +773,11 @@ mod tests {
             let (sim, fs) = setup(1000.0);
             let h = sim.spawn({
                 let fs = fs.clone();
-                async move { fs.write_file(&"out".into(), 180.0 * MB).await.unwrap() }
+                async move {
+                    fs.write_range(&"out".into(), 0.0, 180.0 * MB)
+                        .await
+                        .unwrap()
+                }
             });
             sim.run();
             h.try_take_result().unwrap()
@@ -831,7 +787,11 @@ mod tests {
                 setup_with(KernelTuning::with_memory(1000.0 * MB).with_throttle_pacing(1.0));
             let h = sim.spawn({
                 let fs = fs.clone();
-                async move { fs.write_file(&"out".into(), 180.0 * MB).await.unwrap() }
+                async move {
+                    fs.write_range(&"out".into(), 0.0, 180.0 * MB)
+                        .await
+                        .unwrap()
+                }
             });
             sim.run();
             (h.try_take_result().unwrap(), fs.cache().counters())
@@ -857,7 +817,11 @@ mod tests {
         let (sim, fs) = setup(1000.0);
         let h = sim.spawn({
             let fs = fs.clone();
-            async move { fs.write_file(&"out".into(), 600.0 * MB).await.unwrap() }
+            async move {
+                fs.write_range(&"out".into(), 0.0, 600.0 * MB)
+                    .await
+                    .unwrap()
+            }
         });
         sim.run();
         let stats = h.try_take_result().unwrap();
@@ -879,15 +843,13 @@ mod tests {
         assert!(fs.file_size(&"b".into()).is_none());
         let h = sim.spawn({
             let fs = fs.clone();
-            async move { fs.read_file(&"missing".into()).await }
+            async move { fs.read_range(&"missing".into(), 0.0, f64::INFINITY).await }
         });
         sim.run();
         assert!(matches!(
             h.try_take_result().unwrap(),
             Err(FsError::FileNotFound(_))
         ));
-        fs.delete_file(&"a".into()).unwrap();
-        assert!(fs.delete_file(&"a".into()).is_err());
-        assert_eq!(fs.disk().used(), 0.0);
+        assert_eq!(fs.disk().used(), 100.0 * MB);
     }
 }

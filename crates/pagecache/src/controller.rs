@@ -29,6 +29,7 @@ use des::SimContext;
 
 use crate::block::FileId;
 use crate::config::WriteMode;
+use crate::error::FsError;
 use crate::file_table::ReclaimScope;
 use crate::lru::EPSILON;
 use crate::manager::MemoryManager;
@@ -58,6 +59,18 @@ pub fn clamp_io_range(offset: f64, len: f64, file_size: f64) -> (f64, f64) {
     (start, (end - start).max(0.0))
 }
 
+/// Checks the byte range `[offset, offset + len)` of a write: both must be
+/// finite and non-negative, or the write is an [`FsError::InvalidRange`]. A
+/// write, unlike a read, has no end of file to clamp to. Every filesystem's
+/// `write_range` applies this one rule before touching its registration.
+pub fn check_write_range(offset: f64, len: f64) -> Result<(), FsError> {
+    if offset.is_finite() && len.is_finite() && offset >= 0.0 && len >= 0.0 {
+        Ok(())
+    } else {
+        Err(FsError::InvalidRange { offset, len })
+    }
+}
+
 /// The I/O Controller of one host: the entry point applications use to read
 /// and write files through the simulated page cache.
 #[derive(Clone)]
@@ -85,8 +98,8 @@ impl IoController {
         self
     }
 
-    /// The chunk size used by [`IoController::read_file`] and
-    /// [`IoController::write_file`].
+    /// The chunk size used by [`IoController::read_amount`] and
+    /// [`IoController::write_amount`].
     pub fn chunk_size(&self) -> f64 {
         self.chunk_size
     }
@@ -96,16 +109,11 @@ impl IoController {
         &self.mm
     }
 
-    /// Reads a whole file of `size` bytes, chunk by chunk (paper Algorithm 2),
-    /// and accounts for one anonymous-memory copy of the data in the
-    /// application. Returns aggregated statistics for the operation. A
-    /// corollary of [`IoController::read_amount`] with `amount = size`.
-    pub async fn read_file(&self, file: &FileId, size: f64) -> IoOpStats {
-        self.read_amount(file, size, size).await
-    }
-
     /// Reads `amount` bytes of a file of `file_size` bytes through the cache,
-    /// chunk by chunk. The macroscopic model is amount-based: *which* offsets
+    /// chunk by chunk (paper Algorithm 2), and accounts for one
+    /// anonymous-memory copy of the data in the application. Returns
+    /// aggregated statistics for the operation; `amount = file_size` reads
+    /// the whole file. The macroscopic model is amount-based: *which* offsets
     /// are requested does not matter, only how much of the file is cached
     /// (the round-robin access assumption of paper §III-B) — uncached data is
     /// served from disk first, so a partial re-read hits the cache for
@@ -126,17 +134,11 @@ impl IoController {
         stats
     }
 
-    /// Writes a whole file of `size` bytes, chunk by chunk (paper Algorithm 3
-    /// in writeback mode, or the writethrough variant described in §III-B).
-    /// A corollary of [`IoController::write_amount`].
-    pub async fn write_file(&self, file: &FileId, size: f64) -> IoOpStats {
-        self.write_amount(file, size).await
-    }
-
-    /// Writes `amount` bytes of `file` through the cache, chunk by chunk.
-    /// Like reads, writes are amount-based in the macroscopic model: a range
-    /// write of `len` bytes behaves identically wherever in the file it
-    /// lands.
+    /// Writes `amount` bytes of `file` through the cache, chunk by chunk
+    /// (paper Algorithm 3 in writeback mode, or the writethrough variant
+    /// described in §III-B). Like reads, writes are amount-based in the
+    /// macroscopic model: a range write of `len` bytes behaves identically
+    /// wherever in the file it lands.
     pub async fn write_amount(&self, file: &FileId, amount: f64) -> IoOpStats {
         let start = self.ctx.now();
         let mut stats = IoOpStats::default();
@@ -418,7 +420,7 @@ mod tests {
         let (sim, io) = setup(10_000.0 * MB, WriteMode::WriteBack);
         let h = sim.spawn({
             let io = io.clone();
-            async move { io.read_file(&"f".into(), 1000.0 * MB).await }
+            async move { io.read_amount(&"f".into(), 1000.0 * MB, 1000.0 * MB).await }
         });
         sim.run();
         let stats = h.try_take_result().unwrap();
@@ -436,9 +438,9 @@ mod tests {
         let h = sim.spawn({
             let io = io.clone();
             async move {
-                io.read_file(&"f".into(), 1000.0 * MB).await;
+                io.read_amount(&"f".into(), 1000.0 * MB, 1000.0 * MB).await;
                 io.memory_manager().release_anonymous_memory(1000.0 * MB);
-                io.read_file(&"f".into(), 1000.0 * MB).await
+                io.read_amount(&"f".into(), 1000.0 * MB, 1000.0 * MB).await
             }
         });
         sim.run();
@@ -456,7 +458,7 @@ mod tests {
         io.memory_manager().add_to_cache(&"f".into(), 400.0 * MB);
         let h = sim.spawn({
             let io = io.clone();
-            async move { io.read_file(&"f".into(), 1000.0 * MB).await }
+            async move { io.read_amount(&"f".into(), 1000.0 * MB, 1000.0 * MB).await }
         });
         sim.run();
         let stats = h.try_take_result().unwrap();
@@ -471,7 +473,7 @@ mod tests {
         let (sim, io) = setup(10_000.0 * MB, WriteMode::WriteBack);
         let h = sim.spawn({
             let io = io.clone();
-            async move { io.write_file(&"f".into(), 1000.0 * MB).await }
+            async move { io.write_amount(&"f".into(), 1000.0 * MB).await }
         });
         sim.run();
         let stats = h.try_take_result().unwrap();
@@ -487,7 +489,7 @@ mod tests {
         let (sim, io) = setup(1000.0 * MB, WriteMode::WriteBack);
         let h = sim.spawn({
             let io = io.clone();
-            async move { io.write_file(&"f".into(), 600.0 * MB).await }
+            async move { io.write_amount(&"f".into(), 600.0 * MB).await }
         });
         sim.run();
         let stats = h.try_take_result().unwrap();
@@ -511,7 +513,7 @@ mod tests {
         let (sim, io) = setup(10_000.0 * MB, WriteMode::WriteThrough);
         let h = sim.spawn({
             let io = io.clone();
-            async move { io.write_file(&"f".into(), 500.0 * MB).await }
+            async move { io.write_amount(&"f".into(), 500.0 * MB).await }
         });
         sim.run();
         let stats = h.try_take_result().unwrap();
@@ -528,8 +530,8 @@ mod tests {
         let h = sim.spawn({
             let io = io.clone();
             async move {
-                io.write_file(&"f".into(), 500.0 * MB).await;
-                io.read_file(&"f".into(), 500.0 * MB).await
+                io.write_amount(&"f".into(), 500.0 * MB).await;
+                io.read_amount(&"f".into(), 500.0 * MB, 500.0 * MB).await
             }
         });
         sim.run();
@@ -545,7 +547,7 @@ mod tests {
         let h = sim.spawn({
             let io = io.clone();
             async move {
-                let s = io.read_file(&"f".into(), 3000.0 * MB).await;
+                let s = io.read_amount(&"f".into(), 3000.0 * MB, 3000.0 * MB).await;
                 io.memory_manager().release_anonymous_memory(3000.0 * MB);
                 s
             }
@@ -564,9 +566,9 @@ mod tests {
         let h = sim.spawn({
             let io = io.clone();
             async move {
-                io.read_file(&"f".into(), 3000.0 * MB).await;
+                io.read_amount(&"f".into(), 3000.0 * MB, 3000.0 * MB).await;
                 io.memory_manager().release_anonymous_memory(3000.0 * MB);
-                let s = io.read_file(&"f".into(), 3000.0 * MB).await;
+                let s = io.read_amount(&"f".into(), 3000.0 * MB, 3000.0 * MB).await;
                 io.memory_manager().release_anonymous_memory(3000.0 * MB);
                 s
             }
@@ -590,8 +592,8 @@ mod tests {
             let h = sim.spawn({
                 let io = io.clone();
                 async move {
-                    let r = io.read_file(&"f".into(), 1000.0 * MB).await;
-                    let w = io.write_file(&"g".into(), 500.0 * MB).await;
+                    let r = io.read_amount(&"f".into(), 1000.0 * MB, 1000.0 * MB).await;
+                    let w = io.write_amount(&"g".into(), 500.0 * MB).await;
                     (r, w)
                 }
             });
@@ -608,8 +610,8 @@ mod tests {
         let h = sim.spawn({
             let io = io.clone();
             async move {
-                let r = io.read_file(&"f".into(), 0.0).await;
-                let w = io.write_file(&"f".into(), 0.0).await;
+                let r = io.read_amount(&"f".into(), 0.0, 0.0).await;
+                let w = io.write_amount(&"f".into(), 0.0).await;
                 (r, w)
             }
         });
@@ -665,7 +667,7 @@ mod tests {
         let h = sim.spawn({
             let io = io.clone();
             async move {
-                io.read_file(&"f".into(), 1000.0 * MB).await;
+                io.read_amount(&"f".into(), 1000.0 * MB, 1000.0 * MB).await;
                 io.memory_manager().release_anonymous_memory(1000.0 * MB);
                 // A 300 MB partial re-read of the fully cached file.
                 io.read_amount(&"f".into(), 1000.0 * MB, 300.0 * MB).await
@@ -684,8 +686,8 @@ mod tests {
         let h = sim.spawn({
             let io = io.clone();
             async move {
-                io.write_file(&"a".into(), 300.0 * MB).await;
-                io.write_file(&"b".into(), 200.0 * MB).await;
+                io.write_amount(&"a".into(), 300.0 * MB).await;
+                io.write_amount(&"b".into(), 200.0 * MB).await;
                 let t0 = io.ctx.now().as_secs();
                 let s = io.fsync(&"a".into()).await;
                 (s, io.ctx.now().as_secs() - t0)
@@ -709,7 +711,7 @@ mod tests {
         let h = sim.spawn({
             let io = io.clone();
             async move {
-                io.read_file(&"f".into(), 100.0 * MB).await;
+                io.read_amount(&"f".into(), 100.0 * MB, 100.0 * MB).await;
                 io.fsync(&"f".into()).await
             }
         });
@@ -725,8 +727,8 @@ mod tests {
         let h = sim.spawn({
             let io = io.clone();
             async move {
-                io.write_file(&"a".into(), 300.0 * MB).await;
-                io.write_file(&"b".into(), 200.0 * MB).await;
+                io.write_amount(&"a".into(), 300.0 * MB).await;
+                io.write_amount(&"b".into(), 200.0 * MB).await;
                 io.sync().await
             }
         });
@@ -785,7 +787,7 @@ mod tests {
         io.memory_manager().use_anonymous_memory(900.0 * MB + 0.5);
         let writer = sim.spawn({
             let io = io.clone();
-            async move { io.write_file(&"f".into(), 100.0 * MB).await }
+            async move { io.write_amount(&"f".into(), 100.0 * MB).await }
         });
         sim.spawn({
             let io = io.clone();

@@ -32,9 +32,10 @@
 //! let mm = MemoryManager::new(&ctx, PageCacheConfig::with_memory(8_000.0 * MB), memory, disk);
 //! let io = IoController::new(&ctx, mm);
 //!
+//! // Each read takes all 1000 MB of the 1000 MB file.
 //! let handle = sim.spawn(async move {
-//!     let cold = io.read_file(&"input".into(), 1_000.0 * MB).await;
-//!     let warm = io.read_file(&"input".into(), 1_000.0 * MB).await;
+//!     let cold = io.read_amount(&"input".into(), 1_000.0 * MB, 1_000.0 * MB).await;
+//!     let warm = io.read_amount(&"input".into(), 1_000.0 * MB, 1_000.0 * MB).await;
 //!     (cold.duration, warm.duration)
 //! });
 //! sim.run();
@@ -56,7 +57,7 @@ mod stats;
 
 pub use block::{DataBlock, FileId};
 pub use config::{PageCacheConfig, WriteMode};
-pub use controller::{clamp_io_range, IoController, DEFAULT_CHUNK_SIZE};
+pub use controller::{check_write_range, clamp_io_range, IoController, DEFAULT_CHUNK_SIZE};
 pub use error::FsError;
 pub use file_table::{FileTable, ReclaimScope, SlotScope};
 pub use lru::{ListKind, LruLists, LruWork, EPSILON};

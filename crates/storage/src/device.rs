@@ -183,12 +183,6 @@ impl Disk {
         }
     }
 
-    /// Releases previously allocated space (e.g. a deleted file). Saturates at
-    /// zero.
-    pub fn free(&self, bytes: f64) {
-        self.used.set((self.used.get() - bytes).max(0.0));
-    }
-
     /// Time an uncontended read of `bytes` would take.
     pub fn ideal_read_time(&self, bytes: f64) -> f64 {
         self.read.ideal_time(bytes)
@@ -390,12 +384,10 @@ mod tests {
         let err = disk.allocate(7.0 * GB).unwrap_err();
         assert_eq!(err.disk, "ssd0");
         assert!(err.to_string().contains("is full"));
-        disk.free(2.0 * GB);
-        assert_eq!(disk.used(), 2.0 * GB);
-        disk.allocate(7.0 * GB).unwrap();
-        // Freeing more than used saturates at zero.
-        disk.free(100.0 * GB);
-        assert_eq!(disk.used(), 0.0);
+        // A failed allocation reserves nothing.
+        assert_eq!(disk.used(), 4.0 * GB);
+        disk.allocate(6.0 * GB).unwrap();
+        assert_eq!(disk.available(), 0.0);
     }
 
     #[test]

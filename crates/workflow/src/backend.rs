@@ -185,7 +185,9 @@ impl Backend {
     }
 
     /// Writes `len` bytes at `offset`, creating the file or extending it to
-    /// `offset + len` as needed. Range writes never shrink a file.
+    /// `offset + len` as needed. Range writes never shrink a file. A
+    /// negative or non-finite offset or length is rejected with
+    /// [`FsError::InvalidRange`] on every back-end.
     pub async fn write_range(
         &self,
         file: &FileId,
@@ -198,25 +200,6 @@ impl Backend {
             Backend::Nfs(fs) => fs.write_range(file, offset, len).await?,
             Backend::Kernel(fs) => fs.write_range(file, offset, len).await?,
             Backend::Fleet(fleet) => fleet.write_range(file, offset, len).await?,
-        })
-    }
-
-    /// Reads a whole file — a corollary of [`Backend::read_range`] over
-    /// `[0, size)`.
-    pub async fn read_file(&self, file: &FileId) -> Result<IoOpStats, ScenarioError> {
-        self.read_range(file, 0.0, f64::INFINITY).await
-    }
-
-    /// Writes a whole file of `size` bytes. Unlike [`Backend::write_range`]
-    /// it **replaces** the file on every back-end: the old registration is
-    /// freed first (truncate semantics).
-    pub async fn write_file(&self, file: &FileId, size: f64) -> Result<IoOpStats, ScenarioError> {
-        Ok(match self {
-            Backend::Cached(fs) => fs.write_file(file, size).await?,
-            Backend::Direct(fs) => fs.write_file(file, size).await?,
-            Backend::Nfs(fs) => fs.write_file(file, size).await?,
-            Backend::Kernel(fs) => fs.write_file(file, size).await?,
-            Backend::Fleet(fleet) => fleet.write_file(file, size).await?,
         })
     }
 
@@ -643,6 +626,19 @@ mod tests {
         platform().with_fleet(crate::net::FleetSpec::new(2, 3, 2))
     }
 
+    /// One configuration per filesystem a [`Backend`] can wrap: direct
+    /// (local and over NFS), cached, kernel emulator, NFS and fleet.
+    fn every_filesystem() -> [(SimulatorKind, PlatformSpec); 6] {
+        [
+            (SimulatorKind::Cacheless, platform()),
+            (SimulatorKind::PageCache, platform()),
+            (SimulatorKind::KernelEmu, platform()),
+            (SimulatorKind::PageCache, platform().with_nfs()),
+            (SimulatorKind::Cacheless, platform().with_nfs()),
+            (SimulatorKind::PageCache, fleet_platform()),
+        ]
+    }
+
     #[test]
     fn labels_are_distinct() {
         let labels: Vec<&str> = SimulatorKind::all().iter().map(|k| k.label()).collect();
@@ -661,8 +657,14 @@ mod tests {
         let h = sim.spawn({
             let backend = backend.clone();
             async move {
-                let r = backend.read_file(&"f".into()).await.unwrap();
-                let w = backend.write_file(&"g".into(), 465.0 * MB).await.unwrap();
+                let r = backend
+                    .read_range(&"f".into(), 0.0, f64::INFINITY)
+                    .await
+                    .unwrap();
+                let w = backend
+                    .write_range(&"g".into(), 0.0, 465.0 * MB)
+                    .await
+                    .unwrap();
                 (r.duration, w.duration)
             }
         });
@@ -671,38 +673,6 @@ mod tests {
         // disk (1 s) + network (0.155 s), both directions.
         assert!((r - 1.155).abs() < 0.01, "read {r}");
         assert!((w - 1.155).abs() < 0.01, "write {w}");
-    }
-
-    #[test]
-    fn whole_file_ops_are_range_corollaries() {
-        for kind in SimulatorKind::all() {
-            let sim = Simulation::new();
-            let ctx = sim.context();
-            let backend = Backend::build(&ctx, &platform(), kind).unwrap();
-            backend.create_file(&"f".into(), 400.0 * MB).unwrap();
-            let h = sim.spawn({
-                let backend = backend.clone();
-                async move {
-                    let whole = backend.read_file(&"f".into()).await.unwrap();
-                    backend.release_anonymous_memory(400.0 * MB);
-                    let range = backend
-                        .read_range(&"f".into(), 0.0, f64::INFINITY)
-                        .await
-                        .unwrap();
-                    (whole, range)
-                }
-            });
-            sim.run();
-            let (whole, range) = h.try_take_result().unwrap();
-            assert_eq!(whole.bytes_from_disk, 400.0 * MB, "{kind:?}");
-            assert_eq!(whole.bytes_from_disk + whole.bytes_from_cache, 400.0 * MB);
-            // The second whole read goes through the same range path.
-            assert_eq!(
-                range.bytes_from_disk + range.bytes_from_cache,
-                400.0 * MB,
-                "{kind:?}"
-            );
-        }
     }
 
     #[test]
@@ -758,36 +728,33 @@ mod tests {
     }
 
     #[test]
-    fn write_file_truncates_uniformly_across_backends() {
-        // Whole-file rewrite with a smaller size: every back-end replaces
-        // the registration (truncate semantics), so a later whole read sees
-        // the new size.
-        for (kind, p) in [
-            (SimulatorKind::Cacheless, platform()),
-            (SimulatorKind::PageCache, platform()),
-            (SimulatorKind::KernelEmu, platform()),
-            (SimulatorKind::PageCache, platform().with_nfs()),
-            (SimulatorKind::Cacheless, platform().with_nfs()),
-            (SimulatorKind::PageCache, fleet_platform()),
-        ] {
+    fn range_writes_never_shrink_a_file() {
+        // Rewriting the head of a file leaves its size alone on every
+        // back-end: a read to end of file still sees all of it.
+        for (kind, p) in every_filesystem() {
             let sim = Simulation::new();
             let ctx = sim.context();
             let backend = Backend::build(&ctx, &p, kind).unwrap();
+            backend.create_file(&"f".into(), 500.0 * MB).unwrap();
             let h = sim.spawn({
                 let backend = backend.clone();
                 async move {
-                    backend.write_file(&"f".into(), 500.0 * MB).await.unwrap();
-                    backend.write_file(&"f".into(), 100.0 * MB).await.unwrap();
-                    backend.release_anonymous_memory(600.0 * MB);
-                    backend.read_file(&"f".into()).await.unwrap()
+                    backend
+                        .write_range(&"f".into(), 0.0, 100.0 * MB)
+                        .await
+                        .unwrap();
+                    backend
+                        .read_range(&"f".into(), 0.0, f64::INFINITY)
+                        .await
+                        .unwrap()
                 }
             });
             sim.run();
             let read = h.try_take_result().unwrap();
             let total = read.bytes_from_disk + read.bytes_from_cache;
             assert!(
-                (total - 100.0 * MB).abs() < MB,
-                "{kind:?} {:?}: whole read saw {total} bytes",
+                (total - 500.0 * MB).abs() < MB,
+                "{kind:?} {:?}: read to end of file saw {total} bytes",
                 p.storage
             );
         }
@@ -795,8 +762,9 @@ mod tests {
 
     #[test]
     fn zero_byte_writes_touch_no_device_on_cacheless_backends() {
-        // Cacheless back-ends skip zero-length I/O: a zero-byte write, whole
-        // file or range, pays neither the disk's nor the link's latency.
+        // Cacheless back-ends skip zero-length I/O: a zero-byte write, at
+        // the start of a file or past its end, pays neither the disk's nor
+        // the link's latency.
         let mut p = platform();
         p.simulated.disk = DeviceSpec::symmetric(465.0 * MB, 0.01, f64::INFINITY);
         p.simulated.remote_disk = p.simulated.disk;
@@ -808,14 +776,14 @@ mod tests {
             let h = sim.spawn({
                 let backend = backend.clone();
                 async move {
-                    let whole = backend.write_file(&"f".into(), 0.0).await.unwrap();
-                    let range = backend.write_range(&"g".into(), 0.0, 0.0).await.unwrap();
-                    (whole, range)
+                    let head = backend.write_range(&"f".into(), 0.0, 0.0).await.unwrap();
+                    let past_end = backend.write_range(&"g".into(), 10.0 * MB, 0.0).await;
+                    (head, past_end.unwrap())
                 }
             });
             sim.run();
-            let (whole, range) = h.try_take_result().unwrap();
-            for (what, stats) in [("write_file", whole), ("write_range", range)] {
+            let (head, past_end) = h.try_take_result().unwrap();
+            for (what, stats) in [("offset 0", head), ("offset 10 MB", past_end)] {
                 assert_eq!(stats.duration, 0.0, "{:?} {what}", p.storage);
                 assert_eq!(stats.bytes_to_disk, 0.0, "{:?} {what}", p.storage);
             }
@@ -826,34 +794,41 @@ mod tests {
 
     #[test]
     fn non_finite_write_ranges_are_rejected() {
-        for kind in SimulatorKind::all() {
+        let ranges = [
+            ("len=inf", 0.0, f64::INFINITY),
+            ("offset=nan", f64::NAN, 10.0),
+            ("offset<0", -10.0, 10.0),
+            ("len<0", 10.0, -10.0),
+        ];
+        let prototype = (SimulatorKind::Prototype, platform());
+        for (kind, p) in every_filesystem().into_iter().chain([prototype]) {
             let sim = Simulation::new();
             let ctx = sim.context();
-            let backend = Backend::build(&ctx, &platform(), kind).unwrap();
+            let backend = Backend::build(&ctx, &p, kind).unwrap();
             let h = sim.spawn({
                 let backend = backend.clone();
                 async move {
-                    let inf_len = backend.write_range(&"f".into(), 0.0, f64::INFINITY).await;
-                    let nan_off = backend.write_range(&"f".into(), f64::NAN, 10.0).await;
-                    let inf_file = backend.write_file(&"f".into(), f64::INFINITY).await;
-                    (inf_len, nan_off, inf_file)
+                    let mut results = Vec::new();
+                    for (_, offset, len) in ranges {
+                        results.push(backend.write_range(&"f".into(), offset, len).await);
+                    }
+                    results
                 }
             });
             sim.run();
-            let (inf_len, nan_off, inf_file) = h.try_take_result().unwrap();
-            for (what, r) in [
-                ("len=inf", inf_len),
-                ("offset=nan", nan_off),
-                ("size=inf", inf_file),
-            ] {
+            let results = h.try_take_result().unwrap();
+            for ((what, ..), r) in ranges.iter().zip(results) {
                 assert!(
                     matches!(
                         r,
                         Err(ScenarioError::Filesystem(FsError::InvalidRange { .. }))
                     ),
-                    "{kind:?} {what}: {r:?}"
+                    "{kind:?} {:?} {what}: {r:?}",
+                    p.storage
                 );
             }
+            // A rejected write creates nothing.
+            assert!(backend.crash().files.is_empty(), "{kind:?} {:?}", p.storage);
         }
     }
 
@@ -1002,7 +977,7 @@ mod tests {
         let backend = Backend::build(&ctx, &platform(), SimulatorKind::KernelEmu).unwrap();
         let h = sim.spawn({
             let backend = backend.clone();
-            async move { backend.read_file(&"nope".into()).await }
+            async move { backend.read_range(&"nope".into(), 0.0, f64::INFINITY).await }
         });
         sim.run();
         match h.try_take_result().unwrap() {

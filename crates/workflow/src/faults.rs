@@ -54,9 +54,9 @@ use pagecache::FileId;
 /// The class of I/O operation a fault applies to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpClass {
-    /// Range and whole-file reads.
+    /// Range reads.
     Read,
-    /// Range and whole-file writes.
+    /// Range writes.
     Write,
     /// Per-file flushes.
     Fsync,

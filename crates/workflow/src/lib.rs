@@ -16,10 +16,11 @@
 //! ([`PlatformSpec::with_fleet`]) whose clients ride out faults with
 //! timeouts, backoff retries, hedged reads, and failover.
 //!
-//! All back-ends are served through the [`Backend`] enum, whose primitives
-//! are **offset-granular**: `read_range`, `write_range`, `fsync`, `sync`.
-//! Whole-file reads are corollaries (`read_file ≡ read_range(0, size)`),
-//! not primitives.
+//! All back-ends are served through the [`Backend`] enum, whose I/O is
+//! **offset-granular** and has one form per operation: `read_range`,
+//! `write_range`, `fsync`, `sync`. A whole-file read is
+//! `read_range(0, f64::INFINITY)`; range writes create or extend a file and
+//! never shrink it.
 //!
 //! ## Workload programs
 //!
@@ -69,7 +70,7 @@
 //! assert_eq!(report.instance_reports.len(), 1);
 //! ```
 //!
-//! ## Migrating from the whole-file API
+//! ## How the builder API lowers to programs
 //!
 //! | old builder call | lowered program |
 //! |---|---|

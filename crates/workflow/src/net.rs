@@ -52,7 +52,9 @@ use std::future::Future;
 use std::rc::Rc;
 
 use des::{select2, Either, SimContext};
-use pagecache::{clamp_io_range, FileId, FsError, IoController, IoOpStats, MemoryManager, EPSILON};
+use pagecache::{
+    check_write_range, clamp_io_range, FileId, IoController, IoOpStats, MemoryManager, EPSILON,
+};
 use simfs::{CachedFileSystem, FileRegistry};
 use storage_model::{AbortHandle, Disk, MemoryDevice, SharedResource, TransferOutcome};
 
@@ -938,11 +940,6 @@ impl FleetClient {
         }
     }
 
-    /// Index of the client host this view is homed on.
-    pub fn client_index(&self) -> usize {
-        self.client
-    }
-
     /// The fleet's shape and policy.
     pub fn spec(&self) -> &FleetSpec {
         &self.inner.spec
@@ -1094,12 +1091,7 @@ impl FleetClient {
         offset: f64,
         len: f64,
     ) -> Result<IoOpStats, ScenarioError> {
-        if !offset.is_finite() || !len.is_finite() || offset < 0.0 || len < 0.0 {
-            return Err(ScenarioError::Filesystem(FsError::InvalidRange {
-                offset,
-                len,
-            }));
-        }
+        check_write_range(offset, len)?;
         let inner = &self.inner;
         let start = inner.ctx.now();
         let replicas = inner.replicas_of(file);
@@ -1142,28 +1134,6 @@ impl FleetClient {
         me.versions.borrow_mut().remove(file);
         stats.duration = inner.ctx.now().duration_since(start);
         Ok(stats)
-    }
-
-    /// Writes a whole file of `size` bytes, replacing the old one (truncate
-    /// semantics): the fleet's registration is emptied and every live,
-    /// reachable replica drops its copy before the range write. A file the
-    /// fleet does not hold yet is a plain range write.
-    pub async fn write_file(&self, file: &FileId, size: f64) -> Result<IoOpStats, ScenarioError> {
-        let inner = &self.inner;
-        if size.is_finite() && size >= 0.0 && inner.registry.exists(file) {
-            inner.registry.create_or_replace(file, 0.0);
-            let client_host = &inner.clients[self.client].host;
-            for &server in &inner.replicas_of(file) {
-                let node = &inner.servers[server];
-                if node.alive.get()
-                    && node.fs.registry().exists(file)
-                    && inner.fabric.check_path(client_host, &node.host).is_ok()
-                {
-                    node.fs.delete_file(file)?;
-                }
-            }
-        }
-        self.write_range(file, 0.0, size).await
     }
 
     /// Flushes the file on every reachable replica (write-back servers).

@@ -163,8 +163,6 @@ pub struct ScenarioReport {
     pub cache_snapshots: Vec<CacheContentSnapshot>,
     /// Final virtual time of the simulation, seconds.
     pub simulated_duration: f64,
-    /// Wall-clock time it took to run the simulation, seconds (Fig. 8).
-    pub wall_clock_seconds: f64,
     /// Writeback/eviction counters of the back-end's cache, if it has one.
     pub writeback: Option<WritebackCounters>,
     /// Durability oracle verdict of the simulated crash, if one was injected
@@ -340,7 +338,6 @@ mod tests {
             memory_trace: None,
             cache_snapshots: Vec::new(),
             simulated_duration: 20.0,
-            wall_clock_seconds: 0.01,
             writeback: None,
             crash: None,
             restart_reports: Vec::new(),

@@ -12,7 +12,6 @@
 
 use std::cell::Cell;
 use std::rc::Rc;
-use std::time::Instant;
 
 use des::Simulation;
 use pagecache::FileId;
@@ -150,7 +149,6 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, ScenarioError
             ));
         }
     }
-    let wall_start = Instant::now();
     let sim = Simulation::new();
     let ctx = sim.context();
     let backend = Backend::build(&ctx, &scenario.platform, scenario.kind)?;
@@ -371,7 +369,6 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, ScenarioError
         memory_trace: backend.memory_trace(),
         cache_snapshots,
         simulated_duration: sim.now().as_secs(),
-        wall_clock_seconds: wall_start.elapsed().as_secs_f64(),
         writeback: backend.writeback_counters(),
         crash: faults.take_crash_report(),
         restart_reports,

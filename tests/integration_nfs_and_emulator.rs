@@ -54,8 +54,9 @@ fn nfs_reads_become_cheaper_once_both_caches_are_warm() {
     let h = sim.spawn({
         let fs = fs.clone();
         async move {
-            let cold = fs.read_file(&FileId::new("data")).await.unwrap();
-            let warm = fs.read_file(&FileId::new("data")).await.unwrap();
+            let data = FileId::new("data");
+            let cold = fs.read_range(&data, 0.0, f64::INFINITY).await.unwrap();
+            let warm = fs.read_range(&data, 0.0, f64::INFINITY).await.unwrap();
             (cold.duration, warm.duration)
         }
     });

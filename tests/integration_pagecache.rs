@@ -196,8 +196,9 @@ fn filesystem_layer_and_raw_controller_agree() {
     fs.create_file(&FileId::new("direct"), 1.0 * GB).unwrap();
     fs.create_file(&FileId::new("via_fs"), 1.0 * GB).unwrap();
     let h = sim.spawn(async move {
-        let a = io.read_file(&FileId::new("direct"), 1.0 * GB).await;
-        let b = fs.read_file(&FileId::new("via_fs")).await.unwrap();
+        let (direct, via_fs) = (FileId::new("direct"), FileId::new("via_fs"));
+        let a = io.read_amount(&direct, 1.0 * GB, 1.0 * GB).await;
+        let b = fs.read_range(&via_fs, 0.0, f64::INFINITY).await.unwrap();
         (a.duration, b.duration)
     });
     sim.run();

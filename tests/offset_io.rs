@@ -1,10 +1,9 @@
 //! Differential tests of the offset-granular I/O API across all four
 //! simulator back-ends:
 //!
-//! * `read_file ≡ read_range(0, size)` — whole-file operations are
-//!   corollaries of the range operations;
-//! * a whole-file operation split into arbitrary chunked ranges produces
-//!   identical `IoOpStats` totals and simulated duration;
+//! * a whole-file range operation (`read_range(0, ∞)`, `write_range(0,
+//!   size)`) split into arbitrary chunked ranges produces identical
+//!   `IoOpStats` totals and simulated duration;
 //! * a legacy three-phase `TaskSpec` and its explicitly lowered workload
 //!   program produce bit-identical scenario reports (randomized).
 
@@ -94,37 +93,6 @@ fn all_backends() -> Vec<(SimulatorKind, bool)> {
 }
 
 #[test]
-fn read_file_equals_read_range_of_the_whole_file() {
-    for (kind, nfs) in all_backends() {
-        let size = 700.0 * MB;
-        let whole = with_backend(kind, nfs, move |b| async move {
-            b.create_file(&"f".into(), size).unwrap();
-            b.read_file(&"f".into()).await.unwrap()
-        });
-        let range = with_backend(kind, nfs, move |b| async move {
-            b.create_file(&"f".into(), size).unwrap();
-            b.read_range(&"f".into(), 0.0, f64::INFINITY).await.unwrap()
-        });
-        assert_stats_eq(&whole, &range, &format!("{kind:?} nfs={nfs} cold"));
-        // And warm (re-read) too: the cache state after one whole read is
-        // the same either way.
-        let whole = with_backend(kind, nfs, move |b| async move {
-            b.create_file(&"f".into(), size).unwrap();
-            b.read_file(&"f".into()).await.unwrap();
-            b.release_anonymous_memory(size);
-            b.read_file(&"f".into()).await.unwrap()
-        });
-        let range = with_backend(kind, nfs, move |b| async move {
-            b.create_file(&"f".into(), size).unwrap();
-            b.read_range(&"f".into(), 0.0, f64::INFINITY).await.unwrap();
-            b.release_anonymous_memory(size);
-            b.read_range(&"f".into(), 0.0, f64::INFINITY).await.unwrap()
-        });
-        assert_stats_eq(&whole, &range, &format!("{kind:?} nfs={nfs} warm"));
-    }
-}
-
-#[test]
 fn chunked_ranges_match_whole_file_reads() {
     // Split points deliberately unaligned with the 100 MB request size.
     let splits: [&[f64]; 3] = [
@@ -135,7 +103,7 @@ fn chunked_ranges_match_whole_file_reads() {
     for (kind, nfs) in all_backends() {
         let whole = with_backend(kind, nfs, move |b| async move {
             b.create_file(&"f".into(), 700.0 * MB).unwrap();
-            b.read_file(&"f".into()).await.unwrap()
+            b.read_range(&"f".into(), 0.0, f64::INFINITY).await.unwrap()
         });
         for split in splits {
             let split: Vec<f64> = split.to_vec();

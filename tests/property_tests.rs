@@ -253,8 +253,9 @@ fn controller_cold_read_time_matches_analytic_model() {
         let mm = MemoryManager::new(&ctx, PageCacheConfig::with_memory(16.0 * GB), memory, disk);
         let io = IoController::new(&ctx, mm).with_chunk_size(chunk_mb * MB);
         let h = sim.spawn(async move {
-            let cold = io.read_file(&"f".into(), size_mb * MB).await;
-            let warm = io.read_file(&"f".into(), size_mb * MB).await;
+            let size = size_mb * MB;
+            let cold = io.read_amount(&"f".into(), size, size).await;
+            let warm = io.read_amount(&"f".into(), size, size).await;
             (cold.duration, warm.duration)
         });
         sim.run();
