@@ -1,7 +1,7 @@
 //! Micro-benchmarks of the core data structures: LRU list operations, the
 //! I/O controller fast path, and the discrete-event engine.
 
-use criterion::{criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use des::{SimTime, Simulation};
 use pagecache::{
     EvictionPolicy, FileId, IoController, LruLists, MemoryManager, PageCacheConfig, ReclaimScope,
@@ -268,169 +268,6 @@ fn bench_des_engine(c: &mut Criterion) {
     group.finish();
 }
 
-/// Head-to-head of the engine's hierarchical timer wheel against the old
-/// `BinaryHeap` scheduler on identical key streams.
-///
-/// `timer_wheel`/`heap_baseline` is the dense-timer workload: a standing
-/// population of N concurrent sleepers where every fired timer immediately
-/// re-arms (the traffic tier's sleep-storm shape), 10 events per sleeper.
-/// The `*_cancel_churn` pair is the net tier's timeout/hedge shape: every
-/// request arms a far-future timeout that is cancelled when the request
-/// completes — the heap keeps the dead keys and pays O(log garbage) per
-/// push; the wheel compacts them away.
-fn bench_timer_schedulers(c: &mut Criterion) {
-    use des::scheduler::{NaiveHeapScheduler, TimerId, TimerKey, TimerWheel};
-
-    struct Rng(u64);
-    impl Rng {
-        fn next(&mut self) -> u64 {
-            self.0 ^= self.0 << 13;
-            self.0 ^= self.0 >> 7;
-            self.0 ^= self.0 << 17;
-            self.0.wrapping_mul(0x2545f4914f6cdd1d)
-        }
-        fn delta(&mut self) -> f64 {
-            // Re-arm intervals of 1–101 ms — the traffic tier's pacing and
-            // think-time scale. 100k sleepers in a ~100 ms window is ~1
-            // timer per wheel tick: the dense regime.
-            (self.next() % 100_000) as f64 * 1e-6 + 1e-3
-        }
-    }
-
-    let key = |time: f64, seq: u64| TimerKey {
-        time: SimTime::from_secs(time),
-        seq,
-        id: TimerId::from_raw(seq),
-    };
-
-    let mut group = c.benchmark_group("des_engine");
-    group.sample_size(10);
-    group.warm_up_time(std::time::Duration::from_millis(500));
-    group.measurement_time(std::time::Duration::from_secs(2));
-
-    // Steady-state dense-timer throughput at a standing population of `n`
-    // concurrent sleepers: every event pops the earliest timer and re-arms
-    // one 1–101 ms out. `iter_batched` builds the populated scheduler
-    // outside the timer so only the pop/re-arm regime is measured (the
-    // heap's population build is a cache-hot O(1) tail push per timer and
-    // would otherwise dilute the contrast at the big points, where events
-    // are capped). The wheel's O(1) schedule/pop vs the heap's O(log n)
-    // sift — every level a cache miss once the backing array outgrows the
-    // LLC — makes the ratio grow with the population: ~3× at 10k sleepers,
-    // ~4.5× at 100k–1M, ~7× at 4M.
-    for &sleepers in &[10_000usize, 100_000, 1_000_000, 4_000_000] {
-        let events = (sleepers * 10).min(2_000_000);
-        group.bench_with_input(
-            BenchmarkId::new("timer_wheel", sleepers),
-            &sleepers,
-            |b, &n| {
-                b.iter_batched(
-                    || {
-                        let mut rng = Rng(0x1234_5678_9abc_def0);
-                        let mut w = TimerWheel::new();
-                        for seq in 0..n as u64 {
-                            let d = rng.delta();
-                            w.schedule(key(d, seq));
-                        }
-                        (w, rng, n as u64)
-                    },
-                    |(mut w, mut rng, mut seq)| {
-                        let mut clock = 0.0f64;
-                        for _ in 0..events {
-                            let k = w.pop(|_| true).expect("population never drains");
-                            clock = clock.max(k.time.as_secs());
-                            let d = rng.delta();
-                            w.schedule(key(clock + d, seq));
-                            seq += 1;
-                        }
-                        clock
-                    },
-                    BatchSize::LargeInput,
-                )
-            },
-        );
-        group.bench_with_input(
-            BenchmarkId::new("heap_baseline", sleepers),
-            &sleepers,
-            |b, &n| {
-                b.iter_batched(
-                    || {
-                        let mut rng = Rng(0x1234_5678_9abc_def0);
-                        let mut h = NaiveHeapScheduler::new();
-                        for seq in 0..n as u64 {
-                            let d = rng.delta();
-                            h.schedule(key(d, seq));
-                        }
-                        (h, rng, n as u64)
-                    },
-                    |(mut h, mut rng, mut seq)| {
-                        let mut clock = 0.0f64;
-                        for _ in 0..events {
-                            let k = h.pop(|_| true).expect("population never drains");
-                            clock = clock.max(k.time.as_secs());
-                            let d = rng.delta();
-                            h.schedule(key(clock + d, seq));
-                            seq += 1;
-                        }
-                        clock
-                    },
-                    BatchSize::LargeInput,
-                )
-            },
-        );
-    }
-
-    let churn_events = 100_000usize;
-    group.bench_with_input(
-        BenchmarkId::new("timer_wheel_cancel_churn", churn_events),
-        &churn_events,
-        |b, &events| {
-            b.iter(|| {
-                let mut rng = Rng(0x0bad_cafe_dead_beef);
-                let mut w = TimerWheel::new();
-                let mut dead = vec![false; 2 * events + 1];
-                let mut clock = 0.0f64;
-                for seq in 0..events as u64 {
-                    // The request's completion timer fires...
-                    w.schedule(key(clock + rng.delta() * 1e-3, 2 * seq));
-                    // ...its timeout hedge never does.
-                    w.schedule(key(clock + 30.0, 2 * seq + 1));
-                    dead[2 * seq as usize + 1] = true;
-                    w.note_cancel();
-                    if w.should_compact() {
-                        w.compact(|t| !dead[t.raw() as usize]);
-                    }
-                    let k = w.pop(|t| !dead[t.raw() as usize]).expect("live timer");
-                    clock = clock.max(k.time.as_secs());
-                }
-                clock
-            })
-        },
-    );
-    group.bench_with_input(
-        BenchmarkId::new("heap_baseline_cancel_churn", churn_events),
-        &churn_events,
-        |b, &events| {
-            b.iter(|| {
-                let mut rng = Rng(0x0bad_cafe_dead_beef);
-                let mut h = NaiveHeapScheduler::new();
-                let mut dead = vec![false; 2 * events + 1];
-                let mut clock = 0.0f64;
-                for seq in 0..events as u64 {
-                    h.schedule(key(clock + rng.delta() * 1e-3, 2 * seq));
-                    h.schedule(key(clock + 30.0, 2 * seq + 1));
-                    dead[2 * seq as usize + 1] = true;
-                    h.note_cancel();
-                    let k = h.pop(|t| !dead[t.raw() as usize]).expect("live timer");
-                    clock = clock.max(k.time.as_secs());
-                }
-                clock
-            })
-        },
-    );
-    group.finish();
-}
-
 fn bench_traffic_generate(c: &mut Criterion) {
     use workflow::{
         run_scenario, ApplicationSpec, PlatformSpec, Scenario, SimulatorKind, TrafficSpec,
@@ -477,7 +314,6 @@ criterion_group!(
     bench_shared_resource,
     bench_io_controller,
     bench_des_engine,
-    bench_timer_schedulers,
     bench_traffic_generate
 );
 criterion_main!(benches);

@@ -1,7 +1,7 @@
 //! The discrete-event execution engine.
 //!
 //! The engine owns a set of *processes* (plain Rust futures), a virtual clock,
-//! and a hierarchical timer wheel. A process runs until it awaits something
+//! and a timer queue. A process runs until it awaits something
 //! that takes virtual time (a [`sleep`](crate::SimContext::sleep), a storage
 //! transfer, a semaphore, ...). When no process is runnable, the clock jumps
 //! to the next scheduled event. Execution is fully deterministic: processes
@@ -14,26 +14,19 @@
 //!
 //! ## The scheduler
 //!
-//! Timers live in a [`TimerWheel`](crate::scheduler::TimerWheel): six levels
-//! of 64 slots over 2⁻²⁰ s ticks, an overflow heap for deadlines beyond the
-//! wheel's ≈ 18-hour page, and a `(time, seq)`-ordered front heap restoring
-//! exact sub-tick order. Scheduling and popping are O(1) amortized (the old
-//! `BinaryHeap` paid O(log n) each) while firing order stays *bit-identical*
-//! to the heap's `(time, seq)` contract — dense-timer workloads such as the
-//! traffic tier's 20k+ concurrent sleepers no longer pay a 17-deep sift per
-//! event. See the [`scheduler`](crate::scheduler) module docs for the level
-//! layout, the cascade rule and the complexity table.
+//! Timers live in a [`TimerQueue`](crate::scheduler::TimerQueue), one
+//! binary heap of `(time, seq)` keys popped in exactly that order. See the
+//! [`scheduler`](crate::scheduler) module docs for why one heap suffices.
 //!
 //! ## Cancellation
 //!
 //! [`SimContext::cancel_timer`] revokes the timer's action (an O(1) slab
 //! removal, which also makes the [`TimerId`] stale: cancelling it again, or
-//! after its slot went to a new timer, is a no-op) and tells the wheel,
-//! which reclaims dead keys eagerly: once cancelled keys outnumber live
-//! ones the wheel compacts in one pass, so
-//! timeout/hedge-heavy workloads (every `select2` loser drops a `Sleep`)
-//! keep the scheduler's physical size bounded by ~2× the live timer count
-//! instead of accumulating garbage until pop.
+//! after its slot went to a new timer, is a no-op) and tells the queue. Dead
+//! keys are dropped when they surface at the top, or all at once when they
+//! outnumber live ones, so timeout/hedge-heavy workloads (every `select2`
+//! loser drops a `Sleep`) keep the queue's physical size bounded by about
+//! twice the live timer count.
 //!
 //! ## Tables
 //!
@@ -54,7 +47,7 @@ use std::task::{Context, Poll, Waker};
 
 use std::sync::Mutex;
 
-use crate::scheduler::{TimerKey, TimerWheel};
+use crate::scheduler::{TimerKey, TimerQueue};
 use crate::slab::Slab;
 use crate::time::SimTime;
 
@@ -106,9 +99,9 @@ pub struct EngineStats {
 struct Engine {
     now: SimTime,
     seq: u64,
-    wheel: TimerWheel,
+    queue: TimerQueue,
     /// Liveness authority: a timer is armed iff its action is here. The
-    /// wheel's stored keys are validated against this slab on peek/pop.
+    /// queue's stored keys are validated against this slab on peek/pop.
     timers: Slab<TimerAction>,
     /// Live (spawned, not yet completed) tasks.
     tasks: Slab<TaskSlot>,
@@ -127,7 +120,7 @@ impl Engine {
         Engine {
             now: SimTime::ZERO,
             seq: 0,
-            wheel: TimerWheel::new(),
+            queue: TimerQueue::new(),
             timers: Slab::new(),
             tasks: Slab::new(),
             ready: VecDeque::new(),
@@ -140,7 +133,7 @@ impl Engine {
     fn schedule(&mut self, at: SimTime, action: TimerAction) -> TimerId {
         let id = TimerId::from_raw(self.timers.insert(action));
         self.seq += 1;
-        self.wheel.schedule(TimerKey {
+        self.queue.schedule(TimerKey {
             time: at.max(self.now),
             seq: self.seq,
             id,
@@ -265,7 +258,7 @@ impl SimContext {
     /// Cancels a previously scheduled timer. Cancelling an already-fired or
     /// unknown timer is a no-op.
     ///
-    /// The timer's action is revoked immediately; its key in the wheel is
+    /// The timer's action is revoked immediately; its key in the queue is
     /// reclaimed eagerly once cancelled keys outnumber live ones, so
     /// cancel-heavy workloads (timeouts, hedged requests) cannot grow the
     /// scheduler without bound.
@@ -274,11 +267,8 @@ impl SimContext {
         let eng = &mut *eng;
         if eng.timers.remove(id.raw()).is_some() {
             eng.stats.timers_cancelled += 1;
-            eng.wheel.note_cancel();
-            if eng.wheel.should_compact() {
-                let timers = &eng.timers;
-                eng.wheel.compact(|t| timers.contains(t.raw()));
-            }
+            let timers = &eng.timers;
+            eng.queue.cancel(|t| timers.contains(t.raw()));
         }
     }
 
@@ -560,7 +550,7 @@ impl Simulation {
             // a live timer — a timer left in place by a horizon stop keeps
             // its original (time, seq) position.
             let timers = &eng.timers;
-            let Some(key) = eng.wheel.peek(|t| timers.contains(t.raw())) else {
+            let Some(key) = eng.queue.peek(|t| timers.contains(t.raw())) else {
                 return false;
             };
             if key.time > horizon {
@@ -568,7 +558,7 @@ impl Simulation {
                 return false;
             }
             let key = eng
-                .wheel
+                .queue
                 .pop(|t| timers.contains(t.raw()))
                 .expect("peeked key is present");
             eng.now = eng.now.max(key.time);
@@ -592,16 +582,16 @@ impl Drop for Simulation {
         // dropped *after* the borrow is released: dropping a task future can
         // run `Drop` impls (e.g. `Sleep` cancelling its timer) that re-enter
         // the engine.
-        let (timers, wheel, tasks, ready) = {
+        let (timers, queue, tasks, ready) = {
             let mut eng = self.engine.borrow_mut();
             (
                 std::mem::take(&mut eng.timers),
-                std::mem::take(&mut eng.wheel),
+                std::mem::take(&mut eng.queue),
                 std::mem::take(&mut eng.tasks),
                 std::mem::take(&mut eng.ready),
             )
         };
-        drop((timers, wheel, tasks, ready));
+        drop((timers, queue, tasks, ready));
     }
 }
 
@@ -794,7 +784,7 @@ mod tests {
     #[test]
     fn high_fan_out_timer_load_fires_in_order() {
         // An open-loop traffic generator spawns one task per request: tens
-        // of thousands of timers live in the wheel at once. Spawn 20k
+        // of thousands of timers live in the queue at once. Spawn 20k
         // sleepers with scrambled durations and verify they fire in exact
         // virtual-time order with ties broken deterministically.
         const N: u64 = 20_000;
@@ -838,7 +828,7 @@ mod tests {
         // every cancelled TimerKey in the heap until popped, so a timeout-
         // heavy workload (each `select2` loser drops a `Sleep` and cancels
         // its timer) accumulated unbounded garbage and paid O(log garbage)
-        // per push. The wheel must reclaim cancelled slots eagerly.
+        // per push. The queue must reclaim cancelled keys eagerly.
         let sim = Simulation::new();
         let ctx = sim.context();
         let mut peak = 0usize;
@@ -854,21 +844,20 @@ mod tests {
             for id in ids {
                 ctx.cancel_timer(id);
             }
-            peak = peak.max(sim.engine.borrow().wheel.len());
+            peak = peak.max(sim.engine.borrow().queue.len());
         }
         // 100k timers were scheduled and cancelled; the scheduler never held
         // more than a small multiple of one round's worth.
         assert!(peak <= 4096, "scheduler grew to {peak} physical keys");
-        assert_eq!(sim.engine.borrow().wheel.live(), 0);
+        assert_eq!(sim.engine.borrow().queue.live(), 0);
         sim.run();
         assert_eq!(sim.now(), SimTime::ZERO);
     }
 
     #[test]
     fn timer_scheduled_after_horizon_stop_fires_in_order() {
-        // run_until leaves the far timer in the wheel with the cursor primed
-        // past it; a timer scheduled afterwards at an *earlier* time must
-        // still fire first (the wheel's front heap absorbs it).
+        // run_until leaves the far timer in the queue; a timer scheduled
+        // afterwards at an *earlier* time must still fire first.
         let sim = Simulation::new();
         let ctx = sim.context();
         let log = Rc::new(RefCell::new(Vec::new()));

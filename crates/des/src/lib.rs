@@ -16,11 +16,10 @@
 //! * **Determinism**: processes are resumed in FIFO order and simultaneous
 //!   events fire in scheduling order, so a given program always produces the
 //!   same trace.
-//! * **Speed**: timers live in a hierarchical timer wheel (O(1) amortized
-//!   schedule/cancel/pop; see the [`scheduler`] module) rather than a binary
-//!   heap, while preserving the exact `(time, seq)` firing order. Tasks,
-//!   timers and device flows live in generational [`Slab`]s, so no event
-//!   hashes an id.
+//! * **Speed**: timers live in one `(time, seq)`-ordered binary heap that
+//!   drops cancelled keys lazily and compacts them once they outnumber live
+//!   ones (see the [`scheduler`] module). Tasks, timers and device flows
+//!   live in generational [`Slab`]s, so no event hashes an id.
 //!
 //! ## Example
 //!

@@ -1,16 +1,18 @@
-//! Randomized differential test: the hierarchical [`TimerWheel`] against the
-//! naive [`NaiveHeapScheduler`] reference model over 100k mixed
-//! schedule/cancel/pop/peek/horizon operations.
+//! Randomized differential test: the engine's [`TimerQueue`] against a
+//! trivially correct reference, a `BTreeSet` of `(time, seq, id)`, over 100k
+//! mixed schedule/cancel/pop/peek/horizon operations.
 //!
-//! The wheel's contract is that it reproduces the heap's `(time, seq)` firing
-//! order *bit-exactly* — same keys, same order, same resulting clock trace —
-//! which is what lets the engine swap it in without regenerating any golden
-//! baseline. This test drives both models in lock-step through an adversarial
-//! op mix (zero deltas, sub-tick spacings, same-tick collisions, overflow-page
-//! deadlines, cancel storms with compaction, horizon advances that leave the
-//! cursor ahead of the clock) and asserts they never diverge.
+//! The queue's contract is the `(time, seq)` firing order, bit-exactly —
+//! same keys, same order, same resulting clock trace. This test drives both
+//! models in lock-step through an adversarial op mix (zero deltas,
+//! sub-microsecond spacings, exact collisions, far-future deadlines, cancel
+//! storms across compaction, horizon stops; infinite deadlines in the
+//! cancel-storm test) and asserts they never diverge. The clock-trace fingerprint is pinned, so any
+//! change to the firing order fails here.
 
-use des::scheduler::{NaiveHeapScheduler, TimerId, TimerKey, TimerWheel};
+use std::collections::BTreeSet;
+
+use des::scheduler::{TimerId, TimerKey, TimerQueue};
 use des::SimTime;
 
 /// Deterministic xorshift64* — no external RNG dependency.
@@ -33,17 +35,18 @@ enum IdState {
 }
 
 struct Harness {
-    wheel: TimerWheel,
-    heap: NaiveHeapScheduler,
-    /// Per-id lifecycle, indexed by raw id; the liveness authority both
-    /// schedulers consult (mirrors the engine's `timers` map).
-    states: Vec<IdState>,
+    queue: TimerQueue,
+    /// The reference model: every live timer, in firing order.
+    reference: BTreeSet<(SimTime, u64, u64)>,
+    /// Per-id lifecycle and key, indexed by raw id; the liveness authority
+    /// the queue consults (mirrors the engine's timer slab).
+    states: Vec<(IdState, SimTime, u64)>,
     /// Ids currently Live, for picking cancel victims.
     live_ids: Vec<u64>,
     clock: f64,
     next_seq: u64,
     /// Trace of (clock, fired id) after every successful pop, compared at
-    /// the end against a fixed fingerprint for run-to-run determinism.
+    /// the end against a pinned fingerprint.
     trace_hash: u64,
     fired: usize,
 }
@@ -51,8 +54,8 @@ struct Harness {
 impl Harness {
     fn new() -> Self {
         Harness {
-            wheel: TimerWheel::new(),
-            heap: NaiveHeapScheduler::new(),
+            queue: TimerQueue::new(),
+            reference: BTreeSet::new(),
             states: Vec::new(),
             live_ids: Vec::new(),
             clock: 0.0,
@@ -62,19 +65,23 @@ impl Harness {
         }
     }
 
+    fn is_live(states: &[(IdState, SimTime, u64)], t: TimerId) -> bool {
+        states[t.raw() as usize].0 == IdState::Live
+    }
+
     fn schedule(&mut self, delta: f64) {
         let id = self.states.len() as u64;
-        self.states.push(IdState::Live);
-        self.live_ids.push(id);
+        let time = SimTime::from_secs(self.clock + delta);
         let seq = self.next_seq;
         self.next_seq += 1;
-        let key = TimerKey {
-            time: SimTime::from_secs(self.clock + delta),
+        self.states.push((IdState::Live, time, seq));
+        self.live_ids.push(id);
+        self.queue.schedule(TimerKey {
+            time,
             seq,
             id: TimerId::from_raw(id),
-        };
-        self.wheel.schedule(key);
-        self.heap.schedule(key);
+        });
+        self.reference.insert((time, seq, id));
     }
 
     fn cancel(&mut self, pick: usize) {
@@ -82,46 +89,46 @@ impl Harness {
             return;
         }
         let id = self.live_ids.swap_remove(pick % self.live_ids.len());
-        self.states[id as usize] = IdState::Cancelled;
-        self.wheel.note_cancel();
-        self.heap.note_cancel();
-        if self.wheel.should_compact() {
-            let states = &self.states;
-            self.wheel
-                .compact(|t| states[t.raw() as usize] == IdState::Live);
-        }
+        let (state, time, seq) = &mut self.states[id as usize];
+        *state = IdState::Cancelled;
+        assert!(self.reference.remove(&(*time, *seq, id)));
+        let states = &self.states;
+        self.queue.cancel(|t| Self::is_live(states, t));
     }
 
     fn peek_both(&mut self) -> Option<TimerKey> {
         let states = &self.states;
-        let a = self
-            .wheel
-            .peek(|t| states[t.raw() as usize] == IdState::Live);
-        let b = self
-            .heap
-            .peek(|t| states[t.raw() as usize] == IdState::Live);
-        assert_eq!(a, b, "peek diverged at clock {}", self.clock);
+        let a = self.queue.peek(|t| Self::is_live(states, t));
+        let b = self.reference.first().copied();
+        assert_eq!(
+            a.map(|k| (k.time, k.seq, k.id.raw())),
+            b,
+            "peek diverged at clock {}",
+            self.clock
+        );
         a
     }
 
     fn pop_both(&mut self) {
         let states = &self.states;
-        let a = self
-            .wheel
-            .pop(|t| states[t.raw() as usize] == IdState::Live);
-        let b = self.heap.pop(|t| states[t.raw() as usize] == IdState::Live);
-        assert_eq!(a, b, "pop diverged at clock {}", self.clock);
+        let a = self.queue.pop(|t| Self::is_live(states, t));
+        let b = self.reference.pop_first();
+        assert_eq!(
+            a.map(|k| (k.time, k.seq, k.id.raw())),
+            b,
+            "pop diverged at clock {}",
+            self.clock
+        );
         let Some(key) = a else { return };
         assert!(
-            key.time.as_secs() >= self.clock || key.time.as_secs().is_nan(),
+            key.time.as_secs() >= self.clock,
             "fired into the past: {} < {}",
             key.time.as_secs(),
             self.clock
         );
-        self.clock = self.clock.max(key.time.as_secs());
+        self.clock = key.time.as_secs();
         let id = key.id.raw();
-        assert_eq!(self.states[id as usize], IdState::Live);
-        self.states[id as usize] = IdState::Fired;
+        self.states[id as usize].0 = IdState::Fired;
         self.live_ids.retain(|&x| x != id);
         self.fired += 1;
         // FNV-style fold of (clock bits, id) — the clock trace fingerprint.
@@ -131,9 +138,8 @@ impl Harness {
     }
 
     /// Mirrors `Simulation::run_until`: fires everything at or before the
-    /// horizon, then advances the clock to the horizon — which leaves the
-    /// wheel's cursor primed *ahead* of the clock, the regime where
-    /// behind-cursor schedules must fall through to the front heap.
+    /// horizon, then advances the clock to the horizon, leaving later timers
+    /// in place for schedules that land before them.
     fn advance_to_horizon(&mut self, horizon: f64) {
         loop {
             match self.peek_both() {
@@ -144,15 +150,31 @@ impl Harness {
         self.clock = self.clock.max(horizon);
     }
 
+    fn drain(&mut self) {
+        loop {
+            let before = self.fired;
+            self.pop_both();
+            if self.fired == before {
+                break;
+            }
+        }
+        assert_eq!(self.queue.live(), 0);
+        assert!(self.reference.is_empty());
+        self.check_counts();
+    }
+
     fn check_counts(&self) {
-        assert_eq!(self.wheel.live(), self.heap.live(), "live count diverged");
-        let live = self.states.iter().filter(|&&s| s == IdState::Live).count();
-        assert_eq!(self.wheel.live(), live, "wheel live count wrong");
+        assert_eq!(
+            self.queue.live(),
+            self.reference.len(),
+            "live count diverged"
+        );
+        assert_eq!(self.queue.live(), self.live_ids.len(), "live ids diverged");
     }
 }
 
 #[test]
-fn wheel_matches_naive_heap_over_100k_mixed_ops() {
+fn queue_matches_reference_over_100k_mixed_ops() {
     let mut rng = Rng(0x5eed_1234_abcd_ef99);
     let mut h = Harness::new();
 
@@ -161,9 +183,9 @@ fn wheel_matches_naive_heap_over_100k_mixed_ops() {
         match r % 16 {
             // Weighted towards schedule so the structures stay populated.
             0..=6 => {
-                // Delta classes: exact zero, sub-tick, microsecond-scale,
-                // millisecond-scale, dense seconds, overflow page (~28 h),
-                // and far-future (~31 years).
+                // Delta classes: exact zero, sub-microsecond,
+                // microsecond-scale, millisecond-scale, dense seconds,
+                // about a day, and far-future (~31 years).
                 let d = rng.next();
                 let delta = match d % 16 {
                     0 => 0.0,
@@ -193,110 +215,49 @@ fn wheel_matches_naive_heap_over_100k_mixed_ops() {
     }
 
     // Drain both to empty: every remaining live timer fires in identical
-    // order, and both models end empty.
-    loop {
-        let before = h.fired;
-        h.pop_both();
-        if h.fired == before {
-            break;
-        }
-    }
-    assert_eq!(h.wheel.live(), 0);
-    assert_eq!(h.heap.live(), 0);
-    h.check_counts();
-    assert!(h.fired > 10_000, "mix should fire plenty: {}", h.fired);
+    // order.
+    h.drain();
+    assert_eq!(h.fired, 31_453);
 
-    // The whole run is deterministic; pin the clock-trace fingerprint so any
-    // future reordering (even one that "looks equivalent") is caught.
-    let golden = h.trace_hash;
-    let mut rng2 = Rng(0x5eed_1234_abcd_ef99);
-    let mut h2 = Harness::new();
-    for _ in 0..100_000u64 {
-        let r = rng2.next();
-        match r % 16 {
-            0..=6 => {
-                let d = rng2.next();
-                let delta = match d % 16 {
-                    0 => 0.0,
-                    1 | 2 => (d % 1000) as f64 * 1e-9,
-                    3..=5 => (d % 1000) as f64 * 1e-6,
-                    6..=8 => (d % 1000) as f64 * 1e-3,
-                    9..=12 => (d % 100) as f64,
-                    13 | 14 => 1e5 + (d % 1000) as f64,
-                    _ => 1e9,
-                };
-                h2.schedule(delta);
-            }
-            7..=9 => h2.pop_both(),
-            10 | 11 => {
-                h2.peek_both();
-            }
-            12 | 13 => h2.cancel(rng2.next() as usize),
-            14 => {
-                let horizon = h2.clock + (r % 1000) as f64 * 1e-2;
-                h2.advance_to_horizon(horizon);
-            }
-            _ => h2.check_counts(),
-        }
-    }
-    loop {
-        let before = h2.fired;
-        h2.pop_both();
-        if h2.fired == before {
-            break;
-        }
-    }
-    assert_eq!(h2.trace_hash, golden, "clock trace not reproducible");
+    // The fingerprint of the `(time, seq)` firing order over this op stream,
+    // unchanged since the engine first pinned it: any reordering, even one
+    // that "looks equivalent", is caught.
+    assert_eq!(h.trace_hash, 0x74a9_868b_70f2_2aa8, "clock trace changed");
 }
 
-/// Same differential harness, but with an op mix dominated by cancellations —
+/// Same differential harness with an op mix dominated by cancellations —
 /// the timeout/hedge-heavy net-tier shape. Beyond order equality, this pins
-/// the wheel's bounded-size guarantee while the reference heap (by design)
-/// bloats with dead keys.
+/// the queue's bounded physical size.
 #[test]
-fn wheel_stays_bounded_under_differential_cancel_storm() {
+fn queue_stays_bounded_under_differential_cancel_storm() {
     let mut rng = Rng(0xdead_beef_0bad_cafe);
     let mut h = Harness::new();
-    let mut wheel_peak = 0usize;
-    let mut heap_peak = 0usize;
+    let mut queue_peak = 0usize;
 
-    // Phase 1 — the leak shape: schedule far-future timers (the timeout arm
-    // of a hedge/select2) and cancel them before they ever fire, with no
-    // intervening pops to let the heap shed dead keys off its top.
+    // Phase 1: schedule far-future timers (the timeout arm of a
+    // hedge/select2) and cancel them before they ever fire, with no
+    // intervening pops to shed dead keys off the top.
     for i in 0..20_000u64 {
         h.schedule(1e4 + (rng.next() % 10_000) as f64 * 1e-3 + i as f64 * 1e-9);
         h.cancel(rng.next() as usize);
-        wheel_peak = wheel_peak.max(h.wheel.len());
-        heap_peak = heap_peak.max(h.heap.len());
+        queue_peak = queue_peak.max(h.queue.len());
     }
     h.check_counts();
-    // The naive heap kept every dead key; the wheel compacted them away.
     assert!(
-        heap_peak >= 20_000,
-        "reference heap should retain all dead keys, peak {heap_peak}"
-    );
-    assert!(
-        wheel_peak <= 2_048,
-        "wheel peak {wheel_peak} not bounded under cancel storm"
+        queue_peak <= 2_048,
+        "queue peak {queue_peak} not bounded under cancel storm"
     );
 
-    // Phase 2 — both models, dead ballast and all, still agree on the firing
-    // order of fresh near-term timers.
+    // Phase 2: with dead keys still stored, the firing order of fresh
+    // near-term and infinite deadlines stays the reference's.
     for _ in 0..5_000u64 {
         let r = rng.next();
-        match r % 4 {
-            0 | 1 => h.schedule((r % 1000) as f64 * 1e-3),
-            2 => h.pop_both(),
+        match r % 8 {
+            0..=2 => h.schedule((r % 1000) as f64 * 1e-3),
+            3 => h.schedule(f64::INFINITY),
+            4 | 5 => h.pop_both(),
             _ => h.cancel(rng.next() as usize),
         }
     }
-    loop {
-        let before = h.fired;
-        h.pop_both();
-        if h.fired == before {
-            break;
-        }
-    }
-    h.check_counts();
-    assert_eq!(h.wheel.live(), 0);
+    h.drain();
 }

@@ -81,8 +81,10 @@ impl CachedFileSystem {
     }
 
     /// Registers an existing file (e.g. the initial input of a workflow)
-    /// without simulating any I/O.
+    /// without simulating any I/O. Rejects the sizes [`check_write_range`]
+    /// rejects as lengths.
     pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), FsError> {
+        check_write_range(0.0, size)?;
         self.disk.allocate(size)?;
         self.registry.create(file, size)
     }
@@ -173,8 +175,10 @@ impl DirectFileSystem {
         &self.registry
     }
 
-    /// Registers an existing file without simulating any I/O.
+    /// Registers an existing file without simulating any I/O. Rejects the
+    /// sizes [`check_write_range`] rejects as lengths.
     pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), FsError> {
+        check_write_range(0.0, size)?;
         self.disk.allocate(size)?;
         self.registry.create(file, size)
     }
@@ -309,7 +313,7 @@ mod tests {
         approx(warm.bytes_from_cache, 500.0 * MB);
         approx(write.bytes_to_cache, 300.0 * MB);
         assert!(warm.duration < cold.duration);
-        assert!(fs.registry().exists(&"output".into()));
+        assert!(fs.registry().size(&"output".into()).is_ok());
         approx(fs.disk().used(), 800.0 * MB);
     }
 

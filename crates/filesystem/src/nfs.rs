@@ -17,7 +17,8 @@ use std::convert::Infallible;
 
 use des::SimContext;
 use pagecache::{
-    FileId, FsError, IoController, IoOpStats, MemoryManager, DEFAULT_CHUNK_SIZE, EPSILON,
+    check_write_range, FileId, FsError, IoController, IoOpStats, MemoryManager, DEFAULT_CHUNK_SIZE,
+    EPSILON,
 };
 use storage_model::{Disk, NetworkLink};
 
@@ -127,7 +128,9 @@ impl NfsFileSystem {
     }
 
     /// Registers a pre-existing file on the server without simulating I/O.
+    /// Rejects the sizes [`check_write_range`] rejects as lengths.
     pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), FsError> {
+        check_write_range(0.0, size)?;
         self.server.disk().allocate(size)?;
         self.registry.create(file, size)
     }

@@ -28,10 +28,9 @@ impl FileRegistry {
         Ok(())
     }
 
-    /// Registers a file, or replaces its size if it already exists. Returns
-    /// the previous size, if any.
-    pub fn create_or_replace(&self, file: &FileId, size: f64) -> Option<f64> {
-        self.files.borrow_mut().insert(file.clone(), size.max(0.0))
+    /// Registers a file, or replaces its size if it already exists.
+    pub fn create_or_replace(&self, file: &FileId, size: f64) {
+        self.files.borrow_mut().insert(file.clone(), size.max(0.0));
     }
 
     /// Size of a file.
@@ -41,11 +40,6 @@ impl FileRegistry {
             .get(file)
             .copied()
             .ok_or_else(|| FsError::FileNotFound(file.clone()))
-    }
-
-    /// Whether the file exists.
-    pub fn exists(&self, file: &FileId) -> bool {
-        self.files.borrow().contains_key(file)
     }
 
     /// Names and sizes of all registered files.
@@ -83,8 +77,8 @@ mod tests {
         assert!(reg.is_empty());
         reg.create(&"a".into(), 100.0).unwrap();
         assert_eq!(reg.size(&"a".into()).unwrap(), 100.0);
-        assert!(reg.exists(&"a".into()));
-        assert!(!reg.exists(&"b".into()));
+        assert!(reg.size(&"a".into()).is_ok());
+        assert!(reg.size(&"b".into()).is_err());
         assert_eq!(reg.len(), 1);
         assert_eq!(reg.total_bytes(), 100.0);
     }
@@ -97,7 +91,7 @@ mod tests {
             reg.create(&"a".into(), 50.0),
             Err(FsError::AlreadyExists(_))
         ));
-        assert_eq!(reg.create_or_replace(&"a".into(), 50.0), Some(100.0));
+        reg.create_or_replace(&"a".into(), 50.0);
         assert_eq!(reg.size(&"a".into()).unwrap(), 50.0);
     }
 
@@ -122,7 +116,7 @@ mod tests {
         let reg = FileRegistry::new();
         let reg2 = reg.clone();
         reg.create(&"a".into(), 10.0).unwrap();
-        assert!(reg2.exists(&"a".into()));
+        assert!(reg2.size(&"a".into()).is_ok());
         assert_eq!(reg2.list(), vec![("a".into(), 10.0)]);
     }
 }

@@ -118,8 +118,10 @@ impl KernelFileSystem {
         &self.disk
     }
 
-    /// Registers a pre-existing file without simulating I/O.
+    /// Registers a pre-existing file without simulating I/O. Rejects the
+    /// sizes [`check_write_range`] rejects as lengths.
     pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), FsError> {
+        check_write_range(0.0, size)?;
         self.disk.allocate(size)?;
         self.files
             .borrow_mut()

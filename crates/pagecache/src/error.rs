@@ -16,8 +16,8 @@ pub enum FsError {
     DiskFull(DiskFullError),
     /// A file with this name already exists.
     AlreadyExists(FileId),
-    /// A write range with a non-finite offset or length (a finite range is
-    /// required: an unbounded write would never terminate).
+    /// A write range, or a created file's size, that is negative or not
+    /// finite (an unbounded write would never terminate).
     InvalidRange {
         /// The offset the caller passed.
         offset: f64,

@@ -833,6 +833,37 @@ mod tests {
     }
 
     #[test]
+    fn invalid_create_sizes_are_rejected_before_allocating() {
+        let prototype = (SimulatorKind::Prototype, platform());
+        for (kind, mut p) in every_filesystem().into_iter().chain([prototype]) {
+            for set in [&mut p.simulated, &mut p.real] {
+                set.disk.capacity = 1.0 * GB;
+                set.remote_disk.capacity = 1.0 * GB;
+            }
+            let sim = Simulation::new();
+            let backend = Backend::build(&sim.context(), &p, kind).unwrap();
+            for size in [-500.0 * MB, f64::NAN, f64::INFINITY] {
+                let r = backend.create_file(&"bad".into(), size);
+                assert!(
+                    matches!(
+                        r,
+                        Err(ScenarioError::Filesystem(FsError::InvalidRange { .. }))
+                    ),
+                    "{kind:?} {:?} size {size}: {r:?}",
+                    p.storage
+                );
+            }
+            // The rejected sizes freed no space: 1.2 GB still overflows.
+            let r = backend.create_file(&"big".into(), 1.2 * GB);
+            assert!(
+                matches!(r, Err(ScenarioError::Filesystem(FsError::DiskFull(_)))),
+                "{kind:?} {:?}: {r:?}",
+                p.storage
+            );
+        }
+    }
+
+    #[test]
     fn crash_durability_semantics_per_backend() {
         // 200 MB written without fsync: lost on writeback back-ends, durable
         // on synchronous/writethrough ones. A second file is fsync'd and must

@@ -783,7 +783,7 @@ impl FleetInner {
             }
             let st = node
                 .fs
-                .write_range(file, cursor, chunk.max(0.0))
+                .write_range(file, cursor, chunk)
                 .await
                 .map_err(|_| NetError::ServerUnavailable(node.host.clone()))?;
             stats.bytes_to_cache += st.bytes_to_cache;
@@ -1015,8 +1015,10 @@ impl FleetClient {
     }
 
     /// Registers a pre-existing file on the fleet and on every live replica
-    /// without simulating any I/O.
+    /// without simulating any I/O. Rejects the sizes [`check_write_range`]
+    /// rejects as lengths.
     pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), ScenarioError> {
+        check_write_range(0.0, size)?;
         self.inner.registry.create(file, size)?;
         for &s in &self.inner.replicas_of(file) {
             let node = &self.inner.servers[s];
