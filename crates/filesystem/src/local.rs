@@ -32,10 +32,7 @@ pub(crate) fn extend_for_write(
             registry.create_or_replace(file, new_end);
         }
         Ok(_) => {}
-        Err(_) => {
-            disk.allocate(new_end)?;
-            registry.create(file, new_end)?;
-        }
+        Err(_) => registry.create(file, new_end, |bytes| disk.allocate(bytes))?,
     }
     Ok(())
 }
@@ -85,8 +82,8 @@ impl CachedFileSystem {
     /// rejects as lengths.
     pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), FsError> {
         check_write_range(0.0, size)?;
-        self.disk.allocate(size)?;
-        self.registry.create(file, size)
+        self.registry
+            .create(file, size, |bytes| self.disk.allocate(bytes))
     }
 
     /// Reads `len` bytes of `file` starting at `offset` through the page
@@ -179,8 +176,8 @@ impl DirectFileSystem {
     /// sizes [`check_write_range`] rejects as lengths.
     pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), FsError> {
         check_write_range(0.0, size)?;
-        self.disk.allocate(size)?;
-        self.registry.create(file, size)
+        self.registry
+            .create(file, size, |bytes| self.disk.allocate(bytes))
     }
 
     /// Reads `len` bytes at `offset` directly from disk (no cache: every

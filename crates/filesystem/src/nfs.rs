@@ -131,8 +131,8 @@ impl NfsFileSystem {
     /// Rejects the sizes [`check_write_range`] rejects as lengths.
     pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), FsError> {
         check_write_range(0.0, size)?;
-        self.server.disk().allocate(size)?;
-        self.registry.create(file, size)
+        self.registry
+            .create(file, size, |bytes| self.server.disk().allocate(bytes))
     }
 
     /// Reads `len` bytes at `offset` over NFS (`len = f64::INFINITY` reads

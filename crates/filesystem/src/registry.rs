@@ -1,10 +1,12 @@
 //! File metadata registry shared by all handles to one filesystem.
 
 use std::cell::RefCell;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use pagecache::{FileId, FsError};
+use storage_model::DiskFullError;
 
 /// Size bookkeeping for the files of one filesystem.
 #[derive(Clone, Default)]
@@ -18,19 +20,31 @@ impl FileRegistry {
         Self::default()
     }
 
-    /// Registers a file with the given size. Fails if it already exists.
-    pub fn create(&self, file: &FileId, size: f64) -> Result<(), FsError> {
+    /// Registers a file with the given size once `allocate` has reserved
+    /// its space. Fails with [`FsError::AlreadyExists`] before calling
+    /// `allocate` if the file exists, so a duplicate takes no space. The
+    /// size must have passed [`pagecache::check_write_range`].
+    pub fn create(
+        &self,
+        file: &FileId,
+        size: f64,
+        allocate: impl FnOnce(f64) -> Result<(), DiskFullError>,
+    ) -> Result<(), FsError> {
+        debug_assert!(size >= 0.0, "unchecked file size {size}");
         let mut files = self.files.borrow_mut();
-        if files.contains_key(file) {
+        let Entry::Vacant(slot) = files.entry(file.clone()) else {
             return Err(FsError::AlreadyExists(file.clone()));
-        }
-        files.insert(file.clone(), size.max(0.0));
+        };
+        allocate(size)?;
+        slot.insert(size);
         Ok(())
     }
 
-    /// Registers a file, or replaces its size if it already exists.
+    /// Registers a file, or replaces its size if it already exists. The
+    /// size must have passed [`pagecache::check_write_range`].
     pub fn create_or_replace(&self, file: &FileId, size: f64) {
-        self.files.borrow_mut().insert(file.clone(), size.max(0.0));
+        debug_assert!(size >= 0.0, "unchecked file size {size}");
+        self.files.borrow_mut().insert(file.clone(), size);
     }
 
     /// Size of a file.
@@ -75,7 +89,7 @@ mod tests {
     fn create_and_lookup() {
         let reg = FileRegistry::new();
         assert!(reg.is_empty());
-        reg.create(&"a".into(), 100.0).unwrap();
+        reg.create(&"a".into(), 100.0, no_disk).unwrap();
         assert_eq!(reg.size(&"a".into()).unwrap(), 100.0);
         assert!(reg.size(&"a".into()).is_ok());
         assert!(reg.size(&"b".into()).is_err());
@@ -83,14 +97,17 @@ mod tests {
         assert_eq!(reg.total_bytes(), 100.0);
     }
 
+    /// An `allocate` for files that take no disk space.
+    fn no_disk(_: f64) -> Result<(), DiskFullError> {
+        Ok(())
+    }
+
     #[test]
-    fn duplicate_create_fails_but_replace_succeeds() {
+    fn duplicate_create_fails_before_allocating_but_replace_succeeds() {
         let reg = FileRegistry::new();
-        reg.create(&"a".into(), 100.0).unwrap();
-        assert!(matches!(
-            reg.create(&"a".into(), 50.0),
-            Err(FsError::AlreadyExists(_))
-        ));
+        reg.create(&"a".into(), 100.0, no_disk).unwrap();
+        let r = reg.create(&"a".into(), 50.0, |_| panic!("allocated for a duplicate"));
+        assert!(matches!(r, Err(FsError::AlreadyExists(_))));
         reg.create_or_replace(&"a".into(), 50.0);
         assert_eq!(reg.size(&"a".into()).unwrap(), 50.0);
     }
@@ -105,17 +122,27 @@ mod tests {
     }
 
     #[test]
-    fn negative_sizes_are_clamped() {
+    fn a_failed_allocation_registers_nothing() {
         let reg = FileRegistry::new();
-        reg.create(&"a".into(), -5.0).unwrap();
-        assert_eq!(reg.size(&"a".into()).unwrap(), 0.0);
+        let full = |bytes| {
+            Err(DiskFullError {
+                disk: "d".into(),
+                requested: bytes,
+                available: 0.0,
+            })
+        };
+        assert!(matches!(
+            reg.create(&"a".into(), 10.0, full),
+            Err(FsError::DiskFull(_))
+        ));
+        assert!(reg.is_empty());
     }
 
     #[test]
     fn handles_share_state() {
         let reg = FileRegistry::new();
         let reg2 = reg.clone();
-        reg.create(&"a".into(), 10.0).unwrap();
+        reg.create(&"a".into(), 10.0, no_disk).unwrap();
         assert!(reg2.size(&"a".into()).is_ok());
         assert_eq!(reg2.list(), vec![("a".into(), 10.0)]);
     }

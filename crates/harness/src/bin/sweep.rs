@@ -17,7 +17,9 @@
 //!   --golden PATH      golden baseline path (default: baselines/golden.json)
 //!   --check-frozen P   additionally require every metric of the frozen
 //!                      reference P (a past golden) to be bit-identical in
-//!                      this run; metrics/scenarios added since are ignored.
+//!                      this run; metrics/scenarios added since are ignored,
+//!                      and so are metrics under a prefix of the `retired`
+//!                      list of the --golden file (each one is printed).
 //!                      The proof a scenario-adding PR must carry: the
 //!                      regenerated golden did not move pre-existing
 //!                      predictions
@@ -33,7 +35,7 @@ use std::process::ExitCode;
 
 use harness::{
     compare, compare_intersection_exact, make_golden, parse, registry, restrict, run_sweep, Json,
-    SweepConfig,
+    Retired, SweepConfig,
 };
 
 struct Options {
@@ -175,10 +177,28 @@ fn main() -> ExitCode {
     }
     eprintln!("wrote {}", opts.out);
 
+    // The checked-in golden, if there is one yet: --check needs it, the
+    // frozen check takes its retired list, and --update-golden carries its
+    // tolerances and retired list over.
+    let golden_text = std::fs::read_to_string(&opts.golden);
+
     // The frozen bit-identity check runs first so it composes with both
     // --check and --update-golden: a regeneration that moved pre-existing
     // predictions fails here *before* the new golden is written.
     if let Some(frozen_path) = &opts.check_frozen {
+        // Retired prefixes come from the checked-in golden, never from the
+        // frozen reference: the list that excuses a missing key is the one
+        // committed with the change that deleted it.
+        let retired = match &golden_text {
+            Ok(text) => match parse(text).and_then(|doc| Retired::from_json(&doc)) {
+                Ok(retired) => retired,
+                Err(e) => {
+                    eprintln!("sweep: golden baseline {} is malformed: {e}", opts.golden);
+                    return ExitCode::from(2);
+                }
+            },
+            Err(_) => Vec::new(),
+        };
         let frozen = match std::fs::read_to_string(frozen_path)
             .map_err(|e| e.to_string())
             .and_then(|text| parse(&text))
@@ -189,19 +209,29 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        match compare_intersection_exact(&frozen, &results.to_json(false)) {
-            Ok(drifts) if drifts.is_empty() => {
-                eprintln!("frozen check passed: every {frozen_path} metric is bit-identical");
-            }
-            Ok(drifts) => {
-                eprintln!(
-                    "frozen check FAILED: {} pre-existing metric(s) moved or vanished",
-                    drifts.len()
-                );
-                for d in &drifts {
-                    eprintln!("  {d}");
+        match compare_intersection_exact(&frozen, &results.to_json(false), &retired) {
+            Ok((drifts, skipped)) => {
+                if !skipped.is_empty() {
+                    eprintln!(
+                        "frozen check skipped {} retired metric(s) (see 'retired' in {}):",
+                        skipped.len(),
+                        opts.golden
+                    );
+                    for key in &skipped {
+                        eprintln!("  retired {key}");
+                    }
                 }
-                return ExitCode::FAILURE;
+                if !drifts.is_empty() {
+                    eprintln!(
+                        "frozen check FAILED: {} pre-existing metric(s) moved or vanished",
+                        drifts.len()
+                    );
+                    for d in &drifts {
+                        eprintln!("  {d}");
+                    }
+                    return ExitCode::FAILURE;
+                }
+                eprintln!("frozen check passed: every {frozen_path} metric is bit-identical");
             }
             Err(e) => {
                 eprintln!("sweep: cannot compare against frozen reference: {e}");
@@ -211,9 +241,7 @@ fn main() -> ExitCode {
     }
 
     if opts.update_golden {
-        let previous = std::fs::read_to_string(&opts.golden)
-            .ok()
-            .and_then(|text| parse(&text).ok());
+        let previous = golden_text.ok().and_then(|text| parse(&text).ok());
         let golden = make_golden(&results.to_json(false), previous.as_ref());
         if let Some(dir) = std::path::Path::new(&opts.golden).parent() {
             if let Err(e) = std::fs::create_dir_all(dir) {
@@ -230,7 +258,7 @@ fn main() -> ExitCode {
     }
 
     if opts.check {
-        let golden_text = match std::fs::read_to_string(&opts.golden) {
+        let golden_text = match golden_text {
             Ok(text) => text,
             Err(e) => {
                 eprintln!(

@@ -20,12 +20,22 @@
 //! {
 //!   "version": 1,
 //!   "tolerances": {"default_rel": 1e-6, "overrides": {"fig8_": 1e-3}},
+//!   "retired": [{"prefix": "<scenario>/<metric prefix>", "reason": "..."}],
 //!   "scenarios": { "<name>": {"group": "...", "metrics": {"<key>": 1.25}} }
 //! }
 //! ```
 //!
 //! Override keys are substring patterns matched against
 //! `"<scenario>/<metric>"`; the longest matching pattern wins.
+//!
+//! The optional `retired` list names metrics deleted on purpose: each entry
+//! is a `"<scenario>/<metric>"` prefix plus the reason. The frozen check
+//! ([`compare_intersection_exact`]) skips, and reports, every reference key
+//! under a retired prefix, so a PR that deletes metrics can still prove the
+//! rest bit-identical against the previous golden. A retired prefix that
+//! matches a metric the run still produces is drift: the list must never
+//! hide a live metric. The list is read from the checked-in golden, never
+//! from the frozen reference, and `--update-golden` carries it over.
 
 use crate::json::Json;
 
@@ -86,6 +96,49 @@ impl Tolerances {
     }
 }
 
+/// One entry of the golden's `retired` list.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Retired {
+    /// A `"<scenario>/<metric>"` prefix; every key starting with it is
+    /// retired.
+    pub prefix: String,
+    /// Why the metrics were deleted.
+    pub reason: String,
+}
+
+impl Retired {
+    /// Parses the `retired` section of a golden document; an absent section
+    /// is an empty list. An entry without a non-empty `prefix` or without a
+    /// `reason` is an error, since an empty prefix would retire every key.
+    pub fn from_json(doc: &Json) -> Result<Vec<Retired>, String> {
+        let entries = match doc.get("retired") {
+            None => return Ok(Vec::new()),
+            Some(Json::Arr(entries)) => entries,
+            Some(_) => return Err("'retired' must be a list".to_string()),
+        };
+        entries
+            .iter()
+            .map(|entry| {
+                let field = |name: &str| match entry.get(name) {
+                    Some(Json::Str(v)) if !v.is_empty() => Ok(v.clone()),
+                    _ => Err(format!(
+                        "retired entry {entry:?} needs a non-empty {name:?}"
+                    )),
+                };
+                Ok(Retired {
+                    prefix: field("prefix")?,
+                    reason: field("reason")?,
+                })
+            })
+            .collect()
+    }
+}
+
+/// The first entry of `retired` whose prefix `key` starts with.
+fn retired_by<'a>(retired: &'a [Retired], key: &str) -> Option<&'a Retired> {
+    retired.iter().find(|r| key.starts_with(r.prefix.as_str()))
+}
+
 /// One detected difference between a sweep run and the golden baseline.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Drift {
@@ -97,6 +150,13 @@ pub enum Drift {
     MissingMetric(String),
     /// The run produced a metric the golden file does not know.
     UnknownMetric(String),
+    /// The run produced a metric under a retired prefix.
+    LiveRetired {
+        /// `scenario/metric` key.
+        key: String,
+        /// The retired prefix it falls under.
+        prefix: String,
+    },
     /// A metric moved outside its tolerance.
     Value {
         /// `scenario/metric` key.
@@ -119,6 +179,9 @@ impl std::fmt::Display for Drift {
             Drift::UnknownScenario(name) => write!(f, "scenario {name} not in golden baseline"),
             Drift::MissingMetric(key) => write!(f, "metric {key} missing from results"),
             Drift::UnknownMetric(key) => write!(f, "metric {key} not in golden baseline"),
+            Drift::LiveRetired { key, prefix } => {
+                write!(f, "metric {key} is still produced but retired by {prefix:?}")
+            }
             Drift::Value {
                 key,
                 golden,
@@ -201,14 +264,20 @@ pub fn compare(golden: &Json, results: &Json) -> Result<Vec<Drift>, String> {
 /// restricted to the reference's scenarios and metrics and with **zero
 /// tolerance**: every metric the reference knows must be present in the run
 /// and bit-identical; scenarios and metrics that exist only in the run are
-/// ignored.
+/// ignored. Reference metrics under a `retired` prefix are skipped, and
+/// returned second so the caller can list them; a metric of the run under a
+/// retired prefix is a [`Drift::LiveRetired`].
 ///
 /// This is the proof obligation of a PR that *adds* scenarios or metrics:
 /// regenerating `baselines/golden.json` in the same commit is legitimate,
 /// but the regeneration must not move any pre-existing prediction. CI runs
 /// this against the frozen snapshot of the previous baseline
 /// (`sweep --check-frozen <path>`).
-pub fn compare_intersection_exact(reference: &Json, results: &Json) -> Result<Vec<Drift>, String> {
+pub fn compare_intersection_exact(
+    reference: &Json,
+    results: &Json,
+    retired: &[Retired],
+) -> Result<(Vec<Drift>, Vec<String>), String> {
     let reference_scenarios = reference
         .get("scenarios")
         .ok_or("reference file has no 'scenarios' section")?;
@@ -217,6 +286,16 @@ pub fn compare_intersection_exact(reference: &Json, results: &Json) -> Result<Ve
         .ok_or("results file has no 'scenarios' section")?;
 
     let mut drifts = Vec::new();
+    let mut skipped = Vec::new();
+    for (name, result_scenario) in result_scenarios.pairs() {
+        for (metric, _) in metric_map(result_scenario) {
+            let key = format!("{name}/{metric}");
+            if let Some(r) = retired_by(retired, &key) {
+                let prefix = r.prefix.clone();
+                drifts.push(Drift::LiveRetired { key, prefix });
+            }
+        }
+    }
     for (name, reference_scenario) in reference_scenarios.pairs() {
         let Some(result_scenario) = result_scenarios.get(name) else {
             drifts.push(Drift::MissingScenario(name.clone()));
@@ -225,6 +304,10 @@ pub fn compare_intersection_exact(reference: &Json, results: &Json) -> Result<Ve
         let actual = metric_map(result_scenario);
         for &(metric, reference_value) in &metric_map(reference_scenario) {
             let key = format!("{name}/{metric}");
+            if retired_by(retired, &key).is_some() {
+                skipped.push(key);
+                continue;
+            }
             let Some(&(_, actual_value)) = actual.iter().find(|(k, _)| *k == metric) else {
                 drifts.push(Drift::MissingMetric(key));
                 continue;
@@ -244,7 +327,7 @@ pub fn compare_intersection_exact(reference: &Json, results: &Json) -> Result<Ve
             }
         }
     }
-    Ok(drifts)
+    Ok((drifts, skipped))
 }
 
 /// A copy of a result or golden document with its `scenarios` section
@@ -265,7 +348,8 @@ pub fn restrict(doc: &Json, scenarios: &[&str]) -> Json {
 }
 
 /// Attaches a tolerances section to a result document, producing a complete
-/// golden file. Existing tolerances (when regenerating) are carried over.
+/// golden file. Existing tolerances and the `retired` list (when
+/// regenerating) are carried over.
 pub fn make_golden(results: &Json, previous_golden: Option<&Json>) -> Json {
     let tolerances = previous_golden
         .and_then(|g| g.get("tolerances"))
@@ -280,6 +364,9 @@ pub fn make_golden(results: &Json, previous_golden: Option<&Json>) -> Json {
         ("version".to_string(), Json::Num(1.0)),
         ("tolerances".to_string(), tolerances),
     ];
+    if let Some(retired) = previous_golden.and_then(|g| g.get("retired")) {
+        pairs.push(("retired".to_string(), retired.clone()));
+    }
     if let Some(scenarios) = results.get("scenarios") {
         pairs.push(("scenarios".to_string(), scenarios.clone()));
     }
@@ -394,7 +481,9 @@ mod tests {
               \"brand_new\":{\"group\":\"programs\",\"metrics\":{\"x\":1.0}}}}",
         )
         .unwrap();
-        let drifts = compare_intersection_exact(&reference, &results).unwrap();
+        let drifts = compare_intersection_exact(&reference, &results, &[])
+            .unwrap()
+            .0;
         // New scenario and new metric are fine; losing a reference scenario
         // or metric is not.
         assert!(drifts.contains(&Drift::MissingScenario("gone".to_string())));
@@ -409,7 +498,9 @@ mod tests {
         // bit-identity check.
         let results = doc("{\"a\": 100.00000001}");
         assert_eq!(compare(&reference, &results).unwrap(), Vec::new());
-        let drifts = compare_intersection_exact(&reference, &results).unwrap();
+        let drifts = compare_intersection_exact(&reference, &results, &[])
+            .unwrap()
+            .0;
         assert_eq!(drifts.len(), 1);
         assert!(matches!(&drifts[0], Drift::Value { tolerance, .. } if *tolerance == 0.0));
     }
@@ -438,7 +529,9 @@ mod tests {
         assert!(reference.get("tolerances").is_some());
         assert_eq!(compare(&reference, &filtered_run).unwrap(), Vec::new());
         assert_eq!(
-            compare_intersection_exact(&reference, &filtered_run).unwrap(),
+            compare_intersection_exact(&reference, &filtered_run, &[])
+                .unwrap()
+                .0,
             Vec::new()
         );
         // A drifted metric in a selected scenario still fails.
@@ -452,8 +545,9 @@ mod tests {
             [Drift::Value { key, .. }] if key == "picked/m"
         ));
         assert_eq!(
-            compare_intersection_exact(&reference, &drifted)
+            compare_intersection_exact(&reference, &drifted, &[])
                 .unwrap()
+                .0
                 .len(),
             1
         );
@@ -482,5 +576,81 @@ mod tests {
         );
         // Scenarios come from the fresh results, not the old golden.
         assert!(regenerated.get("scenarios").unwrap().get("s").is_some());
+    }
+
+    /// The golden of `doc` with a `retired` list of one prefix.
+    fn retiring(prefix: &str) -> Json {
+        parse(&format!(
+            "{{\"version\":1,\"retired\":[{{\"prefix\":\"{prefix}\",\"reason\":\"deleted\"}}],\
+              \"scenarios\":{{}}}}"
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn retired_reference_keys_are_skipped_and_listed() {
+        let reference = doc("{\"kept\": 1.5, \"gone/a\": 2.0, \"gone/b\": 3.0}");
+        let results = doc("{\"kept\": 1.5}");
+        let retired = Retired::from_json(&retiring("s/gone/")).unwrap();
+        assert_eq!(
+            retired,
+            vec![Retired {
+                prefix: "s/gone/".to_string(),
+                reason: "deleted".to_string()
+            }]
+        );
+        let (drifts, skipped) = compare_intersection_exact(&reference, &results, &retired).unwrap();
+        assert_eq!(drifts, Vec::new());
+        assert_eq!(
+            skipped,
+            vec!["s/gone/a".to_string(), "s/gone/b".to_string()]
+        );
+        // Without the list the same keys are missing metrics.
+        let (drifts, skipped) = compare_intersection_exact(&reference, &results, &[]).unwrap();
+        assert_eq!(drifts.len(), 2);
+        assert!(skipped.is_empty());
+    }
+
+    #[test]
+    fn a_live_metric_under_a_retired_prefix_fails() {
+        let reference = doc("{\"gone/a\": 2.0}");
+        // The run still produces `gone/a`, and with a drifted value: the
+        // retired list must not hide it.
+        let results = doc("{\"gone/a\": 2.5}");
+        let retired = Retired::from_json(&retiring("s/gone/")).unwrap();
+        let (drifts, skipped) = compare_intersection_exact(&reference, &results, &retired).unwrap();
+        assert_eq!(
+            drifts,
+            vec![Drift::LiveRetired {
+                key: "s/gone/a".to_string(),
+                prefix: "s/gone/".to_string()
+            }]
+        );
+        assert_eq!(skipped, vec!["s/gone/a".to_string()]);
+        assert!(drifts[0].to_string().contains("s/gone/a"));
+    }
+
+    #[test]
+    fn malformed_retired_entries_are_rejected() {
+        assert_eq!(Retired::from_json(&doc("{}")).unwrap(), Vec::new());
+        assert!(Retired::from_json(&retiring("")).is_err());
+        let no_reason = parse("{\"retired\":[{\"prefix\":\"s/\"}]}").unwrap();
+        assert!(Retired::from_json(&no_reason).is_err());
+        let not_a_list = parse("{\"retired\":{\"prefix\":\"s/\"}}").unwrap();
+        assert!(Retired::from_json(&not_a_list).is_err());
+    }
+
+    #[test]
+    fn make_golden_carries_the_retired_list_over() {
+        let results = doc("{\"a\": 1.0}");
+        assert!(make_golden(&results, None).get("retired").is_none());
+        let previous = retiring("s/gone/");
+        let regenerated = make_golden(&results, Some(&previous));
+        assert_eq!(regenerated.get("retired"), previous.get("retired"));
+        let text = regenerated.render_pretty();
+        assert_eq!(
+            Retired::from_json(&parse(&text).unwrap()).unwrap(),
+            Retired::from_json(&previous).unwrap()
+        );
     }
 }

@@ -34,7 +34,9 @@ pub mod registry;
 pub mod runner;
 pub mod scenario;
 
-pub use gate::{compare, compare_intersection_exact, make_golden, restrict, Drift, Tolerances};
+pub use gate::{
+    compare, compare_intersection_exact, make_golden, restrict, Drift, Retired, Tolerances,
+};
 pub use json::{parse, Json};
 pub use registry::registry;
 pub use runner::{run_sweep, ScenarioResult, SweepConfig, SweepResults};

@@ -23,21 +23,19 @@
 //! too: name index, slots, cache-group assignment and group byte totals),
 //! the page accounting, the resident/durability range ledgers, and the
 //! ordered reclaim indexes. The *decisions* — in what order files are
-//! picked as eviction victims, whether a file gets a second chance, and how
-//! re-accessed files are classified — are delegated to the [`Policy`]
-//! configured via [`KernelTuning::eviction_policy`].
+//! picked as eviction victims and how re-accessed files are classified —
+//! are delegated to the [`Policy`] configured via
+//! [`KernelTuning::eviction_policy`].
 //! Because the emulator tracks occupancy per file (not per block), it
 //! consumes the policy's *file-granular* hooks, driven off a per-file
 //! [`FileMeta`] stored in each file's slot: `file_admit` on inserts,
 //! `file_touch` on re-accesses, `file_rank` as the victim-ordering prefix
-//! (victims go in `(rank, last_access, file name)` order),
-//! `file_second_chance` during the protection pass of [`KernelCache::evict`]
-//! and `file_on_evict` when a file's pages are fully reclaimed. Writeback
+//! (victims go in `(rank, last_access, file name)` order) and
+//! `file_on_evict` when a file's pages are fully reclaimed. Writeback
 //! order stays policy-independent: it is a durability concern (oldest dirty
 //! data first), not a replacement decision. The default
-//! [`TwoList`](pagecache::EvictionPolicy::TwoList) policy ranks every file 0
-//! and grants no second chances, reproducing the historical behaviour
-//! exactly.
+//! [`TwoList`](pagecache::EvictionPolicy::TwoList) policy ranks every file
+//! 0, reproducing the historical behaviour exactly.
 //!
 //! Which files [`KernelCache::evict`] and [`KernelCache::write_back`] may
 //! take is a [`ReclaimScope`], the type the macroscopic model uses too: the
@@ -62,8 +60,8 @@
 //!   and the expired files are a prefix of it.
 //!
 //! An eviction or writeback that takes `k` files visits `k` index entries
-//! plus the ones its scope or a second chance skips, at O(log F) each for
-//! F cached files; a file name lookup in the table is O(1) expected.
+//! plus the ones its scope skips, at O(log F) each for F cached files; a
+//! file name lookup in the table is O(1) expected.
 //! Inserts, writeback, eviction, `set_write_open` and the policy's
 //! `file_admit` re-key the file they change at O(log F). A re-access
 //! ([`KernelCache::touch`], the read-hit path) only marks its slot stale:
@@ -394,8 +392,8 @@ struct State {
     dirty_total: f64,
     trace: MemoryTrace,
     counters: KernelCacheCounters,
-    /// Replacement policy: decides victim-file ordering, second chances and
-    /// re-access classification via the file-granular hooks. The
+    /// Replacement policy: decides victim-file ordering and re-access
+    /// classification via the file-granular hooks. The
     /// mechanism (file table, indexes, ledgers) above is policy-independent.
     policy: Policy,
     stop: bool,
@@ -817,18 +815,15 @@ impl KernelCache {
         s.work.evict_calls += 1;
         s.drain_stale();
         let scope = s.files.resolve(scope);
-        let use_ref = s.policy.uses_reference_bits();
         let mut evicted = 0.0;
-        // Slots re-keyed only after the walk, so both passes walk the order
-        // the call started with: files given a second chance, and files left
-        // with a residue of at most EPSILON clean bytes (which the second pass
-        // may still take).
+        // Files left with a residue of at most EPSILON clean bytes (which the
+        // second pass may still take) are re-keyed only after the walk, so
+        // both passes walk the order the call started with.
         let mut deferred = Vec::new();
-        // First pass: respect the write-open protection (and, under a
-        // reference-bit policy, grant referenced files one second chance);
-        // second pass: ignore both if we are still short (the kernel will
-        // reclaim those pages too under sufficient pressure).
-        for (respect_protection, sets) in [(true, &[CLOSED][..]), (false, &[CLOSED, WRITE_OPEN])] {
+        // First pass: respect the write-open protection; second pass: ignore
+        // it if we are still short (the kernel will reclaim those pages too
+        // under sufficient pressure).
+        for sets in [&[CLOSED][..], &[CLOSED, WRITE_OPEN]] {
             let mut after = None;
             loop {
                 if evicted >= amount - EPSILON {
@@ -842,11 +837,6 @@ impl KernelCache {
                 let st = &mut *s;
                 st.work.evict_visits += 1;
                 if !st.files.admits(scope, i) {
-                    continue;
-                }
-                let meta = &mut st.files.get_mut(i).meta;
-                if respect_protection && use_ref && st.policy.file_second_chance(meta) {
-                    deferred.push(i);
                     continue;
                 }
                 evicted += st.evict_from(i, amount - evicted);
@@ -1361,12 +1351,12 @@ mod tests {
     fn an_invalidated_grouped_file_comes_back_like_an_ungrouped_one() {
         // One cache with the file grouped, one without; the same history.
         let runs = [Some(4), None].map(|group| {
-            let (_sim, cache) = setup_policy(1000.0, EvictionPolicy::Clock);
+            let (_sim, cache) = setup_policy(1000.0, EvictionPolicy::TwoQ);
             let f: FileId = "f".into();
             cache.set_file_group(&f, group);
             cache.set_write_open(&f, true);
             cache.insert_dirty_range(&f, 0.0, 30.0 * MB);
-            cache.touch(&f, 10.0 * MB); // sets the CLOCK reference bit
+            cache.touch(&f, 10.0 * MB); // sets the 2Q hot flag
             approx(cache.invalidate_file(&f), 30.0 * MB);
             cache.insert_dirty_range(&f, 0.0, 10.0 * MB);
             let s = cache.state.borrow();
@@ -1622,22 +1612,6 @@ mod tests {
     }
 
     #[test]
-    fn clock_policy_gives_referenced_files_a_second_chance() {
-        let (_sim, cache) = setup_policy(1000.0, EvictionPolicy::Clock);
-        cache.insert_clean(&"a".into(), 50.0 * MB);
-        cache.insert_clean(&"b".into(), 50.0 * MB);
-        // The re-access sets `a`'s reference bit.
-        cache.touch(&"a".into(), 10.0 * MB);
-        approx(cache.evict(50.0 * MB, ReclaimScope::Host(None)), 50.0 * MB);
-        // `a` would be first in name order but is spared once; `b` goes.
-        approx(cache.cached_amount(&"a".into()), 50.0 * MB);
-        approx(cache.cached_amount(&"b".into()), 0.0);
-        // The second chance is consumed: the next eviction reclaims `a`.
-        approx(cache.evict(50.0 * MB, ReclaimScope::Host(None)), 50.0 * MB);
-        approx(cache.cached_amount(&"a".into()), 0.0);
-    }
-
-    #[test]
     fn two_q_reinserted_files_outrank_one_shot_scans() {
         let (_sim, cache) = setup_policy(1000.0, EvictionPolicy::TwoQ);
         cache.insert_clean(&"hot".into(), 50.0 * MB);
@@ -1650,24 +1624,6 @@ mod tests {
         // The one-shot scan ranks below the ghost-hit file and goes first.
         approx(cache.cached_amount(&"hot".into()), 50.0 * MB);
         approx(cache.cached_amount(&"scan".into()), 0.0);
-    }
-
-    #[test]
-    fn mglru_policy_evicts_older_generations_first() {
-        let (_sim, cache) = setup_policy(1000.0, EvictionPolicy::MglruGen);
-        cache.insert_clean(&"z_old".into(), 50.0 * MB);
-        cache.insert_clean(&"a_filler".into(), 1.0 * MB);
-        // Enough touches to advance the generation counter past one aging
-        // period, so later admissions carry a younger stamp.
-        for _ in 0..40 {
-            cache.touch(&"a_filler".into(), 1.0);
-        }
-        cache.insert_clean(&"a_young".into(), 50.0 * MB);
-        approx(cache.evict(50.0 * MB, ReclaimScope::Host(None)), 50.0 * MB);
-        // Without generation ranks the name tie-break would reclaim
-        // `a_young` first; the older stamp of `z_old` outweighs it.
-        approx(cache.cached_amount(&"z_old".into()), 0.0);
-        approx(cache.cached_amount(&"a_young".into()), 50.0 * MB);
     }
 
     #[test]
@@ -1857,7 +1813,6 @@ mod tests {
                 let rank = s.policy.file_rank(&slot.meta);
                 (rank, slot.pages.last_access, s.files.name(i).clone())
             });
-            let use_ref = s.policy.uses_reference_bits();
             let mut evicted = 0.0;
             for respect_protection in [true, false] {
                 for &i in &order {
@@ -1868,12 +1823,7 @@ mod tests {
                     if !Self::in_scope(st, scope, i) {
                         continue;
                     }
-                    let slot = st.files.get_mut(i);
-                    if respect_protection && slot.pages.write_open {
-                        continue;
-                    }
-                    if respect_protection && use_ref && st.policy.file_second_chance(&mut slot.meta)
-                    {
+                    if respect_protection && st.files.get(i).pages.write_open {
                         continue;
                     }
                     evicted += st.evict_from(i, amount - evicted);
@@ -1963,7 +1913,7 @@ mod tests {
 
     /// Everything observable about a cache: per-file pages, policy metadata,
     /// range ledgers and group, the totals and counters, the policy's own
-    /// state (2Q ghost queue, MGLRU clock) and the simulated time.
+    /// state (2Q ghost queue) and the simulated time.
     fn observe(sim: &Simulation, cache: &KernelCache) -> String {
         let s = cache.state.borrow();
         let mut files: Vec<_> = s
@@ -2000,23 +1950,20 @@ mod tests {
     /// order and the expired amount from its indexes, the other with the
     /// sort-based reference above. Every result and the full observable
     /// state must agree bit for bit after every operation, for each policy.
-    /// The operations cover write-open protection, CLOCK second chances
-    /// (`touch` sets the bit), 2Q/MGLRU rank changes on admit and touch,
-    /// host scopes with an excluded file, group scopes, invalidation with
+    /// The operations cover write-open protection, 2Q rank changes on
+    /// admit and touch, host scopes with an excluded file, group scopes, invalidation with
     /// slot reuse, and crashes.
     #[test]
     fn indexed_reclaim_matches_the_sort_based_selection() {
         const OPS: usize = 10_000;
         let files: Vec<FileId> = (0..12).map(|k| FileId::new(format!("f{k:02}"))).collect();
-        for policy in [
-            EvictionPolicy::TwoList,
-            EvictionPolicy::Clock,
-            EvictionPolicy::TwoQ,
-            EvictionPolicy::MglruGen,
+        for (policy, seed) in [
+            (EvictionPolicy::TwoList, 0x5eed_0000),
+            (EvictionPolicy::TwoQ, 0x5eed_0002),
         ] {
             let (sim_a, indexed) = setup_policy(1000.0, policy);
             let (sim_b, sorted) = setup_policy(1000.0, policy);
-            let mut rng = XorShift::new(0x5eed_0000 + policy as u64);
+            let mut rng = XorShift::new(seed);
             let mut evictions = 0;
             for op in 0..OPS {
                 let f = files[rng.below(files.len() as u64) as usize].clone();

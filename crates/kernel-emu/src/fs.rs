@@ -38,6 +38,7 @@
 //! accumulated in [`KernelCacheCounters`](crate::KernelCacheCounters).
 
 use std::cell::RefCell;
+use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
@@ -68,9 +69,12 @@ struct FileMeta {
 }
 
 impl FileMeta {
+    /// A file of `size` bytes; the size must have passed
+    /// [`check_write_range`].
     fn new(size: f64) -> Self {
+        debug_assert!(size >= 0.0, "unchecked file size {size}");
         FileMeta {
-            size: size.max(0.0),
+            size,
             ra_next: None,
             ra_window: 0.0,
         }
@@ -119,13 +123,16 @@ impl KernelFileSystem {
     }
 
     /// Registers a pre-existing file without simulating I/O. Rejects the
-    /// sizes [`check_write_range`] rejects as lengths.
+    /// sizes [`check_write_range`] rejects as lengths and a name that is
+    /// already registered, before allocating.
     pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), FsError> {
         check_write_range(0.0, size)?;
+        let mut files = self.files.borrow_mut();
+        let Entry::Vacant(slot) = files.entry(file.clone()) else {
+            return Err(FsError::AlreadyExists(file.clone()));
+        };
         self.disk.allocate(size)?;
-        self.files
-            .borrow_mut()
-            .insert(file.clone(), FileMeta::new(size));
+        slot.insert(FileMeta::new(size));
         Ok(())
     }
 

@@ -55,7 +55,7 @@ pub struct KernelTuning {
     /// writeback) applies regardless.
     pub throttle_pacing: f64,
     /// Replacement policy deciding the victim-file order of eviction (and
-    /// second chances / ghost promotions under the non-default policies).
+    /// ghost promotions under 2Q).
     /// The default [`EvictionPolicy::TwoList`] reproduces the historical
     /// pure-LRU `(last_access, file name)` order exactly.
     pub eviction_policy: EvictionPolicy,
@@ -160,9 +160,8 @@ mod tests {
         assert_eq!(t.throttle_pacing, 0.0);
         assert_eq!(t.eviction_policy, EvictionPolicy::TwoList);
         assert_eq!(
-            t.with_eviction_policy(EvictionPolicy::Clock)
-                .eviction_policy,
-            EvictionPolicy::Clock
+            t.with_eviction_policy(EvictionPolicy::TwoQ).eviction_policy,
+            EvictionPolicy::TwoQ
         );
         assert!(t.validate().is_ok());
         let mut bad = t;

@@ -4,7 +4,7 @@
 //!
 //! # Mechanism vs. policy
 //!
-//! This module is pure *mechanism*: up to [`MAX_TIERS`] lists ("tiers") of
+//! This module is pure *mechanism*: [`MAX_TIERS`] lists ("tiers") of
 //! blocks, each ordered by last access time (earliest first, so the least
 //! recently used data is always at the front), with O(1) incremental byte
 //! aggregates and O(1) intrusive re-linking. Which tier a block joins on
@@ -17,17 +17,15 @@
 //! kernel behaviour the paper models bit-for-bit: tier 0 is the *inactive*
 //! list (accessed once), tier 1 the *active* list (accessed more than once),
 //! and the active list is kept at most twice the size of the inactive list
-//! by demoting its least recently used blocks. The other policies reuse the
-//! same chains and aggregates with different decisions: CLOCK keeps one tier
-//! plus per-block reference bits (honoured by [`LruLists::evict`]'s
-//! second-chance pass), 2Q splits tier 0/1 into A1in/Am with a ghost FIFO,
-//! and MGLRU treats all four tiers as a rotating generation ring.
+//! by demoting its least recently used blocks. 2Q reuses the same chains
+//! and aggregates with different decisions: tiers 0/1 are A1in/Am, with a
+//! ghost FIFO of recently reclaimed files.
 //!
 //! Which files a reclaim call may touch is a third, orthogonal input: a
 //! [`ReclaimScope`] is either the whole host (optionally excluding one
 //! file) or one cache group (a memcg-style tenant). [`LruLists::evict`] and
 //! [`LruLists::flush_lru`] run the same loops for both, so a tenant's
-//! reclaim gets the policy's tier order and second chances unchanged.
+//! reclaim gets the policy's decisions unchanged.
 //!
 //! # Why intrusive chains
 //!
@@ -95,11 +93,11 @@
 //! kernel emulator keeps its per-file state in.
 //!
 //! To bound arena growth on flush-heavy workloads, recency-adjacent blocks
-//! of the same file on an **evictable** tier that are both clean, *share
-//! the same last access time* and carry the same reference bit are coalesced
-//! opportunistically (after an insert, a demotion, or a flush that turns a
-//! block clean) — this is the shape a partial flush produces: a clean split
-//! head next to its remainder, fragment after fragment at one timestamp.
+//! of the same file on an **evictable** tier that are both clean and *share
+//! the same last access time* are coalesced opportunistically (after an
+//! insert, a demotion, or a flush that turns a block clean) — this is the
+//! shape a partial flush produces: a clean split head next to its
+//! remainder, fragment after fragment at one timestamp.
 //! Equal timestamps make the merge provably order-neutral (no later
 //! out-of-order insertion can land between the merged bytes), so every
 //! byte-level observable — aggregates, flush/evict/read amounts, eviction
@@ -223,9 +221,6 @@ struct Node {
     /// The tier (list) this block resides on. A `u8` keeps the node at 88
     /// bytes next to its 64-bit file key.
     tier: u8,
-    /// CLOCK reference bit: set when the block was re-accessed, granting it
-    /// a second chance during eviction under policies that use it.
-    referenced: bool,
     /// The file-table key of the block's file.
     file_slot: u64,
     /// Links indexed by [`RECENCY`], [`FILE`], [`STATE`].
@@ -408,7 +403,7 @@ pub struct LruWork {
     pub evict_calls: u64,
     /// Calls of [`LruLists::flush_lru`] with an amount above [`EPSILON`].
     pub flush_calls: u64,
-    /// Blocks visited by [`LruLists::evict`] (both passes under CLOCK).
+    /// Blocks visited by [`LruLists::evict`].
     pub evict_visits: u64,
     /// Blocks visited by [`LruLists::flush_lru`].
     pub flush_visits: u64,
@@ -759,13 +754,12 @@ impl LruLists {
     /// Inserts `block` of slot `s` as a new node on `tier`: updates the
     /// aggregates and links it into the recency, per-file and clean or dirty
     /// chains at its sorted position. O(1) in the common append case.
-    fn insert_node(&mut self, tier: usize, s: u64, block: DataBlock, referenced: bool) -> Idx {
+    fn insert_node(&mut self, tier: usize, s: u64, block: DataBlock) -> Idx {
         self.agg_insert(tier, s, block.size, block.dirty);
         let dirty = block.dirty;
         let idx = self.alloc(Node {
             block,
             tier: tier as u8,
-            referenced,
             file_slot: s,
             links: [UNLINKED; 3],
         });
@@ -780,22 +774,17 @@ impl LruLists {
     }
 
     /// Inserts `block` as a new clean node on `tier` directly before `anchor`
-    /// (a node of the same file, whose reference bit the split head shares)
-    /// in the recency and per-file chains, and into the clean chain. Used by
-    /// the flush split, where the clean head must sit right before the dirty
-    /// remainder; total bytes are unchanged, so the caller adjusts the
-    /// aggregates via
+    /// (a node of the same file) in the recency and per-file chains, and
+    /// into the clean chain. Used by the flush split, where the clean head
+    /// must sit right before the dirty remainder; total bytes are unchanged,
+    /// so the caller adjusts the aggregates via
     /// [`LruLists::agg_clean_in_place`] + [`LruLists::agg_note_split`].
     fn insert_node_before(&mut self, tier: usize, block: DataBlock, anchor: Idx) -> Idx {
         debug_assert!(!block.dirty, "flush split head must be clean");
-        let (referenced, s) = {
-            let n = node_ref(&self.arena, anchor);
-            (n.referenced, n.file_slot)
-        };
+        let s = node_ref(&self.arena, anchor).file_slot;
         let idx = self.alloc(Node {
             block,
             tier: tier as u8,
-            referenced,
             file_slot: s,
             links: [UNLINKED; 3],
         });
@@ -879,21 +868,19 @@ impl LruLists {
     }
 
     /// Whether nodes `a` and `b` (recency-adjacent, `a` before `b`) can be
-    /// coalesced: same evictable tier, both clean, same file, the same
-    /// reference bit, and — crucially — the *same* last access time. Merging
-    /// blocks with different timestamps would move the earlier block's bytes
-    /// past the insertion point of a later out-of-order insert (a demotion
-    /// with an intermediate timestamp), reordering bytes relative to other
-    /// files; equal timestamps leave no such point, so any future insertion
-    /// lands strictly before or after the merged block in both the merged
-    /// and unmerged orders. Equal reference bits keep the second-chance
-    /// outcome of every byte unchanged under CLOCK-style policies.
+    /// coalesced: same evictable tier, both clean, same file, and —
+    /// crucially — the *same* last access time. Merging blocks with
+    /// different timestamps would move the earlier block's bytes past the
+    /// insertion point of a later out-of-order insert (a demotion with an
+    /// intermediate timestamp), reordering bytes relative to other files;
+    /// equal timestamps leave no such point, so any future insertion lands
+    /// strictly before or after the merged block in both the merged and
+    /// unmerged orders.
     fn mergeable(&self, a: Idx, b: Idx) -> bool {
         let na = node_ref(&self.arena, a);
         let nb = node_ref(&self.arena, b);
         na.tier == nb.tier
             && self.policy.evictable_tiers()[na.tier as usize]
-            && na.referenced == nb.referenced
             && !na.block.dirty
             && !nb.block.dirty
             && na.block.last_access == nb.block.last_access
@@ -962,9 +949,8 @@ impl LruLists {
             return;
         }
         let s = self.files.key_or_insert(&file);
-        let bytes = self.tier_bytes();
-        let tier = self.policy.insert_tier(&file, &bytes);
-        let idx = self.insert_node(tier, s, DataBlock::clean(file, size, now), false);
+        let tier = self.policy.insert_tier(&file);
+        let idx = self.insert_node(tier, s, DataBlock::clean(file, size, now));
         self.try_coalesce(idx);
         self.balance();
         self.debug_validate();
@@ -977,20 +963,19 @@ impl LruLists {
             return;
         }
         let s = self.files.key_or_insert(&file);
-        let bytes = self.tier_bytes();
-        let tier = self.policy.insert_tier(&file, &bytes);
-        self.insert_node(tier, s, DataBlock::dirty(file, size, now), false);
+        let tier = self.policy.insert_tier(&file);
+        self.insert_node(tier, s, DataBlock::dirty(file, size, now));
         self.balance();
         self.debug_validate();
     }
 
     /// Simulates a read of `amount` cached bytes of `file` (paper §III-A-2):
-    /// blocks are consumed tier by tier in the policy's reclaim-first order
-    /// (inactive before active under the default 2-list policy), least
-    /// recently used first; clean portions are merged into a single new
-    /// block appended to the policy's promotion tier; dirty portions move
-    /// there individually, preserving their entry time. Returns the number
-    /// of bytes that were actually cached (which may be less than `amount`).
+    /// blocks are consumed tier by tier, tier 0 first (inactive before
+    /// active under the default 2-list policy), least recently used first;
+    /// clean portions are merged into a single new block appended to the
+    /// policy's promotion tier; dirty portions move there individually,
+    /// preserving their entry time. Returns the number of bytes that were
+    /// actually cached (which may be less than `amount`).
     ///
     /// Only the target file's blocks are touched (its per-file chains), so
     /// the cost is O(k) in the file's block count, independent of how many
@@ -1005,9 +990,7 @@ impl LruLists {
         if self.files.get(s).bytes.cached <= EPSILON {
             return 0.0;
         }
-        let bytes = self.tier_bytes();
-        let dest = self.policy.promote_tier(&bytes);
-        let referenced = self.policy.uses_reference_bits();
+        let dest = self.policy.promote_tier();
         let taken = self.take_for_read(s, amount);
         let mut clean_total = 0.0;
         let mut read_total = 0.0;
@@ -1021,14 +1004,14 @@ impl LruLists {
                     last_access: now,
                     dirty: true,
                 };
-                self.insert_node(dest, s, promoted, referenced);
+                self.insert_node(dest, s, promoted);
             } else {
                 clean_total += blk.size;
             }
         }
         if clean_total > EPSILON {
             let merged = DataBlock::clean(file.clone(), clean_total, now);
-            let idx = self.insert_node(dest, s, merged, referenced);
+            let idx = self.insert_node(dest, s, merged);
             self.try_coalesce(idx);
         }
         self.release_if_unused(s);
@@ -1036,14 +1019,14 @@ impl LruLists {
         read_total
     }
 
-    /// Removes up to `amount` bytes of slot `s` from the tiers in the
-    /// policy's reclaim-first order, LRU first, splitting the last block if
-    /// needed. Walks only the file's own chains, and keeps the slot even if
-    /// it empties (the caller re-inserts the taken data).
+    /// Removes up to `amount` bytes of slot `s` from the tiers, tier 0
+    /// first, LRU first, splitting the last block if needed. Walks only the
+    /// file's own chains, and keeps the slot even if it empties (the caller
+    /// re-inserts the taken data).
     fn take_for_read(&mut self, s: u64, amount: f64) -> Vec<DataBlock> {
         let mut taken = Vec::new();
         let mut remaining = amount;
-        for tier in self.policy.tier_order() {
+        for tier in 0..MAX_TIERS {
             if remaining <= EPSILON {
                 break;
             }
@@ -1072,10 +1055,9 @@ impl LruLists {
     }
 
     /// Marks up to `amount` bytes of dirty data as clean, least recently used
-    /// first (tiers visited in the policy's reclaim-first order: inactive
-    /// before active under the default 2-list policy), restricted to
-    /// `scope`. The last block is split if it only needs to be partially
-    /// flushed. Returns the number of bytes flushed; the caller is
+    /// first (tier 0 first: inactive before active under the default 2-list
+    /// policy), restricted to `scope`. The last block is split if it only
+    /// needs to be partially flushed. Returns the number of bytes flushed; the caller is
     /// responsible for simulating the corresponding disk write time.
     ///
     /// Steps straight from one dirty block to the next along the per-tier
@@ -1098,7 +1080,7 @@ impl LruLists {
         }
         let scope = self.files.resolve(scope);
         let mut flushed = 0.0;
-        for t in self.policy.tier_order() {
+        for t in 0..MAX_TIERS {
             if self.lists[t].agg.dirty <= EPSILON {
                 continue;
             }
@@ -1144,18 +1126,13 @@ impl LruLists {
 
     /// Removes up to `amount` bytes of clean data from the policy's
     /// evictable tiers (the inactive list under the default 2-list policy),
-    /// visiting tiers in the policy's reclaim-first order, least recently
-    /// used first within each, restricted to `scope`. The last block is
-    /// split if it only needs to be partially evicted. Returns the number of
-    /// bytes evicted. Non-positive amounts are a no-op.
+    /// tier 0 first, least recently used first within each, restricted to
+    /// `scope`. The last block is split if it only needs to be partially
+    /// evicted. Returns the number of bytes evicted. Non-positive amounts
+    /// are a no-op.
     ///
     /// Walks only the per-tier clean chains, so dirty blocks are never
     /// visited: the cost is O(evicted + out-of-scope clean blocks).
-    ///
-    /// Under a policy with reference bits (CLOCK), eviction runs up to two
-    /// passes: the first pass clears the reference bit of each referenced
-    /// candidate instead of evicting it (the second chance); the second pass
-    /// reclaims regardless, guaranteeing progress.
     pub fn evict(&mut self, amount: f64, scope: ReclaimScope<'_>) -> f64 {
         if amount <= EPSILON {
             return 0.0;
@@ -1181,50 +1158,40 @@ impl LruLists {
             return 0.0;
         }
         let mut evicted = 0.0;
-        let order = self.policy.tier_order();
-        let use_ref = self.policy.uses_reference_bits();
-        let passes = if use_ref { 2 } else { 1 };
-        'reclaim: for pass in 0..passes {
-            for t in order {
-                if !self.policy.evictable_tiers()[t] {
-                    continue;
-                }
-                let mut i = self.lists[t].clean.head;
-                while i != NIL && evicted < target - EPSILON {
-                    self.work.evict_visits += 1;
-                    let next = node_ref(&self.arena, i).links[STATE].next;
-                    debug_assert!(
-                        !node_ref(&self.arena, i).block.dirty,
-                        "dirty block on a clean chain"
-                    );
-                    if self.admits(scope, i) {
-                        if pass == 0 && use_ref && node_ref(&self.arena, i).referenced {
-                            // Second chance: spare the block once.
-                            node_mut(&mut self.arena, i).referenced = false;
-                        } else {
-                            let need = amount - evicted;
-                            let size = node_ref(&self.arena, i).block.size;
-                            if size <= need + EPSILON {
-                                let blk = self.remove_node(i);
-                                evicted += blk.size;
-                                self.policy.on_evict(&blk.file, t);
-                            } else {
-                                let n = node_mut(&mut self.arena, i);
-                                n.block.size -= need;
-                                let s = n.file_slot;
-                                self.agg_shrink(t, s, need, false);
-                                evicted += need;
-                                let file = &node_ref(&self.arena, i).block.file;
-                                self.policy.on_evict(file, t);
-                                break 'reclaim;
-                            }
-                        }
+        'reclaim: for t in 0..MAX_TIERS {
+            if !self.policy.evictable_tiers()[t] {
+                continue;
+            }
+            let mut i = self.lists[t].clean.head;
+            while i != NIL && evicted < target - EPSILON {
+                self.work.evict_visits += 1;
+                let next = node_ref(&self.arena, i).links[STATE].next;
+                debug_assert!(
+                    !node_ref(&self.arena, i).block.dirty,
+                    "dirty block on a clean chain"
+                );
+                if self.admits(scope, i) {
+                    let need = amount - evicted;
+                    let size = node_ref(&self.arena, i).block.size;
+                    if size <= need + EPSILON {
+                        let blk = self.remove_node(i);
+                        evicted += blk.size;
+                        self.policy.on_evict(&blk.file, t);
+                    } else {
+                        let n = node_mut(&mut self.arena, i);
+                        n.block.size -= need;
+                        let s = n.file_slot;
+                        self.agg_shrink(t, s, need, false);
+                        evicted += need;
+                        let file = &node_ref(&self.arena, i).block.file;
+                        self.policy.on_evict(file, t);
+                        break 'reclaim;
                     }
-                    i = next;
                 }
-                if evicted >= target - EPSILON {
-                    break 'reclaim;
-                }
+                i = next;
+            }
+            if evicted >= target - EPSILON {
+                break;
             }
         }
         self.debug_validate();
@@ -1323,7 +1290,7 @@ impl LruLists {
             };
             let head = self.lists[from].recency.head;
             let demoted = self.detach_node(head);
-            let idx = self.insert_node(to, demoted.file_slot, demoted.block, false);
+            let idx = self.insert_node(to, demoted.file_slot, demoted.block);
             self.try_coalesce(idx);
         }
     }
@@ -2261,28 +2228,6 @@ mod tests {
     }
 
     #[test]
-    fn clock_second_chance_spares_referenced_blocks() {
-        let mut lru = LruLists::with_policy(EvictionPolicy::Clock);
-        let f: FileId = "hot".into();
-        lru.add_clean(f.clone(), 100.0, t(1.0));
-        // The re-read keeps the block on tier 0 but sets its reference bit.
-        lru.read_cached(&f, 100.0, t(2.0));
-        approx(lru.active_bytes(), 0.0); // CLOCK has no protected tier
-        lru.add_clean("cold".into(), 100.0, t(3.0));
-        // Reclaim: the referenced block is spared once, the cold one goes,
-        // even though the hot block is the least recently used candidate.
-        let evicted = lru.evict(100.0, ReclaimScope::Host(None));
-        approx(evicted, 100.0);
-        approx(lru.cached_amount(&f), 100.0);
-        approx(lru.cached_amount(&"cold".into()), 0.0);
-        // Its bit was consumed: the next reclaim takes it.
-        let evicted = lru.evict(100.0, ReclaimScope::Host(None));
-        approx(evicted, 100.0);
-        approx(lru.cached_amount(&f), 0.0);
-        lru.check_invariants().unwrap();
-    }
-
-    #[test]
     fn two_q_ghost_hit_readmits_to_the_main_list() {
         let mut lru = LruLists::with_policy(EvictionPolicy::TwoQ);
         let f: FileId = "reread".into();
@@ -2300,24 +2245,6 @@ mod tests {
         approx(evicted, 100.0);
         approx(lru.cached_amount(&f), 100.0);
         approx(lru.cached_amount(&"cold".into()), 0.0);
-        lru.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn mglru_reclaims_older_generations_first() {
-        let mut lru = LruLists::with_policy(EvictionPolicy::MglruGen);
-        let a: FileId = "a".into();
-        let b: FileId = "b".into();
-        lru.add_clean(a.clone(), 100.0, t(1.0));
-        lru.read_cached(&a, 100.0, t(2.0));
-        lru.add_clean(b.clone(), 100.0, t(3.0));
-        // `a` was promoted before `b` was inserted, but its generation is
-        // older than `b`'s insert generation relative to the rotated ring:
-        // reclaim drains `a` before touching `b`.
-        let evicted = lru.evict(100.0, ReclaimScope::Host(None));
-        approx(evicted, 100.0);
-        approx(lru.cached_amount(&a), 0.0);
-        approx(lru.cached_amount(&b), 100.0);
         lru.check_invariants().unwrap();
     }
 

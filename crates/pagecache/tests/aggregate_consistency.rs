@@ -651,24 +651,17 @@ fn arena_lru_matches_naive_scan_model_over_10k_random_ops() {
 
 use pagecache::{EvictionPolicy, Policy, MAX_TIERS};
 
-/// A block plus its CLOCK reference bit — the naive model keeps the bit per
-/// block, exactly like the arena's `Node`.
-struct NBlock {
-    block: DataBlock,
-    referenced: bool,
-}
-
-/// A generalized scan-based model of `LruLists` under any
-/// [`Policy`]: up to [`MAX_TIERS`] `VecDeque` tiers sorted by last
-/// access, no incremental counters, no coalescing. It owns its own copy of
-/// the policy state and calls the tier hooks in exactly the sequence the
-/// arena does (one `insert_tier` per add, one `promote_tier` per cached
-/// read, `on_evict` per reclaimed block), so stateful policies (2Q's ghost
-/// FIFO, MGLRU's aging ring) evolve identically on both sides. `on_evict`
-/// call counts may differ where the arena coalesced adjacent blocks, which
-/// is safe because 2Q's ghost insert is push-if-absent.
+/// A generalized scan-based model of `LruLists` under any [`Policy`]:
+/// [`MAX_TIERS`] `VecDeque` tiers sorted by last access, no incremental
+/// counters, no coalescing. It owns its own copy of the policy state and
+/// calls the tier hooks in exactly the sequence the arena does (one
+/// `insert_tier` per add, one `promote_tier` per cached read, `on_evict`
+/// per reclaimed block), so 2Q's ghost FIFO evolves identically on both
+/// sides. `on_evict` call counts may differ where the arena coalesced
+/// adjacent blocks, which is safe because 2Q's ghost insert is
+/// push-if-absent.
 struct NaivePolicy {
-    tiers: [VecDeque<NBlock>; MAX_TIERS],
+    tiers: [VecDeque<DataBlock>; MAX_TIERS],
     policy: Policy,
     /// Cache-group (tenant) assignment per file; group totals are scans.
     group_of: HashMap<FileId, u32>,
@@ -713,7 +706,7 @@ impl NaivePolicy {
     }
 
     fn tier_bytes(&self) -> [f64; MAX_TIERS] {
-        std::array::from_fn(|t| self.tiers[t].iter().map(|n| n.block.size).sum())
+        std::array::from_fn(|t| self.tiers[t].iter().map(|b| b.size).sum())
     }
 
     fn tier_lens(&self) -> [usize; MAX_TIERS] {
@@ -721,7 +714,7 @@ impl NaivePolicy {
     }
 
     fn blocks(&self) -> impl Iterator<Item = &DataBlock> {
-        self.tiers.iter().flatten().map(|n| &n.block)
+        self.tiers.iter().flatten()
     }
 
     fn total_cached(&self) -> f64 {
@@ -736,7 +729,7 @@ impl NaivePolicy {
         (0..MAX_TIERS)
             .filter(|&t| self.policy.evictable_tiers()[t])
             .flat_map(|t| &self.tiers[t])
-            .map(|n| n.block.size)
+            .map(|b| b.size)
             .sum()
     }
 
@@ -744,7 +737,7 @@ impl NaivePolicy {
         (0..MAX_TIERS)
             .filter(|&t| !self.policy.evictable_tiers()[t])
             .flat_map(|t| &self.tiers[t])
-            .map(|n| n.block.size)
+            .map(|b| b.size)
             .sum()
     }
 
@@ -759,18 +752,18 @@ impl NaivePolicy {
         (0..MAX_TIERS)
             .filter(|&t| self.policy.evictable_tiers()[t])
             .flat_map(|t| &self.tiers[t])
-            .filter(|n| !n.block.dirty && exclude != Some(&n.block.file))
-            .map(|n| n.block.size)
+            .filter(|b| !b.dirty && exclude != Some(&b.file))
+            .map(|b| b.size)
             .sum()
     }
 
-    fn insert_sorted(list: &mut VecDeque<NBlock>, node: NBlock) {
+    fn insert_sorted(list: &mut VecDeque<DataBlock>, block: DataBlock) {
         match list.back() {
-            None => list.push_back(node),
-            Some(b) if b.block.last_access <= node.block.last_access => list.push_back(node),
+            None => list.push_back(block),
+            Some(b) if b.last_access <= block.last_access => list.push_back(block),
             _ => {
-                let pos = list.partition_point(|b| b.block.last_access <= node.block.last_access);
-                list.insert(pos, node);
+                let pos = list.partition_point(|b| b.last_access <= block.last_access);
+                list.insert(pos, block);
             }
         }
     }
@@ -779,15 +772,8 @@ impl NaivePolicy {
         if size <= EPSILON {
             return;
         }
-        let bytes = self.tier_bytes();
-        let tier = self.policy.insert_tier(&file, &bytes);
-        Self::insert_sorted(
-            &mut self.tiers[tier],
-            NBlock {
-                block: DataBlock::clean(file, size, now),
-                referenced: false,
-            },
-        );
+        let tier = self.policy.insert_tier(&file);
+        Self::insert_sorted(&mut self.tiers[tier], DataBlock::clean(file, size, now));
         self.balance();
     }
 
@@ -795,15 +781,8 @@ impl NaivePolicy {
         if size <= EPSILON {
             return;
         }
-        let bytes = self.tier_bytes();
-        let tier = self.policy.insert_tier(&file, &bytes);
-        Self::insert_sorted(
-            &mut self.tiers[tier],
-            NBlock {
-                block: DataBlock::dirty(file, size, now),
-                referenced: false,
-            },
-        );
+        let tier = self.policy.insert_tier(&file);
+        Self::insert_sorted(&mut self.tiers[tier], DataBlock::dirty(file, size, now));
         self.balance();
     }
 
@@ -811,9 +790,7 @@ impl NaivePolicy {
         if amount <= EPSILON || self.cached_amount(file) <= EPSILON {
             return 0.0;
         }
-        let bytes = self.tier_bytes();
-        let dest = self.policy.promote_tier(&bytes);
-        let referenced = self.policy.uses_reference_bits();
+        let dest = self.policy.promote_tier();
         let taken = self.take_for_read(file, amount);
         let mut clean_total = 0.0;
         let mut read_total = 0.0;
@@ -827,26 +804,14 @@ impl NaivePolicy {
                     last_access: now,
                     dirty: true,
                 };
-                Self::insert_sorted(
-                    &mut self.tiers[dest],
-                    NBlock {
-                        block: promoted,
-                        referenced,
-                    },
-                );
+                Self::insert_sorted(&mut self.tiers[dest], promoted);
             } else {
                 clean_total += blk.size;
             }
         }
         if clean_total > EPSILON {
             let merged = DataBlock::clean(file.clone(), clean_total, now);
-            Self::insert_sorted(
-                &mut self.tiers[dest],
-                NBlock {
-                    block: merged,
-                    referenced,
-                },
-            );
+            Self::insert_sorted(&mut self.tiers[dest], merged);
         }
         read_total
     }
@@ -854,21 +819,21 @@ impl NaivePolicy {
     fn take_for_read(&mut self, file: &FileId, amount: f64) -> Vec<DataBlock> {
         let mut taken = Vec::new();
         let mut remaining = amount;
-        for tier in self.policy.tier_order() {
+        for tier in 0..MAX_TIERS {
             if remaining <= EPSILON {
                 break;
             }
             let list = &mut self.tiers[tier];
             let mut i = 0;
             while i < list.len() && remaining > EPSILON {
-                if &list[i].block.file == file {
-                    if list[i].block.size <= remaining + EPSILON {
-                        let n = list.remove(i).expect("index checked above");
-                        remaining -= n.block.size;
-                        taken.push(n.block);
+                if &list[i].file == file {
+                    if list[i].size <= remaining + EPSILON {
+                        let b = list.remove(i).expect("index checked above");
+                        remaining -= b.size;
+                        taken.push(b);
                         continue;
                     } else {
-                        let head = list[i].block.split_off(remaining);
+                        let head = list[i].split_off(remaining);
                         taken.push(head);
                         remaining = 0.0;
                         break;
@@ -889,11 +854,11 @@ impl NaivePolicy {
             return 0.0;
         }
         let mut flushed = 0.0;
-        for t in self.policy.tier_order() {
+        for t in 0..MAX_TIERS {
             let tier_dirty: f64 = self.tiers[t]
                 .iter()
-                .filter(|n| n.block.dirty)
-                .map(|n| n.block.size)
+                .filter(|b| b.dirty)
+                .map(|b| b.size)
                 .sum();
             if tier_dirty <= EPSILON {
                 continue;
@@ -903,26 +868,19 @@ impl NaivePolicy {
                 if flushed >= amount - EPSILON {
                     return flushed;
                 }
-                let is_candidate = self.tiers[t][i].block.dirty
-                    && self.in_scope(scope, &self.tiers[t][i].block.file);
+                let is_candidate =
+                    self.tiers[t][i].dirty && self.in_scope(scope, &self.tiers[t][i].file);
                 if is_candidate {
                     let need = amount - flushed;
-                    let size = self.tiers[t][i].block.size;
+                    let size = self.tiers[t][i].size;
                     if size <= need + EPSILON {
-                        self.tiers[t][i].block.dirty = false;
+                        self.tiers[t][i].dirty = false;
                         flushed += size;
                     } else {
-                        let referenced = self.tiers[t][i].referenced;
-                        let mut head = self.tiers[t][i].block.split_off(need);
+                        let mut head = self.tiers[t][i].split_off(need);
                         head.dirty = false;
                         flushed += head.size;
-                        self.tiers[t].insert(
-                            i,
-                            NBlock {
-                                block: head,
-                                referenced,
-                            },
-                        );
+                        self.tiers[t].insert(i, head);
                         return flushed;
                     }
                 }
@@ -950,46 +908,36 @@ impl NaivePolicy {
             return 0.0;
         }
         let mut evicted = 0.0;
-        let order = self.policy.tier_order();
-        let use_ref = self.policy.uses_reference_bits();
-        let passes = if use_ref { 2 } else { 1 };
-        'reclaim: for pass in 0..passes {
-            for t in order {
-                if !self.policy.evictable_tiers()[t] {
-                    continue;
-                }
-                let mut i = 0;
-                while i < self.tiers[t].len() && evicted < target - EPSILON {
-                    let is_candidate = {
-                        let b = &self.tiers[t][i].block;
-                        !b.dirty && self.in_scope(scope, &b.file)
-                    };
-                    if is_candidate {
-                        if pass == 0 && use_ref && self.tiers[t][i].referenced {
-                            // Second chance: spare the block once.
-                            self.tiers[t][i].referenced = false;
-                        } else {
-                            let need = amount - evicted;
-                            let size = self.tiers[t][i].block.size;
-                            if size <= need + EPSILON {
-                                let n = self.tiers[t].remove(i).expect("index checked above");
-                                evicted += n.block.size;
-                                self.policy.on_evict(&n.block.file, t);
-                                continue;
-                            } else {
-                                self.tiers[t][i].block.size -= need;
-                                let file = self.tiers[t][i].block.file.clone();
-                                evicted += need;
-                                self.policy.on_evict(&file, t);
-                                break 'reclaim;
-                            }
-                        }
+        'reclaim: for t in 0..MAX_TIERS {
+            if !self.policy.evictable_tiers()[t] {
+                continue;
+            }
+            let mut i = 0;
+            while i < self.tiers[t].len() && evicted < target - EPSILON {
+                let is_candidate = {
+                    let b = &self.tiers[t][i];
+                    !b.dirty && self.in_scope(scope, &b.file)
+                };
+                if is_candidate {
+                    let need = amount - evicted;
+                    let size = self.tiers[t][i].size;
+                    if size <= need + EPSILON {
+                        let b = self.tiers[t].remove(i).expect("index checked above");
+                        evicted += b.size;
+                        self.policy.on_evict(&b.file, t);
+                        continue;
+                    } else {
+                        self.tiers[t][i].size -= need;
+                        let file = self.tiers[t][i].file.clone();
+                        evicted += need;
+                        self.policy.on_evict(&file, t);
+                        break 'reclaim;
                     }
-                    i += 1;
                 }
-                if evicted >= target - EPSILON {
-                    break 'reclaim;
-                }
+                i += 1;
+            }
+            if evicted >= target - EPSILON {
+                break;
             }
         }
         evicted
@@ -1001,10 +949,10 @@ impl NaivePolicy {
         }
         let mut flushed = 0.0;
         for list in &mut self.tiers {
-            for n in list.iter_mut() {
-                if n.block.is_expired(now, expire) {
-                    n.block.dirty = false;
-                    flushed += n.block.size;
+            for b in list.iter_mut() {
+                if b.is_expired(now, expire) {
+                    b.dirty = false;
+                    flushed += b.size;
                 }
             }
         }
@@ -1014,10 +962,10 @@ impl NaivePolicy {
     fn flush_file(&mut self, file: &FileId) -> f64 {
         let mut flushed = 0.0;
         for list in &mut self.tiers {
-            for n in list.iter_mut() {
-                if n.block.dirty && &n.block.file == file {
-                    n.block.dirty = false;
-                    flushed += n.block.size;
+            for b in list.iter_mut() {
+                if b.dirty && &b.file == file {
+                    b.dirty = false;
+                    flushed += b.size;
                 }
             }
         }
@@ -1027,9 +975,9 @@ impl NaivePolicy {
     fn invalidate_file(&mut self, file: &FileId) -> f64 {
         let mut removed = 0.0;
         for list in &mut self.tiers {
-            list.retain(|n| {
-                if &n.block.file == file {
-                    removed += n.block.size;
+            list.retain(|b| {
+                if &b.file == file {
+                    removed += b.size;
                     false
                 } else {
                     true
@@ -1049,13 +997,7 @@ impl NaivePolicy {
             let demoted = self.tiers[from]
                 .pop_front()
                 .expect("demotion from empty tier");
-            Self::insert_sorted(
-                &mut self.tiers[to],
-                NBlock {
-                    block: demoted.block,
-                    referenced: false,
-                },
-            );
+            Self::insert_sorted(&mut self.tiers[to], demoted);
         }
     }
 }
@@ -1141,10 +1083,9 @@ fn assert_models_agree(
     groups: u32,
     op: usize,
 ) {
-    // Per-tier totals, not just the evictable/protected split: stateful
-    // policies (MGLRU's ring, 2Q's ghosts) take per-tier bytes as their
-    // decision input, so any drift here would snowball into different
-    // victims.
+    // Per-tier totals, not just the evictable/protected split: the 2-list
+    // demotion rule takes per-tier bytes as its decision input, so any
+    // drift here would snowball into different victims.
     for t in 0..MAX_TIERS {
         let arena_bytes: f64 = arena.tier_blocks(t).map(|b| b.size).sum();
         let arena_dirty: f64 = arena
@@ -1152,11 +1093,11 @@ fn assert_models_agree(
             .filter(|b| b.dirty)
             .map(|b| b.size)
             .sum();
-        let naive_bytes: f64 = naive.tiers[t].iter().map(|n| n.block.size).sum();
+        let naive_bytes: f64 = naive.tiers[t].iter().map(|b| b.size).sum();
         let naive_dirty: f64 = naive.tiers[t]
             .iter()
-            .filter(|n| n.block.dirty)
-            .map(|n| n.block.size)
+            .filter(|b| b.dirty)
+            .map(|b| b.size)
             .sum();
         assert_close(
             format_args!("{kind}: tier {t} bytes"),
@@ -1253,8 +1194,7 @@ fn assert_models_agree(
 /// single one that the operation results and every byte aggregate agree
 /// within `EPSILON`. Flushes and evictions draw their scope at random:
 /// host-wide, host-wide but one file, or one cache group, so tenant-scoped
-/// reclaim (with CLOCK's second chances within a group) is checked against
-/// the same specification as host-wide reclaim.
+/// reclaim is checked against the same specification as host-wide reclaim.
 fn arena_matches_naive_policy_model(kind: EvictionPolicy, seed: u64, mix: &Mix) {
     const OPS: usize = 10_000;
     const FILES: usize = 8;
@@ -1369,27 +1309,15 @@ fn arena_two_list_matches_generalized_naive_model_over_10k_random_ops() {
 }
 
 #[test]
-fn arena_clock_matches_naive_model_over_10k_random_ops() {
-    arena_matches_naive_policy_model(EvictionPolicy::Clock, 0xC10C4, &STEADY);
-}
-
-#[test]
 fn arena_two_q_matches_naive_model_over_10k_random_ops() {
     arena_matches_naive_policy_model(EvictionPolicy::TwoQ, 0x7707, &STEADY);
-}
-
-#[test]
-fn arena_mglru_matches_naive_model_over_10k_random_ops() {
-    arena_matches_naive_policy_model(EvictionPolicy::MglruGen, 0x91123, &STEADY);
 }
 
 #[test]
 fn arena_matches_naive_models_over_10k_tie_heavy_ops() {
     for (kind, seed) in [
         (EvictionPolicy::TwoList, 0x71E5),
-        (EvictionPolicy::Clock, 0x71E6),
         (EvictionPolicy::TwoQ, 0x71E7),
-        (EvictionPolicy::MglruGen, 0x71E8),
     ] {
         arena_matches_naive_policy_model(kind, seed, &TIED);
     }
@@ -1534,7 +1462,7 @@ fn demotions_after_a_stale_finger_match_the_naive_model() {
             };
             assert_eq!(
                 runs(arena.tier_blocks(t).collect()),
-                runs(naive.tiers[t].iter().map(|n| &n.block).collect()),
+                runs(naive.tiers[t].iter().collect()),
                 "step {op}: tier {t} order differs"
             );
         }

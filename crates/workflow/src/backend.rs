@@ -154,7 +154,9 @@ pub enum Backend {
 }
 
 impl Backend {
-    /// Registers a pre-existing file without simulating any I/O.
+    /// Registers a pre-existing file without simulating any I/O. Every
+    /// back-end rejects an invalid size and a name that is already
+    /// registered ([`FsError::AlreadyExists`]) before allocating disk space.
     pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), ScenarioError> {
         match self {
             Backend::Cached(fs) => fs.create_file(file, size)?,
@@ -832,14 +834,23 @@ mod tests {
         }
     }
 
-    #[test]
-    fn invalid_create_sizes_are_rejected_before_allocating() {
+    /// Every file system of [`every_filesystem`] plus the prototype, each
+    /// with 1 GB disks.
+    fn on_one_gb_disks() -> Vec<(SimulatorKind, PlatformSpec)> {
         let prototype = (SimulatorKind::Prototype, platform());
-        for (kind, mut p) in every_filesystem().into_iter().chain([prototype]) {
+        let mut all: Vec<_> = every_filesystem().into_iter().chain([prototype]).collect();
+        for (_, p) in &mut all {
             for set in [&mut p.simulated, &mut p.real] {
                 set.disk.capacity = 1.0 * GB;
                 set.remote_disk.capacity = 1.0 * GB;
             }
+        }
+        all
+    }
+
+    #[test]
+    fn invalid_create_sizes_are_rejected_before_allocating() {
+        for (kind, p) in on_one_gb_disks() {
             let sim = Simulation::new();
             let backend = Backend::build(&sim.context(), &p, kind).unwrap();
             for size in [-500.0 * MB, f64::NAN, f64::INFINITY] {
@@ -860,6 +871,24 @@ mod tests {
                 "{kind:?} {:?}: {r:?}",
                 p.storage
             );
+        }
+    }
+
+    #[test]
+    fn a_duplicate_create_is_rejected_before_allocating() {
+        for (kind, p) in on_one_gb_disks() {
+            let sim = Simulation::new();
+            let backend = Backend::build(&sim.context(), &p, kind).unwrap();
+            backend.create_file(&"a".into(), 300.0 * MB).unwrap();
+            let r = backend.create_file(&"a".into(), 300.0 * MB);
+            assert!(
+                matches!(r, Err(ScenarioError::Filesystem(FsError::AlreadyExists(_)))),
+                "{kind:?} {:?}: {r:?}",
+                p.storage
+            );
+            // The duplicate took no space: 500 MB fit beside the first 300.
+            let r = backend.create_file(&"b".into(), 500.0 * MB);
+            assert!(r.is_ok(), "{kind:?} {:?}: {r:?}", p.storage);
         }
     }
 

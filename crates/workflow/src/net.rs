@@ -1019,7 +1019,8 @@ impl FleetClient {
     /// rejects as lengths.
     pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), ScenarioError> {
         check_write_range(0.0, size)?;
-        self.inner.registry.create(file, size)?;
+        // The fleet's registry holds no space; each replica allocates.
+        self.inner.registry.create(file, size, |_| Ok(()))?;
         for &s in &self.inner.replicas_of(file) {
             let node = &self.inner.servers[s];
             if node.alive.get() {

@@ -319,9 +319,9 @@ mod tests {
         assert_eq!(p.eviction_policy, pagecache::EvictionPolicy::TwoList);
         assert_eq!(
             p.clone()
-                .with_eviction_policy(pagecache::EvictionPolicy::MglruGen)
+                .with_eviction_policy(pagecache::EvictionPolicy::TwoQ)
                 .eviction_policy,
-            pagecache::EvictionPolicy::MglruGen
+            pagecache::EvictionPolicy::TwoQ
         );
         assert!(p.validate().is_ok());
         let on = p

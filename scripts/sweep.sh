@@ -21,7 +21,13 @@
 #                                     also require every metric of a past
 #                                     golden (e.g. the base revision's,
 #                                     extracted with `git show`) to be
-#                                     bit-identical in this run
+#                                     bit-identical in this run, except the
+#                                     keys under a prefix of the `retired`
+#                                     list in baselines/golden.json (metrics
+#                                     deleted on purpose, each with a
+#                                     reason); each skipped key is printed,
+#                                     and a retired prefix that matches a
+#                                     metric the run still produces fails
 #
 # All other flags (--threads, --filter, --out, --golden, --timings) are
 # forwarded to the sweep binary; see `sweep --help`. --filter matches the
