@@ -7,20 +7,19 @@
 //!   simulated Linux page cache (the paper's WRENCH-cache behaviour);
 //! * [`DirectFileSystem`] — a filesystem that always hits the disk (the
 //!   cacheless behaviour of vanilla WRENCH, used as the baseline), either
-//!   local or mounted remotely over a network link;
-//! * [`NfsFileSystem`] / [`NfsServer`] — a network filesystem with a client
-//!   read cache and a writethrough server cache (the paper's Exp 3 setup).
+//!   local or mounted remotely over a network link.
 //!
-//! All of them report failures as [`pagecache::FsError`], the error type the
+//! Both report failures as [`pagecache::FsError`], the error type the
 //! kernel emulator shares. The workflow layer's `Backend` enum drives them,
-//! and the emulator, by calling each one's own methods.
+//! and the emulator, by calling each one's own methods. A cached NFS mount
+//! (client read cache, writethrough server cache: the paper's Exp 3 setup)
+//! is the workflow layer's storage fleet with one client and one server,
+//! each server a [`CachedFileSystem`].
 
 #![warn(missing_docs)]
 
 mod local;
-mod nfs;
 mod registry;
 
 pub use local::{CachedFileSystem, DirectFileSystem};
-pub use nfs::{NfsFileSystem, NfsServer};
 pub use registry::FileRegistry;

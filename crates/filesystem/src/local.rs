@@ -15,8 +15,8 @@ use crate::registry::FileRegistry;
 /// [`check_write_range`] rejects.
 ///
 /// Shared by every filesystem whose registration is a [`FileRegistry`]
-/// (the local and direct filesystems and NFS), so the extend-never-shrink
-/// rule lives in one place.
+/// (the cached and direct filesystems), so the extend-never-shrink rule
+/// lives in one place.
 pub(crate) fn extend_for_write(
     registry: &FileRegistry,
     disk: &Disk,
@@ -111,8 +111,17 @@ impl CachedFileSystem {
         offset: f64,
         len: f64,
     ) -> Result<IoOpStats, FsError> {
-        extend_for_write(&self.registry, &self.disk, file, offset, len)?;
+        self.reserve(file, offset, len)?;
         Ok(self.io.write_amount(file, len).await)
+    }
+
+    /// Grows the registration of `file` to cover a write of `len` bytes at
+    /// `offset`, allocating the extra space on the disk, without simulating
+    /// any I/O: the first step of [`CachedFileSystem::write_range`]. A
+    /// writer that ships the data in chunks reserves the whole range first,
+    /// so a full disk fails the write before any byte moves.
+    pub fn reserve(&self, file: &FileId, offset: f64, len: f64) -> Result<(), FsError> {
+        extend_for_write(&self.registry, &self.disk, file, offset, len)
     }
 
     /// Flushes the file's dirty cached data to disk synchronously (`fsync`).

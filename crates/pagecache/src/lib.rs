@@ -62,5 +62,5 @@ pub use error::FsError;
 pub use file_table::{FileTable, ReclaimScope, SlotScope};
 pub use lru::{ListKind, LruLists, LruWork, EPSILON};
 pub use manager::{MemoryManager, MemoryManagerCounters};
-pub use policy::{EvictionPolicy, FileMeta, Policy, MAX_TIERS};
+pub use policy::{EvictionPolicy, FileMeta, Policy, ACTIVE_TIER, MAX_TIERS};
 pub use stats::{CacheContentSnapshot, IoOpStats, MemorySample, MemoryTrace};

@@ -8,10 +8,10 @@
 //! blocks, each ordered by last access time (earliest first, so the least
 //! recently used data is always at the front), with O(1) incremental byte
 //! aggregates and O(1) intrusive re-linking. Which tier a block joins on
-//! first touch, where a re-accessed block is promoted, which tiers eviction
-//! may reclaim from and in what order, and when blocks demote between tiers
-//! are all *policy* decisions, delegated to a [`Policy`] value
-//! (see [`crate::policy`]).
+//! first touch, which tiers eviction may reclaim from, and when blocks
+//! demote between tiers are *policy* decisions, delegated to a [`Policy`]
+//! value (see [`crate::policy`]); a re-accessed block always moves to
+//! [`ACTIVE_TIER`].
 //!
 //! Under the default [`EvictionPolicy::TwoList`] policy this reproduces the
 //! kernel behaviour the paper models bit-for-bit: tier 0 is the *inactive*
@@ -141,7 +141,7 @@ use des::SimTime;
 
 use crate::block::{DataBlock, FileId};
 use crate::file_table::{FileTable, ReclaimScope, SlotScope};
-use crate::policy::{EvictionPolicy, Policy, MAX_TIERS};
+use crate::policy::{EvictionPolicy, Policy, ACTIVE_TIER, MAX_TIERS};
 
 /// Bytes below which two amounts are considered equal.
 pub const EPSILON: f64 = 1e-6;
@@ -990,7 +990,7 @@ impl LruLists {
         if self.files.get(s).bytes.cached <= EPSILON {
             return 0.0;
         }
-        let dest = self.policy.promote_tier();
+        let dest = ACTIVE_TIER;
         let taken = self.take_for_read(s, amount);
         let mut clean_total = 0.0;
         let mut read_total = 0.0;

@@ -20,11 +20,11 @@
 //!
 //! `pagecache::lru` keeps [`MAX_TIERS`] physical lists ("tiers"), each an
 //! intrusive recency chain with incremental aggregates, scanned
-//! reclaim-first tier 0 first. The policy decides everything tier-shaped:
+//! reclaim-first tier 0 first. A re-accessed block always moves to
+//! [`ACTIVE_TIER`]; the policy decides everything else tier-shaped:
 //!
 //! * [`Policy::insert_tier`] — where a first-touch block lands (2Q routes
 //!   ghost-hit files straight to Am);
-//! * [`Policy::promote_tier`] — where a re-accessed block goes;
 //! * [`Policy::evictable_tiers`] — which tiers eviction may reclaim from
 //!   (the 2-list policy protects its active tier);
 //! * [`Policy::demotion`] — the rebalance rule (the 2-list policy's "active
@@ -53,6 +53,10 @@ use crate::lru::EPSILON;
 
 /// Number of physical tiers (lists) the policies use.
 pub const MAX_TIERS: usize = 2;
+
+/// Tier a re-accessed block moves to under every policy: the 2-list
+/// policy's active list, 2Q's main queue (Am).
+pub const ACTIVE_TIER: usize = 1;
 
 /// Capacity of the 2Q ghost FIFO (A1out), in distinct files.
 const TWO_Q_GHOSTS: usize = 64;
@@ -156,11 +160,6 @@ impl Policy {
             // probationary.
             EvictionPolicy::TwoQ => self.ghost_hit(file) as usize,
         }
-    }
-
-    /// Tier a re-accessed block is re-inserted into.
-    pub fn promote_tier(&self) -> usize {
-        1
     }
 
     /// Which tiers eviction may reclaim clean blocks from. Static per
@@ -284,7 +283,6 @@ mod tests {
         struct Expect {
             kind: EvictionPolicy,
             insert: usize,
-            promote: usize,
             evictable: [bool; MAX_TIERS],
             /// `file_rank` of a cold and a hot file.
             ranks: [u32; 2],
@@ -296,7 +294,6 @@ mod tests {
             Expect {
                 kind: EvictionPolicy::TwoList,
                 insert: 0,
-                promote: 1,
                 evictable: [true, false],
                 ranks: [0, 0],
                 ghost_round_trip: false,
@@ -304,7 +301,6 @@ mod tests {
             Expect {
                 kind: EvictionPolicy::TwoQ,
                 insert: 0,
-                promote: 1,
                 evictable: [true, true],
                 ranks: [0, 1],
                 ghost_round_trip: true,
@@ -315,7 +311,6 @@ mod tests {
             let kind = e.kind;
             let mut p = kind.build();
             assert_eq!(p.insert_tier(&f), e.insert, "{kind} insert");
-            assert_eq!(p.promote_tier(), e.promote, "{kind} promote");
             assert_eq!(p.evictable_tiers(), e.evictable, "{kind} evictable");
 
             let cold = FileMeta::default();
@@ -339,7 +334,6 @@ mod tests {
     fn two_list_reproduces_historical_answers() {
         let mut p = EvictionPolicy::TwoList.build();
         assert_eq!(p.insert_tier(&"f".into()), 0);
-        assert_eq!(p.promote_tier(), 1);
         assert_eq!(p.evictable_tiers(), [true, false]);
         // The 2x demotion rule, byte for byte.
         assert_eq!(p.demotion(&[10.0, 21.0], &[1, 1]), Some((1, 0)));

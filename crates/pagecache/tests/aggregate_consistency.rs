@@ -649,15 +649,15 @@ fn arena_lru_matches_naive_scan_model_over_10k_random_ops() {
 // generalized tier model driving its own copy of the same policy state.
 // ---------------------------------------------------------------------------
 
-use pagecache::{EvictionPolicy, Policy, MAX_TIERS};
+use pagecache::{EvictionPolicy, Policy, ACTIVE_TIER, MAX_TIERS};
 
 /// A generalized scan-based model of `LruLists` under any [`Policy`]:
 /// [`MAX_TIERS`] `VecDeque` tiers sorted by last access, no incremental
 /// counters, no coalescing. It owns its own copy of the policy state and
 /// calls the tier hooks in exactly the sequence the arena does (one
-/// `insert_tier` per add, one `promote_tier` per cached read, `on_evict`
-/// per reclaimed block), so 2Q's ghost FIFO evolves identically on both
-/// sides. `on_evict` call counts may differ where the arena coalesced
+/// `insert_tier` per add, `on_evict` per reclaimed block; a cached read
+/// moves to [`ACTIVE_TIER`]), so 2Q's ghost FIFO evolves identically on
+/// both sides. `on_evict` call counts may differ where the arena coalesced
 /// adjacent blocks, which is safe because 2Q's ghost insert is
 /// push-if-absent.
 struct NaivePolicy {
@@ -790,7 +790,7 @@ impl NaivePolicy {
         if amount <= EPSILON || self.cached_amount(file) <= EPSILON {
             return 0.0;
         }
-        let dest = self.policy.promote_tier();
+        let dest = ACTIVE_TIER;
         let taken = self.take_for_read(file, amount);
         let mut clean_total = 0.0;
         let mut read_total = 0.0;

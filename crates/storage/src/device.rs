@@ -293,11 +293,6 @@ impl NetworkLink {
         self.link.transfer(bytes).await;
     }
 
-    /// The underlying shared channel.
-    pub fn channel(&self) -> &SharedResource {
-        &self.link
-    }
-
     /// Time an uncontended transfer of `bytes` would take.
     pub fn ideal_time(&self, bytes: f64) -> f64 {
         self.link.ideal_time(bytes)

@@ -9,11 +9,12 @@
 //! | [`SimulatorKind::KernelEmu`] | the real cluster | measured (asymmetric) | page-granularity emulator |
 //!
 //! [`Backend::build`] picks and constructs the filesystem for a
-//! platform/simulator combination: one of the three `simfs` filesystems
-//! ([`CachedFileSystem`], [`DirectFileSystem`] — local, or mounted over an
-//! NFS link for cacheless NFS — and [`NfsFileSystem`]), the kernel emulator
-//! ([`KernelFileSystem`]), or the replicated storage fleet
-//! ([`crate::net::FleetClient`], for [`StorageKind::Fleet`] platforms).
+//! platform/simulator combination: one of the two `simfs` filesystems
+//! ([`CachedFileSystem`], or [`DirectFileSystem`] — local, or mounted over
+//! an NFS link for cacheless NFS), the kernel emulator
+//! ([`KernelFileSystem`]), or the storage fleet ([`crate::net::FleetClient`]):
+//! replicated for [`StorageKind::Fleet`] platforms, and one client and one
+//! writethrough server for cached NFS ([`StorageKind::Nfs`]).
 //! Each [`Backend`] method matches on the variant and calls that
 //! filesystem's own method, so the runner stays monomorphic (no `dyn`) and
 //! each operation's per-back-end semantics sit in one `match`.
@@ -24,9 +25,9 @@
 //! |---|---|---|
 //! | cached local | targeted per-file dirty writeback at disk bandwidth | flush all dirty data |
 //! | direct (local or NFS) | no-op (writes are synchronous) | no-op |
-//! | NFS | no-op (no client write cache; writethrough server) | no-op |
 //! | kernel emulator | per-file dirty-page writeback, counted as throttled writeback | flush all dirty pages |
 //! | fleet | flush the file on every reachable replica (write-back servers) | flush all reachable servers |
+//! | fleet on NFS | flushes nothing (no client write cache; writethrough server) | flushes nothing |
 
 use std::collections::BTreeMap;
 
@@ -36,11 +37,11 @@ use pagecache::{
     CacheContentSnapshot, FileId, FsError, IoController, IoOpStats, MemoryManager, MemorySample,
     MemoryTrace,
 };
-use simfs::{CachedFileSystem, DirectFileSystem, NfsFileSystem, NfsServer};
+use simfs::{CachedFileSystem, DirectFileSystem};
 use storage_model::{Disk, MemoryDevice, NetworkLink};
 
 use crate::faults::{CrashReport, FileDurability, InjectedFault};
-use crate::net::{FleetClient, NetReport};
+use crate::net::{FleetClient, FleetSpec, NetReport};
 use crate::platform::{DeviceSet, PlatformSpec, StorageKind};
 use crate::report::WritebackCounters;
 
@@ -145,11 +146,11 @@ pub enum Backend {
     /// Filesystem without page caching (vanilla WRENCH behaviour), local or
     /// mounted over an NFS link.
     Direct(DirectFileSystem),
-    /// NFS mount (client read cache, writethrough server).
-    Nfs(NfsFileSystem),
     /// The kernel-fidelity emulator.
     Kernel(KernelFileSystem),
-    /// One client's view of a replicated storage fleet (see [`crate::net`]).
+    /// One client's view of a storage fleet (see [`crate::net`]): a
+    /// replicated fleet, or a cached NFS mount as one client and one
+    /// writethrough server.
     Fleet(FleetClient),
 }
 
@@ -161,7 +162,6 @@ impl Backend {
         match self {
             Backend::Cached(fs) => fs.create_file(file, size)?,
             Backend::Direct(fs) => fs.create_file(file, size)?,
-            Backend::Nfs(fs) => fs.create_file(file, size)?,
             Backend::Kernel(fs) => fs.create_file(file, size)?,
             Backend::Fleet(fleet) => fleet.create_file(file, size)?,
         }
@@ -180,7 +180,6 @@ impl Backend {
         Ok(match self {
             Backend::Cached(fs) => fs.read_range(file, offset, len).await?,
             Backend::Direct(fs) => fs.read_range(file, offset, len).await?,
-            Backend::Nfs(fs) => fs.read_range(file, offset, len).await?,
             Backend::Kernel(fs) => fs.read_range(file, offset, len).await?,
             Backend::Fleet(fleet) => fleet.read_range(file, offset, len).await?,
         })
@@ -199,7 +198,6 @@ impl Backend {
         Ok(match self {
             Backend::Cached(fs) => fs.write_range(file, offset, len).await?,
             Backend::Direct(fs) => fs.write_range(file, offset, len).await?,
-            Backend::Nfs(fs) => fs.write_range(file, offset, len).await?,
             Backend::Kernel(fs) => fs.write_range(file, offset, len).await?,
             Backend::Fleet(fleet) => fleet.write_range(file, offset, len).await?,
         })
@@ -212,7 +210,6 @@ impl Backend {
         Ok(match self {
             Backend::Cached(fs) => fs.fsync(file).await?,
             Backend::Direct(fs) => fs.fsync(file).await?,
-            Backend::Nfs(fs) => fs.fsync(file).await?,
             Backend::Kernel(fs) => fs.fsync(file).await?,
             Backend::Fleet(fleet) => fleet.fsync(file).await?,
         })
@@ -223,15 +220,13 @@ impl Backend {
         Ok(match self {
             Backend::Cached(fs) => fs.sync().await,
             Backend::Direct(fs) => fs.sync().await,
-            Backend::Nfs(fs) => fs.sync().await,
             Backend::Kernel(fs) => fs.sync().await,
             Backend::Fleet(fleet) => fleet.sync().await?,
         })
     }
 
     /// Starts the background flusher / writeback threads of the back-ends
-    /// that write back (the NFS client has no write cache and its server is
-    /// writethrough).
+    /// that write back (a fleet starts them on its write-back servers only).
     pub fn start_background(&self) {
         match self {
             Backend::Cached(fs) => {
@@ -241,7 +236,7 @@ impl Backend {
                 fs.cache().spawn_writeback_threads();
             }
             Backend::Fleet(fleet) => fleet.start_background(),
-            Backend::Direct(_) | Backend::Nfs(_) => {}
+            Backend::Direct(_) => {}
         }
     }
 
@@ -251,7 +246,7 @@ impl Backend {
             Backend::Cached(fs) => fs.memory_manager().stop(),
             Backend::Kernel(fs) => fs.cache().stop(),
             Backend::Fleet(fleet) => fleet.stop_background(),
-            Backend::Direct(_) | Backend::Nfs(_) => {}
+            Backend::Direct(_) => {}
         }
     }
 
@@ -260,7 +255,6 @@ impl Backend {
     pub fn release_anonymous_memory(&self, amount: f64) {
         match self {
             Backend::Cached(fs) => fs.memory_manager().release_anonymous_memory(amount),
-            Backend::Nfs(fs) => fs.client_memory_manager().release_anonymous_memory(amount),
             Backend::Kernel(fs) => fs.cache().release_anonymous_memory(amount),
             Backend::Fleet(fleet) => fleet
                 .client_memory_manager()
@@ -274,7 +268,6 @@ impl Backend {
     pub fn sample_memory(&self) -> Option<MemorySample> {
         match self {
             Backend::Cached(fs) => Some(fs.memory_manager().sample()),
-            Backend::Nfs(fs) => Some(fs.client_memory_manager().sample()),
             Backend::Kernel(fs) => Some(fs.cache().sample()),
             Backend::Fleet(fleet) => Some(fleet.client_memory_manager().sample()),
             Backend::Direct(_) => None,
@@ -285,7 +278,6 @@ impl Backend {
     pub fn memory_trace(&self) -> Option<MemoryTrace> {
         match self {
             Backend::Cached(fs) => Some(fs.memory_manager().trace()),
-            Backend::Nfs(fs) => Some(fs.client_memory_manager().trace()),
             Backend::Kernel(fs) => Some(fs.cache().trace()),
             Backend::Fleet(fleet) => Some(fleet.client_memory_manager().trace()),
             Backend::Direct(_) => None,
@@ -297,7 +289,6 @@ impl Backend {
     pub fn cache_snapshot(&self, label: &str) -> Option<CacheContentSnapshot> {
         match self {
             Backend::Cached(fs) => Some(fs.memory_manager().cache_content_snapshot(label)),
-            Backend::Nfs(fs) => Some(fs.client_memory_manager().cache_content_snapshot(label)),
             Backend::Kernel(fs) => Some(fs.cache().cache_content_snapshot(label)),
             Backend::Fleet(fleet) => {
                 Some(fleet.client_memory_manager().cache_content_snapshot(label))
@@ -312,7 +303,6 @@ impl Backend {
     pub fn writeback_counters(&self) -> Option<WritebackCounters> {
         match self {
             Backend::Cached(fs) => Some(model_writeback(fs.memory_manager())),
-            Backend::Nfs(fs) => Some(model_writeback(fs.client_memory_manager())),
             Backend::Kernel(fs) => {
                 let c = fs.cache().counters();
                 Some(WritebackCounters {
@@ -332,7 +322,7 @@ impl Backend {
         match self {
             Backend::Cached(fs) => fs.memory_manager().set_file_group(file, Some(group)),
             Backend::Kernel(fs) => fs.cache().set_file_group(file, Some(group)),
-            Backend::Direct(_) | Backend::Nfs(_) | Backend::Fleet(_) => {}
+            Backend::Direct(_) | Backend::Fleet(_) => {}
         }
     }
 
@@ -357,7 +347,7 @@ impl Backend {
                     .enforce_group_limits(group, max_bytes, max_dirty)
                     .await
             }
-            Backend::Direct(_) | Backend::Nfs(_) | Backend::Fleet(_) => (0.0, 0.0),
+            Backend::Direct(_) | Backend::Fleet(_) => (0.0, 0.0),
         }
     }
 
@@ -372,13 +362,6 @@ impl Backend {
             Backend::Cached(fs) => crash_cached(fs),
             // Every write went straight to the disk: nothing to lose.
             Backend::Direct(fs) => CrashReport::all_durable(fs.registry().list()),
-            Backend::Nfs(fs) => {
-                // No client write cache and a writethrough server: only the
-                // warm read caches are lost, every written byte is durable.
-                fs.client_memory_manager().crash_discard();
-                fs.server().memory_manager().crash_discard();
-                CrashReport::all_durable(fs.registry().list())
-            }
             Backend::Kernel(fs) => {
                 // The emulator keeps a byte-exact dirty-range ledger: the
                 // durable ranges are its complement within each file.
@@ -444,38 +427,26 @@ impl Backend {
                 ))
             }
             (StorageKind::Nfs, SimulatorKind::Cacheless) => {
-                let link = nfs_link(ctx, &devices);
+                let link = NetworkLink::new(
+                    ctx,
+                    "nfs-link",
+                    devices.network_bandwidth,
+                    devices.network_latency,
+                );
                 let server_disk = Disk::new(ctx, "nfs-server-disk", devices.remote_disk);
                 Ok(Backend::Direct(
                     DirectFileSystem::new(ctx, server_disk).with_link(link),
                 ))
             }
             (StorageKind::Nfs, SimulatorKind::PageCache | SimulatorKind::KernelEmu) => {
-                // The ground truth for NFS uses the same macroscopic NFS model
-                // but with the measured bandwidths: the cache-relevant kernel
-                // behaviours (dirty thresholds, write protection) play no role
-                // because the server cache is writethrough and the client has
-                // no write cache.
-                let client_mm = MemoryManager::new(
-                    ctx,
-                    platform.cache_config(platform.host_memory),
-                    memory,
-                    disk,
-                );
-                let server_memory = MemoryDevice::new(ctx, devices.memory);
-                let server_disk = Disk::new(ctx, "nfs-server-disk", devices.remote_disk);
-                let server_mm = MemoryManager::new(
-                    ctx,
-                    platform.cache_config(platform.server_memory).writethrough(),
-                    server_memory,
-                    server_disk,
-                );
-                let link = nfs_link(ctx, &devices);
-                let server = NfsServer::new(IoController::new(ctx, server_mm));
-                Ok(Backend::Nfs(
-                    NfsFileSystem::new(ctx, client_mm, link, server)
-                        .with_chunk_size(platform.chunk_size),
-                ))
+                // A 1×1 fleet, writethrough on NFS. The ground truth runs the
+                // same macroscopic model on the measured bandwidths: the
+                // kernel behaviours (dirty thresholds, write protection) play
+                // no role with a writethrough server and no client write cache.
+                let spec = FleetSpec::new(1, 1, 1);
+                Ok(Backend::Fleet(FleetClient::build(
+                    ctx, platform, &devices, &spec,
+                )?))
             }
             (StorageKind::Nfs, SimulatorKind::Prototype) => Err(ScenarioError::Unsupported(
                 "the Python prototype does not simulate network filesystems".to_string(),
@@ -519,16 +490,6 @@ impl Backend {
     pub fn net_report(&self) -> Option<NetReport> {
         self.fleet().map(FleetClient::net_report)
     }
-}
-
-/// The single client–server link of the NFS back-ends.
-fn nfs_link(ctx: &SimContext, devices: &DeviceSet) -> NetworkLink {
-    NetworkLink::new(
-        ctx,
-        "nfs-link",
-        devices.network_bandwidth,
-        devices.network_latency,
-    )
 }
 
 /// Writeback/eviction counters of a macroscopic page cache.
@@ -629,7 +590,8 @@ mod tests {
     }
 
     /// One configuration per filesystem a [`Backend`] can wrap: direct
-    /// (local and over NFS), cached, kernel emulator, NFS and fleet.
+    /// (local and over NFS), cached, kernel emulator, and fleet (as cached
+    /// NFS and replicated).
     fn every_filesystem() -> [(SimulatorKind, PlatformSpec); 6] {
         [
             (SimulatorKind::Cacheless, platform()),
@@ -675,6 +637,244 @@ mod tests {
         // disk (1 s) + network (0.155 s), both directions.
         assert!((r - 1.155).abs() < 0.01, "read {r}");
         assert!((w - 1.155).abs() < 0.01, "write {w}");
+    }
+
+    /// A cached NFS mount on 1000 MB/s memory, 100 MB/s disks and a
+    /// 500 MB/s link, with the given client and server memory.
+    fn nfs_mount(sim: &Simulation, client_memory: f64, server_memory: f64) -> Backend {
+        let mut p = PlatformSpec::uniform(
+            client_memory,
+            DeviceSpec::symmetric(1000.0 * MB, 0.0, f64::INFINITY),
+            DeviceSpec::symmetric(100.0 * MB, 0.0, f64::INFINITY),
+        )
+        .with_nfs();
+        p.server_memory = server_memory;
+        p.simulated.network_bandwidth = 500.0 * MB;
+        Backend::build(&sim.context(), &p, SimulatorKind::PageCache).unwrap()
+    }
+
+    /// The NFS server's filesystem behind a cached NFS mount.
+    fn nfs_server(backend: &Backend) -> &CachedFileSystem {
+        backend.fleet().unwrap().server_fs(0)
+    }
+
+    /// Bytes carried so far by the client–server link of a cached NFS mount.
+    fn nfs_link_bytes(backend: &Backend) -> f64 {
+        let fleet = backend.fleet().unwrap();
+        let link = fleet.fabric().link_channel(&crate::net::server_link(0));
+        link.unwrap().total_bytes()
+    }
+
+    fn approx(a: f64, b: f64) {
+        assert!(
+            (a - b).abs() < 1e-6 * b.abs().max(1.0),
+            "expected {b}, got {a}"
+        );
+    }
+
+    #[test]
+    fn nfs_cold_read_costs_server_disk_plus_link() {
+        let sim = Simulation::new();
+        let backend = nfs_mount(&sim, 10.0 * GB, 10.0 * GB);
+        backend.create_file(&"f".into(), 500.0 * MB).unwrap();
+        let h = sim.spawn({
+            let backend = backend.clone();
+            async move {
+                backend
+                    .read_range(&"f".into(), 0.0, f64::INFINITY)
+                    .await
+                    .unwrap()
+            }
+        });
+        sim.run();
+        let stats = h.try_take_result().unwrap();
+        approx(stats.bytes_from_disk, 500.0 * MB);
+        // Server disk (5 s) + link (1 s), chunk after chunk.
+        approx(stats.duration, 6.0);
+        // Both caches now hold the file.
+        let client = backend.fleet().unwrap().client_memory_manager();
+        approx(client.cached_amount(&"f".into()), 500.0 * MB);
+        let server = nfs_server(&backend).memory_manager();
+        approx(server.cached_amount(&"f".into()), 500.0 * MB);
+    }
+
+    #[test]
+    fn nfs_warm_read_puts_no_bytes_on_the_link() {
+        let sim = Simulation::new();
+        let backend = nfs_mount(&sim, 10.0 * GB, 10.0 * GB);
+        backend.create_file(&"f".into(), 500.0 * MB).unwrap();
+        let h = sim.spawn({
+            let backend = backend.clone();
+            async move {
+                let f = "f".into();
+                backend.read_range(&f, 0.0, f64::INFINITY).await.unwrap();
+                let link_before = nfs_link_bytes(&backend);
+                let warm = backend.read_range(&f, 0.0, f64::INFINITY).await.unwrap();
+                (warm, nfs_link_bytes(&backend) - link_before)
+            }
+        });
+        sim.run();
+        let (warm, link_bytes) = h.try_take_result().unwrap();
+        approx(warm.bytes_from_cache, 500.0 * MB);
+        approx(link_bytes, 0.0);
+        // Client memory bandwidth only.
+        approx(warm.duration, 0.5);
+    }
+
+    #[test]
+    fn nfs_write_is_writethrough_and_caches_on_the_server_only() {
+        let sim = Simulation::new();
+        let backend = nfs_mount(&sim, 10.0 * GB, 10.0 * GB);
+        backend.start_background();
+        let h = sim.spawn({
+            let backend = backend.clone();
+            async move {
+                let stats = backend
+                    .write_range(&"out".into(), 0.0, 300.0 * MB)
+                    .await
+                    .unwrap();
+                backend.stop_background();
+                stats
+            }
+        });
+        sim.run();
+        let stats = h.try_take_result().unwrap();
+        approx(stats.bytes_to_disk, 300.0 * MB);
+        // Link (0.6 s) + server disk (3 s), chunk after chunk.
+        approx(stats.duration, 3.6);
+        // The run ends with the write: a writethrough server runs no
+        // periodical flusher whose last sleep would outlast it.
+        assert_eq!(sim.now().as_secs(), stats.duration);
+        // No dirty data anywhere; no client cache for writes.
+        let server = nfs_server(&backend);
+        approx(server.memory_manager().dirty(), 0.0);
+        approx(
+            server.memory_manager().cached_amount(&"out".into()),
+            300.0 * MB,
+        );
+        let client = backend.fleet().unwrap().client_memory_manager();
+        approx(client.cached_amount(&"out".into()), 0.0);
+        approx(server.disk().used(), 300.0 * MB);
+    }
+
+    #[test]
+    fn nfs_read_after_write_hits_the_server_cache() {
+        let sim = Simulation::new();
+        let backend = nfs_mount(&sim, 10.0 * GB, 10.0 * GB);
+        let h = sim.spawn({
+            let backend = backend.clone();
+            async move {
+                let out = "out".into();
+                backend.write_range(&out, 0.0, 300.0 * MB).await.unwrap();
+                let disk_before = nfs_server(&backend).disk().total_bytes_read();
+                let read = backend.read_range(&out, 0.0, f64::INFINITY).await.unwrap();
+                let disk_read = nfs_server(&backend).disk().total_bytes_read() - disk_before;
+                (read, disk_read)
+            }
+        });
+        sim.run();
+        let (read, disk_read) = h.try_take_result().unwrap();
+        approx(disk_read, 0.0);
+        approx(read.bytes_from_cache, 300.0 * MB);
+        approx(read.bytes_from_disk, 0.0);
+    }
+
+    #[test]
+    fn nfs_overwrite_invalidates_the_writers_client_copy() {
+        // Close-to-open: a write drops the writer's cached copy, so the
+        // next read crosses the link again (and hits the server cache).
+        let sim = Simulation::new();
+        let backend = nfs_mount(&sim, 10.0 * GB, 10.0 * GB);
+        backend.create_file(&"f".into(), 100.0 * MB).unwrap();
+        let h = sim.spawn({
+            let backend = backend.clone();
+            async move {
+                let f = "f".into();
+                backend.read_range(&f, 0.0, f64::INFINITY).await.unwrap();
+                backend.write_range(&f, 0.0, 100.0 * MB).await.unwrap();
+                let link_before = nfs_link_bytes(&backend);
+                let reread = backend.read_range(&f, 0.0, f64::INFINITY).await.unwrap();
+                (reread, nfs_link_bytes(&backend) - link_before)
+            }
+        });
+        sim.run();
+        let (reread, link_bytes) = h.try_take_result().unwrap();
+        approx(link_bytes, 100.0 * MB);
+        approx(reread.bytes_from_cache, 100.0 * MB);
+        approx(reread.bytes_from_disk, 0.0);
+    }
+
+    #[test]
+    fn nfs_missing_file_is_not_found() {
+        let sim = Simulation::new();
+        let backend = nfs_mount(&sim, 1.0 * GB, 1.0 * GB);
+        let h = sim.spawn({
+            let backend = backend.clone();
+            async move {
+                backend
+                    .read_range(&"missing".into(), 0.0, f64::INFINITY)
+                    .await
+            }
+        });
+        sim.run();
+        assert!(matches!(
+            h.try_take_result().unwrap(),
+            Err(ScenarioError::Filesystem(FsError::FileNotFound(_)))
+        ));
+    }
+
+    #[test]
+    fn nfs_small_server_memory_bounds_the_server_cache() {
+        // The server has 200 MB of RAM: a 500 MB file cannot all stay cached.
+        let sim = Simulation::new();
+        let backend = nfs_mount(&sim, 10.0 * GB, 200.0 * MB);
+        let h = sim.spawn({
+            let backend = backend.clone();
+            async move {
+                backend
+                    .write_range(&"big".into(), 0.0, 500.0 * MB)
+                    .await
+                    .unwrap()
+            }
+        });
+        sim.run();
+        assert!(h.is_finished());
+        let server = nfs_server(&backend).memory_manager();
+        assert!(server.cached() <= 200.0 * MB + 1.0);
+        server.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn a_write_past_a_full_disk_fails_as_disk_full_before_any_io() {
+        // 2 GB written onto 1 GB disks: the disk refuses the range before
+        // any byte moves. On remote storage that is not a network fault to
+        // retry, on a single server (NFS, a 1×1 fleet) or on every replica.
+        let mut rows = on_one_gb_disks();
+        let mut nfs = platform().with_nfs();
+        let mut one_server = platform().with_fleet(FleetSpec::new(1, 1, 1));
+        for p in [&mut nfs, &mut one_server] {
+            for set in [&mut p.simulated, &mut p.real] {
+                set.remote_disk.capacity = 1.0 * GB;
+            }
+        }
+        rows.push((SimulatorKind::KernelEmu, nfs));
+        rows.push((SimulatorKind::PageCache, one_server));
+        for (kind, p) in rows {
+            let sim = Simulation::new();
+            let backend = Backend::build(&sim.context(), &p, kind).unwrap();
+            let h = sim.spawn({
+                let backend = backend.clone();
+                async move { backend.write_range(&"f".into(), 0.0, 2.0 * GB).await }
+            });
+            sim.run();
+            let r = h.try_take_result().unwrap();
+            assert!(
+                matches!(r, Err(ScenarioError::Filesystem(FsError::DiskFull(_)))),
+                "{kind:?} {:?}: {r:?}",
+                p.storage
+            );
+            assert_eq!(sim.now().as_secs(), 0.0, "{kind:?} {:?}", p.storage);
+        }
     }
 
     #[test]

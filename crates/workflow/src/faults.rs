@@ -29,12 +29,14 @@
 //!   the window fails transiently (a retry after the window succeeds).
 //!   No-op on local-storage scenarios.
 //! * [`FaultEvent::LinkDown`], [`FaultEvent::Partition`],
-//!   [`FaultEvent::ServerCrash`] — network-tier faults for fleet scenarios
-//!   (see [`crate::net`]): a fabric link dies (in-flight flows force-drained),
-//!   host groups are partitioned, or one storage server crashes for good
-//!   (its durability recorded by the per-server crash oracle). Outage
-//!   durations may be `f64::INFINITY`; clients are expected to complete
-//!   degraded, not hang. Inert on non-fleet scenarios.
+//!   [`FaultEvent::ServerCrash`] — network-tier faults for fleet and NFS
+//!   storage (see [`crate::net`]; cached NFS is a fleet of one client,
+//!   `client00`, and one server, `server00`, behind `link-server00`): a
+//!   fabric link dies (in-flight flows force-drained), host groups are
+//!   partitioned, or one storage server crashes for good (its durability
+//!   recorded by the per-server crash oracle). Outage durations may be
+//!   `f64::INFINITY`; clients are expected to complete degraded, not hang.
+//!   Inert on local storage and on cacheless NFS.
 //!
 //! ## Durability guarantees per back-end
 //!
@@ -42,7 +44,8 @@
 //! |---|---|---|
 //! | cached local | writeback cache | everything except dirty bytes; positions approximated from the dirty amount |
 //! | kernel emulator | writeback cache | byte-exact: the complement of the per-file dirty-range ledger |
-//! | NFS | writethrough | everything (only warm read cache is lost) |
+//! | replicated fleet | writeback server caches | per file, its most durable replica |
+//! | cached NFS (a 1×1 fleet) | writethrough server | everything (only warm read caches are lost) |
 //! | direct local / direct NFS | synchronous | everything |
 
 use std::cell::{Cell, RefCell};
@@ -173,8 +176,8 @@ pub enum FaultEvent {
     /// One fabric link goes down for `duration` seconds starting at `at`:
     /// in-flight flows on the link are force-drained (aborted) and new
     /// transfers fail until the link heals. `duration` may be
-    /// `f64::INFINITY` for a link that never comes back. Fleet scenarios
-    /// only; inert elsewhere.
+    /// `f64::INFINITY` for a link that never comes back. Fleet and NFS
+    /// storage only; inert elsewhere.
     LinkDown {
         /// Name of the fabric link.
         link: String,
@@ -186,7 +189,8 @@ pub enum FaultEvent {
     /// A network partition from `at` for `duration` seconds: hosts in
     /// different groups cannot reach each other (hosts absent from every
     /// group are unaffected). `duration` may be `f64::INFINITY` for a
-    /// partition that never heals. Fleet scenarios only; inert elsewhere.
+    /// partition that never heals. Fleet and NFS storage only; inert
+    /// elsewhere.
     Partition {
         /// The host groups; traffic between different groups is cut.
         groups: Vec<Vec<String>>,
@@ -198,7 +202,7 @@ pub enum FaultEvent {
     /// A storage server host crashes at `at`: its page cache is lost (the
     /// per-server durability oracle records what survived on its disk) and
     /// it never comes back; clients fail over to the surviving replicas.
-    /// Fleet scenarios only; inert elsewhere.
+    /// Fleet and NFS storage only; inert elsewhere.
     ServerCrash {
         /// Name of the server host (e.g. `"server00"`).
         host: String,
@@ -247,7 +251,8 @@ impl FaultPlan {
 
     /// Whether the plan contains network fault events ([`FaultEvent::LinkDown`],
     /// [`FaultEvent::Partition`], [`FaultEvent::ServerCrash`]). These drive
-    /// the fleet fabric and are inert on non-fleet scenarios.
+    /// the fleet fabric (fleet and cached NFS storage) and are inert
+    /// elsewhere.
     pub fn has_net_events(&self) -> bool {
         self.events.iter().any(|e| {
             matches!(

@@ -14,7 +14,9 @@
 //! The [`net`] module adds a distributed tier on top: a simulated link
 //! fabric with partitions and a replicated storage fleet
 //! ([`PlatformSpec::with_fleet`]) whose clients ride out faults with
-//! timeouts, backoff retries, hedged reads, and failover.
+//! timeouts, backoff retries, hedged reads, and failover. A cached NFS
+//! mount ([`PlatformSpec::with_nfs`]) is that fleet with one client and one
+//! writethrough server.
 //!
 //! All back-ends are served through the [`Backend`] enum, whose I/O is
 //! **offset-granular** and has one form per operation: `read_range`,

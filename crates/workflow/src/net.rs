@@ -1,11 +1,16 @@
 //! Fault-tolerant network tier: a simulated link fabric plus a replicated
 //! storage fleet.
 //!
-//! This module generalises the single-link NFS model to a *fabric* of named
-//! hosts and shared links, and builds on it a **replicated storage fleet**:
-//! `N` client hosts (each with a private page cache) talking to `M` storage
-//! servers (each with its own write-back page cache and disk), with files
-//! placed on `R` replicas by a stable hash of the file name.
+//! This module models remote storage as a *fabric* of named hosts and
+//! shared links, and builds on it a **replicated storage fleet**: `N`
+//! client hosts (each with a private page cache) talking to `M` storage
+//! servers (each with its own page cache and disk), with files placed on
+//! `R` replicas by a stable hash of the file name.
+//!
+//! A cached NFS mount (the paper's Exp 3, [`crate::StorageKind::Nfs`]) is
+//! this fleet with one client, one server and one replica, whose server
+//! cache is writethrough; the servers of a [`crate::StorageKind::Fleet`]
+//! platform are write-back.
 //!
 //! ## Topology
 //!
@@ -14,8 +19,8 @@
 //! the server through that link, so concurrent requests from many clients to
 //! one server share its bandwidth fairly ([`storage_model::SharedResource`])
 //! and pay the link latency per transfer. A fabric link is the same shared
-//! channel as the plain [`storage_model::NetworkLink`] of the single-link
-//! NFS back-ends, so a one-link fabric times transfers identically.
+//! channel as the plain [`storage_model::NetworkLink`] of the cacheless NFS
+//! back-end, so a one-link fabric times transfers identically.
 //!
 //! ## Faults
 //!
@@ -38,7 +43,10 @@
 //! a failed task — rather than hanging or panicking. Writes go to every
 //! replica (primary first); a write succeeds if at least one replica accepts
 //! it, and replicas that missed it serve *stale* reads (counted in
-//! [`NetReport`]) until they catch up via a later write.
+//! [`NetReport`]) until they catch up via a later write. A server-side
+//! filesystem error (a full disk) is not a network fault: it is not
+//! retried, and a write no replica accepted fails with the first replica's
+//! [`pagecache::FsError`].
 //!
 //! Consistency is close-to-open-flavoured: a successful write invalidates
 //! the writer's own read cache, and every read is tagged with the version of
@@ -53,7 +61,8 @@ use std::rc::Rc;
 
 use des::{select2, Either, SimContext};
 use pagecache::{
-    check_write_range, clamp_io_range, FileId, IoController, IoOpStats, MemoryManager, EPSILON,
+    check_write_range, clamp_io_range, FileId, FsError, IoController, IoOpStats, MemoryManager,
+    WriteMode, EPSILON,
 };
 use simfs::{CachedFileSystem, FileRegistry};
 use storage_model::{AbortHandle, Disk, MemoryDevice, SharedResource, TransferOutcome};
@@ -62,7 +71,7 @@ use crate::backend::{crash_cached, model_writeback, ScenarioError};
 use crate::faults::{
     CrashReport, FileDurability, InjectedFault, InjectedFaultKind, OpClass, RetryPolicy,
 };
-use crate::platform::{DeviceSet, PlatformSpec};
+use crate::platform::{DeviceSet, PlatformSpec, StorageKind};
 use crate::report::WritebackCounters;
 
 /// Why a network operation could not complete.
@@ -86,8 +95,8 @@ pub enum NetError {
         /// The timeout that fired, in seconds.
         after: f64,
     },
-    /// The server could not serve the request (missing replica or a
-    /// server-side filesystem error such as a full disk).
+    /// The server could not serve the request (it holds no replica of the
+    /// file).
     ServerUnavailable(String),
 }
 
@@ -107,6 +116,19 @@ impl fmt::Display for NetError {
 }
 
 impl std::error::Error for NetError {}
+
+/// Why a write to one replica failed: the network (retried under the
+/// client policy) or the server's filesystem (final, e.g. a full disk).
+enum ReplicaWriteError {
+    Net,
+    Server(FsError),
+}
+
+impl From<NetError> for ReplicaWriteError {
+    fn from(_: NetError) -> Self {
+        ReplicaWriteError::Net
+    }
+}
 
 struct LinkState {
     channel: SharedResource,
@@ -669,15 +691,15 @@ impl FleetInner {
     /// Wraps a request in the policy's per-request timeout. Dropping the
     /// inner future on timeout is safe: in-flight link transfers are
     /// force-drained and timers are cancelled.
-    async fn with_timeout<T>(
+    async fn with_timeout<T, E: From<NetError>>(
         &self,
-        fut: impl Future<Output = Result<T, NetError>>,
+        fut: impl Future<Output = Result<T, E>>,
         timeout: f64,
-    ) -> Result<T, NetError> {
+    ) -> Result<T, E> {
         if timeout.is_finite() {
             match select2(fut, self.ctx.sleep(timeout)).await {
                 Either::Left(result) => result,
-                Either::Right(()) => Err(NetError::TimedOut { after: timeout }),
+                Either::Right(()) => Err(NetError::TimedOut { after: timeout }.into()),
             }
         } else {
             fut.await
@@ -755,9 +777,11 @@ impl FleetInner {
         }
     }
 
-    /// One write request to one replica: ship each chunk over the fabric,
-    /// then write it into the server's (write-back) page cache. A server
-    /// crash mid-operation is noticed at the next chunk boundary.
+    /// One write request to one replica: reserve the whole range on the
+    /// server's disk, then ship each chunk over the fabric and write it
+    /// through the server's page cache (write-back, or writethrough on
+    /// NFS). A server crash mid-operation is noticed at the next chunk
+    /// boundary.
     async fn write_once(
         &self,
         client: usize,
@@ -765,40 +789,42 @@ impl FleetInner {
         file: &FileId,
         offset: f64,
         len: f64,
-    ) -> Result<IoOpStats, NetError> {
+    ) -> Result<IoOpStats, ReplicaWriteError> {
         let node = &self.servers[server];
         let client_host = &self.clients[client].host;
-        let mut stats = IoOpStats::default();
-        let mut cursor = offset;
-        let mut remaining = len;
-        loop {
+        let reachable = || {
             if !node.alive.get() {
                 return Err(NetError::HostDown(node.host.clone()));
             }
-            self.fabric.check_path(client_host, &node.host)?;
-            // A zero-length write still creates/extends the replica file.
+            self.fabric.check_path(client_host, &node.host).map(|_| ())
+        };
+        reachable()?;
+        // A zero-length write still creates/extends the replica file.
+        node.fs
+            .reserve(file, offset, len)
+            .map_err(ReplicaWriteError::Server)?;
+        let mut stats = IoOpStats::default();
+        let mut remaining = len;
+        loop {
             let chunk = remaining.min(self.chunk_size);
             if chunk > EPSILON {
                 self.fabric.transfer(client_host, &node.host, chunk).await?;
             }
-            let st = node
-                .fs
-                .write_range(file, cursor, chunk)
-                .await
-                .map_err(|_| NetError::ServerUnavailable(node.host.clone()))?;
+            let st = node.fs.io_controller().write_amount(file, chunk).await;
             stats.bytes_to_cache += st.bytes_to_cache;
             stats.bytes_to_disk += st.bytes_to_disk;
             stats.throttle_stall += st.throttle_stall;
-            cursor += chunk;
             remaining -= chunk;
             if remaining <= EPSILON {
                 return Ok(stats);
             }
+            reachable()?;
         }
     }
 
     /// A per-replica write under timeout + backoff retries (no failover: the
-    /// replica set is fixed; the caller iterates over it).
+    /// replica set is fixed; the caller iterates over it). A server-side
+    /// filesystem error is returned at once: retrying cannot clear it.
     async fn robust_write(
         &self,
         client: usize,
@@ -806,7 +832,7 @@ impl FleetInner {
         file: &FileId,
         offset: f64,
         len: f64,
-    ) -> Result<IoOpStats, NetError> {
+    ) -> Result<IoOpStats, ReplicaWriteError> {
         let policy = self.spec.policy;
         let mut attempt: u32 = 1;
         loop {
@@ -818,6 +844,7 @@ impl FleetInner {
                 .await;
             match outcome {
                 Ok(stats) => return Ok(stats),
+                Err(error @ ReplicaWriteError::Server(_)) => return Err(error),
                 Err(error) => {
                     if attempt >= policy.retry.max_attempts {
                         return Err(error);
@@ -844,7 +871,8 @@ impl FleetInner {
     }
 }
 
-/// One client's view of a replicated storage fleet, served to the runner
+/// One client's view of a storage fleet (replicated, or a cached NFS mount
+/// as one client and one writethrough server), served to the runner
 /// through [`crate::Backend::Fleet`]; cloning shares the fleet, and
 /// [`FleetClient::for_client`] re-homes the view onto another client host.
 #[derive(Clone)]
@@ -855,10 +883,12 @@ pub struct FleetClient {
 
 impl FleetClient {
     /// Builds a fleet for a platform: `spec.servers` storage servers (each
-    /// with a write-back page cache of `platform.server_memory` and a
+    /// with a page cache of `platform.server_memory` and a
     /// `devices.remote_disk` disk behind its own ingress link) and
     /// `spec.clients` client hosts (each with a private read cache of
-    /// `platform.host_memory`). Returns the view of client 0.
+    /// `platform.host_memory`). The server caches are writethrough when
+    /// `platform.storage` is [`StorageKind::Nfs`] (the paper's NFS server)
+    /// and write-back otherwise. Returns the view of client 0.
     pub fn build(
         ctx: &SimContext,
         platform: &PlatformSpec,
@@ -866,6 +896,10 @@ impl FleetClient {
         spec: &FleetSpec,
     ) -> Result<FleetClient, ScenarioError> {
         spec.validate().map_err(ScenarioError::InvalidPlatform)?;
+        let server_cache = match platform.storage {
+            StorageKind::Nfs => platform.cache_config(platform.server_memory).writethrough(),
+            _ => platform.cache_config(platform.server_memory),
+        };
         let fabric = Fabric::new(ctx);
         let mut servers = Vec::with_capacity(spec.servers);
         for i in 0..spec.servers {
@@ -875,12 +909,7 @@ impl FleetClient {
             fabric.add_link(&link, devices.network_bandwidth, devices.network_latency);
             let memory = MemoryDevice::new(ctx, devices.memory);
             let disk = Disk::new(ctx, format!("{host}-disk"), devices.remote_disk);
-            let mm = MemoryManager::new(
-                ctx,
-                platform.cache_config(platform.server_memory),
-                memory,
-                disk.clone(),
-            );
+            let mm = MemoryManager::new(ctx, server_cache, memory, disk.clone());
             let io = IoController::new(ctx, mm).with_chunk_size(platform.chunk_size);
             servers.push(ServerNode {
                 host,
@@ -938,11 +967,6 @@ impl FleetClient {
             inner: Rc::clone(&self.inner),
             client: client % self.inner.spec.clients,
         }
-    }
-
-    /// The fleet's shape and policy.
-    pub fn spec(&self) -> &FleetSpec {
-        &self.inner.spec
     }
 
     /// The network fabric (for fault drivers and tests).
@@ -1012,6 +1036,12 @@ impl FleetClient {
     /// application's anonymous memory.
     pub fn client_memory_manager(&self) -> &MemoryManager {
         self.inner.clients[self.client].io.memory_manager()
+    }
+
+    /// The filesystem of server `index`: its page cache, disk and registry.
+    #[cfg(test)]
+    pub(crate) fn server_fs(&self, index: usize) -> &CachedFileSystem {
+        &self.inner.servers[index].fs
     }
 
     /// Registers a pre-existing file on the fleet and on every live replica
@@ -1087,7 +1117,10 @@ impl FleetClient {
 
     /// Writes `len` bytes at `offset` to every replica (primary first),
     /// creating the file or extending it as needed; never shrinks it. The
-    /// write succeeds if at least one replica accepted it.
+    /// write succeeds if at least one replica accepted it. If none did, it
+    /// fails with the first replica's filesystem error (e.g.
+    /// [`FsError::DiskFull`]) if one refused it, and as an injected network
+    /// fault otherwise.
     pub async fn write_range(
         &self,
         file: &FileId,
@@ -1100,6 +1133,7 @@ impl FleetClient {
         let replicas = inner.replicas_of(file);
         let mut stats = IoOpStats::default();
         let mut succeeded = Vec::new();
+        let mut server_error = None;
         for &server in &replicas {
             match inner
                 .robust_write(self.client, server, file, offset, len)
@@ -1111,11 +1145,19 @@ impl FleetClient {
                     stats.throttle_stall += st.throttle_stall;
                     succeeded.push(server);
                 }
-                Err(_error) => bump(&inner.counters.failed_writes),
+                Err(error) => {
+                    bump(&inner.counters.failed_writes);
+                    if let ReplicaWriteError::Server(e) = error {
+                        server_error.get_or_insert(e);
+                    }
+                }
             }
         }
         if succeeded.is_empty() {
-            return Err(inner.injected(OpClass::Write, file));
+            return Err(match server_error {
+                Some(e) => ScenarioError::Filesystem(e),
+                None => inner.injected(OpClass::Write, file),
+            });
         }
         let version = {
             let mut versions = inner.versions.borrow_mut();
@@ -1139,7 +1181,8 @@ impl FleetClient {
         Ok(stats)
     }
 
-    /// Flushes the file on every reachable replica (write-back servers).
+    /// Flushes the file on every reachable replica (nothing to flush on
+    /// writethrough servers).
     pub async fn fsync(&self, file: &FileId) -> Result<IoOpStats, ScenarioError> {
         let inner = &self.inner;
         inner.registry.size(file)?;
@@ -1183,11 +1226,13 @@ impl FleetClient {
         Ok(stats)
     }
 
-    /// Starts the periodical flusher of every live server.
+    /// Starts the periodical flusher of every live write-back server. A
+    /// writethrough server never holds dirty data, so it runs none.
     pub fn start_background(&self) {
         for node in &self.inner.servers {
-            if node.alive.get() {
-                node.fs.memory_manager().spawn_periodical_flusher();
+            let mm = node.fs.memory_manager();
+            if node.alive.get() && mm.config().write_mode == WriteMode::WriteBack {
+                mm.spawn_periodical_flusher();
             }
         }
     }

@@ -19,7 +19,8 @@ pub struct DeviceSet {
     pub memory: DeviceSpec,
     /// Local disk of the host (or the client-side disk in NFS scenarios).
     pub disk: DeviceSpec,
-    /// Disk of the NFS server (used only in NFS scenarios).
+    /// Disk of the NFS server and of each fleet server (used only in NFS
+    /// and fleet scenarios).
     pub remote_disk: DeviceSpec,
     /// Network bandwidth between client and server, bytes/s.
     pub network_bandwidth: f64,

@@ -173,7 +173,8 @@ pub struct ScenarioReport {
     /// against the post-crash durable state with all faults disarmed.
     pub restart_reports: Vec<InstanceReport>,
     /// Network-tier statistics (stale/hedged/degraded reads, failovers,
-    /// per-server crash reports), present only for fleet back-ends.
+    /// per-server crash reports), present only for fleet back-ends: fleet
+    /// storage and cached NFS (a 1×1 fleet).
     pub net: Option<NetReport>,
     /// Per-generator traffic results (latency percentiles, throughput,
     /// tenant-limit enforcement), present only when the scenario carries

@@ -14,7 +14,8 @@
 //!   bandwidth sharing;
 //! * [`pagecache`] — the paper's page cache model (LRU lists of data blocks,
 //!   Memory Manager, I/O Controller);
-//! * [`simfs`] — cached, cacheless and NFS filesystems;
+//! * [`simfs`] — cached and cacheless filesystems (the cacheless one also
+//!   over an NFS link);
 //! * [`kernel_emu`] — a page-granularity kernel emulator used as the
 //!   "real system" ground truth;
 //! * [`workflow`] — platforms, applications, and the scenario runner;
@@ -50,7 +51,7 @@ pub mod prelude {
     pub use pagecache::{
         FileId, IoController, IoOpStats, MemoryManager, PageCacheConfig, WriteMode,
     };
-    pub use simfs::{CachedFileSystem, DirectFileSystem, NfsFileSystem, NfsServer};
+    pub use simfs::{CachedFileSystem, DirectFileSystem};
     pub use storage_model::units::{GB, GIB, MB};
     pub use storage_model::{DeviceSpec, Disk, MemoryDevice, NetworkLink, SharedResource};
     pub use workflow::{

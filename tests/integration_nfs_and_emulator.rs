@@ -2,6 +2,7 @@
 //! ground truth, complementing `integration_pagecache.rs`.
 
 use linux_pagecache_sim::prelude::*;
+use linux_pagecache_sim::workflow::Backend;
 
 fn platform(memory_gb: f64) -> PlatformSpec {
     PlatformSpec::uniform(
@@ -13,42 +14,12 @@ fn platform(memory_gb: f64) -> PlatformSpec {
 
 #[test]
 fn nfs_reads_become_cheaper_once_both_caches_are_warm() {
-    // Build the NFS stack directly from the public API (not via the runner).
+    // Build the NFS mount directly from the public API (not via the runner).
     let sim = Simulation::new();
     let ctx = sim.context();
-    let client_memory =
-        MemoryDevice::new(&ctx, DeviceSpec::symmetric(4812.0 * MB, 0.0, f64::INFINITY));
-    let client_disk = Disk::new(
-        &ctx,
-        "client",
-        DeviceSpec::symmetric(465.0 * MB, 0.0, f64::INFINITY),
-    );
-    let client_mm = MemoryManager::new(
-        &ctx,
-        PageCacheConfig::with_memory(8.0 * GB),
-        client_memory,
-        client_disk,
-    );
-    let server_memory =
-        MemoryDevice::new(&ctx, DeviceSpec::symmetric(4812.0 * MB, 0.0, f64::INFINITY));
-    let server_disk = Disk::new(
-        &ctx,
-        "server",
-        DeviceSpec::symmetric(445.0 * MB, 0.0, f64::INFINITY),
-    );
-    let server_mm = MemoryManager::new(
-        &ctx,
-        PageCacheConfig::with_memory(8.0 * GB).writethrough(),
-        server_memory,
-        server_disk,
-    );
-    let link = NetworkLink::new(&ctx, "net", 3000.0 * MB, 0.0);
-    let fs = NfsFileSystem::new(
-        &ctx,
-        client_mm,
-        link,
-        NfsServer::new(IoController::new(&ctx, server_mm)),
-    );
+    let mut p = platform(8.0).with_nfs();
+    p.simulated.remote_disk = DeviceSpec::symmetric(445.0 * MB, 0.0, f64::INFINITY);
+    let fs = Backend::build(&ctx, &p, SimulatorKind::PageCache).unwrap();
     fs.create_file(&FileId::new("data"), 1.0 * GB).unwrap();
 
     let h = sim.spawn({
