@@ -61,13 +61,17 @@ pub type TaskId = u64;
 
 type LocalFuture = Pin<Box<dyn Future<Output = ()> + 'static>>;
 
+/// A timer callback for [`SimContext::schedule_callback`]: shared, so its
+/// owner can arm it again and again without allocating.
+pub type Callback = Rc<dyn Fn(&SimContext)>;
+
 /// What to do when a timer fires.
 pub(crate) enum TimerAction {
     /// Wake a future that is waiting on this timer.
     Wake(Waker),
-    /// Run an arbitrary callback (used by the flow-level resource models to
-    /// re-evaluate bandwidth shares at the next completion point).
-    Callback(Box<dyn FnOnce(&SimContext)>),
+    /// Run a shared, re-armable callback (used by the flow-level resource
+    /// models to re-evaluate bandwidth shares at the next completion point).
+    Callback(Callback),
 }
 
 /// One live process in the task slab: its future, its cached waker (created
@@ -246,13 +250,15 @@ impl SimContext {
 
     /// Schedules `callback` to run at virtual time `at` (clamped to now if in
     /// the past). Returns a [`TimerId`] that can be cancelled.
-    pub fn schedule_callback<F>(&self, at: SimTime, callback: F) -> TimerId
-    where
-        F: FnOnce(&SimContext) + 'static,
-    {
+    ///
+    /// The callback is shared, not consumed: the timer holds one reference
+    /// and drops it when it fires or is cancelled. An owner that keeps its
+    /// own clone can arm the same callback again and again — re-arming
+    /// costs a reference-count bump, not an allocation.
+    pub fn schedule_callback(&self, at: SimTime, callback: Callback) -> TimerId {
         self.engine
             .borrow_mut()
-            .schedule(at, TimerAction::Callback(Box::new(callback)))
+            .schedule(at, TimerAction::Callback(callback))
     }
 
     /// Cancels a previously scheduled timer. Cancelling an already-fired or
@@ -703,9 +709,12 @@ mod tests {
         let log = Rc::new(RefCell::new(Vec::new()));
         for (tag, t) in [("x", 2.0), ("y", 1.0), ("z", 2.0)] {
             let log = Rc::clone(&log);
-            ctx.schedule_callback(SimTime::from_secs(t), move |c| {
-                log.borrow_mut().push((tag, c.now().as_secs()));
-            });
+            ctx.schedule_callback(
+                SimTime::from_secs(t),
+                Rc::new(move |c| {
+                    log.borrow_mut().push((tag, c.now().as_secs()));
+                }),
+            );
         }
         sim.run();
         assert_eq!(*log.borrow(), vec![("y", 1.0), ("x", 2.0), ("z", 2.0)]);
@@ -717,7 +726,7 @@ mod tests {
         let ctx = sim.context();
         let fired = Rc::new(Cell::new(false));
         let f2 = Rc::clone(&fired);
-        let id = ctx.schedule_callback(SimTime::from_secs(1.0), move |_| f2.set(true));
+        let id = ctx.schedule_callback(SimTime::from_secs(1.0), Rc::new(move |_| f2.set(true)));
         ctx.cancel_timer(id);
         sim.run();
         assert!(!fired.get());
@@ -837,7 +846,7 @@ mod tests {
                 .map(|i| {
                     ctx.schedule_callback(
                         SimTime::from_secs(1e6 + (round * 1000 + i) as f64),
-                        |_| panic!("cancelled timer must not fire"),
+                        Rc::new(|_| panic!("cancelled timer must not fire")),
                     )
                 })
                 .collect();
@@ -863,17 +872,23 @@ mod tests {
         let log = Rc::new(RefCell::new(Vec::new()));
         {
             let log = Rc::clone(&log);
-            ctx.schedule_callback(SimTime::from_secs(100.0), move |c| {
-                log.borrow_mut().push(("far", c.now().as_secs()));
-            });
+            ctx.schedule_callback(
+                SimTime::from_secs(100.0),
+                Rc::new(move |c| {
+                    log.borrow_mut().push(("far", c.now().as_secs()));
+                }),
+            );
         }
         let t = sim.run_until(SimTime::from_secs(10.0));
         assert_eq!(t.as_secs(), 10.0);
         {
             let log = Rc::clone(&log);
-            ctx.schedule_callback(SimTime::from_secs(20.0), move |c| {
-                log.borrow_mut().push(("near", c.now().as_secs()));
-            });
+            ctx.schedule_callback(
+                SimTime::from_secs(20.0),
+                Rc::new(move |c| {
+                    log.borrow_mut().push(("near", c.now().as_secs()));
+                }),
+            );
         }
         sim.run();
         assert_eq!(*log.borrow(), vec![("near", 20.0), ("far", 100.0)]);
@@ -883,11 +898,12 @@ mod tests {
     fn stats_count_polls_timers_and_events() {
         let sim = Simulation::new();
         let ctx = sim.context();
-        let cancelled = ctx.schedule_callback(SimTime::from_secs(3.0), |_| {
-            panic!("cancelled timer must not fire")
-        });
+        let cancelled = ctx.schedule_callback(
+            SimTime::from_secs(3.0),
+            Rc::new(|_| panic!("cancelled timer must not fire")),
+        );
         ctx.cancel_timer(cancelled);
-        ctx.schedule_callback(SimTime::from_secs(1.5), |_| {});
+        ctx.schedule_callback(SimTime::from_secs(1.5), Rc::new(|_| {}));
         for delay in [1.0, 2.0] {
             let ctx = ctx.clone();
             sim.spawn(async move { ctx.sleep(delay).await });
@@ -911,14 +927,42 @@ mod tests {
     }
 
     #[test]
+    fn one_shared_callback_can_be_armed_again_and_again() {
+        let sim = Simulation::new();
+        let ctx = sim.context();
+        let fired = Rc::new(RefCell::new(Vec::new()));
+        let callback: Callback = {
+            let fired = Rc::clone(&fired);
+            Rc::new(move |c| fired.borrow_mut().push(c.now().as_secs()))
+        };
+        for t in [1.0, 2.0, 3.0] {
+            ctx.schedule_callback(SimTime::from_secs(t), Rc::clone(&callback));
+        }
+        let cancelled = ctx.schedule_callback(SimTime::from_secs(4.0), Rc::clone(&callback));
+        assert_eq!(
+            Rc::strong_count(&callback),
+            5,
+            "each armed timer holds one reference"
+        );
+        ctx.cancel_timer(cancelled);
+        sim.run();
+        assert_eq!(*fired.borrow(), [1.0, 2.0, 3.0]);
+        assert_eq!(
+            Rc::strong_count(&callback),
+            1,
+            "fired and cancelled timers let go"
+        );
+    }
+
+    #[test]
     fn stale_timer_id_cannot_cancel_the_timer_that_reused_its_slot() {
         let sim = Simulation::new();
         let ctx = sim.context();
-        let fired = ctx.schedule_callback(SimTime::from_secs(1.0), |_| {});
+        let fired = ctx.schedule_callback(SimTime::from_secs(1.0), Rc::new(|_| {}));
         sim.run();
         let hit = Rc::new(Cell::new(false));
         let h = Rc::clone(&hit);
-        let armed = ctx.schedule_callback(SimTime::from_secs(2.0), move |_| h.set(true));
+        let armed = ctx.schedule_callback(SimTime::from_secs(2.0), Rc::new(move |_| h.set(true)));
         assert_eq!(armed.raw() as u32, fired.raw() as u32, "slot reused");
         assert_ne!(armed, fired);
         ctx.cancel_timer(fired);
@@ -933,7 +977,7 @@ mod tests {
         let sim = Simulation::new();
         let ctx = sim.context();
         let far: Vec<TimerId> = (0..4)
-            .map(|_| ctx.schedule_callback(SimTime::from_secs(10.0), |_| {}))
+            .map(|_| ctx.schedule_callback(SimTime::from_secs(10.0), Rc::new(|_| {})))
             .collect();
         // Free slots 1, 3, 0: later timers take them in the order 0, 3, 1.
         for i in [1, 3, 0] {
@@ -944,9 +988,10 @@ mod tests {
             .into_iter()
             .map(|tag| {
                 let log = Rc::clone(&log);
-                let id = ctx.schedule_callback(SimTime::from_secs(5.0), move |_| {
-                    log.borrow_mut().push(tag)
-                });
+                let id = ctx.schedule_callback(
+                    SimTime::from_secs(5.0),
+                    Rc::new(move |_| log.borrow_mut().push(tag)),
+                );
                 id.raw() as u32
             })
             .collect();

@@ -45,7 +45,7 @@ mod slab;
 mod time;
 
 pub use engine::{
-    EngineStats, JoinHandle, SimContext, Simulation, Sleep, TaskId, TimerId, YieldNow,
+    Callback, EngineStats, JoinHandle, SimContext, Simulation, Sleep, TaskId, TimerId, YieldNow,
 };
 pub use select::{select2, Either, Select2};
 pub use slab::Slab;

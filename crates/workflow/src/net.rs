@@ -131,25 +131,37 @@ impl From<NetError> for ReplicaWriteError {
 }
 
 struct LinkState {
+    name: Rc<str>,
     channel: SharedResource,
     /// Nesting depth of `set_link_down` calls; the link carries traffic only
     /// at depth zero.
     down: Cell<u32>,
 }
 
+/// One direction of a route. Cloning bumps reference counts: a route
+/// lookup and an in-flight entry allocate nothing.
+#[derive(Clone)]
+struct Route {
+    from: Rc<str>,
+    to: Rc<str>,
+    link: Rc<LinkState>,
+}
+
+/// One host's routes, by destination host.
+type RoutesFrom = BTreeMap<Rc<str>, Route>;
+
 struct InflightEntry {
-    link: String,
-    from: String,
-    to: String,
+    route: Route,
     handle: AbortHandle,
 }
 
 struct FabricInner {
     ctx: SimContext,
     hosts: RefCell<BTreeSet<String>>,
-    links: RefCell<BTreeMap<String, LinkState>>,
-    /// `(from, to) -> link` — both directions are inserted by `add_route`.
-    routes: RefCell<BTreeMap<(String, String), String>>,
+    links: RefCell<BTreeMap<String, Rc<LinkState>>>,
+    /// `from -> to -> route`, keyed so that a lookup borrows the host
+    /// names; both directions are inserted by `add_route`.
+    routes: RefCell<BTreeMap<Rc<str>, RoutesFrom>>,
     partitions: RefCell<Vec<(u64, Vec<Vec<String>>)>>,
     down_hosts: RefCell<BTreeSet<String>>,
     inflight: RefCell<BTreeMap<u64, InflightEntry>>,
@@ -204,13 +216,12 @@ impl Fabric {
     pub fn add_link(&self, name: impl Into<String>, bandwidth: f64, latency: f64) {
         let name = name.into();
         let channel = SharedResource::new(&self.inner.ctx, name.clone(), bandwidth, latency);
-        self.inner.links.borrow_mut().insert(
-            name,
-            LinkState {
-                channel,
-                down: Cell::new(0),
-            },
-        );
+        let state = Rc::new(LinkState {
+            name: Rc::from(name.as_str()),
+            channel,
+            down: Cell::new(0),
+        });
+        self.inner.links.borrow_mut().insert(name, state);
     }
 
     /// Routes traffic between two hosts (both directions) over a link.
@@ -226,13 +237,26 @@ impl Fabric {
             assert!(hosts.contains(&a), "unknown host '{a}'");
             assert!(hosts.contains(&b), "unknown host '{b}'");
         }
-        assert!(
-            self.inner.links.borrow().contains_key(&link),
-            "unknown link '{link}'"
+        let link = Rc::clone(
+            self.inner
+                .links
+                .borrow()
+                .get(&link)
+                .unwrap_or_else(|| panic!("unknown link '{link}'")),
         );
+        let (a, b): (Rc<str>, Rc<str>) = (a.into(), b.into());
         let mut routes = self.inner.routes.borrow_mut();
-        routes.insert((a.clone(), b.clone()), link.clone());
-        routes.insert((b, a), link);
+        for (from, to) in [(&a, &b), (&b, &a)] {
+            let route = Route {
+                from: Rc::clone(from),
+                to: Rc::clone(to),
+                link: Rc::clone(&link),
+            };
+            routes
+                .entry(Rc::clone(from))
+                .or_default()
+                .insert(Rc::clone(to), route);
+        }
     }
 
     /// The shared channel behind a link, if registered. Lets other models
@@ -246,9 +270,14 @@ impl Fabric {
             .map(|l| l.channel.clone())
     }
 
-    /// Checks whether `from` can currently reach `to`, returning the link
-    /// that would carry the traffic.
-    pub fn check_path(&self, from: &str, to: &str) -> Result<String, NetError> {
+    /// Checks whether `from` can currently reach `to`.
+    pub fn check_path(&self, from: &str, to: &str) -> Result<(), NetError> {
+        self.route(from, to).map(|_| ())
+    }
+
+    /// The route from `from` to `to` if it can carry traffic now. Allocates
+    /// only for the error it returns.
+    fn route(&self, from: &str, to: &str) -> Result<Route, NetError> {
         {
             let down = self.inner.down_hosts.borrow();
             if down.contains(from) {
@@ -266,40 +295,36 @@ impl Fabric {
                 }
             }
         }
-        let link = self
+        let route = self
             .inner
             .routes
             .borrow()
-            .get(&(from.to_string(), to.to_string()))
+            .get(from)
+            .and_then(|dests| dests.get(to))
             .cloned()
             .ok_or_else(|| NetError::NoRoute {
                 from: from.to_string(),
                 to: to.to_string(),
             })?;
-        if self.inner.links.borrow()[&link].down.get() > 0 {
-            return Err(NetError::LinkDown(link));
+        if route.link.down.get() > 0 {
+            return Err(NetError::LinkDown(route.link.name.to_string()));
         }
-        Ok(link)
+        Ok(route)
     }
 
     /// Transfers `bytes` from `from` to `to`. Fails fast if no path exists,
     /// and fails mid-flight (with the then-current path error) if a fault
     /// takes the link or either host down while the transfer is running.
     pub async fn transfer(&self, from: &str, to: &str, bytes: f64) -> Result<(), NetError> {
-        let link = self.check_path(from, to)?;
-        let channel = self.inner.links.borrow()[&link].channel.clone();
-        let (fut, handle) = channel.transfer_abortable(bytes);
+        let route = self.route(from, to)?;
+        let (fut, handle) = route.link.channel.transfer_abortable(bytes);
+        let link = Rc::clone(&route.link);
         let id = self.inner.next_id.get();
         self.inner.next_id.set(id + 1);
-        self.inner.inflight.borrow_mut().insert(
-            id,
-            InflightEntry {
-                link: link.clone(),
-                from: from.to_string(),
-                to: to.to_string(),
-                handle,
-            },
-        );
+        self.inner
+            .inflight
+            .borrow_mut()
+            .insert(id, InflightEntry { route, handle });
         let _guard = InflightGuard {
             fabric: Rc::clone(&self.inner),
             id,
@@ -309,7 +334,7 @@ impl Fabric {
             TransferOutcome::Aborted => Err(self
                 .check_path(from, to)
                 .err()
-                .unwrap_or(NetError::LinkDown(link))),
+                .unwrap_or_else(|| NetError::LinkDown(link.name.to_string()))),
         }
     }
 
@@ -324,7 +349,7 @@ impl Fabric {
             }
             None => return false,
         };
-        self.abort_where(|e| e.link == link);
+        self.abort_where(|e| &*e.route.link.name == link);
         found
     }
 
@@ -348,7 +373,7 @@ impl Fabric {
         let id = self.inner.next_id.get();
         self.inner.next_id.set(id + 1);
         self.inner.partitions.borrow_mut().push((id, groups));
-        self.abort_where(|e| self.check_path(&e.from, &e.to).is_err());
+        self.abort_where(|e| self.check_path(&e.route.from, &e.route.to).is_err());
         id
     }
 
@@ -364,7 +389,7 @@ impl Fabric {
     /// Marks a host down, aborting in-flight transfers touching it.
     pub fn set_host_down(&self, host: &str) {
         self.inner.down_hosts.borrow_mut().insert(host.to_string());
-        self.abort_where(|e| e.from == host || e.to == host);
+        self.abort_where(|e| &*e.route.from == host || &*e.route.to == host);
     }
 
     /// Brings a host back up.
@@ -796,7 +821,7 @@ impl FleetInner {
             if !node.alive.get() {
                 return Err(NetError::HostDown(node.host.clone()));
             }
-            self.fabric.check_path(client_host, &node.host).map(|_| ())
+            self.fabric.check_path(client_host, &node.host)
         };
         reachable()?;
         // A zero-length write still creates/extends the replica file.
