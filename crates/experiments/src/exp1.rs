@@ -10,8 +10,8 @@
 
 use pagecache::{CacheContentSnapshot, MemoryTrace};
 use workflow::{
-    absolute_relative_error_pct, run_scenario, ApplicationSpec, PlatformSpec, Scenario,
-    ScenarioError, ScenarioReport, SimulatorKind,
+    absolute_relative_error_pct, run_scenario, ApplicationSpec, PlatformSpec, ProfileStats,
+    Scenario, ScenarioError, ScenarioReport, SimulatorKind,
 };
 
 /// I/O times of one phase (one read or one write of one task) in every
@@ -64,6 +64,8 @@ pub struct Exp1SizeResult {
     pub real_snapshots: Vec<CacheContentSnapshot>,
     /// WRENCH-cache cache content after each phase (Fig. 4c).
     pub wrench_cache_snapshots: Vec<CacheContentSnapshot>,
+    /// Work counters summed over the four runs.
+    pub profile: ProfileStats,
 }
 
 impl Exp1SizeResult {
@@ -141,6 +143,10 @@ pub fn run_exp1_for_size(
             wrench_cache: cache_phases[i].1,
         })
         .collect();
+    let mut profile = ProfileStats::default();
+    for report in [&real, &prototype, &cacheless, &wrench_cache] {
+        profile.merge(&report.profile);
+    }
 
     Ok(Exp1SizeResult {
         file_size,
@@ -150,6 +156,7 @@ pub fn run_exp1_for_size(
         wrench_cache_trace: wrench_cache.memory_trace.clone(),
         real_snapshots: real.cache_snapshots.clone(),
         wrench_cache_snapshots: wrench_cache.cache_snapshots.clone(),
+        profile,
     })
 }
 

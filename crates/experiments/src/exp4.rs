@@ -6,8 +6,8 @@
 //! respect to the real execution.
 
 use workflow::{
-    absolute_relative_error_pct, run_scenario, ApplicationSpec, PlatformSpec, Scenario,
-    ScenarioError, SimulatorKind,
+    absolute_relative_error_pct, run_scenario, ApplicationSpec, PlatformSpec, ProfileStats,
+    Scenario, ScenarioError, SimulatorKind,
 };
 
 /// Per-phase (read or write of one step) timings and errors.
@@ -42,6 +42,8 @@ impl NighresPhase {
 pub struct Exp4Result {
     /// The eight phases (read + write of each of the four steps).
     pub phases: Vec<NighresPhase>,
+    /// Work counters summed over the three runs.
+    pub profile: ProfileStats,
 }
 
 impl Exp4Result {
@@ -104,7 +106,11 @@ pub fn run_exp4(platform: &PlatformSpec) -> Result<Exp4Result, ScenarioError> {
             wrench_cache: wc.write_time,
         });
     }
-    Ok(Exp4Result { phases })
+    let mut profile = ProfileStats::default();
+    for report in [&real, &cacheless, &wrench_cache] {
+        profile.merge(&report.profile);
+    }
+    Ok(Exp4Result { phases, profile })
 }
 
 #[cfg(test)]

@@ -7,7 +7,8 @@
 //! number of concurrent instances.
 
 use workflow::{
-    run_scenario, ApplicationSpec, PlatformSpec, Scenario, ScenarioError, SimulatorKind,
+    run_scenario, ApplicationSpec, PlatformSpec, ProfileStats, Scenario, ScenarioError,
+    SimulatorKind,
 };
 
 /// Read/write times for one instance count, for the ground truth and the two
@@ -39,6 +40,8 @@ pub struct ConcurrencySweep {
     pub file_size: f64,
     /// One point per instance count.
     pub points: Vec<ConcurrencyPoint>,
+    /// Work counters summed over every run of the sweep.
+    pub profile: ProfileStats,
 }
 
 /// Runs one concurrency sweep (Exp 2 if `nfs` is false, Exp 3 if true).
@@ -55,13 +58,15 @@ pub fn run_concurrency_sweep(
     };
     let app = ApplicationSpec::synthetic_pipeline(file_size);
     let mut points = Vec::new();
+    let mut profile = ProfileStats::default();
     for &instances in instance_counts {
-        let run = |kind: SimulatorKind| -> Result<_, ScenarioError> {
+        let mut run = |kind: SimulatorKind| -> Result<_, ScenarioError> {
             let report = run_scenario(
                 &Scenario::new(platform.clone(), app.clone(), kind)
                     .with_instances(instances)?
                     .with_sample_interval(None),
             )?;
+            profile.merge(&report.profile);
             Ok((
                 report.mean_total_read_time(),
                 report.mean_total_write_time(),
@@ -84,6 +89,7 @@ pub fn run_concurrency_sweep(
         nfs,
         file_size,
         points,
+        profile,
     })
 }
 

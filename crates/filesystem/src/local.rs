@@ -176,6 +176,11 @@ impl DirectFileSystem {
         &self.disk
     }
 
+    /// The link the filesystem is mounted over, if remote.
+    pub fn link(&self) -> Option<&NetworkLink> {
+        self.link.as_ref()
+    }
+
     /// The file registry.
     pub fn registry(&self) -> &FileRegistry {
         &self.registry

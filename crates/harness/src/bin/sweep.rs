@@ -3,8 +3,13 @@
 //! ```text
 //! sweep [OPTIONS]
 //!   --check            diff RESULTS.json against the golden baseline and
-//!                      exit non-zero on any drift
-//!   --update-golden    regenerate the golden baseline from this run
+//!                      exit non-zero on any drift: a metric outside its
+//!                      tolerance, or a work counter (each scenario's
+//!                      `profile`) more than 10% above its golden value; a
+//!                      lower counter prints a note, and a drifted
+//!                      scenario's moved counters are listed
+//!   --update-golden    regenerate the golden baseline from this run (its
+//!                      metrics and its work counters)
 //!   --threads N        worker threads (default: all cores; output is
 //!                      thread-count-independent)
 //!   --filter SUBSTR    only run scenarios whose name or group contains
@@ -19,7 +24,8 @@
 //!                      reference P (a past golden) to be bit-identical in
 //!                      this run; metrics/scenarios added since are ignored,
 //!                      and so are metrics under a prefix of the `retired`
-//!                      list of the --golden file (each one is printed).
+//!                      list of the --golden file (each one is printed),
+//!                      and so are the work counters.
 //!                      The proof a scenario-adding PR must carry: the
 //!                      regenerated golden did not move pre-existing
 //!                      predictions
@@ -34,8 +40,8 @@
 use std::process::ExitCode;
 
 use harness::{
-    compare, compare_intersection_exact, make_golden, parse, registry, restrict, run_sweep, Json,
-    Retired, SweepConfig,
+    compare, compare_intersection_exact, counter_deltas, make_golden, parse, registry, restrict,
+    run_sweep, Json, Retired, SweepConfig,
 };
 
 struct Options {
@@ -104,7 +110,8 @@ Usage: sweep [--check | --update-golden] [--check-frozen PATH] [--threads N]
              [--list]
 
 Runs every registered scenario in parallel, writes RESULTS.json, and (with
---check) fails on out-of-tolerance drift from the golden baseline.
+--check) fails on out-of-tolerance drift from the golden baseline or on a
+work counter more than 10% above its golden value.
 ";
 
 fn main() -> ExitCode {
@@ -276,25 +283,36 @@ fn main() -> ExitCode {
                 return ExitCode::from(2);
             }
         };
-        match compare(&golden, &results.to_json(false)) {
-            Ok(drifts) if drifts.is_empty() => {
-                eprintln!("golden check passed: no drift from {}", opts.golden);
-            }
-            Ok(drifts) => {
-                eprintln!("golden check FAILED: {} drift(s)", drifts.len());
-                for d in &drifts {
-                    eprintln!("  {d}");
-                }
-                eprintln!(
-                    "If this change is intentional, regenerate the baseline in the same \
-                     commit with scripts/sweep.sh --update-golden and explain why."
-                );
-                return ExitCode::FAILURE;
-            }
+        let doc = results.to_json(false);
+        let (drifts, notes) = match compare(&golden, &doc) {
+            Ok(checked) => checked,
             Err(e) => {
-                eprintln!("sweep: cannot compare against golden: {e}");
+                eprintln!("sweep: golden baseline {} is malformed: {e}", opts.golden);
                 return ExitCode::from(2);
             }
+        };
+        for note in &notes {
+            eprintln!("  note: {note}");
+        }
+        if drifts.is_empty() {
+            eprintln!("golden check passed: no drift from {}", opts.golden);
+        } else {
+            eprintln!("golden check FAILED: {} drift(s)", drifts.len());
+            for d in &drifts {
+                eprintln!("  {d}");
+            }
+            let deltas = counter_deltas(&golden, &doc, &drifts);
+            if !deltas.is_empty() {
+                eprintln!("work counters of the drifted scenarios:");
+                for line in &deltas {
+                    eprintln!("  {line}");
+                }
+            }
+            eprintln!(
+                "If this change is intentional, regenerate the baseline in the same \
+                 commit with scripts/sweep.sh --update-golden and explain why."
+            );
+            return ExitCode::FAILURE;
         }
     }
 

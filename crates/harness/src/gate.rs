@@ -21,12 +21,24 @@
 //!   "version": 1,
 //!   "tolerances": {"default_rel": 1e-6, "overrides": {"fig8_": 1e-3}},
 //!   "retired": [{"prefix": "<scenario>/<metric prefix>", "reason": "..."}],
-//!   "scenarios": { "<name>": {"group": "...", "metrics": {"<key>": 1.25}} }
+//!   "scenarios": { "<name>": {"group": "...", "metrics": {"<key>": 1.25},
+//!                             "profile": {"engine.events_fired": 812}} }
 //! }
 //! ```
 //!
 //! Override keys are substring patterns matched against
-//! `"<scenario>/<metric>"`; the longest matching pattern wins.
+//! `"<scenario>/<metric>"`; the longest matching pattern wins. Every
+//! tolerance must be a non-negative finite number.
+//!
+//! Each scenario's `profile` holds its deterministic work counters
+//! (`engine.*`, `cache.*`, `io.*`; see [`workflow::ProfileStats`]), summed
+//! over every simulation the scenario ran. They are gated one way: a
+//! counter more than [`COUNTER_HEADROOM_PCT`] percent above its golden
+//! value fails, a lower one passes with a note, and `--update-golden`
+//! ratchets the section down. The headroom is a constant, not a golden
+//! field. The frozen check ignores the section: it covers predictions, not
+//! work. When a scenario drifts, [`counter_deltas`] lists its counters that
+//! moved, so a failure names the layer that did different work.
 //!
 //! The optional `retired` list names metrics deleted on purpose: each entry
 //! is a `"<scenario>/<metric>"` prefix plus the reason. The frozen check
@@ -64,24 +76,28 @@ impl Default for Tolerances {
 }
 
 impl Tolerances {
-    /// Parses the `tolerances` section of a golden document (absent section
-    /// and fields fall back to defaults).
-    pub fn from_json(doc: &Json) -> Tolerances {
+    /// Parses the `tolerances` section of a golden document; an absent
+    /// section or field falls back to the default. A value that is not a
+    /// non-negative finite number is an error, never silently dropped.
+    pub fn from_json(doc: &Json) -> Result<Tolerances, String> {
         let mut t = Tolerances::default();
         let Some(section) = doc.get("tolerances") else {
-            return t;
+            return Ok(t);
         };
-        if let Some(v) = section.get("default_rel").and_then(Json::as_f64) {
-            t.default_rel = v;
+        if let Some(v) = section.get("default_rel") {
+            t.default_rel = non_negative("default_rel", v)?;
         }
-        if let Some(Json::Obj(pairs)) = section.get("overrides") {
-            for (pattern, v) in pairs {
-                if let Some(rel) = v.as_f64() {
-                    t.overrides.push((pattern.clone(), rel));
+        match section.get("overrides") {
+            None => {}
+            Some(Json::Obj(pairs)) => {
+                for (pattern, v) in pairs {
+                    t.overrides
+                        .push((pattern.clone(), non_negative(pattern, v)?));
                 }
             }
+            Some(_) => return Err("tolerance 'overrides' must be an object".to_string()),
         }
-        t
+        Ok(t)
     }
 
     /// The relative tolerance for one `"<scenario>/<metric>"` key: the
@@ -134,6 +150,33 @@ impl Retired {
     }
 }
 
+/// A tolerance or a work counter: a non-negative finite number.
+fn non_negative(key: &str, value: &Json) -> Result<f64, String> {
+    match value.as_f64() {
+        Some(v) if v.is_finite() && v >= 0.0 => Ok(v),
+        _ => Err(format!(
+            "{key:?} must be a non-negative finite number, not {value:?}"
+        )),
+    }
+}
+
+/// How far, in percent of its golden value, a work counter may rise before
+/// `--check` fails.
+pub const COUNTER_HEADROOM_PCT: f64 = 10.0;
+
+/// The work counters of one scenario: its `profile` section, empty when
+/// absent. Parsed as strictly as the tolerances.
+fn profile_map<'a>(name: &str, scenario: &'a Json) -> Result<Vec<(&'a str, f64)>, String> {
+    match scenario.get("profile") {
+        None => Ok(Vec::new()),
+        Some(Json::Obj(pairs)) => pairs
+            .iter()
+            .map(|(k, v)| Ok((k.as_str(), non_negative(&format!("{name}/{k}"), v)?)))
+            .collect(),
+        Some(_) => Err(format!("the profile of {name} must be an object")),
+    }
+}
+
 /// The first entry of `retired` whose prefix `key` starts with.
 fn retired_by<'a>(retired: &'a [Retired], key: &str) -> Option<&'a Retired> {
     retired.iter().find(|r| key.starts_with(r.prefix.as_str()))
@@ -156,6 +199,16 @@ pub enum Drift {
         key: String,
         /// The retired prefix it falls under.
         prefix: String,
+    },
+    /// A work counter rose more than [`COUNTER_HEADROOM_PCT`] above its
+    /// golden value.
+    Counter {
+        /// `scenario/profile/counter` key.
+        key: String,
+        /// Golden value.
+        golden: f64,
+        /// Value produced by the run.
+        actual: f64,
     },
     /// A metric moved outside its tolerance.
     Value {
@@ -182,6 +235,15 @@ impl std::fmt::Display for Drift {
             Drift::LiveRetired { key, prefix } => {
                 write!(f, "metric {key} is still produced but retired by {prefix:?}")
             }
+            Drift::Counter {
+                key,
+                golden,
+                actual,
+            } => write!(
+                f,
+                "{key}: golden {golden} vs actual {actual} (+{:.1}% > +{COUNTER_HEADROOM_PCT}%)",
+                (actual - golden) / golden.max(1.0) * 100.0
+            ),
             Drift::Value {
                 key,
                 golden,
@@ -207,11 +269,13 @@ fn metric_map(scenario: &Json) -> Vec<(&String, f64)> {
 }
 
 /// Compares a sweep result document against a golden document; returns every
-/// drift found (empty = gate passes). Both documents use the schema produced
-/// by [`crate::runner::SweepResults::to_json`]; the `timings` section, being
-/// machine-dependent, is ignored entirely.
-pub fn compare(golden: &Json, results: &Json) -> Result<Vec<Drift>, String> {
-    let tolerances = Tolerances::from_json(golden);
+/// drift found (empty = gate passes) and a note for every work counter that
+/// fell below its golden value. Both documents use the schema produced by
+/// [`crate::runner::SweepResults::to_json`]; the `timings` section, being
+/// machine-dependent, is ignored entirely. A malformed tolerance or profile
+/// section is an error.
+pub fn compare(golden: &Json, results: &Json) -> Result<(Vec<Drift>, Vec<String>), String> {
+    let tolerances = Tolerances::from_json(golden)?;
     let golden_scenarios = golden
         .get("scenarios")
         .ok_or("golden file has no 'scenarios' section")?;
@@ -220,6 +284,7 @@ pub fn compare(golden: &Json, results: &Json) -> Result<Vec<Drift>, String> {
         .ok_or("results file has no 'scenarios' section")?;
 
     let mut drifts = Vec::new();
+    let mut notes = Vec::new();
     for (name, golden_scenario) in golden_scenarios.pairs() {
         let Some(result_scenario) = result_scenarios.get(name) else {
             drifts.push(Drift::MissingScenario(name.clone()));
@@ -251,13 +316,80 @@ pub fn compare(golden: &Json, results: &Json) -> Result<Vec<Drift>, String> {
                 drifts.push(Drift::UnknownMetric(format!("{name}/{metric}")));
             }
         }
+        let expected = profile_map(name, golden_scenario)?;
+        let actual = profile_map(name, result_scenario)?;
+        for &(counter, golden) in &expected {
+            let key = format!("{name}/profile/{counter}");
+            match actual.iter().find(|(k, _)| *k == counter) {
+                None => drifts.push(Drift::MissingMetric(key)),
+                // Exact on whole counts: 110 passes against 100, 111 fails.
+                Some(&(_, actual)) if actual * 100.0 > golden * (100.0 + COUNTER_HEADROOM_PCT) => {
+                    drifts.push(Drift::Counter {
+                        key,
+                        golden,
+                        actual,
+                    })
+                }
+                Some(&(_, actual)) if actual < golden => notes.push(format!(
+                    "{key}: {actual} < golden {golden}; --update-golden ratchets it"
+                )),
+                Some(_) => {}
+            }
+        }
+        for (counter, _) in actual {
+            if expected.iter().all(|(k, _)| *k != counter) {
+                drifts.push(Drift::UnknownMetric(format!("{name}/profile/{counter}")));
+            }
+        }
     }
     for (name, _) in result_scenarios.pairs() {
         if golden_scenarios.get(name).is_none() {
             drifts.push(Drift::UnknownScenario(name.clone()));
         }
     }
-    Ok(drifts)
+    Ok((drifts, notes))
+}
+
+/// One line per scenario that drifted, listing its work counters that
+/// differ from the golden as `layer.counter golden -> actual (+delta)`, so
+/// a `--check` failure names the layer (`engine.*`, `cache.*`, `io.*`)
+/// that did different work. Scenarios whose counters all match are
+/// reported as such.
+pub fn counter_deltas(golden: &Json, results: &Json, drifts: &[Drift]) -> Vec<String> {
+    let mut scenarios: Vec<&str> = Vec::new();
+    for drift in drifts {
+        if let Drift::Value { key, .. } | Drift::Counter { key, .. } = drift {
+            let name = key.split('/').next().unwrap_or(key);
+            if !scenarios.contains(&name) {
+                scenarios.push(name);
+            }
+        }
+    }
+    fn counters<'a>(doc: &'a Json, name: &str) -> Vec<(&'a str, f64)> {
+        doc.get("scenarios")
+            .and_then(|s| s.get(name))
+            .and_then(|s| profile_map(name, s).ok())
+            .unwrap_or_default()
+    }
+    scenarios
+        .into_iter()
+        .map(|name| {
+            let expected = counters(golden, name);
+            let deltas: Vec<String> = counters(results, name)
+                .into_iter()
+                .filter_map(|(counter, actual)| {
+                    let (_, golden) = expected.iter().find(|(k, _)| *k == counter)?;
+                    (actual != *golden)
+                        .then(|| format!("{counter} {golden} -> {actual} ({:+})", actual - golden))
+                })
+                .collect();
+            if deltas.is_empty() {
+                format!("{name}: no work counter moved")
+            } else {
+                format!("{name}: {}", deltas.join(", "))
+            }
+        })
+        .collect()
 }
 
 /// Compares a sweep run against a **frozen** reference document,
@@ -391,14 +523,14 @@ mod tests {
         // 1e-7 relative drift on `a`, exact match on `b`: both inside the
         // default 1e-6 tolerance.
         let results = doc("{\"a\": 100.00001, \"b\": 0.0}");
-        assert_eq!(compare(&golden, &results).unwrap(), Vec::new());
+        assert_eq!(compare(&golden, &results).unwrap().0, Vec::new());
     }
 
     #[test]
     fn drifted_metric_fails_with_details() {
         let golden = doc("{\"a\": 100.0}");
         let results = doc("{\"a\": 103.0}");
-        let drifts = compare(&golden, &results).unwrap();
+        let drifts = compare(&golden, &results).unwrap().0;
         assert_eq!(drifts.len(), 1);
         match &drifts[0] {
             Drift::Value {
@@ -427,11 +559,11 @@ mod tests {
         )
         .unwrap();
         let results = doc("{\"a\": 103.0, \"b\": 103.0}");
-        let drifts = compare(&golden, &results).unwrap();
+        let drifts = compare(&golden, &results).unwrap().0;
         // `a` is covered by the 10% override; `b` still fails.
         assert_eq!(drifts.len(), 1);
         assert!(matches!(&drifts[0], Drift::Value { key, .. } if key == "s/b"));
-        let t = Tolerances::from_json(&golden);
+        let t = Tolerances::from_json(&golden).unwrap();
         assert_eq!(t.for_key("s/a"), 0.1);
         assert_eq!(t.for_key("s/b"), 1e-6);
     }
@@ -450,7 +582,7 @@ mod tests {
               \"new\":{\"group\":\"paper\",\"metrics\":{}}}}",
         )
         .unwrap();
-        let drifts = compare(&golden, &results).unwrap();
+        let drifts = compare(&golden, &results).unwrap().0;
         assert!(drifts.contains(&Drift::MissingScenario("gone".to_string())));
         assert!(drifts.contains(&Drift::UnknownScenario("new".to_string())));
         assert!(drifts.contains(&Drift::MissingMetric("s/dropped".to_string())));
@@ -464,7 +596,7 @@ mod tests {
         // 1e-16 absolute drift around zero must not explode into a huge
         // relative drift.
         let results = doc("{\"a\": 1e-16}");
-        assert_eq!(compare(&golden, &results).unwrap(), Vec::new());
+        assert_eq!(compare(&golden, &results).unwrap().0, Vec::new());
     }
 
     #[test]
@@ -497,7 +629,7 @@ mod tests {
         // A drift that passes the default 1e-6 relative gate still fails the
         // bit-identity check.
         let results = doc("{\"a\": 100.00000001}");
-        assert_eq!(compare(&reference, &results).unwrap(), Vec::new());
+        assert_eq!(compare(&reference, &results).unwrap().0, Vec::new());
         let drifts = compare_intersection_exact(&reference, &results, &[])
             .unwrap()
             .0;
@@ -522,12 +654,12 @@ mod tests {
         // the selection, a clean filtered run passes both comparisons and
         // the tolerances survive.
         assert_eq!(
-            compare(&golden, &filtered_run).unwrap(),
+            compare(&golden, &filtered_run).unwrap().0,
             vec![Drift::MissingScenario("other".to_string())]
         );
         let reference = restrict(&golden, &["picked"]);
         assert!(reference.get("tolerances").is_some());
-        assert_eq!(compare(&reference, &filtered_run).unwrap(), Vec::new());
+        assert_eq!(compare(&reference, &filtered_run).unwrap().0, Vec::new());
         assert_eq!(
             compare_intersection_exact(&reference, &filtered_run, &[])
                 .unwrap()
@@ -541,7 +673,7 @@ mod tests {
         )
         .unwrap();
         assert!(matches!(
-            compare(&reference, &drifted).unwrap().as_slice(),
+            compare(&reference, &drifted).unwrap().0.as_slice(),
             [Drift::Value { key, .. }] if key == "picked/m"
         ));
         assert_eq!(
@@ -651,6 +783,200 @@ mod tests {
         assert_eq!(
             Retired::from_json(&parse(&text).unwrap()).unwrap(),
             Retired::from_json(&previous).unwrap()
+        );
+    }
+    /// A one-scenario document with the given metrics and profile.
+    fn profiled(metrics: &str, profile: &str) -> Json {
+        parse(&format!(
+            "{{\"version\":1,\"scenarios\":{{\"s\":{{\"group\":\"paper\",\
+              \"metrics\":{metrics},\"profile\":{profile}}}}}}}"
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn a_counter_more_than_ten_percent_above_its_golden_fails() {
+        let golden = profiled("{\"a\": 1.0}", "{\"engine.timers_cancelled\": 100}");
+        let run = profiled("{\"a\": 1.0}", "{\"engine.timers_cancelled\": 111}");
+        let (drifts, notes) = compare(&golden, &run).unwrap();
+        assert_eq!(
+            drifts,
+            vec![Drift::Counter {
+                key: "s/profile/engine.timers_cancelled".to_string(),
+                golden: 100.0,
+                actual: 111.0,
+            }]
+        );
+        assert!(notes.is_empty());
+        let shown = drifts[0].to_string();
+        assert!(
+            shown.contains("s/") && shown.contains("engine.timers_cancelled"),
+            "{shown}"
+        );
+    }
+
+    #[test]
+    fn a_counter_exactly_ten_percent_above_passes() {
+        let golden = profiled(
+            "{}",
+            "{\"cache.evict_visits\": 100, \"io.flows_completed\": 30}",
+        );
+        let run = profiled(
+            "{}",
+            "{\"cache.evict_visits\": 110, \"io.flows_completed\": 33}",
+        );
+        assert_eq!(compare(&golden, &run).unwrap(), (Vec::new(), Vec::new()));
+    }
+
+    #[test]
+    fn a_lower_counter_passes_with_a_note() {
+        let golden = profiled("{}", "{\"engine.events_fired\": 100}");
+        let run = profiled("{}", "{\"engine.events_fired\": 90}");
+        let (drifts, notes) = compare(&golden, &run).unwrap();
+        assert!(drifts.is_empty());
+        assert_eq!(notes.len(), 1);
+        assert!(
+            notes[0].contains("s/profile/engine.events_fired"),
+            "{notes:?}"
+        );
+    }
+
+    #[test]
+    fn a_counter_the_run_lacks_or_adds_fails() {
+        let golden = profiled(
+            "{}",
+            "{\"engine.events_fired\": 5, \"io.flows_completed\": 3}",
+        );
+        let run = profiled(
+            "{}",
+            "{\"engine.events_fired\": 5, \"cache.evict_calls\": 0}",
+        );
+        let (drifts, _) = compare(&golden, &run).unwrap();
+        assert_eq!(
+            drifts,
+            vec![
+                Drift::MissingMetric("s/profile/io.flows_completed".to_string()),
+                Drift::UnknownMetric("s/profile/cache.evict_calls".to_string()),
+            ]
+        );
+    }
+
+    #[test]
+    fn the_frozen_check_ignores_the_profile() {
+        let reference = profiled("{\"a\": 1.0}", "{\"engine.events_fired\": 5}");
+        let run = profiled("{\"a\": 1.0}", "{\"engine.events_fired\": 500}");
+        let (drifts, skipped) = compare_intersection_exact(&reference, &run, &[]).unwrap();
+        assert_eq!((drifts, skipped), (Vec::new(), Vec::new()));
+        let unprofiled = doc("{\"a\": 1.0}");
+        let (drifts, _) = compare_intersection_exact(&unprofiled, &run, &[]).unwrap();
+        assert!(drifts.is_empty());
+    }
+
+    #[test]
+    fn make_golden_writes_the_runs_profile() {
+        let run = profiled("{\"a\": 1.0}", "{\"engine.events_fired\": 7}");
+        let golden = make_golden(&run, Some(&profiled("{}", "{\"engine.events_fired\": 9}")));
+        let profile = golden
+            .get("scenarios")
+            .and_then(|s| s.get("s"))
+            .and_then(|s| s.get("profile"));
+        assert_eq!(
+            profile,
+            run.get("scenarios")
+                .unwrap()
+                .get("s")
+                .unwrap()
+                .get("profile")
+        );
+        assert_eq!(compare(&golden, &run).unwrap(), (Vec::new(), Vec::new()));
+    }
+
+    #[test]
+    fn malformed_tolerances_are_rejected() {
+        let golden = |tolerances: &str| {
+            parse(&format!(
+                "{{\"tolerances\":{tolerances},\"scenarios\":{{}}}}"
+            ))
+            .unwrap()
+        };
+        for bad in [
+            "{\"overrides\": {\"fig8_\": \"1e-3\"}}",
+            "{\"overrides\": {\"fig8_\": -0.1}}",
+            "{\"overrides\": [\"fig8_\"]}",
+            "{\"default_rel\": \"1e-6\"}",
+            "{\"default_rel\": -1e-6}",
+        ] {
+            assert!(Tolerances::from_json(&golden(bad)).is_err(), "{bad}");
+            assert!(compare(&golden(bad), &doc("{}")).is_err(), "{bad}");
+        }
+        for value in [f64::INFINITY, f64::NAN] {
+            let t = Json::obj(vec![("default_rel".to_string(), Json::Num(value))]);
+            let doc = Json::obj(vec![("tolerances".to_string(), t)]);
+            assert!(Tolerances::from_json(&doc).is_err(), "{value}");
+            let t = Json::obj(vec![(
+                "overrides".to_string(),
+                Json::obj(vec![("fig8_".to_string(), Json::Num(value))]),
+            )]);
+            let doc = Json::obj(vec![("tolerances".to_string(), t)]);
+            assert!(Tolerances::from_json(&doc).is_err(), "{value}");
+        }
+        let fine = golden("{\"default_rel\": 0, \"overrides\": {\"fig8_\": 1e-3}}");
+        let t = Tolerances::from_json(&fine).unwrap();
+        assert_eq!((t.default_rel, t.for_key("fig8_x/m")), (0.0, 1e-3));
+    }
+
+    #[test]
+    fn malformed_profiles_are_rejected() {
+        let run = profiled("{}", "{\"engine.events_fired\": 5}");
+        for bad in [
+            "{\"engine.events_fired\": \"5\"}",
+            "{\"engine.events_fired\": -5}",
+            "[5]",
+        ] {
+            assert!(compare(&profiled("{}", bad), &run).is_err(), "{bad}");
+        }
+        for value in [f64::INFINITY, f64::NAN] {
+            let scenario = Json::obj(vec![(
+                "profile".to_string(),
+                Json::obj(vec![("engine.events_fired".to_string(), Json::Num(value))]),
+            )]);
+            let golden = Json::obj(vec![(
+                "scenarios".to_string(),
+                Json::obj(vec![("s".to_string(), scenario)]),
+            )]);
+            assert!(compare(&golden, &run).is_err(), "{value}");
+        }
+    }
+
+    #[test]
+    fn counter_deltas_name_the_layer_of_each_drifted_scenario() {
+        let golden = parse(
+            "{\"scenarios\":{\
+              \"a\":{\"metrics\":{\"m\":1.0},\"profile\":{\"engine.events_fired\":100,\
+                \"cache.evict_visits\":10,\"io.flows_completed\":4}},\
+              \"b\":{\"metrics\":{\"m\":1.0},\"profile\":{\"engine.events_fired\":3}},\
+              \"c\":{\"metrics\":{\"m\":1.0},\"profile\":{\"engine.events_fired\":3}}}}",
+        )
+        .unwrap();
+        let run = parse(
+            "{\"scenarios\":{\
+              \"a\":{\"metrics\":{\"m\":2.0},\"profile\":{\"engine.events_fired\":112,\
+                \"cache.evict_visits\":7,\"io.flows_completed\":4}},\
+              \"b\":{\"metrics\":{\"m\":2.0},\"profile\":{\"engine.events_fired\":3}},\
+              \"c\":{\"metrics\":{\"m\":1.0},\"profile\":{\"engine.events_fired\":4}}}}",
+        )
+        .unwrap();
+        let (drifts, notes) = compare(&golden, &run).unwrap();
+        assert_eq!(drifts.len(), 4, "{drifts:?}");
+        assert_eq!(notes.len(), 1);
+        assert_eq!(
+            counter_deltas(&golden, &run, &drifts),
+            vec![
+                "a: engine.events_fired 100 -> 112 (+12), cache.evict_visits 10 -> 7 (-3)"
+                    .to_string(),
+                "b: no work counter moved".to_string(),
+                "c: engine.events_fired 3 -> 4 (+1)".to_string(),
+            ]
         );
     }
 }

@@ -15,7 +15,8 @@
 //!   collection, so `RESULTS.json` is bit-identical for any thread count;
 //! * [`json`] — dependency-free, deterministic JSON;
 //! * [`gate`] — diffs results against `baselines/golden.json` with
-//!   per-metric relative tolerances and reports every drift.
+//!   per-metric relative tolerances, gates each scenario's deterministic
+//!   work counters, and reports every drift.
 //!
 //! The `sweep` binary ties it together; `scripts/sweep.sh --check` is the CI
 //! entry point and exits non-zero on any drift.
@@ -35,7 +36,8 @@ pub mod runner;
 pub mod scenario;
 
 pub use gate::{
-    compare, compare_intersection_exact, make_golden, restrict, Drift, Retired, Tolerances,
+    compare, compare_intersection_exact, counter_deltas, make_golden, restrict, Drift, Retired,
+    Tolerances,
 };
 pub use json::{parse, Json};
 pub use registry::registry;

@@ -21,8 +21,8 @@ use storage_model::units::{GB, MB};
 use workflow::net::{primary_server, server_host, server_link};
 use workflow::{
     run_scenario, ApplicationSpec, ClientPolicy, ErrorMode, EvictionPolicy, FaultEvent, FaultPlan,
-    FileSpec, FleetSpec, IoErrorSpec, Op, OpClass, PlatformSpec, RetryPolicy, RunStats,
-    Scenario as WorkflowScenario, ScenarioReport, SimulatorKind, TaskSpec, TenantSpec,
+    FileSpec, FleetSpec, IoErrorSpec, Op, OpClass, PlatformSpec, ProfileStats, RetryPolicy,
+    RunStats, Scenario as WorkflowScenario, ScenarioReport, SimulatorKind, TaskSpec, TenantSpec,
     TrafficGenReport, TrafficSpec,
 };
 
@@ -367,7 +367,15 @@ fn push_run_stats(m: &mut Metrics, prefix: &str, stats: &RunStats) {
     m.push(format!("{prefix}/peak_dirty"), stats.peak_dirty);
 }
 
+/// Runs a workflow scenario and adds its work counters to `m`.
+fn run_recorded(m: &mut Metrics, scenario: &WorkflowScenario) -> Result<ScenarioReport, String> {
+    let report = run_scenario(scenario).map_err(err)?;
+    m.record(&report.profile);
+    Ok(report)
+}
+
 fn run(
+    m: &mut Metrics,
     platform: &PlatformSpec,
     app: &ApplicationSpec,
     kind: SimulatorKind,
@@ -380,7 +388,7 @@ fn run(
             .map_err(err)?
             .with_sample_interval(None);
     }
-    run_scenario(&scenario).map_err(err)
+    run_recorded(m, &scenario)
 }
 
 // ---------------------------------------------------------------------------
@@ -509,6 +517,8 @@ struct Exp1Summary {
     traces: Vec<(&'static str, f64, f64, f64, f64)>,
     /// Every cache-content snapshot, the emulator's first.
     snapshots: Vec<Snapshot>,
+    /// Work counters of the four runs.
+    profile: ProfileStats,
 }
 
 fn summarize_exp1(scale: Scale, size: f64) -> Result<Exp1Summary, String> {
@@ -570,6 +580,7 @@ fn summarize_exp1(scale: Scale, size: f64) -> Result<Exp1Summary, String> {
         ),
         traces,
         snapshots,
+        profile: result.profile,
     })
 }
 
@@ -596,6 +607,7 @@ fn exp1_runs(scale: Scale) -> Result<&'static [Exp1Summary], String> {
 fn fig4a(scale: Scale) -> Result<Metrics, String> {
     let mut m = Metrics::new();
     for run in exp1_runs(scale)? {
+        m.record(&run.profile);
         let p = &run.prefix;
         for (label, real, prototype, cacheless, wrench_cache) in &run.phases {
             let phase = key(label);
@@ -616,6 +628,7 @@ fn fig4a(scale: Scale) -> Result<Metrics, String> {
 fn fig4b(scale: Scale) -> Result<Metrics, String> {
     let mut m = Metrics::new();
     for run in exp1_runs(scale)? {
+        m.record(&run.profile);
         let p = &run.prefix;
         for (label, max_used, max_cached, max_dirty, samples) in &run.traces {
             m.push(format!("{p}{label}/max_used"), *max_used);
@@ -632,6 +645,7 @@ fn fig4b(scale: Scale) -> Result<Metrics, String> {
 fn fig4c(scale: Scale) -> Result<Metrics, String> {
     let mut m = Metrics::new();
     for run in exp1_runs(scale)? {
+        m.record(&run.profile);
         for snap in &run.snapshots {
             let at = format!("{}{}/{}", run.prefix, snap.simulator, key(&snap.label));
             m.push(format!("{at}/total"), snap.total);
@@ -645,6 +659,7 @@ fn fig4c(scale: Scale) -> Result<Metrics, String> {
 }
 
 fn push_concurrency_sweep(m: &mut Metrics, sweep: &experiments::ConcurrencySweep) {
+    m.record(&sweep.profile);
     for p in &sweep.points {
         let n = p.instances;
         m.push(format!("n{n:02}/real_read_s"), p.real_read);
@@ -669,6 +684,7 @@ fn fig5(scale: Scale) -> Result<Metrics, String> {
 fn fig6(scale: Scale) -> Result<Metrics, String> {
     let result = run_exp4(&scale.node()).map_err(err)?;
     let mut m = Metrics::new();
+    m.record(&result.profile);
     for p in &result.phases {
         let phase = key(&p.label);
         m.push(format!("{phase}/real_s"), p.real);
@@ -712,13 +728,13 @@ fn fig8(scale: Scale) -> Result<Metrics, String> {
             } else {
                 platform.clone()
             };
-            let report = run_scenario(
+            let report = run_recorded(
+                &mut m,
                 &WorkflowScenario::new(platform, app.clone(), kind)
                     .with_instances(instances)
                     .map_err(err)?
                     .with_sample_interval(None),
-            )
-            .map_err(err)?;
+            )?;
             m.push(
                 format!("n{instances:02}/{label}/simulated_s"),
                 report.simulated_duration,
@@ -752,7 +768,7 @@ fn example_quickstart() -> Result<Metrics, String> {
         ("cacheless", SimulatorKind::Cacheless),
         ("cache", SimulatorKind::PageCache),
     ] {
-        let report = run(&platform, &app, kind, 1)?;
+        let report = run(&mut m, &platform, &app, kind, 1)?;
         let tasks = &report.instance_reports[0].tasks;
         m.push(format!("{label}/first_read_s"), tasks[0].read_time);
         m.push(format!("{label}/second_read_s"), tasks[1].read_time);
@@ -774,7 +790,7 @@ fn example_synthetic_pipeline() -> Result<Metrics, String> {
         ("cacheless", SimulatorKind::Cacheless),
         ("cache", SimulatorKind::PageCache),
     ] {
-        let report = run(&platform, &app, kind, 1)?;
+        let report = run(&mut m, &platform, &app, kind, 1)?;
         m.push(format!("{label}/makespan_s"), report.mean_makespan());
         m.push(format!("{label}/read_s"), report.mean_total_read_time());
         m.push(format!("{label}/write_s"), report.mean_total_write_time());
@@ -791,7 +807,7 @@ fn example_nighres_workflow() -> Result<Metrics, String> {
         ("cacheless", SimulatorKind::Cacheless),
         ("cache", SimulatorKind::PageCache),
     ] {
-        let report = run(&platform, &app, kind, 1)?;
+        let report = run(&mut m, &platform, &app, kind, 1)?;
         m.push(format!("{label}/makespan_s"), report.mean_makespan());
         m.push(format!("{label}/read_s"), report.mean_total_read_time());
         m.push(format!("{label}/write_s"), report.mean_total_write_time());
@@ -808,7 +824,7 @@ fn example_nfs_cluster() -> Result<Metrics, String> {
             ("cacheless", SimulatorKind::Cacheless),
             ("cache", SimulatorKind::PageCache),
         ] {
-            let report = run(&platform, &app, kind, instances)?;
+            let report = run(&mut m, &platform, &app, kind, instances)?;
             m.push(
                 format!("n{instances:02}/{label}/read_s"),
                 report.mean_total_read_time(),
@@ -831,7 +847,7 @@ fn example_concurrent_instances() -> Result<Metrics, String> {
             ("cacheless", SimulatorKind::Cacheless),
             ("cache", SimulatorKind::PageCache),
         ] {
-            let report = run(&platform, &app, kind, instances)?;
+            let report = run(&mut m, &platform, &app, kind, instances)?;
             m.push(
                 format!("n{instances:02}/{label}/read_s"),
                 report.mean_total_read_time(),
@@ -905,7 +921,7 @@ fn prog_database_fsync() -> Result<Metrics, String> {
     ));
     let mut m = Metrics::new();
     for (label, kind) in ALL_KINDS {
-        let report = run(&platform, &app, kind, 1)?;
+        let report = run(&mut m, &platform, &app, kind, 1)?;
         let task = &report.instance_reports[0].tasks[0];
         m.push(format!("{label}/write_s"), task.write_time);
         m.push(
@@ -959,7 +975,7 @@ fn prog_random_partial_reread() -> Result<Metrics, String> {
             ("cache", SimulatorKind::PageCache),
             ("kernel_emu", SimulatorKind::KernelEmu),
         ] {
-            let report = run(&platform, &app, kind, 1)?;
+            let report = run(&mut m, &platform, &app, kind, 1)?;
             let stats = report.run_stats();
             let prefix = format!("ratio_{ratio_pct:03}/{label}");
             m.push(format!("{prefix}/read_s"), report.mean_total_read_time());
@@ -993,7 +1009,7 @@ fn prog_scan_then_reread() -> Result<Metrics, String> {
     let platform = scaled_platform(8.0 * GB);
     let mut m = Metrics::new();
     for (label, kind) in ALL_KINDS {
-        let report = run(&platform, &app, kind, 1)?;
+        let report = run(&mut m, &platform, &app, kind, 1)?;
         m.push(format!("{label}/scan_s"), report.mean_task_read_time(0));
         m.push(format!("{label}/reread_s"), report.mean_task_read_time(1));
         let stats = report.run_stats();
@@ -1020,7 +1036,7 @@ fn prog_fsync_storm() -> Result<Metrics, String> {
         ("cache", SimulatorKind::PageCache),
         ("kernel_emu", SimulatorKind::KernelEmu),
     ] {
-        let report = run(&platform, &app, kind, 1)?;
+        let report = run(&mut m, &platform, &app, kind, 1)?;
         let task = &report.instance_reports[0].tasks[0];
         m.push(format!("{label}/write_s"), task.write_time);
         m.push(
@@ -1081,7 +1097,7 @@ fn prog_strided_reads() -> Result<Metrics, String> {
             ("cache", SimulatorKind::PageCache),
             ("kernel_emu", SimulatorKind::KernelEmu),
         ] {
-            let report = run(&platform, &app, kind, 1)?;
+            let report = run(&mut m, &platform, &app, kind, 1)?;
             let stats = report.run_stats();
             let prefix = format!("stride_{factor}/{label}");
             m.push(format!("{prefix}/read_s"), report.mean_total_read_time());
@@ -1135,7 +1151,7 @@ fn prog_seq_random_switch() -> Result<Metrics, String> {
         ("cache", SimulatorKind::PageCache),
         ("kernel_emu", SimulatorKind::KernelEmu),
     ] {
-        let report = run(&platform, &app, kind, 1)?;
+        let report = run(&mut m, &platform, &app, kind, 1)?;
         let stats = report.run_stats();
         m.push(format!("{label}/read_s"), report.mean_total_read_time());
         m.push(format!("{label}/hit_ratio"), stats.cache_hit_ratio);
@@ -1170,7 +1186,7 @@ fn prog_write_burst_throttle() -> Result<Metrics, String> {
         let mut platform = platform.clone().with_throttle_pacing(pacing);
         // Let the background threads run inside the think-time gaps.
         platform.flush_interval = 0.5;
-        let report = run(&platform, &app, kind, 1)?;
+        let report = run(&mut m, &platform, &app, kind, 1)?;
         let stats = report.run_stats();
         m.push(format!("{label}/write_s"), report.mean_total_write_time());
         m.push(format!("{label}/throttle_stall_s"), stats.throttle_stall_s);
@@ -1208,7 +1224,7 @@ fn sweep_readahead_window() -> Result<Metrics, String> {
         } else {
             scaled_platform(8.0 * GB).with_readahead(max_mb as f64 / 8.0 * MB, max_mb as f64 * MB)
         };
-        let report = run(&platform, &app, SimulatorKind::KernelEmu, 1)?;
+        let report = run(&mut m, &platform, &app, SimulatorKind::KernelEmu, 1)?;
         let stats = report.run_stats();
         let prefix = format!("window_{max_mb:04}mb");
         m.push(format!("{prefix}/read_s"), report.mean_total_read_time());
@@ -1241,7 +1257,7 @@ fn sweep_throttle_pacing() -> Result<Metrics, String> {
         // get to run inside the stalls the pacing creates (the paper-scale
         // 5 s interval would sleep through this whole workload).
         platform.flush_interval = 0.5;
-        let report = run(&platform, &app, SimulatorKind::KernelEmu, 1)?;
+        let report = run(&mut m, &platform, &app, SimulatorKind::KernelEmu, 1)?;
         let stats = report.run_stats();
         let wb = report
             .writeback
@@ -1296,7 +1312,7 @@ fn sweep_eviction_policy_reread() -> Result<Metrics, String> {
             ("cache", SimulatorKind::PageCache),
             ("kernel_emu", SimulatorKind::KernelEmu),
         ] {
-            let report = run(&platform, &app, kind, 1)?;
+            let report = run(&mut m, &platform, &app, kind, 1)?;
             let stats = report.run_stats();
             let prefix = format!("{policy}/{label}");
             m.push(format!("{prefix}/hit_ratio"), stats.cache_hit_ratio);
@@ -1325,7 +1341,7 @@ fn sweep_eviction_policy_strided() -> Result<Metrics, String> {
             ("cache", SimulatorKind::PageCache),
             ("kernel_emu", SimulatorKind::KernelEmu),
         ] {
-            let report = run(&platform, &app, kind, 1)?;
+            let report = run(&mut m, &platform, &app, kind, 1)?;
             let stats = report.run_stats();
             let prefix = format!("{policy}/{label}");
             m.push(format!("{prefix}/hit_ratio"), stats.cache_hit_ratio);
@@ -1359,7 +1375,7 @@ fn sweep_eviction_policy_write_burst() -> Result<Metrics, String> {
             ("cache", SimulatorKind::PageCache),
             ("kernel_emu", SimulatorKind::KernelEmu),
         ] {
-            let report = run(&platform, &app, kind, 1)?;
+            let report = run(&mut m, &platform, &app, kind, 1)?;
             let stats = report.run_stats();
             let prefix = format!("{policy}/{label}");
             m.push(format!("{prefix}/write_s"), report.mean_total_write_time());
@@ -1394,7 +1410,7 @@ fn example_database_workload() -> Result<Metrics, String> {
         ("cache", SimulatorKind::PageCache),
         ("kernel_emu", SimulatorKind::KernelEmu),
     ] {
-        let report = run(&platform, &app, kind, 1)?;
+        let report = run(&mut m, &platform, &app, kind, 1)?;
         let task = &report.instance_reports[0].tasks[0];
         m.push(format!("{label}/write_s"), task.write_time);
         m.push(format!("{label}/makespan_s"), report.mean_makespan());
@@ -1424,7 +1440,7 @@ fn sweep_dirty_ratio() -> Result<Metrics, String> {
             ("cache", SimulatorKind::PageCache),
             ("kernel_emu", SimulatorKind::KernelEmu),
         ] {
-            let report = run(&platform, &app, kind, 1)?;
+            let report = run(&mut m, &platform, &app, kind, 1)?;
             let stats = report.run_stats();
             let prefix = format!("ratio_{:02}/{label}", (ratio * 100.0) as u32);
             m.push(format!("{prefix}/write_s"), report.mean_total_write_time());
@@ -1453,7 +1469,7 @@ fn sweep_cache_size() -> Result<Metrics, String> {
     let mut m = Metrics::new();
     for memory_gb in [4.0, 8.0, 16.0, 32.0] {
         let platform = scaled_platform(memory_gb * GB);
-        let report = run(&platform, &app, SimulatorKind::PageCache, 1)?;
+        let report = run(&mut m, &platform, &app, SimulatorKind::PageCache, 1)?;
         let prefix = format!("mem_{memory_gb:02.0}gb");
         m.push(format!("{prefix}/makespan_s"), report.mean_makespan());
         push_run_stats(&mut m, &prefix, &report.run_stats());
@@ -1483,6 +1499,7 @@ fn sweep_rw_mix() -> Result<Metrics, String> {
             )
             .with_task(TaskSpec::new("stage 2", 1.0).reads(mid).writes(out));
         let report = run(
+            &mut m,
             &scaled_platform(8.0 * GB),
             &app,
             SimulatorKind::PageCache,
@@ -1508,7 +1525,7 @@ fn sweep_concurrency() -> Result<Metrics, String> {
             ("cacheless", SimulatorKind::Cacheless),
             ("cache", SimulatorKind::PageCache),
         ] {
-            let report = run(&platform, &app, kind, instances)?;
+            let report = run(&mut m, &platform, &app, kind, instances)?;
             m.push(
                 format!("n{instances:02}/{label}/read_s"),
                 report.mean_total_read_time(),
@@ -1533,6 +1550,7 @@ fn sweep_concurrency() -> Result<Metrics, String> {
 /// Like [`run`], but with a fault plan attached (and optionally a restart
 /// pass after the planned crash). Single instance, no memory sampling.
 fn run_faulted(
+    m: &mut Metrics,
     platform: &PlatformSpec,
     app: &ApplicationSpec,
     kind: SimulatorKind,
@@ -1545,7 +1563,7 @@ fn run_faulted(
     if restart {
         scenario = scenario.with_restart_after_crash();
     }
-    run_scenario(&scenario).map_err(err)
+    run_recorded(m, &scenario)
 }
 
 /// The database commit that never committed: a 200 MB WAL record is written
@@ -1566,7 +1584,7 @@ fn fault_crash_before_fsync_database() -> Result<Metrics, String> {
         ("cache", SimulatorKind::PageCache),
         ("kernel_emu", SimulatorKind::KernelEmu),
     ] {
-        let report = run_faulted(&scaled_platform(8.0 * GB), &app, kind, &plan, false)?;
+        let report = run_faulted(&mut m, &scaled_platform(8.0 * GB), &app, kind, &plan, false)?;
         let stats = report.run_stats();
         m.push(format!("{label}/durable_bytes"), stats.durable_bytes);
         m.push(format!("{label}/lost_bytes"), stats.lost_bytes);
@@ -1593,7 +1611,7 @@ fn fault_crash_after_fsync_database() -> Result<Metrics, String> {
         ("cache", SimulatorKind::PageCache),
         ("kernel_emu", SimulatorKind::KernelEmu),
     ] {
-        let report = run_faulted(&scaled_platform(8.0 * GB), &app, kind, &plan, false)?;
+        let report = run_faulted(&mut m, &scaled_platform(8.0 * GB), &app, kind, &plan, false)?;
         let stats = report.run_stats();
         m.push(format!("{label}/durable_bytes"), stats.durable_bytes);
         m.push(format!("{label}/lost_bytes"), stats.lost_bytes);
@@ -1620,7 +1638,7 @@ fn fault_writeback_storm_crash() -> Result<Metrics, String> {
         ("cache", SimulatorKind::PageCache),
         ("kernel_emu", SimulatorKind::KernelEmu),
     ] {
-        let report = run_faulted(&scaled_platform(8.0 * GB), &app, kind, &plan, true)?;
+        let report = run_faulted(&mut m, &scaled_platform(8.0 * GB), &app, kind, &plan, true)?;
         let stats = report.run_stats();
         m.push(format!("{label}/durable_bytes"), stats.durable_bytes);
         m.push(format!("{label}/lost_bytes"), stats.lost_bytes);
@@ -1662,7 +1680,7 @@ fn fault_nfs_outage_retry_storm() -> Result<Metrics, String> {
         ("cacheless", SimulatorKind::Cacheless),
         ("cache", SimulatorKind::PageCache),
     ] {
-        let report = run_faulted(&platform, &app, kind, &plan, false)?;
+        let report = run_faulted(&mut m, &platform, &app, kind, &plan, false)?;
         m.push(format!("{label}/retries"), report.total_retries() as f64);
         m.push(format!("{label}/write_s"), report.mean_total_write_time());
         m.push(format!("{label}/makespan_s"), report.mean_makespan());
@@ -1690,7 +1708,7 @@ fn fault_eio_degraded() -> Result<Metrics, String> {
         ("cache", SimulatorKind::PageCache),
         ("kernel_emu", SimulatorKind::KernelEmu),
     ] {
-        let report = run_faulted(&scaled_platform(8.0 * GB), &app, kind, &plan, false)?;
+        let report = run_faulted(&mut m, &scaled_platform(8.0 * GB), &app, kind, &plan, false)?;
         let stats = report.run_stats();
         m.push(
             format!("{label}/failed_tasks"),
@@ -1725,6 +1743,7 @@ fn fault_retry_backoff_sweep() -> Result<Metrics, String> {
             .with_retry(RetryPolicy::new(4, backoff)),
         );
         let report = run_faulted(
+            &mut m,
             &scaled_platform(8.0 * GB),
             &app,
             SimulatorKind::PageCache,
@@ -1745,6 +1764,7 @@ fn fault_retry_backoff_sweep() -> Result<Metrics, String> {
 /// Runs an application against the replicated storage fleet under a fault
 /// plan, with one application instance per fleet client.
 fn run_fleet(
+    m: &mut Metrics,
     platform: &PlatformSpec,
     app: &ApplicationSpec,
     plan: &FaultPlan,
@@ -1757,7 +1777,7 @@ fn run_fleet(
     if instances > 1 {
         scenario = scenario.with_instances(instances).map_err(err)?;
     }
-    run_scenario(&scenario).map_err(err)
+    run_recorded(m, &scenario)
 }
 
 /// Records the network-tier counters of a fleet report under a prefix.
@@ -1796,8 +1816,8 @@ fn netf_partition_stampede() -> Result<Metrics, String> {
         at: 0.5,
         duration: 6.0,
     });
-    let report = run_fleet(&platform, &app, &plan, 6)?;
     let mut m = Metrics::new();
+    let report = run_fleet(&mut m, &platform, &app, &plan, 6)?;
     push_run_stats(&mut m, "fleet", &report.run_stats());
     push_net_stats(&mut m, "fleet", &report);
     m.push("fleet/failed_tasks", report.failed_tasks().len() as f64);
@@ -1823,9 +1843,9 @@ fn netf_server_crash_failover() -> Result<Metrics, String> {
         host: victim,
         at: 0.2,
     });
-    let report = run_fleet(&platform, &app, &plan, 4)?;
-    let net = report.net.clone().unwrap_or_default();
     let mut m = Metrics::new();
+    let report = run_fleet(&mut m, &platform, &app, &plan, 4)?;
+    let net = report.net.clone().unwrap_or_default();
     push_run_stats(&mut m, "fleet", &report.run_stats());
     push_net_stats(&mut m, "fleet", &report);
     m.push("fleet/server_crashes", net.server_crashes.len() as f64);
@@ -1871,8 +1891,8 @@ fn netf_flapping_link_retry_storm() -> Result<Metrics, String> {
             });
         }
     }
-    let report = run_fleet(&platform, &app, &plan, 4)?;
     let mut m = Metrics::new();
+    let report = run_fleet(&mut m, &platform, &app, &plan, 4)?;
     push_run_stats(&mut m, "fleet", &report.run_stats());
     push_net_stats(&mut m, "fleet", &report);
     m.push("fleet/failed_tasks", report.failed_tasks().len() as f64);
@@ -1906,6 +1926,7 @@ fn push_traffic_stats(m: &mut Metrics, prefix: &str, gen: &TrafficGenReport) {
 /// Runs a traffic-only scenario (no application tasks) and returns its
 /// traffic report.
 fn run_traffic(
+    m: &mut Metrics,
     platform: &PlatformSpec,
     kind: SimulatorKind,
     specs: Vec<TrafficSpec>,
@@ -1913,7 +1934,7 @@ fn run_traffic(
     let scenario = WorkflowScenario::new(platform.clone(), ApplicationSpec::new("traffic"), kind)
         .with_sample_interval(None)
         .with_traffic(specs);
-    let report = run_scenario(&scenario).map_err(err)?;
+    let report = run_recorded(m, &scenario)?;
     report
         .traffic
         .ok_or_else(|| "no traffic report".to_string())
@@ -1945,7 +1966,7 @@ fn traffic_zipf_steady_state() -> Result<Metrics, String> {
             .with_zipf(1.0)
             .with_read_fraction(0.9)
             .with_seed(42);
-        let report = run_traffic(&platform, kind, vec![spec])?;
+        let report = run_traffic(&mut m, &platform, kind, vec![spec])?;
         push_traffic_stats(&mut m, label, traffic_gen(&report, "steady")?);
     }
     Ok(m)
@@ -1970,9 +1991,9 @@ fn traffic_open_vs_closed_saturation() -> Result<Metrics, String> {
         .with_zipf(0.6)
         .with_read_fraction(0.8)
         .with_seed(17);
-    let report = run_traffic(&platform, SimulatorKind::PageCache, vec![open])?;
+    let report = run_traffic(&mut m, &platform, SimulatorKind::PageCache, vec![open])?;
     push_traffic_stats(&mut m, "open", traffic_gen(&report, "open")?);
-    let report = run_traffic(&platform, SimulatorKind::PageCache, vec![closed])?;
+    let report = run_traffic(&mut m, &platform, SimulatorKind::PageCache, vec![closed])?;
     push_traffic_stats(&mut m, "closed", traffic_gen(&report, "closed")?);
     Ok(m)
 }
@@ -1980,24 +2001,34 @@ fn traffic_open_vs_closed_saturation() -> Result<Metrics, String> {
 /// One tenant, two cache limits. With a limit comfortably above the Zipf
 /// hot set the server runs from memory; shrinking the limit below the hot
 /// set forces continuous eviction and every displaced hit back to disk —
-/// read p99 strictly degrades (the acceptance criterion of the traffic
+/// read p99 strictly degrades (the acceptance test of the traffic
 /// tier).
 fn traffic_cache_pressure_tail_latency() -> Result<Metrics, String> {
     let platform = scaled_platform(8.0 * GB);
     let mut m = Metrics::new();
     for (label, cap) in [("fits", 1.0 * GB), ("exceeds", 24.0 * MB)] {
-        let spec = TrafficSpec::open("pressured", 300.0, 1200)
-            .with_catalog(8, 8.0 * MB)
-            .with_request_bytes(1.0 * MB)
-            .with_zipf(1.1)
-            .with_read_fraction(0.95)
-            .with_seed(23)
-            .with_warmup(300)
-            .with_tenant(TenantSpec::capped(cap));
-        let report = run_traffic(&platform, SimulatorKind::PageCache, vec![spec])?;
+        let report = run_traffic(
+            &mut m,
+            &platform,
+            SimulatorKind::PageCache,
+            vec![pressured(cap)],
+        )?;
         push_traffic_stats(&mut m, label, traffic_gen(&report, "pressured")?);
     }
     Ok(m)
+}
+
+/// The Zipf(1.1) stream of [`traffic_cache_pressure_tail_latency`], its
+/// tenant capped at `cap` bytes of cache.
+fn pressured(cap: f64) -> TrafficSpec {
+    TrafficSpec::open("pressured", 300.0, 1200)
+        .with_catalog(8, 8.0 * MB)
+        .with_request_bytes(1.0 * MB)
+        .with_zipf(1.1)
+        .with_read_fraction(0.95)
+        .with_seed(23)
+        .with_warmup(300)
+        .with_tenant(TenantSpec::capped(cap))
 }
 
 /// A latency-sensitive logger ("victim") sharing a 512 MB host with a bulk
@@ -2032,7 +2063,12 @@ fn traffic_noisy_neighbor_isolation() -> Result<Metrics, String> {
                 max_dirty_bytes: 48.0 * MB,
             });
         }
-        let report = run_traffic(&platform, SimulatorKind::PageCache, vec![victim, hog])?;
+        let report = run_traffic(
+            &mut m,
+            &platform,
+            SimulatorKind::PageCache,
+            vec![victim, hog],
+        )?;
         push_traffic_stats(
             &mut m,
             &format!("{label}/victim"),
@@ -2050,6 +2086,20 @@ fn traffic_noisy_neighbor_isolation() -> Result<Metrics, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn traffic_under_cache_pressure_counts_evictions_on_both_models() {
+        // A traffic-only run has no instance reports, so its run_stats()
+        // are all zeros; the profile still sees the generator's evictions.
+        let m = traffic_cache_pressure_tail_latency().unwrap();
+        assert!(m.profile().evict_calls > 0);
+        for kind in [SimulatorKind::PageCache, SimulatorKind::KernelEmu] {
+            let mut m = Metrics::new();
+            let platform = scaled_platform(8.0 * GB);
+            run_traffic(&mut m, &platform, kind, vec![pressured(24.0 * MB)]).unwrap();
+            assert!(m.profile().evict_calls > 0, "{kind:?}: {:?}", m.profile());
+        }
+    }
 
     #[test]
     fn registry_has_unique_names_and_covers_all_groups() {
@@ -2104,7 +2154,7 @@ mod tests {
     #[test]
     fn cache_pressure_strictly_degrades_read_tail_latency() {
         let m = traffic_cache_pressure_tail_latency().unwrap();
-        // The acceptance criterion of the traffic tier: when the Zipf hot
+        // The acceptance test of the traffic tier: when the Zipf hot
         // set exceeds the tenant's cache limit, read p99 strictly degrades.
         let fits = metric(&m, "fits/read_p99_s");
         let exceeds = metric(&m, "exceeds/read_p99_s");
@@ -2121,7 +2171,7 @@ mod tests {
     #[test]
     fn isolation_improves_the_victims_tail_latency() {
         let m = traffic_noisy_neighbor_isolation().unwrap();
-        // The noisy-neighbor criterion: capping the hog's cache group must
+        // The noisy-neighbor requirement: capping the hog's cache group must
         // strictly improve the isolated victim's write p99 (the uncapped
         // hog drives global dirty to the throttle threshold and stalls it).
         let shared = metric(&m, "shared/victim/write_p99_s");
@@ -2172,7 +2222,7 @@ mod tests {
 
     #[test]
     fn never_healing_partition_completes_degraded() {
-        // The acceptance criterion of the network tier: cut the clients off
+        // The acceptance test of the network tier: cut the clients off
         // from every server forever and the run must still terminate — no
         // hang, no panic — with the affected tasks failed degraded.
         let platform = scaled_platform(8.0 * GB).with_fleet(FleetSpec::new(2, 2, 1));
@@ -2187,7 +2237,7 @@ mod tests {
             at: 0.0,
             duration: f64::INFINITY,
         });
-        let report = run_fleet(&platform, &app, &plan, 2).unwrap();
+        let report = run_fleet(&mut Metrics::new(), &platform, &app, &plan, 2).unwrap();
         assert!(report.simulated_duration.is_finite());
         assert_eq!(report.failed_tasks().len(), 2);
         assert!(report.net.as_ref().unwrap().failed_reads >= 2.0);
@@ -2263,8 +2313,8 @@ mod tests {
         let m = prog_strided_reads().unwrap();
         // On sparse strided re-reads the emulator's resident ranges hit
         // while the amount-based model keeps reading disk: the emulator hit
-        // ratio must be *strictly* higher (the acceptance criterion of the
-        // readahead/throttling PR).
+        // ratio must be *strictly* higher (what the resident ranges were
+        // built to show).
         for stride in [2, 4] {
             let emu = metric(&m, &format!("stride_{stride}/kernel_emu/hit_ratio"));
             let model = metric(&m, &format!("stride_{stride}/cache/hit_ratio"));

@@ -94,8 +94,9 @@ impl SweepResults {
     }
 
     /// The deterministic result document: schema version plus, per scenario,
-    /// its group and metric map. Failed scenarios are *not* representable —
-    /// callers must check [`SweepResults::all_ok`] first.
+    /// its group, metric map and work counters (`profile`). Failed
+    /// scenarios are *not* representable — callers must check
+    /// [`SweepResults::all_ok`] first.
     ///
     /// With `timings`, a machine-dependent `timings` section (wall-clock per
     /// scenario) is appended; golden comparisons always ignore it.
@@ -111,11 +112,18 @@ impl SweepResults {
                 .iter()
                 .map(|(k, v)| (k.clone(), Json::Num(*v)))
                 .collect();
+            let counters = metrics
+                .profile()
+                .counters()
+                .iter()
+                .map(|(k, v)| (k.to_string(), Json::Num(*v as f64)))
+                .collect();
             scenarios.push((
                 s.name.clone(),
                 Json::obj(vec![
                     ("group".to_string(), Json::Str(s.group.clone())),
                     ("metrics".to_string(), Json::Obj(metric_pairs)),
+                    ("profile".to_string(), Json::Obj(counters)),
                 ]),
             ));
         }

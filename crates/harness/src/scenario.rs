@@ -11,10 +11,14 @@
 //! Wall-clock timings are recorded *outside* the scenario by the runner and
 //! never participate in golden comparisons.
 
-/// Ordered, named metrics of one scenario run.
+use workflow::ProfileStats;
+
+/// Ordered, named metrics of one scenario run, plus the work counters of
+/// every simulation the scenario ran.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Metrics {
     entries: Vec<(String, f64)>,
+    profile: ProfileStats,
 }
 
 impl Metrics {
@@ -47,6 +51,17 @@ impl Metrics {
     /// Whether no metrics were recorded.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
+    }
+
+    /// Adds the work counters of one simulation run (see
+    /// [`ProfileStats::merge`]).
+    pub fn record(&mut self, profile: &ProfileStats) {
+        self.profile.merge(profile);
+    }
+
+    /// The work counters summed over every recorded run.
+    pub fn profile(&self) -> &ProfileStats {
+        &self.profile
     }
 }
 

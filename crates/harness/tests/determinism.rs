@@ -41,6 +41,12 @@ fn full_sweep_is_bit_identical_across_thread_counts() {
         "scenario failures: {:?}",
         serial.failures()
     );
+    // Every scenario that simulates records its runs' work counters; the
+    // three tables report constants and run no simulation.
+    for s in &serial.scenarios {
+        let events = s.outcome.as_ref().unwrap().profile().engine.events_fired;
+        assert_eq!(events > 0, !s.name.starts_with("table"), "{}", s.name);
+    }
     let reference = serial.to_json(false).render_pretty();
 
     for threads in [2, 4] {
@@ -96,12 +102,12 @@ fn sweep_results_pass_their_own_golden_and_catch_injected_drift() {
     // Round-trip through text, as the real gate does with files on disk.
     let golden = parse(&golden.render_pretty()).unwrap();
     let rerun = parse(&doc.render_pretty()).unwrap();
-    assert_eq!(compare(&golden, &rerun).unwrap(), Vec::new());
+    assert_eq!(compare(&golden, &rerun).unwrap(), (Vec::new(), Vec::new()));
 
     // Inject 1% drift into one metric: the gate must flag exactly that key.
     let mut drifted = rerun.clone();
     let key = inject_drift(&mut drifted, 1.01);
-    let drifts = compare(&golden, &drifted).unwrap();
+    let (drifts, _) = compare(&golden, &drifted).unwrap();
     assert_eq!(drifts.len(), 1, "{drifts:?}");
     match &drifts[0] {
         Drift::Value { key: k, rel, .. } => {

@@ -202,6 +202,11 @@ impl Disk {
     pub fn total_bytes_written(&self) -> f64 {
         self.write.total_bytes()
     }
+
+    /// Transfers completed on both channels.
+    pub fn completed_flows(&self) -> u64 {
+        self.read.completed_flows() + self.write.completed_flows()
+    }
 }
 
 /// The memory bus: cache hits and cache writes move data at memory bandwidth.
@@ -262,6 +267,11 @@ impl MemoryDevice {
     pub fn ideal_write_time(&self, bytes: f64) -> f64 {
         self.write.ideal_time(bytes)
     }
+
+    /// Transfers completed on both channels.
+    pub fn completed_flows(&self) -> u64 {
+        self.read.completed_flows() + self.write.completed_flows()
+    }
 }
 
 /// A network link connecting two hosts (e.g. NFS client and server).
@@ -296,6 +306,11 @@ impl NetworkLink {
     /// Time an uncontended transfer of `bytes` would take.
     pub fn ideal_time(&self, bytes: f64) -> f64 {
         self.link.ideal_time(bytes)
+    }
+
+    /// Transfers completed on the link.
+    pub fn completed_flows(&self) -> u64 {
+        self.link.completed_flows()
     }
 }
 

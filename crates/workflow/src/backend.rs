@@ -43,7 +43,7 @@ use storage_model::{Disk, MemoryDevice, NetworkLink};
 use crate::faults::{CrashReport, FileDurability, InjectedFault};
 use crate::net::{FleetClient, FleetSpec, NetReport};
 use crate::platform::{DeviceSet, PlatformSpec, StorageKind};
-use crate::report::WritebackCounters;
+use crate::report::{ProfileStats, WritebackCounters};
 
 /// Which simulator runs the scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -316,6 +316,32 @@ impl Backend {
         }
     }
 
+    /// Work counters of the back-end's cache model and devices (the fleet
+    /// sums its clients and servers); the engine's are left at zero.
+    pub fn profile(&self) -> ProfileStats {
+        match self {
+            Backend::Cached(fs) => model_profile(fs.memory_manager()),
+            Backend::Kernel(fs) => {
+                let (cache, work) = (fs.cache(), fs.cache().work());
+                ProfileStats {
+                    evict_calls: work.evict_calls,
+                    evict_visits: work.evict_visits,
+                    writeback_calls: work.writeback_calls,
+                    writeback_visits: work.writeback_visits,
+                    flows_completed: cache.memory().completed_flows()
+                        + cache.disk().completed_flows(),
+                    ..ProfileStats::default()
+                }
+            }
+            Backend::Fleet(fleet) => fleet.profile(),
+            Backend::Direct(fs) => ProfileStats {
+                flows_completed: fs.disk().completed_flows()
+                    + fs.link().map_or(0, NetworkLink::completed_flows),
+                ..ProfileStats::default()
+            },
+        }
+    }
+
     /// Assigns `file` to a cache group (tenant) for memcg-style accounting.
     /// No-op on back-ends without a host-wide cache model.
     pub fn set_file_group(&self, file: &FileId, group: u32) {
@@ -489,6 +515,21 @@ impl Backend {
     /// The network-tier statistics, if this back-end has a network tier.
     pub fn net_report(&self) -> Option<NetReport> {
         self.fleet().map(FleetClient::net_report)
+    }
+}
+
+/// Work counters of one host of the page cache model: its LRU lists, its
+/// memory bus and its disk.
+pub(crate) fn model_profile(mm: &MemoryManager) -> ProfileStats {
+    let work = mm.counters().lru;
+    ProfileStats {
+        evict_calls: work.evict_calls,
+        evict_visits: work.evict_visits,
+        writeback_calls: work.flush_calls,
+        writeback_visits: work.flush_visits,
+        insert_steps: work.insert_steps,
+        flows_completed: mm.memory().completed_flows() + mm.disk().completed_flows(),
+        ..ProfileStats::default()
     }
 }
 

@@ -102,8 +102,8 @@ pub use net::{ClientNetStats, ClientPolicy, Fabric, FleetClient, FleetSpec, NetE
 pub use pagecache::EvictionPolicy;
 pub use platform::{DeviceSet, PlatformSpec, StorageKind};
 pub use report::{
-    absolute_relative_error_pct, InstanceReport, RunStats, ScenarioReport, TaskReport, TaskStatus,
-    WritebackCounters,
+    absolute_relative_error_pct, InstanceReport, ProfileStats, RunStats, ScenarioReport,
+    TaskReport, TaskStatus, WritebackCounters,
 };
 pub use runner::{run_scenario, scoped_file, Scenario};
 pub use spec::{

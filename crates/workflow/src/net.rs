@@ -67,12 +67,12 @@ use pagecache::{
 use simfs::{CachedFileSystem, FileRegistry};
 use storage_model::{AbortHandle, Disk, MemoryDevice, SharedResource, TransferOutcome};
 
-use crate::backend::{crash_cached, model_writeback, ScenarioError};
+use crate::backend::{crash_cached, model_profile, model_writeback, ScenarioError};
 use crate::faults::{
     CrashReport, FileDurability, InjectedFault, InjectedFaultKind, OpClass, RetryPolicy,
 };
 use crate::platform::{DeviceSet, PlatformSpec, StorageKind};
-use crate::report::WritebackCounters;
+use crate::report::{ProfileStats, WritebackCounters};
 
 /// Why a network operation could not complete.
 #[derive(Debug, Clone, PartialEq)]
@@ -1279,6 +1279,24 @@ impl FleetClient {
             total.background_flushed += c.background_flushed;
             total.synchronous_flushed += c.synchronous_flushed;
             total.evicted += c.evicted;
+        }
+        total
+    }
+
+    /// Work counters summed over the clients' and servers' caches and
+    /// devices and the servers' links.
+    pub(crate) fn profile(&self) -> ProfileStats {
+        let mut total = ProfileStats::default();
+        for client in &self.inner.clients {
+            total.merge(&model_profile(client.io.memory_manager()));
+        }
+        for node in &self.inner.servers {
+            total.merge(&model_profile(node.fs.memory_manager()));
+            total.flows_completed += self
+                .inner
+                .fabric
+                .link_channel(&node.link)
+                .map_or(0, |link| link.completed_flows());
         }
         total
     }

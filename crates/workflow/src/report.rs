@@ -1,5 +1,6 @@
 //! Result types produced by scenario runs.
 
+use des::EngineStats;
 use pagecache::{CacheContentSnapshot, IoOpStats, MemoryTrace};
 
 use crate::backend::SimulatorKind;
@@ -148,6 +149,65 @@ pub struct RunStats {
     pub failed_writes: f64,
 }
 
+/// Deterministic work counters of one run, by layer: what the engine, the
+/// cache model and the devices did. Plain counts, so they are identical on
+/// any machine; they cover traffic generators as well as instances.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct ProfileStats {
+    /// The engine's counters.
+    pub engine: EngineStats,
+    /// Reclaim calls of the cache model that evicted (0 without a cache).
+    pub evict_calls: u64,
+    /// Blocks or index entries those calls visited.
+    pub evict_visits: u64,
+    /// Reclaim calls of the cache model that wrote dirty data back.
+    pub writeback_calls: u64,
+    /// Blocks or index entries those calls visited.
+    pub writeback_visits: u64,
+    /// Steps walked by the page cache model's out-of-order inserts.
+    pub insert_steps: u64,
+    /// Transfers completed on every device and link of the back-end.
+    pub flows_completed: u64,
+}
+
+impl ProfileStats {
+    /// The counters, named `engine.*`, `cache.*` and `io.*` by layer, in a
+    /// fixed order.
+    pub fn counters(&self) -> [(&'static str, u64); 11] {
+        let e = &self.engine;
+        [
+            ("engine.events_fired", e.events_fired),
+            ("engine.task_polls", e.task_polls),
+            ("engine.timers_scheduled", e.timers_scheduled),
+            ("engine.timers_cancelled", e.timers_cancelled),
+            ("engine.peak_live_timers", e.peak_live_timers),
+            ("cache.evict_calls", self.evict_calls),
+            ("cache.evict_visits", self.evict_visits),
+            ("cache.writeback_calls", self.writeback_calls),
+            ("cache.writeback_visits", self.writeback_visits),
+            ("cache.insert_steps", self.insert_steps),
+            ("io.flows_completed", self.flows_completed),
+        ]
+    }
+
+    /// Adds another run's counters: counts add, the peak of live timers
+    /// takes the larger one.
+    pub fn merge(&mut self, other: &ProfileStats) {
+        let (e, o) = (&mut self.engine, &other.engine);
+        e.events_fired += o.events_fired;
+        e.task_polls += o.task_polls;
+        e.timers_scheduled += o.timers_scheduled;
+        e.timers_cancelled += o.timers_cancelled;
+        e.peak_live_timers = e.peak_live_timers.max(o.peak_live_timers);
+        self.evict_calls += other.evict_calls;
+        self.evict_visits += other.evict_visits;
+        self.writeback_calls += other.writeback_calls;
+        self.writeback_visits += other.writeback_visits;
+        self.insert_steps += other.insert_steps;
+        self.flows_completed += other.flows_completed;
+    }
+}
+
 /// Full result of one scenario run.
 #[derive(Debug, Clone)]
 pub struct ScenarioReport {
@@ -180,6 +240,8 @@ pub struct ScenarioReport {
     /// tenant-limit enforcement), present only when the scenario carries
     /// traffic specs.
     pub traffic: Option<crate::traffic::TrafficReport>,
+    /// Work counters of the engine, the cache model and the devices.
+    pub profile: ProfileStats,
 }
 
 impl ScenarioReport {
@@ -344,6 +406,7 @@ mod tests {
             restart_reports: Vec::new(),
             net: None,
             traffic: None,
+            profile: ProfileStats::default(),
         }
     }
 

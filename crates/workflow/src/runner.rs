@@ -19,7 +19,7 @@ use pagecache::FileId;
 use crate::backend::{Backend, ScenarioError, SimulatorKind};
 use crate::faults::{FaultEvent, FaultPlan, FaultState, InjectedFault, OpClass};
 use crate::platform::{PlatformSpec, StorageKind};
-use crate::report::{InstanceReport, ScenarioReport, TaskReport, TaskStatus};
+use crate::report::{InstanceReport, ProfileStats, ScenarioReport, TaskReport, TaskStatus};
 use crate::spec::{flatten_program, ApplicationSpec, Op};
 use crate::traffic::{run_generator, TrafficReport, TrafficSpec};
 
@@ -374,6 +374,10 @@ pub fn run_scenario(scenario: &Scenario) -> Result<ScenarioReport, ScenarioError
         restart_reports,
         net: backend.net_report(),
         traffic,
+        profile: ProfileStats {
+            engine: sim.stats(),
+            ..backend.profile()
+        },
     })
 }
 

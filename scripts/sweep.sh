@@ -6,10 +6,16 @@
 # Usage:
 #   scripts/sweep.sh                  run the sweep, write RESULTS.json
 #   scripts/sweep.sh --check          also diff against baselines/golden.json
-#                                     and exit non-zero on any drift (CI gate)
+#                                     and exit non-zero on any drift (CI gate):
+#                                     a metric outside its tolerance, or a
+#                                     work counter in a scenario's "profile"
+#                                     more than 10% above its golden value (a
+#                                     lower one prints a note; the 10% is a
+#                                     constant in crates/harness/src/gate.rs)
 #   scripts/sweep.sh --update-golden  regenerate the golden baseline (do this
 #                                     in the same commit that legitimately
-#                                     changes predictions, and say why)
+#                                     changes predictions, and say why); it
+#                                     also ratchets the "profile" counters
 #   scripts/sweep.sh --filter paper_scale
 #                                     reproduce the paper's figures at the
 #                                     paper's scale (numbers in RESULTS.json)
@@ -27,7 +33,9 @@
 #                                     deleted on purpose, each with a
 #                                     reason); each skipped key is printed,
 #                                     and a retired prefix that matches a
-#                                     metric the run still produces fails
+#                                     metric the run still produces fails.
+#                                     The frozen check ignores "profile":
+#                                     it covers predictions, not work
 #
 # All other flags (--threads, --filter, --out, --golden, --timings) are
 # forwarded to the sweep binary; see `sweep --help`. --filter matches the
