@@ -56,17 +56,25 @@
 //! place (a flush) is therefore linked into the clean chain right after its
 //! nearest clean predecessor in recency order, not by timestamp.
 //!
+//! A block moves between lists by relinking its node: it is unlinked from
+//! its chains and linked into the target tier's, and keeps its arena slot.
+//! A read promotes each dirty block this way, and the first clean node it
+//! takes becomes the merged clean block; a demotion moves the active head.
+//! Only a split (a partial read, flush or eviction) allocates a node, and
+//! only a merge or a removal frees one, so a warm re-read of whole blocks
+//! allocates and frees nothing.
+//!
 //! # Complexity
 //!
 //! | operation | `VecDeque` lists | arena + chains |
 //! |---|---|---|
 //! | `add_clean` / `add_dirty` | O(1) append | O(1) append |
-//! | `read_cached` (file with k blocks) | O(n) scan + O(n) shifts | O(k) |
+//! | `read_cached` (file with k blocks) | O(n) scan + O(n) shifts | O(k) relinks, no allocation for whole blocks |
 //! | `flush_lru` (d dirty blocks touched) | O(n) scan | O(d) |
 //! | `evict` (e blocks removed) | O(n) shifts | O(e + out-of-scope clean blocks) |
 //! | `flush_expired` (d dirty blocks) | O(n) scan | O(d) |
 //! | `invalidate_file` (k blocks) | O(n) scan | O(k) |
-//! | `balance` (per demotion) | O(1) decide + O(n) shift | O(1) decide + amortised O(1) insert |
+//! | `balance` (per demotion) | O(1) decide + O(n) shift | O(1) decide + amortised O(1) relink |
 //! | byte aggregates | O(1) | O(1) |
 //!
 //! Eviction walks the clean chains only, so dirty data that piles up at the
@@ -439,6 +447,9 @@ pub struct LruLists {
     files: FileTable<FileState>,
     policy: Policy,
     work: LruWork,
+    /// The nodes [`LruLists::read_cached`] takes off the tiers, kept
+    /// between calls so a read allocates no buffer.
+    taken: Vec<Idx>,
 }
 
 impl Default for LruLists {
@@ -462,6 +473,7 @@ impl LruLists {
             files: FileTable::new(),
             policy: policy.build(),
             work: LruWork::default(),
+            taken: Vec::new(),
         }
     }
 
@@ -751,26 +763,39 @@ impl LruLists {
         self.files.get_mut(s).bytes.blocks += 1;
     }
 
-    /// Inserts `block` of slot `s` as a new node on `tier`: updates the
-    /// aggregates and links it into the recency, per-file and clean or dirty
-    /// chains at its sorted position. O(1) in the common append case.
+    /// Inserts `block` of slot `s` as a new node on `tier`: allocates its
+    /// arena slot and links it with [`LruLists::link_node`]. O(1) in the
+    /// common append case.
     fn insert_node(&mut self, tier: usize, s: u64, block: DataBlock) -> Idx {
-        self.agg_insert(tier, s, block.size, block.dirty);
-        let dirty = block.dirty;
         let idx = self.alloc(Node {
             block,
             tier: tier as u8,
             file_slot: s,
             links: [UNLINKED; 3],
         });
-        let list = &mut self.lists[tier];
-        let mut steps = insert_sorted(&mut self.arena, &mut list.recency, RECENCY, idx);
-        list.len += 1;
-        steps += insert_sorted(&mut self.arena, list.state_chain(dirty), STATE, idx);
-        let entry = self.files.get_mut(s);
-        steps += insert_sorted(&mut self.arena, &mut entry.chains[tier], FILE, idx);
-        self.work.insert_steps += steps;
+        self.link_node(tier, idx);
         idx
+    }
+
+    /// Links unlinked node `i` onto `tier`: updates the aggregates and links
+    /// it into the recency, per-file and clean or dirty chains at its sorted
+    /// position. A block moving between tiers (a promotion, a demotion) is
+    /// relinked with this after [`LruLists::unlink_node`], keeping its arena
+    /// slot. O(1) in the common append case.
+    fn link_node(&mut self, tier: usize, i: Idx) {
+        let (s, size, dirty) = {
+            let n = node_mut(&mut self.arena, i);
+            n.tier = tier as u8;
+            (n.file_slot, n.block.size, n.block.dirty)
+        };
+        self.agg_insert(tier, s, size, dirty);
+        let list = &mut self.lists[tier];
+        let mut steps = insert_sorted(&mut self.arena, &mut list.recency, RECENCY, i);
+        list.len += 1;
+        steps += insert_sorted(&mut self.arena, list.state_chain(dirty), STATE, i);
+        let entry = self.files.get_mut(s);
+        steps += insert_sorted(&mut self.arena, &mut entry.chains[tier], FILE, i);
+        self.work.insert_steps += steps;
     }
 
     /// Inserts `block` as a new clean node on `tier` directly before `anchor`
@@ -822,14 +847,14 @@ impl LruLists {
         insert_before(&mut self.arena, clean, STATE, anchor, i);
     }
 
-    /// Unlinks node `i` from every chain, updates the aggregates and frees
-    /// its arena slot, but keeps its file slot even when it empties, so the
-    /// caller can re-insert data of the same file without a name lookup.
-    /// O(1).
-    fn detach_node(&mut self, i: Idx) -> Node {
-        let (tier, s, dirty) = {
+    /// Unlinks node `i` from every chain and takes its bytes out of the
+    /// aggregates, but keeps its arena slot and its file slot (even when
+    /// that empties): the caller relinks it with [`LruLists::link_node`] or
+    /// frees it with [`LruLists::release`]. O(1).
+    fn unlink_node(&mut self, i: Idx) {
+        let (tier, s, size, dirty) = {
             let n = node_ref(&self.arena, i);
-            (n.tier as usize, n.file_slot, n.block.dirty)
+            (n.tier as usize, n.file_slot, n.block.size, n.block.dirty)
         };
         unlink(&mut self.arena, &mut self.lists[tier].recency, RECENCY, i);
         self.lists[tier].len -= 1;
@@ -837,9 +862,15 @@ impl LruLists {
         unlink(&mut self.arena, &mut entry.chains[tier], FILE, i);
         let chain = self.lists[tier].state_chain(dirty);
         unlink(&mut self.arena, chain, STATE, i);
-        let node = self.release(i);
-        self.agg_remove(tier, s, node.block.size, node.block.dirty);
-        node
+        self.agg_remove(tier, s, size, dirty);
+    }
+
+    /// [`LruLists::unlink_node`], then frees its arena slot. Keeps the file
+    /// slot even when it empties, so the caller can re-insert data of the
+    /// same file without a name lookup. O(1).
+    fn detach_node(&mut self, i: Idx) -> Node {
+        self.unlink_node(i);
+        self.release(i)
     }
 
     /// [`LruLists::detach_node`], then frees the file slot if that was its
@@ -979,7 +1010,10 @@ impl LruLists {
     ///
     /// Only the target file's blocks are touched (its per-file chains), so
     /// the cost is O(k) in the file's block count, independent of how many
-    /// blocks of other files surround them.
+    /// blocks of other files surround them. Blocks move by relinking their
+    /// arena nodes: a dirty block keeps its node, and the first clean node
+    /// becomes the merged block. Only a split head takes a new node, and
+    /// only the other clean nodes are freed.
     pub fn read_cached(&mut self, file: &FileId, amount: f64, now: SimTime) -> f64 {
         if amount <= EPSILON {
             return 0.0;
@@ -991,40 +1025,66 @@ impl LruLists {
             return 0.0;
         }
         let dest = ACTIVE_TIER;
-        let taken = self.take_for_read(s, amount);
+        // Two passes: every taken block leaves the aggregates before any
+        // joins `dest`, in take order, so each `f64` sum rounds the same way
+        // whichever nodes the blocks end up in.
+        let mut taken = std::mem::take(&mut self.taken);
+        let head = self.take_for_read(s, amount, &mut taken);
         let mut clean_total = 0.0;
         let mut read_total = 0.0;
-        for blk in taken {
+        let mut merged = NIL;
+        for &i in &taken {
+            let blk = &mut node_mut(&mut self.arena, i).block;
             read_total += blk.size;
             if blk.dirty {
-                let promoted = DataBlock {
-                    file: blk.file,
-                    size: blk.size,
-                    entry_time: blk.entry_time,
-                    last_access: now,
-                    dirty: true,
-                };
-                self.insert_node(dest, s, promoted);
+                blk.last_access = now;
+                self.link_node(dest, i);
             } else {
                 clean_total += blk.size;
+                if merged == NIL {
+                    merged = i;
+                } else {
+                    self.release(i);
+                }
+            }
+        }
+        taken.clear();
+        self.taken = taken;
+        if let Some(mut head) = head {
+            read_total += head.size;
+            if head.dirty {
+                head.last_access = now;
+                self.insert_node(dest, s, head);
+            } else {
+                clean_total += head.size;
             }
         }
         if clean_total > EPSILON {
-            let merged = DataBlock::clean(file.clone(), clean_total, now);
-            let idx = self.insert_node(dest, s, merged);
+            let idx = if merged == NIL {
+                self.insert_node(dest, s, DataBlock::clean(file.clone(), clean_total, now))
+            } else {
+                let blk = &mut node_mut(&mut self.arena, merged).block;
+                blk.size = clean_total;
+                blk.entry_time = now;
+                blk.last_access = now;
+                self.link_node(dest, merged);
+                merged
+            };
             self.try_coalesce(idx);
+        } else if merged != NIL {
+            self.release(merged);
         }
         self.release_if_unused(s);
         self.debug_validate();
         read_total
     }
 
-    /// Removes up to `amount` bytes of slot `s` from the tiers, tier 0
-    /// first, LRU first, splitting the last block if needed. Walks only the
-    /// file's own chains, and keeps the slot even if it empties (the caller
-    /// re-inserts the taken data).
-    fn take_for_read(&mut self, s: u64, amount: f64) -> Vec<DataBlock> {
-        let mut taken = Vec::new();
+    /// Takes up to `amount` bytes of slot `s` off the tiers, tier 0 first,
+    /// LRU first. Whole blocks are unlinked into `taken` and keep their
+    /// arena nodes; a last block that is only partly needed is split, and
+    /// its head is returned. Walks only the file's own chains, and keeps the
+    /// slot even if it empties (the caller relinks the taken data).
+    fn take_for_read(&mut self, s: u64, amount: f64, taken: &mut Vec<Idx>) -> Option<DataBlock> {
         let mut remaining = amount;
         for tier in 0..MAX_TIERS {
             if remaining <= EPSILON {
@@ -1035,23 +1095,21 @@ impl LruLists {
                 let next = node_ref(&self.arena, i).links[FILE].next;
                 let size = node_ref(&self.arena, i).block.size;
                 if size <= remaining + EPSILON {
-                    let blk = self.detach_node(i).block;
-                    remaining -= blk.size;
-                    taken.push(blk);
+                    self.unlink_node(i);
+                    remaining -= size;
+                    taken.push(i);
                 } else {
                     let head = node_mut(&mut self.arena, i).block.split_off(remaining);
                     // The head leaves the list (it is re-accounted when the
                     // promotion re-inserts it); the remainder keeps the block
                     // count.
                     self.agg_shrink(tier, s, head.size, head.dirty);
-                    taken.push(head);
-                    remaining = 0.0;
-                    break;
+                    return Some(head);
                 }
                 i = next;
             }
         }
-        taken
+        None
     }
 
     /// Marks up to `amount` bytes of dirty data as clean, least recently used
@@ -1289,9 +1347,9 @@ impl LruLists {
                 break;
             };
             let head = self.lists[from].recency.head;
-            let demoted = self.detach_node(head);
-            let idx = self.insert_node(to, demoted.file_slot, demoted.block);
-            self.try_coalesce(idx);
+            self.unlink_node(head);
+            self.link_node(to, head);
+            self.try_coalesce(head);
         }
     }
 
@@ -2274,6 +2332,185 @@ mod tests {
                     .unwrap_or_else(|e| panic!("{policy}: {e}"));
             }
         }
+    }
+
+    /// Tiny xorshift PRNG for the seeded churn (no external dependencies).
+    struct XorShift(u64);
+
+    impl XorShift {
+        /// A value in `[0, bound)`.
+        fn below(&mut self, bound: u64) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0 % bound
+        }
+    }
+
+    /// A seeded mix of writes, reads, flushes and evictions over four files.
+    /// Timestamps repeat (so blocks split, merge and coalesce) and sizes are
+    /// not whole numbers (so every `f64` sum rounds).
+    fn churn(policy: EvictionPolicy, seed: u64) -> LruLists {
+        let mut lru = LruLists::with_policy(policy);
+        let mut rng = XorShift(seed);
+        let files: Vec<FileId> = (0..4).map(|i| FileId::new(format!("f{i}"))).collect();
+        let mut clock = 0.0;
+        for _ in 0..2000 {
+            if rng.below(3) == 0 {
+                clock += 0.25 * (1 + rng.below(4)) as f64;
+            }
+            let now = t(clock);
+            let f = &files[rng.below(4) as usize];
+            let size = 1.0 + rng.below(4096) as f64 * 0.37;
+            match rng.below(8) {
+                0 | 1 => lru.add_clean(f.clone(), size, now),
+                2 => lru.add_dirty(f.clone(), size, now),
+                3 | 4 => {
+                    lru.read_cached(f, 3.0 * size, now);
+                }
+                5 => {
+                    lru.flush_lru(size, ReclaimScope::Host(None));
+                }
+                6 => {
+                    lru.evict(2.0 * size, ReclaimScope::Host(Some(f)));
+                }
+                _ => {
+                    lru.flush_expired(now, 5.0);
+                }
+            }
+        }
+        lru
+    }
+
+    /// The churn's final byte totals as bits: per tier `bytes`, `dirty`,
+    /// then per file (in name order) `cached`, `dirty`, `inactive_bytes`,
+    /// `inactive_clean`.
+    fn churn_bits(lru: &LruLists) -> Vec<u64> {
+        let mut bits: Vec<u64> = lru
+            .lists
+            .iter()
+            .flat_map(|l| [l.agg.bytes, l.agg.dirty])
+            .map(f64::to_bits)
+            .collect();
+        let mut files: Vec<(&FileId, &FileBytes)> = lru
+            .files
+            .iter()
+            .map(|(_, file, f)| (file, &f.bytes))
+            .collect();
+        files.sort_by_key(|&(file, _)| file.clone());
+        for (_, f) in files {
+            let sums = [f.cached, f.dirty, f.inactive_bytes, f.inactive_clean];
+            bits.extend(sums.map(f64::to_bits));
+        }
+        bits
+    }
+
+    #[test]
+    fn a_seeded_churn_keeps_its_aggregate_bits_and_work() {
+        // The bits pin the order of every aggregate update: a block move
+        // that added or removed bytes in another order would change one.
+        const TWO_LIST: [u64; 20] = [
+            0x40ed716147ae147a,
+            0x40ae55f0a3d70a43,
+            0x40fbc6f63d70a3d9,
+            0x3d60000000000000,
+            0x40e716b19999999b,
+            0x40a183f5c28f5c2a,
+            0x40dd5f6147ae147b,
+            0x40db2ee28f5c28f8,
+            0x40e5489147ae147d,
+            0x4091bd3d70a3d70a,
+            0x40bc7428f5c28f5d,
+            0x40b804d99999999c,
+            0x40e21720a3d70a3f,
+            0x407f9ae147ae148a,
+            0x40cf52828f5c28f2,
+            0x40ce55ab851eb84e,
+            0x40e688ea3d70a3dd,
+            0x3d54000000000000,
+            0x40baf4570a3d70a2,
+            0x40baf4570a3d70a7,
+        ];
+        const TWO_Q: [u64; 20] = [
+            0x409c4d5c28f5c2a4,
+            0x4087b1eb851eb857,
+            0x41049adbd70a3d77,
+            0x409dd670a3d70a48,
+            0x40e6a6c4ccccccc9,
+            0x4097f228f5c28f5e,
+            0x40e6a6c4ccccccc9,
+            0x40e5e733851eb84a,
+            0x40e40e47ae147adf,
+            0x4091bd3d70a3d70c,
+            0x40e40e47ae147adf,
+            0x40e3805dc28f5c22,
+            0x40e3e77947ae147d,
+            0x3d80000000000000,
+            0x40e3e77947ae147d,
+            0x40e3e77947ae147d,
+            0x40e4b1547ae147b2,
+            0x3d60000000000000,
+            0x40e4b1547ae147b2,
+            0x40e4b1547ae147b3,
+        ];
+        let expected = [
+            (EvictionPolicy::TwoList, TWO_LIST, 121, (796, 353, 2515)),
+            (EvictionPolicy::TwoQ, TWO_Q, 98, (1028, 348, 0)),
+        ];
+        for (policy, bits, blocks, (evict_visits, flush_visits, insert_steps)) in expected {
+            let lru = churn(policy, 30);
+            assert_eq!(churn_bits(&lru), bits, "{policy}");
+            assert_eq!(lru.block_count(), blocks, "{policy}");
+            let work = lru.work();
+            assert_eq!((work.evict_calls, work.flush_calls), (252, 245), "{policy}");
+            assert_eq!(
+                (work.evict_visits, work.flush_visits, work.insert_steps),
+                (evict_visits, flush_visits, insert_steps),
+                "{policy}"
+            );
+        }
+    }
+
+    #[test]
+    fn a_warm_reread_moves_the_files_nodes_in_place() {
+        let mut lru = LruLists::new();
+        let f: FileId = "f".into();
+        lru.add_clean(f.clone(), 100.0, t(0.0));
+        // Dirty blocks never coalesce: k whole blocks.
+        for i in 1..=4 {
+            lru.add_dirty(f.clone(), 10.0 * i as f64, t(i as f64));
+        }
+        // A freed node, so the free list the re-read must not touch is not
+        // empty.
+        lru.add_clean("other".into(), 50.0, t(5.0));
+        lru.evict(50.0, ReclaimScope::Host(Some(&f)));
+        approx(lru.read_cached(&f, 200.0, t(6.0)), 200.0);
+        // The first read merged the clean block; the file now has one clean
+        // and four dirty nodes on the active list.
+        let nodes = |lru: &LruLists| {
+            let mut out = Vec::new();
+            let mut i = lru.files.get(lru.files.key(&f).unwrap()).chains[ACTIVE_TIER].head;
+            while i != NIL {
+                out.push(i);
+                i = node_ref(&lru.arena, i).links[FILE].next;
+            }
+            out
+        };
+        let free_list = |lru: &LruLists| {
+            let mut out = Vec::new();
+            let mut i = lru.free_head;
+            while let Some(Slot::Vacant { next_free }) = lru.arena.get(i as usize) {
+                out.push(i);
+                i = *next_free;
+            }
+            out
+        };
+        let before = (nodes(&lru), lru.arena.len(), free_list(&lru));
+        assert_eq!(before.0.len(), 5);
+        approx(lru.read_cached(&f, 200.0, t(7.0)), 200.0);
+        assert_eq!((nodes(&lru), lru.arena.len(), free_list(&lru)), before);
+        assert!(lru.active_blocks().all(|b| b.last_access == t(7.0)));
+        lru.check_invariants().unwrap();
     }
 
     #[test]

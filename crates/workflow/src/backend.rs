@@ -139,6 +139,14 @@ impl From<FsError> for ScenarioError {
 /// semantics (see the module-level tables) sit in one `match`. Async
 /// methods return `!Send` futures: the DES engine is single-threaded and
 /// the filesystems share `Rc` state.
+///
+/// The async methods box the [`Backend::Fleet`] arm. A future is as large
+/// as its largest arm, and the fleet's are far larger than the others (a
+/// read is about 3 KB against at most 520 B: it holds the replica walk,
+/// the link transfers and the retries). Unboxed, every back-end's read
+/// would carry the fleet's size, and every traffic request, a spawned task
+/// around one read or write, would allocate and copy it. Boxed, only a
+/// fleet op pays one extra allocation.
 #[derive(Clone)]
 pub enum Backend {
     /// Local filesystem with page caching (WRENCH-cache behaviour).
@@ -181,7 +189,7 @@ impl Backend {
             Backend::Cached(fs) => fs.read_range(file, offset, len).await?,
             Backend::Direct(fs) => fs.read_range(file, offset, len).await?,
             Backend::Kernel(fs) => fs.read_range(file, offset, len).await?,
-            Backend::Fleet(fleet) => fleet.read_range(file, offset, len).await?,
+            Backend::Fleet(fleet) => Box::pin(fleet.read_range(file, offset, len)).await?,
         })
     }
 
@@ -199,7 +207,7 @@ impl Backend {
             Backend::Cached(fs) => fs.write_range(file, offset, len).await?,
             Backend::Direct(fs) => fs.write_range(file, offset, len).await?,
             Backend::Kernel(fs) => fs.write_range(file, offset, len).await?,
-            Backend::Fleet(fleet) => fleet.write_range(file, offset, len).await?,
+            Backend::Fleet(fleet) => Box::pin(fleet.write_range(file, offset, len)).await?,
         })
     }
 
@@ -211,7 +219,7 @@ impl Backend {
             Backend::Cached(fs) => fs.fsync(file).await?,
             Backend::Direct(fs) => fs.fsync(file).await?,
             Backend::Kernel(fs) => fs.fsync(file).await?,
-            Backend::Fleet(fleet) => fleet.fsync(file).await?,
+            Backend::Fleet(fleet) => Box::pin(fleet.fsync(file)).await?,
         })
     }
 
@@ -221,7 +229,7 @@ impl Backend {
             Backend::Cached(fs) => fs.sync().await,
             Backend::Direct(fs) => fs.sync().await,
             Backend::Kernel(fs) => fs.sync().await,
-            Backend::Fleet(fleet) => fleet.sync().await?,
+            Backend::Fleet(fleet) => Box::pin(fleet.sync()).await?,
         })
     }
 
@@ -624,6 +632,27 @@ mod tests {
         let backend = Backend::build(&ctx, &fleet, SimulatorKind::PageCache).unwrap();
         backend.create_file(&"f".into(), 100.0 * MB).unwrap();
         assert_cache_seams(&backend, true, "fleet");
+    }
+
+    #[test]
+    fn io_futures_stay_small_whatever_the_back_end() {
+        // Every traffic request spawns one task around a `read_range` or a
+        // `write_range` future, so the future's size is allocated and
+        // copied once per request. A method's future has one size for all
+        // variants; the boxed fleet arm keeps it near the local back-ends'.
+        let sim = Simulation::new();
+        let ctx = sim.context();
+        let f: FileId = "f".into();
+        for (kind, platform) in every_filesystem() {
+            let backend = Backend::build(&ctx, &platform, kind).unwrap();
+            let sizes = [
+                std::mem::size_of_val(&backend.read_range(&f, 0.0, 1.0)),
+                std::mem::size_of_val(&backend.write_range(&f, 0.0, 1.0)),
+                std::mem::size_of_val(&backend.fsync(&f)),
+                std::mem::size_of_val(&backend.sync()),
+            ];
+            assert!(sizes.iter().all(|&b| b <= 1024), "{kind:?}: {sizes:?}");
+        }
     }
 
     fn fleet_platform() -> PlatformSpec {
