@@ -34,18 +34,29 @@
 //! [`TimerId`] is a slab key, so locating one is an index, not a hash, and a
 //! stale id (a waker that outlived its task, a fired timer's id) never
 //! reaches the task or timer that reused its slot. Wakers push task ids onto
-//! a shared queue; the run loop swaps it with a buffer of its own, so a wake
-//! allocates nothing.
+//! a shared queue and then raise its `pending` flag. The run loop drains the
+//! queue after every poll, and the queue is almost always empty: a clear
+//! flag returns at once, without taking the queue's lock. A raised flag is
+//! cleared and the queue swapped with a buffer of the run loop's own, so a
+//! wake allocates nothing.
+//!
+//! A task's slot holds its [`Waker`] and the `Arc<SimWaker>` behind it. The
+//! waker is taken out of the slot for a poll and put back after, so a poll
+//! touches no reference count. When a task completes and its `Arc` has no
+//! clone left (no timer, join handle or device holds its waker), the `Arc`
+//! goes to a list of spare wakers, and the next spawn takes it and sets its
+//! task id instead of allocating a new one. A waker with a clone still out
+//! is never reused, so a wake through that clone names the completed
+//! task's stale id and polls nothing.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
 use std::future::Future;
 use std::pin::Pin;
 use std::rc::Rc;
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Arc, Mutex};
 use std::task::{Context, Poll, Waker};
-
-use std::sync::Mutex;
 
 use crate::scheduler::{TimerKey, TimerQueue};
 use crate::slab::Slab;
@@ -74,13 +85,14 @@ pub(crate) enum TimerAction {
     Callback(Callback),
 }
 
-/// One live process in the task slab: its future, its cached waker (created
-/// once at spawn, cloned per poll — no per-poll allocation), and whether it
-/// already sits in the ready queue (replaces the O(ready) `contains` dedup
-/// scan with an O(1) bit check).
+/// One live process in the task slab: its future and its waker (both taken
+/// out while it is polled), the `Arc` behind the waker (kept to recycle it
+/// once the task completes), and whether it already sits in the ready queue
+/// (an O(1) bit check instead of a scan of the queue).
 struct TaskSlot {
     fut: Option<LocalFuture>,
-    waker: Waker,
+    waker: Option<Waker>,
+    sim_waker: Arc<SimWaker>,
     queued: bool,
 }
 
@@ -112,10 +124,13 @@ struct Engine {
     /// Tasks ready to be polled, FIFO.
     ready: VecDeque<TaskId>,
     /// Tasks woken through a `Waker`; swapped with `woken` by the run loop.
-    wake_queue: Arc<Mutex<Vec<TaskId>>>,
+    wake_queue: Arc<WakeQueue>,
     /// The run loop's side of the wake queue: drained, then swapped back
     /// empty, so both buffers keep their capacity.
     woken: Vec<TaskId>,
+    /// Wakers of completed tasks that nothing else holds, for the next
+    /// spawns to reuse.
+    spare_wakers: Vec<Arc<SimWaker>>,
     stats: EngineStats,
 }
 
@@ -128,8 +143,12 @@ impl Engine {
             timers: Slab::new(),
             tasks: Slab::new(),
             ready: VecDeque::new(),
-            wake_queue: Arc::new(Mutex::new(Vec::new())),
+            wake_queue: Arc::new(WakeQueue {
+                pending: AtomicBool::new(false),
+                tasks: Mutex::new(Vec::new()),
+            }),
             woken: Vec::new(),
+            spare_wakers: Vec::new(),
             stats: EngineStats::default(),
         }
     }
@@ -148,18 +167,35 @@ impl Engine {
     }
 }
 
+/// The ids of woken tasks, and whether any were pushed since the run loop
+/// last drained them.
+struct WakeQueue {
+    pending: AtomicBool,
+    tasks: Mutex<Vec<TaskId>>,
+}
+
+impl WakeQueue {
+    fn push(&self, task: TaskId) {
+        self.tasks
+            .lock()
+            .expect("no waker panics holding the queue")
+            .push(task);
+        self.pending.store(true, Ordering::Release);
+    }
+}
+
 struct SimWaker {
     task: TaskId,
-    queue: Arc<Mutex<Vec<TaskId>>>,
+    queue: Arc<WakeQueue>,
 }
 
 impl std::task::Wake for SimWaker {
     fn wake(self: Arc<Self>) {
-        self.queue.lock().unwrap().push(self.task);
+        self.queue.push(self.task);
     }
 
     fn wake_by_ref(self: &Arc<Self>) {
-        self.queue.lock().unwrap().push(self.task);
+        self.queue.push(self.task);
     }
 }
 
@@ -232,15 +268,28 @@ impl SimContext {
         let id = {
             let mut eng = self.engine.borrow_mut();
             let eng = &mut *eng;
-            let queue = &eng.wake_queue;
-            let id = eng.tasks.insert_with(|id| TaskSlot {
-                fut: Some(Box::pin(wrapped)),
-                // The task's one waker, shared by every poll of its lifetime.
-                waker: Waker::from(Arc::new(SimWaker {
-                    task: id,
-                    queue: Arc::clone(queue),
-                })),
-                queued: true,
+            let (queue, spares) = (&eng.wake_queue, &mut eng.spare_wakers);
+            let id = eng.tasks.insert_with(|id| {
+                // The task's one waker, shared by every poll of its lifetime:
+                // a completed task's, if one is spare.
+                let sim_waker = match spares.pop() {
+                    Some(mut spare) => {
+                        Arc::get_mut(&mut spare)
+                            .expect("a spare waker has no clone")
+                            .task = id;
+                        spare
+                    }
+                    None => Arc::new(SimWaker {
+                        task: id,
+                        queue: Arc::clone(queue),
+                    }),
+                };
+                TaskSlot {
+                    fut: Some(Box::pin(wrapped)),
+                    waker: Some(Waker::from(Arc::clone(&sim_waker))),
+                    sim_waker,
+                    queued: true,
+                }
             });
             eng.ready.push_back(id);
             id
@@ -498,9 +547,20 @@ impl Simulation {
     fn drain_wake_queue(&self) {
         let mut eng = self.engine.borrow_mut();
         let eng = &mut *eng;
+        let queue = &eng.wake_queue;
+        if !queue.pending.load(Ordering::Acquire) {
+            debug_assert!(
+                queue.tasks.lock().expect("no waker panics").is_empty(),
+                "a wake left its task queued without raising the flag"
+            );
+            return;
+        }
+        // Cleared before the swap: a wake that lands in between raises the
+        // flag again, and the next drain finds it.
+        queue.pending.store(false, Ordering::Release);
         std::mem::swap(
-            &mut *eng
-                .wake_queue
+            &mut *queue
+                .tasks
                 .lock()
                 .expect("no waker panics holding the queue"),
             &mut eng.woken,
@@ -531,18 +591,27 @@ impl Simulation {
                 return; // re-entrant poll; cannot happen single-threaded
             };
             eng.stats.task_polls += 1;
-            // The cached waker: cloning is a refcount bump, not an allocation.
-            (fut, slot.waker.clone())
+            // Taken out, not cloned: no reference count moves.
+            let waker = slot.waker.take().expect("an idle task has its waker");
+            (fut, waker)
         };
         let mut cx = Context::from_waker(&waker);
         let done = fut.as_mut().poll(&mut cx).is_ready();
-        let mut eng = self.engine.borrow_mut();
         if done {
+            // Dropped before the engine is borrowed: a future's drop may
+            // re-enter it (a `Sleep` cancels its timer).
+            drop((fut, waker));
+            let mut eng = self.engine.borrow_mut();
+            let eng = &mut *eng;
             // Bumps the slot's generation: any outstanding wake-up for this
             // task becomes a recognised no-op.
-            eng.tasks.remove(task);
-        } else if let Some(slot) = eng.tasks.get_mut(task) {
+            let mut slot = eng.tasks.remove(task).expect("a polled task is live");
+            if Arc::get_mut(&mut slot.sim_waker).is_some() {
+                eng.spare_wakers.push(slot.sim_waker);
+            }
+        } else if let Some(slot) = self.engine.borrow_mut().tasks.get_mut(task) {
             slot.fut = Some(fut);
+            slot.waker = Some(waker);
         }
     }
 
@@ -1001,10 +1070,56 @@ mod tests {
         assert_eq!(sim.now().as_secs(), 10.0);
     }
 
+    /// Where a test task leaves a clone of its waker.
+    type WakerSlot = Rc<RefCell<Option<Waker>>>;
+
+    /// Spawns a task that counts its polls, keeps a clone of its waker and
+    /// never finishes on its own.
+    fn spawn_pending_counter(sim: &Simulation) -> (Rc<Cell<u32>>, WakerSlot, JoinHandle<()>) {
+        let polls = Rc::new(Cell::new(0));
+        let own = WakerSlot::default();
+        let handle = sim.spawn({
+            let (polls, own) = (Rc::clone(&polls), Rc::clone(&own));
+            std::future::poll_fn(move |cx| {
+                polls.set(polls.get() + 1);
+                *own.borrow_mut() = Some(cx.waker().clone());
+                Poll::<()>::Pending
+            })
+        });
+        (polls, own, handle)
+    }
+
+    #[test]
+    fn a_cleanly_completed_tasks_waker_serves_the_next_spawn() {
+        let sim = Simulation::new();
+        let first = sim.spawn(async {});
+        sim.run();
+        let spare = {
+            let eng = sim.engine.borrow();
+            assert_eq!(eng.spare_wakers.len(), 1, "no clone was left out");
+            Arc::as_ptr(&eng.spare_wakers[0])
+        };
+        let (polls, own, second) = spawn_pending_counter(&sim);
+        {
+            let eng = sim.engine.borrow();
+            assert!(eng.spare_wakers.is_empty());
+            let slot = eng.tasks.get(second.id()).unwrap();
+            assert_eq!(Arc::as_ptr(&slot.sim_waker), spare, "the waker was reused");
+            assert_eq!(slot.sim_waker.task, second.id());
+        }
+        assert_ne!(second.id(), first.id());
+        sim.run();
+        assert_eq!(polls.get(), 1);
+        own.borrow().as_ref().unwrap().wake_by_ref();
+        sim.run();
+        assert_eq!(polls.get(), 2, "the reused waker polls the new task");
+        assert_eq!(sim.stats().task_polls, 3, "and only the new task");
+    }
+
     #[test]
     fn stale_task_wake_after_slot_reuse_is_a_no_op() {
         let sim = Simulation::new();
-        let stale: Rc<RefCell<Option<Waker>>> = Rc::default();
+        let stale = WakerSlot::default();
         let first = sim.spawn({
             let stale = Rc::clone(&stale);
             std::future::poll_fn(move |cx| {
@@ -1013,22 +1128,18 @@ mod tests {
             })
         });
         sim.run();
-        // A task that counts its polls and never finishes on its own.
-        let polls = Rc::new(Cell::new(0));
-        let own: Rc<RefCell<Option<Waker>>> = Rc::default();
-        let second = sim.spawn({
-            let (polls, own) = (Rc::clone(&polls), Rc::clone(&own));
-            std::future::poll_fn(move |cx| {
-                polls.set(polls.get() + 1);
-                *own.borrow_mut() = Some(cx.waker().clone());
-                Poll::<()>::Pending
-            })
-        });
+        assert!(
+            sim.engine.borrow().spare_wakers.is_empty(),
+            "a waker with a clone out is not reused"
+        );
+        let (polls, own, second) = spawn_pending_counter(&sim);
         sim.run();
         assert_eq!(second.id() as u32, first.id() as u32, "slot reused");
         assert_ne!(second.id(), first.id());
         assert_eq!(polls.get(), 1);
-        stale.borrow_mut().take().unwrap().wake();
+        let stale = stale.borrow_mut().take().unwrap();
+        assert!(!stale.will_wake(own.borrow().as_ref().unwrap()));
+        stale.wake();
         sim.run();
         assert_eq!(polls.get(), 1, "the stale wake polled nothing");
         own.borrow().as_ref().unwrap().wake_by_ref();

@@ -43,9 +43,10 @@
 //! isolation.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
-use des::SimContext;
+use des::{JoinHandle, SimContext};
 use pagecache::{FileId, IoOpStats};
 
 use crate::backend::{Backend, ScenarioError};
@@ -809,8 +810,14 @@ pub(crate) async fn run_generator(
         LoopMode::Open { .. } => {
             // Dispatcher: sleep to each precomputed arrival instant and spawn
             // the request as its own task, so a slow response delays nothing
-            // behind it (the open-loop property).
-            let mut handles = Vec::with_capacity(requests.len());
+            // behind it (the open-loop property). The handles of finished
+            // requests are released from the front as it goes, so a long
+            // run keeps only the in-flight ones alive and the allocator
+            // reuses their memory. The first error in request order wins,
+            // as if every handle were awaited in order at the end: the
+            // requests still unfinished then are awaited in that order.
+            let mut handles: VecDeque<JoinHandle<_>> = VecDeque::new();
+            let mut first_error = None;
             let mut arrival = start;
             for req in requests {
                 arrival += req.gap;
@@ -821,8 +828,16 @@ pub(crate) async fn run_generator(
                 if faults.crashed() {
                     break;
                 }
+                while let Some(handle) = handles.pop_front_if(|h| h.is_finished()) {
+                    if let Some(Err(error)) = handle.try_take_result() {
+                        first_error.get_or_insert(error);
+                    }
+                }
                 let fut = execute_request(Rc::clone(&gen), req, arrival);
-                handles.push(ctx.spawn(fut));
+                handles.push_back(ctx.spawn(fut));
+            }
+            if let Some(error) = first_error {
+                return Err(error);
             }
             for handle in handles {
                 handle.await?;
@@ -1139,6 +1154,63 @@ mod tests {
         let spec = TrafficSpec::open("d", 50.0, 20).with_deterministic_arrivals();
         for r in plan_requests(&spec) {
             assert_eq!(r.gap, 1.0 / 50.0);
+        }
+    }
+
+    // --- Request errors ---
+
+    #[test]
+    fn a_catalog_that_overflows_the_disk_fails_with_the_first_request_in_order() {
+        use crate::backend::SimulatorKind;
+        use crate::platform::PlatformSpec;
+        use crate::runner::{run_scenario, Scenario};
+        use crate::spec::ApplicationSpec;
+        use pagecache::FsError;
+        use storage_model::units::{GB, MB};
+        use storage_model::DeviceSpec;
+
+        // Reads only: no write can extend a file, so the disk fills with
+        // catalog files alone, created in request order on first touch.
+        let capacity = 40.0 * MB;
+        let spec = TrafficSpec::open("full", 400.0, 300)
+            .with_catalog(40, 4.0 * MB)
+            .with_request_bytes(1.0 * MB)
+            .with_read_fraction(1.0)
+            .with_seed(17);
+        let (mut used, mut touched) = (0.0, vec![false; spec.catalog_files]);
+        let (index, requested, available) = plan_requests(&spec)
+            .iter()
+            .enumerate()
+            .filter(|(_, r)| !std::mem::replace(&mut touched[r.file], true))
+            .find_map(|(i, r)| {
+                let size = file_size(&spec, r.file);
+                let available = (capacity - used).max(0.0);
+                if size > available {
+                    return Some((i, size, available));
+                }
+                used += size;
+                None
+            })
+            .expect("the catalog overflows the disk");
+        assert!(index > 0, "some requests succeed first");
+        let platform = PlatformSpec::uniform(
+            8.0 * GB,
+            DeviceSpec::symmetric(4812.0 * MB, 0.0, f64::INFINITY),
+            DeviceSpec::symmetric(465.0 * MB, 0.0, capacity),
+        );
+        for kind in [SimulatorKind::PageCache, SimulatorKind::KernelEmu] {
+            let scenario = Scenario::new(platform.clone(), ApplicationSpec::new("none"), kind)
+                .with_traffic(vec![spec.clone()]);
+            match run_scenario(&scenario) {
+                Err(ScenarioError::Filesystem(FsError::DiskFull(e))) => {
+                    assert_eq!(
+                        (e.requested, e.available),
+                        (requested, available),
+                        "{kind:?}"
+                    );
+                }
+                other => panic!("{kind:?}: expected a full disk, got {other:?}"),
+            }
         }
     }
 }
