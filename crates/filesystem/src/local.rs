@@ -1,60 +1,29 @@
 //! Local filesystems: page-cached (the paper's model) and direct (the
 //! cacheless behaviour of vanilla WRENCH, also over an NFS link).
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use des::SimContext;
 use pagecache::{
-    check_write_range, clamp_io_range, FileId, FsError, IoController, IoOpStats, MemoryManager,
+    clamp_io_range, FileId, FileTable, FsError, IoController, IoOpStats, MemoryManager,
 };
 use storage_model::{Disk, NetworkLink};
 
-use crate::registry::FileRegistry;
-
-/// Grows the registration of `file` so it covers a write of `len` bytes at
-/// `offset`, allocating the extra disk space on `disk`. Creates the file
-/// when it does not exist; never shrinks it. Rejects the ranges
-/// [`check_write_range`] rejects.
-///
-/// Shared by every filesystem whose registration is a [`FileRegistry`]
-/// (the cached and direct filesystems), so the extend-never-shrink rule
-/// lives in one place.
-pub(crate) fn extend_for_write(
-    registry: &FileRegistry,
-    disk: &Disk,
-    file: &FileId,
-    offset: f64,
-    len: f64,
-) -> Result<(), FsError> {
-    check_write_range(offset, len)?;
-    let new_end = offset + len;
-    match registry.size(file) {
-        Ok(old) if new_end > old => {
-            disk.allocate(new_end - old)?;
-            registry.create_or_replace(file, new_end);
-        }
-        Ok(_) => {}
-        Err(_) => registry.create(file, new_end, |bytes| disk.allocate(bytes))?,
-    }
-    Ok(())
-}
-
 /// A local filesystem whose I/O goes through the simulated page cache
-/// (WRENCH-cache behaviour).
+/// (WRENCH-cache behaviour). Its files live in the Memory Manager's file
+/// table, next to their cached data, and take space on the disk the
+/// Memory Manager flushes to.
 #[derive(Clone)]
 pub struct CachedFileSystem {
     io: IoController,
-    disk: Disk,
-    registry: FileRegistry,
 }
 
 impl CachedFileSystem {
-    /// Creates a cached filesystem on `disk`, using the given I/O controller
-    /// (which owns the host's Memory Manager).
-    pub fn new(io: IoController, disk: Disk) -> Self {
-        CachedFileSystem {
-            io,
-            disk,
-            registry: FileRegistry::new(),
-        }
+    /// Creates a cached filesystem using the given I/O controller (which
+    /// owns the host's Memory Manager and, through it, the disk).
+    pub fn new(io: IoController) -> Self {
+        CachedFileSystem { io }
     }
 
     /// The host's Memory Manager.
@@ -69,21 +38,13 @@ impl CachedFileSystem {
 
     /// The backing disk.
     pub fn disk(&self) -> &Disk {
-        &self.disk
-    }
-
-    /// The file registry.
-    pub fn registry(&self) -> &FileRegistry {
-        &self.registry
+        self.memory_manager().disk()
     }
 
     /// Registers an existing file (e.g. the initial input of a workflow)
-    /// without simulating any I/O. Rejects the sizes [`check_write_range`]
-    /// rejects as lengths.
+    /// without simulating any I/O ([`MemoryManager::create_file`]).
     pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), FsError> {
-        check_write_range(0.0, size)?;
-        self.registry
-            .create(file, size, |bytes| self.disk.allocate(bytes))
+        self.memory_manager().create_file(file, size)
     }
 
     /// Reads `len` bytes of `file` starting at `offset` through the page
@@ -97,7 +58,7 @@ impl CachedFileSystem {
         offset: f64,
         len: f64,
     ) -> Result<IoOpStats, FsError> {
-        let size = self.registry.size(file)?;
+        let size = self.memory_manager().file_size(file)?;
         let (_start, amount) = clamp_io_range(offset, len, size);
         Ok(self.io.read_amount(file, size, amount).await)
     }
@@ -115,20 +76,20 @@ impl CachedFileSystem {
         Ok(self.io.write_amount(file, len).await)
     }
 
-    /// Grows the registration of `file` to cover a write of `len` bytes at
-    /// `offset`, allocating the extra space on the disk, without simulating
-    /// any I/O: the first step of [`CachedFileSystem::write_range`]. A
-    /// writer that ships the data in chunks reserves the whole range first,
-    /// so a full disk fails the write before any byte moves.
+    /// Grows `file` to cover a write of `len` bytes at `offset`, allocating
+    /// the extra space on the disk, without simulating any I/O: the first
+    /// step of [`CachedFileSystem::write_range`]. A writer that ships the
+    /// data in chunks reserves the whole range first, so a full disk fails
+    /// the write before any byte moves.
     pub fn reserve(&self, file: &FileId, offset: f64, len: f64) -> Result<(), FsError> {
-        extend_for_write(&self.registry, &self.disk, file, offset, len)
+        self.memory_manager().extend_file(file, offset, len)
     }
 
     /// Flushes the file's dirty cached data to disk synchronously (`fsync`).
     /// On this writeback filesystem the flush happens at disk bandwidth and
     /// the flushed data stays cached (clean).
     pub async fn fsync(&self, file: &FileId) -> Result<IoOpStats, FsError> {
-        self.registry.size(file)?;
+        self.memory_manager().file_size(file)?;
         Ok(self.io.fsync(file).await)
     }
 
@@ -150,7 +111,8 @@ pub struct DirectFileSystem {
     ctx: SimContext,
     disk: Disk,
     link: Option<NetworkLink>,
-    registry: FileRegistry,
+    /// The file namespace: names and sizes, with no cache state.
+    files: Rc<RefCell<FileTable<()>>>,
 }
 
 impl DirectFileSystem {
@@ -160,7 +122,7 @@ impl DirectFileSystem {
             ctx: ctx.clone(),
             disk,
             link: None,
-            registry: FileRegistry::new(),
+            files: Rc::default(),
         }
     }
 
@@ -181,17 +143,23 @@ impl DirectFileSystem {
         self.link.as_ref()
     }
 
-    /// The file registry.
-    pub fn registry(&self) -> &FileRegistry {
-        &self.registry
+    /// Registers an existing file without simulating any I/O
+    /// ([`FileTable::create`], allocating on the disk).
+    pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), FsError> {
+        let files = &mut self.files.borrow_mut();
+        files
+            .create(file, size, |b| self.disk.allocate(b))
+            .map(drop)
     }
 
-    /// Registers an existing file without simulating any I/O. Rejects the
-    /// sizes [`check_write_range`] rejects as lengths.
-    pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), FsError> {
-        check_write_range(0.0, size)?;
-        self.registry
-            .create(file, size, |bytes| self.disk.allocate(bytes))
+    /// The size of `file`, or [`FsError::FileNotFound`].
+    pub fn file_size(&self, file: &FileId) -> Result<f64, FsError> {
+        self.files.borrow().size(file)
+    }
+
+    /// Every file and its size, in key order.
+    pub fn list_files(&self) -> Vec<(FileId, f64)> {
+        self.files.borrow().list()
     }
 
     /// Reads `len` bytes at `offset` directly from disk (no cache: every
@@ -202,7 +170,7 @@ impl DirectFileSystem {
         offset: f64,
         len: f64,
     ) -> Result<IoOpStats, FsError> {
-        let size = self.registry.size(file)?;
+        let size = self.file_size(file)?;
         let (_start, amount) = clamp_io_range(offset, len, size);
         let start = self.ctx.now();
         if amount > 0.0 {
@@ -219,17 +187,19 @@ impl DirectFileSystem {
     }
 
     /// Writes `len` bytes at `offset` directly to disk, creating or
-    /// extending the file as needed (never shrinking it).
+    /// extending the file as needed (never shrinking it,
+    /// [`FileTable::extend`]).
     pub async fn write_range(
         &self,
         file: &FileId,
         offset: f64,
         len: f64,
     ) -> Result<IoOpStats, FsError> {
-        extend_for_write(&self.registry, &self.disk, file, offset, len)?;
+        self.files
+            .borrow_mut()
+            .extend(file, offset, len, |bytes| self.disk.allocate(bytes))?;
         self.write_amount(len).await
     }
-
     /// Ships `amount` bytes over the link (if mounted remotely), then
     /// writes them to disk; zero-length writes touch neither device.
     async fn write_amount(&self, amount: f64) -> Result<IoOpStats, FsError> {
@@ -250,7 +220,7 @@ impl DirectFileSystem {
     /// `fsync` on the cacheless filesystem is a no-op: every write already
     /// went to disk synchronously.
     pub async fn fsync(&self, file: &FileId) -> Result<IoOpStats, FsError> {
-        self.registry.size(file)?;
+        self.file_size(file)?;
         Ok(IoOpStats::default())
     }
 
@@ -292,7 +262,7 @@ mod tests {
             memory,
             disk.clone(),
         );
-        CachedFileSystem::new(IoController::new(&ctx, mm), disk)
+        CachedFileSystem::new(IoController::new(&ctx, mm))
     }
 
     #[test]
@@ -324,7 +294,7 @@ mod tests {
         approx(warm.bytes_from_cache, 500.0 * MB);
         approx(write.bytes_to_cache, 300.0 * MB);
         assert!(warm.duration < cold.duration);
-        assert!(fs.registry().size(&"output".into()).is_ok());
+        assert!(fs.memory_manager().file_size(&"output".into()).is_ok());
         approx(fs.disk().used(), 800.0 * MB);
     }
 
@@ -385,7 +355,7 @@ mod tests {
         approx(partial.bytes_from_cache, 200.0 * MB);
         approx(partial.bytes_from_disk, 0.0);
         approx(w.bytes_to_cache, 50.0 * MB);
-        assert_eq!(fs.registry().size(&"g".into()).unwrap(), 150.0 * MB);
+        assert_eq!(fs.memory_manager().file_size(&"g".into()), Ok(150.0 * MB));
         approx(fs.disk().used(), 650.0 * MB);
         approx(fsync.bytes_to_disk, 50.0 * MB);
         approx(fsync_again.bytes_to_disk, 0.0);

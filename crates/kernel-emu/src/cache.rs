@@ -20,9 +20,14 @@
 //!
 //! Like `pagecache::lru`, this module is *mechanism*: the per-file slots of
 //! a [`FileTable`] (the table `pagecache::lru` keeps its per-file state in
-//! too: name index, slots, cache-group assignment and group byte totals),
-//! the page accounting, the resident/durability range ledgers, and the
-//! ordered reclaim indexes. The *decisions* — in what order files are
+//! too: name index, slots, file sizes, cache-group assignment and group
+//! byte totals), the page accounting, the resident/durability range
+//! ledgers, and the ordered reclaim indexes. The table is the host's file
+//! namespace: [`KernelCache::create_file`] and [`KernelCache::extend_file`]
+//! keep each file's size in its slot, next to its pages and its readahead
+//! stream, and a slot lives as long as its file. An invalidation or a
+//! crash empties a slot's cache state; the size and the readahead stream
+//! are file state and stay. The *decisions* — in what order files are
 //! picked as eviction victims and how re-accessed files are classified —
 //! are delegated to the [`Policy`] configured via
 //! [`KernelTuning::eviction_policy`].
@@ -77,11 +82,12 @@ use std::rc::Rc;
 
 use des::{JoinHandle, SimContext, SimTime};
 use pagecache::{
-    CacheContentSnapshot, FileId, FileMeta, FileTable, MemorySample, MemoryTrace, Policy,
+    CacheContentSnapshot, FileId, FileMeta, FileTable, FsError, MemorySample, MemoryTrace, Policy,
     ReclaimScope, EPSILON,
 };
 use storage_model::{Disk, MemoryDevice};
 
+use crate::fs::Readahead;
 use crate::tuning::KernelTuning;
 
 /// The two halves of the clean index: files not open for writing, and files
@@ -330,9 +336,10 @@ impl IndexPos {
 }
 
 /// One file's state in the file table: its page accounting, policy metadata
-/// and range ledgers, plus where it sits in the reclaim indexes. The default
-/// is a fresh slot: no pages, not open for writing, default policy metadata,
-/// empty ledgers, in no index.
+/// and range ledgers, plus where it sits in the reclaim indexes, and the
+/// file's readahead stream. The default is a fresh slot: no pages, not open
+/// for writing, default policy metadata, empty ledgers, in no index, no
+/// stream.
 #[derive(Debug, Default, Clone)]
 struct FileSlot {
     pages: FilePages,
@@ -358,6 +365,20 @@ struct FileSlot {
     /// access, policy rank) without re-keying it; the slot is then listed in
     /// `State::stale` until a reclaim walk re-keys it.
     stale: bool,
+    /// The file's readahead stream: file state, kept by [`FileSlot::reset`].
+    stream: Readahead,
+}
+
+impl FileSlot {
+    /// Takes the cache state out of the slot (an invalidation or a crash)
+    /// and leaves a fresh one that keeps the readahead stream.
+    fn reset(&mut self) -> FileSlot {
+        let fresh = FileSlot {
+            stream: self.stream,
+            ..FileSlot::default()
+        };
+        std::mem::replace(self, fresh)
+    }
 }
 
 /// The mutable state of one [`KernelCache`]: the file table of per-file
@@ -367,8 +388,8 @@ struct FileSlot {
 /// [`KernelCache::touch`] is O(1) and leaves its re-key to the next reclaim
 /// walk; the byte totals, group totals included, are O(1).
 struct State {
-    /// Per-file slots behind the name index, with each file's cache group
-    /// (configuration, not cache state: it survives eviction,
+    /// Per-file slots behind the name index, with each file's size and
+    /// cache group (file state, not cache state: they survive eviction,
     /// invalidation and crashes) and the group byte totals, moved at every
     /// site that moves `cached_total` / `dirty_total`. Reclaim goes through
     /// the ordered indexes below instead of scanning the table.
@@ -439,7 +460,7 @@ impl State {
     /// Re-keys every slot [`KernelCache::touch`] marked stale.
     fn drain_stale(&mut self) {
         while let Some(i) = self.stale.pop() {
-            if self.files.contains(i) && self.files.get(i).stale {
+            if self.files.get(i).stale {
                 self.rekey(i);
             }
         }
@@ -655,6 +676,47 @@ impl KernelCache {
         (self.tuning.total_memory - self.anonymous()).max(0.0)
     }
 
+    /// Creates `file` with `size` bytes, allocating its space on the disk
+    /// (the host's create rule, [`FileTable::create`]).
+    pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), FsError> {
+        let files = &mut self.state.borrow_mut().files;
+        files
+            .create(file, size, |b| self.disk.allocate(b))
+            .map(drop)
+    }
+
+    /// Grows `file` to cover a write of `len` bytes at `offset`, allocating
+    /// the growth on the disk (the host's extend rule, [`FileTable::extend`]).
+    pub fn extend_file(&self, file: &FileId, offset: f64, len: f64) -> Result<(), FsError> {
+        let files = &mut self.state.borrow_mut().files;
+        files
+            .extend(file, offset, len, |b| self.disk.allocate(b))
+            .map(drop)
+    }
+
+    /// The size of `file`, or [`FsError::FileNotFound`] if this host never
+    /// created it.
+    pub fn file_size(&self, file: &FileId) -> Result<f64, FsError> {
+        self.state.borrow().files.size(file)
+    }
+
+    /// Every file this host created, with its size, in key order.
+    pub fn list_files(&self) -> Vec<(FileId, f64)> {
+        self.state.borrow().files.list()
+    }
+
+    /// Advances `file`'s readahead stream past the demand request
+    /// `[start, end)` ([`Readahead::advance`]) and returns its window; 0
+    /// for a file without a slot.
+    pub(crate) fn advance_readahead(&self, file: &FileId, start: f64, end: f64) -> f64 {
+        let mut s = self.state.borrow_mut();
+        let Some(i) = s.files.key(file) else {
+            return 0.0;
+        };
+        let (min, max) = (self.tuning.readahead_min, self.tuning.readahead_max);
+        s.files.get_mut(i).stream.advance(start, end, min, max)
+    }
+
     /// Cached bytes of one file.
     pub fn cached_amount(&self, file: &FileId) -> f64 {
         self.state
@@ -721,8 +783,8 @@ impl KernelCache {
         s.rekey(i);
     }
 
-    /// Drops all cached pages of a file. A grouped file keeps its group
-    /// (in a fresh slot); an ungrouped one leaves the file table.
+    /// Drops all cached pages of a file. The file keeps its slot, size,
+    /// group and readahead stream; its cache state starts fresh.
     pub fn invalidate_file(&self, file: &FileId) -> f64 {
         let mut s = self.state.borrow_mut();
         let Some(i) = s.files.key(file) else {
@@ -730,8 +792,9 @@ impl KernelCache {
         };
         s.place(i, IndexPos::default());
         let pages = s.files.get(i).pages;
-        s.files.adjust_group(i, -pages.cached(), -pages.dirty());
-        s.files.discard(i);
+        s.files
+            .adjust_group(i, -pages.cached(), -pages.dirty())
+            .reset();
         s.cached_total = (s.cached_total - pages.cached()).max(0.0);
         s.dirty_total = (s.dirty_total - pages.dirty()).max(0.0);
         s.debug_validate();
@@ -1062,21 +1125,21 @@ impl KernelCache {
     }
 
     /// Simulated power loss: drops every cached page and all anonymous
-    /// memory, and returns each file's lost dirty byte ranges (sorted by
-    /// file id). The trace and counters survive — they describe the run,
-    /// not the volatile state. Takes no simulated time.
-    pub fn crash_discard(&self) -> Vec<(FileId, Vec<(f64, f64)>)> {
+    /// memory, and returns each file's lost dirty byte ranges. The trace
+    /// and counters survive — they describe the run, not the volatile
+    /// state — and so do the files: their sizes, groups and readahead
+    /// streams. Takes no simulated time.
+    pub fn crash_discard(&self) -> BTreeMap<FileId, Vec<(f64, f64)>> {
         let mut s = self.state.borrow_mut();
         // Group *totals* are volatile cache state and reset with it; the
         // group *assignments* are configuration and survive the crash.
-        let mut lost: Vec<_> = s
-            .files
-            .discard_all()
-            .into_iter()
-            .filter(|(_, slot)| !slot.dirty.spans.is_empty())
-            .map(|(file, slot)| (file, slot.dirty.spans))
-            .collect();
-        lost.sort_by(|a, b| a.0.cmp(&b.0));
+        let mut lost = BTreeMap::new();
+        s.files.reset_all(|file, slot| {
+            let spans = slot.reset().dirty.spans;
+            if !spans.is_empty() {
+                lost.insert(file.clone(), spans);
+            }
+        });
         s.clean = Default::default();
         s.dirty.clear();
         s.stale.clear();
@@ -1223,6 +1286,14 @@ mod tests {
         fn insert_dirty(&self, file: &FileId, bytes: f64) {
             let start = self.resident_high_water(file);
             self.insert_dirty_range(file, start, start + bytes);
+        }
+
+        /// The readahead stream of `file` (a fresh one without a slot).
+        pub(crate) fn readahead(&self, file: &FileId) -> Readahead {
+            let s = self.state.borrow();
+            s.files
+                .key(file)
+                .map_or_else(Readahead::default, |i| s.files.get(i).stream)
         }
 
         /// End offset of the file's highest resident span (0 when nothing
@@ -1458,11 +1529,10 @@ mod tests {
         let lost = cache.crash_discard();
         assert_eq!(
             lost,
-            vec![
+            BTreeMap::from([
                 ("journal".into(), vec![(5.0 * MB, 8.0 * MB)]),
                 ("wal".into(), vec![(0.0, 30.0 * MB)])
-            ],
-            "sorted by file id"
+            ])
         );
         approx(cache.cached(), 0.0);
         approx(cache.dirty(), 0.0);
@@ -1951,8 +2021,8 @@ mod tests {
     /// sort-based reference above. Every result and the full observable
     /// state must agree bit for bit after every operation, for each policy.
     /// The operations cover write-open protection, 2Q rank changes on
-    /// admit and touch, host scopes with an excluded file, group scopes, invalidation with
-    /// slot reuse, and crashes.
+    /// admit and touch, host scopes with an excluded file, group scopes,
+    /// invalidation, and crashes.
     #[test]
     fn indexed_reclaim_matches_the_sort_based_selection() {
         const OPS: usize = 10_000;

@@ -9,6 +9,11 @@
 //! fidelity. A range write creates the file or extends it, and never
 //! shrinks it.
 //!
+//! The filesystem keeps no file map of its own: a file's size and its
+//! readahead stream live in the file's slot of the cache's file table
+//! ([`KernelCache::create_file`], [`KernelCache::extend_file`]), next to
+//! its pages, so the host has one namespace and one create and extend rule.
+//!
 //! ## Readahead
 //!
 //! When [`KernelTuning::readahead_max`](crate::KernelTuning) is non-zero,
@@ -37,15 +42,8 @@
 //! spent in either leg is reported as `IoOpStats::throttle_stall` and
 //! accumulated in [`KernelCacheCounters`](crate::KernelCacheCounters).
 
-use std::cell::RefCell;
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
-use std::rc::Rc;
-
 use des::SimContext;
-use pagecache::{
-    check_write_range, clamp_io_range, FileId, FsError, IoOpStats, ReclaimScope, EPSILON,
-};
+use pagecache::{clamp_io_range, FileId, FsError, IoOpStats, ReclaimScope, EPSILON};
 use storage_model::Disk;
 
 use crate::cache::KernelCache;
@@ -53,31 +51,41 @@ use crate::cache::KernelCache;
 /// Default request size used by the emulated VFS layer (bytes).
 pub const DEFAULT_REQUEST_SIZE: f64 = 100.0 * 1e6;
 
-/// Per-file bookkeeping of the emulated VFS layer: the registered size plus
-/// the state of the file's readahead stream (Linux keeps this in
-/// `struct file_ra_state`; files here are opened implicitly, so the stream
-/// is per file).
-#[derive(Debug, Clone, Copy)]
-struct FileMeta {
-    /// Registered file size in bytes.
-    size: f64,
+/// The readahead stream of one file (Linux keeps it in `struct
+/// file_ra_state`; files here are opened implicitly, so the stream is per
+/// file). It is file state, kept in the file's slot of the cache's file
+/// table: an invalidation or a crash keeps it.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+pub(crate) struct Readahead {
     /// Where the next sequential request is expected to start (the end of
     /// the last demand request). `None` until the file is first read.
-    ra_next: Option<f64>,
+    next: Option<f64>,
     /// Current readahead window in bytes (0 = collapsed).
-    ra_window: f64,
+    window: f64,
 }
 
-impl FileMeta {
-    /// A file of `size` bytes; the size must have passed
-    /// [`check_write_range`].
-    fn new(size: f64) -> Self {
-        debug_assert!(size >= 0.0, "unchecked file size {size}");
-        FileMeta {
-            size,
-            ra_next: None,
-            ra_window: 0.0,
-        }
+impl Readahead {
+    /// Records the demand request `[start, end)` and returns the window to
+    /// read ahead of it: the window opens at `min`, doubles per sequential
+    /// request up to `max`, and any other request collapses it to zero.
+    pub(crate) fn advance(&mut self, start: f64, end: f64, min: f64, max: f64) -> f64 {
+        // A request is sequential when it continues exactly where the
+        // previous one ended — or when it is the very first request of
+        // the file and starts at offset 0 (Linux fires initial readahead
+        // from `do_sync_mmap_readahead` / `page_cache_sync_ra` there).
+        let sequential = match self.next {
+            Some(next) => (start - next).abs() <= EPSILON,
+            None => start.abs() <= EPSILON,
+        };
+        self.window = if !sequential {
+            0.0
+        } else if self.window <= EPSILON {
+            min.min(max)
+        } else {
+            (self.window * 2.0).min(max)
+        };
+        self.next = Some(end);
+        self.window
     }
 }
 
@@ -88,19 +96,16 @@ impl FileMeta {
 pub struct KernelFileSystem {
     ctx: SimContext,
     cache: KernelCache,
-    disk: Disk,
-    files: Rc<RefCell<BTreeMap<FileId, FileMeta>>>,
     request_size: f64,
 }
 
 impl KernelFileSystem {
-    /// Creates an emulated filesystem on `disk` with the given page cache.
-    pub fn new(ctx: &SimContext, cache: KernelCache, disk: Disk) -> Self {
+    /// Creates an emulated filesystem with the given page cache, on the
+    /// disk the cache writes back to.
+    pub fn new(ctx: &SimContext, cache: KernelCache) -> Self {
         KernelFileSystem {
             ctx: ctx.clone(),
             cache,
-            disk,
-            files: Rc::new(RefCell::new(BTreeMap::new())),
             request_size: DEFAULT_REQUEST_SIZE,
         }
     }
@@ -119,41 +124,13 @@ impl KernelFileSystem {
 
     /// The backing disk.
     pub fn disk(&self) -> &Disk {
-        &self.disk
+        self.cache.disk()
     }
 
-    /// Registers a pre-existing file without simulating I/O. Rejects the
-    /// sizes [`check_write_range`] rejects as lengths and a name that is
-    /// already registered, before allocating.
+    /// Registers a pre-existing file without simulating I/O
+    /// ([`KernelCache::create_file`]).
     pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), FsError> {
-        check_write_range(0.0, size)?;
-        let mut files = self.files.borrow_mut();
-        let Entry::Vacant(slot) = files.entry(file.clone()) else {
-            return Err(FsError::AlreadyExists(file.clone()));
-        };
-        self.disk.allocate(size)?;
-        slot.insert(FileMeta::new(size));
-        Ok(())
-    }
-
-    /// Size of a registered file.
-    pub fn file_size(&self, file: &FileId) -> Option<f64> {
-        self.files.borrow().get(file).map(|m| m.size)
-    }
-
-    /// Every registered file and its size, sorted by file id (the same shape
-    /// as `simfs::FileRegistry::list`, used by crash durability reports).
-    pub fn list_files(&self) -> Vec<(FileId, f64)> {
-        self.files
-            .borrow()
-            .iter()
-            .map(|(k, m)| (k.clone(), m.size))
-            .collect()
-    }
-
-    fn require_size(&self, file: &FileId) -> Result<f64, FsError> {
-        self.file_size(file)
-            .ok_or_else(|| FsError::FileNotFound(file.clone()))
+        self.cache.create_file(file, size)
     }
 
     /// Reads `len` bytes of `file` starting at `offset` through the emulated
@@ -166,7 +143,7 @@ impl KernelFileSystem {
         offset: f64,
         len: f64,
     ) -> Result<IoOpStats, FsError> {
-        let size = self.require_size(file)?;
+        let size = self.cache.file_size(file)?;
         let (range_start, amount) = clamp_io_range(offset, len, size);
         let start = self.ctx.now();
         let mut stats = IoOpStats::default();
@@ -203,7 +180,7 @@ impl KernelFileSystem {
             }
 
             if from_disk > EPSILON {
-                self.disk.read(from_disk).await;
+                self.disk().read(from_disk).await;
                 for &(a, b) in &plan {
                     self.cache.insert_clean_range(file, a, b);
                 }
@@ -240,34 +217,10 @@ impl KernelFileSystem {
         pending_anon: f64,
         stats: &mut IoOpStats,
     ) {
-        let tuning = self.cache.tuning();
-        let (ra_min, ra_max) = (tuning.readahead_min, tuning.readahead_max);
-        if ra_max <= EPSILON {
+        if self.cache.tuning().readahead_max <= EPSILON {
             return;
         }
-        let window = {
-            let mut files = self.files.borrow_mut();
-            let Some(meta) = files.get_mut(file) else {
-                return;
-            };
-            // A request is sequential when it continues exactly where the
-            // previous one ended — or when it is the very first request of
-            // the file and starts at offset 0 (Linux fires initial readahead
-            // from `do_sync_mmap_readahead` / `page_cache_sync_ra` there).
-            let sequential = match meta.ra_next {
-                Some(next) => (start - next).abs() <= EPSILON,
-                None => start.abs() <= EPSILON,
-            };
-            meta.ra_window = if !sequential {
-                0.0
-            } else if meta.ra_window <= EPSILON {
-                ra_min.min(ra_max)
-            } else {
-                (meta.ra_window * 2.0).min(ra_max)
-            };
-            meta.ra_next = Some(end);
-            meta.ra_window
-        };
+        let window = self.cache.advance_readahead(file, start, end);
         if window <= EPSILON {
             return;
         }
@@ -291,7 +244,7 @@ impl KernelFileSystem {
         if planned <= EPSILON {
             return;
         }
-        self.disk.read(planned).await;
+        self.disk().read(planned).await;
         for &(a, b) in &plan {
             self.cache.insert_clean_range(file, a, b);
         }
@@ -304,33 +257,14 @@ impl KernelFileSystem {
     /// Writes `len` bytes at `offset` through the emulated cache (writeback
     /// semantics with `balance_dirty_pages`-style throttling), creating the
     /// file or extending it to `offset + len` as needed (never shrinking
-    /// it). Rejects the ranges [`check_write_range`] rejects.
+    /// it, [`KernelCache::extend_file`]). Rejects the invalid ranges.
     pub async fn write_range(
         &self,
         file: &FileId,
         offset: f64,
         len: f64,
     ) -> Result<IoOpStats, FsError> {
-        check_write_range(offset, len)?;
-        let new_end = offset + len;
-        let old = self.file_size(file);
-        match old {
-            Some(old) if new_end > old => {
-                self.disk.allocate(new_end - old)?;
-                // Extension keeps the readahead stream: only the size moves.
-                self.files
-                    .borrow_mut()
-                    .entry(file.clone())
-                    .and_modify(|m| m.size = new_end);
-            }
-            Some(_) => {}
-            None => {
-                self.disk.allocate(new_end)?;
-                self.files
-                    .borrow_mut()
-                    .insert(file.clone(), FileMeta::new(new_end));
-            }
-        }
+        self.cache.extend_file(file, offset, len)?;
         self.write_span(file, offset, offset + len).await
     }
 
@@ -395,7 +329,7 @@ impl KernelFileSystem {
                 let dirty = self.cache.dirty();
                 if dirty > background + EPSILON && limit > background + EPSILON {
                     let ramp = ((dirty - background) / (limit - background)).min(1.0);
-                    let pause = pacing * ramp * self.disk.ideal_write_time(chunk);
+                    let pause = pacing * ramp * self.disk().ideal_write_time(chunk);
                     if pause > EPSILON {
                         self.ctx.sleep(pause).await;
                         stats.throttle_stall += pause;
@@ -414,7 +348,7 @@ impl KernelFileSystem {
     /// targeted per-file writeback at disk bandwidth, counted as throttled
     /// (synchronous) writeback.
     pub async fn fsync(&self, file: &FileId) -> Result<IoOpStats, FsError> {
-        self.require_size(file)?;
+        self.cache.file_size(file)?;
         let start = self.ctx.now();
         let flushed = self.cache.write_back_file(file).await;
         Ok(IoOpStats {
@@ -471,8 +405,8 @@ mod tests {
             "ssd",
             DeviceSpec::asymmetric(510.0 * MB, 420.0 * MB, 0.0, f64::INFINITY),
         );
-        let cache = KernelCache::new(&ctx, tuning, memory, disk.clone());
-        let fs = KernelFileSystem::new(&ctx, cache, disk);
+        let cache = KernelCache::new(&ctx, tuning, memory, disk);
+        let fs = KernelFileSystem::new(&ctx, cache);
         (sim, fs)
     }
 
@@ -573,7 +507,7 @@ mod tests {
         assert!(h.is_finished());
         approx_pct(fs.cache().cached_amount(&"db".into()), 100.0 * MB, 0.1);
         approx_pct(fs.cache().dirty(), 100.0 * MB, 0.1);
-        assert_eq!(fs.file_size(&"db".into()), Some(100.0 * MB));
+        assert_eq!(fs.cache().file_size(&"db".into()), Ok(100.0 * MB));
     }
 
     #[test]
@@ -705,17 +639,17 @@ mod tests {
                 // Two sequential requests: initial window (50 MB), doubled
                 // (100 MB).
                 fs.read_range(&"f".into(), 0.0, 100.0 * MB).await.unwrap();
-                let w1 = fs.files.borrow()[&"f".into()].ra_window;
+                let w1 = fs.cache().readahead(&"f".into()).window;
                 fs.read_range(&"f".into(), 100.0 * MB, 100.0 * MB)
                     .await
                     .unwrap();
-                let w2 = fs.files.borrow()[&"f".into()].ra_window;
+                let w2 = fs.cache().readahead(&"f".into()).window;
                 // A jump collapses the window and prefetches nothing.
                 let jump = fs
                     .read_range(&"f".into(), 1500.0 * MB, 100.0 * MB)
                     .await
                     .unwrap();
-                let w3 = fs.files.borrow()[&"f".into()].ra_window;
+                let w3 = fs.cache().readahead(&"f".into()).window;
                 (w1, w2, w3, jump)
             }
         });
@@ -725,6 +659,29 @@ mod tests {
         approx_pct(w2, 100.0 * MB, 0.1);
         assert_eq!(w3, 0.0);
         assert_eq!(jump.bytes_prefetched, 0.0);
+    }
+
+    #[test]
+    fn the_size_and_readahead_stream_survive_an_invalidation_and_a_crash() {
+        let (sim, fs) = setup_with(readahead_tuning(10_000.0));
+        let f: FileId = "f".into();
+        fs.create_file(&f, 2000.0 * MB).unwrap();
+        let read = |offset: f64| {
+            let (fs, f) = (fs.clone(), f.clone());
+            let h = sim.spawn(async move { fs.read_range(&f, offset, 100.0 * MB).await });
+            sim.run();
+            h.try_take_result().unwrap().unwrap()
+        };
+        read(0.0);
+        let stream = fs.cache().readahead(&f);
+        approx_pct(stream.window, 50.0 * MB, 0.1);
+        fs.cache().invalidate_file(&f);
+        fs.cache().crash_discard();
+        assert_eq!(fs.cache().readahead(&f), stream);
+        assert_eq!(fs.cache().file_size(&f), Ok(2000.0 * MB));
+        // The stream continues: the next sequential request doubles it.
+        read(100.0 * MB);
+        approx_pct(fs.cache().readahead(&f).window, 100.0 * MB, 0.1);
     }
 
     #[test]
@@ -848,8 +805,8 @@ mod tests {
     fn file_bookkeeping() {
         let (sim, fs) = setup(1000.0);
         fs.create_file(&"a".into(), 100.0 * MB).unwrap();
-        assert_eq!(fs.file_size(&"a".into()), Some(100.0 * MB));
-        assert!(fs.file_size(&"b".into()).is_none());
+        assert_eq!(fs.cache().file_size(&"a".into()), Ok(100.0 * MB));
+        assert!(fs.cache().file_size(&"b".into()).is_err());
         let h = sim.spawn({
             let fs = fs.clone();
             async move { fs.read_range(&"missing".into(), 0.0, f64::INFINITY).await }

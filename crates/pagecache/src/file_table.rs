@@ -1,14 +1,25 @@
-//! The per-file table both cache models keep their file state in.
+//! The per-file table of one host: its file namespace, and the per-file
+//! state its cache model keeps.
 //!
 //! The macroscopic model ([`LruLists`](crate::LruLists)) keeps each file's
 //! byte totals and block chains in a [`FileTable`]; the page-granularity
-//! kernel emulator keeps each file's pages and range ledgers in one. The
-//! table owns everything that is the same for both:
+//! kernel emulator keeps each file's pages, range ledgers and readahead
+//! stream in one; the cacheless filesystem keeps a `FileTable<()>`, and a
+//! storage fleet each file's latest written version. The table owns
+//! everything that is the same for all of them:
 //!
 //! * the **name index**, `FileId -> key`: a public call hashes a file name
 //!   once, and every step after that addresses the file by its key;
-//! * the **slots**, in a [`des::Slab`]: freed slots are reused last-in
-//!   first-out, and a key never reaches the slot of a file that reused it;
+//! * the **slots**, a `Vec` indexed by key. A slot lives as long as its
+//!   file: it is never freed and its key never changes. An invalidation or
+//!   a crash resets the model's cache state in the slot, not the slot;
+//! * each file's **size** (`inode->i_size`), kept in its slot next to the
+//!   name, with the two rules that change it: [`FileTable::create`] (a
+//!   duplicate is rejected before any space is allocated, and a failed
+//!   allocation creates nothing) and [`FileTable::extend`] (a write extends
+//!   a file, never shrinks it). A slot made by cache traffic alone, such as
+//!   a client cache's copy of a remote file, has no size: its host never
+//!   created the file;
 //! * each file's **cache group** (a memcg-style tenant), kept in its slot;
 //! * each group's **byte totals** (`cached`, `dirty`), which the models
 //!   keep with [`FileTable::adjust_group`] at every site where a grouped
@@ -16,19 +27,20 @@
 //! * the resolution of a [`ReclaimScope`] to keys ([`SlotScope`]), so a
 //!   reclaim walk checks its scope without a name lookup.
 //!
-//! A group assignment is configuration, not cache state: a grouped slot
-//! outlives the file's data. [`FileTable::discard`] frees an ungrouped slot
-//! but resets a grouped one to a fresh `T::default()`, so bytes the file
-//! caches later count to its group again.
+//! A file's name, size and group are file state; only the model's state
+//! `T` and the group totals are cache state.
 //!
 //! Keys never decide an order: both models break ties by file name, which
 //! is unique in the index.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
-use des::Slab;
+use storage_model::DiskFullError;
 
 use crate::block::FileId;
+use crate::controller::check_write_range;
+use crate::error::FsError;
 use crate::lru::EPSILON;
 
 /// Which cached data a reclaim call may take: eviction and flushing in
@@ -63,20 +75,23 @@ struct GroupBytes {
     dirty: f64,
 }
 
-/// One slot: the file's name, its cache group and the model's state.
+/// One slot: the file's name, size and cache group, and the model's state.
 #[derive(Debug, Clone)]
 struct Slot<T> {
     file: FileId,
+    /// The file's size in bytes; `None` until the host creates the file.
+    size: Option<f64>,
     group: Option<u32>,
     state: T,
 }
 
-/// Per-file state of one cache model behind one name index, with the cache
-/// group assignment and the group byte totals. See the module docs.
+/// The file namespace of one host and its cache model's per-file state,
+/// with the cache group assignment and the group byte totals. See the
+/// module docs.
 #[derive(Debug, Clone)]
 pub struct FileTable<T> {
     index: HashMap<FileId, u64>,
-    slots: Slab<Slot<T>>,
+    slots: Vec<Slot<T>>,
     groups: HashMap<u32, GroupBytes>,
 }
 
@@ -91,17 +106,17 @@ impl<T: Default> FileTable<T> {
     pub fn new() -> Self {
         FileTable {
             index: HashMap::new(),
-            slots: Slab::new(),
+            slots: Vec::new(),
             groups: HashMap::new(),
         }
     }
 
-    /// Number of live slots.
+    /// Number of slots.
     pub fn len(&self) -> usize {
         self.slots.len()
     }
 
-    /// Whether the table has no live slot.
+    /// Whether the table has no slot.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
     }
@@ -111,14 +126,16 @@ impl<T: Default> FileTable<T> {
         self.index.get(file).copied()
     }
 
-    /// The key of `file`, with a fresh ungrouped slot created if it has
-    /// none.
+    /// The key of `file`, with a fresh slot (no size, no group) created if
+    /// it has none.
     pub fn key_or_insert(&mut self, file: &FileId) -> u64 {
         if let Some(key) = self.key(file) {
             return key;
         }
-        let key = self.slots.insert(Slot {
+        let key = self.slots.len() as u64;
+        self.slots.push(Slot {
             file: file.clone(),
+            size: None,
             group: None,
             state: T::default(),
         });
@@ -127,28 +144,21 @@ impl<T: Default> FileTable<T> {
     }
 
     fn slot(&self, key: u64) -> &Slot<T> {
-        self.slots.get(key).expect("vacant file slot")
+        &self.slots[key as usize]
     }
 
-    /// Whether `key` addresses a live slot.
-    pub fn contains(&self, key: u64) -> bool {
-        self.slots.contains(key)
+    fn slot_mut(&mut self, key: u64) -> &mut Slot<T> {
+        &mut self.slots[key as usize]
     }
 
     /// The model's state of slot `key`.
-    ///
-    /// # Panics
-    /// Panics if the slot was freed.
     pub fn get(&self, key: u64) -> &T {
         &self.slot(key).state
     }
 
     /// Mutable access to the model's state of slot `key`.
-    ///
-    /// # Panics
-    /// Panics if the slot was freed.
     pub fn get_mut(&mut self, key: u64) -> &mut T {
-        &mut self.slots.get_mut(key).expect("vacant file slot").state
+        &mut self.slot_mut(key).state
     }
 
     /// The file of slot `key`.
@@ -161,34 +171,102 @@ impl<T: Default> FileTable<T> {
         self.slot(key).group
     }
 
-    /// Every live slot as `(key, file, state)`, in slot order.
+    /// Every slot as `(key, file, state)`, in key order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &FileId, &T)> {
-        self.slots.iter().map(|(k, s)| (k, &s.file, &s.state))
+        self.slots
+            .iter()
+            .enumerate()
+            .map(|(k, s)| (k as u64, &s.file, &s.state))
     }
 
-    /// Takes the model's state out of slot `key`. An ungrouped slot is
-    /// freed and leaves the index; a grouped one keeps its key and group
-    /// and holds a fresh `T::default()`. The group totals are the caller's:
-    /// move the slot's bytes out first with [`FileTable::adjust_group`].
-    pub fn discard(&mut self, key: u64) -> T {
-        let slot = self.slots.get_mut(key).expect("vacant file slot");
-        if slot.group.is_some() {
-            return std::mem::take(&mut slot.state);
+    /// Creates `file` with `size` bytes once `allocate` has reserved its
+    /// space, and returns its key. Rejects the sizes [`check_write_range`]
+    /// rejects as lengths, and fails with [`FsError::AlreadyExists`] before
+    /// calling `allocate` if the file exists, so a duplicate takes no
+    /// space. A failed allocation creates nothing.
+    pub fn create(
+        &mut self,
+        file: &FileId,
+        size: f64,
+        allocate: impl FnOnce(f64) -> Result<(), DiskFullError>,
+    ) -> Result<u64, FsError> {
+        check_write_range(0.0, size)?;
+        // One name lookup: a host creates its files in bulk at set-up.
+        let key = match self.index.entry(file.clone()) {
+            Entry::Occupied(e) if self.slots[*e.get() as usize].size.is_some() => {
+                return Err(FsError::AlreadyExists(file.clone()));
+            }
+            Entry::Occupied(e) => {
+                allocate(size)?;
+                *e.get()
+            }
+            Entry::Vacant(e) => {
+                allocate(size)?;
+                let key = *e.insert(self.slots.len() as u64);
+                self.slots.push(Slot {
+                    file: file.clone(),
+                    size: None,
+                    group: None,
+                    state: T::default(),
+                });
+                key
+            }
+        };
+        self.slot_mut(key).size = Some(size);
+        Ok(key)
+    }
+
+    /// Grows `file` so it covers a write of `len` bytes at `offset`, with
+    /// `allocate` reserving the bytes it grows by, and returns its key.
+    /// Creates the file when it does not exist; never shrinks it. Rejects
+    /// the ranges [`check_write_range`] rejects. A failed allocation
+    /// changes nothing.
+    pub fn extend(
+        &mut self,
+        file: &FileId,
+        offset: f64,
+        len: f64,
+        allocate: impl FnOnce(f64) -> Result<(), DiskFullError>,
+    ) -> Result<u64, FsError> {
+        check_write_range(offset, len)?;
+        let end = offset + len;
+        let key = self.key(file);
+        let old = key.and_then(|k| self.slot(k).size);
+        if let (Some(key), Some(old)) = (key, old) {
+            if end <= old {
+                return Ok(key);
+            }
         }
-        let slot = self.slots.remove(key).expect("vacant file slot");
-        self.index.remove(&slot.file);
-        slot.state
+        allocate(end - old.unwrap_or(0.0))?;
+        let key = self.key_or_insert(file);
+        self.slot_mut(key).size = Some(end);
+        Ok(key)
     }
 
-    /// Discards every slot (see [`FileTable::discard`]) and zeroes every
-    /// group total: the cache content is gone, the assignments stay.
-    /// Returns each file's state, in no particular order.
-    pub fn discard_all(&mut self) -> Vec<(FileId, T)> {
-        self.groups.clear();
-        let keys: Vec<u64> = self.index.values().copied().collect();
-        keys.into_iter()
-            .map(|k| (self.name(k).clone(), self.discard(k)))
+    /// The size of `file`, or [`FsError::FileNotFound`] if the host never
+    /// created it.
+    pub fn size(&self, file: &FileId) -> Result<f64, FsError> {
+        self.key(file)
+            .and_then(|k| self.slot(k).size)
+            .ok_or_else(|| FsError::FileNotFound(file.clone()))
+    }
+
+    /// Every created file and its size, in key order.
+    pub fn list(&self) -> Vec<(FileId, f64)> {
+        self.slots
+            .iter()
+            .filter_map(|s| Some((s.file.clone(), s.size?)))
             .collect()
+    }
+
+    /// A crash: zeroes every group total and hands each slot's state to
+    /// `reset`, in key order, to clear its cache content. Names, sizes and
+    /// group assignments stay.
+    pub fn reset_all(&mut self, mut reset: impl FnMut(&FileId, &mut T)) {
+        self.groups.clear();
+        for slot in &mut self.slots {
+            reset(&slot.file, &mut slot.state);
+        }
     }
 
     /// Assigns `file` to cache group `group`, or clears its assignment with
@@ -196,7 +274,7 @@ impl<T: Default> FileTable<T> {
     /// from the old group's totals to the new one's, so assignment order
     /// relative to I/O does not matter. Assigning a group creates the slot
     /// if needed. Returns the slot's key, or `None` when clearing the group
-    /// of a file without a slot. Never frees a slot.
+    /// of a file without a slot.
     pub fn set_group(
         &mut self,
         file: &FileId,
@@ -207,7 +285,7 @@ impl<T: Default> FileTable<T> {
             Some(_) => self.key_or_insert(file),
             None => self.key(file)?,
         };
-        let slot = self.slots.get_mut(key).expect("vacant file slot");
+        let slot = &mut self.slots[key as usize];
         let (cached, dirty) = bytes(&slot.state);
         if let Some(old) = slot.group {
             if let Some(gb) = self.groups.get_mut(&old) {
@@ -229,7 +307,7 @@ impl<T: Default> FileTable<T> {
     /// updates its own counters without a second lookup. Totals saturate
     /// at zero, like the models' host totals.
     pub fn adjust_group(&mut self, key: u64, d_cached: f64, d_dirty: f64) -> &mut T {
-        let slot = self.slots.get_mut(key).expect("vacant file slot");
+        let slot = &mut self.slots[key as usize];
         if let Some(g) = slot.group {
             let gb = self.groups.entry(g).or_default();
             gb.cached = (gb.cached + d_cached).max(0.0);
@@ -266,17 +344,17 @@ impl<T: Default> FileTable<T> {
         }
     }
 
-    /// Scan-based oracle of the table: the name index and the live slots
-    /// are inverse maps, and every group's totals equal the sum of `bytes`
-    /// (each slot's `(cached, dirty)`) over the slots assigned to it, in
-    /// both directions: a group with bytes needs a total, and a total needs
-    /// the bytes.
+    /// Scan-based oracle of the table: the name index and the slots are
+    /// inverse maps, every size is finite and not negative, and every
+    /// group's totals equal the sum of `bytes` (each slot's `(cached,
+    /// dirty)`) over the slots assigned to it, in both directions: a group
+    /// with bytes needs a total, and a total needs the bytes.
     pub fn check(&self, bytes: impl Fn(&T) -> (f64, f64)) -> Result<(), String> {
         fn close(a: f64, b: f64) -> bool {
             (a - b).abs() <= EPSILON + 1e-9 * b.abs()
         }
         for (file, &key) in &self.index {
-            if self.slots.get(key).map(|s| &s.file) != Some(file) {
+            if self.slots.get(key as usize).map(|s| &s.file) != Some(file) {
                 return Err(format!(
                     "name index maps {file} to a slot that names another file"
                 ));
@@ -284,13 +362,18 @@ impl<T: Default> FileTable<T> {
         }
         if self.slots.len() != self.index.len() {
             return Err(format!(
-                "file table has {} live slots but the name index {} names",
+                "file table has {} slots but the name index {} names",
                 self.slots.len(),
                 self.index.len()
             ));
         }
         let mut scan: HashMap<u32, GroupBytes> = HashMap::new();
-        for slot in self.slots.values() {
+        for slot in &self.slots {
+            if let Some(size) = slot.size {
+                if !size.is_finite() || size < 0.0 {
+                    return Err(format!("file {}: size {size}", slot.file));
+                }
+            }
             if let Some(g) = slot.group {
                 let (cached, dirty) = bytes(&slot.state);
                 let gb = scan.entry(g).or_default();
@@ -340,6 +423,20 @@ mod tests {
         *b
     }
 
+    /// An `allocate` for files that take no disk space.
+    fn no_disk(_: f64) -> Result<(), DiskFullError> {
+        Ok(())
+    }
+
+    /// An `allocate` on a disk with no space left.
+    fn full(bytes: f64) -> Result<(), DiskFullError> {
+        Err(DiskFullError {
+            disk: "d".into(),
+            requested: bytes,
+            available: 0.0,
+        })
+    }
+
     #[test]
     fn insert_and_lookup() {
         let mut t: FileTable<Bytes> = FileTable::new();
@@ -365,60 +462,107 @@ mod tests {
     }
 
     #[test]
-    fn freed_slots_are_reused_last_in_first_out() {
+    fn create_and_lookup() {
         let mut t: FileTable<Bytes> = FileTable::new();
-        let keys: Vec<u64> = (0..3)
-            .map(|i| t.key_or_insert(&FileId::new(format!("f{i}"))))
-            .collect();
-        *t.get_mut(keys[0]) = (1.0, 0.0);
-        assert_eq!(t.discard(keys[0]), (1.0, 0.0));
-        t.discard(keys[2]);
-        assert!(!t.contains(keys[0]));
-        assert_eq!(
-            t.key(&FileId::new("f0")),
-            None,
-            "a freed file leaves the index"
-        );
-        assert_eq!(t.len(), 1);
-        let a = t.key_or_insert(&FileId::new("a"));
-        let b = t.key_or_insert(&FileId::new("b"));
-        assert_eq!(a as u32, keys[2] as u32, "the last freed slot first");
-        assert_eq!(b as u32, keys[0] as u32);
-        assert_ne!(b, keys[0], "under a new key");
-        assert_eq!(*t.get(b), (0.0, 0.0), "reused slots start fresh");
+        let (a, b) = (FileId::new("a"), FileId::new("b"));
+        let k = t.create(&a, 100.0, no_disk).unwrap();
+        assert_eq!(t.key(&a), Some(k));
+        assert_eq!(t.size(&a), Ok(100.0));
+        assert_eq!(t.size(&b), Err(FsError::FileNotFound(b.clone())));
+        // Cache traffic alone makes a slot, not a file.
+        t.key_or_insert(&b);
+        assert_eq!(t.size(&b), Err(FsError::FileNotFound(b.clone())));
+        assert_eq!(t.create(&b, 7.0, no_disk), Ok(1), "created in its slot");
+        assert_eq!(t.list(), [(a, 100.0), (b, 7.0)]);
+        for size in [-1.0, f64::NAN, f64::INFINITY] {
+            let c = FileId::new("c");
+            assert!(matches!(
+                t.create(&c, size, |_| panic!("allocated for an invalid size")),
+                Err(FsError::InvalidRange { .. })
+            ));
+        }
+        assert_eq!(t.len(), 2, "a rejected size creates nothing");
         t.check(bytes).unwrap();
     }
 
     #[test]
-    fn a_grouped_slot_is_reset_not_freed() {
+    fn duplicate_create_fails_before_allocating() {
         let mut t: FileTable<Bytes> = FileTable::new();
-        let f = FileId::new("f");
-        let k = t
-            .set_group(&f, Some(4), bytes)
-            .expect("assigning creates the slot");
-        *t.get_mut(k) = (30.0, 10.0);
-        t.adjust_group(k, 30.0, 10.0);
-        t.adjust_group(k, -30.0, -10.0);
-        assert_eq!(t.discard(k), (30.0, 10.0));
-        assert_eq!(t.key(&f), Some(k), "the slot keeps its key");
-        assert_eq!(t.group(k), Some(4), "and its group");
-        assert_eq!(*t.get(k), (0.0, 0.0), "and holds a fresh state");
-        // New bytes of the file count to the group again.
-        *t.get_mut(k) = (7.0, 0.0);
-        t.adjust_group(k, 7.0, 0.0);
+        let a = FileId::new("a");
+        t.create(&a, 100.0, no_disk).unwrap();
+        let r = t.create(&a, 50.0, |_| panic!("allocated for a duplicate"));
+        assert_eq!(r, Err(FsError::AlreadyExists(a.clone())));
+        assert_eq!(t.size(&a), Ok(100.0));
+    }
+
+    #[test]
+    fn a_failed_allocation_registers_nothing() {
+        let mut t: FileTable<Bytes> = FileTable::new();
+        let a = FileId::new("a");
+        assert!(matches!(
+            t.create(&a, 10.0, full),
+            Err(FsError::DiskFull(_))
+        ));
+        assert!(matches!(
+            t.extend(&a, 0.0, 10.0, full),
+            Err(FsError::DiskFull(_))
+        ));
+        assert!(t.is_empty());
+        t.create(&a, 10.0, no_disk).unwrap();
+        assert!(matches!(
+            t.extend(&a, 5.0, 10.0, full),
+            Err(FsError::DiskFull(_))
+        ));
+        assert_eq!(t.size(&a), Ok(10.0), "a failed extension keeps the size");
+    }
+
+    #[test]
+    fn extend_creates_and_grows_but_never_shrinks() {
+        let mut t: FileTable<Bytes> = FileTable::new();
+        let a = FileId::new("a");
+        let mut allocated = Vec::new();
+        let mut extend = |t: &mut FileTable<Bytes>, offset, len| {
+            t.extend(&a, offset, len, |b| {
+                allocated.push(b);
+                Ok(())
+            })
+        };
+        let k = extend(&mut t, 10.0, 20.0).unwrap();
+        assert_eq!(t.size(&a), Ok(30.0), "a write creates the file");
+        assert_eq!(extend(&mut t, 0.0, 5.0), Ok(k));
+        assert_eq!(t.size(&a), Ok(30.0), "and never shrinks it");
+        extend(&mut t, 25.0, 15.0).unwrap();
+        assert_eq!(t.size(&a), Ok(40.0));
+        assert!(matches!(
+            extend(&mut t, -1.0, 5.0),
+            Err(FsError::InvalidRange { .. })
+        ));
+        assert_eq!(allocated, [30.0, 10.0], "only the growth is allocated");
+        t.check(bytes).unwrap();
+    }
+
+    #[test]
+    fn a_crash_resets_the_cache_state_and_keeps_the_file() {
+        let mut t: FileTable<Bytes> = FileTable::new();
+        let (f, g) = (FileId::new("f"), FileId::new("g"));
+        let kf = t.create(&f, 300.0, no_disk).unwrap();
+        let kg = t.set_group(&g, Some(4), bytes).unwrap();
+        *t.get_mut(kf) = (30.0, 10.0);
+        *t.adjust_group(kg, 7.0, 0.0) = (7.0, 0.0);
         assert_eq!(t.group_cached(4), 7.0);
         t.check(bytes).unwrap();
-        // A crash zeroes the totals and keeps the assignment.
-        let mut lost = t.discard_all();
-        lost.sort_by(|a, b| a.0.cmp(&b.0));
-        assert_eq!(lost, [(f.clone(), (7.0, 0.0))]);
-        assert_eq!((t.group_cached(4), t.key(&f)), (0.0, Some(k)));
-        // Clearing the group frees the slot at the next discard.
-        assert_eq!(t.set_group(&f, None, bytes), Some(k));
-        t.discard(k);
-        assert!(t.is_empty());
-        assert_eq!(t.set_group(&f, None, bytes), None, "nothing to clear");
-        assert!(t.is_empty(), "clearing creates no slot");
+        let mut lost = Vec::new();
+        t.reset_all(|file, state| lost.push((file.clone(), std::mem::take(state))));
+        assert_eq!(lost, [(f.clone(), (30.0, 10.0)), (g.clone(), (7.0, 0.0))]);
+        // Same keys, same size and group, fresh cache state.
+        assert_eq!((t.key(&f), t.key(&g)), (Some(kf), Some(kg)));
+        assert_eq!(t.size(&f), Ok(300.0));
+        assert_eq!(t.group(kg), Some(4));
+        assert_eq!((*t.get(kf), *t.get(kg)), ((0.0, 0.0), (0.0, 0.0)));
+        assert_eq!(t.group_cached(4), 0.0, "the group totals are cache state");
+        // New bytes of the file count to its group again.
+        *t.adjust_group(kg, 5.0, 0.0) = (5.0, 0.0);
+        assert_eq!(t.group_cached(4), 5.0);
         t.check(bytes).unwrap();
     }
 
@@ -439,6 +583,9 @@ mod tests {
         t.set_group(&f, None, bytes);
         assert_eq!(t.group_cached(2), 0.0);
         t.check(bytes).unwrap();
+        let g = FileId::new("g");
+        assert_eq!(t.set_group(&g, None, bytes), None, "nothing to clear");
+        assert_eq!(t.key(&g), None, "clearing creates no slot");
     }
 
     #[test]
@@ -470,6 +617,20 @@ mod tests {
         let err = t.check(bytes).unwrap_err();
         assert!(err.contains("names another file"), "{err}");
         t.index.insert(a, ka);
+        t.check(bytes).unwrap();
+    }
+
+    #[test]
+    fn the_oracle_catches_a_negative_or_non_finite_size() {
+        let mut t: FileTable<Bytes> = FileTable::new();
+        let k = t.create(&FileId::new("a"), 10.0, no_disk).unwrap();
+        t.check(bytes).unwrap();
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            t.slot_mut(k).size = Some(bad);
+            let err = t.check(bytes).unwrap_err();
+            assert!(err.contains("file a: size"), "{err}");
+        }
+        t.slot_mut(k).size = Some(0.0);
         t.check(bytes).unwrap();
     }
 

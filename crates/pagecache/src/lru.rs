@@ -98,7 +98,8 @@
 //! slot stored in the node, so no block step hashes a name. (A grouped
 //! file's group byte counters are still found by group id.) The slots, the
 //! name index and the group totals are a [`FileTable`], the same table the
-//! kernel emulator keeps its per-file state in.
+//! kernel emulator keeps its per-file state in. It is also the host's file
+//! namespace: each slot holds its file's size.
 //!
 //! To bound arena growth on flush-heavy workloads, recency-adjacent blocks
 //! of the same file on an **evictable** tier that are both clean and *share
@@ -121,17 +122,17 @@
 //!   dirty and per-file chains are exactly the recency chain filtered by
 //!   dirtiness / file; recency chains are sorted by `last_access`.
 //! * File table: per-file state lives in the slots of a [`FileTable`], and
-//!   each node stores its file's slot key. The table's name index and live
+//!   each node stores its file's slot key. The table's name index and
 //!   slots are inverse maps ([`FileTable::check`]), and every node's slot
-//!   names its block's file. A slot is freed when its last block leaves and
-//!   it carries no cache group; a grouped slot outlives its blocks, because
-//!   the assignment is configuration. A slot without blocks has empty
-//!   chains and exactly zero bytes.
+//!   names its block's file. A slot lives as long as its file, so it
+//!   outlives its blocks: a slot without blocks has empty chains and
+//!   exactly zero bytes.
 //! * Aggregates: for each tier, `agg.bytes` / `agg.dirty` equal the sum of
 //!   sizes / dirty sizes of its blocks; for each file, `FileBytes { cached,
 //!   dirty, inactive_bytes, inactive_clean, blocks }` equal the same sums
 //!   restricted to that file (`inactive_*` counting the policy's evictable
-//!   tiers, and `blocks` its exact block count, used to free empty slots);
+//!   tiers, and `blocks` its exact block count, which zeroes the counters
+//!   of a slot whose last block leaves);
 //!   for each cache group, the table's totals equal the sums of the
 //!   per-file `cached` and `dirty` over the slots that carry that group.
 //!
@@ -374,8 +375,9 @@ struct FileBytes {
     inactive_bytes: f64,
     /// Clean bytes of the file on the evictable tiers (its evictable share).
     inactive_clean: f64,
-    /// Exact number of blocks of the file across all tiers. Used to decide
-    /// when the entry can be dropped without relying on float comparisons.
+    /// Exact number of blocks of the file across all tiers. Used to restart
+    /// the byte counters from exact zero when the last block leaves,
+    /// without relying on float comparisons.
     blocks: usize,
 }
 
@@ -423,7 +425,7 @@ pub struct LruWork {
 /// A file's state in the file table: its byte aggregates and per-tier file
 /// chains.
 #[derive(Debug, Default, Clone)]
-struct FileState {
+pub(crate) struct FileState {
     bytes: FileBytes,
     /// File chains indexed by tier: this file's blocks on each tier, in
     /// recency order.
@@ -439,12 +441,15 @@ pub struct LruLists {
     /// Indexed by tier; under the default 2-list policy tier 0 is the
     /// inactive list and tier 1 the active list.
     lists: [ListState; MAX_TIERS],
-    /// The file table: one slot per file that has blocks or a cache group.
+    /// The file table: the host's file namespace (names, sizes, cache
+    /// groups), one slot per file the host created or cached. The Memory
+    /// Manager creates, extends and sizes files in it directly; only the
+    /// lists touch the cache state in its slots.
     /// Public calls resolve a name here once; every step after that uses
     /// the slot key. Its group totals move at the same four accounting
     /// choke points as the per-file counters (`agg_insert`, `agg_remove`,
     /// `agg_clean_in_place`, `agg_shrink`).
-    files: FileTable<FileState>,
+    pub(crate) files: FileTable<FileState>,
     policy: Policy,
     work: LruWork,
     /// The nodes [`LruLists::read_cached`] takes off the tiers, kept
@@ -583,12 +588,8 @@ impl LruLists {
     /// not matter. The assignment itself is configuration and survives full
     /// eviction of the file.
     pub fn set_file_group(&mut self, file: FileId, group: Option<u32>) {
-        let slot = self
-            .files
+        self.files
             .set_group(&file, group, |f| (f.bytes.cached, f.bytes.dirty));
-        if let Some(s) = slot {
-            self.release_if_unused(s);
-        }
         self.debug_validate();
     }
 
@@ -666,14 +667,6 @@ impl LruLists {
         }
     }
 
-    /// Frees slot `s` once it holds no block and no cache group, so the
-    /// table stays bounded by the live and grouped files.
-    fn release_if_unused(&mut self, s: u64) {
-        if self.files.get(s).bytes.blocks == 0 {
-            self.files.discard(s);
-        }
-    }
-
     /// Records a block of slot `s` joining `tier` in the aggregates. The
     /// counters only need its size and dirtiness; chain membership is
     /// handled separately.
@@ -696,8 +689,7 @@ impl LruLists {
     }
 
     /// Records a block of slot `s` leaving `tier` in the aggregates. The
-    /// slot's counters restart from exact zero once its last block is gone;
-    /// the caller frees the slot with [`LruLists::release_if_unused`].
+    /// slot's counters restart from exact zero once its last block is gone.
     fn agg_remove(&mut self, tier: usize, s: u64, size: f64, dirty: bool) {
         self.lists[tier].agg.sub(size, dirty);
         let evictable = self.policy.evictable_tiers()[tier];
@@ -848,9 +840,8 @@ impl LruLists {
     }
 
     /// Unlinks node `i` from every chain and takes its bytes out of the
-    /// aggregates, but keeps its arena slot and its file slot (even when
-    /// that empties): the caller relinks it with [`LruLists::link_node`] or
-    /// frees it with [`LruLists::release`]. O(1).
+    /// aggregates, but keeps its arena slot: the caller relinks it with
+    /// [`LruLists::link_node`] or frees it with [`LruLists::release`]. O(1).
     fn unlink_node(&mut self, i: Idx) {
         let (tier, s, size, dirty) = {
             let n = node_ref(&self.arena, i);
@@ -865,20 +856,11 @@ impl LruLists {
         self.agg_remove(tier, s, size, dirty);
     }
 
-    /// [`LruLists::unlink_node`], then frees its arena slot. Keeps the file
-    /// slot even when it empties, so the caller can re-insert data of the
-    /// same file without a name lookup. O(1).
-    fn detach_node(&mut self, i: Idx) -> Node {
-        self.unlink_node(i);
-        self.release(i)
-    }
-
-    /// [`LruLists::detach_node`], then frees the file slot if that was its
-    /// last block. Returns the block.
+    /// [`LruLists::unlink_node`], then frees its arena slot. Returns the
+    /// block. O(1).
     fn remove_node(&mut self, i: Idx) -> DataBlock {
-        let node = self.detach_node(i);
-        self.release_if_unused(node.file_slot);
-        node.block
+        self.unlink_node(i);
+        self.release(i).block
     }
 
     /// Turns dirty node `i` clean in place (a flush): moves it from its
@@ -1074,7 +1056,6 @@ impl LruLists {
         } else if merged != NIL {
             self.release(merged);
         }
-        self.release_if_unused(s);
         self.debug_validate();
         read_total
     }
@@ -1082,8 +1063,7 @@ impl LruLists {
     /// Takes up to `amount` bytes of slot `s` off the tiers, tier 0 first,
     /// LRU first. Whole blocks are unlinked into `taken` and keep their
     /// arena nodes; a last block that is only partly needed is split, and
-    /// its head is returned. Walks only the file's own chains, and keeps the
-    /// slot even if it empties (the caller relinks the taken data).
+    /// its head is returned. Walks only the file's own chains.
     fn take_for_read(&mut self, s: u64, amount: f64, taken: &mut Vec<Idx>) -> Option<DataBlock> {
         let mut remaining = amount;
         for tier in 0..MAX_TIERS {
@@ -1309,9 +1289,10 @@ impl LruLists {
         flushed
     }
 
-    /// Removes every block belonging to `file` (used when a simulated file is
-    /// deleted). Returns the number of bytes removed. Walks only the file's
-    /// own chains: O(k) in the file's block count.
+    /// Removes every block of `file` (an invalidation: a client's stale
+    /// copy, or a crash). The file keeps its slot, size and group. Returns
+    /// the number of bytes removed. Walks only the file's own chains: O(k)
+    /// in the file's block count.
     pub fn invalidate_file(&mut self, file: &FileId) -> f64 {
         let Some(s) = self.files.key(file) else {
             return 0.0;
@@ -1321,11 +1302,10 @@ impl LruLists {
             let mut i = self.files.get(s).chains[k].head;
             while i != NIL {
                 let next = node_ref(&self.arena, i).links[FILE].next;
-                removed += self.detach_node(i).block.size;
+                removed += self.remove_node(i).size;
                 i = next;
             }
         }
-        self.release_if_unused(s);
         self.debug_validate();
         removed
     }
@@ -1453,9 +1433,7 @@ impl LruLists {
             let mut by_slot: HashMap<u64, Vec<Idx>> = HashMap::new();
             for &i in &recency {
                 let n = node_ref(&self.arena, i);
-                if !self.files.contains(n.file_slot)
-                    || self.files.name(n.file_slot) != &n.block.file
-                {
+                if self.files.name(n.file_slot) != &n.block.file {
                     return Err(format!(
                         "node {i}: file slot {} does not name its file {}",
                         n.file_slot, n.block.file
@@ -1534,9 +1512,6 @@ impl LruLists {
         }
         self.files.check(|f| (f.bytes.cached, f.bytes.dirty))?;
         let scan = self.recompute_per_file();
-        if let Some(s) = scan.keys().find(|&&s| !self.files.contains(s)) {
-            return Err(format!("blocks reference vacant file slot {s}"));
-        }
         for (s, file, entry) in self.files.iter() {
             let actual = &entry.bytes;
             let expected = scan.get(&s).copied().unwrap_or_default();
@@ -1547,9 +1522,6 @@ impl LruLists {
                 ));
             }
             if actual.blocks == 0 {
-                if self.files.group(s).is_none() {
-                    return Err(format!("file {file}: empty ungrouped slot was not freed"));
-                }
                 let zero = [
                     actual.cached,
                     actual.dirty,
@@ -2165,16 +2137,19 @@ mod tests {
     }
 
     #[test]
-    fn fully_evicted_file_leaves_the_table_until_it_is_read_again() {
+    fn a_fully_evicted_file_keeps_its_slot() {
         let mut lru = LruLists::new();
         let f: FileId = "f".into();
         lru.add_clean(f.clone(), 100.0, t(1.0));
+        let key = lru.files.key(&f);
         lru.add_clean("other".into(), 50.0, t(2.0));
         approx(lru.evict(100.0, ReclaimScope::Host(None)), 100.0);
         approx(lru.cached_amount(&f), 0.0);
         assert!(!lru.cached_per_file().contains_key(&f));
-        assert_eq!(lru.files.len(), 1, "the empty slot is freed");
+        assert_eq!(lru.files.len(), 2, "the empty slot stays");
+        lru.check_invariants().unwrap();
         lru.add_clean(f.clone(), 40.0, t(3.0));
+        assert_eq!(lru.files.key(&f), key);
         approx(lru.cached_amount(&f), 40.0);
         approx(lru.dirty_amount(&f), 0.0);
         approx(lru.evictable(Some(&f)), 50.0);
@@ -2208,47 +2183,48 @@ mod tests {
         approx(lru.group_cached(3), 25.0);
         approx(lru.group_dirty(3), 25.0);
         lru.check_invariants().unwrap();
-        // Clearing the group of an empty file frees its slot.
+        // Clearing the group of an empty file keeps its slot.
         lru.invalidate_file(&f);
         assert_eq!(lru.file_group(&f), Some(3));
         lru.set_file_group(f.clone(), None);
         assert_eq!(lru.file_group(&f), None);
-        assert!(lru.files.is_empty());
-        lru.check_invariants().unwrap();
-    }
-
-    #[test]
-    fn invalidated_file_re_added_under_a_fresh_id_reuses_its_slot() {
-        let mut lru = LruLists::new();
-        lru.add_dirty(FileId::new("f"), 100.0, t(1.0));
-        let slot = lru.files.key(&FileId::new("f")).unwrap();
-        approx(lru.invalidate_file(&FileId::new("f")), 100.0);
-        assert!(lru.files.is_empty());
-        lru.add_clean(FileId::new("f"), 30.0, t(2.0));
-        let key = lru.files.key(&FileId::new("f")).unwrap();
-        assert_eq!(key as u32, slot as u32, "the freed slot is reused");
-        assert_ne!(key, slot, "under a new key");
         assert_eq!(lru.files.len(), 1);
-        approx(lru.cached_amount(&FileId::new("f")), 30.0);
-        approx(lru.dirty_amount(&FileId::new("f")), 0.0);
         lru.check_invariants().unwrap();
     }
 
     #[test]
-    fn add_invalidate_cycles_keep_the_file_table_bounded() {
+    fn an_invalidated_file_keeps_its_key_and_size() {
+        let mut lru = LruLists::new();
+        let f = FileId::new("f");
+        lru.files.create(&f, 300.0, |_| Ok(())).unwrap();
+        let key = lru.files.key(&f).unwrap();
+        lru.add_dirty(f.clone(), 100.0, t(1.0));
+        approx(lru.invalidate_file(&f), 100.0);
+        // Same key, same size, fresh cache state.
+        assert_eq!(lru.files.key(&f), Some(key));
+        assert_eq!(lru.files.size(&f), Ok(300.0));
+        approx(lru.cached_amount(&f), 0.0);
+        lru.check_invariants().unwrap();
+        lru.add_clean(f.clone(), 30.0, t(2.0));
+        assert_eq!(lru.files.key(&f), Some(key));
+        assert_eq!(lru.files.len(), 1);
+        approx(lru.cached_amount(&f), 30.0);
+        approx(lru.dirty_amount(&f), 0.0);
+        lru.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn add_invalidate_cycles_keep_one_slot_per_file() {
         let mut lru = LruLists::new();
         lru.set_file_group("grouped".into(), Some(1));
         lru.add_clean("live".into(), 10.0, t(0.0));
-        for i in 0..10_000 {
-            let f = FileId::new(format!("f{i}"));
+        let f = FileId::new("cycled");
+        for i in 0..1_000 {
             lru.add_dirty(f.clone(), 10.0, t(i as f64));
-            // The peak: the live and the grouped file plus the one file
-            // being cycled, so every slot index stays below 3.
-            let slot = lru.files.key(&f).unwrap() as u32;
-            assert!(slot < 3, "file table grew to slot {slot}");
+            assert_eq!(lru.files.key(&f), Some(2), "the file keeps its key");
             lru.invalidate_file(&f);
         }
-        assert_eq!(lru.files.len(), 2, "one live and one grouped file");
+        assert_eq!(lru.files.len(), 3, "one slot per file");
         lru.check_invariants().unwrap();
     }
 

@@ -17,7 +17,10 @@
 //! blocks, [`MemoryManager::evict`] only clean blocks, and every byte
 //! aggregate the controller polls is O(1). Per-file state lives in a slot
 //! table: each call here resolves the file name once, and the block steps
-//! behind it index slots instead of hashing names.
+//! behind it index slots instead of hashing names. The same table is the
+//! host's file namespace: [`MemoryManager::create_file`],
+//! [`MemoryManager::extend_file`] and [`MemoryManager::file_size`] keep
+//! each file's size in its slot, and a slot lives as long as its file.
 //!
 //! [`MemoryManager::evict`] and [`MemoryManager::flush`] take a
 //! [`ReclaimScope`]: the controller's read step reclaims host-wide,
@@ -34,6 +37,7 @@ use storage_model::{Disk, MemoryDevice};
 
 use crate::block::FileId;
 use crate::config::PageCacheConfig;
+use crate::error::FsError;
 use crate::file_table::ReclaimScope;
 use crate::lru::{LruLists, LruWork, EPSILON};
 use crate::stats::{CacheContentSnapshot, MemorySample, MemoryTrace};
@@ -172,6 +176,36 @@ impl MemoryManager {
         self.state.borrow().lru.dirty_amount(file)
     }
 
+    /// Creates `file` with `size` bytes, allocating its space on the disk
+    /// (the host's create rule, [`crate::FileTable::create`]).
+    pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), FsError> {
+        let files = &mut self.state.borrow_mut().lru.files;
+        files
+            .create(file, size, |b| self.disk.allocate(b))
+            .map(drop)
+    }
+
+    /// Grows `file` to cover a write of `len` bytes at `offset`, allocating
+    /// the growth on the disk (the host's extend rule,
+    /// [`crate::FileTable::extend`]).
+    pub fn extend_file(&self, file: &FileId, offset: f64, len: f64) -> Result<(), FsError> {
+        let files = &mut self.state.borrow_mut().lru.files;
+        files
+            .extend(file, offset, len, |b| self.disk.allocate(b))
+            .map(drop)
+    }
+
+    /// The size of `file`, or [`FsError::FileNotFound`] if this host never
+    /// created it.
+    pub fn file_size(&self, file: &FileId) -> Result<f64, FsError> {
+        self.state.borrow().lru.files.size(file)
+    }
+
+    /// Every file this host created, with its size, in key order.
+    pub fn list_files(&self) -> Vec<(FileId, f64)> {
+        self.state.borrow().lru.files.list()
+    }
+
     /// Cached bytes per file.
     pub fn cached_per_file(&self) -> BTreeMap<FileId, f64> {
         self.state.borrow().lru.cached_per_file()
@@ -303,8 +337,8 @@ impl MemoryManager {
             .add_dirty(file.clone(), amount, now);
     }
 
-    /// Drops every cached block of `file` (file deletion). Returns the number
-    /// of bytes invalidated.
+    /// Drops every cached block of `file` (an invalidation); the file keeps
+    /// its size and group. Returns the number of bytes invalidated.
     pub fn invalidate_file(&self, file: &FileId) -> f64 {
         self.state.borrow_mut().lru.invalidate_file(file)
     }

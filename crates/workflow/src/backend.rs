@@ -395,13 +395,14 @@ impl Backend {
         match self {
             Backend::Cached(fs) => crash_cached(fs),
             // Every write went straight to the disk: nothing to lose.
-            Backend::Direct(fs) => CrashReport::all_durable(fs.registry().list()),
+            Backend::Direct(fs) => CrashReport::all_durable(fs.list_files()),
             Backend::Kernel(fs) => {
                 // The emulator keeps a byte-exact dirty-range ledger: the
                 // durable ranges are its complement within each file.
-                let lost: BTreeMap<_, _> = fs.cache().crash_discard().into_iter().collect();
+                let lost = fs.cache().crash_discard();
                 CrashReport {
                     files: fs
+                        .cache()
                         .list_files()
                         .into_iter()
                         .map(|(file, size)| {
@@ -449,15 +450,15 @@ impl Backend {
                     ctx,
                     platform.cache_config(platform.host_memory),
                     memory,
-                    disk.clone(),
+                    disk,
                 );
                 let io = IoController::new(ctx, mm).with_chunk_size(platform.chunk_size);
-                Ok(Backend::Cached(CachedFileSystem::new(io, disk)))
+                Ok(Backend::Cached(CachedFileSystem::new(io)))
             }
             (StorageKind::Local, SimulatorKind::KernelEmu) => {
-                let cache = KernelCache::new(ctx, platform.kernel_tuning(), memory, disk.clone());
+                let cache = KernelCache::new(ctx, platform.kernel_tuning(), memory, disk);
                 Ok(Backend::Kernel(
-                    KernelFileSystem::new(ctx, cache, disk).with_request_size(platform.chunk_size),
+                    KernelFileSystem::new(ctx, cache).with_request_size(platform.chunk_size),
                 ))
             }
             (StorageKind::Nfs, SimulatorKind::Cacheless) => {
@@ -558,8 +559,8 @@ pub(crate) fn crash_cached(fs: &CachedFileSystem) -> CrashReport {
     let lost: BTreeMap<_, _> = fs.memory_manager().crash_discard().into_iter().collect();
     CrashReport {
         files: fs
-            .registry()
-            .list()
+            .memory_manager()
+            .list_files()
             .into_iter()
             .map(|(file, size)| {
                 let dirty = lost.get(&file).copied().unwrap_or(0.0);
@@ -1159,6 +1160,25 @@ mod tests {
             // The duplicate took no space: 500 MB fit beside the first 300.
             let r = backend.create_file(&"b".into(), 500.0 * MB);
             assert!(r.is_ok(), "{kind:?} {:?}: {r:?}", p.storage);
+            // A crash empties the caches, not the namespace: the file
+            // still exists, with its size.
+            backend.crash();
+            let r = backend.create_file(&"a".into(), 300.0 * MB);
+            assert!(
+                matches!(r, Err(ScenarioError::Filesystem(FsError::AlreadyExists(_)))),
+                "{kind:?} {:?} after a crash: {r:?}",
+                p.storage
+            );
+            let h =
+                sim.spawn(async move { backend.read_range(&"a".into(), 0.0, f64::INFINITY).await });
+            sim.run();
+            let read = h.try_take_result().unwrap().unwrap();
+            let demand = read.bytes_from_disk + read.bytes_from_cache - read.bytes_prefetched;
+            assert!(
+                (demand - 300.0 * MB).abs() < 1.0,
+                "{kind:?} {:?}: read {demand} bytes after a crash",
+                p.storage
+            );
         }
     }
 

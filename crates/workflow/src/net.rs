@@ -61,10 +61,10 @@ use std::rc::Rc;
 
 use des::{select2, Either, SimContext};
 use pagecache::{
-    check_write_range, clamp_io_range, FileId, FsError, IoController, IoOpStats, MemoryManager,
-    WriteMode, EPSILON,
+    check_write_range, clamp_io_range, FileId, FileTable, FsError, IoController, IoOpStats,
+    MemoryManager, WriteMode, EPSILON,
 };
-use simfs::{CachedFileSystem, FileRegistry};
+use simfs::CachedFileSystem;
 use storage_model::{AbortHandle, Disk, MemoryDevice, SharedResource, TransferOutcome};
 
 use crate::backend::{crash_cached, model_profile, model_writeback, ScenarioError};
@@ -632,10 +632,9 @@ struct FleetInner {
     fabric: Fabric,
     servers: Vec<ServerNode>,
     clients: Vec<ClientNode>,
-    /// Fleet-level file registry (authoritative sizes).
-    registry: FileRegistry,
-    /// Latest successfully written version of each file.
-    versions: RefCell<BTreeMap<FileId, u64>>,
+    /// The fleet's file namespace: each file's authoritative size, and in
+    /// its slot the file's latest successfully written version.
+    files: RefCell<FileTable<u64>>,
     /// Version each replica has of each file.
     server_versions: RefCell<BTreeMap<(usize, FileId), u64>>,
     counters: NetCounters,
@@ -652,7 +651,8 @@ impl FleetInner {
     }
 
     fn version(&self, file: &FileId) -> u64 {
-        self.versions.borrow().get(file).copied().unwrap_or(0)
+        let files = self.files.borrow();
+        files.key(file).map_or(0, |k| *files.get(k))
     }
 
     fn server_version(&self, server: usize, file: &FileId) -> u64 {
@@ -676,8 +676,8 @@ impl FleetInner {
         let node = &self.servers[server];
         let size = node
             .fs
-            .registry()
-            .size(file)
+            .memory_manager()
+            .file_size(file)
             .map_err(|_| NetError::ServerUnavailable(node.host.clone()))?;
         let mut stats = IoOpStats::default();
         node.fs
@@ -934,12 +934,12 @@ impl FleetClient {
             fabric.add_link(&link, devices.network_bandwidth, devices.network_latency);
             let memory = MemoryDevice::new(ctx, devices.memory);
             let disk = Disk::new(ctx, format!("{host}-disk"), devices.remote_disk);
-            let mm = MemoryManager::new(ctx, server_cache, memory, disk.clone());
+            let mm = MemoryManager::new(ctx, server_cache, memory, disk);
             let io = IoController::new(ctx, mm).with_chunk_size(platform.chunk_size);
             servers.push(ServerNode {
                 host,
                 link,
-                fs: CachedFileSystem::new(io, disk),
+                fs: CachedFileSystem::new(io),
                 alive: Cell::new(true),
             });
         }
@@ -976,8 +976,7 @@ impl FleetClient {
                 fabric,
                 servers,
                 clients,
-                registry: FileRegistry::new(),
-                versions: RefCell::new(BTreeMap::new()),
+                files: RefCell::default(),
                 server_versions: RefCell::new(BTreeMap::new()),
                 counters: NetCounters::default(),
                 crashes: RefCell::new(Vec::new()),
@@ -1063,19 +1062,20 @@ impl FleetClient {
         self.inner.clients[self.client].io.memory_manager()
     }
 
-    /// The filesystem of server `index`: its page cache, disk and registry.
+    /// The filesystem of server `index`: its page cache, disk and files.
     #[cfg(test)]
     pub(crate) fn server_fs(&self, index: usize) -> &CachedFileSystem {
         &self.inner.servers[index].fs
     }
 
     /// Registers a pre-existing file on the fleet and on every live replica
-    /// without simulating any I/O. Rejects the sizes [`check_write_range`]
-    /// rejects as lengths.
+    /// without simulating any I/O ([`FileTable::create`]).
     pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), ScenarioError> {
-        check_write_range(0.0, size)?;
-        // The fleet's registry holds no space; each replica allocates.
-        self.inner.registry.create(file, size, |_| Ok(()))?;
+        // The fleet's namespace holds no space; each replica allocates.
+        self.inner
+            .files
+            .borrow_mut()
+            .create(file, size, |_| Ok(()))?;
         for &s in &self.inner.replicas_of(file) {
             let node = &self.inner.servers[s];
             if node.alive.get() {
@@ -1094,7 +1094,7 @@ impl FleetClient {
         len: f64,
     ) -> Result<IoOpStats, ScenarioError> {
         let inner = &self.inner;
-        let size = inner.registry.size(file)?;
+        let size = inner.files.borrow().size(file)?;
         let (_start, amount) = clamp_io_range(offset, len, size);
         let start = inner.ctx.now();
         let me = &inner.clients[self.client];
@@ -1184,11 +1184,13 @@ impl FleetClient {
                 None => inner.injected(OpClass::Write, file),
             });
         }
+        // The fleet's namespace holds no space: each replica allocated.
         let version = {
-            let mut versions = inner.versions.borrow_mut();
-            let entry = versions.entry(file.clone()).or_insert(0);
-            *entry += 1;
-            *entry
+            let mut files = inner.files.borrow_mut();
+            let key = files.extend(file, offset, len, |_| Ok(()))?;
+            let version = files.get_mut(key);
+            *version += 1;
+            *version
         };
         {
             let mut server_versions = inner.server_versions.borrow_mut();
@@ -1196,8 +1198,6 @@ impl FleetClient {
                 server_versions.insert((server, file.clone()), version);
             }
         }
-        let new_size = inner.registry.size(file).unwrap_or(0.0).max(offset + len);
-        inner.registry.create_or_replace(file, new_size);
         // Close-to-open: the writer's own cached copy predates the write.
         let me = &inner.clients[self.client];
         me.io.memory_manager().invalidate_file(file);
@@ -1210,7 +1210,7 @@ impl FleetClient {
     /// writethrough servers).
     pub async fn fsync(&self, file: &FileId) -> Result<IoOpStats, ScenarioError> {
         let inner = &self.inner;
-        inner.registry.size(file)?;
+        inner.files.borrow().size(file)?;
         let start = inner.ctx.now();
         let client_host = inner.clients[self.client].host.clone();
         let mut stats = IoOpStats::default();

@@ -37,7 +37,7 @@ impl FileSpec {
 }
 
 /// One instruction of a workload program. File references are by name; sizes
-/// come from the filesystem registry at execution time, so a `Read` needs no
+/// come from the host's file table at execution time, so a `Read` needs no
 /// size and `len = f64::INFINITY` means "to end of file".
 #[derive(Debug, Clone, PartialEq)]
 pub enum Op {

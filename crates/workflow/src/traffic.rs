@@ -590,8 +590,8 @@ struct Request {
 
 /// Mutable run state of one generator, shared by its request tasks.
 struct GenState {
-    /// The id of each catalog file, by catalog index, once created: later
-    /// requests clone it instead of naming the file again.
+    /// The id of each catalog file, by catalog index, once its creation
+    /// succeeded: later requests clone it instead of naming the file again.
     files: Vec<Option<FileId>>,
     issued: u64,
     completed: u64,
@@ -732,10 +732,11 @@ async fn execute_request(gen: Rc<GenCtx>, req: Request, base: f64) -> Result<(),
         return Ok(());
     }
     // Lazy catalog: the file springs into existence (and into the tenant's
-    // cache group) on first touch.
+    // cache group) on first touch. It counts as created only once the
+    // create succeeds, so a failed create is retried by the next request.
     if first_touch {
-        state.borrow_mut().files[req.file] = Some(id.clone());
         backend.create_file(&id, file_size(spec, req.file))?;
+        state.borrow_mut().files[req.file] = Some(id.clone());
         if spec.tenant.is_some() {
             backend.set_file_group(&id, group);
         }
@@ -1210,6 +1211,58 @@ mod tests {
                     );
                 }
                 other => panic!("{kind:?}: expected a full disk, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_failed_lazy_create_is_retried_by_the_next_request() {
+        use crate::backend::SimulatorKind;
+        use crate::faults::FaultPlan;
+        use crate::platform::PlatformSpec;
+        use des::Simulation;
+        use pagecache::FsError;
+        use storage_model::units::{GB, MB};
+        use storage_model::DeviceSpec;
+
+        // One catalog file of 5–15 MB on a 1 MB disk: its creation fails.
+        let spec = TrafficSpec::open("full", 1.0, 2).with_catalog(1, 10.0 * MB);
+        let platform = PlatformSpec::uniform(
+            8.0 * GB,
+            DeviceSpec::symmetric(4812.0 * MB, 0.0, f64::INFINITY),
+            DeviceSpec::symmetric(465.0 * MB, 0.0, MB),
+        );
+        let read = Request {
+            file: 0,
+            is_read: true,
+            offset: 0.0,
+            len: MB,
+            gap: 0.0,
+            record: true,
+        };
+        for kind in [SimulatorKind::PageCache, SimulatorKind::KernelEmu] {
+            let sim = Simulation::new();
+            let ctx = sim.context();
+            let gen = Rc::new(GenCtx {
+                ctx: ctx.clone(),
+                backend: Backend::build(&ctx, &platform, kind).unwrap(),
+                spec: Rc::new(spec.clone()),
+                group: 0,
+                state: Rc::new(RefCell::new(GenState::new(0.0, 1))),
+                faults: FaultState::new(FaultPlan::default(), false),
+            });
+            let h = sim.spawn(async move {
+                let first = execute_request(Rc::clone(&gen), read, 0.0).await;
+                let second = execute_request(gen, read, 0.0).await;
+                (first, second)
+            });
+            sim.run();
+            let (first, second) = h.try_take_result().unwrap();
+            for (which, result) in [("first", first), ("second", second)] {
+                assert!(
+                    matches!(result, Err(ScenarioError::Filesystem(FsError::DiskFull(_)))),
+                    "{kind:?}: the {which} request: {result:?}"
+                );
             }
         }
     }

@@ -185,14 +185,9 @@ fn filesystem_layer_and_raw_controller_agree() {
         "d",
         DeviceSpec::symmetric(465.0 * MB, 0.0, f64::INFINITY),
     );
-    let mm = MemoryManager::new(
-        &ctx,
-        PageCacheConfig::with_memory(8.0 * GB),
-        memory,
-        disk.clone(),
-    );
+    let mm = MemoryManager::new(&ctx, PageCacheConfig::with_memory(8.0 * GB), memory, disk);
     let io = IoController::new(&ctx, mm.clone());
-    let fs = CachedFileSystem::new(io.clone(), disk);
+    let fs = CachedFileSystem::new(io.clone());
     fs.create_file(&FileId::new("direct"), 1.0 * GB).unwrap();
     fs.create_file(&FileId::new("via_fs"), 1.0 * GB).unwrap();
     let h = sim.spawn(async move {
