@@ -1,6 +1,7 @@
-//! File-level front end of the kernel emulator, mirroring the API of
-//! `simfs::CachedFileSystem` so the workflow layer can use the emulator as the
-//! "real system" back-end.
+//! File-level front end of the kernel emulator, offering the file
+//! operations of the page cache model's `pagecache::IoController`
+//! (`read_range`, `write_range`, `fsync`, `sync`) so the workflow layer can
+//! use the emulator as the "real system" back-end.
 //!
 //! Unlike the macroscopic filesystems, reads here are planned against the
 //! cache's *resident page ranges*: a request for `[offset, offset + len)`

@@ -13,8 +13,11 @@
 //! clients and servers — runs [`IoController::read_chunk_via`], which takes
 //! the uncached share from a caller-supplied source (the host's disk, or a
 //! remote server) and, for readers that are applications, accounts for
-//! their anonymous copy of the data. Writethrough servers write with
-//! [`IoController::write_chunk_writethrough`].
+//! their anonymous copy of the data.
+//!
+//! The controller is also a page-cached host's filesystem: callers read,
+//! write and flush files by name through it ([`IoController::read_range`]),
+//! and the files live in its Memory Manager's file table.
 //!
 //! Every per-chunk step is cheap regardless of how many files are cached:
 //! the headroom/evictable polls are O(1) aggregate reads, and the cache
@@ -26,6 +29,7 @@ use std::convert::Infallible;
 use std::future::Future;
 
 use des::SimContext;
+use storage_model::Disk;
 
 use crate::block::FileId;
 use crate::config::WriteMode;
@@ -98,29 +102,40 @@ impl IoController {
         self
     }
 
-    /// The chunk size used by [`IoController::read_amount`] and
+    /// The chunk size used by [`IoController::read_range`] and
     /// [`IoController::write_amount`].
     pub fn chunk_size(&self) -> f64 {
         self.chunk_size
     }
 
-    /// The underlying Memory Manager.
+    /// The underlying Memory Manager, which holds the host's files.
     pub fn memory_manager(&self) -> &MemoryManager {
         &self.mm
     }
 
-    /// Reads `amount` bytes of a file of `file_size` bytes through the cache,
+    /// The backing disk.
+    pub fn disk(&self) -> &Disk {
+        self.mm.disk()
+    }
+
+    /// Reads `len` bytes of `file` starting at `offset` through the cache,
     /// chunk by chunk (paper Algorithm 2), and accounts for one
-    /// anonymous-memory copy of the data in the application. Returns
-    /// aggregated statistics for the operation; `amount = file_size` reads
-    /// the whole file. The macroscopic model is amount-based: *which* offsets
-    /// are requested does not matter, only how much of the file is cached
-    /// (the round-robin access assumption of paper §III-B) — uncached data is
-    /// served from disk first, so a partial re-read hits the cache for
-    /// `min(amount, cached_amount)` bytes once the uncached share is
-    /// exhausted. Callers translate `[offset, offset + len)` ranges into an
-    /// amount with [`clamp_io_range`].
-    pub async fn read_amount(&self, file: &FileId, file_size: f64, amount: f64) -> IoOpStats {
+    /// anonymous-memory copy of the data in the application. `len =
+    /// f64::INFINITY` reads to end of file; the range is clamped to the file
+    /// ([`clamp_io_range`]). The macroscopic model is amount-based: *which*
+    /// offsets are requested does not matter, only how much of the file is
+    /// cached (the round-robin access assumption of paper §III-B) — uncached
+    /// data is served from disk first, so a partial re-read hits the cache
+    /// for `min(len, cached_amount)` bytes once the uncached share is
+    /// exhausted.
+    pub async fn read_range(
+        &self,
+        file: &FileId,
+        offset: f64,
+        len: f64,
+    ) -> Result<IoOpStats, FsError> {
+        let file_size = self.mm.file_size(file)?;
+        let (_start, amount) = clamp_io_range(offset, len, file_size);
         let start = self.ctx.now();
         let mut stats = IoOpStats::default();
         let mut remaining = amount;
@@ -131,14 +146,30 @@ impl IoController {
             remaining -= chunk;
         }
         stats.duration = self.ctx.now().duration_since(start);
-        stats
+        Ok(stats)
+    }
+
+    /// Writes `len` bytes at `offset` through the cache, creating the file
+    /// or extending it to `offset + len` as needed (never shrinking it, the
+    /// Memory Manager's extend rule), then writing the data with
+    /// [`IoController::write_amount`].
+    pub async fn write_range(
+        &self,
+        file: &FileId,
+        offset: f64,
+        len: f64,
+    ) -> Result<IoOpStats, FsError> {
+        self.mm.extend_file(file, offset, len)?;
+        Ok(self.write_amount(file, len).await)
     }
 
     /// Writes `amount` bytes of `file` through the cache, chunk by chunk
     /// (paper Algorithm 3 in writeback mode, or the writethrough variant
-    /// described in §III-B). Like reads, writes are amount-based in the
-    /// macroscopic model: a range write of `len` bytes behaves identically
-    /// wherever in the file it lands.
+    /// described in §III-B), without touching the file's size. Like reads,
+    /// writes are amount-based in the macroscopic model: a range write of
+    /// `len` bytes behaves identically wherever in the file it lands. A
+    /// writer that ships the data in chunks extends the file for the whole
+    /// range first, so a full disk fails the write before any byte moves.
     pub async fn write_amount(&self, file: &FileId, amount: f64) -> IoOpStats {
         let start = self.ctx.now();
         let mut stats = IoOpStats::default();
@@ -156,18 +187,21 @@ impl IoController {
         stats
     }
 
-    /// Flushes every dirty byte of one file to disk (`fsync`). The
-    /// writeback happens synchronously at disk bandwidth; the per-file dirty
-    /// state is located through the file's own chains, so the cost scales
-    /// with the file's block count, not the cache population.
-    pub async fn fsync(&self, file: &FileId) -> IoOpStats {
+    /// Flushes every dirty byte of one file to disk (`fsync`), or fails
+    /// with [`FsError::FileNotFound`] if the host never created it. The
+    /// writeback happens synchronously at disk bandwidth and the flushed
+    /// data stays cached (clean); the per-file dirty state is located
+    /// through the file's own chains, so the cost scales with the file's
+    /// block count, not the cache population.
+    pub async fn fsync(&self, file: &FileId) -> Result<IoOpStats, FsError> {
+        self.mm.file_size(file)?;
         let start = self.ctx.now();
         let flushed = self.mm.flush_file(file).await;
-        IoOpStats {
+        Ok(IoOpStats {
             bytes_to_disk: flushed,
             duration: self.ctx.now().duration_since(start),
             ..IoOpStats::default()
-        }
+        })
     }
 
     /// Flushes all dirty data of the host to disk (`sync`), least recently
@@ -358,7 +392,7 @@ impl IoController {
     /// the disk write is synchronous, then the written data is added to the
     /// cache (as clean data), evicting older cache entries if needed. This
     /// is also the write step of writethrough servers.
-    pub async fn write_chunk_writethrough(&self, file: &FileId, chunk: f64) -> IoOpStats {
+    async fn write_chunk_writethrough(&self, file: &FileId, chunk: f64) -> IoOpStats {
         let start = self.ctx.now();
         let mut stats = IoOpStats::default();
         self.mm.disk().write(chunk).await;
@@ -386,13 +420,21 @@ mod tests {
     const DISK_BW: f64 = 100.0 * 1e6; // 100 MB/s
 
     fn setup(total_memory: f64, mode: WriteMode) -> (Simulation, IoController) {
+        setup_on_disk(total_memory, mode, f64::INFINITY)
+    }
+
+    fn setup_on_disk(
+        total_memory: f64,
+        mode: WriteMode,
+        disk_capacity: f64,
+    ) -> (Simulation, IoController) {
         let sim = Simulation::new();
         let ctx = sim.context();
         let memory = MemoryDevice::new(&ctx, DeviceSpec::symmetric(MEM_BW, 0.0, f64::INFINITY));
         let disk = Disk::new(
             &ctx,
             "disk0",
-            DeviceSpec::symmetric(DISK_BW, 0.0, f64::INFINITY),
+            DeviceSpec::symmetric(DISK_BW, 0.0, disk_capacity),
         );
         let mut cfg = PageCacheConfig::with_memory(total_memory);
         cfg.write_mode = mode;
@@ -415,12 +457,23 @@ mod tests {
         );
     }
 
+    fn create(io: &IoController, file: &str, size: f64) {
+        io.memory_manager().create_file(&file.into(), size).unwrap();
+    }
+
+    async fn read_all(io: &IoController, file: &str) -> IoOpStats {
+        io.read_range(&file.into(), 0.0, f64::INFINITY)
+            .await
+            .unwrap()
+    }
+
     #[test]
     fn cold_read_hits_disk_at_disk_bandwidth() {
         let (sim, io) = setup(10_000.0 * MB, WriteMode::WriteBack);
+        create(&io, "f", 1000.0 * MB);
         let h = sim.spawn({
             let io = io.clone();
-            async move { io.read_amount(&"f".into(), 1000.0 * MB, 1000.0 * MB).await }
+            async move { read_all(&io, "f").await }
         });
         sim.run();
         let stats = h.try_take_result().unwrap();
@@ -435,12 +488,13 @@ mod tests {
     #[test]
     fn warm_read_hits_cache_at_memory_bandwidth() {
         let (sim, io) = setup(10_000.0 * MB, WriteMode::WriteBack);
+        create(&io, "f", 1000.0 * MB);
         let h = sim.spawn({
             let io = io.clone();
             async move {
-                io.read_amount(&"f".into(), 1000.0 * MB, 1000.0 * MB).await;
+                read_all(&io, "f").await;
                 io.memory_manager().release_anonymous_memory(1000.0 * MB);
-                io.read_amount(&"f".into(), 1000.0 * MB, 1000.0 * MB).await
+                read_all(&io, "f").await
             }
         });
         sim.run();
@@ -454,11 +508,12 @@ mod tests {
     #[test]
     fn partially_cached_file_reads_uncached_part_from_disk() {
         let (sim, io) = setup(10_000.0 * MB, WriteMode::WriteBack);
+        create(&io, "f", 1000.0 * MB);
         // Pre-populate 400 MB of the file in the cache.
         io.memory_manager().add_to_cache(&"f".into(), 400.0 * MB);
         let h = sim.spawn({
             let io = io.clone();
-            async move { io.read_amount(&"f".into(), 1000.0 * MB, 1000.0 * MB).await }
+            async move { read_all(&io, "f").await }
         });
         sim.run();
         let stats = h.try_take_result().unwrap();
@@ -530,8 +585,8 @@ mod tests {
         let h = sim.spawn({
             let io = io.clone();
             async move {
-                io.write_amount(&"f".into(), 500.0 * MB).await;
-                io.read_amount(&"f".into(), 500.0 * MB, 500.0 * MB).await
+                io.write_range(&"f".into(), 0.0, 500.0 * MB).await.unwrap();
+                read_all(&io, "f").await
             }
         });
         sim.run();
@@ -544,10 +599,11 @@ mod tests {
     fn read_larger_than_memory_evicts_and_still_completes() {
         // 1000 MB of RAM, 3000 MB file: the file cannot be fully cached.
         let (sim, io) = setup(1000.0 * MB, WriteMode::WriteBack);
+        create(&io, "f", 3000.0 * MB);
         let h = sim.spawn({
             let io = io.clone();
             async move {
-                let s = io.read_amount(&"f".into(), 3000.0 * MB, 3000.0 * MB).await;
+                let s = read_all(&io, "f").await;
                 io.memory_manager().release_anonymous_memory(3000.0 * MB);
                 s
             }
@@ -563,12 +619,13 @@ mod tests {
     #[test]
     fn rereading_file_larger_than_memory_still_partially_hits_cache_or_disk() {
         let (sim, io) = setup(1000.0 * MB, WriteMode::WriteBack);
+        create(&io, "f", 3000.0 * MB);
         let h = sim.spawn({
             let io = io.clone();
             async move {
-                io.read_amount(&"f".into(), 3000.0 * MB, 3000.0 * MB).await;
+                read_all(&io, "f").await;
                 io.memory_manager().release_anonymous_memory(3000.0 * MB);
-                let s = io.read_amount(&"f".into(), 3000.0 * MB, 3000.0 * MB).await;
+                let s = read_all(&io, "f").await;
                 io.memory_manager().release_anonymous_memory(3000.0 * MB);
                 s
             }
@@ -589,10 +646,11 @@ mod tests {
         for chunk_mb in [10.0, 50.0, 250.0] {
             let (sim, io) = setup(10_000.0 * MB, WriteMode::WriteBack);
             let io = io.with_chunk_size(chunk_mb * MB);
+            create(&io, "f", 1000.0 * MB);
             let h = sim.spawn({
                 let io = io.clone();
                 async move {
-                    let r = io.read_amount(&"f".into(), 1000.0 * MB, 1000.0 * MB).await;
+                    let r = read_all(&io, "f").await;
                     let w = io.write_amount(&"g".into(), 500.0 * MB).await;
                     (r, w)
                 }
@@ -607,10 +665,11 @@ mod tests {
     #[test]
     fn zero_byte_file_is_a_noop() {
         let (sim, io) = setup(1000.0 * MB, WriteMode::WriteBack);
+        create(&io, "f", 0.0);
         let h = sim.spawn({
             let io = io.clone();
             async move {
-                let r = io.read_amount(&"f".into(), 0.0, 0.0).await;
+                let r = read_all(&io, "f").await;
                 let w = io.write_amount(&"f".into(), 0.0).await;
                 (r, w)
             }
@@ -664,13 +723,14 @@ mod tests {
     #[test]
     fn partial_reread_hits_cache_for_min_len_cached() {
         let (sim, io) = setup(10_000.0 * MB, WriteMode::WriteBack);
+        create(&io, "f", 1000.0 * MB);
         let h = sim.spawn({
             let io = io.clone();
             async move {
-                io.read_amount(&"f".into(), 1000.0 * MB, 1000.0 * MB).await;
+                read_all(&io, "f").await;
                 io.memory_manager().release_anonymous_memory(1000.0 * MB);
                 // A 300 MB partial re-read of the fully cached file.
-                io.read_amount(&"f".into(), 1000.0 * MB, 300.0 * MB).await
+                io.read_range(&"f".into(), 0.0, 300.0 * MB).await.unwrap()
             }
         });
         sim.run();
@@ -686,10 +746,10 @@ mod tests {
         let h = sim.spawn({
             let io = io.clone();
             async move {
-                io.write_amount(&"a".into(), 300.0 * MB).await;
-                io.write_amount(&"b".into(), 200.0 * MB).await;
+                io.write_range(&"a".into(), 0.0, 300.0 * MB).await.unwrap();
+                io.write_range(&"b".into(), 0.0, 200.0 * MB).await.unwrap();
                 let t0 = io.ctx.now().as_secs();
-                let s = io.fsync(&"a".into()).await;
+                let s = io.fsync(&"a".into()).await.unwrap();
                 (s, io.ctx.now().as_secs() - t0)
             }
         });
@@ -708,11 +768,12 @@ mod tests {
     #[test]
     fn fsync_of_clean_file_is_a_noop() {
         let (sim, io) = setup(10_000.0 * MB, WriteMode::WriteBack);
+        create(&io, "f", 100.0 * MB);
         let h = sim.spawn({
             let io = io.clone();
             async move {
-                io.read_amount(&"f".into(), 100.0 * MB, 100.0 * MB).await;
-                io.fsync(&"f".into()).await
+                read_all(&io, "f").await;
+                io.fsync(&"f".into()).await.unwrap()
             }
         });
         sim.run();
@@ -747,11 +808,12 @@ mod tests {
         // only clean data, so the fallback eviction reclaims the 30 MB the
         // read expected to hit. Those bytes must still reach the reader.
         let (sim, io) = setup(100.0 * MB, WriteMode::WriteBack);
+        create(&io, "a", 40.0 * MB);
         io.memory_manager().use_anonymous_memory(65.0 * MB);
         io.memory_manager().add_to_cache(&"a".into(), 30.0 * MB);
         let h = sim.spawn({
             let io = io.clone();
-            async move { io.read_amount(&"a".into(), 40.0 * MB, 40.0 * MB).await }
+            async move { read_all(&io, "a").await }
         });
         sim.run();
         let stats = h.try_take_result().unwrap();
@@ -805,5 +867,116 @@ mod tests {
         approx(stats.bytes_to_cache, 100.0 * MB - 0.5);
         assert!(stats.bytes_to_disk >= 0.5 && stats.bytes_to_disk < 2.0);
         io.memory_manager().check_invariants().unwrap();
+    }
+
+    #[test]
+    fn file_read_write_and_cache_hit() {
+        let (sim, io) = setup(10_000.0 * MB, WriteMode::WriteBack);
+        create(&io, "input", 500.0 * MB);
+        let h = sim.spawn({
+            let io = io.clone();
+            async move {
+                let cold = read_all(&io, "input").await;
+                let warm = read_all(&io, "input").await;
+                let write = io
+                    .write_range(&"output".into(), 0.0, 300.0 * MB)
+                    .await
+                    .unwrap();
+                (cold, warm, write)
+            }
+        });
+        sim.run();
+        let (cold, warm, write) = h.try_take_result().unwrap();
+        approx(cold.bytes_from_disk, 500.0 * MB);
+        approx(warm.bytes_from_cache, 500.0 * MB);
+        approx(write.bytes_to_cache, 300.0 * MB);
+        assert!(warm.duration < cold.duration);
+        assert!(io.memory_manager().file_size(&"output".into()).is_ok());
+        approx(io.disk().used(), 800.0 * MB);
+    }
+
+    #[test]
+    fn reading_a_missing_file_fails() {
+        let (sim, io) = setup(1_000.0 * MB, WriteMode::WriteBack);
+        let h = sim.spawn({
+            let io = io.clone();
+            async move { io.read_range(&"nope".into(), 0.0, f64::INFINITY).await }
+        });
+        sim.run();
+        assert!(matches!(
+            h.try_take_result().unwrap(),
+            Err(FsError::FileNotFound(_))
+        ));
+    }
+
+    #[test]
+    fn creating_a_file_past_a_full_disk_fails() {
+        let (_sim, io) = setup_on_disk(1_000.0 * MB, WriteMode::WriteBack, 100.0 * MB);
+        assert!(matches!(
+            io.memory_manager().create_file(&"big".into(), 200.0 * MB),
+            Err(FsError::DiskFull(_))
+        ));
+    }
+
+    #[test]
+    fn range_ops_and_fsync() {
+        let (sim, io) = setup(10_000.0 * MB, WriteMode::WriteBack);
+        create(&io, "f", 500.0 * MB);
+        let h = sim.spawn({
+            let io = io.clone();
+            async move {
+                // Whole read, then a partial re-read: full cache hit.
+                read_all(&io, "f").await;
+                let partial = io
+                    .read_range(&"f".into(), 100.0 * MB, 200.0 * MB)
+                    .await
+                    .unwrap();
+                // A range write extends the file and dirties the cache.
+                let w = io
+                    .write_range(&"g".into(), 100.0 * MB, 50.0 * MB)
+                    .await
+                    .unwrap();
+                let fsync = io.fsync(&"g".into()).await.unwrap();
+                let fsync_again = io.fsync(&"g".into()).await.unwrap();
+                let sync = io.sync().await;
+                (partial, w, fsync, fsync_again, sync)
+            }
+        });
+        sim.run();
+        let (partial, w, fsync, fsync_again, sync) = h.try_take_result().unwrap();
+        approx(partial.bytes_from_cache, 200.0 * MB);
+        approx(partial.bytes_from_disk, 0.0);
+        approx(w.bytes_to_cache, 50.0 * MB);
+        assert_eq!(io.memory_manager().file_size(&"g".into()), Ok(150.0 * MB));
+        approx(io.disk().used(), 650.0 * MB);
+        approx(fsync.bytes_to_disk, 50.0 * MB);
+        approx(fsync_again.bytes_to_disk, 0.0);
+        // fsync already cleaned everything, so a host-wide sync writes nothing.
+        approx(sync.bytes_to_disk, 0.0);
+        approx(io.memory_manager().dirty(), 0.0);
+    }
+
+    #[test]
+    fn range_read_clamps_to_file() {
+        let (sim, io) = setup(10_000.0 * MB, WriteMode::WriteBack);
+        create(&io, "f", 100.0 * MB);
+        let h = sim.spawn({
+            let io = io.clone();
+            async move {
+                let tail = io
+                    .read_range(&"f".into(), 80.0 * MB, f64::INFINITY)
+                    .await
+                    .unwrap();
+                let beyond = io
+                    .read_range(&"f".into(), 200.0 * MB, 10.0 * MB)
+                    .await
+                    .unwrap();
+                (tail, beyond)
+            }
+        });
+        sim.run();
+        let (tail, beyond) = h.try_take_result().unwrap();
+        approx(tail.bytes_from_disk, 20.0 * MB);
+        assert_eq!(beyond.total_bytes(), 0.0);
     }
 }

@@ -6,8 +6,9 @@ use storage_model::DiskFullError;
 
 use crate::FileId;
 
-/// Errors returned by the simulated filesystems (`simfs`) and the kernel
-/// emulator (`kernel-emu`).
+/// Errors returned by the simulated filesystems: the page cache model's
+/// [`IoController`](crate::IoController) and Memory Manager, the workflow
+/// layer's cacheless filesystem, and the kernel emulator (`kernel-emu`).
 #[derive(Debug, Clone, PartialEq)]
 pub enum FsError {
     /// The file is not registered in the filesystem.

@@ -12,6 +12,9 @@
 //!   periodical flusher (Algorithm 1);
 //! * the [`IoController`], which applications use to read and write files
 //!   chunk by chunk (Algorithms 2 and 3), in writeback or writethrough mode.
+//!   It is a page-cached host's filesystem: the workflow layer reads,
+//!   writes and flushes files through it, and creates them in its Memory
+//!   Manager.
 //!
 //! Device times (disk, memory bus) are simulated by the flow-level models of
 //! the [`storage_model`] crate on top of the [`des`] engine, so concurrent
@@ -31,11 +34,12 @@
 //! let disk = Disk::new(&ctx, "ssd", DeviceSpec::symmetric(465.0 * MB, 0.0, f64::INFINITY));
 //! let mm = MemoryManager::new(&ctx, PageCacheConfig::with_memory(8_000.0 * MB), memory, disk);
 //! let io = IoController::new(&ctx, mm);
+//! io.memory_manager().create_file(&"input".into(), 1_000.0 * MB).unwrap();
 //!
-//! // Each read takes all 1000 MB of the 1000 MB file.
+//! // Each read takes the whole 1000 MB file.
 //! let handle = sim.spawn(async move {
-//!     let cold = io.read_amount(&"input".into(), 1_000.0 * MB, 1_000.0 * MB).await;
-//!     let warm = io.read_amount(&"input".into(), 1_000.0 * MB, 1_000.0 * MB).await;
+//!     let cold = io.read_range(&"input".into(), 0.0, f64::INFINITY).await.unwrap();
+//!     let warm = io.read_range(&"input".into(), 0.0, f64::INFINITY).await.unwrap();
 //!     (cold.duration, warm.duration)
 //! });
 //! sim.run();

@@ -9,10 +9,12 @@
 //! | [`SimulatorKind::KernelEmu`] | the real cluster | measured (asymmetric) | page-granularity emulator |
 //!
 //! [`Backend::build`] picks and constructs the filesystem for a
-//! platform/simulator combination: one of the two `simfs` filesystems
-//! ([`CachedFileSystem`], or [`DirectFileSystem`] — local, or mounted over
-//! an NFS link for cacheless NFS), the kernel emulator
-//! ([`KernelFileSystem`]), or the storage fleet ([`crate::net::FleetClient`]):
+//! platform/simulator combination: the page cache model's
+//! [`IoController`] (a page-cached host reads, writes and flushes through
+//! it, and its Memory Manager holds the files), the cacheless
+//! [`DirectFileSystem`] (local, or mounted over an NFS link for cacheless
+//! NFS), the kernel emulator ([`KernelFileSystem`]), or the storage fleet
+//! ([`crate::net::FleetClient`]):
 //! replicated for [`StorageKind::Fleet`] platforms, and one client and one
 //! writethrough server for cached NFS ([`StorageKind::Nfs`]).
 //! Each [`Backend`] method matches on the variant and calls that
@@ -37,9 +39,9 @@ use pagecache::{
     CacheContentSnapshot, FileId, FsError, IoController, IoOpStats, MemoryManager, MemorySample,
     MemoryTrace,
 };
-use simfs::{CachedFileSystem, DirectFileSystem};
 use storage_model::{Disk, MemoryDevice, NetworkLink};
 
+use crate::direct::DirectFileSystem;
 use crate::faults::{CrashReport, FileDurability, InjectedFault};
 use crate::net::{FleetClient, FleetSpec, NetReport};
 use crate::platform::{DeviceSet, PlatformSpec, StorageKind};
@@ -92,8 +94,8 @@ pub enum ScenarioError {
     InvalidScenario(String),
     /// The back-end cannot run this scenario (e.g. the prototype with NFS).
     Unsupported(String),
-    /// A filesystem operation failed, on a `simfs` filesystem or on the
-    /// kernel emulator.
+    /// A filesystem operation failed, on the page cache model, the
+    /// cacheless filesystem or the kernel emulator.
     Filesystem(FsError),
     /// An operation failed because a scheduled fault fired (see
     /// [`crate::faults::FaultPlan`]).
@@ -149,8 +151,9 @@ impl From<FsError> for ScenarioError {
 /// fleet op pays one extra allocation.
 #[derive(Clone)]
 pub enum Backend {
-    /// Local filesystem with page caching (WRENCH-cache behaviour).
-    Cached(CachedFileSystem),
+    /// Local filesystem with page caching (WRENCH-cache behaviour): the
+    /// host's I/O Controller.
+    Cached(IoController),
     /// Filesystem without page caching (vanilla WRENCH behaviour), local or
     /// mounted over an NFS link.
     Direct(DirectFileSystem),
@@ -168,7 +171,7 @@ impl Backend {
     /// registered ([`FsError::AlreadyExists`]) before allocating disk space.
     pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), ScenarioError> {
         match self {
-            Backend::Cached(fs) => fs.create_file(file, size)?,
+            Backend::Cached(io) => io.memory_manager().create_file(file, size)?,
             Backend::Direct(fs) => fs.create_file(file, size)?,
             Backend::Kernel(fs) => fs.create_file(file, size)?,
             Backend::Fleet(fleet) => fleet.create_file(file, size)?,
@@ -186,7 +189,7 @@ impl Backend {
         len: f64,
     ) -> Result<IoOpStats, ScenarioError> {
         Ok(match self {
-            Backend::Cached(fs) => fs.read_range(file, offset, len).await?,
+            Backend::Cached(io) => io.read_range(file, offset, len).await?,
             Backend::Direct(fs) => fs.read_range(file, offset, len).await?,
             Backend::Kernel(fs) => fs.read_range(file, offset, len).await?,
             Backend::Fleet(fleet) => Box::pin(fleet.read_range(file, offset, len)).await?,
@@ -204,7 +207,7 @@ impl Backend {
         len: f64,
     ) -> Result<IoOpStats, ScenarioError> {
         Ok(match self {
-            Backend::Cached(fs) => fs.write_range(file, offset, len).await?,
+            Backend::Cached(io) => io.write_range(file, offset, len).await?,
             Backend::Direct(fs) => fs.write_range(file, offset, len).await?,
             Backend::Kernel(fs) => fs.write_range(file, offset, len).await?,
             Backend::Fleet(fleet) => Box::pin(fleet.write_range(file, offset, len)).await?,
@@ -216,7 +219,7 @@ impl Backend {
     /// `fsync` table).
     pub async fn fsync(&self, file: &FileId) -> Result<IoOpStats, ScenarioError> {
         Ok(match self {
-            Backend::Cached(fs) => fs.fsync(file).await?,
+            Backend::Cached(io) => io.fsync(file).await?,
             Backend::Direct(fs) => fs.fsync(file).await?,
             Backend::Kernel(fs) => fs.fsync(file).await?,
             Backend::Fleet(fleet) => Box::pin(fleet.fsync(file)).await?,
@@ -226,7 +229,7 @@ impl Backend {
     /// Flushes all dirty cached data of the host to stable storage.
     pub async fn sync(&self) -> Result<IoOpStats, ScenarioError> {
         Ok(match self {
-            Backend::Cached(fs) => fs.sync().await,
+            Backend::Cached(io) => io.sync().await,
             Backend::Direct(fs) => fs.sync().await,
             Backend::Kernel(fs) => fs.sync().await,
             Backend::Fleet(fleet) => Box::pin(fleet.sync()).await?,
@@ -237,8 +240,8 @@ impl Backend {
     /// that write back (a fleet starts them on its write-back servers only).
     pub fn start_background(&self) {
         match self {
-            Backend::Cached(fs) => {
-                fs.memory_manager().spawn_periodical_flusher();
+            Backend::Cached(io) => {
+                io.memory_manager().spawn_periodical_flusher();
             }
             Backend::Kernel(fs) => {
                 fs.cache().spawn_writeback_threads();
@@ -251,7 +254,7 @@ impl Backend {
     /// Stops the background threads so the simulation can terminate.
     pub fn stop_background(&self) {
         match self {
-            Backend::Cached(fs) => fs.memory_manager().stop(),
+            Backend::Cached(io) => io.memory_manager().stop(),
             Backend::Kernel(fs) => fs.cache().stop(),
             Backend::Fleet(fleet) => fleet.stop_background(),
             Backend::Direct(_) => {}
@@ -262,7 +265,7 @@ impl Backend {
     /// cacheless back-end, which models no memory).
     pub fn release_anonymous_memory(&self, amount: f64) {
         match self {
-            Backend::Cached(fs) => fs.memory_manager().release_anonymous_memory(amount),
+            Backend::Cached(io) => io.memory_manager().release_anonymous_memory(amount),
             Backend::Kernel(fs) => fs.cache().release_anonymous_memory(amount),
             Backend::Fleet(fleet) => fleet
                 .client_memory_manager()
@@ -275,7 +278,7 @@ impl Backend {
     /// back-end.
     pub fn sample_memory(&self) -> Option<MemorySample> {
         match self {
-            Backend::Cached(fs) => Some(fs.memory_manager().sample()),
+            Backend::Cached(io) => Some(io.memory_manager().sample()),
             Backend::Kernel(fs) => Some(fs.cache().sample()),
             Backend::Fleet(fleet) => Some(fleet.client_memory_manager().sample()),
             Backend::Direct(_) => None,
@@ -285,7 +288,7 @@ impl Backend {
     /// The collected memory trace of the (client) host, if any.
     pub fn memory_trace(&self) -> Option<MemoryTrace> {
         match self {
-            Backend::Cached(fs) => Some(fs.memory_manager().trace()),
+            Backend::Cached(io) => Some(io.memory_manager().trace()),
             Backend::Kernel(fs) => Some(fs.cache().trace()),
             Backend::Fleet(fleet) => Some(fleet.client_memory_manager().trace()),
             Backend::Direct(_) => None,
@@ -296,7 +299,7 @@ impl Backend {
     /// back-end has a cache.
     pub fn cache_snapshot(&self, label: &str) -> Option<CacheContentSnapshot> {
         match self {
-            Backend::Cached(fs) => Some(fs.memory_manager().cache_content_snapshot(label)),
+            Backend::Cached(io) => Some(io.memory_manager().cache_content_snapshot(label)),
             Backend::Kernel(fs) => Some(fs.cache().cache_content_snapshot(label)),
             Backend::Fleet(fleet) => {
                 Some(fleet.client_memory_manager().cache_content_snapshot(label))
@@ -310,7 +313,7 @@ impl Backend {
     /// statistics the sweep harness records next to the simulated times.
     pub fn writeback_counters(&self) -> Option<WritebackCounters> {
         match self {
-            Backend::Cached(fs) => Some(model_writeback(fs.memory_manager())),
+            Backend::Cached(io) => Some(model_writeback(io.memory_manager())),
             Backend::Kernel(fs) => {
                 let c = fs.cache().counters();
                 Some(WritebackCounters {
@@ -328,7 +331,7 @@ impl Backend {
     /// sums its clients and servers); the engine's are left at zero.
     pub fn profile(&self) -> ProfileStats {
         match self {
-            Backend::Cached(fs) => model_profile(fs.memory_manager()),
+            Backend::Cached(io) => model_profile(io.memory_manager()),
             Backend::Kernel(fs) => {
                 let (cache, work) = (fs.cache(), fs.cache().work());
                 ProfileStats {
@@ -354,7 +357,7 @@ impl Backend {
     /// No-op on back-ends without a host-wide cache model.
     pub fn set_file_group(&self, file: &FileId, group: u32) {
         match self {
-            Backend::Cached(fs) => fs.memory_manager().set_file_group(file, Some(group)),
+            Backend::Cached(io) => io.memory_manager().set_file_group(file, Some(group)),
             Backend::Kernel(fs) => fs.cache().set_file_group(file, Some(group)),
             Backend::Direct(_) | Backend::Fleet(_) => {}
         }
@@ -371,8 +374,8 @@ impl Backend {
         max_dirty: f64,
     ) -> (f64, f64) {
         match self {
-            Backend::Cached(fs) => {
-                fs.memory_manager()
+            Backend::Cached(io) => {
+                io.memory_manager()
                     .enforce_group_limits(group, max_bytes, max_dirty)
                     .await
             }
@@ -393,7 +396,7 @@ impl Backend {
     /// after a reboot with a cold cache).
     pub fn crash(&self) -> CrashReport {
         match self {
-            Backend::Cached(fs) => crash_cached(fs),
+            Backend::Cached(io) => crash_cached(io.memory_manager()),
             // Every write went straight to the disk: nothing to lose.
             Backend::Direct(fs) => CrashReport::all_durable(fs.list_files()),
             Backend::Kernel(fs) => {
@@ -452,8 +455,9 @@ impl Backend {
                     memory,
                     disk,
                 );
-                let io = IoController::new(ctx, mm).with_chunk_size(platform.chunk_size);
-                Ok(Backend::Cached(CachedFileSystem::new(io)))
+                Ok(Backend::Cached(
+                    IoController::new(ctx, mm).with_chunk_size(platform.chunk_size),
+                ))
             }
             (StorageKind::Local, SimulatorKind::KernelEmu) => {
                 let cache = KernelCache::new(ctx, platform.kernel_tuning(), memory, disk);
@@ -552,14 +556,13 @@ pub(crate) fn model_writeback(mm: &MemoryManager) -> WritebackCounters {
     }
 }
 
-/// Crash of a cached filesystem: discards its dirty data and reports what
+/// Crash of a page-cached host: discards its dirty data and reports what
 /// survives. The macroscopic model tracks dirty *amounts*, not positions:
 /// the durable part of each file is approximated as its leading span.
-pub(crate) fn crash_cached(fs: &CachedFileSystem) -> CrashReport {
-    let lost: BTreeMap<_, _> = fs.memory_manager().crash_discard().into_iter().collect();
+pub(crate) fn crash_cached(mm: &MemoryManager) -> CrashReport {
+    let lost: BTreeMap<_, _> = mm.crash_discard().into_iter().collect();
     CrashReport {
-        files: fs
-            .memory_manager()
+        files: mm
             .list_files()
             .into_iter()
             .map(|(file, size)| {
@@ -724,9 +727,9 @@ mod tests {
         Backend::build(&sim.context(), &p, SimulatorKind::PageCache).unwrap()
     }
 
-    /// The NFS server's filesystem behind a cached NFS mount.
-    fn nfs_server(backend: &Backend) -> &CachedFileSystem {
-        backend.fleet().unwrap().server_fs(0)
+    /// The NFS server's I/O Controller behind a cached NFS mount.
+    fn nfs_server(backend: &Backend) -> &IoController {
+        backend.fleet().unwrap().server_io(0)
     }
 
     /// Bytes carried so far by the client–server link of a cached NFS mount.

@@ -85,6 +85,7 @@
 #![warn(missing_docs)]
 
 mod backend;
+mod direct;
 pub mod faults;
 pub mod net;
 mod platform;
@@ -94,6 +95,7 @@ mod spec;
 pub mod traffic;
 
 pub use backend::{Backend, ScenarioError, SimulatorKind};
+pub use direct::DirectFileSystem;
 pub use faults::{
     CrashReport, ErrorMode, FaultEvent, FaultPlan, FileDurability, InjectedFault,
     InjectedFaultKind, IoErrorSpec, OpClass, RetryPolicy, Trigger,

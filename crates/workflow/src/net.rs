@@ -5,7 +5,8 @@
 //! shared links, and builds on it a **replicated storage fleet**: `N`
 //! client hosts (each with a private page cache) talking to `M` storage
 //! servers (each with its own page cache and disk), with files placed on
-//! `R` replicas by a stable hash of the file name.
+//! `R` replicas by a stable hash of the file name. Each client and server
+//! is a page-cached host, an [`IoController`].
 //!
 //! A cached NFS mount (the paper's Exp 3, [`crate::StorageKind::Nfs`]) is
 //! this fleet with one client, one server and one replica, whose server
@@ -64,7 +65,6 @@ use pagecache::{
     check_write_range, clamp_io_range, FileId, FileTable, FsError, IoController, IoOpStats,
     MemoryManager, WriteMode, EPSILON,
 };
-use simfs::CachedFileSystem;
 use storage_model::{AbortHandle, Disk, MemoryDevice, SharedResource, TransferOutcome};
 
 use crate::backend::{crash_cached, model_profile, model_writeback, ScenarioError};
@@ -591,7 +591,11 @@ pub struct ClientNetStats {
 struct ServerNode {
     host: String,
     link: String,
-    fs: CachedFileSystem,
+    /// The server's page cache, disk and files.
+    io: IoController,
+    /// Version of each file this replica holds, by the file's key in the
+    /// fleet's namespace ([`version_of`]).
+    versions: RefCell<Vec<u64>>,
     alive: Cell<bool>,
 }
 
@@ -599,8 +603,9 @@ struct ClientNode {
     host: String,
     /// The client's read cache and anonymous memory.
     io: IoController,
-    /// Version of each file the client's read cache holds.
-    versions: RefCell<BTreeMap<FileId, u64>>,
+    /// Version of each file the client's read cache holds, by the file's
+    /// key in the fleet's namespace ([`version_of`]).
+    versions: RefCell<Vec<u64>>,
     degraded_reads: Cell<u64>,
     stale_reads: Cell<u64>,
 }
@@ -619,6 +624,22 @@ fn bump(counter: &Cell<u64>) {
     counter.set(counter.get() + 1);
 }
 
+/// The version a node holds of the file whose key in the fleet's namespace
+/// is `key`: 0 if it holds none.
+fn version_of(versions: &RefCell<Vec<u64>>, key: u64) -> u64 {
+    versions.borrow().get(key as usize).copied().unwrap_or(0)
+}
+
+/// Records that a node holds `version` of the file with key `key`.
+fn set_version(versions: &RefCell<Vec<u64>>, key: u64, version: u64) {
+    let mut versions = versions.borrow_mut();
+    let i = key as usize;
+    if versions.len() <= i {
+        versions.resize(i + 1, 0);
+    }
+    versions[i] = version;
+}
+
 struct Fetched {
     server: usize,
     from_disk: f64,
@@ -628,15 +649,13 @@ struct Fetched {
 struct FleetInner {
     ctx: SimContext,
     spec: FleetSpec,
-    chunk_size: f64,
     fabric: Fabric,
     servers: Vec<ServerNode>,
     clients: Vec<ClientNode>,
     /// The fleet's file namespace: each file's authoritative size, and in
-    /// its slot the file's latest successfully written version.
+    /// its slot the file's latest successfully written version. A file's
+    /// key here also indexes every node's `versions`.
     files: RefCell<FileTable<u64>>,
-    /// Version each replica has of each file.
-    server_versions: RefCell<BTreeMap<(usize, FileId), u64>>,
     counters: NetCounters,
     crashes: RefCell<Vec<(String, CrashReport)>>,
 }
@@ -648,19 +667,6 @@ impl FleetInner {
         (0..self.spec.replication)
             .map(|k| (primary + k) % m)
             .collect()
-    }
-
-    fn version(&self, file: &FileId) -> u64 {
-        let files = self.files.borrow();
-        files.key(file).map_or(0, |k| *files.get(k))
-    }
-
-    fn server_version(&self, server: usize, file: &FileId) -> u64 {
-        self.server_versions
-            .borrow()
-            .get(&(server, file.clone()))
-            .copied()
-            .unwrap_or(0)
     }
 
     /// Serves `amount` bytes of a read on a server with its I/O
@@ -675,13 +681,12 @@ impl FleetInner {
     ) -> Result<Fetched, NetError> {
         let node = &self.servers[server];
         let size = node
-            .fs
+            .io
             .memory_manager()
             .file_size(file)
             .map_err(|_| NetError::ServerUnavailable(node.host.clone()))?;
         let mut stats = IoOpStats::default();
-        node.fs
-            .io_controller()
+        node.io
             .read_chunk(file, size, amount.min(size), false, &mut stats)
             .await;
         Ok(Fetched {
@@ -824,18 +829,21 @@ impl FleetInner {
             self.fabric.check_path(client_host, &node.host)
         };
         reachable()?;
-        // A zero-length write still creates/extends the replica file.
-        node.fs
-            .reserve(file, offset, len)
+        // Extend the replica file over the whole range first, so a full
+        // disk fails the write before any byte moves. A zero-length write
+        // still creates/extends the file.
+        node.io
+            .memory_manager()
+            .extend_file(file, offset, len)
             .map_err(ReplicaWriteError::Server)?;
         let mut stats = IoOpStats::default();
         let mut remaining = len;
         loop {
-            let chunk = remaining.min(self.chunk_size);
+            let chunk = remaining.min(node.io.chunk_size());
             if chunk > EPSILON {
                 self.fabric.transfer(client_host, &node.host, chunk).await?;
             }
-            let st = node.fs.io_controller().write_amount(file, chunk).await;
+            let st = node.io.write_amount(file, chunk).await;
             stats.bytes_to_cache += st.bytes_to_cache;
             stats.bytes_to_disk += st.bytes_to_disk;
             stats.throttle_stall += st.throttle_stall;
@@ -939,7 +947,8 @@ impl FleetClient {
             servers.push(ServerNode {
                 host,
                 link,
-                fs: CachedFileSystem::new(io),
+                io,
+                versions: RefCell::default(),
                 alive: Cell::new(true),
             });
         }
@@ -963,7 +972,7 @@ impl FleetClient {
             clients.push(ClientNode {
                 host,
                 io: IoController::new(ctx, mm).with_chunk_size(platform.chunk_size),
-                versions: RefCell::new(BTreeMap::new()),
+                versions: RefCell::default(),
                 degraded_reads: Cell::new(0),
                 stale_reads: Cell::new(0),
             });
@@ -972,12 +981,10 @@ impl FleetClient {
             inner: Rc::new(FleetInner {
                 ctx: ctx.clone(),
                 spec: *spec,
-                chunk_size: platform.chunk_size,
                 fabric,
                 servers,
                 clients,
                 files: RefCell::default(),
-                server_versions: RefCell::new(BTreeMap::new()),
                 counters: NetCounters::default(),
                 crashes: RefCell::new(Vec::new()),
             }),
@@ -1022,9 +1029,9 @@ impl FleetClient {
             return false;
         }
         node.alive.set(false);
-        node.fs.memory_manager().stop();
+        node.io.memory_manager().stop();
         self.inner.fabric.set_host_down(&node.host);
-        let report = crash_cached(&node.fs);
+        let report = crash_cached(node.io.memory_manager());
         self.inner
             .crashes
             .borrow_mut()
@@ -1062,10 +1069,11 @@ impl FleetClient {
         self.inner.clients[self.client].io.memory_manager()
     }
 
-    /// The filesystem of server `index`: its page cache, disk and files.
+    /// The I/O Controller of server `index`: its page cache, disk and
+    /// files.
     #[cfg(test)]
-    pub(crate) fn server_fs(&self, index: usize) -> &CachedFileSystem {
-        &self.inner.servers[index].fs
+    pub(crate) fn server_io(&self, index: usize) -> &IoController {
+        &self.inner.servers[index].io
     }
 
     /// Registers a pre-existing file on the fleet and on every live replica
@@ -1079,7 +1087,7 @@ impl FleetClient {
         for &s in &self.inner.replicas_of(file) {
             let node = &self.inner.servers[s];
             if node.alive.get() {
-                node.fs.create_file(file, size)?;
+                node.io.memory_manager().create_file(file, size)?;
             }
         }
         Ok(())
@@ -1094,7 +1102,11 @@ impl FleetClient {
         len: f64,
     ) -> Result<IoOpStats, ScenarioError> {
         let inner = &self.inner;
-        let size = inner.files.borrow().size(file)?;
+        let (key, size) = {
+            let files = inner.files.borrow();
+            let size = files.size(file)?;
+            (files.key(file).expect("a sized file has a key"), size)
+        };
         let (_start, amount) = clamp_io_range(offset, len, size);
         let start = inner.ctx.now();
         let me = &inner.clients[self.client];
@@ -1103,15 +1115,15 @@ impl FleetClient {
         let mut stale = false;
         let mut remaining = amount;
         while remaining > EPSILON {
-            let chunk = remaining.min(inner.chunk_size);
+            let chunk = remaining.min(me.io.chunk_size());
             let read = me
                 .io
                 .read_chunk_via(file, size, chunk, true, &mut stats, |amount| async move {
                     let fetched = inner
                         .robust_fetch(self.client, candidates, file, amount)
                         .await?;
-                    let version = inner.server_version(fetched.server, file);
-                    me.versions.borrow_mut().insert(file.clone(), version);
+                    let server = &inner.servers[fetched.server];
+                    set_version(&me.versions, key, version_of(&server.versions, key));
                     Ok::<_, NetError>(IoOpStats {
                         bytes_from_disk: fetched.from_disk,
                         bytes_from_cache: fetched.from_server_cache,
@@ -1126,8 +1138,7 @@ impl FleetClient {
             }
             // Whether fetched or cached, the chunk is stale if its version
             // predates the latest write.
-            let version = me.versions.borrow().get(file).copied().unwrap_or(0);
-            if version < inner.version(file) {
+            if version_of(&me.versions, key) < *inner.files.borrow().get(key) {
                 stale = true;
             }
             remaining -= chunk;
@@ -1185,23 +1196,20 @@ impl FleetClient {
             });
         }
         // The fleet's namespace holds no space: each replica allocated.
-        let version = {
+        let (key, version) = {
             let mut files = inner.files.borrow_mut();
             let key = files.extend(file, offset, len, |_| Ok(()))?;
             let version = files.get_mut(key);
             *version += 1;
-            *version
+            (key, *version)
         };
-        {
-            let mut server_versions = inner.server_versions.borrow_mut();
-            for &server in &succeeded {
-                server_versions.insert((server, file.clone()), version);
-            }
+        for &server in &succeeded {
+            set_version(&inner.servers[server].versions, key, version);
         }
         // Close-to-open: the writer's own cached copy predates the write.
         let me = &inner.clients[self.client];
         me.io.memory_manager().invalidate_file(file);
-        me.versions.borrow_mut().remove(file);
+        set_version(&me.versions, key, 0);
         stats.duration = inner.ctx.now().duration_since(start);
         Ok(stats)
     }
@@ -1220,7 +1228,7 @@ impl FleetClient {
             if !node.alive.get() || inner.fabric.check_path(&client_host, &node.host).is_err() {
                 continue;
             }
-            if let Ok(st) = node.fs.fsync(file).await {
+            if let Ok(st) = node.io.fsync(file).await {
                 any = true;
                 stats.bytes_to_disk += st.bytes_to_disk;
                 stats.throttle_stall += st.throttle_stall;
@@ -1243,7 +1251,7 @@ impl FleetClient {
             if !node.alive.get() || inner.fabric.check_path(&client_host, &node.host).is_err() {
                 continue;
             }
-            let st = node.fs.sync().await;
+            let st = node.io.sync().await;
             stats.bytes_to_disk += st.bytes_to_disk;
             stats.throttle_stall += st.throttle_stall;
         }
@@ -1255,7 +1263,7 @@ impl FleetClient {
     /// writethrough server never holds dirty data, so it runs none.
     pub fn start_background(&self) {
         for node in &self.inner.servers {
-            let mm = node.fs.memory_manager();
+            let mm = node.io.memory_manager();
             if node.alive.get() && mm.config().write_mode == WriteMode::WriteBack {
                 mm.spawn_periodical_flusher();
             }
@@ -1266,7 +1274,7 @@ impl FleetClient {
     pub fn stop_background(&self) {
         for node in &self.inner.servers {
             if node.alive.get() {
-                node.fs.memory_manager().stop();
+                node.io.memory_manager().stop();
             }
         }
     }
@@ -1275,7 +1283,7 @@ impl FleetClient {
     pub fn writeback_counters(&self) -> WritebackCounters {
         let mut total = WritebackCounters::default();
         for node in &self.inner.servers {
-            let c = model_writeback(node.fs.memory_manager());
+            let c = model_writeback(node.io.memory_manager());
             total.background_flushed += c.background_flushed;
             total.synchronous_flushed += c.synchronous_flushed;
             total.evicted += c.evicted;
@@ -1291,7 +1299,7 @@ impl FleetClient {
             total.merge(&model_profile(client.io.memory_manager()));
         }
         for node in &self.inner.servers {
-            total.merge(&model_profile(node.fs.memory_manager()));
+            total.merge(&model_profile(node.io.memory_manager()));
             total.flows_completed += self
                 .inner
                 .fabric
@@ -1310,7 +1318,7 @@ impl FleetClient {
         let mut merged: BTreeMap<FileId, FileDurability> = BTreeMap::new();
         for node in &self.inner.servers {
             let report = if node.alive.get() {
-                crash_cached(&node.fs)
+                crash_cached(node.io.memory_manager())
             } else {
                 self.inner
                     .crashes
@@ -1333,7 +1341,7 @@ impl FleetClient {
         }
         for client in &self.inner.clients {
             client.io.memory_manager().crash_discard();
-            client.versions.borrow_mut().clear();
+            client.versions.borrow_mut().fill(0);
         }
         CrashReport { files: merged }
     }
@@ -1721,6 +1729,48 @@ mod tests {
         assert!(report.stale_reads >= 1.0);
         assert!(report.failovers >= 1.0);
         assert_eq!(report.per_client[0].stale_reads, report.stale_reads);
+    }
+
+    #[test]
+    fn a_reader_cached_copy_goes_stale_and_the_writer_refetches() {
+        // Client 1 caches the file, then client 0 overwrites it. Client 1's
+        // re-read is served from its own cache, which predates the write;
+        // the writer's copy was invalidated, so its re-read fetches the
+        // new version from the server.
+        let sim = Simulation::new();
+        let ctx = sim.context();
+        let backend = fleet(&ctx, 2, 1, 1, ClientPolicy::default());
+        let (writer, reader) = (backend.for_client(0), backend.for_client(1));
+        let done = sim.spawn(async move {
+            let file = FileId::new("data");
+            writer.create_file(&file, 10.0 * MB).unwrap();
+            let read = |client: &FleetClient| {
+                let (client, file) = (client.clone(), file.clone());
+                async move {
+                    let stats = client.read_range(&file, 0.0, f64::INFINITY).await;
+                    client
+                        .client_memory_manager()
+                        .release_anonymous_memory(10.0 * MB);
+                    stats.unwrap()
+                }
+            };
+            let link = writer.fabric().link_channel(&server_link(0)).unwrap();
+            read(&reader).await;
+            writer.write_range(&file, 0.0, 10.0 * MB).await.unwrap();
+            let before = link.total_bytes();
+            read(&reader).await;
+            let reader_fetched = link.total_bytes() - before;
+            read(&writer).await;
+            (reader_fetched, link.total_bytes() - before - reader_fetched)
+        });
+        sim.run();
+        let (reader_fetched, writer_fetched) = done.try_take_result().unwrap();
+        assert_eq!(reader_fetched, 0.0);
+        assert_eq!(writer_fetched, 10.0 * MB);
+        let report = backend.net_report();
+        assert_eq!(report.per_client[1].stale_reads, 1.0);
+        assert_eq!(report.per_client[0].stale_reads, 0.0);
+        assert_eq!(report.stale_reads, 1.0);
     }
 
     #[test]

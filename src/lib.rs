@@ -13,12 +13,12 @@
 //! * [`storage_model`] — flow-level disk/memory/network models with fair
 //!   bandwidth sharing;
 //! * [`pagecache`] — the paper's page cache model (LRU lists of data blocks,
-//!   Memory Manager, I/O Controller);
-//! * [`simfs`] — cached and cacheless filesystems (the cacheless one also
-//!   over an NFS link);
+//!   Memory Manager, I/O Controller); the I/O Controller is a page-cached
+//!   host's filesystem;
 //! * [`kernel_emu`] — a page-granularity kernel emulator used as the
 //!   "real system" ground truth;
-//! * [`workflow`] — platforms, applications, and the scenario runner;
+//! * [`workflow`] — platforms, applications, the scenario runner, and the
+//!   cacheless filesystem (also over an NFS link);
 //! * [`experiments`] — the experiments behind every table and figure of the
 //!   paper, which the scenario registry of `crates/harness` runs and gates.
 //!
@@ -41,7 +41,6 @@ pub use des;
 pub use experiments;
 pub use kernel_emu;
 pub use pagecache;
-pub use simfs;
 pub use storage_model;
 pub use workflow;
 
@@ -51,7 +50,6 @@ pub mod prelude {
     pub use pagecache::{
         FileId, IoController, IoOpStats, MemoryManager, PageCacheConfig, WriteMode,
     };
-    pub use simfs::{CachedFileSystem, DirectFileSystem};
     pub use storage_model::units::{GB, GIB, MB};
     pub use storage_model::{DeviceSpec, Disk, MemoryDevice, NetworkLink, SharedResource};
     pub use workflow::{

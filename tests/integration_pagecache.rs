@@ -172,31 +172,3 @@ fn scenario_reports_are_deterministic() {
     assert_eq!(a.1, b.1);
     assert_eq!(a.2, b.2);
 }
-
-#[test]
-fn filesystem_layer_and_raw_controller_agree() {
-    // Driving the IoController directly and driving it through the
-    // CachedFileSystem must produce identical timings.
-    let sim = Simulation::new();
-    let ctx = sim.context();
-    let memory = MemoryDevice::new(&ctx, DeviceSpec::symmetric(4812.0 * MB, 0.0, f64::INFINITY));
-    let disk = Disk::new(
-        &ctx,
-        "d",
-        DeviceSpec::symmetric(465.0 * MB, 0.0, f64::INFINITY),
-    );
-    let mm = MemoryManager::new(&ctx, PageCacheConfig::with_memory(8.0 * GB), memory, disk);
-    let io = IoController::new(&ctx, mm.clone());
-    let fs = CachedFileSystem::new(io.clone());
-    fs.create_file(&FileId::new("direct"), 1.0 * GB).unwrap();
-    fs.create_file(&FileId::new("via_fs"), 1.0 * GB).unwrap();
-    let h = sim.spawn(async move {
-        let (direct, via_fs) = (FileId::new("direct"), FileId::new("via_fs"));
-        let a = io.read_amount(&direct, 1.0 * GB, 1.0 * GB).await;
-        let b = fs.read_range(&via_fs, 0.0, f64::INFINITY).await.unwrap();
-        (a.duration, b.duration)
-    });
-    sim.run();
-    let (a, b) = h.try_take_result().unwrap();
-    assert!((a - b).abs() < 1e-9, "controller {a}s vs filesystem {b}s");
-}

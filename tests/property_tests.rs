@@ -252,10 +252,11 @@ fn controller_cold_read_time_matches_analytic_model() {
         );
         let mm = MemoryManager::new(&ctx, PageCacheConfig::with_memory(16.0 * GB), memory, disk);
         let io = IoController::new(&ctx, mm).with_chunk_size(chunk_mb * MB);
+        let f: FileId = "f".into();
+        io.memory_manager().create_file(&f, size_mb * MB).unwrap();
         let h = sim.spawn(async move {
-            let size = size_mb * MB;
-            let cold = io.read_amount(&"f".into(), size, size).await;
-            let warm = io.read_amount(&"f".into(), size, size).await;
+            let cold = io.read_range(&f, 0.0, f64::INFINITY).await.unwrap();
+            let warm = io.read_range(&f, 0.0, f64::INFINITY).await.unwrap();
             (cold.duration, warm.duration)
         });
         sim.run();
