@@ -44,11 +44,16 @@
 //!
 //! Which files [`KernelCache::evict`] and [`KernelCache::write_back`] may
 //! take is a [`ReclaimScope`], the type the macroscopic model uses too: the
-//! whole host (optionally excluding the file being read) for global reclaim,
-//! or one cache group for [`KernelCache::enforce_group_limits`], so a
-//! tenant's limit runs the same victim ordering as global reclaim. A call
-//! resolves its scope against the file table once; each index entry it
-//! visits is then checked by slot key, without a name lookup.
+//! whole host (optionally excluding the file being read, by its slot key)
+//! for global reclaim, or one cache group for
+//! [`KernelCache::enforce_group_limits`], so a tenant's limit runs the same
+//! victim ordering as global reclaim. Each index entry a walk visits is
+//! checked against the scope by slot key, without a name lookup.
+//!
+//! The per-file calls ([`KernelCache::insert_clean_range`],
+//! [`KernelCache::touch`], [`KernelCache::write_back_file`], …) take the
+//! file's slot key, which the filesystem resolved once at the entry of its
+//! op ([`KernelCache::file_size`], [`KernelCache::extend_file`]).
 //!
 //! # Reclaim indexes
 //!
@@ -65,8 +70,7 @@
 //!   and the expired files are a prefix of it.
 //!
 //! An eviction or writeback that takes `k` files visits `k` index entries
-//! plus the ones its scope skips, at O(log F) each for F cached files; a
-//! file name lookup in the table is O(1) expected.
+//! plus the ones its scope skips, at O(log F) each for F cached files.
 //! Inserts, writeback, eviction, `set_write_open` and the policy's
 //! `file_admit` re-key the file they change at O(log F). A re-access
 //! ([`KernelCache::touch`], the read-hit path) only marks its slot stale:
@@ -383,7 +387,7 @@ impl FileSlot {
 
 /// The mutable state of one [`KernelCache`]: the file table of per-file
 /// slots and the ordered reclaim indexes (see the module docs). For F
-/// cached files: a name lookup is O(1) expected; every insert, writeback
+/// cached files: every insert, writeback
 /// step and eviction step re-keys the file it changes in O(log F);
 /// [`KernelCache::touch`] is O(1) and leaves its re-key to the next reclaim
 /// walk; the byte totals, group totals included, are O(1).
@@ -421,10 +425,6 @@ struct State {
 }
 
 impl State {
-    fn pages(&self, file: &FileId) -> Option<&FilePages> {
-        self.files.key(file).map(|i| &self.files.get(i).pages)
-    }
-
     /// Moves slot `i`'s index entries to `to`. O(log F) per entry that
     /// moves; a no-op when the position is unchanged.
     fn place(&mut self, i: u64, to: IndexPos) {
@@ -677,27 +677,36 @@ impl KernelCache {
     }
 
     /// Creates `file` with `size` bytes, allocating its space on the disk
-    /// (the host's create rule, [`FileTable::create`]).
-    pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), FsError> {
+    /// (the host's create rule, [`FileTable::create`]), and returns its
+    /// slot key.
+    pub fn create_file(&self, file: &FileId, size: f64) -> Result<u64, FsError> {
         let files = &mut self.state.borrow_mut().files;
-        files
-            .create(file, size, |b| self.disk.allocate(b))
-            .map(drop)
+        files.create(file, size, |b| self.disk.allocate(b))
     }
 
     /// Grows `file` to cover a write of `len` bytes at `offset`, allocating
-    /// the growth on the disk (the host's extend rule, [`FileTable::extend`]).
-    pub fn extend_file(&self, file: &FileId, offset: f64, len: f64) -> Result<(), FsError> {
+    /// the growth on the disk (the host's extend rule, [`FileTable::extend`]),
+    /// and returns its slot key.
+    pub fn extend_file(&self, file: &FileId, offset: f64, len: f64) -> Result<u64, FsError> {
         let files = &mut self.state.borrow_mut().files;
-        files
-            .extend(file, offset, len, |b| self.disk.allocate(b))
-            .map(drop)
+        files.extend(file, offset, len, |b| self.disk.allocate(b))
     }
 
-    /// The size of `file`, or [`FsError::FileNotFound`] if this host never
-    /// created it.
-    pub fn file_size(&self, file: &FileId) -> Result<f64, FsError> {
+    /// The slot key and the size of `file`, or [`FsError::FileNotFound`] if
+    /// this host never created it.
+    pub fn file_size(&self, file: &FileId) -> Result<(u64, f64), FsError> {
         self.state.borrow().files.size(file)
+    }
+
+    /// The slot key of `file`, if this host created or cached it.
+    pub fn key(&self, file: &FileId) -> Option<u64> {
+        self.state.borrow().files.key(file)
+    }
+
+    /// Name-index lookups of this host's file table so far
+    /// ([`FileTable::name_lookups`]).
+    pub fn name_lookups(&self) -> u64 {
+        self.state.borrow().files.name_lookups()
     }
 
     /// Every file this host created, with its size, in key order.
@@ -705,25 +714,17 @@ impl KernelCache {
         self.state.borrow().files.list()
     }
 
-    /// Advances `file`'s readahead stream past the demand request
-    /// `[start, end)` ([`Readahead::advance`]) and returns its window; 0
-    /// for a file without a slot.
-    pub(crate) fn advance_readahead(&self, file: &FileId, start: f64, end: f64) -> f64 {
+    /// Advances the readahead stream of slot `i` past the demand request
+    /// `[start, end)` ([`Readahead::advance`]) and returns its window.
+    pub(crate) fn advance_readahead(&self, i: u64, start: f64, end: f64) -> f64 {
         let mut s = self.state.borrow_mut();
-        let Some(i) = s.files.key(file) else {
-            return 0.0;
-        };
         let (min, max) = (self.tuning.readahead_min, self.tuning.readahead_max);
         s.files.get_mut(i).stream.advance(start, end, min, max)
     }
 
-    /// Cached bytes of one file.
-    pub fn cached_amount(&self, file: &FileId) -> f64 {
-        self.state
-            .borrow()
-            .pages(file)
-            .map(FilePages::cached)
-            .unwrap_or(0.0)
+    /// Cached bytes of the file of slot `i`.
+    pub fn cached_amount(&self, i: u64) -> f64 {
+        self.state.borrow().files.get(i).pages.cached()
     }
 
     /// Cached bytes per file.
@@ -775,21 +776,19 @@ impl KernelCache {
         }
     }
 
-    /// Marks a file as being written (protected from eviction) or not.
-    pub fn set_write_open(&self, file: &FileId, open: bool) {
+    /// Marks the file of slot `i` as being written (protected from
+    /// eviction) or not.
+    pub fn set_write_open(&self, i: u64, open: bool) {
         let mut s = self.state.borrow_mut();
-        let i = s.files.key_or_insert(file);
         s.files.get_mut(i).pages.write_open = open;
         s.rekey(i);
     }
 
-    /// Drops all cached pages of a file. The file keeps its slot, size,
-    /// group and readahead stream; its cache state starts fresh.
-    pub fn invalidate_file(&self, file: &FileId) -> f64 {
+    /// Drops all cached pages of the file of slot `i`. The file keeps its
+    /// slot, size, group and readahead stream; its cache state starts
+    /// fresh.
+    pub fn invalidate_file(&self, i: u64) -> f64 {
         let mut s = self.state.borrow_mut();
-        let Some(i) = s.files.key(file) else {
-            return 0.0;
-        };
         s.place(i, IndexPos::default());
         let pages = s.files.get(i).pages;
         s.files
@@ -870,14 +869,13 @@ impl KernelCache {
     /// writing. The default [`TwoList`](pagecache::EvictionPolicy::TwoList)
     /// policy ranks every file 0, reproducing the historical
     /// `(last_access, file name)` selection order exactly.
-    pub fn evict(&self, amount: f64, scope: ReclaimScope<'_>) -> f64 {
+    pub fn evict(&self, amount: f64, scope: ReclaimScope) -> f64 {
         if amount <= EPSILON {
             return 0.0;
         }
         let mut s = self.state.borrow_mut();
         s.work.evict_calls += 1;
         s.drain_stale();
-        let scope = s.files.resolve(scope);
         let mut evicted = 0.0;
         // Files left with a residue of at most EPSILON clean bytes (which the
         // second pass may still take) are re-keyed only after the walk, so
@@ -929,7 +927,7 @@ impl KernelCache {
     /// `scope`, oldest dirty file first (ties by file name), and simulates
     /// the disk writes. The bytes count as throttled (synchronous) or
     /// background writeback. Returns the amount written back.
-    pub async fn write_back(&self, amount: f64, scope: ReclaimScope<'_>, throttled: bool) -> f64 {
+    pub async fn write_back(&self, amount: f64, scope: ReclaimScope, throttled: bool) -> f64 {
         if amount <= EPSILON {
             return 0.0;
         }
@@ -937,7 +935,6 @@ impl KernelCache {
             let mut s = self.state.borrow_mut();
             s.work.writeback_calls += 1;
             s.drain_stale();
-            let scope = s.files.resolve(scope);
             let mut flushed = 0.0;
             let mut after = None;
             loop {
@@ -997,33 +994,29 @@ impl KernelCache {
             .await
     }
 
-    /// The sub-ranges of `[start, end)` of `file` that are *not* resident, in
-    /// offset order — the disk-read plan of a range read. Callers capture
-    /// this *before* any reclaim they trigger, so the bytes they insert
-    /// afterwards are exactly the bytes they read from disk.
-    pub fn uncovered(&self, file: &FileId, start: f64, end: f64) -> Vec<(f64, f64)> {
-        let s = self.state.borrow();
-        s.files.key(file).map_or_else(
-            || vec![(start, end)],
-            |i| s.files.get(i).resident.gaps(start, end),
-        )
+    /// The sub-ranges of `[start, end)` of the file of slot `i` that are
+    /// *not* resident, in offset order — the disk-read plan of a range
+    /// read. Callers capture this *before* any reclaim they trigger, so the
+    /// bytes they insert afterwards are exactly the bytes they read from
+    /// disk.
+    pub fn uncovered(&self, i: u64, start: f64, end: f64) -> Vec<(f64, f64)> {
+        self.state.borrow().files.get(i).resident.gaps(start, end)
     }
 
-    /// Adds the *non-resident* part of `[start, end)` of `file` as clean
+    /// Adds the *non-resident* part of `[start, end)` of slot `i` as clean
     /// pages just read from disk. Already-resident bytes are left untouched
     /// (the caller served them from the cache), so the float aggregates and
     /// the range view grow by the same amount. Returns the number of bytes
     /// actually inserted.
-    pub fn insert_clean_range(&self, file: &FileId, start: f64, end: f64) -> f64 {
+    pub fn insert_clean_range(&self, i: u64, start: f64, end: f64) -> f64 {
         if end - start <= EPSILON {
             return 0.0;
         }
         let now = self.ctx.now();
         let mut s = self.state.borrow_mut();
-        let i = s.files.key_or_insert(file);
         let added = {
             let st = &mut *s;
-            let slot = st.files.get_mut(i);
+            let (file, slot) = st.files.named_mut(i);
             let added = (end - start) - slot.resident.covered_len(start, end);
             slot.resident.insert(start, end);
             slot.pages.inactive_clean += added;
@@ -1042,21 +1035,20 @@ impl KernelCache {
         added
     }
 
-    /// Adds `[start, end)` of `file` as dirty pages just written by an
-    /// application. Non-resident bytes enter the cache as new inactive dirty
+    /// Adds `[start, end)` of the file of slot `i` as dirty pages just
+    /// written by an application. Non-resident bytes enter the cache as new inactive dirty
     /// pages; bytes that were already resident are *re-dirtied* in place
     /// (clean pages move to the dirty share, already-dirty pages stay
     /// dirty), so rewriting the same record does not inflate the cache.
-    pub fn insert_dirty_range(&self, file: &FileId, start: f64, end: f64) {
+    pub fn insert_dirty_range(&self, i: u64, start: f64, end: f64) {
         if end - start <= EPSILON {
             return;
         }
         let now = self.ctx.now();
         let mut s = self.state.borrow_mut();
-        let i = s.files.key_or_insert(file);
         let (added, redirtied) = {
             let st = &mut *s;
-            let slot = st.files.get_mut(i);
+            let (file, slot) = st.files.named_mut(i);
             st.policy.file_admit(file, &mut slot.meta);
             let overlap = slot.resident.covered_len(start, end);
             let added = (end - start) - overlap;
@@ -1085,15 +1077,13 @@ impl KernelCache {
         s.debug_validate();
     }
 
-    /// Writes back every dirty page of one file (`fsync`), simulating the
-    /// disk write. O(1) bookkeeping via the file's slot. Counted as
-    /// throttled (synchronous) writeback. Returns the amount written back.
-    pub async fn write_back_file(&self, file: &FileId) -> f64 {
+    /// Writes back every dirty page of the file of slot `i` (`fsync`),
+    /// simulating the disk write. O(1) bookkeeping via the file's slot.
+    /// Counted as throttled (synchronous) writeback. Returns the amount
+    /// written back.
+    pub async fn write_back_file(&self, i: u64) -> f64 {
         let flushed = {
             let mut s = self.state.borrow_mut();
-            let Some(i) = s.files.key(file) else {
-                return 0.0;
-            };
             let dirty = s.files.get(i).pages.dirty();
             if dirty <= EPSILON {
                 return 0.0;
@@ -1114,14 +1104,11 @@ impl KernelCache {
         flushed
     }
 
-    /// The byte ranges of `file` that were written but have not yet reached
-    /// the disk — the durability ledger a crash turns into lost data.
-    /// Sorted and disjoint; empty for fully written-back (or unknown) files.
-    pub fn dirty_ranges(&self, file: &FileId) -> Vec<(f64, f64)> {
-        let s = self.state.borrow();
-        s.files
-            .key(file)
-            .map_or_else(Vec::new, |i| s.files.get(i).dirty.spans.clone())
+    /// The byte ranges of the file of slot `i` that were written but have
+    /// not yet reached the disk — the durability ledger a crash turns into
+    /// lost data. Sorted and disjoint; empty for a fully written-back file.
+    pub fn dirty_ranges(&self, i: u64) -> Vec<(f64, f64)> {
+        self.state.borrow().files.get(i).dirty.spans.clone()
     }
 
     /// Simulated power loss: drops every cached page and all anonymous
@@ -1150,30 +1137,28 @@ impl KernelCache {
         lost
     }
 
-    /// Records a second access to `bytes` of a file: promotes them from the
-    /// inactive to the active list and notifies the replacement policy
+    /// Records a second access to `bytes` of the file of slot `i`: promotes
+    /// them from the inactive to the active list and notifies the replacement policy
     /// (reference bit / hotness / generation stamp, depending on the policy).
     /// O(1): the file's new key is applied by the next reclaim walk.
-    pub fn touch(&self, file: &FileId, bytes: f64) {
+    pub fn touch(&self, i: u64, bytes: f64) {
         if bytes <= EPSILON {
             return;
         }
         let now = self.ctx.now();
         let mut s = self.state.borrow_mut();
         let st = &mut *s;
-        if let Some(i) = st.files.key(file) {
-            let slot = st.files.get_mut(i);
-            slot.pages.promote(bytes);
-            slot.pages.last_access = now;
-            st.policy.file_touch(&mut slot.meta);
-            if !slot.stale {
-                slot.stale = true;
-                st.stale.push(i);
-                // Slots re-keyed since they were listed stay listed, so
-                // drain once the list outgrows the table: it stays O(F).
-                if st.stale.len() > st.files.len() {
-                    st.drain_stale();
-                }
+        let slot = st.files.get_mut(i);
+        slot.pages.promote(bytes);
+        slot.pages.last_access = now;
+        st.policy.file_touch(&mut slot.meta);
+        if !slot.stale {
+            slot.stale = true;
+            st.stale.push(i);
+            // Slots re-keyed since they were listed stay listed, so drain
+            // once the list outgrows the table: it stays O(F).
+            if st.stale.len() > st.files.len() {
+                st.drain_stale();
             }
         }
     }
@@ -1276,34 +1261,34 @@ mod tests {
     /// mark, so sequential whole-file traffic lays its pages down at the
     /// true offsets.
     impl KernelCache {
-        /// Adds `bytes` of clean pages at the file's high-water mark.
-        fn insert_clean(&self, file: &FileId, bytes: f64) {
-            let start = self.resident_high_water(file);
-            self.insert_clean_range(file, start, start + bytes);
+        /// Adds `bytes` of clean pages at the high-water mark of slot `i`.
+        fn insert_clean(&self, i: u64, bytes: f64) {
+            let start = self.resident_high_water(i);
+            self.insert_clean_range(i, start, start + bytes);
         }
 
-        /// Adds `bytes` of dirty pages at the file's high-water mark.
-        fn insert_dirty(&self, file: &FileId, bytes: f64) {
-            let start = self.resident_high_water(file);
-            self.insert_dirty_range(file, start, start + bytes);
+        /// Adds `bytes` of dirty pages at the high-water mark of slot `i`.
+        fn insert_dirty(&self, i: u64, bytes: f64) {
+            let start = self.resident_high_water(i);
+            self.insert_dirty_range(i, start, start + bytes);
         }
 
-        /// The readahead stream of `file` (a fresh one without a slot).
-        pub(crate) fn readahead(&self, file: &FileId) -> Readahead {
-            let s = self.state.borrow();
-            s.files
-                .key(file)
-                .map_or_else(Readahead::default, |i| s.files.get(i).stream)
+        /// The readahead stream of slot `i`.
+        pub(crate) fn readahead(&self, i: u64) -> Readahead {
+            self.state.borrow().files.get(i).stream
         }
 
-        /// End offset of the file's highest resident span (0 when nothing
-        /// is cached).
-        fn resident_high_water(&self, file: &FileId) -> f64 {
-            let s = self.state.borrow();
-            s.files
-                .key(file)
-                .map_or(0.0, |i| s.files.get(i).resident.high_water())
+        /// End offset of the highest resident span of slot `i` (0 when
+        /// nothing is cached).
+        fn resident_high_water(&self, i: u64) -> f64 {
+            self.state.borrow().files.get(i).resident.high_water()
         }
+    }
+
+    /// The slot key of `name` in `cache`, made if needed: the tests here
+    /// drive cache traffic for files they never create.
+    fn key(cache: &KernelCache, name: &str) -> u64 {
+        cache.state.borrow_mut().files.key_or_insert(&name.into())
     }
 
     fn setup(total_mb: f64) -> (Simulation, KernelCache) {
@@ -1342,13 +1327,16 @@ mod tests {
     #[test]
     fn group_aggregates_follow_inserts_writeback_and_eviction() {
         let (sim, cache) = setup(10_000.0);
+        let a = key(&cache, "a");
+        let shared = key(&cache, "shared");
+        let b = key(&cache, "b");
         cache.set_file_group(&"a".into(), Some(1));
         cache.set_file_group(&"b".into(), Some(2));
-        cache.insert_clean(&"a".into(), 100.0 * MB);
-        cache.insert_clean(&"shared".into(), 50.0 * MB); // ungrouped
+        cache.insert_clean(a, 100.0 * MB);
+        cache.insert_clean(shared, 50.0 * MB); // ungrouped
         let c = cache.clone();
         let h = sim.spawn(async move {
-            c.insert_dirty(&"b".into(), 80.0 * MB);
+            c.insert_dirty(b, 80.0 * MB);
             approx(c.group_cached(1), 100.0 * MB);
             approx(c.group_cached(2), 80.0 * MB);
             approx(c.group_dirty(2), 80.0 * MB);
@@ -1363,8 +1351,8 @@ mod tests {
             let evicted = c.evict(f64::INFINITY, ReclaimScope::Group(1));
             approx(evicted, 100.0 * MB);
             approx(c.group_cached(1), 0.0);
-            approx(c.cached_amount(&"shared".into()), 50.0 * MB);
-            approx(c.cached_amount(&"b".into()), 80.0 * MB);
+            approx(c.cached_amount(shared), 50.0 * MB);
+            approx(c.cached_amount(b), 80.0 * MB);
         });
         sim.run();
         assert!(h.is_finished());
@@ -1373,11 +1361,13 @@ mod tests {
     #[test]
     fn enforce_group_limits_caps_cached_and_dirty_bytes() {
         let (sim, cache) = setup(10_000.0);
+        let t = key(&cache, "t");
+        let t2 = key(&cache, "t2");
         cache.set_file_group(&"t".into(), Some(9));
-        cache.insert_clean(&"t".into(), 300.0 * MB);
+        cache.insert_clean(t, 300.0 * MB);
         let c = cache.clone();
         let h = sim.spawn(async move {
-            c.insert_dirty(&"t2".into(), 200.0 * MB);
+            c.insert_dirty(t2, 200.0 * MB);
             c.set_file_group(&"t2".into(), Some(9));
             // 500 MB cached / 200 MB dirty; cap at 250 / 50.
             let (evicted, flushed) = c.enforce_group_limits(9, 250.0 * MB, 50.0 * MB).await;
@@ -1393,29 +1383,26 @@ mod tests {
     #[test]
     fn group_assignment_survives_crash_but_aggregates_reset() {
         let (_sim, cache) = setup(10_000.0);
+        let f = key(&cache, "f");
         cache.set_file_group(&"f".into(), Some(3));
-        cache.insert_clean(&"f".into(), 100.0 * MB);
+        cache.insert_clean(f, 100.0 * MB);
         approx(cache.group_cached(3), 100.0 * MB);
         cache.crash_discard();
         approx(cache.group_cached(3), 0.0);
         // The file still belongs to group 3 after the crash.
-        cache.insert_clean(&"f".into(), 40.0 * MB);
+        cache.insert_clean(f, 40.0 * MB);
         approx(cache.group_cached(3), 40.0 * MB);
         // And after an invalidation: its new bytes count to the group again.
-        approx(cache.invalidate_file(&"f".into()), 40.0 * MB);
+        approx(cache.invalidate_file(f), 40.0 * MB);
         approx(cache.group_cached(3), 0.0);
-        cache.insert_dirty(&"f".into(), 25.0 * MB);
+        cache.insert_dirty(f, 25.0 * MB);
         approx(cache.group_cached(3), 25.0 * MB);
         approx(cache.group_dirty(3), 25.0 * MB);
     }
 
-    /// The state of `file`'s slot, formatted.
-    fn slot_state(cache: &KernelCache, file: &FileId) -> String {
-        let s = cache.state.borrow();
-        format!(
-            "{:?}",
-            s.files.get(s.files.key(file).expect("file has a slot"))
-        )
+    /// The state of slot `i`, formatted.
+    fn slot_state(cache: &KernelCache, i: u64) -> String {
+        format!("{:?}", cache.state.borrow().files.get(i))
     }
 
     #[test]
@@ -1425,19 +1412,19 @@ mod tests {
             let (_sim, cache) = setup_policy(1000.0, EvictionPolicy::TwoQ);
             let f: FileId = "f".into();
             cache.set_file_group(&f, group);
-            cache.set_write_open(&f, true);
-            cache.insert_dirty_range(&f, 0.0, 30.0 * MB);
-            cache.touch(&f, 10.0 * MB); // sets the 2Q hot flag
-            approx(cache.invalidate_file(&f), 30.0 * MB);
-            cache.insert_dirty_range(&f, 0.0, 10.0 * MB);
+            let i = key(&cache, "f");
+            cache.set_write_open(i, true);
+            cache.insert_dirty_range(i, 0.0, 30.0 * MB);
+            cache.touch(i, 10.0 * MB); // sets the 2Q hot flag
+            approx(cache.invalidate_file(i), 30.0 * MB);
+            cache.insert_dirty_range(i, 0.0, 10.0 * MB);
             let s = cache.state.borrow();
-            let i = s.files.key(&f).unwrap();
             let slot = s.files.get(i);
             assert!(!slot.pages.write_open, "{group:?}: still protected");
             assert_eq!(slot.meta, FileMeta::default(), "{group:?}: stale metadata");
             assert_eq!(s.files.group(i), group);
             drop(s);
-            slot_state(&cache, &f)
+            slot_state(&cache, i)
         });
         assert_eq!(runs[0], runs[1]);
     }
@@ -1452,8 +1439,10 @@ mod tests {
     #[test]
     fn accounting_and_thresholds() {
         let (_sim, cache) = setup(1000.0);
-        cache.insert_clean(&"f".into(), 100.0 * MB);
-        cache.insert_dirty(&"g".into(), 50.0 * MB);
+        let f = key(&cache, "f");
+        let g = key(&cache, "g");
+        cache.insert_clean(f, 100.0 * MB);
+        cache.insert_dirty(g, 50.0 * MB);
         cache.use_anonymous_memory(200.0 * MB);
         approx(cache.cached(), 150.0 * MB);
         approx(cache.dirty(), 50.0 * MB);
@@ -1461,39 +1450,38 @@ mod tests {
         approx(cache.available_memory(), 800.0 * MB);
         approx(cache.dirty_threshold(), 160.0 * MB);
         approx(cache.background_threshold(), 80.0 * MB);
-        approx(cache.cached_amount(&"f".into()), 100.0 * MB);
+        approx(cache.cached_amount(f), 100.0 * MB);
         assert_eq!(cache.cached_per_file().len(), 2);
     }
 
     #[test]
     fn dirty_ledger_tracks_unflushed_positions() {
         let (sim, cache) = setup(1000.0);
-        cache.insert_dirty_range(&"f".into(), 0.0, 50.0 * MB);
-        cache.insert_dirty_range(&"f".into(), 80.0 * MB, 100.0 * MB);
+        let f = key(&cache, "f");
+        cache.insert_dirty_range(f, 0.0, 50.0 * MB);
+        cache.insert_dirty_range(f, 80.0 * MB, 100.0 * MB);
         assert_eq!(
-            cache.dirty_ranges(&"f".into()),
+            cache.dirty_ranges(f),
             vec![(0.0, 50.0 * MB), (80.0 * MB, 100.0 * MB)]
         );
         // fsync clears the ledger entirely.
         let h = sim.spawn({
             let cache = cache.clone();
-            async move { cache.write_back_file(&"f".into()).await }
+            async move { cache.write_back_file(f).await }
         });
         sim.run();
         approx(h.try_take_result().unwrap(), 70.0 * MB);
-        assert!(cache.dirty_ranges(&"f".into()).is_empty());
+        assert!(cache.dirty_ranges(f).is_empty());
         // Redirtying after the flush starts a fresh ledger.
-        cache.insert_dirty_range(&"f".into(), 10.0 * MB, 20.0 * MB);
-        assert_eq!(
-            cache.dirty_ranges(&"f".into()),
-            vec![(10.0 * MB, 20.0 * MB)]
-        );
+        cache.insert_dirty_range(f, 10.0 * MB, 20.0 * MB);
+        assert_eq!(cache.dirty_ranges(f), vec![(10.0 * MB, 20.0 * MB)]);
     }
 
     #[test]
     fn partial_writeback_trims_the_ledger_from_the_front() {
         let (sim, cache) = setup(1000.0);
-        cache.insert_dirty_range(&"f".into(), 0.0, 100.0 * MB);
+        let f = key(&cache, "f");
+        cache.insert_dirty_range(f, 0.0, 100.0 * MB);
         let h = sim.spawn({
             let cache = cache.clone();
             async move {
@@ -1504,25 +1492,27 @@ mod tests {
         });
         sim.run();
         approx(h.try_take_result().unwrap(), 40.0 * MB);
-        assert_eq!(
-            cache.dirty_ranges(&"f".into()),
-            vec![(40.0 * MB, 100.0 * MB)]
-        );
+        assert_eq!(cache.dirty_ranges(f), vec![(40.0 * MB, 100.0 * MB)]);
     }
 
     #[test]
     fn crash_discard_returns_lost_ranges_and_resets_state() {
         let (sim, cache) = setup(1000.0);
-        cache.insert_clean(&"clean".into(), 100.0 * MB);
-        cache.insert_dirty_range(&"wal".into(), 0.0, 30.0 * MB);
-        cache.insert_dirty_range(&"logged".into(), 0.0, 10.0 * MB);
+        let clean = key(&cache, "clean");
+        let wal = key(&cache, "wal");
+        let logged = key(&cache, "logged");
+        let journal = key(&cache, "journal");
+        let fresh = key(&cache, "fresh");
+        cache.insert_clean(clean, 100.0 * MB);
+        cache.insert_dirty_range(wal, 0.0, 30.0 * MB);
+        cache.insert_dirty_range(logged, 0.0, 10.0 * MB);
         // Written after "wal", sorts before it.
-        cache.insert_dirty_range(&"journal".into(), 5.0 * MB, 8.0 * MB);
+        cache.insert_dirty_range(journal, 5.0 * MB, 8.0 * MB);
         cache.use_anonymous_memory(50.0 * MB);
         // A written-back file has nothing to lose.
         let h = sim.spawn({
             let cache = cache.clone();
-            async move { cache.write_back_file(&"logged".into()).await }
+            async move { cache.write_back_file(logged).await }
         });
         sim.run();
         approx(h.try_take_result().unwrap(), 10.0 * MB);
@@ -1539,15 +1529,16 @@ mod tests {
         approx(cache.anonymous(), 0.0);
         assert!(cache.cached_per_file().is_empty());
         // The cache keeps working after the reset.
-        cache.insert_clean(&"fresh".into(), 10.0 * MB);
+        cache.insert_clean(fresh, 10.0 * MB);
         approx(cache.cached(), 10.0 * MB);
     }
 
     #[test]
     fn work_counts_every_reclaim_call_with_a_positive_amount() {
         let (sim, cache) = setup(1000.0);
-        cache.insert_clean(&"c".into(), 100.0 * MB);
-        cache.insert_dirty(&"d".into(), 100.0 * MB);
+        let d = key(&cache, "d");
+        cache.insert_clean(key(&cache, "c"), 100.0 * MB);
+        cache.insert_dirty(d, 100.0 * MB);
         let c = cache.clone();
         let h = sim.spawn(async move {
             c.evict(0.0, ReclaimScope::Host(None));
@@ -1558,7 +1549,7 @@ mod tests {
             c.write_back(10.0 * MB, ReclaimScope::Host(None), true)
                 .await;
             c.write_back(10.0 * MB, ReclaimScope::Group(1), true).await;
-            c.write_back_file(&"d".into()).await; // not a reclaim call
+            c.write_back_file(d).await; // not a reclaim call
             c.write_back_expired().await; // nothing dirty: no call
             c.work()
         });
@@ -1572,37 +1563,42 @@ mod tests {
     #[test]
     fn eviction_protects_files_being_written() {
         let (_sim, cache) = setup(1000.0);
-        cache.insert_clean(&"protected".into(), 100.0 * MB);
-        cache.set_write_open(&"protected".into(), true);
-        cache.insert_clean(&"victim".into(), 100.0 * MB);
+        let protected = key(&cache, "protected");
+        let victim = key(&cache, "victim");
+        cache.insert_clean(protected, 100.0 * MB);
+        cache.set_write_open(protected, true);
+        cache.insert_clean(victim, 100.0 * MB);
         let evicted = cache.evict(100.0 * MB, ReclaimScope::Host(None));
         approx(evicted, 100.0 * MB);
-        approx(cache.cached_amount(&"protected".into()), 100.0 * MB);
-        approx(cache.cached_amount(&"victim".into()), 0.0);
+        approx(cache.cached_amount(protected), 100.0 * MB);
+        approx(cache.cached_amount(victim), 0.0);
         // Under stronger pressure even protected files are reclaimed
         // (second pass).
         let evicted = cache.evict(100.0 * MB, ReclaimScope::Host(None));
         approx(evicted, 100.0 * MB);
-        approx(cache.cached_amount(&"protected".into()), 0.0);
+        approx(cache.cached_amount(protected), 0.0);
     }
 
     #[test]
     fn eviction_is_lru_ordered_and_skips_dirty() {
         let (sim, cache) = setup(1000.0);
+        let old = key(&cache, "old");
+        let new = key(&cache, "new");
+        let dirty = key(&cache, "dirty");
         let ctx = sim.context();
         let c = cache.clone();
         sim.spawn(async move {
-            c.insert_clean(&"old".into(), 50.0 * MB);
+            c.insert_clean(old, 50.0 * MB);
             ctx.sleep(1.0).await;
-            c.insert_clean(&"new".into(), 50.0 * MB);
-            c.insert_dirty(&"dirty".into(), 50.0 * MB);
+            c.insert_clean(new, 50.0 * MB);
+            c.insert_dirty(dirty, 50.0 * MB);
             let evicted = c.evict(60.0 * MB, ReclaimScope::Host(None));
             approx(evicted, 60.0 * MB);
             // The older file went first.
-            approx(c.cached_amount(&"old".into()), 0.0);
-            approx(c.cached_amount(&"new".into()), 40.0 * MB);
+            approx(c.cached_amount(old), 0.0);
+            approx(c.cached_amount(new), 40.0 * MB);
             // Dirty data is never evicted.
-            approx(c.cached_amount(&"dirty".into()), 50.0 * MB);
+            approx(c.cached_amount(dirty), 50.0 * MB);
         });
         sim.run();
     }
@@ -1610,10 +1606,11 @@ mod tests {
     #[test]
     fn write_back_cleans_and_writes_to_disk() {
         let (sim, cache) = setup(10_000.0);
+        let f = key(&cache, "f");
         let h = sim.spawn({
             let cache = cache.clone();
             async move {
-                cache.insert_dirty(&"f".into(), 420.0 * MB);
+                cache.insert_dirty(f, 420.0 * MB);
                 let flushed = cache
                     .write_back(420.0 * MB, ReclaimScope::Host(None), true)
                     .await;
@@ -1633,6 +1630,7 @@ mod tests {
     #[test]
     fn background_writeback_starts_at_background_threshold() {
         let (sim, cache) = setup(1000.0);
+        let f = key(&cache, "f");
         cache.spawn_writeback_threads();
         let c = cache.clone();
         let ctx = sim.context();
@@ -1640,7 +1638,7 @@ mod tests {
             // 150 MB dirty > 10 % of 1000 MB: the background thread writes
             // back the 50 MB excess at its next wakeup even though nothing is
             // expired and the 20 % dirty ratio is not reached.
-            c.insert_dirty(&"f".into(), 150.0 * MB);
+            c.insert_dirty(f, 150.0 * MB);
             ctx.sleep(10.0).await;
             assert!(c.dirty() <= c.background_threshold() + 1.0);
             c.stop();
@@ -1652,12 +1650,13 @@ mod tests {
     #[test]
     fn expired_dirty_data_is_written_back() {
         let (sim, cache) = setup(10_000.0);
+        let f = key(&cache, "f");
         cache.spawn_writeback_threads();
         let c = cache.clone();
         let ctx = sim.context();
         sim.spawn(async move {
             // 100 MB dirty, under both thresholds: only expiration flushes it.
-            c.insert_dirty(&"f".into(), 100.0 * MB);
+            c.insert_dirty(f, 100.0 * MB);
             ctx.sleep(20.0).await;
             approx(c.dirty(), 100.0 * MB);
             ctx.sleep(20.0).await;
@@ -1670,13 +1669,13 @@ mod tests {
     #[test]
     fn touch_promotes_to_active_list() {
         let (_sim, cache) = setup(1000.0);
-        cache.insert_clean(&"f".into(), 100.0 * MB);
-        cache.touch(&"f".into(), 60.0 * MB);
+        cache.insert_clean(key(&cache, "f"), 100.0 * MB);
+        cache.touch(key(&cache, "f"), 60.0 * MB);
         // Promoted pages are protected from the first eviction pass only by
         // LRU order; total stays the same.
-        approx(cache.cached_amount(&"f".into()), 100.0 * MB);
-        let s = cache.state.borrow();
-        let pages = s.pages(&"f".into()).unwrap();
+        approx(cache.cached_amount(key(&cache, "f")), 100.0 * MB);
+        let f = key(&cache, "f");
+        let pages = cache.state.borrow().files.get(f).pages;
         approx(pages.active_clean, 60.0 * MB);
         approx(pages.inactive_clean, 40.0 * MB);
     }
@@ -1684,24 +1683,27 @@ mod tests {
     #[test]
     fn two_q_reinserted_files_outrank_one_shot_scans() {
         let (_sim, cache) = setup_policy(1000.0, EvictionPolicy::TwoQ);
-        cache.insert_clean(&"hot".into(), 50.0 * MB);
+        let hot = key(&cache, "hot");
+        let scan = key(&cache, "scan");
+        cache.insert_clean(hot, 50.0 * MB);
         // Fully reclaimed once: the file enters the ghost queue.
         approx(cache.evict(50.0 * MB, ReclaimScope::Host(None)), 50.0 * MB);
         // The re-insert is a ghost hit, classifying the file as hot (Am).
-        cache.insert_clean(&"hot".into(), 50.0 * MB);
-        cache.insert_clean(&"scan".into(), 50.0 * MB);
+        cache.insert_clean(hot, 50.0 * MB);
+        cache.insert_clean(scan, 50.0 * MB);
         approx(cache.evict(50.0 * MB, ReclaimScope::Host(None)), 50.0 * MB);
         // The one-shot scan ranks below the ghost-hit file and goes first.
-        approx(cache.cached_amount(&"hot".into()), 50.0 * MB);
-        approx(cache.cached_amount(&"scan".into()), 0.0);
+        approx(cache.cached_amount(hot), 50.0 * MB);
+        approx(cache.cached_amount(scan), 0.0);
     }
 
     #[test]
     fn invalidate_and_release() {
         let (_sim, cache) = setup(1000.0);
-        cache.insert_clean(&"f".into(), 100.0 * MB);
+        let f = key(&cache, "f");
+        cache.insert_clean(f, 100.0 * MB);
         cache.use_anonymous_memory(50.0 * MB);
-        approx(cache.invalidate_file(&"f".into()), 100.0 * MB);
+        approx(cache.invalidate_file(f), 100.0 * MB);
         approx(cache.cached(), 0.0);
         cache.release_anonymous_memory(500.0 * MB);
         approx(cache.anonymous(), 0.0);
@@ -1856,18 +1858,21 @@ mod tests {
 
     /// The selection the indexes replaced, kept as the differential test's
     /// reference: scan the file table for candidates and sort them on every
-    /// call, and check the scope by file name and group. Byte bookkeeping
+    /// call, and check the scope by file name and group (the excluded key's
+    /// name against each candidate's). Byte bookkeeping
     /// goes through the same helpers as the indexed walks; the indexes are
     /// re-keyed afterwards only so the oracle holds.
     impl KernelCache {
-        fn in_scope(s: &State, scope: ReclaimScope<'_>, i: u64) -> bool {
+        fn in_scope(s: &State, scope: ReclaimScope, i: u64) -> bool {
             match scope {
-                ReclaimScope::Host(exclude) => exclude != Some(s.files.name(i)),
+                ReclaimScope::Host(exclude) => {
+                    exclude.map(|k| s.files.name(k)) != Some(s.files.name(i))
+                }
                 ReclaimScope::Group(g) => s.files.group(i) == Some(g),
             }
         }
 
-        fn evict_by_sort(&self, amount: f64, scope: ReclaimScope<'_>) -> f64 {
+        fn evict_by_sort(&self, amount: f64, scope: ReclaimScope) -> f64 {
             if amount <= EPSILON {
                 return 0.0;
             }
@@ -1932,7 +1937,7 @@ mod tests {
         async fn write_back_by_sort(
             &self,
             amount: f64,
-            scope: ReclaimScope<'_>,
+            scope: ReclaimScope,
             throttled: bool,
         ) -> f64 {
             if amount <= EPSILON {
@@ -2033,44 +2038,49 @@ mod tests {
         ] {
             let (sim_a, indexed) = setup_policy(1000.0, policy);
             let (sim_b, sorted) = setup_policy(1000.0, policy);
+            let keys = |cache: &KernelCache| -> Vec<u64> {
+                files.iter().map(|f| key(cache, f.name())).collect()
+            };
+            let (keys_a, keys_b) = (keys(&indexed), keys(&sorted));
             let mut rng = XorShift::new(seed);
             let mut evictions = 0;
             for op in 0..OPS {
-                let f = files[rng.below(files.len() as u64) as usize].clone();
+                let n = rng.below(files.len() as u64) as usize;
+                let (f, fa, fb) = (&files[n], keys_a[n], keys_b[n]);
                 let mb = |rng: &mut XorShift, n: u64| (1 + rng.below(n)) as f64 * MB;
                 let (a, b) = match rng.below(100) {
                     0..=17 => {
                         let start = rng.below(64) as f64 * MB;
                         let end = start + mb(&mut rng, 32);
                         let r = (
-                            indexed.insert_clean_range(&f, start, end),
-                            sorted.insert_clean_range(&f, start, end),
+                            indexed.insert_clean_range(fa, start, end),
+                            sorted.insert_clean_range(fb, start, end),
                         );
                         (r.0.to_bits(), r.1.to_bits())
                     }
                     18..=31 => {
                         let start = rng.below(64) as f64 * MB;
                         let end = start + mb(&mut rng, 32);
-                        indexed.insert_dirty_range(&f, start, end);
-                        sorted.insert_dirty_range(&f, start, end);
+                        indexed.insert_dirty_range(fa, start, end);
+                        sorted.insert_dirty_range(fb, start, end);
                         (0, 0)
                     }
                     32..=45 => {
                         let bytes = mb(&mut rng, 40);
-                        indexed.touch(&f, bytes);
-                        sorted.touch(&f, bytes);
+                        indexed.touch(fa, bytes);
+                        sorted.touch(fb, bytes);
                         (0, 0)
                     }
                     46..=51 => {
                         let open = rng.below(2) == 0;
-                        indexed.set_write_open(&f, open);
-                        sorted.set_write_open(&f, open);
+                        indexed.set_write_open(fa, open);
+                        sorted.set_write_open(fb, open);
                         (0, 0)
                     }
                     52..=53 => {
                         let group = [None, Some(1), Some(2)][rng.below(3) as usize];
-                        indexed.set_file_group(&f, group);
-                        sorted.set_file_group(&f, group);
+                        indexed.set_file_group(f, group);
+                        sorted.set_file_group(f, group);
                         (0, 0)
                     }
                     54..=71 => {
@@ -2081,15 +2091,15 @@ mod tests {
                             mb(&mut rng, 120) * 0.75
                         };
                         let group = 1 + rng.below(2) as u32;
-                        let scope = |pick: u64| match pick {
-                            0 => ReclaimScope::Host(Some(&f)),
+                        let scope = |pick: u64, key: u64| match pick {
+                            0 => ReclaimScope::Host(Some(key)),
                             1 => ReclaimScope::Group(group),
                             _ => ReclaimScope::Host(None),
                         };
                         let pick = rng.below(4);
                         let r = (
-                            indexed.evict(amount, scope(pick)),
-                            sorted.evict_by_sort(amount, scope(pick)),
+                            indexed.evict(amount, scope(pick, fa)),
+                            sorted.evict_by_sort(amount, scope(pick, fb)),
                         );
                         (r.0.to_bits(), r.1.to_bits())
                     }
@@ -2097,12 +2107,11 @@ mod tests {
                         let amount = mb(&mut rng, 80) * 0.6;
                         let throttled = rng.below(2) == 0;
                         let (group, pick) = (1 + rng.below(2) as u32, rng.below(4));
-                        let (fa, fb) = (f.clone(), f.clone());
                         let (ca, cb) = (indexed.clone(), sorted.clone());
                         let r = (
                             complete(&sim_a, async move {
                                 let scope = match pick {
-                                    0 => ReclaimScope::Host(Some(&fa)),
+                                    0 => ReclaimScope::Host(Some(fa)),
                                     1 => ReclaimScope::Group(group),
                                     _ => ReclaimScope::Host(None),
                                 };
@@ -2110,7 +2119,7 @@ mod tests {
                             }),
                             complete(&sim_b, async move {
                                 let scope = match pick {
-                                    0 => ReclaimScope::Host(Some(&fb)),
+                                    0 => ReclaimScope::Host(Some(fb)),
                                     1 => ReclaimScope::Group(group),
                                     _ => ReclaimScope::Host(None),
                                 };
@@ -2132,16 +2141,15 @@ mod tests {
                         (r.0.to_bits(), r.1.to_bits())
                     }
                     87..=88 => {
-                        let (ca, cb, fa, fb) =
-                            (indexed.clone(), sorted.clone(), f.clone(), f.clone());
+                        let (ca, cb) = (indexed.clone(), sorted.clone());
                         let r = (
-                            complete(&sim_a, async move { ca.write_back_file(&fa).await }),
-                            complete(&sim_b, async move { cb.write_back_file(&fb).await }),
+                            complete(&sim_a, async move { ca.write_back_file(fa).await }),
+                            complete(&sim_b, async move { cb.write_back_file(fb).await }),
                         );
                         (r.0.to_bits(), r.1.to_bits())
                     }
                     89..=91 => {
-                        let r = (indexed.invalidate_file(&f), sorted.invalidate_file(&f));
+                        let r = (indexed.invalidate_file(fa), sorted.invalidate_file(fb));
                         (r.0.to_bits(), r.1.to_bits())
                     }
                     92 if rng.below(10) == 0 => {

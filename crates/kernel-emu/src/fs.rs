@@ -14,6 +14,8 @@
 //! readahead stream live in the file's slot of the cache's file table
 //! ([`KernelCache::create_file`], [`KernelCache::extend_file`]), next to
 //! its pages, so the host has one namespace and one create and extend rule.
+//! Each op resolves its file's name once, at its entry; every cache call
+//! below it takes the file's slot key.
 //!
 //! ## Readahead
 //!
@@ -131,7 +133,7 @@ impl KernelFileSystem {
     /// Registers a pre-existing file without simulating I/O
     /// ([`KernelCache::create_file`]).
     pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), FsError> {
-        self.cache.create_file(file, size)
+        self.cache.create_file(file, size).map(drop)
     }
 
     /// Reads `len` bytes of `file` starting at `offset` through the emulated
@@ -144,7 +146,7 @@ impl KernelFileSystem {
         offset: f64,
         len: f64,
     ) -> Result<IoOpStats, FsError> {
-        let size = self.cache.file_size(file)?;
+        let (key, size) = self.cache.file_size(file)?;
         let (range_start, amount) = clamp_io_range(offset, len, size);
         let start = self.ctx.now();
         let mut stats = IoOpStats::default();
@@ -158,7 +160,7 @@ impl KernelFileSystem {
             // inserted afterwards are still exactly the bytes read from
             // disk (the just-evicted part is served at memory speed — the
             // same approximation the amount-based model makes).
-            let plan = self.cache.uncovered(file, pos, chunk_end);
+            let plan = self.cache.uncovered(key, pos, chunk_end);
             let from_disk: f64 = plan.iter().map(|(a, b)| b - a).sum();
             let from_cache = (chunk - from_disk).max(0.0);
 
@@ -166,7 +168,7 @@ impl KernelFileSystem {
             let required = chunk + from_disk;
             let missing = required - self.cache.free_memory();
             if missing > EPSILON {
-                let evicted = self.cache.evict(missing, ReclaimScope::Host(Some(file)));
+                let evicted = self.cache.evict(missing, ReclaimScope::Host(Some(key)));
                 let still = missing - evicted;
                 if still > EPSILON {
                     // Direct reclaim also writes back dirty pages if eviction
@@ -183,17 +185,17 @@ impl KernelFileSystem {
             if from_disk > EPSILON {
                 self.disk().read(from_disk).await;
                 for &(a, b) in &plan {
-                    self.cache.insert_clean_range(file, a, b);
+                    self.cache.insert_clean_range(key, a, b);
                 }
                 stats.bytes_from_disk += from_disk;
                 stats.bytes_to_cache += from_disk;
             }
             if from_cache > EPSILON {
                 self.cache.memory().read(from_cache).await;
-                self.cache.touch(file, from_cache);
+                self.cache.touch(key, from_cache);
                 stats.bytes_from_cache += from_cache;
             }
-            self.readahead(file, size, pos, chunk_end, chunk, &mut stats)
+            self.readahead(key, size, pos, chunk_end, chunk, &mut stats)
                 .await;
             self.cache.use_anonymous_memory(chunk);
             pos = chunk_end;
@@ -211,7 +213,7 @@ impl KernelFileSystem {
     /// to the free headroom left after that charge.
     async fn readahead(
         &self,
-        file: &FileId,
+        key: u64,
         file_size: f64,
         start: f64,
         end: f64,
@@ -221,7 +223,7 @@ impl KernelFileSystem {
         if self.cache.tuning().readahead_max <= EPSILON {
             return;
         }
-        let window = self.cache.advance_readahead(file, start, end);
+        let window = self.cache.advance_readahead(key, start, end);
         if window <= EPSILON {
             return;
         }
@@ -232,7 +234,7 @@ impl KernelFileSystem {
         let budget = (self.cache.free_memory() - pending_anon).max(0.0);
         let mut planned = 0.0;
         let mut plan = Vec::new();
-        for (a, b) in self.cache.uncovered(file, end, ra_end) {
+        for (a, b) in self.cache.uncovered(key, end, ra_end) {
             if planned >= budget - EPSILON {
                 break;
             }
@@ -247,7 +249,7 @@ impl KernelFileSystem {
         }
         self.disk().read(planned).await;
         for &(a, b) in &plan {
-            self.cache.insert_clean_range(file, a, b);
+            self.cache.insert_clean_range(key, a, b);
         }
         self.cache.note_prefetch(planned);
         stats.bytes_from_disk += planned;
@@ -265,14 +267,15 @@ impl KernelFileSystem {
         offset: f64,
         len: f64,
     ) -> Result<IoOpStats, FsError> {
-        self.cache.extend_file(file, offset, len)?;
-        self.write_span(file, offset, offset + len).await
+        let key = self.cache.extend_file(file, offset, len)?;
+        Ok(self.write_span(key, offset, offset + len).await)
     }
 
-    /// The common write loop over `[start, end)`: dirty-threshold balancing,
-    /// reclaim, and page insertion at the true offsets.
-    async fn write_span(&self, file: &FileId, start: f64, end: f64) -> Result<IoOpStats, FsError> {
-        self.cache.set_write_open(file, true);
+    /// The common write loop over `[start, end)` of the file of slot `key`:
+    /// dirty-threshold balancing, reclaim, and page insertion at the true
+    /// offsets.
+    async fn write_span(&self, key: u64, start: f64, end: f64) -> IoOpStats {
+        self.cache.set_write_open(key, true);
         let t0 = self.ctx.now();
         let mut stats = IoOpStats::default();
         let mut pos = start;
@@ -300,7 +303,7 @@ impl KernelFileSystem {
             // Make room for the new dirty pages.
             let missing = chunk - self.cache.free_memory();
             if missing > EPSILON {
-                let evicted = self.cache.evict(missing, ReclaimScope::Host(Some(file)));
+                let evicted = self.cache.evict(missing, ReclaimScope::Host(Some(key)));
                 if missing - evicted > EPSILON {
                     let flushed = self
                         .cache
@@ -313,7 +316,7 @@ impl KernelFileSystem {
             }
 
             self.cache.memory().write(chunk).await;
-            self.cache.insert_dirty_range(file, pos, chunk_end);
+            self.cache.insert_dirty_range(key, pos, chunk_end);
             stats.bytes_to_cache += chunk;
 
             // balance_dirty_pages, pacing leg: between the background and
@@ -340,18 +343,18 @@ impl KernelFileSystem {
             }
             pos = chunk_end;
         }
-        self.cache.set_write_open(file, false);
+        self.cache.set_write_open(key, false);
         stats.duration = self.ctx.now().duration_since(t0);
-        Ok(stats)
+        stats
     }
 
     /// Flushes the file's dirty pages to disk synchronously (`fsync`):
     /// targeted per-file writeback at disk bandwidth, counted as throttled
     /// (synchronous) writeback.
     pub async fn fsync(&self, file: &FileId) -> Result<IoOpStats, FsError> {
-        self.cache.file_size(file)?;
+        let (key, _) = self.cache.file_size(file)?;
         let start = self.ctx.now();
-        let flushed = self.cache.write_back_file(file).await;
+        let flushed = self.cache.write_back_file(key).await;
         Ok(IoOpStats {
             bytes_to_disk: flushed,
             duration: self.ctx.now().duration_since(start),
@@ -381,6 +384,11 @@ mod tests {
     use crate::tuning::KernelTuning;
     use des::Simulation;
     use storage_model::{units::MB, DeviceSpec, MemoryDevice};
+
+    /// The slot key of `name`, a file the test created or wrote.
+    fn key(fs: &KernelFileSystem, name: &str) -> u64 {
+        fs.cache().key(&name.into()).expect("the file exists")
+    }
 
     fn approx_pct(a: f64, b: f64, pct: f64) {
         assert!(
@@ -469,7 +477,7 @@ mod tests {
         approx_pct(tail.bytes_from_disk, 400.0 * MB, 0.1);
         assert_eq!(tail.bytes_from_cache, 0.0);
         // The whole file is now resident.
-        approx_pct(fs.cache().cached_amount(&"f".into()), 1000.0 * MB, 0.1);
+        approx_pct(fs.cache().cached_amount(key(&fs, "f")), 1000.0 * MB, 0.1);
     }
 
     #[test]
@@ -506,9 +514,12 @@ mod tests {
         });
         sim.run();
         assert!(h.is_finished());
-        approx_pct(fs.cache().cached_amount(&"db".into()), 100.0 * MB, 0.1);
+        approx_pct(fs.cache().cached_amount(key(&fs, "db")), 100.0 * MB, 0.1);
         approx_pct(fs.cache().dirty(), 100.0 * MB, 0.1);
-        assert_eq!(fs.cache().file_size(&"db".into()), Ok(100.0 * MB));
+        assert_eq!(
+            fs.cache().file_size(&"db".into()),
+            Ok((key(&fs, "db"), 100.0 * MB))
+        );
     }
 
     #[test]
@@ -627,7 +638,7 @@ mod tests {
             stats.bytes_prefetched,
             0.1,
         );
-        approx_pct(fs.cache().cached_amount(&"f".into()), 1000.0 * MB, 0.1);
+        approx_pct(fs.cache().cached_amount(key(&fs, "f")), 1000.0 * MB, 0.1);
     }
 
     #[test]
@@ -640,17 +651,17 @@ mod tests {
                 // Two sequential requests: initial window (50 MB), doubled
                 // (100 MB).
                 fs.read_range(&"f".into(), 0.0, 100.0 * MB).await.unwrap();
-                let w1 = fs.cache().readahead(&"f".into()).window;
+                let w1 = fs.cache().readahead(key(&fs, "f")).window;
                 fs.read_range(&"f".into(), 100.0 * MB, 100.0 * MB)
                     .await
                     .unwrap();
-                let w2 = fs.cache().readahead(&"f".into()).window;
+                let w2 = fs.cache().readahead(key(&fs, "f")).window;
                 // A jump collapses the window and prefetches nothing.
                 let jump = fs
                     .read_range(&"f".into(), 1500.0 * MB, 100.0 * MB)
                     .await
                     .unwrap();
-                let w3 = fs.cache().readahead(&"f".into()).window;
+                let w3 = fs.cache().readahead(key(&fs, "f")).window;
                 (w1, w2, w3, jump)
             }
         });
@@ -667,6 +678,7 @@ mod tests {
         let (sim, fs) = setup_with(readahead_tuning(10_000.0));
         let f: FileId = "f".into();
         fs.create_file(&f, 2000.0 * MB).unwrap();
+        let k = key(&fs, "f");
         let read = |offset: f64| {
             let (fs, f) = (fs.clone(), f.clone());
             let h = sim.spawn(async move { fs.read_range(&f, offset, 100.0 * MB).await });
@@ -674,15 +686,15 @@ mod tests {
             h.try_take_result().unwrap().unwrap()
         };
         read(0.0);
-        let stream = fs.cache().readahead(&f);
+        let stream = fs.cache().readahead(k);
         approx_pct(stream.window, 50.0 * MB, 0.1);
-        fs.cache().invalidate_file(&f);
+        fs.cache().invalidate_file(k);
         fs.cache().crash_discard();
-        assert_eq!(fs.cache().readahead(&f), stream);
-        assert_eq!(fs.cache().file_size(&f), Ok(2000.0 * MB));
+        assert_eq!(fs.cache().readahead(k), stream);
+        assert_eq!(fs.cache().file_size(&f), Ok((k, 2000.0 * MB)));
         // The stream continues: the next sequential request doubles it.
         read(100.0 * MB);
-        approx_pct(fs.cache().readahead(&f).window, 100.0 * MB, 0.1);
+        approx_pct(fs.cache().readahead(k).window, 100.0 * MB, 0.1);
     }
 
     #[test]
@@ -806,7 +818,10 @@ mod tests {
     fn file_bookkeeping() {
         let (sim, fs) = setup(1000.0);
         fs.create_file(&"a".into(), 100.0 * MB).unwrap();
-        assert_eq!(fs.cache().file_size(&"a".into()), Ok(100.0 * MB));
+        assert_eq!(
+            fs.cache().file_size(&"a".into()),
+            Ok((key(&fs, "a"), 100.0 * MB))
+        );
         assert!(fs.cache().file_size(&"b".into()).is_err());
         let h = sim.spawn({
             let fs = fs.clone();
@@ -818,5 +833,50 @@ mod tests {
             Err(FsError::FileNotFound(_))
         ));
         assert_eq!(fs.disk().used(), 100.0 * MB);
+    }
+
+    #[test]
+    fn each_op_looks_its_file_up_once() {
+        // A 300 MB file in 100 MB requests on a 500 MB host with readahead:
+        // the cold read reclaims and reads ahead, so every step of the read
+        // and the write runs, request after request, and a per-step lookup
+        // would show in the count.
+        let (sim, fs) = setup_with(readahead_tuning(500.0));
+        fs.create_file(&"f".into(), 300.0 * MB).unwrap();
+        let h = sim.spawn({
+            let fs = fs.clone();
+            async move {
+                let f: FileId = "f".into();
+                let cache = fs.cache();
+                let mut lookups = Vec::new();
+                let mut count = |what: &'static str, before: u64| {
+                    lookups.push((what, cache.name_lookups() - before));
+                };
+                for what in ["cold read", "warm read"] {
+                    let before = cache.name_lookups();
+                    fs.read_range(&f, 0.0, f64::INFINITY).await.unwrap();
+                    count(what, before);
+                    cache.release_anonymous_memory(300.0 * MB);
+                }
+                let before = cache.name_lookups();
+                fs.write_range(&f, 50.0 * MB, 200.0 * MB).await.unwrap();
+                count("write within the size", before);
+                let before = cache.name_lookups();
+                fs.fsync(&f).await.unwrap();
+                count("fsync", before);
+                let before = cache.name_lookups();
+                let missing = fs.read_range(&"nope".into(), 0.0, f64::INFINITY).await;
+                assert!(matches!(missing, Err(FsError::FileNotFound(_))));
+                count("read of a missing file", before);
+                lookups
+            }
+        });
+        sim.run();
+        for (what, n) in h.try_take_result().unwrap() {
+            assert_eq!(n, 1, "{what}: {n} name lookups");
+        }
+        let counters = fs.cache().counters();
+        assert!(counters.evicted > 0.0, "no reclaim ran");
+        assert!(counters.prefetched > 0.0, "no readahead ran");
     }
 }

@@ -67,28 +67,31 @@ fn serve(writers: usize) -> Run {
                     cache.evict(excess, ReclaimScope::Host(None));
                 }
             };
-            let outputs: Vec<FileId> = (0..writers)
-                .map(|w| FileId::new(format!("out{w}")))
-                .collect();
-            for output in &outputs {
+            let outputs: Vec<u64> = (0..writers)
+                .map(|w| cache.create_file(&FileId::new(format!("out{w}")), 0.0))
+                .collect::<Result<_, _>>()
+                .unwrap();
+            for &output in &outputs {
                 cache.set_write_open(output, true);
             }
             for n in 0..WRITES {
-                let output = &outputs[n % writers];
+                let output = outputs[n % writers];
                 make_room(&mut run);
                 let at = (n / writers) as f64 * CHUNK;
                 cache.insert_dirty_range(output, at, at + CHUNK);
 
                 if n % WRITES_PER_READ == 0 {
                     make_room(&mut run);
-                    let input = FileId::new(format!("in{n}"));
-                    cache.insert_clean_range(&input, 0.0, CHUNK);
+                    let input = cache
+                        .create_file(&FileId::new(format!("in{n}")), CHUNK)
+                        .unwrap();
+                    cache.insert_clean_range(input, 0.0, CHUNK);
                 }
 
                 if n % WRITEBACK_EVERY == WRITEBACK_EVERY - 1 {
                     run.files_written_back += outputs
                         .iter()
-                        .filter(|f| !cache.dirty_ranges(f).is_empty())
+                        .filter(|&&f| !cache.dirty_ranges(f).is_empty())
                         .count() as u64;
                     cache
                         .write_back(cache.dirty(), ReclaimScope::Host(None), false)
@@ -98,7 +101,7 @@ fn serve(writers: usize) -> Run {
                 ctx.sleep(1e-3).await;
             }
             run.work = cache.work();
-            let still_cached: f64 = outputs.iter().map(|f| cache.cached_amount(f)).sum();
+            let still_cached: f64 = outputs.iter().map(|&f| cache.cached_amount(f)).sum();
             run.evicted_while_written = WRITES as f64 * CHUNK - still_cached;
             run
         }

@@ -17,7 +17,9 @@
 //!
 //! The controller is also a page-cached host's filesystem: callers read,
 //! write and flush files by name through it ([`IoController::read_range`]),
-//! and the files live in its Memory Manager's file table.
+//! and the files live in its Memory Manager's file table. Each op resolves
+//! its file's name once, at its entry; the chunk steps below it take the
+//! file's slot key.
 //!
 //! Every per-chunk step is cheap regardless of how many files are cached:
 //! the headroom/evictable polls are O(1) aggregate reads, and the cache
@@ -134,14 +136,14 @@ impl IoController {
         offset: f64,
         len: f64,
     ) -> Result<IoOpStats, FsError> {
-        let file_size = self.mm.file_size(file)?;
+        let (key, file_size) = self.mm.file_size(file)?;
         let (_start, amount) = clamp_io_range(offset, len, file_size);
         let start = self.ctx.now();
         let mut stats = IoOpStats::default();
         let mut remaining = amount;
         while remaining > EPSILON {
             let chunk = remaining.min(self.chunk_size);
-            self.read_chunk(file, file_size, chunk, true, &mut stats)
+            self.read_chunk(key, file_size, chunk, true, &mut stats)
                 .await;
             remaining -= chunk;
         }
@@ -159,26 +161,27 @@ impl IoController {
         offset: f64,
         len: f64,
     ) -> Result<IoOpStats, FsError> {
-        self.mm.extend_file(file, offset, len)?;
-        Ok(self.write_amount(file, len).await)
+        let key = self.mm.extend_file(file, offset, len)?;
+        Ok(self.write_amount(key, len).await)
     }
 
-    /// Writes `amount` bytes of `file` through the cache, chunk by chunk
+    /// Writes `amount` bytes of the file of slot `key` through the cache,
+    /// chunk by chunk
     /// (paper Algorithm 3 in writeback mode, or the writethrough variant
     /// described in §III-B), without touching the file's size. Like reads,
     /// writes are amount-based in the macroscopic model: a range write of
     /// `len` bytes behaves identically wherever in the file it lands. A
     /// writer that ships the data in chunks extends the file for the whole
     /// range first, so a full disk fails the write before any byte moves.
-    pub async fn write_amount(&self, file: &FileId, amount: f64) -> IoOpStats {
+    pub async fn write_amount(&self, key: u64, amount: f64) -> IoOpStats {
         let start = self.ctx.now();
         let mut stats = IoOpStats::default();
         let mut remaining = amount;
         while remaining > EPSILON {
             let chunk = remaining.min(self.chunk_size);
             let chunk_stats = match self.mm.config().write_mode {
-                WriteMode::WriteBack => self.write_chunk_writeback(file, chunk).await,
-                WriteMode::WriteThrough => self.write_chunk_writethrough(file, chunk).await,
+                WriteMode::WriteBack => self.write_chunk_writeback(key, chunk).await,
+                WriteMode::WriteThrough => self.write_chunk_writethrough(key, chunk).await,
             };
             stats.merge(&chunk_stats);
             remaining -= chunk;
@@ -194,9 +197,9 @@ impl IoController {
     /// through the file's own chains, so the cost scales with the file's
     /// block count, not the cache population.
     pub async fn fsync(&self, file: &FileId) -> Result<IoOpStats, FsError> {
-        self.mm.file_size(file)?;
+        let (key, _) = self.mm.file_size(file)?;
         let start = self.ctx.now();
-        let flushed = self.mm.flush_file(file).await;
+        let flushed = self.mm.flush_file(key).await;
         Ok(IoOpStats {
             bytes_to_disk: flushed,
             duration: self.ctx.now().duration_since(start),
@@ -219,12 +222,13 @@ impl IoController {
         }
     }
 
-    /// Reads one chunk of `file` through the cache, taking the uncached
-    /// share from this host's disk: [`IoController::read_chunk_via`] with
-    /// the disk as the source. Adds the chunk's byte counts to `stats`.
+    /// Reads one chunk of the file of slot `key` through the cache, taking
+    /// the uncached share from this host's disk:
+    /// [`IoController::read_chunk_via`] with the disk as the source. Adds
+    /// the chunk's byte counts to `stats`.
     pub async fn read_chunk(
         &self,
-        file: &FileId,
+        key: u64,
         file_size: f64,
         chunk: f64,
         keep_copy: bool,
@@ -233,7 +237,7 @@ impl IoController {
         let disk = self.mm.disk();
         let Ok(()) = self
             .read_chunk_via(
-                file,
+                key,
                 file_size,
                 chunk,
                 keep_copy,
@@ -249,8 +253,8 @@ impl IoController {
             .await;
     }
 
-    /// Reads one chunk of `file` (a file of `file_size` bytes) through the
-    /// cache: paper Algorithm 2, the one read step of every page-cached
+    /// Reads one chunk of the file of slot `key` (a file of `file_size`
+    /// bytes) through the cache: paper Algorithm 2, the one read step of every page-cached
     /// host. `fetch(amount)` produces `amount` uncached bytes — from the
     /// host's disk, or over the network from a server — and returns what
     /// that cost, which is added to `stats` along with the chunk's cache
@@ -260,7 +264,7 @@ impl IoController {
     /// aborts the step and is returned as is.
     pub async fn read_chunk_via<E, Fut>(
         &self,
-        file: &FileId,
+        key: u64,
         file_size: f64,
         chunk: f64,
         keep_copy: bool,
@@ -274,7 +278,7 @@ impl IoController {
         // how much memory the chunk needs (the newly cached data, plus the
         // reader's anonymous copy). Under the round-robin access assumption
         // the uncached part of the file is `fs - mm.cached(fn)`.
-        let file_uncached = (file_size - self.mm.cached_amount(file)).max(0.0);
+        let file_uncached = (file_size - self.mm.cached_amount(key)).max(0.0);
         let disk_read = chunk.min(file_uncached);
         let cache_read = chunk - disk_read;
         let required_mem = if keep_copy {
@@ -287,8 +291,8 @@ impl IoController {
         // data. Negative amounts are no-ops, and so is the flush on a cache
         // that holds no dirty data (read-only client caches, writethrough
         // servers).
-        let others = ReclaimScope::Host(Some(file));
-        let flush_amount = required_mem - self.mm.free_memory() - self.mm.evictable(Some(file));
+        let others = ReclaimScope::Host(Some(key));
+        let flush_amount = required_mem - self.mm.free_memory() - self.mm.evictable(Some(key));
         stats.bytes_to_disk += self.mm.flush(flush_amount, others).await;
         self.mm.evict(required_mem - self.mm.free_memory(), others);
         // Algorithm 2 assumes the file fits in memory. If it does not, the
@@ -303,14 +307,14 @@ impl IoController {
         // Lines 12-15: fetch uncached data and add it to the cache.
         if disk_read > EPSILON {
             stats.merge(&fetch(disk_read).await?);
-            self.mm.add_to_cache(file, disk_read);
+            self.mm.add_to_cache(key, disk_read);
             stats.bytes_to_cache += disk_read;
         }
         // Lines 16-18: read cached data. The fallback eviction above may
         // have reclaimed part of this very share; the reader still gets
         // every byte, so the shortfall is fetched like uncached data.
         if cache_read > EPSILON {
-            let read = self.mm.read_from_cache(file, cache_read).await;
+            let read = self.mm.read_from_cache(key, cache_read).await;
             stats.bytes_from_cache += read;
             let shortfall = cache_read - read;
             if shortfall > EPSILON {
@@ -326,7 +330,7 @@ impl IoController {
     }
 
     /// Writes one chunk in writeback mode (paper Algorithm 3).
-    async fn write_chunk_writeback(&self, file: &FileId, chunk: f64) -> IoOpStats {
+    async fn write_chunk_writeback(&self, key: u64, chunk: f64) -> IoOpStats {
         let start = self.ctx.now();
         let mut stats = IoOpStats::default();
 
@@ -339,7 +343,7 @@ impl IoController {
             self.mm.evict(evict_amount, ReclaimScope::Host(None));
             mem_amt = chunk.min(remain_dirty).min(self.mm.free_memory());
             if mem_amt > EPSILON {
-                self.mm.write_to_cache(file, mem_amt).await;
+                self.mm.write_to_cache(key, mem_amt).await;
                 stats.bytes_to_cache += mem_amt;
             }
         }
@@ -363,7 +367,7 @@ impl IoController {
             );
             let to_cache = remaining.min(self.mm.free_memory());
             if to_cache > EPSILON {
-                self.mm.write_to_cache(file, to_cache).await;
+                self.mm.write_to_cache(key, to_cache).await;
                 stats.bytes_to_cache += to_cache;
                 remaining -= to_cache;
             } else if flushed <= EPSILON || remaining < 1.0 {
@@ -377,7 +381,7 @@ impl IoController {
                 // balance_dirty_pages.
                 self.mm.disk().write(remaining).await;
                 self.mm
-                    .add_to_cache(file, self.mm.free_memory().min(remaining));
+                    .add_to_cache(key, self.mm.free_memory().min(remaining));
                 stats.bytes_to_disk += remaining;
                 remaining = 0.0;
             }
@@ -392,7 +396,7 @@ impl IoController {
     /// the disk write is synchronous, then the written data is added to the
     /// cache (as clean data), evicting older cache entries if needed. This
     /// is also the write step of writethrough servers.
-    async fn write_chunk_writethrough(&self, file: &FileId, chunk: f64) -> IoOpStats {
+    async fn write_chunk_writethrough(&self, key: u64, chunk: f64) -> IoOpStats {
         let start = self.ctx.now();
         let mut stats = IoOpStats::default();
         self.mm.disk().write(chunk).await;
@@ -401,7 +405,7 @@ impl IoController {
             .evict(chunk - self.mm.free_memory(), ReclaimScope::Host(None));
         let to_cache = chunk.min(self.mm.free_memory());
         if to_cache > EPSILON {
-            self.mm.add_to_cache(file, to_cache);
+            self.mm.add_to_cache(key, to_cache);
             stats.bytes_to_cache += to_cache;
         }
         stats.duration = self.ctx.now().duration_since(start);
@@ -457,6 +461,11 @@ mod tests {
         );
     }
 
+    /// The slot key of `name` on `io`'s host, made if needed.
+    fn key(io: &IoController, name: &str) -> u64 {
+        io.memory_manager().key_or_insert(&name.into())
+    }
+
     fn create(io: &IoController, file: &str, size: f64) {
         io.memory_manager().create_file(&file.into(), size).unwrap();
     }
@@ -481,7 +490,10 @@ mod tests {
         approx(stats.bytes_from_cache, 0.0);
         approx(stats.duration, 10.0); // 1000 MB at 100 MB/s
                                       // The file is now fully cached and one anonymous copy is accounted.
-        approx(io.memory_manager().cached_amount(&"f".into()), 1000.0 * MB);
+        approx(
+            io.memory_manager().cached_amount(key(&io, "f")),
+            1000.0 * MB,
+        );
         approx(io.memory_manager().anonymous(), 1000.0 * MB);
     }
 
@@ -510,7 +522,7 @@ mod tests {
         let (sim, io) = setup(10_000.0 * MB, WriteMode::WriteBack);
         create(&io, "f", 1000.0 * MB);
         // Pre-populate 400 MB of the file in the cache.
-        io.memory_manager().add_to_cache(&"f".into(), 400.0 * MB);
+        io.memory_manager().add_to_cache(key(&io, "f"), 400.0 * MB);
         let h = sim.spawn({
             let io = io.clone();
             async move { read_all(&io, "f").await }
@@ -528,7 +540,7 @@ mod tests {
         let (sim, io) = setup(10_000.0 * MB, WriteMode::WriteBack);
         let h = sim.spawn({
             let io = io.clone();
-            async move { io.write_amount(&"f".into(), 1000.0 * MB).await }
+            async move { io.write_amount(key(&io, "f"), 1000.0 * MB).await }
         });
         sim.run();
         let stats = h.try_take_result().unwrap();
@@ -544,7 +556,7 @@ mod tests {
         let (sim, io) = setup(1000.0 * MB, WriteMode::WriteBack);
         let h = sim.spawn({
             let io = io.clone();
-            async move { io.write_amount(&"f".into(), 600.0 * MB).await }
+            async move { io.write_amount(key(&io, "f"), 600.0 * MB).await }
         });
         sim.run();
         let stats = h.try_take_result().unwrap();
@@ -568,7 +580,7 @@ mod tests {
         let (sim, io) = setup(10_000.0 * MB, WriteMode::WriteThrough);
         let h = sim.spawn({
             let io = io.clone();
-            async move { io.write_amount(&"f".into(), 500.0 * MB).await }
+            async move { io.write_amount(key(&io, "f"), 500.0 * MB).await }
         });
         sim.run();
         let stats = h.try_take_result().unwrap();
@@ -651,7 +663,7 @@ mod tests {
                 let io = io.clone();
                 async move {
                     let r = read_all(&io, "f").await;
-                    let w = io.write_amount(&"g".into(), 500.0 * MB).await;
+                    let w = io.write_amount(key(&io, "g"), 500.0 * MB).await;
                     (r, w)
                 }
             });
@@ -670,7 +682,7 @@ mod tests {
             let io = io.clone();
             async move {
                 let r = read_all(&io, "f").await;
-                let w = io.write_amount(&"f".into(), 0.0).await;
+                let w = io.write_amount(key(&io, "f"), 0.0).await;
                 (r, w)
             }
         });
@@ -758,10 +770,10 @@ mod tests {
         approx(stats.bytes_to_disk, 300.0 * MB);
         approx(stats.duration, elapsed);
         approx(elapsed, 3.0); // 300 MB at 100 MB/s
-        approx(io.memory_manager().dirty_amount(&"a".into()), 0.0);
-        approx(io.memory_manager().dirty_amount(&"b".into()), 200.0 * MB);
+        approx(io.memory_manager().dirty_amount(key(&io, "a")), 0.0);
+        approx(io.memory_manager().dirty_amount(key(&io, "b")), 200.0 * MB);
         // The flushed data stays cached, now clean.
-        approx(io.memory_manager().cached_amount(&"a".into()), 300.0 * MB);
+        approx(io.memory_manager().cached_amount(key(&io, "a")), 300.0 * MB);
         io.memory_manager().check_invariants().unwrap();
     }
 
@@ -788,8 +800,8 @@ mod tests {
         let h = sim.spawn({
             let io = io.clone();
             async move {
-                io.write_amount(&"a".into(), 300.0 * MB).await;
-                io.write_amount(&"b".into(), 200.0 * MB).await;
+                io.write_amount(key(&io, "a"), 300.0 * MB).await;
+                io.write_amount(key(&io, "b"), 200.0 * MB).await;
                 io.sync().await
             }
         });
@@ -810,7 +822,7 @@ mod tests {
         let (sim, io) = setup(100.0 * MB, WriteMode::WriteBack);
         create(&io, "a", 40.0 * MB);
         io.memory_manager().use_anonymous_memory(65.0 * MB);
-        io.memory_manager().add_to_cache(&"a".into(), 30.0 * MB);
+        io.memory_manager().add_to_cache(key(&io, "a"), 30.0 * MB);
         let h = sim.spawn({
             let io = io.clone();
             async move { read_all(&io, "a").await }
@@ -849,7 +861,7 @@ mod tests {
         io.memory_manager().use_anonymous_memory(900.0 * MB + 0.5);
         let writer = sim.spawn({
             let io = io.clone();
-            async move { io.write_amount(&"f".into(), 100.0 * MB).await }
+            async move { io.write_amount(key(&io, "f"), 100.0 * MB).await }
         });
         sim.spawn({
             let io = io.clone();
@@ -947,7 +959,11 @@ mod tests {
         approx(partial.bytes_from_cache, 200.0 * MB);
         approx(partial.bytes_from_disk, 0.0);
         approx(w.bytes_to_cache, 50.0 * MB);
-        assert_eq!(io.memory_manager().file_size(&"g".into()), Ok(150.0 * MB));
+        let size = io
+            .memory_manager()
+            .file_size(&"g".into())
+            .map(|(_, size)| size);
+        assert_eq!(size, Ok(150.0 * MB));
         approx(io.disk().used(), 650.0 * MB);
         approx(fsync.bytes_to_disk, 50.0 * MB);
         approx(fsync_again.bytes_to_disk, 0.0);
@@ -978,5 +994,50 @@ mod tests {
         let (tail, beyond) = h.try_take_result().unwrap();
         approx(tail.bytes_from_disk, 20.0 * MB);
         assert_eq!(beyond.total_bytes(), 0.0);
+    }
+
+    #[test]
+    fn each_op_looks_its_file_up_once() {
+        // A 300 MB file in 100 MB chunks on a 500 MB host: the cold read
+        // reclaims, so every step of the read and the write runs, chunk
+        // after chunk, and a per-step lookup would show in the count.
+        let (sim, io) = setup(500.0 * MB, WriteMode::WriteBack);
+        create(&io, "f", 300.0 * MB);
+        let h = sim.spawn({
+            let io = io.clone();
+            async move {
+                let f: FileId = "f".into();
+                let mm = io.memory_manager();
+                let mut lookups = Vec::new();
+                let mut count = |what: &'static str, before: u64| {
+                    lookups.push((what, mm.name_lookups() - before));
+                };
+                for what in ["cold read", "warm read"] {
+                    let before = mm.name_lookups();
+                    io.read_range(&f, 0.0, f64::INFINITY).await.unwrap();
+                    count(what, before);
+                    mm.release_anonymous_memory(300.0 * MB);
+                }
+                let before = mm.name_lookups();
+                io.write_range(&f, 50.0 * MB, 200.0 * MB).await.unwrap();
+                count("write within the size", before);
+                let before = mm.name_lookups();
+                io.fsync(&f).await.unwrap();
+                count("fsync", before);
+                let before = mm.name_lookups();
+                let missing = io.read_range(&"nope".into(), 0.0, f64::INFINITY).await;
+                assert!(matches!(missing, Err(FsError::FileNotFound(_))));
+                count("read of a missing file", before);
+                lookups
+            }
+        });
+        sim.run();
+        for (what, n) in h.try_take_result().unwrap() {
+            assert_eq!(n, 1, "{what}: {n} name lookups");
+        }
+        assert!(
+            io.memory_manager().counters().evicted > 0.0,
+            "no reclaim ran"
+        );
     }
 }

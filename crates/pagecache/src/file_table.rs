@@ -8,8 +8,14 @@
 //! storage fleet each file's latest written version. The table owns
 //! everything that is the same for all of them:
 //!
-//! * the **name index**, `FileId -> key`: a public call hashes a file name
-//!   once, and every step after that addresses the file by its key;
+//! * the **name index**, `FileId -> key`. An op (a read, a write, an
+//!   `fsync`) resolves its file once, at its entry: [`FileTable::size`]
+//!   returns the key with the size, and [`FileTable::create`] and
+//!   [`FileTable::extend`] return it too. Every step below the entry takes
+//!   the key, on both cache models, and never hashes the name again. A key
+//!   stays valid across an op's `.await`s because slots are never freed.
+//!   [`FileTable::name_lookups`] counts the lookups, so tests can pin one
+//!   per op;
 //! * the **slots**, a `Vec` indexed by key. A slot lives as long as its
 //!   file: it is never freed and its key never changes. An invalidation or
 //!   a crash resets the model's cache state in the slot, not the slot;
@@ -24,8 +30,9 @@
 //! * each group's **byte totals** (`cached`, `dirty`), which the models
 //!   keep with [`FileTable::adjust_group`] at every site where a grouped
 //!   file's bytes change, so a tenant's usage is O(1) to poll;
-//! * the resolution of a [`ReclaimScope`] to keys ([`SlotScope`]), so a
-//!   reclaim walk checks its scope without a name lookup.
+//! * the scope check of a reclaim walk, [`FileTable::admits`]: a
+//!   [`ReclaimScope`] names its excluded file by key, so the check looks no
+//!   name up.
 //!
 //! A file's name, size and group are file state; only the model's state
 //! `T` and the group totals are cache state.
@@ -33,6 +40,7 @@
 //! Keys never decide an order: both models break ties by file name, which
 //! is unique in the index.
 
+use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -48,22 +56,12 @@ use crate::lru::EPSILON;
 /// emulator. Both cache models share this type, so tenant-scoped reclaim
 /// runs through the same loops as host-wide reclaim.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReclaimScope<'a> {
-    /// Any file of the host, except the given one (paper Algorithm 2
-    /// excludes the file being read).
-    Host(Option<&'a FileId>),
+pub enum ReclaimScope {
+    /// Any file of the host, except the one with the given key (paper
+    /// Algorithm 2 excludes the file being read; `None` excludes nothing).
+    Host(Option<u64>),
     /// Only the files assigned to this cache group (a memcg-style tenant),
     /// so one tenant's overflow never reclaims a neighbour's pages.
-    Group(u32),
-}
-
-/// A [`ReclaimScope`] resolved against one [`FileTable`]: the excluded file
-/// is its key, so [`FileTable::admits`] looks no name up.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SlotScope {
-    /// Every slot except this one (`None` excludes nothing).
-    Host(Option<u64>),
-    /// The slots assigned to this cache group.
     Group(u32),
 }
 
@@ -93,6 +91,8 @@ pub struct FileTable<T> {
     index: HashMap<FileId, u64>,
     slots: Vec<Slot<T>>,
     groups: HashMap<u32, GroupBytes>,
+    /// Name-index lookups made so far ([`FileTable::name_lookups`]).
+    lookups: Cell<u64>,
 }
 
 impl<T: Default> Default for FileTable<T> {
@@ -108,6 +108,7 @@ impl<T: Default> FileTable<T> {
             index: HashMap::new(),
             slots: Vec::new(),
             groups: HashMap::new(),
+            lookups: Cell::new(0),
         }
     }
 
@@ -121,17 +122,33 @@ impl<T: Default> FileTable<T> {
         self.slots.is_empty()
     }
 
-    /// The key of `file`, if it has a slot: the one name lookup of a call.
+    /// Name-index lookups made so far: one per call of [`FileTable::key`],
+    /// [`FileTable::key_or_insert`], [`FileTable::create`],
+    /// [`FileTable::extend`], [`FileTable::size`] and
+    /// [`FileTable::set_group`]. A work count for tests; it takes no part in
+    /// any prediction.
+    pub fn name_lookups(&self) -> u64 {
+        self.lookups.get()
+    }
+
+    /// The key of `file`, if it has a slot.
     pub fn key(&self, file: &FileId) -> Option<u64> {
+        self.lookups.set(self.lookups.get() + 1);
         self.index.get(file).copied()
     }
 
     /// The key of `file`, with a fresh slot (no size, no group) created if
     /// it has none.
     pub fn key_or_insert(&mut self, file: &FileId) -> u64 {
-        if let Some(key) = self.key(file) {
-            return key;
+        match self.key(file) {
+            Some(key) => key,
+            None => self.insert(file),
         }
+    }
+
+    /// Makes a fresh slot (no size, no group) for `file`, which has none,
+    /// and returns its key.
+    fn insert(&mut self, file: &FileId) -> u64 {
         let key = self.slots.len() as u64;
         self.slots.push(Slot {
             file: file.clone(),
@@ -159,6 +176,13 @@ impl<T: Default> FileTable<T> {
     /// Mutable access to the model's state of slot `key`.
     pub fn get_mut(&mut self, key: u64) -> &mut T {
         &mut self.slot_mut(key).state
+    }
+
+    /// The file of slot `key` and mutable access to its state, for a step
+    /// that hands both to a policy hook.
+    pub fn named_mut(&mut self, key: u64) -> (&FileId, &mut T) {
+        let slot = self.slot_mut(key);
+        (&slot.file, &mut slot.state)
     }
 
     /// The file of slot `key`.
@@ -192,6 +216,7 @@ impl<T: Default> FileTable<T> {
     ) -> Result<u64, FsError> {
         check_write_range(0.0, size)?;
         // One name lookup: a host creates its files in bulk at set-up.
+        self.lookups.set(self.lookups.get() + 1);
         let key = match self.index.entry(file.clone()) {
             Entry::Occupied(e) if self.slots[*e.get() as usize].size.is_some() => {
                 return Err(FsError::AlreadyExists(file.clone()));
@@ -217,10 +242,10 @@ impl<T: Default> FileTable<T> {
     }
 
     /// Grows `file` so it covers a write of `len` bytes at `offset`, with
-    /// `allocate` reserving the bytes it grows by, and returns its key.
-    /// Creates the file when it does not exist; never shrinks it. Rejects
-    /// the ranges [`check_write_range`] rejects. A failed allocation
-    /// changes nothing.
+    /// `allocate` reserving the bytes it grows by, and returns its key: the
+    /// one name lookup of a write. Creates the file when it does not exist;
+    /// never shrinks it. Rejects the ranges [`check_write_range`] rejects.
+    /// A failed allocation changes nothing.
     pub fn extend(
         &mut self,
         file: &FileId,
@@ -238,16 +263,16 @@ impl<T: Default> FileTable<T> {
             }
         }
         allocate(end - old.unwrap_or(0.0))?;
-        let key = self.key_or_insert(file);
+        let key = key.unwrap_or_else(|| self.insert(file));
         self.slot_mut(key).size = Some(end);
         Ok(key)
     }
 
-    /// The size of `file`, or [`FsError::FileNotFound`] if the host never
-    /// created it.
-    pub fn size(&self, file: &FileId) -> Result<f64, FsError> {
+    /// The key and the size of `file`, or [`FsError::FileNotFound`] if the
+    /// host never created it: the one name lookup of a read or an `fsync`.
+    pub fn size(&self, file: &FileId) -> Result<(u64, f64), FsError> {
         self.key(file)
-            .and_then(|k| self.slot(k).size)
+            .and_then(|k| Some((k, self.slot(k).size?)))
             .ok_or_else(|| FsError::FileNotFound(file.clone()))
     }
 
@@ -326,21 +351,12 @@ impl<T: Default> FileTable<T> {
         self.groups.get(&group).map_or(0.0, |g| g.dirty)
     }
 
-    /// Resolves `scope` against this table: the one name lookup of a
-    /// reclaim call. An excluded file without a slot excludes nothing.
-    pub fn resolve(&self, scope: ReclaimScope<'_>) -> SlotScope {
-        match scope {
-            ReclaimScope::Host(exclude) => SlotScope::Host(exclude.and_then(|f| self.key(f))),
-            ReclaimScope::Group(g) => SlotScope::Group(g),
-        }
-    }
-
     /// Whether a reclaim call restricted to `scope` may take data of slot
     /// `key`.
-    pub fn admits(&self, scope: SlotScope, key: u64) -> bool {
+    pub fn admits(&self, scope: ReclaimScope, key: u64) -> bool {
         match scope {
-            SlotScope::Host(excluded) => excluded != Some(key),
-            SlotScope::Group(g) => self.group(key) == Some(g),
+            ReclaimScope::Host(excluded) => excluded != Some(key),
+            ReclaimScope::Group(g) => self.group(key) == Some(g),
         }
     }
 
@@ -467,7 +483,7 @@ mod tests {
         let (a, b) = (FileId::new("a"), FileId::new("b"));
         let k = t.create(&a, 100.0, no_disk).unwrap();
         assert_eq!(t.key(&a), Some(k));
-        assert_eq!(t.size(&a), Ok(100.0));
+        assert_eq!(t.size(&a), Ok((k, 100.0)));
         assert_eq!(t.size(&b), Err(FsError::FileNotFound(b.clone())));
         // Cache traffic alone makes a slot, not a file.
         t.key_or_insert(&b);
@@ -492,7 +508,7 @@ mod tests {
         t.create(&a, 100.0, no_disk).unwrap();
         let r = t.create(&a, 50.0, |_| panic!("allocated for a duplicate"));
         assert_eq!(r, Err(FsError::AlreadyExists(a.clone())));
-        assert_eq!(t.size(&a), Ok(100.0));
+        assert_eq!(t.size(&a), Ok((0, 100.0)));
     }
 
     #[test]
@@ -508,12 +524,16 @@ mod tests {
             Err(FsError::DiskFull(_))
         ));
         assert!(t.is_empty());
-        t.create(&a, 10.0, no_disk).unwrap();
+        let k = t.create(&a, 10.0, no_disk).unwrap();
         assert!(matches!(
             t.extend(&a, 5.0, 10.0, full),
             Err(FsError::DiskFull(_))
         ));
-        assert_eq!(t.size(&a), Ok(10.0), "a failed extension keeps the size");
+        assert_eq!(
+            t.size(&a),
+            Ok((k, 10.0)),
+            "a failed extension keeps the size"
+        );
     }
 
     #[test]
@@ -528,11 +548,11 @@ mod tests {
             })
         };
         let k = extend(&mut t, 10.0, 20.0).unwrap();
-        assert_eq!(t.size(&a), Ok(30.0), "a write creates the file");
+        assert_eq!(t.size(&a), Ok((k, 30.0)), "a write creates the file");
         assert_eq!(extend(&mut t, 0.0, 5.0), Ok(k));
-        assert_eq!(t.size(&a), Ok(30.0), "and never shrinks it");
+        assert_eq!(t.size(&a), Ok((k, 30.0)), "and never shrinks it");
         extend(&mut t, 25.0, 15.0).unwrap();
-        assert_eq!(t.size(&a), Ok(40.0));
+        assert_eq!(t.size(&a), Ok((k, 40.0)));
         assert!(matches!(
             extend(&mut t, -1.0, 5.0),
             Err(FsError::InvalidRange { .. })
@@ -556,7 +576,7 @@ mod tests {
         assert_eq!(lost, [(f.clone(), (30.0, 10.0)), (g.clone(), (7.0, 0.0))]);
         // Same keys, same size and group, fresh cache state.
         assert_eq!((t.key(&f), t.key(&g)), (Some(kf), Some(kg)));
-        assert_eq!(t.size(&f), Ok(300.0));
+        assert_eq!(t.size(&f), Ok((kf, 300.0)));
         assert_eq!(t.group(kg), Some(4));
         assert_eq!((*t.get(kf), *t.get(kg)), ((0.0, 0.0), (0.0, 0.0)));
         assert_eq!(t.group_cached(4), 0.0, "the group totals are cache state");
@@ -594,17 +614,51 @@ mod tests {
         let (a, b) = (FileId::new("a"), FileId::new("b"));
         let ka = t.set_group(&a, Some(1), bytes).unwrap();
         let kb = t.key_or_insert(&b);
-        let host = t.resolve(ReclaimScope::Host(None));
+        let host = ReclaimScope::Host(None);
         assert!(t.admits(host, ka) && t.admits(host, kb));
-        let exclude_a = t.resolve(ReclaimScope::Host(Some(&a)));
-        assert_eq!(exclude_a, SlotScope::Host(Some(ka)));
+        let exclude_a = ReclaimScope::Host(Some(ka));
         assert!(!t.admits(exclude_a, ka) && t.admits(exclude_a, kb));
-        let unknown = FileId::new("unknown");
-        let exclude_unknown = t.resolve(ReclaimScope::Host(Some(&unknown)));
-        assert!(t.admits(exclude_unknown, ka) && t.admits(exclude_unknown, kb));
-        let group = t.resolve(ReclaimScope::Group(1));
+        let group = ReclaimScope::Group(1);
         assert!(t.admits(group, ka) && !t.admits(group, kb));
-        assert!(!t.admits(SlotScope::Group(2), ka));
+        assert!(!t.admits(ReclaimScope::Group(2), ka));
+    }
+
+    /// Runs `op` on `t` and asserts it made exactly one name lookup.
+    fn one_lookup<R>(
+        t: &mut FileTable<Bytes>,
+        what: &str,
+        op: impl FnOnce(&mut FileTable<Bytes>) -> R,
+    ) -> R {
+        let before = t.name_lookups();
+        let r = op(t);
+        assert_eq!(t.name_lookups(), before + 1, "{what}");
+        r
+    }
+
+    #[test]
+    fn each_resolving_call_is_one_name_lookup() {
+        let mut t: FileTable<Bytes> = FileTable::new();
+        let (a, b) = (FileId::new("a"), FileId::new("b"));
+        let ka = one_lookup(&mut t, "create", |t| t.create(&a, 10.0, no_disk)).unwrap();
+        let size = one_lookup(&mut t, "size", |t| t.size(&a));
+        assert_eq!(size, Ok((ka, 10.0)));
+        let grown = one_lookup(&mut t, "extend", |t| t.extend(&a, 5.0, 10.0, no_disk));
+        assert_eq!(grown, Ok(ka));
+        let kb = one_lookup(&mut t, "extend that creates", |t| {
+            t.extend(&b, 0.0, 10.0, no_disk)
+        })
+        .unwrap();
+        assert_eq!(one_lookup(&mut t, "key", |t| t.key(&b)), Some(kb));
+        one_lookup(&mut t, "key_or_insert", |t| t.key_or_insert(&"c".into()));
+        let missing = one_lookup(&mut t, "a missing file's size", |t| t.size(&"d".into()));
+        assert!(missing.is_err());
+        // Steps by key look nothing up.
+        let before = t.name_lookups();
+        t.get_mut(ka).0 = 1.0;
+        t.adjust_group(kb, 0.0, 0.0);
+        assert!(t.admits(ReclaimScope::Host(Some(kb)), ka));
+        assert_eq!(t.name(ka), &a);
+        assert_eq!(t.name_lookups(), before);
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use block::{DataBlock, FileId};
 pub use config::{PageCacheConfig, WriteMode};
 pub use controller::{check_write_range, clamp_io_range, IoController, DEFAULT_CHUNK_SIZE};
 pub use error::FsError;
-pub use file_table::{FileTable, ReclaimScope, SlotScope};
+pub use file_table::{FileTable, ReclaimScope};
 pub use lru::{ListKind, LruLists, LruWork, EPSILON};
 pub use manager::{MemoryManager, MemoryManagerCounters};
 pub use policy::{EvictionPolicy, FileMeta, Policy, ACTIVE_TIER, MAX_TIERS};

@@ -91,13 +91,14 @@
 //! predecessor. [`LruLists::work`] counts the blocks eviction and flushing
 //! visited and the steps sorted inserts walked.
 //!
-//! Each public call that takes a [`FileId`] looks the name up once (a
-//! [`ReclaimScope::Host`] exclusion is resolved once per call too); every
-//! block step after that — aggregate updates, chain links, merges, the
-//! demotions of [`LruLists::balance`], scope checks — indexes the file
-//! slot stored in the node, so no block step hashes a name. (A grouped
-//! file's group byte counters are still found by group id.) The slots, the
-//! name index and the group totals are a [`FileTable`], the same table the
+//! The per-file calls take the file's slot key, which the caller resolved
+//! once at the entry of its op ([`LruLists::key_or_insert`], or the size
+//! lookup of the Memory Manager), and a [`ReclaimScope::Host`] exclusion is
+//! a key too. Every block step — aggregate updates, chain links, merges,
+//! the demotions of [`LruLists::balance`], scope checks — indexes the file
+//! slot stored in the node, so no step hashes a name. (A grouped file's
+//! group byte counters are still found by group id.) The slots, the name
+//! index and the group totals are a [`FileTable`], the same table the
 //! kernel emulator keeps its per-file state in. It is also the host's file
 //! namespace: each slot holds its file's size.
 //!
@@ -149,7 +150,7 @@ use std::collections::{BTreeMap, HashMap};
 use des::SimTime;
 
 use crate::block::{DataBlock, FileId};
-use crate::file_table::{FileTable, ReclaimScope, SlotScope};
+use crate::file_table::{FileTable, ReclaimScope};
 use crate::policy::{EvictionPolicy, Policy, ACTIVE_TIER, MAX_TIERS};
 
 /// Bytes below which two amounts are considered equal.
@@ -445,8 +446,8 @@ pub struct LruLists {
     /// groups), one slot per file the host created or cached. The Memory
     /// Manager creates, extends and sizes files in it directly; only the
     /// lists touch the cache state in its slots.
-    /// Public calls resolve a name here once; every step after that uses
-    /// the slot key. Its group totals move at the same four accounting
+    /// An op resolves its file's name here once; every call after that
+    /// takes the slot key. Its group totals move at the same four accounting
     /// choke points as the per-file counters (`agg_insert`, `agg_remove`,
     /// `agg_clean_in_place`, `agg_shrink`).
     pub(crate) files: FileTable<FileState>,
@@ -540,18 +541,26 @@ impl LruLists {
             .sum()
     }
 
-    /// Cached bytes belonging to `file`. O(1) expected.
-    pub fn cached_amount(&self, file: &FileId) -> f64 {
-        self.files
-            .key(file)
-            .map_or(0.0, |s| self.files.get(s).bytes.cached)
+    /// The slot key of `file`, if it has a slot.
+    pub fn key(&self, file: &FileId) -> Option<u64> {
+        self.files.key(file)
     }
 
-    /// Dirty bytes belonging to `file`. O(1) expected.
-    pub fn dirty_amount(&self, file: &FileId) -> f64 {
-        self.files
-            .key(file)
-            .map_or(0.0, |s| self.files.get(s).bytes.dirty)
+    /// The slot key of `file`, with a slot made for it if it has none (a
+    /// file cached without being created here, like a client cache's copy
+    /// of a remote file).
+    pub fn key_or_insert(&mut self, file: &FileId) -> u64 {
+        self.files.key_or_insert(file)
+    }
+
+    /// Cached bytes of slot `s`. O(1).
+    pub fn cached_amount(&self, s: u64) -> f64 {
+        self.files.get(s).bytes.cached
+    }
+
+    /// Dirty bytes of slot `s`. O(1).
+    pub fn dirty_amount(&self, s: u64) -> f64 {
+        self.files.get(s).bytes.dirty
     }
 
     /// Cached bytes per file (used to reproduce Fig. 4c). O(F log F) in the
@@ -567,13 +576,8 @@ impl LruLists {
     }
 
     /// Clean bytes on the evictable tiers that [`LruLists::evict`] could
-    /// remove, optionally excluding one file. O(1).
-    pub fn evictable(&self, exclude: Option<&FileId>) -> f64 {
-        self.evictable_except(exclude.and_then(|f| self.files.key(f)))
-    }
-
-    /// [`LruLists::evictable`] with the excluded file resolved to its slot.
-    fn evictable_except(&self, excluded: Option<u64>) -> f64 {
+    /// remove, optionally excluding the file of one slot. O(1).
+    pub fn evictable(&self, excluded: Option<u64>) -> f64 {
         let total: f64 = (0..MAX_TIERS)
             .filter(|&t| self.policy.evictable_tiers()[t])
             .map(|t| (self.lists[t].agg.bytes - self.lists[t].agg.dirty).max(0.0))
@@ -950,18 +954,18 @@ impl LruLists {
     }
 
     /// Whether a reclaim call restricted to `scope` may take node `i`.
-    fn admits(&self, scope: SlotScope, i: Idx) -> bool {
+    fn admits(&self, scope: ReclaimScope, i: Idx) -> bool {
         self.files.admits(scope, node_ref(&self.arena, i).file_slot)
     }
 
-    /// Adds a clean block (data just read from disk) to the tier the policy
-    /// admits first-touch data to (the inactive list under the default
-    /// 2-list policy).
-    pub fn add_clean(&mut self, file: FileId, size: f64, now: SimTime) {
+    /// Adds a clean block (data just read from disk) of slot `s` to the
+    /// tier the policy admits first-touch data to (the inactive list under
+    /// the default 2-list policy).
+    pub fn add_clean(&mut self, s: u64, size: f64, now: SimTime) {
         if size <= EPSILON {
             return;
         }
-        let s = self.files.key_or_insert(&file);
+        let file = self.files.name(s).clone();
         let tier = self.policy.insert_tier(&file);
         let idx = self.insert_node(tier, s, DataBlock::clean(file, size, now));
         self.try_coalesce(idx);
@@ -969,20 +973,21 @@ impl LruLists {
         self.debug_validate();
     }
 
-    /// Adds a dirty block (data just written by the application) to the
-    /// policy's first-touch tier.
-    pub fn add_dirty(&mut self, file: FileId, size: f64, now: SimTime) {
+    /// Adds a dirty block (data just written by the application) of slot
+    /// `s` to the policy's first-touch tier.
+    pub fn add_dirty(&mut self, s: u64, size: f64, now: SimTime) {
         if size <= EPSILON {
             return;
         }
-        let s = self.files.key_or_insert(&file);
+        let file = self.files.name(s).clone();
         let tier = self.policy.insert_tier(&file);
         self.insert_node(tier, s, DataBlock::dirty(file, size, now));
         self.balance();
         self.debug_validate();
     }
 
-    /// Simulates a read of `amount` cached bytes of `file` (paper §III-A-2):
+    /// Simulates a read of `amount` cached bytes of slot `s` (paper
+    /// §III-A-2):
     /// blocks are consumed tier by tier, tier 0 first (inactive before
     /// active under the default 2-list policy), least recently used first;
     /// clean portions are merged into a single new block appended to the
@@ -996,13 +1001,10 @@ impl LruLists {
     /// arena nodes: a dirty block keeps its node, and the first clean node
     /// becomes the merged block. Only a split head takes a new node, and
     /// only the other clean nodes are freed.
-    pub fn read_cached(&mut self, file: &FileId, amount: f64, now: SimTime) -> f64 {
+    pub fn read_cached(&mut self, s: u64, amount: f64, now: SimTime) -> f64 {
         if amount <= EPSILON {
             return 0.0;
         }
-        let Some(s) = self.files.key(file) else {
-            return 0.0;
-        };
         if self.files.get(s).bytes.cached <= EPSILON {
             return 0.0;
         }
@@ -1043,7 +1045,8 @@ impl LruLists {
         }
         if clean_total > EPSILON {
             let idx = if merged == NIL {
-                self.insert_node(dest, s, DataBlock::clean(file.clone(), clean_total, now))
+                let file = self.files.name(s).clone();
+                self.insert_node(dest, s, DataBlock::clean(file, clean_total, now))
             } else {
                 let blk = &mut node_mut(&mut self.arena, merged).block;
                 blk.size = clean_total;
@@ -1104,7 +1107,7 @@ impl LruLists {
     /// Calling with a non-positive `amount` is a no-op (paper Algorithm 2:
     /// "when called with negative arguments, `flush` and `evict` simply
     /// return").
-    pub fn flush_lru(&mut self, amount: f64, scope: ReclaimScope<'_>) -> f64 {
+    pub fn flush_lru(&mut self, amount: f64, scope: ReclaimScope) -> f64 {
         if amount <= EPSILON {
             return 0.0;
         }
@@ -1116,7 +1119,6 @@ impl LruLists {
         if dirty <= EPSILON {
             return 0.0;
         }
-        let scope = self.files.resolve(scope);
         let mut flushed = 0.0;
         for t in 0..MAX_TIERS {
             if self.lists[t].agg.dirty <= EPSILON {
@@ -1171,7 +1173,7 @@ impl LruLists {
     ///
     /// Walks only the per-tier clean chains, so dirty blocks are never
     /// visited: the cost is O(evicted + out-of-scope clean blocks).
-    pub fn evict(&mut self, amount: f64, scope: ReclaimScope<'_>) -> f64 {
+    pub fn evict(&mut self, amount: f64, scope: ReclaimScope) -> f64 {
         if amount <= EPSILON {
             return 0.0;
         }
@@ -1187,10 +1189,9 @@ impl LruLists {
         self.balance();
         // A host-wide call is capped by the O(1) evictable total, so a call
         // that cannot free anything never scans the whole inactive list.
-        let scope = self.files.resolve(scope);
         let target = match scope {
-            SlotScope::Host(excluded) => amount.min(self.evictable_except(excluded)),
-            SlotScope::Group(_) => amount,
+            ReclaimScope::Host(excluded) => amount.min(self.evictable(excluded)),
+            ReclaimScope::Group(_) => amount,
         };
         if target <= EPSILON {
             return 0.0;
@@ -1259,15 +1260,12 @@ impl LruLists {
         flushed
     }
 
-    /// Marks every dirty block of `file` clean (the cache side of an
+    /// Marks every dirty block of slot `s` clean (the cache side of an
     /// `fsync`), walking only the file's own per-(file, list) chains: O(k) in
     /// the file's block count, independent of how much other data is cached.
     /// Returns the number of bytes to be written back; the caller is
     /// responsible for simulating the corresponding disk write time.
-    pub fn flush_file(&mut self, file: &FileId) -> f64 {
-        let Some(s) = self.files.key(file) else {
-            return 0.0;
-        };
+    pub fn flush_file(&mut self, s: u64) -> f64 {
         if self.files.get(s).bytes.dirty <= EPSILON {
             return 0.0;
         }
@@ -1289,14 +1287,11 @@ impl LruLists {
         flushed
     }
 
-    /// Removes every block of `file` (an invalidation: a client's stale
+    /// Removes every block of slot `s` (an invalidation: a client's stale
     /// copy, or a crash). The file keeps its slot, size and group. Returns
     /// the number of bytes removed. Walks only the file's own chains: O(k)
     /// in the file's block count.
-    pub fn invalidate_file(&mut self, file: &FileId) -> f64 {
-        let Some(s) = self.files.key(file) else {
-            return 0.0;
-        };
+    pub fn invalidate_file(&mut self, s: u64) -> f64 {
         let mut removed = 0.0;
         for k in 0..MAX_TIERS {
             let mut i = self.files.get(s).chains[k].head;
@@ -1664,26 +1659,31 @@ mod tests {
     #[test]
     fn first_access_goes_to_inactive_list() {
         let mut lru = LruLists::new();
-        lru.add_clean("f1".into(), 100.0, t(1.0));
-        lru.add_dirty("f2".into(), 50.0, t(2.0));
+        let f1 = lru.key_or_insert(&"f1".into());
+        let f2 = lru.key_or_insert(&"f2".into());
+        lru.add_clean(f1, 100.0, t(1.0));
+        lru.add_dirty(f2, 50.0, t(2.0));
         assert_eq!(lru.inactive_blocks().count(), 2);
         assert_eq!(lru.active_blocks().count(), 0);
         approx(lru.total_cached(), 150.0);
         approx(lru.total_dirty(), 50.0);
-        approx(lru.cached_amount(&"f1".into()), 100.0);
-        approx(lru.dirty_amount(&"f2".into()), 50.0);
+        approx(lru.cached_amount(f1), 100.0);
+        approx(lru.dirty_amount(f2), 50.0);
         lru.check_invariants().unwrap();
     }
 
     #[test]
     fn group_aggregates_track_all_mutation_paths() {
         let mut lru = LruLists::new();
+        let a = lru.key_or_insert(&"a".into());
+        let b = lru.key_or_insert(&"b".into());
+        let ungrouped = lru.key_or_insert(&"ungrouped".into());
         lru.set_file_group("a".into(), Some(1));
         lru.set_file_group("b".into(), Some(2));
-        lru.add_clean("a".into(), 100.0, t(1.0));
-        lru.add_dirty("a".into(), 50.0, t(2.0));
-        lru.add_clean("b".into(), 70.0, t(3.0));
-        lru.add_clean("ungrouped".into(), 30.0, t(4.0));
+        lru.add_clean(a, 100.0, t(1.0));
+        lru.add_dirty(a, 50.0, t(2.0));
+        lru.add_clean(b, 70.0, t(3.0));
+        lru.add_clean(ungrouped, 30.0, t(4.0));
         approx(lru.group_cached(1), 150.0);
         approx(lru.group_dirty(1), 50.0);
         approx(lru.group_cached(2), 70.0);
@@ -1691,9 +1691,9 @@ mod tests {
         // counters honest.
         lru.flush_lru(20.0, ReclaimScope::Host(None));
         approx(lru.group_dirty(1), 30.0);
-        lru.flush_file(&"a".into());
+        lru.flush_file(a);
         approx(lru.group_dirty(1), 0.0);
-        lru.invalidate_file(&"a".into());
+        lru.invalidate_file(a);
         approx(lru.group_cached(1), 0.0);
         approx(lru.group_cached(2), 70.0);
         lru.check_invariants().unwrap();
@@ -1702,7 +1702,8 @@ mod tests {
     #[test]
     fn group_assignment_after_io_moves_cached_bytes() {
         let mut lru = LruLists::new();
-        lru.add_dirty("f".into(), 80.0, t(1.0));
+        let f = lru.key_or_insert(&"f".into());
+        lru.add_dirty(f, 80.0, t(1.0));
         assert_eq!(lru.file_group(&"f".into()), None);
         lru.set_file_group("f".into(), Some(7));
         assert_eq!(lru.file_group(&"f".into()), Some(7));
@@ -1720,20 +1721,24 @@ mod tests {
     #[test]
     fn group_scoped_evict_only_touches_the_groups_clean_blocks() {
         let mut lru = LruLists::new();
+        let mine = lru.key_or_insert(&"mine".into());
+        let dirty = lru.key_or_insert(&"dirty".into());
+        let theirs = lru.key_or_insert(&"theirs".into());
+        let shared = lru.key_or_insert(&"shared".into());
         lru.set_file_group("mine".into(), Some(1));
         lru.set_file_group("dirty".into(), Some(1));
         lru.set_file_group("theirs".into(), Some(2));
-        lru.add_clean("mine".into(), 100.0, t(1.0));
-        lru.add_dirty("dirty".into(), 40.0, t(2.0));
-        lru.add_clean("theirs".into(), 60.0, t(3.0));
-        lru.add_clean("shared".into(), 50.0, t(4.0));
+        lru.add_clean(mine, 100.0, t(1.0));
+        lru.add_dirty(dirty, 40.0, t(2.0));
+        lru.add_clean(theirs, 60.0, t(3.0));
+        lru.add_clean(shared, 50.0, t(4.0));
         let evicted = lru.evict(300.0, ReclaimScope::Group(1));
         // Only group 1's clean bytes go; dirty, other-group and ungrouped
         // blocks stay.
         approx(evicted, 100.0);
         approx(lru.group_cached(1), 40.0);
         approx(lru.group_cached(2), 60.0);
-        approx(lru.cached_amount(&"shared".into()), 50.0);
+        approx(lru.cached_amount(shared), 50.0);
         // Partial eviction splits the block.
         let evicted = lru.evict(30.0, ReclaimScope::Group(2));
         approx(evicted, 30.0);
@@ -1744,10 +1749,12 @@ mod tests {
     #[test]
     fn group_scoped_flush_cleans_only_the_groups_dirty_data() {
         let mut lru = LruLists::new();
+        let mine = lru.key_or_insert(&"mine".into());
+        let theirs = lru.key_or_insert(&"theirs".into());
         lru.set_file_group("mine".into(), Some(1));
         lru.set_file_group("theirs".into(), Some(2));
-        lru.add_dirty("mine".into(), 100.0, t(1.0));
-        lru.add_dirty("theirs".into(), 60.0, t(2.0));
+        lru.add_dirty(mine, 100.0, t(1.0));
+        lru.add_dirty(theirs, 60.0, t(2.0));
         // Partial flush splits; the neighbour's dirty data is untouched.
         let flushed = lru.flush_lru(30.0, ReclaimScope::Group(1));
         approx(flushed, 30.0);
@@ -1764,18 +1771,19 @@ mod tests {
     #[test]
     fn zero_sized_additions_are_ignored() {
         let mut lru = LruLists::new();
-        lru.add_clean("f".into(), 0.0, t(1.0));
-        lru.add_dirty("f".into(), -5.0, t(1.0));
+        let f = lru.key_or_insert(&"f".into());
+        lru.add_clean(f, 0.0, t(1.0));
+        lru.add_dirty(f, -5.0, t(1.0));
         assert!(lru.is_empty());
     }
 
     #[test]
     fn second_access_promotes_to_active_and_merges_clean_blocks() {
         let mut lru = LruLists::new();
-        let f: FileId = "f1".into();
-        lru.add_clean(f.clone(), 100.0, t(1.0));
-        lru.add_clean(f.clone(), 200.0, t(2.0));
-        let read = lru.read_cached(&f, 300.0, t(3.0));
+        let f = lru.key_or_insert(&"f1".into());
+        lru.add_clean(f, 100.0, t(1.0));
+        lru.add_clean(f, 200.0, t(2.0));
+        let read = lru.read_cached(f, 300.0, t(3.0));
         approx(read, 300.0);
         // Both clean blocks were merged into a single active block.
         assert_eq!(lru.inactive_blocks().count(), 0);
@@ -1789,18 +1797,18 @@ mod tests {
     #[test]
     fn adjacent_clean_inactive_blocks_of_one_file_coalesce() {
         let mut lru = LruLists::new();
-        let f: FileId = "f".into();
+        let f = lru.key_or_insert(&"f".into());
         // Same simulated instant (e.g. two chunks of one request): one node.
-        lru.add_clean(f.clone(), 100.0, t(1.0));
-        lru.add_clean(f.clone(), 200.0, t(1.0));
+        lru.add_clean(f, 100.0, t(1.0));
+        lru.add_clean(f, 200.0, t(1.0));
         assert_eq!(lru.block_count(), 1);
-        approx(lru.cached_amount(&f), 300.0);
+        approx(lru.cached_amount(f), 300.0);
         approx(nth(lru.inactive_blocks(), 0).size, 300.0);
         assert_eq!(nth(lru.inactive_blocks(), 0).last_access, t(1.0));
         // Different timestamps must NOT coalesce: a later demotion with an
         // intermediate timestamp could otherwise land on the wrong side of
         // the merged bytes.
-        lru.add_clean(f.clone(), 50.0, t(2.0));
+        lru.add_clean(f, 50.0, t(2.0));
         assert_eq!(lru.block_count(), 2);
         lru.check_invariants().unwrap();
     }
@@ -1808,19 +1816,22 @@ mod tests {
     #[test]
     fn coalescing_skips_other_files_dirty_blocks_and_the_active_list() {
         let mut lru = LruLists::new();
-        lru.add_clean("a".into(), 100.0, t(1.0));
-        lru.add_clean("b".into(), 100.0, t(2.0));
+        let a = lru.key_or_insert(&"a".into());
+        let b = lru.key_or_insert(&"b".into());
+        lru.add_clean(a, 100.0, t(1.0));
+        lru.add_clean(b, 100.0, t(2.0));
         assert_eq!(lru.block_count(), 2); // different files
         let mut lru = LruLists::new();
-        lru.add_dirty("a".into(), 100.0, t(1.0));
-        lru.add_dirty("a".into(), 100.0, t(2.0));
+        let a = lru.key_or_insert(&"a".into());
+        lru.add_dirty(a, 100.0, t(1.0));
+        lru.add_dirty(a, 100.0, t(2.0));
         assert_eq!(lru.block_count(), 2); // dirty blocks never coalesce
-        let f: FileId = "p".into();
         let mut lru = LruLists::new();
-        lru.add_clean(f.clone(), 100.0, t(1.0));
-        lru.read_cached(&f, 100.0, t(2.0));
-        lru.add_clean(f.clone(), 50.0, t(3.0));
-        lru.read_cached(&f, 50.0, t(4.0));
+        let f = lru.key_or_insert(&"p".into());
+        lru.add_clean(f, 100.0, t(1.0));
+        lru.read_cached(f, 100.0, t(2.0));
+        lru.add_clean(f, 50.0, t(3.0));
+        lru.read_cached(f, 50.0, t(4.0));
         // Both blocks are clean, same file, but live on the active list where
         // coalescing would coarsen demotion granularity.
         assert!(lru.active_blocks().count() >= 1);
@@ -1830,11 +1841,11 @@ mod tests {
     #[test]
     fn flush_turning_blocks_clean_coalesces_them() {
         let mut lru = LruLists::new();
-        let f: FileId = "f".into();
+        let f = lru.key_or_insert(&"f".into());
         // Two dirty blocks written at the same instant (one request, two
         // chunks).
-        lru.add_dirty(f.clone(), 100.0, t(1.0));
-        lru.add_dirty(f.clone(), 100.0, t(1.0));
+        lru.add_dirty(f, 100.0, t(1.0));
+        lru.add_dirty(f, 100.0, t(1.0));
         assert_eq!(lru.block_count(), 2);
         let flushed = lru.flush_lru(200.0, ReclaimScope::Host(None));
         approx(flushed, 200.0);
@@ -1851,13 +1862,13 @@ mod tests {
         // same timestamp; the heads must coalesce fragment by fragment
         // instead of accumulating one node per flush.
         let mut lru = LruLists::new();
-        let f: FileId = "f".into();
-        lru.add_dirty(f.clone(), 1000.0, t(1.0));
+        let f = lru.key_or_insert(&"f".into());
+        lru.add_dirty(f, 1000.0, t(1.0));
         for _ in 0..100 {
             approx(lru.flush_lru(10.0, ReclaimScope::Host(None)), 10.0);
         }
         approx(lru.total_dirty(), 0.0);
-        approx(lru.cached_amount(&f), 1000.0);
+        approx(lru.cached_amount(f), 1000.0);
         // One clean block (all heads merged) — not 100 fragments.
         assert_eq!(lru.block_count(), 1);
         lru.check_invariants().unwrap();
@@ -1866,10 +1877,10 @@ mod tests {
     #[test]
     fn dirty_blocks_move_to_active_individually_preserving_entry_time() {
         let mut lru = LruLists::new();
-        let f: FileId = "f1".into();
-        lru.add_dirty(f.clone(), 100.0, t(1.0));
-        lru.add_dirty(f.clone(), 100.0, t(2.0));
-        let read = lru.read_cached(&f, 200.0, t(5.0));
+        let f = lru.key_or_insert(&"f1".into());
+        lru.add_dirty(f, 100.0, t(1.0));
+        lru.add_dirty(f, 100.0, t(2.0));
+        let read = lru.read_cached(f, 200.0, t(5.0));
         approx(read, 200.0);
         assert_eq!(lru.active_blocks().count(), 2);
         let entries: Vec<f64> = lru
@@ -1884,34 +1895,36 @@ mod tests {
     #[test]
     fn partial_read_splits_a_block() {
         let mut lru = LruLists::new();
-        let f: FileId = "f1".into();
-        lru.add_clean(f.clone(), 100.0, t(1.0));
-        let read = lru.read_cached(&f, 30.0, t(2.0));
+        let f = lru.key_or_insert(&"f1".into());
+        lru.add_clean(f, 100.0, t(1.0));
+        let read = lru.read_cached(f, 30.0, t(2.0));
         approx(read, 30.0);
         // 70 bytes remain on the inactive list, 30 were promoted.
         approx(lru.inactive_bytes(), 70.0);
         approx(lru.active_bytes(), 30.0);
-        approx(lru.cached_amount(&f), 100.0);
+        approx(lru.cached_amount(f), 100.0);
         lru.check_invariants().unwrap();
     }
 
     #[test]
     fn read_cached_returns_only_what_is_cached() {
         let mut lru = LruLists::new();
-        let f: FileId = "f1".into();
-        lru.add_clean(f.clone(), 50.0, t(1.0));
-        let read = lru.read_cached(&f, 200.0, t(2.0));
+        let f = lru.key_or_insert(&"f1".into());
+        lru.add_clean(f, 50.0, t(1.0));
+        let read = lru.read_cached(f, 200.0, t(2.0));
         approx(read, 50.0);
     }
 
     #[test]
     fn read_cached_ignores_other_files() {
         let mut lru = LruLists::new();
-        lru.add_clean("f1".into(), 50.0, t(1.0));
-        lru.add_clean("f2".into(), 80.0, t(2.0));
-        let read = lru.read_cached(&"f1".into(), 100.0, t(3.0));
+        let f1 = lru.key_or_insert(&"f1".into());
+        let f2 = lru.key_or_insert(&"f2".into());
+        lru.add_clean(f1, 50.0, t(1.0));
+        lru.add_clean(f2, 80.0, t(2.0));
+        let read = lru.read_cached(f1, 100.0, t(3.0));
         approx(read, 50.0);
-        approx(lru.cached_amount(&"f2".into()), 80.0);
+        approx(lru.cached_amount(f2), 80.0);
         // f2 stayed on the inactive list.
         assert_eq!(lru.inactive_blocks().count(), 1);
         assert_eq!(nth(lru.inactive_blocks(), 0).file, "f2".into());
@@ -1920,15 +1933,15 @@ mod tests {
     #[test]
     fn inactive_list_is_consumed_before_active_list() {
         let mut lru = LruLists::new();
-        let f: FileId = "f1".into();
+        let f = lru.key_or_insert(&"f1".into());
         // One block on the active list (accessed twice) ...
-        lru.add_clean(f.clone(), 100.0, t(1.0));
-        lru.read_cached(&f, 100.0, t(2.0));
+        lru.add_clean(f, 100.0, t(1.0));
+        lru.read_cached(f, 100.0, t(2.0));
         assert_eq!(lru.active_blocks().count(), 1);
         // ... and a newer block on the inactive list.
-        lru.add_clean(f.clone(), 100.0, t(3.0));
+        lru.add_clean(f, 100.0, t(3.0));
         // Reading 100 bytes must consume the inactive block, not the active one.
-        let read = lru.read_cached(&f, 100.0, t(4.0));
+        let read = lru.read_cached(f, 100.0, t(4.0));
         approx(read, 100.0);
         // The active list now holds the original block plus the newly promoted
         // one; the inactive list may hold demoted blocks from balancing but no
@@ -1939,14 +1952,16 @@ mod tests {
     #[test]
     fn flush_marks_lru_dirty_blocks_clean_in_order() {
         let mut lru = LruLists::new();
-        lru.add_dirty("f1".into(), 100.0, t(1.0));
-        lru.add_dirty("f2".into(), 100.0, t(2.0));
+        let f1 = lru.key_or_insert(&"f1".into());
+        let f2 = lru.key_or_insert(&"f2".into());
+        lru.add_dirty(f1, 100.0, t(1.0));
+        lru.add_dirty(f2, 100.0, t(2.0));
         let flushed = lru.flush_lru(120.0, ReclaimScope::Host(None));
         approx(flushed, 120.0);
         approx(lru.total_dirty(), 80.0);
         // The oldest block (f1) is fully clean, f2 was split.
-        approx(lru.dirty_amount(&"f1".into()), 0.0);
-        approx(lru.dirty_amount(&"f2".into()), 80.0);
+        approx(lru.dirty_amount(f1), 0.0);
+        approx(lru.dirty_amount(f2), 80.0);
         assert_eq!(lru.block_count(), 3);
         lru.check_invariants().unwrap();
     }
@@ -1954,7 +1969,8 @@ mod tests {
     #[test]
     fn flush_with_nonpositive_amount_is_noop() {
         let mut lru = LruLists::new();
-        lru.add_dirty("f1".into(), 100.0, t(1.0));
+        let f1 = lru.key_or_insert(&"f1".into());
+        lru.add_dirty(f1, 100.0, t(1.0));
         assert_eq!(lru.flush_lru(0.0, ReclaimScope::Host(None)), 0.0);
         assert_eq!(lru.flush_lru(-50.0, ReclaimScope::Host(None)), 0.0);
         approx(lru.total_dirty(), 100.0);
@@ -1963,20 +1979,23 @@ mod tests {
     #[test]
     fn flush_excludes_requested_file() {
         let mut lru = LruLists::new();
-        lru.add_dirty("f1".into(), 100.0, t(1.0));
-        lru.add_dirty("f2".into(), 100.0, t(2.0));
-        let f1: FileId = "f1".into();
-        let flushed = lru.flush_lru(150.0, ReclaimScope::Host(Some(&f1)));
+        let f1 = lru.key_or_insert(&"f1".into());
+        let f2 = lru.key_or_insert(&"f2".into());
+        lru.add_dirty(f1, 100.0, t(1.0));
+        lru.add_dirty(f2, 100.0, t(2.0));
+        let flushed = lru.flush_lru(150.0, ReclaimScope::Host(Some(f1)));
         approx(flushed, 100.0); // only f2 was eligible
-        approx(lru.dirty_amount(&f1), 100.0);
-        approx(lru.dirty_amount(&"f2".into()), 0.0);
+        approx(lru.dirty_amount(f1), 100.0);
+        approx(lru.dirty_amount(f2), 0.0);
     }
 
     #[test]
     fn flush_caps_at_available_dirty_data() {
         let mut lru = LruLists::new();
-        lru.add_dirty("f1".into(), 60.0, t(1.0));
-        lru.add_clean("f2".into(), 500.0, t(2.0));
+        let f1 = lru.key_or_insert(&"f1".into());
+        let f2 = lru.key_or_insert(&"f2".into());
+        lru.add_dirty(f1, 60.0, t(1.0));
+        lru.add_clean(f2, 500.0, t(2.0));
         let flushed = lru.flush_lru(1000.0, ReclaimScope::Host(None));
         approx(flushed, 60.0);
         approx(lru.total_dirty(), 0.0);
@@ -1985,30 +2004,34 @@ mod tests {
     #[test]
     fn evict_removes_clean_inactive_blocks_lru_first() {
         let mut lru = LruLists::new();
-        lru.add_clean("f1".into(), 100.0, t(1.0));
-        lru.add_clean("f2".into(), 100.0, t(2.0));
-        lru.add_dirty("f3".into(), 100.0, t(3.0));
+        let f1 = lru.key_or_insert(&"f1".into());
+        let f2 = lru.key_or_insert(&"f2".into());
+        let f3 = lru.key_or_insert(&"f3".into());
+        lru.add_clean(f1, 100.0, t(1.0));
+        lru.add_clean(f2, 100.0, t(2.0));
+        lru.add_dirty(f3, 100.0, t(3.0));
         let evicted = lru.evict(150.0, ReclaimScope::Host(None));
         approx(evicted, 150.0);
-        approx(lru.cached_amount(&"f1".into()), 0.0);
-        approx(lru.cached_amount(&"f2".into()), 50.0);
+        approx(lru.cached_amount(f1), 0.0);
+        approx(lru.cached_amount(f2), 50.0);
         // Dirty data is never evicted.
-        approx(lru.cached_amount(&"f3".into()), 100.0);
+        approx(lru.cached_amount(f3), 100.0);
         lru.check_invariants().unwrap();
     }
 
     #[test]
     fn evict_skips_dirty_and_excluded_and_active_blocks() {
         let mut lru = LruLists::new();
-        let f1: FileId = "f1".into();
+        let f1 = lru.key_or_insert(&"f1".into());
+        let f2 = lru.key_or_insert(&"f2".into());
+        let f3 = lru.key_or_insert(&"f3".into());
         // Promote f1 to the active list.
-        lru.add_clean(f1.clone(), 100.0, t(1.0));
-        lru.read_cached(&f1, 100.0, t(2.0));
-        lru.add_dirty("f2".into(), 100.0, t(3.0));
-        lru.add_clean("f3".into(), 100.0, t(4.0));
-        let f3: FileId = "f3".into();
+        lru.add_clean(f1, 100.0, t(1.0));
+        lru.read_cached(f1, 100.0, t(2.0));
+        lru.add_dirty(f2, 100.0, t(3.0));
+        lru.add_clean(f3, 100.0, t(4.0));
         // Only f3 is clean+inactive, and it is excluded -> nothing to evict.
-        let evicted = lru.evict(300.0, ReclaimScope::Host(Some(&f3)));
+        let evicted = lru.evict(300.0, ReclaimScope::Host(Some(f3)));
         approx(evicted, 0.0);
         // Without the exclusion, only f3 can be evicted.
         let evicted = lru.evict(300.0, ReclaimScope::Host(None));
@@ -2019,7 +2042,8 @@ mod tests {
     #[test]
     fn evict_with_nonpositive_amount_is_noop() {
         let mut lru = LruLists::new();
-        lru.add_clean("f1".into(), 100.0, t(1.0));
+        let f1 = lru.key_or_insert(&"f1".into());
+        lru.add_clean(f1, 100.0, t(1.0));
         assert_eq!(lru.evict(-10.0, ReclaimScope::Host(None)), 0.0);
         approx(lru.total_cached(), 100.0);
     }
@@ -2027,11 +2051,13 @@ mod tests {
     #[test]
     fn evictable_counts_only_clean_inactive_blocks() {
         let mut lru = LruLists::new();
-        let f1: FileId = "f1".into();
-        lru.add_clean(f1.clone(), 100.0, t(1.0));
-        lru.read_cached(&f1, 100.0, t(2.0)); // now active
-        lru.add_clean("f2".into(), 70.0, t(3.0));
-        lru.add_dirty("f3".into(), 30.0, t(4.0));
+        let f1 = lru.key_or_insert(&"f1".into());
+        let f2 = lru.key_or_insert(&"f2".into());
+        let f3 = lru.key_or_insert(&"f3".into());
+        lru.add_clean(f1, 100.0, t(1.0));
+        lru.read_cached(f1, 100.0, t(2.0)); // now active
+        lru.add_clean(f2, 70.0, t(3.0));
+        lru.add_dirty(f3, 30.0, t(4.0));
         // Balancing may demote the f1 block back to inactive (active must stay
         // <= 2x inactive); account for whichever split results.
         let evictable = lru.evictable(None);
@@ -2041,16 +2067,18 @@ mod tests {
             .map(|b| b.size)
             .sum();
         approx(evictable, clean_inactive);
-        let f2: FileId = "f2".into();
-        assert!(lru.evictable(Some(&f2)) <= evictable - 70.0 + EPSILON);
+        assert!(lru.evictable(Some(f2)) <= evictable - 70.0 + EPSILON);
     }
 
     #[test]
     fn flush_expired_only_touches_old_dirty_blocks() {
         let mut lru = LruLists::new();
-        lru.add_dirty("f1".into(), 100.0, t(0.0));
-        lru.add_dirty("f2".into(), 100.0, t(20.0));
-        lru.add_clean("f3".into(), 100.0, t(0.0));
+        let f1 = lru.key_or_insert(&"f1".into());
+        let f2 = lru.key_or_insert(&"f2".into());
+        let f3 = lru.key_or_insert(&"f3".into());
+        lru.add_dirty(f1, 100.0, t(0.0));
+        lru.add_dirty(f2, 100.0, t(20.0));
+        lru.add_clean(f3, 100.0, t(0.0));
         let flushed = lru.flush_expired(t(35.0), 30.0);
         approx(flushed, 100.0); // only f1 is older than 30 s
         approx(lru.total_dirty(), 100.0);
@@ -2063,13 +2091,13 @@ mod tests {
     #[test]
     fn balance_demotes_lru_active_blocks() {
         let mut lru = LruLists::new();
-        let f: FileId = "f".into();
+        let f = lru.key_or_insert(&"f".into());
         // Promote three separate dirty blocks (dirty blocks are not merged),
         // so the active list holds 300 bytes in three blocks.
         for i in 0..3 {
-            lru.add_dirty(f.clone(), 100.0, t(i as f64));
+            lru.add_dirty(f, 100.0, t(i as f64));
         }
-        lru.read_cached(&f, 300.0, t(10.0));
+        lru.read_cached(f, 300.0, t(10.0));
         assert_eq!(lru.active_blocks().count(), 3);
         approx(lru.inactive_bytes(), 0.0);
         // Balancing demotes least recently used active blocks until the
@@ -2080,8 +2108,9 @@ mod tests {
         lru.check_invariants().unwrap();
         // Eviction triggers the same re-balancing internally.
         let mut lru2 = LruLists::new();
-        lru2.add_clean(f.clone(), 100.0, t(0.0));
-        lru2.read_cached(&f, 100.0, t(1.0)); // now 100 bytes active, 0 inactive
+        let f = lru2.key_or_insert(&"f".into());
+        lru2.add_clean(f, 100.0, t(0.0));
+        lru2.read_cached(f, 100.0, t(1.0)); // now 100 bytes active, 0 inactive
         let evicted = lru2.evict(50.0, ReclaimScope::Host(None));
         approx(evicted, 50.0);
         lru2.check_invariants().unwrap();
@@ -2090,13 +2119,15 @@ mod tests {
     #[test]
     fn invalidate_file_removes_all_its_blocks() {
         let mut lru = LruLists::new();
-        lru.add_clean("f1".into(), 100.0, t(1.0));
-        lru.add_dirty("f1".into(), 50.0, t(2.0));
-        lru.add_clean("f2".into(), 30.0, t(3.0));
-        let removed = lru.invalidate_file(&"f1".into());
+        let f1 = lru.key_or_insert(&"f1".into());
+        let f2 = lru.key_or_insert(&"f2".into());
+        lru.add_clean(f1, 100.0, t(1.0));
+        lru.add_dirty(f1, 50.0, t(2.0));
+        lru.add_clean(f2, 30.0, t(3.0));
+        let removed = lru.invalidate_file(f1);
         approx(removed, 150.0);
         approx(lru.total_cached(), 30.0);
-        approx(lru.cached_amount(&"f1".into()), 0.0);
+        approx(lru.cached_amount(f1), 0.0);
     }
 
     #[test]
@@ -2104,11 +2135,8 @@ mod tests {
         let mut lru = LruLists::new();
         for round in 0..5 {
             for i in 0..10 {
-                lru.add_dirty(
-                    FileId::new(format!("f{i}")),
-                    10.0,
-                    t((round * 10 + i) as f64),
-                );
+                let f = lru.key_or_insert(&FileId::new(format!("f{i}")));
+                lru.add_dirty(f, 10.0, t((round * 10 + i) as f64));
             }
             lru.flush_lru(100.0, ReclaimScope::Host(None));
             lru.evict(100.0, ReclaimScope::Host(None));
@@ -2126,9 +2154,11 @@ mod tests {
     #[test]
     fn cached_per_file_reports_every_file() {
         let mut lru = LruLists::new();
-        lru.add_clean("f1".into(), 100.0, t(1.0));
-        lru.add_dirty("f2".into(), 50.0, t(2.0));
-        lru.add_clean("f1".into(), 25.0, t(3.0));
+        let f1 = lru.key_or_insert(&"f1".into());
+        let f2 = lru.key_or_insert(&"f2".into());
+        lru.add_clean(f1, 100.0, t(1.0));
+        lru.add_dirty(f2, 50.0, t(2.0));
+        lru.add_clean(f1, 25.0, t(3.0));
         let map = lru.cached_per_file();
         approx(*map.get(&"f1".into()).unwrap(), 125.0);
         approx(*map.get(&"f2".into()).unwrap(), 50.0);
@@ -2140,19 +2170,20 @@ mod tests {
     fn a_fully_evicted_file_keeps_its_slot() {
         let mut lru = LruLists::new();
         let f: FileId = "f".into();
-        lru.add_clean(f.clone(), 100.0, t(1.0));
-        let key = lru.files.key(&f);
-        lru.add_clean("other".into(), 50.0, t(2.0));
+        let key = lru.key_or_insert(&f);
+        let other = lru.key_or_insert(&"other".into());
+        lru.add_clean(key, 100.0, t(1.0));
+        lru.add_clean(other, 50.0, t(2.0));
         approx(lru.evict(100.0, ReclaimScope::Host(None)), 100.0);
-        approx(lru.cached_amount(&f), 0.0);
+        approx(lru.cached_amount(key), 0.0);
         assert!(!lru.cached_per_file().contains_key(&f));
         assert_eq!(lru.files.len(), 2, "the empty slot stays");
         lru.check_invariants().unwrap();
-        lru.add_clean(f.clone(), 40.0, t(3.0));
-        assert_eq!(lru.files.key(&f), key);
-        approx(lru.cached_amount(&f), 40.0);
-        approx(lru.dirty_amount(&f), 0.0);
-        approx(lru.evictable(Some(&f)), 50.0);
+        lru.add_clean(key, 40.0, t(3.0));
+        assert_eq!(lru.key(&f), Some(key));
+        approx(lru.cached_amount(key), 40.0);
+        approx(lru.dirty_amount(key), 0.0);
+        approx(lru.evictable(Some(key)), 50.0);
         approx(lru.cached_per_file()[&f], 40.0);
         lru.check_invariants().unwrap();
     }
@@ -2162,29 +2193,30 @@ mod tests {
         let mut lru = LruLists::new();
         let f: FileId = "f".into();
         lru.set_file_group(f.clone(), Some(3));
-        lru.add_clean(f.clone(), 100.0, t(1.0));
+        let key = lru.key(&f).unwrap();
+        lru.add_clean(key, 100.0, t(1.0));
         approx(lru.evict(100.0, ReclaimScope::Group(3)), 100.0);
         assert_eq!(lru.file_group(&f), Some(3));
         approx(lru.group_cached(3), 0.0);
         assert!(!lru.cached_per_file().contains_key(&f));
         lru.check_invariants().unwrap();
         // The group's bytes come back with the file's data.
-        lru.add_clean(f.clone(), 60.0, t(2.0));
+        lru.add_clean(key, 60.0, t(2.0));
         approx(lru.group_cached(3), 60.0);
-        lru.add_dirty(f.clone(), 20.0, t(3.0));
+        lru.add_dirty(key, 20.0, t(3.0));
         approx(lru.group_dirty(3), 20.0);
         // Invalidation drops the data but keeps the group: new bytes of the
         // file count to it again.
-        approx(lru.invalidate_file(&f), 80.0);
+        approx(lru.invalidate_file(key), 80.0);
         assert_eq!(lru.file_group(&f), Some(3));
         approx(lru.group_cached(3), 0.0);
         approx(lru.group_dirty(3), 0.0);
-        lru.add_dirty(f.clone(), 25.0, t(4.0));
+        lru.add_dirty(key, 25.0, t(4.0));
         approx(lru.group_cached(3), 25.0);
         approx(lru.group_dirty(3), 25.0);
         lru.check_invariants().unwrap();
         // Clearing the group of an empty file keeps its slot.
-        lru.invalidate_file(&f);
+        lru.invalidate_file(key);
         assert_eq!(lru.file_group(&f), Some(3));
         lru.set_file_group(f.clone(), None);
         assert_eq!(lru.file_group(&f), None);
@@ -2196,20 +2228,18 @@ mod tests {
     fn an_invalidated_file_keeps_its_key_and_size() {
         let mut lru = LruLists::new();
         let f = FileId::new("f");
-        lru.files.create(&f, 300.0, |_| Ok(())).unwrap();
-        let key = lru.files.key(&f).unwrap();
-        lru.add_dirty(f.clone(), 100.0, t(1.0));
-        approx(lru.invalidate_file(&f), 100.0);
+        let key = lru.files.create(&f, 300.0, |_| Ok(())).unwrap();
+        lru.add_dirty(key, 100.0, t(1.0));
+        approx(lru.invalidate_file(key), 100.0);
         // Same key, same size, fresh cache state.
-        assert_eq!(lru.files.key(&f), Some(key));
-        assert_eq!(lru.files.size(&f), Ok(300.0));
-        approx(lru.cached_amount(&f), 0.0);
+        assert_eq!(lru.files.size(&f), Ok((key, 300.0)));
+        approx(lru.cached_amount(key), 0.0);
         lru.check_invariants().unwrap();
-        lru.add_clean(f.clone(), 30.0, t(2.0));
-        assert_eq!(lru.files.key(&f), Some(key));
+        lru.add_clean(key, 30.0, t(2.0));
+        assert_eq!(lru.key(&f), Some(key));
         assert_eq!(lru.files.len(), 1);
-        approx(lru.cached_amount(&f), 30.0);
-        approx(lru.dirty_amount(&f), 0.0);
+        approx(lru.cached_amount(key), 30.0);
+        approx(lru.dirty_amount(key), 0.0);
         lru.check_invariants().unwrap();
     }
 
@@ -2217,12 +2247,14 @@ mod tests {
     fn add_invalidate_cycles_keep_one_slot_per_file() {
         let mut lru = LruLists::new();
         lru.set_file_group("grouped".into(), Some(1));
-        lru.add_clean("live".into(), 10.0, t(0.0));
+        let live = lru.key_or_insert(&"live".into());
+        lru.add_clean(live, 10.0, t(0.0));
         let f = FileId::new("cycled");
         for i in 0..1_000 {
-            lru.add_dirty(f.clone(), 10.0, t(i as f64));
-            assert_eq!(lru.files.key(&f), Some(2), "the file keeps its key");
-            lru.invalidate_file(&f);
+            let key = lru.key_or_insert(&f);
+            assert_eq!(key, 2, "the file keeps its key");
+            lru.add_dirty(key, 10.0, t(i as f64));
+            lru.invalidate_file(key);
         }
         assert_eq!(lru.files.len(), 3, "one slot per file");
         lru.check_invariants().unwrap();
@@ -2231,8 +2263,10 @@ mod tests {
     #[test]
     fn work_counts_every_reclaim_call_with_a_positive_amount() {
         let mut lru = LruLists::new();
-        lru.add_dirty("d".into(), 100.0, t(1.0));
-        lru.add_clean("c".into(), 100.0, t(2.0));
+        let d = lru.key_or_insert(&"d".into());
+        let c = lru.key_or_insert(&"c".into());
+        lru.add_dirty(d, 100.0, t(1.0));
+        lru.add_clean(c, 100.0, t(2.0));
         lru.evict(0.0, ReclaimScope::Host(None));
         lru.flush_lru(-1.0, ReclaimScope::Host(None));
         assert_eq!((lru.work().evict_calls, lru.work().flush_calls), (0, 0));
@@ -2250,12 +2284,13 @@ mod tests {
     fn read_cache_total_is_conserved() {
         // Reading cached data must never change the total amount cached.
         let mut lru = LruLists::new();
-        let f: FileId = "f".into();
-        lru.add_clean(f.clone(), 100.0, t(1.0));
-        lru.add_dirty(f.clone(), 60.0, t(2.0));
-        lru.add_clean("other".into(), 40.0, t(3.0));
+        let other = lru.key_or_insert(&"other".into());
+        let f = lru.key_or_insert(&"f".into());
+        lru.add_clean(f, 100.0, t(1.0));
+        lru.add_dirty(f, 60.0, t(2.0));
+        lru.add_clean(other, 40.0, t(3.0));
         let before = lru.total_cached();
-        lru.read_cached(&f, 130.0, t(4.0));
+        lru.read_cached(f, 130.0, t(4.0));
         approx(lru.total_cached(), before);
         approx(lru.total_dirty(), 60.0);
         lru.check_invariants().unwrap();
@@ -2264,21 +2299,22 @@ mod tests {
     #[test]
     fn two_q_ghost_hit_readmits_to_the_main_list() {
         let mut lru = LruLists::with_policy(EvictionPolicy::TwoQ);
-        let f: FileId = "reread".into();
-        lru.add_clean(f.clone(), 100.0, t(1.0));
+        let cold = lru.key_or_insert(&"cold".into());
+        let f = lru.key_or_insert(&"reread".into());
+        lru.add_clean(f, 100.0, t(1.0));
         assert_eq!(lru.tier_blocks(0).count(), 1); // probationary A1in
         lru.evict(100.0, ReclaimScope::Host(None)); // evicted from A1in -> remembered as a ghost
-        approx(lru.cached_amount(&f), 0.0);
+        approx(lru.cached_amount(f), 0.0);
         // The ghost hit routes the re-fetched data straight to Am (tier 1).
-        lru.add_clean(f.clone(), 100.0, t(2.0));
+        lru.add_clean(f, 100.0, t(2.0));
         assert_eq!(lru.tier_blocks(0).count(), 0);
         assert_eq!(lru.tier_blocks(1).count(), 1);
         // A1in drains before Am: the newer cold block is reclaimed first.
-        lru.add_clean("cold".into(), 100.0, t(3.0));
+        lru.add_clean(cold, 100.0, t(3.0));
         let evicted = lru.evict(100.0, ReclaimScope::Host(None));
         approx(evicted, 100.0);
-        approx(lru.cached_amount(&f), 100.0);
-        approx(lru.cached_amount(&"cold".into()), 0.0);
+        approx(lru.cached_amount(f), 100.0);
+        approx(lru.cached_amount(cold), 0.0);
         lru.check_invariants().unwrap();
     }
 
@@ -2290,12 +2326,12 @@ mod tests {
             let mut clock = 0.0;
             for round in 0..30 {
                 clock += 1.0;
-                let f = FileId::new(format!("f{}", round % 5));
+                let f = lru.key_or_insert(&FileId::new(format!("f{}", round % 5)));
                 match round % 6 {
                     0 | 1 => lru.add_clean(f, 50.0, t(clock)),
                     2 => lru.add_dirty(f, 30.0, t(clock)),
                     3 => {
-                        lru.read_cached(&f, 40.0, t(clock));
+                        lru.read_cached(f, 40.0, t(clock));
                     }
                     4 => {
                         lru.flush_lru(60.0, ReclaimScope::Host(None));
@@ -2329,18 +2365,20 @@ mod tests {
     fn churn(policy: EvictionPolicy, seed: u64) -> LruLists {
         let mut lru = LruLists::with_policy(policy);
         let mut rng = XorShift(seed);
-        let files: Vec<FileId> = (0..4).map(|i| FileId::new(format!("f{i}"))).collect();
+        let files: Vec<u64> = (0..4)
+            .map(|i| lru.key_or_insert(&FileId::new(format!("f{i}"))))
+            .collect();
         let mut clock = 0.0;
         for _ in 0..2000 {
             if rng.below(3) == 0 {
                 clock += 0.25 * (1 + rng.below(4)) as f64;
             }
             let now = t(clock);
-            let f = &files[rng.below(4) as usize];
+            let f = files[rng.below(4) as usize];
             let size = 1.0 + rng.below(4096) as f64 * 0.37;
             match rng.below(8) {
-                0 | 1 => lru.add_clean(f.clone(), size, now),
-                2 => lru.add_dirty(f.clone(), size, now),
+                0 | 1 => lru.add_clean(f, size, now),
+                2 => lru.add_dirty(f, size, now),
                 3 | 4 => {
                     lru.read_cached(f, 3.0 * size, now);
                 }
@@ -2450,22 +2488,23 @@ mod tests {
     #[test]
     fn a_warm_reread_moves_the_files_nodes_in_place() {
         let mut lru = LruLists::new();
-        let f: FileId = "f".into();
-        lru.add_clean(f.clone(), 100.0, t(0.0));
+        let other = lru.key_or_insert(&"other".into());
+        let f = lru.key_or_insert(&"f".into());
+        lru.add_clean(f, 100.0, t(0.0));
         // Dirty blocks never coalesce: k whole blocks.
         for i in 1..=4 {
-            lru.add_dirty(f.clone(), 10.0 * i as f64, t(i as f64));
+            lru.add_dirty(f, 10.0 * i as f64, t(i as f64));
         }
         // A freed node, so the free list the re-read must not touch is not
         // empty.
-        lru.add_clean("other".into(), 50.0, t(5.0));
-        lru.evict(50.0, ReclaimScope::Host(Some(&f)));
-        approx(lru.read_cached(&f, 200.0, t(6.0)), 200.0);
+        lru.add_clean(other, 50.0, t(5.0));
+        lru.evict(50.0, ReclaimScope::Host(Some(f)));
+        approx(lru.read_cached(f, 200.0, t(6.0)), 200.0);
         // The first read merged the clean block; the file now has one clean
         // and four dirty nodes on the active list.
         let nodes = |lru: &LruLists| {
             let mut out = Vec::new();
-            let mut i = lru.files.get(lru.files.key(&f).unwrap()).chains[ACTIVE_TIER].head;
+            let mut i = lru.files.get(f).chains[ACTIVE_TIER].head;
             while i != NIL {
                 out.push(i);
                 i = node_ref(&lru.arena, i).links[FILE].next;
@@ -2483,7 +2522,7 @@ mod tests {
         };
         let before = (nodes(&lru), lru.arena.len(), free_list(&lru));
         assert_eq!(before.0.len(), 5);
-        approx(lru.read_cached(&f, 200.0, t(7.0)), 200.0);
+        approx(lru.read_cached(f, 200.0, t(7.0)), 200.0);
         assert_eq!((nodes(&lru), lru.arena.len(), free_list(&lru)), before);
         assert!(lru.active_blocks().all(|b| b.last_access == t(7.0)));
         lru.check_invariants().unwrap();
@@ -2492,13 +2531,15 @@ mod tests {
     #[test]
     fn out_of_order_insert_lands_at_sorted_position() {
         let mut lru = LruLists::new();
+        let mid = lru.key_or_insert(&"mid".into());
+        let new = lru.key_or_insert(&"new".into());
         // Force a demotion whose last_access falls between two inactive
         // blocks: the demoted block must land between them.
-        let f: FileId = "old".into();
-        lru.add_clean(f.clone(), 10.0, t(1.0));
-        lru.read_cached(&f, 10.0, t(2.0)); // active, la = 2
-        lru.add_clean("mid".into(), 1.0, t(1.5));
-        lru.add_clean("new".into(), 1.0, t(3.0));
+        let f = lru.key_or_insert(&"old".into());
+        lru.add_clean(f, 10.0, t(1.0));
+        lru.read_cached(f, 10.0, t(2.0)); // active, la = 2
+        lru.add_clean(mid, 1.0, t(1.5));
+        lru.add_clean(new, 1.0, t(3.0));
         lru.balance();
         let la: Vec<f64> = lru
             .inactive_blocks()

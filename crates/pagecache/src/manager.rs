@@ -16,11 +16,12 @@
 //! [`MemoryManager::flush`] and [`MemoryManager::flush_expired`] only dirty
 //! blocks, [`MemoryManager::evict`] only clean blocks, and every byte
 //! aggregate the controller polls is O(1). Per-file state lives in a slot
-//! table: each call here resolves the file name once, and the block steps
-//! behind it index slots instead of hashing names. The same table is the
-//! host's file namespace: [`MemoryManager::create_file`],
-//! [`MemoryManager::extend_file`] and [`MemoryManager::file_size`] keep
-//! each file's size in its slot, and a slot lives as long as its file.
+//! table. The same table is the host's file namespace:
+//! [`MemoryManager::create_file`], [`MemoryManager::extend_file`] and
+//! [`MemoryManager::file_size`] keep each file's size in its slot, and a
+//! slot lives as long as its file. Each of them returns the file's slot
+//! key, the one name lookup of an op; every per-file step here takes that
+//! key ([`crate::FileTable`] states the rule).
 //!
 //! [`MemoryManager::evict`] and [`MemoryManager::flush`] take a
 //! [`ReclaimScope`]: the controller's read step reclaims host-wide,
@@ -161,43 +162,58 @@ impl MemoryManager {
     }
 
     /// Clean bytes of the inactive list that could be evicted, optionally
-    /// excluding one file.
-    pub fn evictable(&self, exclude: Option<&FileId>) -> f64 {
-        self.state.borrow().lru.evictable(exclude)
+    /// excluding the file of one slot.
+    pub fn evictable(&self, excluded: Option<u64>) -> f64 {
+        self.state.borrow().lru.evictable(excluded)
     }
 
-    /// Cached bytes of a given file.
-    pub fn cached_amount(&self, file: &FileId) -> f64 {
-        self.state.borrow().lru.cached_amount(file)
+    /// Cached bytes of the file of slot `key`.
+    pub fn cached_amount(&self, key: u64) -> f64 {
+        self.state.borrow().lru.cached_amount(key)
     }
 
-    /// Dirty bytes of a given file.
-    pub fn dirty_amount(&self, file: &FileId) -> f64 {
-        self.state.borrow().lru.dirty_amount(file)
+    /// Dirty bytes of the file of slot `key`.
+    pub fn dirty_amount(&self, key: u64) -> f64 {
+        self.state.borrow().lru.dirty_amount(key)
+    }
+
+    /// The slot key of `file`, if this host created or cached it.
+    pub fn key(&self, file: &FileId) -> Option<u64> {
+        self.state.borrow().lru.key(file)
+    }
+
+    /// The slot key of `file`, with a slot made for it if it has none: a
+    /// cache that holds copies of files another host owns (a fleet
+    /// client's) resolves a file this way at the start of an op.
+    pub fn key_or_insert(&self, file: &FileId) -> u64 {
+        self.state.borrow_mut().lru.key_or_insert(file)
+    }
+
+    /// Name-index lookups of this host's file table so far
+    /// ([`crate::FileTable::name_lookups`]).
+    pub fn name_lookups(&self) -> u64 {
+        self.state.borrow().lru.files.name_lookups()
     }
 
     /// Creates `file` with `size` bytes, allocating its space on the disk
-    /// (the host's create rule, [`crate::FileTable::create`]).
-    pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), FsError> {
+    /// (the host's create rule, [`crate::FileTable::create`]), and returns
+    /// its slot key.
+    pub fn create_file(&self, file: &FileId, size: f64) -> Result<u64, FsError> {
         let files = &mut self.state.borrow_mut().lru.files;
-        files
-            .create(file, size, |b| self.disk.allocate(b))
-            .map(drop)
+        files.create(file, size, |b| self.disk.allocate(b))
     }
 
     /// Grows `file` to cover a write of `len` bytes at `offset`, allocating
     /// the growth on the disk (the host's extend rule,
-    /// [`crate::FileTable::extend`]).
-    pub fn extend_file(&self, file: &FileId, offset: f64, len: f64) -> Result<(), FsError> {
+    /// [`crate::FileTable::extend`]), and returns its slot key.
+    pub fn extend_file(&self, file: &FileId, offset: f64, len: f64) -> Result<u64, FsError> {
         let files = &mut self.state.borrow_mut().lru.files;
-        files
-            .extend(file, offset, len, |b| self.disk.allocate(b))
-            .map(drop)
+        files.extend(file, offset, len, |b| self.disk.allocate(b))
     }
 
-    /// The size of `file`, or [`FsError::FileNotFound`] if this host never
-    /// created it.
-    pub fn file_size(&self, file: &FileId) -> Result<f64, FsError> {
+    /// The slot key and the size of `file`, or [`FsError::FileNotFound`] if
+    /// this host never created it.
+    pub fn file_size(&self, file: &FileId) -> Result<(u64, f64), FsError> {
         self.state.borrow().lru.files.size(file)
     }
 
@@ -248,25 +264,23 @@ impl MemoryManager {
         s.anonymous = (s.anonymous - amount).max(0.0);
     }
 
-    /// Adds clean data to the cache (data that was just read from disk, or
-    /// written through to disk). Takes no simulated time: the corresponding
-    /// device transfer has already been simulated by the caller.
-    pub fn add_to_cache(&self, file: &FileId, amount: f64) {
+    /// Adds clean data of the file of slot `key` to the cache (data that
+    /// was just read from disk, or written through to disk). Takes no
+    /// simulated time: the corresponding device transfer has already been
+    /// simulated by the caller.
+    pub fn add_to_cache(&self, key: u64, amount: f64) {
         if amount <= EPSILON {
             return;
         }
         let now = self.ctx.now();
-        self.state
-            .borrow_mut()
-            .lru
-            .add_clean(file.clone(), amount, now);
+        self.state.borrow_mut().lru.add_clean(key, amount, now);
     }
 
     /// Evicts up to `amount` bytes of clean data within `scope` from the
     /// inactive list (paper §III-A-3). Eviction takes no simulated time
     /// ("cache eviction time is negligible in real systems"). Returns the
     /// number of bytes evicted. Non-positive amounts are a no-op.
-    pub fn evict(&self, amount: f64, scope: ReclaimScope<'_>) -> f64 {
+    pub fn evict(&self, amount: f64, scope: ReclaimScope) -> f64 {
         let mut s = self.state.borrow_mut();
         let evicted = s.lru.evict(amount, scope);
         s.counters.evicted += evicted;
@@ -278,7 +292,7 @@ impl MemoryManager {
     /// simulated; the bytes count as synchronous (on-demand) flushing.
     /// Returns the number of bytes flushed. Non-positive amounts are a
     /// no-op.
-    pub async fn flush(&self, amount: f64, scope: ReclaimScope<'_>) -> f64 {
+    pub async fn flush(&self, amount: f64, scope: ReclaimScope) -> f64 {
         let flushed = {
             let mut s = self.state.borrow_mut();
             let flushed = s.lru.flush_lru(amount, scope);
@@ -291,14 +305,15 @@ impl MemoryManager {
         flushed
     }
 
-    /// Flushes every dirty byte of one file to disk (the cache side of an
-    /// `fsync`): walks only the file's own chains — O(file's blocks) — and
-    /// simulates the disk write. Counted as synchronous (on-demand) flushing.
-    /// Returns the number of bytes written back.
-    pub async fn flush_file(&self, file: &FileId) -> f64 {
+    /// Flushes every dirty byte of the file of slot `key` to disk (the
+    /// cache side of an `fsync`): walks only the file's own chains —
+    /// O(file's blocks) — and simulates the disk write. Counted as
+    /// synchronous (on-demand) flushing. Returns the number of bytes
+    /// written back.
+    pub async fn flush_file(&self, key: u64) -> f64 {
         let flushed = {
             let mut s = self.state.borrow_mut();
-            let flushed = s.lru.flush_file(file);
+            let flushed = s.lru.flush_file(key);
             s.counters.flushed_on_demand += flushed;
             flushed
         };
@@ -308,14 +323,14 @@ impl MemoryManager {
         flushed
     }
 
-    /// Reads `amount` bytes of `file` from the cache: updates the LRU lists
-    /// (promotions, merges, splits) and simulates the memory read. Returns the
-    /// number of bytes that were actually cached.
-    pub async fn read_from_cache(&self, file: &FileId, amount: f64) -> f64 {
+    /// Reads `amount` bytes of the file of slot `key` from the cache:
+    /// updates the LRU lists (promotions, merges, splits) and simulates the
+    /// memory read. Returns the number of bytes that were actually cached.
+    pub async fn read_from_cache(&self, key: u64, amount: f64) -> f64 {
         let read = {
             let now = self.ctx.now();
             let mut s = self.state.borrow_mut();
-            s.lru.read_cached(file, amount, now)
+            s.lru.read_cached(key, amount, now)
         };
         if read > EPSILON {
             self.memory.read(read).await;
@@ -323,24 +338,23 @@ impl MemoryManager {
         read
     }
 
-    /// Writes `amount` bytes of `file` into the cache as dirty data: simulates
-    /// the memory write and creates a dirty block on the inactive list.
-    pub async fn write_to_cache(&self, file: &FileId, amount: f64) {
+    /// Writes `amount` bytes of the file of slot `key` into the cache as
+    /// dirty data: simulates the memory write and creates a dirty block on
+    /// the inactive list.
+    pub async fn write_to_cache(&self, key: u64, amount: f64) {
         if amount <= EPSILON {
             return;
         }
         self.memory.write(amount).await;
         let now = self.ctx.now();
-        self.state
-            .borrow_mut()
-            .lru
-            .add_dirty(file.clone(), amount, now);
+        self.state.borrow_mut().lru.add_dirty(key, amount, now);
     }
 
-    /// Drops every cached block of `file` (an invalidation); the file keeps
-    /// its size and group. Returns the number of bytes invalidated.
-    pub fn invalidate_file(&self, file: &FileId) -> f64 {
-        self.state.borrow_mut().lru.invalidate_file(file)
+    /// Drops every cached block of the file of slot `key` (an
+    /// invalidation); the file keeps its size and group. Returns the number
+    /// of bytes invalidated.
+    pub fn invalidate_file(&self, key: u64) -> f64 {
+        self.state.borrow_mut().lru.invalidate_file(key)
     }
 
     /// Assigns `file` to cache group `group` (a tenant, in memcg terms), or
@@ -405,16 +419,23 @@ impl MemoryManager {
     /// time; the trace and counters survive (they describe the run, not the
     /// volatile state).
     pub fn crash_discard(&self) -> Vec<(FileId, f64)> {
-        let files: Vec<FileId> = self.cached_per_file().into_keys().collect();
+        let mut s = self.state.borrow_mut();
+        let lru = &mut s.lru;
+        // The cached files in name order: `lost` lists them by name, and
+        // every byte total gives up its bytes in that order.
+        let mut cached: Vec<u64> = (0..lru.files.len() as u64)
+            .filter(|&key| lru.cached_amount(key) > EPSILON)
+            .collect();
+        cached.sort_by(|&a, &b| lru.files.name(a).cmp(lru.files.name(b)));
         let mut lost = Vec::new();
-        for file in files {
-            let dirty = self.dirty_amount(&file);
+        for key in cached {
+            let dirty = lru.dirty_amount(key);
             if dirty > EPSILON {
-                lost.push((file.clone(), dirty));
+                lost.push((lru.files.name(key).clone(), dirty));
             }
-            self.invalidate_file(&file);
+            lru.invalidate_file(key);
         }
-        self.state.borrow_mut().anonymous = 0.0;
+        s.anonymous = 0.0;
         lost
     }
 
@@ -532,6 +553,11 @@ mod tests {
         (sim, mm)
     }
 
+    /// The slot key of `name` on `mm`, made if needed.
+    fn key(mm: &MemoryManager, name: &str) -> u64 {
+        mm.key_or_insert(&name.into())
+    }
+
     fn approx(a: f64, b: f64) {
         assert!(
             (a - b).abs() < 1e-6 * b.abs().max(1.0),
@@ -544,7 +570,7 @@ mod tests {
         let (_sim, mm) = setup(1000.0 * MB);
         assert_eq!(mm.free_memory(), 1000.0 * MB);
         mm.use_anonymous_memory(200.0 * MB);
-        mm.add_to_cache(&"f".into(), 300.0 * MB);
+        mm.add_to_cache(key(&mm, "f"), 300.0 * MB);
         approx(mm.free_memory(), 500.0 * MB);
         approx(mm.available_memory(), 800.0 * MB);
         approx(mm.cached(), 300.0 * MB);
@@ -561,7 +587,7 @@ mod tests {
         let h = sim.spawn({
             let mm = mm.clone();
             async move {
-                mm.write_to_cache(&"f".into(), 150.0 * MB).await;
+                mm.write_to_cache(key(&mm, "f"), 150.0 * MB).await;
             }
         });
         sim.run();
@@ -578,7 +604,7 @@ mod tests {
         let h = sim.spawn({
             let mm = mm.clone();
             async move {
-                mm.write_to_cache(&"f".into(), 1000.0 * MB).await;
+                mm.write_to_cache(key(&mm, "f"), 1000.0 * MB).await;
             }
         });
         sim.run();
@@ -589,10 +615,10 @@ mod tests {
     #[test]
     fn read_from_cache_promotes_and_costs_memory_time() {
         let (sim, mm) = setup(10_000.0 * MB);
-        mm.add_to_cache(&"f".into(), 500.0 * MB);
+        mm.add_to_cache(key(&mm, "f"), 500.0 * MB);
         let h = sim.spawn({
             let mm = mm.clone();
-            async move { mm.read_from_cache(&"f".into(), 500.0 * MB).await }
+            async move { mm.read_from_cache(key(&mm, "f"), 500.0 * MB).await }
         });
         sim.run();
         approx(h.try_take_result().unwrap(), 500.0 * MB);
@@ -600,7 +626,7 @@ mod tests {
         // Reading uncached data returns 0 bytes.
         let h2 = sim.spawn({
             let mm = mm.clone();
-            async move { mm.read_from_cache(&"other".into(), 100.0 * MB).await }
+            async move { mm.read_from_cache(key(&mm, "other"), 100.0 * MB).await }
         });
         sim.run();
         approx(h2.try_take_result().unwrap(), 0.0);
@@ -612,7 +638,7 @@ mod tests {
         let h = sim.spawn({
             let mm = mm.clone();
             async move {
-                mm.write_to_cache(&"f".into(), 500.0 * MB).await;
+                mm.write_to_cache(key(&mm, "f"), 500.0 * MB).await;
                 let t0 = mm.ctx.now().as_secs();
                 let flushed = mm.flush(500.0 * MB, ReclaimScope::Host(None)).await;
                 (flushed, mm.ctx.now().as_secs() - t0)
@@ -634,7 +660,7 @@ mod tests {
         let h = sim.spawn({
             let mm = mm.clone();
             async move {
-                mm.write_to_cache(&"f".into(), 100.0 * MB).await;
+                mm.write_to_cache(key(&mm, "f"), 100.0 * MB).await;
                 mm.flush(-50.0, ReclaimScope::Host(None)).await
             }
         });
@@ -646,7 +672,7 @@ mod tests {
     #[test]
     fn evict_frees_clean_cache_without_simulated_time() {
         let (sim, mm) = setup(1000.0 * MB);
-        mm.add_to_cache(&"f".into(), 600.0 * MB);
+        mm.add_to_cache(key(&mm, "f"), 600.0 * MB);
         let evicted = mm.evict(250.0 * MB, ReclaimScope::Host(None));
         approx(evicted, 250.0 * MB);
         approx(mm.cached(), 350.0 * MB);
@@ -661,7 +687,7 @@ mod tests {
         let mm2 = mm.clone();
         let ctx = sim.context();
         sim.spawn(async move {
-            mm2.write_to_cache(&"f".into(), 200.0 * MB).await;
+            mm2.write_to_cache(key(&mm2, "f"), 200.0 * MB).await;
             // Wait until well past the expiration age plus one flush interval.
             ctx.sleep(40.0).await;
             assert!(mm2.dirty() < 1.0);
@@ -681,7 +707,7 @@ mod tests {
         let mm2 = mm.clone();
         let ctx = sim.context();
         sim.spawn(async move {
-            mm2.write_to_cache(&"f".into(), 200.0 * MB).await;
+            mm2.write_to_cache(key(&mm2, "f"), 200.0 * MB).await;
             ctx.sleep(10.0).await; // under the 30 s expiration age
             approx(mm2.dirty(), 200.0 * MB);
             mm2.stop();
@@ -694,11 +720,11 @@ mod tests {
     fn sample_and_snapshot_capture_state() {
         let (sim, mm) = setup(1000.0 * MB);
         mm.use_anonymous_memory(100.0 * MB);
-        mm.add_to_cache(&"f1".into(), 200.0 * MB);
+        mm.add_to_cache(key(&mm, "f1"), 200.0 * MB);
         let h = sim.spawn({
             let mm = mm.clone();
             async move {
-                mm.write_to_cache(&"f2".into(), 50.0 * MB).await;
+                mm.write_to_cache(key(&mm, "f2"), 50.0 * MB).await;
                 mm.sample()
             }
         });
@@ -717,9 +743,9 @@ mod tests {
     #[test]
     fn invalidate_file_removes_cache_entries() {
         let (_sim, mm) = setup(1000.0 * MB);
-        mm.add_to_cache(&"f1".into(), 200.0 * MB);
-        mm.add_to_cache(&"f2".into(), 100.0 * MB);
-        let removed = mm.invalidate_file(&"f1".into());
+        mm.add_to_cache(key(&mm, "f1"), 200.0 * MB);
+        mm.add_to_cache(key(&mm, "f2"), 100.0 * MB);
+        let removed = mm.invalidate_file(key(&mm, "f1"));
         approx(removed, 200.0 * MB);
         approx(mm.cached(), 100.0 * MB);
     }
@@ -728,12 +754,12 @@ mod tests {
     fn enforce_group_limits_flushes_and_evicts_only_the_group() {
         let (sim, mm) = setup(10_000.0 * MB);
         mm.set_file_group(&"tenant".into(), Some(7));
-        mm.add_to_cache(&"tenant".into(), 300.0 * MB);
-        mm.add_to_cache(&"other".into(), 400.0 * MB);
+        mm.add_to_cache(key(&mm, "tenant"), 300.0 * MB);
+        mm.add_to_cache(key(&mm, "other"), 400.0 * MB);
         let h = sim.spawn({
             let mm = mm.clone();
             async move {
-                mm.write_to_cache(&"tenant".into(), 200.0 * MB).await;
+                mm.write_to_cache(key(&mm, "tenant"), 200.0 * MB).await;
                 // Group 7 holds 500 MB cached / 200 MB dirty. Cap it at
                 // 250 MB cached and 50 MB dirty.
                 mm.enforce_group_limits(7, 250.0 * MB, 50.0 * MB).await
@@ -746,7 +772,7 @@ mod tests {
         approx(mm.group_cached(7), 250.0 * MB);
         approx(mm.group_dirty(7), 50.0 * MB);
         // The other file (no group) is untouched.
-        approx(mm.cached_amount(&"other".into()), 400.0 * MB);
+        approx(mm.cached_amount(key(&mm, "other")), 400.0 * MB);
         approx(mm.cached(), 650.0 * MB);
         mm.check_invariants().unwrap();
     }
@@ -754,15 +780,15 @@ mod tests {
     #[test]
     fn crash_discard_reports_dirty_losses_and_empties_the_cache() {
         let (sim, mm) = setup(10_000.0 * MB);
-        mm.add_to_cache(&"clean".into(), 300.0 * MB);
+        mm.add_to_cache(key(&mm, "clean"), 300.0 * MB);
         mm.use_anonymous_memory(100.0 * MB);
         let h = sim.spawn({
             let mm = mm.clone();
             async move {
-                mm.write_to_cache(&"dirty".into(), 200.0 * MB).await;
-                mm.write_to_cache(&"mixed".into(), 50.0 * MB).await;
+                mm.write_to_cache(key(&mm, "dirty"), 200.0 * MB).await;
+                mm.write_to_cache(key(&mm, "mixed"), 50.0 * MB).await;
                 // Flush "mixed" so only "dirty" still holds unstable data.
-                mm.flush_file(&"mixed".into()).await;
+                mm.flush_file(key(&mm, "mixed")).await;
                 mm.crash_discard()
             }
         });

@@ -14,6 +14,15 @@ use std::collections::{BTreeMap, HashMap};
 use des::SimTime;
 use pagecache::{FileId, LruLists, ReclaimScope, EPSILON};
 
+/// The naive models' reclaim scope: [`ReclaimScope`] with the excluded file
+/// named, not keyed, as a specification written without the file table
+/// would name it.
+#[derive(Debug, Clone, Copy)]
+enum NaiveScope<'a> {
+    Host(Option<&'a FileId>),
+    Group(u32),
+}
+
 /// Deterministic xorshift64* PRNG (crates.io is unreachable in this build
 /// environment, so no `rand`).
 struct Rng(u64);
@@ -99,6 +108,7 @@ fn incremental_aggregates_match_full_scan_over_10k_random_ops() {
         .collect();
     let mut rng = Rng(0xDEC0DE);
     let mut lru = LruLists::new();
+    let keys: Vec<u64> = files.iter().map(|f| lru.key_or_insert(f)).collect();
     let mut clock = 0.0;
     for op in 0..OPS {
         // 1-in-8 ops keep the previous timestamp: simulated events often
@@ -108,19 +118,19 @@ fn incremental_aggregates_match_full_scan_over_10k_random_ops() {
             clock += rng.f64(0.01, 1.0);
         }
         let now = SimTime::from_secs(clock);
-        let file = &files[rng.usize(0, FILES)];
+        let key = keys[rng.usize(0, FILES)];
         match rng.usize(0, 10) {
-            0..=2 => lru.add_clean(file.clone(), rng.f64(0.5, 400.0), now),
-            3 | 4 => lru.add_dirty(file.clone(), rng.f64(0.5, 400.0), now),
+            0..=2 => lru.add_clean(key, rng.f64(0.5, 400.0), now),
+            3 | 4 => lru.add_dirty(key, rng.f64(0.5, 400.0), now),
             5 | 6 => {
-                lru.read_cached(file, rng.f64(1.0, 900.0), now);
+                lru.read_cached(key, rng.f64(1.0, 900.0), now);
             }
             7 => {
-                let exclude = (rng.usize(0, 3) == 0).then_some(file);
+                let exclude = (rng.usize(0, 3) == 0).then_some(key);
                 lru.flush_lru(rng.f64(0.0, 900.0), ReclaimScope::Host(exclude));
             }
             8 => {
-                let exclude = (rng.usize(0, 3) == 0).then_some(file);
+                let exclude = (rng.usize(0, 3) == 0).then_some(key);
                 lru.evict(rng.f64(0.0, 900.0), ReclaimScope::Host(exclude));
             }
             _ => match rng.usize(0, 3) {
@@ -129,7 +139,7 @@ fn incremental_aggregates_match_full_scan_over_10k_random_ops() {
                 }
                 1 => lru.balance(),
                 _ => {
-                    lru.invalidate_file(file);
+                    lru.invalidate_file(key);
                 }
             },
         }
@@ -150,22 +160,23 @@ fn incremental_aggregates_match_full_scan_over_10k_random_ops() {
             scan_evictable(&lru, None),
             op,
         );
-        let probe = &files[rng.usize(0, FILES)];
+        let p = rng.usize(0, FILES);
+        let probe = &files[p];
         assert_close(
             "cached_amount",
-            lru.cached_amount(probe),
+            lru.cached_amount(keys[p]),
             scan_cached_amount(&lru, probe),
             op,
         );
         assert_close(
             "dirty_amount",
-            lru.dirty_amount(probe),
+            lru.dirty_amount(keys[p]),
             scan_dirty_amount(&lru, probe),
             op,
         );
         assert_close(
             "evictable(exclude)",
-            lru.evictable(Some(probe)),
+            lru.evictable(Some(keys[p])),
             scan_evictable(&lru, Some(probe)),
             op,
         );
@@ -517,6 +528,7 @@ fn arena_lru_matches_naive_scan_model_over_10k_random_ops() {
         .collect();
     let mut rng = Rng(0xBADC0FFEE);
     let mut arena = LruLists::new();
+    let keys: Vec<u64> = files.iter().map(|f| arena.key_or_insert(f)).collect();
     let mut naive = NaiveLru::default();
     let mut clock = 0.0;
     for op in 0..OPS {
@@ -527,17 +539,18 @@ fn arena_lru_matches_naive_scan_model_over_10k_random_ops() {
             clock += rng.f64(0.01, 1.0);
         }
         let now = SimTime::from_secs(clock);
-        let file = &files[rng.usize(0, FILES)];
+        let i = rng.usize(0, FILES);
+        let (file, key) = (&files[i], keys[i]);
         let (what, a, b) = match rng.usize(0, 10) {
             0..=2 => {
                 let size = rng.f64(0.5, 400.0);
-                arena.add_clean(file.clone(), size, now);
+                arena.add_clean(key, size, now);
                 naive.add_clean(file.clone(), size, now);
                 ("add_clean", 0.0, 0.0)
             }
             3 | 4 => {
                 let size = rng.f64(0.5, 400.0);
-                arena.add_dirty(file.clone(), size, now);
+                arena.add_dirty(key, size, now);
                 naive.add_dirty(file.clone(), size, now);
                 ("add_dirty", 0.0, 0.0)
             }
@@ -545,26 +558,26 @@ fn arena_lru_matches_naive_scan_model_over_10k_random_ops() {
                 let amount = rng.f64(1.0, 900.0);
                 (
                     "read_cached",
-                    arena.read_cached(file, amount, now),
+                    arena.read_cached(key, amount, now),
                     naive.read_cached(file, amount, now),
                 )
             }
             7 => {
                 let amount = rng.f64(0.0, 900.0);
-                let exclude = (rng.usize(0, 3) == 0).then_some(file);
+                let exclude = rng.usize(0, 3) == 0;
                 (
                     "flush_lru",
-                    arena.flush_lru(amount, ReclaimScope::Host(exclude)),
-                    naive.flush_lru(amount, exclude),
+                    arena.flush_lru(amount, ReclaimScope::Host(exclude.then_some(key))),
+                    naive.flush_lru(amount, exclude.then_some(file)),
                 )
             }
             8 => {
                 let amount = rng.f64(0.0, 900.0);
-                let exclude = (rng.usize(0, 3) == 0).then_some(file);
+                let exclude = rng.usize(0, 3) == 0;
                 (
                     "evict",
-                    arena.evict(amount, ReclaimScope::Host(exclude)),
-                    naive.evict(amount, exclude),
+                    arena.evict(amount, ReclaimScope::Host(exclude.then_some(key))),
+                    naive.evict(amount, exclude.then_some(file)),
                 )
             }
             _ => match rng.usize(0, 4) {
@@ -578,10 +591,10 @@ fn arena_lru_matches_naive_scan_model_over_10k_random_ops() {
                     naive.balance();
                     ("balance", 0.0, 0.0)
                 }
-                2 => ("flush_file", arena.flush_file(file), naive.flush_file(file)),
+                2 => ("flush_file", arena.flush_file(key), naive.flush_file(file)),
                 _ => (
                     "invalidate_file",
-                    arena.invalidate_file(file),
+                    arena.invalidate_file(key),
                     naive.invalidate_file(file),
                 ),
             },
@@ -612,22 +625,23 @@ fn arena_lru_matches_naive_scan_model_over_10k_random_ops() {
             naive.evictable(None),
             op,
         );
-        let probe = &files[rng.usize(0, FILES)];
+        let p = rng.usize(0, FILES);
+        let probe = &files[p];
         assert_close(
             "cached_amount",
-            arena.cached_amount(probe),
+            arena.cached_amount(keys[p]),
             naive.cached_amount(probe),
             op,
         );
         assert_close(
             "dirty_amount",
-            arena.dirty_amount(probe),
+            arena.dirty_amount(keys[p]),
             naive.dirty_amount(probe),
             op,
         );
         assert_close(
             "evictable(exclude)",
-            arena.evictable(Some(probe)),
+            arena.evictable(Some(keys[p])),
             naive.evictable(Some(probe)),
             op,
         );
@@ -684,10 +698,10 @@ impl NaivePolicy {
     }
 
     /// Whether `scope` lets a reclaim call take data of `file`.
-    fn in_scope(&self, scope: ReclaimScope<'_>, file: &FileId) -> bool {
+    fn in_scope(&self, scope: NaiveScope<'_>, file: &FileId) -> bool {
         match scope {
-            ReclaimScope::Host(exclude) => exclude != Some(file),
-            ReclaimScope::Group(g) => self.group_of.get(file) == Some(&g),
+            NaiveScope::Host(exclude) => exclude != Some(file),
+            NaiveScope::Group(g) => self.group_of.get(file) == Some(&g),
         }
     }
 
@@ -845,10 +859,10 @@ impl NaivePolicy {
         taken
     }
 
-    fn flush_lru(&mut self, amount: f64, scope: ReclaimScope<'_>) -> f64 {
+    fn flush_lru(&mut self, amount: f64, scope: NaiveScope<'_>) -> f64 {
         let dirty = match scope {
-            ReclaimScope::Host(_) => self.total_dirty(),
-            ReclaimScope::Group(g) => self.group_dirty(g),
+            NaiveScope::Host(_) => self.total_dirty(),
+            NaiveScope::Group(g) => self.group_dirty(g),
         };
         if amount <= EPSILON || dirty <= EPSILON {
             return 0.0;
@@ -890,19 +904,19 @@ impl NaivePolicy {
         flushed
     }
 
-    fn evict(&mut self, amount: f64, scope: ReclaimScope<'_>) -> f64 {
+    fn evict(&mut self, amount: f64, scope: NaiveScope<'_>) -> f64 {
         if amount <= EPSILON {
             return 0.0;
         }
-        if let ReclaimScope::Group(g) = scope {
+        if let NaiveScope::Group(g) = scope {
             if self.group_cached(g) <= EPSILON {
                 return 0.0;
             }
         }
         self.balance();
         let target = match scope {
-            ReclaimScope::Host(exclude) => amount.min(self.evictable(exclude)),
-            ReclaimScope::Group(_) => amount,
+            NaiveScope::Host(exclude) => amount.min(self.evictable(exclude)),
+            NaiveScope::Group(_) => amount,
         };
         if target <= EPSILON {
             return 0.0;
@@ -1083,6 +1097,7 @@ fn assert_models_agree(
     groups: u32,
     op: usize,
 ) {
+    let key = |file: &FileId| arena.key(file).expect("every file has a slot");
     // Per-tier totals, not just the evictable/protected split: the 2-list
     // demotion rule takes per-tier bytes as its decision input, so any
     // drift here would snowball into different victims.
@@ -1144,7 +1159,7 @@ fn assert_models_agree(
     );
     assert_close(
         format_args!("{kind}: evictable(exclude {probe})"),
-        arena.evictable(Some(probe)),
+        arena.evictable(Some(key(probe))),
         naive.evictable(Some(probe)),
         op,
     );
@@ -1161,13 +1176,13 @@ fn assert_models_agree(
         let (cached, dirty) = scanned.get(file).copied().unwrap_or_default();
         assert_close(
             format_args!("{kind}: cached_amount({file})"),
-            arena.cached_amount(file),
+            arena.cached_amount(key(file)),
             cached,
             op,
         );
         assert_close(
             format_args!("{kind}: dirty_amount({file})"),
-            arena.dirty_amount(file),
+            arena.dirty_amount(key(file)),
             dirty,
             op,
         );
@@ -1211,23 +1226,25 @@ fn arena_matches_naive_policy_model(kind: EvictionPolicy, seed: u64, mix: &Mix) 
         arena.set_file_group(file.clone(), group);
         naive.set_file_group(file.clone(), group);
     }
+    let keys: Vec<u64> = files.iter().map(|f| arena.key_or_insert(f)).collect();
     let mut clock = 0.0;
     for op in 0..OPS {
         if rng.usize(0, mix.hold.1) >= mix.hold.0 {
             clock += rng.f64(0.01, 1.0);
         }
         let now = SimTime::from_secs(clock);
-        let file = &files[rng.usize(0, FILES)];
+        let i = rng.usize(0, FILES);
+        let (file, key) = (&files[i], keys[i]);
         let (what, a, b) = match mix.draws[rng.usize(0, 10)] {
             Draw::AddClean => {
                 let size = rng.f64(0.5, 400.0);
-                arena.add_clean(file.clone(), size, now);
+                arena.add_clean(key, size, now);
                 naive.add_clean(file.clone(), size, now);
                 ("add_clean", 0.0, 0.0)
             }
             Draw::AddDirty => {
                 let size = rng.f64(0.5, 400.0);
-                arena.add_dirty(file.clone(), size, now);
+                arena.add_dirty(key, size, now);
                 naive.add_dirty(file.clone(), size, now);
                 ("add_dirty", 0.0, 0.0)
             }
@@ -1235,28 +1252,31 @@ fn arena_matches_naive_policy_model(kind: EvictionPolicy, seed: u64, mix: &Mix) 
                 let amount = rng.f64(1.0, 900.0);
                 (
                     "read_cached",
-                    arena.read_cached(file, amount, now),
+                    arena.read_cached(key, amount, now),
                     naive.read_cached(file, amount, now),
                 )
             }
             Draw::Reclaim => {
                 let amount = rng.f64(0.0, mix.reclaim_max);
-                let scope = match rng.usize(0, 4) {
-                    0 => ReclaimScope::Host(Some(file)),
-                    1 => ReclaimScope::Group(rng.usize(0, GROUPS) as u32),
-                    _ => ReclaimScope::Host(None),
+                let (scope, naive_scope) = match rng.usize(0, 4) {
+                    0 => (ReclaimScope::Host(Some(key)), NaiveScope::Host(Some(file))),
+                    1 => {
+                        let g = rng.usize(0, GROUPS) as u32;
+                        (ReclaimScope::Group(g), NaiveScope::Group(g))
+                    }
+                    _ => (ReclaimScope::Host(None), NaiveScope::Host(None)),
                 };
                 if rng.usize(0, 2) == 0 {
                     (
                         "flush_lru",
                         arena.flush_lru(amount, scope),
-                        naive.flush_lru(amount, scope),
+                        naive.flush_lru(amount, naive_scope),
                     )
                 } else {
                     (
                         "evict",
                         arena.evict(amount, scope),
-                        naive.evict(amount, scope),
+                        naive.evict(amount, naive_scope),
                     )
                 }
             }
@@ -1271,10 +1291,10 @@ fn arena_matches_naive_policy_model(kind: EvictionPolicy, seed: u64, mix: &Mix) 
                     naive.balance();
                     ("balance", 0.0, 0.0)
                 }
-                2 => ("flush_file", arena.flush_file(file), naive.flush_file(file)),
+                2 => ("flush_file", arena.flush_file(key), naive.flush_file(file)),
                 3 => (
                     "invalidate_file",
-                    arena.invalidate_file(file),
+                    arena.invalidate_file(key),
                     naive.invalidate_file(file),
                 ),
                 _ => {
@@ -1397,6 +1417,8 @@ fn demotions_after_a_stale_finger_match_the_naive_model() {
         .map(FileId::new)
         .collect();
     let mut arena = LruLists::with_policy(kind);
+    let keys: Vec<u64> = files.iter().map(|f| arena.key_or_insert(f)).collect();
+    let key = |f: &str| keys[files.iter().position(|g| g.name() == f).unwrap()];
     let mut naive = NaivePolicy::new(kind);
     let mut now = SimTime::ZERO;
     for (op, step) in script.iter().enumerate() {
@@ -1406,29 +1428,26 @@ fn demotions_after_a_stale_finger_match_the_naive_model() {
                 (0.0, 0.0)
             }
             Clean(f, size) => {
-                arena.add_clean(FileId::new(f), size, now);
+                arena.add_clean(key(f), size, now);
                 naive.add_clean(FileId::new(f), size, now);
                 (0.0, 0.0)
             }
             Dirty(f, size) => {
-                arena.add_dirty(FileId::new(f), size, now);
+                arena.add_dirty(key(f), size, now);
                 naive.add_dirty(FileId::new(f), size, now);
                 (0.0, 0.0)
             }
             Read(f, amount) => (
-                arena.read_cached(&FileId::new(f), amount, now),
+                arena.read_cached(key(f), amount, now),
                 naive.read_cached(&FileId::new(f), amount, now),
             ),
             Evict(amount) => (
                 arena.evict(amount, ReclaimScope::Host(None)),
-                naive.evict(amount, ReclaimScope::Host(None)),
+                naive.evict(amount, NaiveScope::Host(None)),
             ),
-            FlushFile(f) => (
-                arena.flush_file(&FileId::new(f)),
-                naive.flush_file(&FileId::new(f)),
-            ),
+            FlushFile(f) => (arena.flush_file(key(f)), naive.flush_file(&FileId::new(f))),
             Invalidate(f) => (
-                arena.invalidate_file(&FileId::new(f)),
+                arena.invalidate_file(key(f)),
                 naive.invalidate_file(&FileId::new(f)),
             ),
             Balance => {
@@ -1438,15 +1457,8 @@ fn demotions_after_a_stale_finger_match_the_naive_model() {
             }
         };
         assert_close(format_args!("step {op} result"), a, b, op);
-        assert_models_agree(
-            kind,
-            &arena,
-            &naive,
-            &files,
-            &files[op % files.len()],
-            0,
-            op,
-        );
+        let probe = &files[op % files.len()];
+        assert_models_agree(kind, &arena, &naive, &files, probe, 0, op);
         // The arena's recency order is the naive model's, block by block
         // up to coalescing: compare (file, last access, dirty) runs.
         for t in 0..MAX_TIERS {

@@ -43,13 +43,15 @@ const WARMUP: usize = 1_000;
 /// Runs `WARMUP + ops` requests and returns the lists' work over the last
 /// `ops`. Asserts after every eviction that it visited no dirty block.
 fn serve(ops: usize) -> LruWork {
-    let files: Vec<FileId> = (0..FILES).map(|i| FileId::new(format!("f{i}"))).collect();
-    let log = FileId::new("uploads");
+    let mut lru = LruLists::new();
+    let files: Vec<u64> = (0..FILES)
+        .map(|i| lru.key_or_insert(&FileId::new(format!("f{i}"))))
+        .collect();
+    let log = lru.key_or_insert(&FileId::new("uploads"));
     // Zipf(1.0) popularity over the files.
     let weights: Vec<f64> = (1..=FILES).map(|k| 1.0 / k as f64).collect();
     let total: f64 = weights.iter().sum();
     let mut rng = Rng(0x5EED);
-    let mut lru = LruLists::new();
     let mut warm = LruWork::default();
     for op in 0..WARMUP + ops {
         if op == WARMUP {
@@ -64,7 +66,7 @@ fn serve(ops: usize) -> LruWork {
                 u -= **w;
                 u < 0.0
             })
-            .map_or(&files[FILES - 1], |(f, _)| f);
+            .map_or(files[FILES - 1], |(&f, _)| f);
         let upload = rng.unit() < 0.1;
         let incoming = if upload {
             UPLOAD_SIZE
@@ -86,11 +88,11 @@ fn serve(ops: usize) -> LruWork {
             );
         }
         if upload {
-            lru.add_dirty(log.clone(), UPLOAD_SIZE, now);
+            lru.add_dirty(log, UPLOAD_SIZE, now);
         } else {
             // Algorithm 2: read the cached share (a promotion), fetch the rest.
             let cached = lru.read_cached(file, FILE_SIZE, now);
-            lru.add_clean(file.clone(), FILE_SIZE - cached, now);
+            lru.add_clean(file, FILE_SIZE - cached, now);
         }
     }
     let work = lru.work();

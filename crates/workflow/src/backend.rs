@@ -171,7 +171,9 @@ impl Backend {
     /// registered ([`FsError::AlreadyExists`]) before allocating disk space.
     pub fn create_file(&self, file: &FileId, size: f64) -> Result<(), ScenarioError> {
         match self {
-            Backend::Cached(io) => io.memory_manager().create_file(file, size)?,
+            Backend::Cached(io) => {
+                io.memory_manager().create_file(file, size)?;
+            }
             Backend::Direct(fs) => fs.create_file(file, size)?,
             Backend::Kernel(fs) => fs.create_file(file, size)?,
             Backend::Fleet(fleet) => fleet.create_file(file, size)?,
@@ -739,6 +741,11 @@ mod tests {
         link.unwrap().total_bytes()
     }
 
+    /// Cached bytes of `name` on `mm`: 0 for a file it never held.
+    fn cached(mm: &MemoryManager, name: &str) -> f64 {
+        mm.key(&name.into()).map_or(0.0, |k| mm.cached_amount(k))
+    }
+
     fn approx(a: f64, b: f64) {
         assert!(
             (a - b).abs() < 1e-6 * b.abs().max(1.0),
@@ -767,9 +774,9 @@ mod tests {
         approx(stats.duration, 6.0);
         // Both caches now hold the file.
         let client = backend.fleet().unwrap().client_memory_manager();
-        approx(client.cached_amount(&"f".into()), 500.0 * MB);
+        approx(cached(client, "f"), 500.0 * MB);
         let server = nfs_server(&backend).memory_manager();
-        approx(server.cached_amount(&"f".into()), 500.0 * MB);
+        approx(cached(server, "f"), 500.0 * MB);
     }
 
     #[test]
@@ -822,12 +829,9 @@ mod tests {
         // No dirty data anywhere; no client cache for writes.
         let server = nfs_server(&backend);
         approx(server.memory_manager().dirty(), 0.0);
-        approx(
-            server.memory_manager().cached_amount(&"out".into()),
-            300.0 * MB,
-        );
+        approx(cached(server.memory_manager(), "out"), 300.0 * MB);
         let client = backend.fleet().unwrap().client_memory_manager();
-        approx(client.cached_amount(&"out".into()), 0.0);
+        approx(cached(client, "out"), 0.0);
         approx(server.disk().used(), 300.0 * MB);
     }
 

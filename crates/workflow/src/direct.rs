@@ -63,7 +63,7 @@ impl DirectFileSystem {
 
     /// The size of `file`, or [`FsError::FileNotFound`].
     pub fn file_size(&self, file: &FileId) -> Result<f64, FsError> {
-        self.files.borrow().size(file)
+        self.files.borrow().size(file).map(|(_, size)| size)
     }
 
     /// Every file and its size, in key order.

@@ -680,14 +680,14 @@ impl FleetInner {
         amount: f64,
     ) -> Result<Fetched, NetError> {
         let node = &self.servers[server];
-        let size = node
+        let (key, size) = node
             .io
             .memory_manager()
             .file_size(file)
             .map_err(|_| NetError::ServerUnavailable(node.host.clone()))?;
         let mut stats = IoOpStats::default();
         node.io
-            .read_chunk(file, size, amount.min(size), false, &mut stats)
+            .read_chunk(key, size, amount.min(size), false, &mut stats)
             .await;
         Ok(Fetched {
             server,
@@ -832,7 +832,8 @@ impl FleetInner {
         // Extend the replica file over the whole range first, so a full
         // disk fails the write before any byte moves. A zero-length write
         // still creates/extends the file.
-        node.io
+        let key = node
+            .io
             .memory_manager()
             .extend_file(file, offset, len)
             .map_err(ReplicaWriteError::Server)?;
@@ -843,7 +844,7 @@ impl FleetInner {
             if chunk > EPSILON {
                 self.fabric.transfer(client_host, &node.host, chunk).await?;
             }
-            let st = node.io.write_amount(file, chunk).await;
+            let st = node.io.write_amount(key, chunk).await;
             stats.bytes_to_cache += st.bytes_to_cache;
             stats.bytes_to_disk += st.bytes_to_disk;
             stats.throttle_stall += st.throttle_stall;
@@ -1102,14 +1103,13 @@ impl FleetClient {
         len: f64,
     ) -> Result<IoOpStats, ScenarioError> {
         let inner = &self.inner;
-        let (key, size) = {
-            let files = inner.files.borrow();
-            let size = files.size(file)?;
-            (files.key(file).expect("a sized file has a key"), size)
-        };
+        let (key, size) = inner.files.borrow().size(file)?;
         let (_start, amount) = clamp_io_range(offset, len, size);
         let start = inner.ctx.now();
         let me = &inner.clients[self.client];
+        // The client cache's own key for the file: a cache that never held
+        // it gets its slot now.
+        let cached = me.io.memory_manager().key_or_insert(file);
         let candidates = &inner.replicas_of(file);
         let mut stats = IoOpStats::default();
         let mut stale = false;
@@ -1118,7 +1118,7 @@ impl FleetClient {
             let chunk = remaining.min(me.io.chunk_size());
             let read = me
                 .io
-                .read_chunk_via(file, size, chunk, true, &mut stats, |amount| async move {
+                .read_chunk_via(cached, size, chunk, true, &mut stats, |amount| async move {
                     let fetched = inner
                         .robust_fetch(self.client, candidates, file, amount)
                         .await?;
@@ -1208,7 +1208,10 @@ impl FleetClient {
         }
         // Close-to-open: the writer's own cached copy predates the write.
         let me = &inner.clients[self.client];
-        me.io.memory_manager().invalidate_file(file);
+        let mm = me.io.memory_manager();
+        if let Some(cached) = mm.key(file) {
+            mm.invalidate_file(cached);
+        }
         set_version(&me.versions, key, 0);
         stats.duration = inner.ctx.now().duration_since(start);
         Ok(stats)
@@ -1771,6 +1774,62 @@ mod tests {
         assert_eq!(report.per_client[1].stale_reads, 1.0);
         assert_eq!(report.per_client[0].stale_reads, 0.0);
         assert_eq!(report.stale_reads, 1.0);
+    }
+
+    /// Cached bytes of `name` on `mm`: 0 for a file it never held.
+    fn cached(mm: &MemoryManager, name: &FileId) -> f64 {
+        mm.key(name).map_or(0.0, |k| mm.cached_amount(k))
+    }
+
+    #[test]
+    fn every_node_resolves_a_file_to_its_own_key() {
+        // "a" lives on server 0 and "b" on server 1. Client 0 reads "b"
+        // before "a", so its keys, and server 1's, differ from the fleet's:
+        // a step that took a key from another table would read or drop the
+        // wrong file.
+        let sim = Simulation::new();
+        let ctx = sim.context();
+        let backend = fleet(&ctx, 2, 2, 1, ClientPolicy::default());
+        let (a, b) = (FileId::new("a"), FileId::new("b"));
+        backend.create_file(&a, 10.0 * MB).unwrap();
+        backend.create_file(&b, 20.0 * MB).unwrap();
+        assert_eq!((backend.primary_of(&a), backend.primary_of(&b)), (0, 1));
+        let (c0, c1) = (backend.for_client(0), backend.for_client(1));
+        let done = sim.spawn({
+            let (c0, c1, a, b) = (c0.clone(), c1.clone(), a.clone(), b.clone());
+            async move {
+                for (client, file) in [(&c0, &b), (&c0, &a), (&c1, &a)] {
+                    client.read_range(file, 0.0, f64::INFINITY).await.unwrap();
+                }
+            }
+        });
+        sim.run();
+        assert!(done.is_finished());
+        let fleet_key = |file: &FileId| backend.inner.files.borrow().key(file);
+        let (m0, m1) = (c0.client_memory_manager(), c1.client_memory_manager());
+        let (s0, s1) = (
+            backend.server_io(0).memory_manager(),
+            backend.server_io(1).memory_manager(),
+        );
+        assert_eq!((fleet_key(&a), fleet_key(&b)), (Some(0), Some(1)));
+        assert_eq!((m0.key(&a), m0.key(&b)), (Some(1), Some(0)));
+        assert_eq!(s1.key(&b), Some(0));
+        let per_file = |mm: &MemoryManager| [cached(mm, &a), cached(mm, &b)];
+        assert_eq!(per_file(m0), [10.0 * MB, 20.0 * MB]);
+        assert_eq!(per_file(m1), [10.0 * MB, 0.0]);
+        assert_eq!(per_file(s0), [10.0 * MB, 0.0]);
+        assert_eq!(per_file(s1), [0.0, 20.0 * MB]);
+        // Close-to-open: client 0's write of "a" drops its own copy of "a"
+        // (its key 1), not its copy of "b" (its key 0, the fleet's key of
+        // "a"), and leaves client 1's copy alone.
+        let done = sim.spawn({
+            let (c0, a) = (c0.clone(), a.clone());
+            async move { c0.write_range(&a, 0.0, 10.0 * MB).await.unwrap() }
+        });
+        sim.run();
+        assert!(done.is_finished());
+        assert_eq!(per_file(m0), [0.0, 20.0 * MB]);
+        assert_eq!(per_file(m1), [10.0 * MB, 0.0]);
     }
 
     #[test]

@@ -15,7 +15,9 @@
 #
 # The base revision is exported with `git archive` into target/simbench_ab/
 # and removed on exit; each side's simbench is built once, from its own
-# checkout into its own target directory, and serves every workload. Pair i
+# checkout into its own target directory, and serves every workload. A
+# build may rewrite simbench/Cargo.lock; if the file was unmodified when the
+# script started, it is restored on exit, so the checkout is left as found. Pair i
 # runs the base first when i is odd and the change first when i is even.
 # The script stops with an error when a run does not report "correct": true
 # or reports failed runs.
@@ -47,7 +49,15 @@ tree=$work/base-tree
 stamp=$(date +%Y%m%dT%H%M%S)
 rm -rf "$tree"
 mkdir -p "$tree"
-trap 'rm -rf "$tree"' EXIT
+restore_lock=
+git diff --quiet -- simbench/Cargo.lock && restore_lock=1
+cleanup() {
+    rm -rf "$tree"
+    if [[ -n $restore_lock ]]; then
+        git checkout --quiet -- simbench/Cargo.lock
+    fi
+}
+trap cleanup EXIT
 git archive "$base_rev" | tar -x -C "$tree"
 
 build() { # <checkout> <target dir>

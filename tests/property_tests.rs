@@ -77,8 +77,9 @@ fn cache_op(rng: &mut Rng) -> CacheOp {
     }
 }
 
-fn file_id(i: u8) -> FileId {
-    FileId::new(format!("file_{i}"))
+/// The slot key of file `i` in `lru`, made if needed.
+fn file_key(lru: &mut LruLists, i: u8) -> u64 {
+    lru.key_or_insert(&FileId::new(format!("file_{i}")))
 }
 
 /// After any sequence of operations the LRU lists stay structurally sound:
@@ -95,10 +96,17 @@ fn lru_lists_invariants_hold_under_random_operations() {
             clock += 1.0;
             let now = SimTime::from_secs(clock);
             match cache_op(&mut rng) {
-                CacheOp::AddClean { file, size } => lru.add_clean(file_id(file), size, now),
-                CacheOp::AddDirty { file, size } => lru.add_dirty(file_id(file), size, now),
+                CacheOp::AddClean { file, size } => {
+                    let s = file_key(&mut lru, file);
+                    lru.add_clean(s, size, now);
+                }
+                CacheOp::AddDirty { file, size } => {
+                    let s = file_key(&mut lru, file);
+                    lru.add_dirty(s, size, now);
+                }
                 CacheOp::Read { file, amount } => {
-                    lru.read_cached(&file_id(file), amount, now);
+                    let s = file_key(&mut lru, file);
+                    lru.read_cached(s, amount, now);
                 }
                 CacheOp::Flush { amount } => {
                     lru.flush_lru(amount, ReclaimScope::Host(None));
@@ -134,22 +142,22 @@ fn reading_conserves_cache_contents() {
     for case in 0..128u64 {
         let mut rng = Rng::new(0xB0B ^ (case << 16));
         let mut lru = LruLists::new();
-        let f: FileId = "f".into();
+        let f = lru.key_or_insert(&"f".into());
         let mut clock = 0.0;
         let n = rng.usize(1, 10);
         for i in 0..n {
             clock += 1.0;
             let size = rng.f64(1.0, 300.0);
             if i % 2 == 0 {
-                lru.add_clean(f.clone(), size, SimTime::from_secs(clock));
+                lru.add_clean(f, size, SimTime::from_secs(clock));
             } else {
-                lru.add_dirty(f.clone(), size, SimTime::from_secs(clock));
+                lru.add_dirty(f, size, SimTime::from_secs(clock));
             }
         }
         let read_amount = rng.f64(1.0, 3000.0);
         let cached_before = lru.total_cached();
         let dirty_before = lru.total_dirty();
-        let read = lru.read_cached(&f, read_amount, SimTime::from_secs(clock + 1.0));
+        let read = lru.read_cached(f, read_amount, SimTime::from_secs(clock + 1.0));
         assert!(read <= read_amount + 1e-6);
         assert!(read <= cached_before + 1e-6);
         assert!((lru.total_cached() - cached_before).abs() < 1e-6);
@@ -166,11 +174,8 @@ fn flush_converts_dirty_to_clean_without_losing_data() {
         let mut lru = LruLists::new();
         let n = rng.usize(1, 10);
         for i in 0..n {
-            lru.add_dirty(
-                file_id(i as u8),
-                rng.f64(1.0, 200.0),
-                SimTime::from_secs(i as f64),
-            );
+            let s = file_key(&mut lru, i as u8);
+            lru.add_dirty(s, rng.f64(1.0, 200.0), SimTime::from_secs(i as f64));
         }
         let flush_amount = rng.f64(0.0, 3000.0);
         let cached_before = lru.total_cached();
@@ -189,14 +194,16 @@ fn evict_removes_at_most_requested_clean_data() {
     for case in 0..128u64 {
         let mut rng = Rng::new(0xE51C7 ^ (case << 16));
         let mut lru = LruLists::new();
+        let clean = lru.key_or_insert(&"clean".into());
+        let dirty = lru.key_or_insert(&"dirty".into());
         let mut t = 0.0;
         for _ in 0..rng.usize(1, 8) {
             t += 1.0;
-            lru.add_clean("clean".into(), rng.f64(1.0, 200.0), SimTime::from_secs(t));
+            lru.add_clean(clean, rng.f64(1.0, 200.0), SimTime::from_secs(t));
         }
         for _ in 0..rng.usize(0, 8) {
             t += 1.0;
-            lru.add_dirty("dirty".into(), rng.f64(1.0, 200.0), SimTime::from_secs(t));
+            lru.add_dirty(dirty, rng.f64(1.0, 200.0), SimTime::from_secs(t));
         }
         let evict_amount = rng.f64(0.0, 2000.0);
         let dirty_before = lru.total_dirty();
