@@ -226,6 +226,37 @@ fn malformed_sizes_and_devices_are_rejected_on_every_simulator() {
             Box::new(move |p| p.dirty_expire = expire),
         ));
     }
+    // Every other page-cache setting the platform's validation rejects, set
+    // through the platform's builders.
+    for ratio in [2.0, -0.1, f64::NAN] {
+        cases.push((
+            format!("dirty ratio {ratio}"),
+            Box::new(move |p| *p = p.clone().with_dirty_ratio(ratio)),
+        ));
+    }
+    cases.push((
+        "background ratio above the dirty ratio".into(),
+        Box::new(|p| *p = p.clone().with_dirty_background_ratio(0.5)),
+    ));
+    for (min, max) in [
+        (256.0 * MB, 16.0 * MB),
+        (0.0, 16.0 * MB),
+        (f64::NAN, 16.0 * MB),
+        (MB, f64::NAN),
+        (MB, f64::INFINITY),
+        (f64::INFINITY, f64::INFINITY),
+    ] {
+        cases.push((
+            format!("readahead window {min}..{max}"),
+            Box::new(move |p| *p = p.clone().with_readahead(min, max)),
+        ));
+    }
+    for pacing in [-1.0, f64::NAN, f64::INFINITY] {
+        cases.push((
+            format!("throttle pacing {pacing}"),
+            Box::new(move |p| *p = p.clone().with_throttle_pacing(pacing)),
+        ));
+    }
     for latency in [-1.0, f64::NAN] {
         cases.push((
             format!("disk latency {latency}"),
