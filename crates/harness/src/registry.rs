@@ -1185,7 +1185,7 @@ fn prog_write_burst_throttle() -> Result<Metrics, String> {
     ] {
         let mut platform = platform.clone().with_throttle_pacing(pacing);
         // Let the background threads run inside the think-time gaps.
-        platform.flush_interval = 0.5;
+        platform.cache.flush_interval = 0.5;
         let report = run(&mut m, &platform, &app, kind, 1)?;
         let stats = report.run_stats();
         m.push(format!("{label}/write_s"), report.mean_total_write_time());
@@ -1256,7 +1256,7 @@ fn sweep_throttle_pacing() -> Result<Metrics, String> {
         // A sub-second flusher wakeup, so the background threads actually
         // get to run inside the stalls the pacing creates (the paper-scale
         // 5 s interval would sleep through this whole workload).
-        platform.flush_interval = 0.5;
+        platform.cache.flush_interval = 0.5;
         let report = run(&mut m, &platform, &app, SimulatorKind::KernelEmu, 1)?;
         let stats = report.run_stats();
         let wb = report
@@ -1370,7 +1370,7 @@ fn sweep_eviction_policy_write_burst() -> Result<Metrics, String> {
     for policy in EvictionPolicy::ALL {
         let mut platform = scaled_platform(4.0 * GB).with_eviction_policy(policy);
         // Let the background threads run inside the think-time gaps.
-        platform.flush_interval = 0.5;
+        platform.cache.flush_interval = 0.5;
         for (label, kind) in [
             ("cache", SimulatorKind::PageCache),
             ("kernel_emu", SimulatorKind::KernelEmu),

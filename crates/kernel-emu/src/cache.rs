@@ -30,7 +30,7 @@
 //! are file state and stay. The *decisions* — in what order files are
 //! picked as eviction victims and how re-accessed files are classified —
 //! are delegated to the [`Policy`] configured via
-//! [`KernelTuning::eviction_policy`].
+//! [`PageCacheConfig::eviction_policy`].
 //! Because the emulator tracks occupancy per file (not per block), it
 //! consumes the policy's *file-granular* hooks, driven off a per-file
 //! [`FileMeta`] stored in each file's slot: `file_admit` on inserts,
@@ -86,13 +86,12 @@ use std::rc::Rc;
 
 use des::{JoinHandle, SimContext, SimTime};
 use pagecache::{
-    CacheContentSnapshot, FileId, FileMeta, FileTable, FsError, MemorySample, MemoryTrace, Policy,
-    ReclaimScope, EPSILON,
+    CacheContentSnapshot, FileId, FileMeta, FileTable, FsError, MemorySample, MemoryTrace,
+    PageCacheConfig, Policy, ReclaimScope, WriteMode, EPSILON,
 };
 use storage_model::{Disk, MemoryDevice};
 
 use crate::fs::Readahead;
-use crate::tuning::KernelTuning;
 
 /// The two halves of the clean index: files not open for writing, and files
 /// open for writing (indexed by `FilePages::write_open`).
@@ -601,22 +600,41 @@ impl State {
 #[derive(Clone)]
 pub struct KernelCache {
     ctx: SimContext,
-    tuning: KernelTuning,
+    config: PageCacheConfig,
+    total_memory: f64,
     memory: MemoryDevice,
     disk: Disk,
     state: Rc<RefCell<State>>,
 }
 
 impl KernelCache {
-    /// Creates an emulated page cache.
+    /// Creates an emulated page cache for a host with the given page-cache
+    /// configuration, `total_memory` bytes of RAM, memory bus and disk.
     ///
     /// # Panics
-    /// Panics if the tunables are invalid.
-    pub fn new(ctx: &SimContext, tuning: KernelTuning, memory: MemoryDevice, disk: Disk) -> Self {
-        tuning.validate().expect("invalid kernel tuning");
+    /// Panics if the configuration or the memory size is invalid, or if the
+    /// configuration is writethrough: the emulator has only the
+    /// write-back mode.
+    pub fn new(
+        ctx: &SimContext,
+        config: PageCacheConfig,
+        total_memory: f64,
+        memory: MemoryDevice,
+        disk: Disk,
+    ) -> Self {
+        config
+            .validate()
+            .and(PageCacheConfig::check_memory(total_memory))
+            .expect("invalid page cache configuration");
+        assert_eq!(
+            config.write_mode,
+            WriteMode::WriteBack,
+            "the kernel emulator has no writethrough mode"
+        );
         KernelCache {
             ctx: ctx.clone(),
-            tuning,
+            config,
+            total_memory,
             memory,
             disk,
             state: Rc::new(RefCell::new(State {
@@ -630,15 +648,15 @@ impl KernelCache {
                 dirty_total: 0.0,
                 trace: MemoryTrace::new(),
                 counters: KernelCacheCounters::default(),
-                policy: tuning.eviction_policy.build(),
+                policy: config.eviction_policy.build(),
                 stop: false,
             })),
         }
     }
 
-    /// The kernel tunables.
-    pub fn tuning(&self) -> &KernelTuning {
-        &self.tuning
+    /// The configuration this cache was created with.
+    pub fn config(&self) -> &PageCacheConfig {
+        &self.config
     }
 
     /// The disk dirty pages are written back to.
@@ -668,12 +686,12 @@ impl KernelCache {
 
     /// Free memory (total minus cache minus anonymous, clamped at zero).
     pub fn free_memory(&self) -> f64 {
-        (self.tuning.total_memory - self.cached() - self.anonymous()).max(0.0)
+        (self.total_memory - self.cached() - self.anonymous()).max(0.0)
     }
 
     /// Memory available to the page cache (total minus anonymous).
     pub fn available_memory(&self) -> f64 {
-        (self.tuning.total_memory - self.anonymous()).max(0.0)
+        (self.total_memory - self.anonymous()).max(0.0)
     }
 
     /// Creates `file` with `size` bytes, allocating its space on the disk
@@ -718,7 +736,7 @@ impl KernelCache {
     /// `[start, end)` ([`Readahead::advance`]) and returns its window.
     pub(crate) fn advance_readahead(&self, i: u64, start: f64, end: f64) -> f64 {
         let mut s = self.state.borrow_mut();
-        let (min, max) = (self.tuning.readahead_min, self.tuning.readahead_max);
+        let (min, max) = (self.config.readahead_min, self.config.readahead_max);
         s.files.get_mut(i).stream.advance(start, end, min, max)
     }
 
@@ -982,7 +1000,7 @@ impl KernelCache {
             let mut amount = 0.0;
             for &(t, _, i) in &st.dirty {
                 st.work.writeback_visits += 1;
-                let expired = now.duration_since(t) > self.tuning.dirty_expire;
+                let expired = now.duration_since(t) > self.config.dirty_expire;
                 if !expired {
                     break;
                 }
@@ -1165,12 +1183,12 @@ impl KernelCache {
 
     /// The dirty threshold in bytes (`dirty_ratio * available memory`).
     pub fn dirty_threshold(&self) -> f64 {
-        self.tuning.dirty_ratio * self.available_memory()
+        self.config.dirty_ratio * self.available_memory()
     }
 
     /// The background writeback threshold in bytes.
     pub fn background_threshold(&self) -> f64 {
-        self.tuning.dirty_background_ratio * self.available_memory()
+        self.config.dirty_background_ratio * self.available_memory()
     }
 
     /// Records a memory sample into the trace and returns it.
@@ -1179,14 +1197,7 @@ impl KernelCache {
         let cached = self.cached();
         let dirty = self.dirty();
         let anonymous = self.anonymous();
-        let sample = MemorySample {
-            time: now,
-            total: self.tuning.total_memory,
-            used: (cached + anonymous).min(self.tuning.total_memory),
-            cached,
-            dirty,
-            anonymous,
-        };
+        let sample = MemorySample::new(now, self.total_memory, cached, dirty, anonymous);
         self.state.borrow_mut().trace.push(sample.clone());
         sample
     }
@@ -1206,7 +1217,7 @@ impl KernelCache {
     }
 
     /// Spawns the background writeback threads (kupdate/flusher): every
-    /// `writeback_interval` seconds they write back expired dirty pages, plus
+    /// `flush_interval` seconds they write back expired dirty pages, plus
     /// everything above the background dirty threshold.
     pub fn spawn_writeback_threads(&self) -> JoinHandle<()> {
         let cache = self.clone();
@@ -1229,10 +1240,8 @@ impl KernelCache {
                     .await;
             }
             let elapsed = self.ctx.now().duration_since(start);
-            if elapsed < self.tuning.writeback_interval {
-                self.ctx
-                    .sleep(self.tuning.writeback_interval - elapsed)
-                    .await;
+            if elapsed < self.config.flush_interval {
+                self.ctx.sleep(self.config.flush_interval - elapsed).await;
             }
         }
     }
@@ -1292,20 +1301,18 @@ mod tests {
     }
 
     fn setup(total_mb: f64) -> (Simulation, KernelCache) {
-        let sim = Simulation::new();
-        let ctx = sim.context();
-        let memory =
-            MemoryDevice::new(&ctx, DeviceSpec::symmetric(2764.0 * MB, 0.0, f64::INFINITY));
-        let disk = Disk::new(
-            &ctx,
-            "d",
-            DeviceSpec::asymmetric(510.0 * MB, 420.0 * MB, 0.0, f64::INFINITY),
-        );
-        let cache = KernelCache::new(&ctx, KernelTuning::with_memory(total_mb * MB), memory, disk);
-        (sim, cache)
+        setup_with(total_mb, PageCacheConfig::default())
     }
 
     fn setup_policy(total_mb: f64, policy: EvictionPolicy) -> (Simulation, KernelCache) {
+        let config = PageCacheConfig {
+            eviction_policy: policy,
+            ..PageCacheConfig::default()
+        };
+        setup_with(total_mb, config)
+    }
+
+    fn setup_with(total_mb: f64, config: PageCacheConfig) -> (Simulation, KernelCache) {
         let sim = Simulation::new();
         let ctx = sim.context();
         let memory =
@@ -1315,12 +1322,7 @@ mod tests {
             "d",
             DeviceSpec::asymmetric(510.0 * MB, 420.0 * MB, 0.0, f64::INFINITY),
         );
-        let cache = KernelCache::new(
-            &ctx,
-            KernelTuning::with_memory(total_mb * MB).with_eviction_policy(policy),
-            memory,
-            disk,
-        );
+        let cache = KernelCache::new(&ctx, config, total_mb * MB, memory, disk);
         (sim, cache)
     }
 
@@ -1979,7 +1981,7 @@ mod tests {
                 .map(|i| &s.files.get(i).pages)
                 .filter(|p| {
                     p.oldest_dirty
-                        .is_some_and(|t| now.duration_since(t) > self.tuning.dirty_expire)
+                        .is_some_and(|t| now.duration_since(t) > self.config.dirty_expire)
                 })
                 .map(FilePages::dirty)
                 .sum()
@@ -2183,14 +2185,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "invalid kernel tuning")]
-    fn invalid_tuning_rejected() {
-        let sim = Simulation::new();
-        let ctx = sim.context();
-        let memory = MemoryDevice::new(&ctx, DeviceSpec::symmetric(MB, 0.0, f64::INFINITY));
-        let disk = Disk::new(&ctx, "d", DeviceSpec::symmetric(MB, 0.0, f64::INFINITY));
-        let mut tuning = KernelTuning::with_memory(1000.0 * MB);
-        tuning.dirty_background_ratio = 0.9;
-        let _ = KernelCache::new(&ctx, tuning, memory, disk);
+    #[should_panic(expected = "no writethrough mode")]
+    fn writethrough_is_rejected() {
+        let config = PageCacheConfig {
+            write_mode: WriteMode::WriteThrough,
+            ..PageCacheConfig::default()
+        };
+        let _ = setup_with(1000.0, config);
     }
 }

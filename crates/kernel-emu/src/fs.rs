@@ -19,12 +19,12 @@
 //!
 //! ## Readahead
 //!
-//! When [`KernelTuning::readahead_max`](crate::KernelTuning) is non-zero,
-//! each file carries a Linux-style readahead stream: a request continuing
-//! exactly where the previous one ended (or a fresh stream starting at
-//! offset 0) is *sequential* and grows the per-file window — starting at
-//! `readahead_min`, doubling per sequential request up to `readahead_max` —
-//! while any other request collapses it to zero. After a sequential request
+//! When [`PageCacheConfig::readahead_max`](pagecache::PageCacheConfig::readahead_max)
+//! is non-zero, each file carries a Linux-style readahead stream: a request
+//! continuing exactly where the previous one ended (or a fresh stream
+//! starting at offset 0) is *sequential* and grows the per-file window —
+//! starting at `readahead_min`, doubling per sequential request up to
+//! `readahead_max` — while any other request collapses it to zero. After a sequential request
 //! is served, the non-resident part of the window beyond it is read from
 //! disk as extra traffic (`IoOpStats::bytes_prefetched`) and inserted into
 //! the cache's resident [range set](crate::KernelCache::uncovered) ahead of
@@ -37,22 +37,20 @@
 //! Writes are balanced against the dirty thresholds twice. At the **dirty
 //! ratio** the writer itself writes back down to the background threshold
 //! (the hard `balance_dirty_pages` leg the emulator always had); with
-//! [`KernelTuning::throttle_pacing`](crate::KernelTuning) non-zero, writers
-//! are additionally *paced* while dirty data sits **between** the background
-//! and the dirty threshold — stalled after each request proportionally to
-//! how deep into the band the host is, converging on disk write bandwidth at
-//! the limit, exactly the steady state of the kernel's task rate limit. Time
-//! spent in either leg is reported as `IoOpStats::throttle_stall` and
-//! accumulated in [`KernelCacheCounters`](crate::KernelCacheCounters).
+//! [`PageCacheConfig::throttle_pacing`](pagecache::PageCacheConfig::throttle_pacing)
+//! non-zero, writers are additionally *paced* while dirty data sits
+//! **between** the background and the dirty threshold — stalled after each
+//! request proportionally to how deep into the band the host is,
+//! converging on disk write bandwidth at the limit, exactly the steady state
+//! of the kernel's task rate limit. Time spent in either leg is reported as
+//! `IoOpStats::throttle_stall` and accumulated in
+//! [`KernelCacheCounters`](crate::KernelCacheCounters).
 
 use des::SimContext;
 use pagecache::{clamp_io_range, FileId, FsError, IoOpStats, ReclaimScope, EPSILON};
 use storage_model::Disk;
 
 use crate::cache::KernelCache;
-
-/// Default request size used by the emulated VFS layer (bytes).
-pub const DEFAULT_REQUEST_SIZE: f64 = 100.0 * 1e6;
 
 /// The readahead stream of one file (Linux keeps it in `struct
 /// file_ra_state`; files here are opened implicitly, so the stream is per
@@ -99,25 +97,17 @@ impl Readahead {
 pub struct KernelFileSystem {
     ctx: SimContext,
     cache: KernelCache,
-    request_size: f64,
 }
 
 impl KernelFileSystem {
     /// Creates an emulated filesystem with the given page cache, on the
-    /// disk the cache writes back to.
+    /// disk the cache writes back to. Requests are the cache
+    /// configuration's chunk size.
     pub fn new(ctx: &SimContext, cache: KernelCache) -> Self {
         KernelFileSystem {
             ctx: ctx.clone(),
             cache,
-            request_size: DEFAULT_REQUEST_SIZE,
         }
-    }
-
-    /// Overrides the request size the emulated VFS uses.
-    pub fn with_request_size(mut self, request_size: f64) -> Self {
-        assert!(request_size > 0.0, "request size must be positive");
-        self.request_size = request_size;
-        self
     }
 
     /// The emulated page cache.
@@ -153,7 +143,7 @@ impl KernelFileSystem {
         let mut pos = range_start;
         let end = range_start + amount;
         while end - pos > EPSILON {
-            let chunk_end = (pos + self.request_size).min(end);
+            let chunk_end = (pos + self.cache.config().chunk_size).min(end);
             let chunk = chunk_end - pos;
             // The disk-read plan is captured *before* reclaim: if direct
             // reclaim below evicts pages of this very range, the bytes
@@ -220,7 +210,7 @@ impl KernelFileSystem {
         pending_anon: f64,
         stats: &mut IoOpStats,
     ) {
-        if self.cache.tuning().readahead_max <= EPSILON {
+        if self.cache.config().readahead_max <= EPSILON {
             return;
         }
         let window = self.cache.advance_readahead(key, start, end);
@@ -280,7 +270,7 @@ impl KernelFileSystem {
         let mut stats = IoOpStats::default();
         let mut pos = start;
         while end - pos > EPSILON {
-            let chunk_end = (pos + self.request_size).min(end);
+            let chunk_end = (pos + self.cache.config().chunk_size).min(end);
             let chunk = chunk_end - pos;
 
             // balance_dirty_pages, hard leg: above the dirty threshold the
@@ -326,7 +316,7 @@ impl KernelFileSystem {
             // stall gives the background writeback threads simulated time to
             // drain, which is exactly the CAWL observation: stalled writers,
             // not just background flushing, dominate cache-aware writes.
-            let pacing = self.cache.tuning().throttle_pacing;
+            let pacing = self.cache.config().throttle_pacing;
             if pacing > 0.0 {
                 let background = self.cache.background_threshold();
                 let limit = self.cache.dirty_threshold();
@@ -381,8 +371,8 @@ impl KernelFileSystem {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tuning::KernelTuning;
     use des::Simulation;
+    use pagecache::PageCacheConfig;
     use storage_model::{units::MB, DeviceSpec, MemoryDevice};
 
     /// The slot key of `name`, a file the test created or wrote.
@@ -398,10 +388,10 @@ mod tests {
     }
 
     fn setup(total_mb: f64) -> (Simulation, KernelFileSystem) {
-        setup_with(KernelTuning::with_memory(total_mb * MB))
+        setup_with(total_mb, PageCacheConfig::default())
     }
 
-    fn setup_with(tuning: KernelTuning) -> (Simulation, KernelFileSystem) {
+    fn setup_with(total_mb: f64, config: PageCacheConfig) -> (Simulation, KernelFileSystem) {
         let sim = Simulation::new();
         let ctx = sim.context();
         // Real-cluster style asymmetric bandwidths (Table III).
@@ -414,7 +404,7 @@ mod tests {
             "ssd",
             DeviceSpec::asymmetric(510.0 * MB, 420.0 * MB, 0.0, f64::INFINITY),
         );
-        let cache = KernelCache::new(&ctx, tuning, memory, disk);
+        let cache = KernelCache::new(&ctx, config, total_mb * MB, memory, disk);
         let fs = KernelFileSystem::new(&ctx, cache);
         (sim, fs)
     }
@@ -609,13 +599,17 @@ mod tests {
         );
     }
 
-    fn readahead_tuning(total_mb: f64) -> KernelTuning {
-        KernelTuning::with_memory(total_mb * MB).with_readahead(50.0 * MB, 400.0 * MB)
+    fn readahead_config() -> PageCacheConfig {
+        PageCacheConfig {
+            readahead_min: 50.0 * MB,
+            readahead_max: 400.0 * MB,
+            ..PageCacheConfig::default()
+        }
     }
 
     #[test]
     fn sequential_scan_with_readahead_reads_each_byte_once() {
-        let (sim, fs) = setup_with(readahead_tuning(10_000.0));
+        let (sim, fs) = setup_with(10_000.0, readahead_config());
         fs.create_file(&"f".into(), 1000.0 * MB).unwrap();
         let h = sim.spawn({
             let fs = fs.clone();
@@ -643,7 +637,7 @@ mod tests {
 
     #[test]
     fn readahead_window_grows_then_collapses_on_a_jump() {
-        let (sim, fs) = setup_with(readahead_tuning(10_000.0));
+        let (sim, fs) = setup_with(10_000.0, readahead_config());
         fs.create_file(&"f".into(), 2000.0 * MB).unwrap();
         let h = sim.spawn({
             let fs = fs.clone();
@@ -675,7 +669,7 @@ mod tests {
 
     #[test]
     fn the_size_and_readahead_stream_survive_an_invalidation_and_a_crash() {
-        let (sim, fs) = setup_with(readahead_tuning(10_000.0));
+        let (sim, fs) = setup_with(10_000.0, readahead_config());
         let f: FileId = "f".into();
         fs.create_file(&f, 2000.0 * MB).unwrap();
         let k = key(&fs, "f");
@@ -699,7 +693,7 @@ mod tests {
 
     #[test]
     fn random_reads_never_prefetch() {
-        let (sim, fs) = setup_with(readahead_tuning(10_000.0));
+        let (sim, fs) = setup_with(10_000.0, readahead_config());
         fs.create_file(&"f".into(), 2000.0 * MB).unwrap();
         let h = sim.spawn({
             let fs = fs.clone();
@@ -727,7 +721,7 @@ mod tests {
         // 1000 MB of RAM: a 600 MB demand read plus its anonymous copy
         // leaves almost nothing for speculation — prefetch must shrink
         // rather than evict.
-        let (sim, fs) = setup_with(readahead_tuning(1000.0));
+        let (sim, fs) = setup_with(1000.0, readahead_config());
         fs.create_file(&"f".into(), 2000.0 * MB).unwrap();
         let h = sim.spawn({
             let fs = fs.clone();
@@ -762,8 +756,13 @@ mod tests {
             h.try_take_result().unwrap()
         };
         let paced = {
-            let (sim, fs) =
-                setup_with(KernelTuning::with_memory(1000.0 * MB).with_throttle_pacing(1.0));
+            let (sim, fs) = setup_with(
+                1000.0,
+                PageCacheConfig {
+                    throttle_pacing: 1.0,
+                    ..PageCacheConfig::default()
+                },
+            );
             let h = sim.spawn({
                 let fs = fs.clone();
                 async move {
@@ -841,7 +840,7 @@ mod tests {
         // the cold read reclaims and reads ahead, so every step of the read
         // and the write runs, request after request, and a per-step lookup
         // would show in the count.
-        let (sim, fs) = setup_with(readahead_tuning(500.0));
+        let (sim, fs) = setup_with(500.0, readahead_config());
         fs.create_file(&"f".into(), 300.0 * MB).unwrap();
         let h = sim.spawn({
             let fs = fs.clone();

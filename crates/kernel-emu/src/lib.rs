@@ -10,17 +10,20 @@
 //! * writer throttling à la `balance_dirty_pages` — both the hard leg
 //!   (synchronous writeback above `vm.dirty_ratio`) and, opt-in, the pacing
 //!   leg that stalls writers between the two thresholds
-//!   ([`KernelTuning::throttle_pacing`]),
+//!   ([`PageCacheConfig::throttle_pacing`](pagecache::PageCacheConfig::throttle_pacing)),
 //! * eviction protection of files currently being written,
 //! * per-file page accounting instead of per-I/O data blocks, refined to
 //!   **true resident byte ranges** per file,
 //! * opt-in Linux-style **readahead**: per-file sequentiality detection
 //!   with a growing/collapsing window whose prefetch lands in the resident
-//!   ranges ahead of demand ([`KernelTuning::readahead_max`]; see
+//!   ranges ahead of demand
+//!   ([`PageCacheConfig::readahead_max`](pagecache::PageCacheConfig::readahead_max); see
 //!   [`KernelFileSystem`] for the exact model),
 //!
-//! and that is configured with the *measured, asymmetric* device bandwidths of
-//! Table III (whereas the simulators use the symmetric averages). Simulators
+//! and that is configured with the host's one
+//! [`PageCacheConfig`](pagecache::PageCacheConfig) (the paper's model reads
+//! the same type) and the *measured, asymmetric* device bandwidths of Table
+//! III (whereas the simulators use the symmetric averages). Simulators
 //! are then evaluated by their error against this emulator, exactly as the
 //! paper evaluates WRENCH and WRENCH-cache against the real cluster.
 
@@ -28,9 +31,7 @@
 
 mod cache;
 mod fs;
-mod tuning;
 
 pub use cache::{KernelCache, KernelCacheCounters, KernelCacheWork};
-pub use fs::{KernelFileSystem, DEFAULT_REQUEST_SIZE};
+pub use fs::KernelFileSystem;
 pub use storage_model::units::PAGE_SIZE;
-pub use tuning::{KernelTuning, LINUX_READAHEAD_MAX, LINUX_READAHEAD_MIN};

@@ -11,8 +11,8 @@
 //! about one entry per file actually reclaimed, whatever the writer count.
 
 use des::Simulation;
-use kernel_emu::{KernelCache, KernelCacheWork, KernelTuning};
-use pagecache::{FileId, ReclaimScope};
+use kernel_emu::{KernelCache, KernelCacheWork};
+use pagecache::{FileId, PageCacheConfig, ReclaimScope};
 use storage_model::units::MB;
 use storage_model::{DeviceSpec, Disk, MemoryDevice};
 
@@ -50,7 +50,7 @@ fn serve(writers: usize) -> Run {
         "disk",
         DeviceSpec::symmetric(465.0 * MB, 0.0, f64::INFINITY),
     );
-    let cache = KernelCache::new(&ctx, KernelTuning::with_memory(CAPACITY), memory, disk);
+    let cache = KernelCache::new(&ctx, PageCacheConfig::default(), CAPACITY, memory, disk);
     let task = sim.spawn({
         let cache = cache.clone();
         async move {

@@ -41,9 +41,6 @@ use crate::lru::EPSILON;
 use crate::manager::MemoryManager;
 use crate::stats::IoOpStats;
 
-/// Default chunk size used when the caller does not specify one (bytes).
-pub const DEFAULT_CHUNK_SIZE: f64 = 100.0 * 1e6;
-
 /// Clamps the byte range `[offset, offset + len)` to a file of `file_size`
 /// bytes and returns `(start, amount)`. Negative offsets are clamped to 0,
 /// `len = f64::INFINITY` means "to end of file", and ranges beyond the end
@@ -83,31 +80,23 @@ pub fn check_write_range(offset: f64, len: f64) -> Result<(), FsError> {
 pub struct IoController {
     ctx: SimContext,
     mm: MemoryManager,
-    chunk_size: f64,
 }
 
 impl IoController {
-    /// Creates a controller operating on the given Memory Manager with the
-    /// default chunk size.
+    /// Creates a controller operating on the given Memory Manager, with the
+    /// chunk size of the manager's configuration.
     pub fn new(ctx: &SimContext, mm: MemoryManager) -> Self {
         IoController {
             ctx: ctx.clone(),
             mm,
-            chunk_size: DEFAULT_CHUNK_SIZE,
         }
     }
 
-    /// Overrides the chunk size (bytes per request sent to the controller).
-    pub fn with_chunk_size(mut self, chunk_size: f64) -> Self {
-        assert!(chunk_size > 0.0, "chunk size must be positive");
-        self.chunk_size = chunk_size;
-        self
-    }
-
     /// The chunk size used by [`IoController::read_range`] and
-    /// [`IoController::write_amount`].
+    /// [`IoController::write_amount`]: the configuration's
+    /// [`chunk_size`](crate::PageCacheConfig::chunk_size).
     pub fn chunk_size(&self) -> f64 {
-        self.chunk_size
+        self.mm.config().chunk_size
     }
 
     /// The underlying Memory Manager, which holds the host's files.
@@ -142,7 +131,7 @@ impl IoController {
         let mut stats = IoOpStats::default();
         let mut remaining = amount;
         while remaining > EPSILON {
-            let chunk = remaining.min(self.chunk_size);
+            let chunk = remaining.min(self.chunk_size());
             self.read_chunk(key, file_size, chunk, true, &mut stats)
                 .await;
             remaining -= chunk;
@@ -178,7 +167,7 @@ impl IoController {
         let mut stats = IoOpStats::default();
         let mut remaining = amount;
         while remaining > EPSILON {
-            let chunk = remaining.min(self.chunk_size);
+            let chunk = remaining.min(self.chunk_size());
             let chunk_stats = match self.mm.config().write_mode {
                 WriteMode::WriteBack => self.write_chunk_writeback(key, chunk).await,
                 WriteMode::WriteThrough => self.write_chunk_writethrough(key, chunk).await,
@@ -424,12 +413,16 @@ mod tests {
     const DISK_BW: f64 = 100.0 * 1e6; // 100 MB/s
 
     fn setup(total_memory: f64, mode: WriteMode) -> (Simulation, IoController) {
-        setup_on_disk(total_memory, mode, f64::INFINITY)
+        let cfg = PageCacheConfig {
+            write_mode: mode,
+            ..PageCacheConfig::default()
+        };
+        setup_with(total_memory, cfg, f64::INFINITY)
     }
 
-    fn setup_on_disk(
+    fn setup_with(
         total_memory: f64,
-        mode: WriteMode,
+        cfg: PageCacheConfig,
         disk_capacity: f64,
     ) -> (Simulation, IoController) {
         let sim = Simulation::new();
@@ -440,11 +433,8 @@ mod tests {
             "disk0",
             DeviceSpec::symmetric(DISK_BW, 0.0, disk_capacity),
         );
-        let mut cfg = PageCacheConfig::with_memory(total_memory);
-        cfg.write_mode = mode;
-        let mm = MemoryManager::new(&ctx, cfg, memory, disk);
-        let io = IoController::new(&ctx, mm).with_chunk_size(100.0 * MB);
-        (sim, io)
+        let mm = MemoryManager::new(&ctx, cfg, total_memory, memory, disk);
+        (sim, IoController::new(&ctx, mm))
     }
 
     fn approx(a: f64, b: f64) {
@@ -656,8 +646,11 @@ mod tests {
     #[test]
     fn chunk_size_does_not_change_totals() {
         for chunk_mb in [10.0, 50.0, 250.0] {
-            let (sim, io) = setup(10_000.0 * MB, WriteMode::WriteBack);
-            let io = io.with_chunk_size(chunk_mb * MB);
+            let cfg = PageCacheConfig {
+                chunk_size: chunk_mb * MB,
+                ..PageCacheConfig::default()
+            };
+            let (sim, io) = setup_with(10_000.0 * MB, cfg, f64::INFINITY);
             create(&io, "f", 1000.0 * MB);
             let h = sim.spawn({
                 let io = io.clone();
@@ -691,13 +684,6 @@ mod tests {
         assert_eq!(r.total_bytes(), 0.0);
         assert_eq!(w.total_bytes(), 0.0);
         assert_eq!(sim.now().as_secs(), 0.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "chunk size must be positive")]
-    fn invalid_chunk_size_rejected() {
-        let (_sim, io) = setup(1000.0 * MB, WriteMode::WriteBack);
-        let _ = io.with_chunk_size(0.0);
     }
 
     #[test]
@@ -854,10 +840,12 @@ mod tests {
             "disk0",
             DeviceSpec::symmetric(DISK_BW, 1e-3, f64::INFINITY),
         );
-        let mut cfg = PageCacheConfig::with_memory(1000.0 * MB);
-        cfg.dirty_ratio = 1.0;
-        let mm = MemoryManager::new(&ctx, cfg, memory, disk);
-        let io = IoController::new(&ctx, mm).with_chunk_size(100.0 * MB);
+        let cfg = PageCacheConfig {
+            dirty_ratio: 1.0,
+            ..PageCacheConfig::default()
+        };
+        let mm = MemoryManager::new(&ctx, cfg, 1000.0 * MB, memory, disk);
+        let io = IoController::new(&ctx, mm);
         io.memory_manager().use_anonymous_memory(900.0 * MB + 0.5);
         let writer = sim.spawn({
             let io = io.clone();
@@ -923,7 +911,7 @@ mod tests {
 
     #[test]
     fn creating_a_file_past_a_full_disk_fails() {
-        let (_sim, io) = setup_on_disk(1_000.0 * MB, WriteMode::WriteBack, 100.0 * MB);
+        let (_sim, io) = setup_with(1_000.0 * MB, PageCacheConfig::default(), 100.0 * MB);
         assert!(matches!(
             io.memory_manager().create_file(&"big".into(), 200.0 * MB),
             Err(FsError::DiskFull(_))

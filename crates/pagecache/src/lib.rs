@@ -32,7 +32,7 @@
 //! let ctx = sim.context();
 //! let memory = MemoryDevice::new(&ctx, DeviceSpec::symmetric(4812.0 * MB, 0.0, f64::INFINITY));
 //! let disk = Disk::new(&ctx, "ssd", DeviceSpec::symmetric(465.0 * MB, 0.0, f64::INFINITY));
-//! let mm = MemoryManager::new(&ctx, PageCacheConfig::with_memory(8_000.0 * MB), memory, disk);
+//! let mm = MemoryManager::new(&ctx, PageCacheConfig::default(), 8_000.0 * MB, memory, disk);
 //! let io = IoController::new(&ctx, mm);
 //! io.memory_manager().create_file(&"input".into(), 1_000.0 * MB).unwrap();
 //!
@@ -60,8 +60,8 @@ pub mod policy;
 mod stats;
 
 pub use block::{DataBlock, FileId};
-pub use config::{PageCacheConfig, WriteMode};
-pub use controller::{check_write_range, clamp_io_range, IoController, DEFAULT_CHUNK_SIZE};
+pub use config::{PageCacheConfig, WriteMode, LINUX_READAHEAD_MAX, LINUX_READAHEAD_MIN};
+pub use controller::{check_write_range, clamp_io_range, IoController};
 pub use error::FsError;
 pub use file_table::{FileTable, ReclaimScope};
 pub use lru::{ListKind, LruLists, LruWork, EPSILON};

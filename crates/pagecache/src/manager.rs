@@ -76,28 +76,34 @@ pub struct MemoryManager {
     memory: MemoryDevice,
     disk: Disk,
     config: PageCacheConfig,
+    total_memory: f64,
     state: Rc<RefCell<MmState>>,
 }
 
 impl MemoryManager {
     /// Creates a Memory Manager for a host with the given page-cache
-    /// configuration, memory bus and backing disk (the disk dirty data is
-    /// flushed to).
+    /// configuration, `total_memory` bytes of RAM, memory bus and backing
+    /// disk (the disk dirty data is flushed to).
     ///
     /// # Panics
-    /// Panics if the configuration is invalid.
+    /// Panics if the configuration or the memory size is invalid.
     pub fn new(
         ctx: &SimContext,
         config: PageCacheConfig,
+        total_memory: f64,
         memory: MemoryDevice,
         disk: Disk,
     ) -> Self {
-        config.validate().expect("invalid page cache configuration");
+        config
+            .validate()
+            .and(PageCacheConfig::check_memory(total_memory))
+            .expect("invalid page cache configuration");
         MemoryManager {
             ctx: ctx.clone(),
             memory,
             disk,
             config,
+            total_memory,
             state: Rc::new(RefCell::new(MmState {
                 lru: LruLists::with_policy(config.eviction_policy),
                 anonymous: 0.0,
@@ -125,7 +131,7 @@ impl MemoryManager {
 
     /// Total RAM of the host in bytes.
     pub fn total_memory(&self) -> f64 {
-        self.config.total_memory
+        self.total_memory
     }
 
     /// Page cache size (clean + dirty), in bytes.
@@ -146,13 +152,13 @@ impl MemoryManager {
     /// Free memory: total minus cache minus anonymous memory (clamped at 0).
     pub fn free_memory(&self) -> f64 {
         let s = self.state.borrow();
-        (self.config.total_memory - s.lru.total_cached() - s.anonymous).max(0.0)
+        (self.total_memory - s.lru.total_cached() - s.anonymous).max(0.0)
     }
 
     /// Memory available to the page cache: total minus anonymous memory. This
     /// is the base of the dirty-ratio computation (paper Algorithm 3, line 5).
     pub fn available_memory(&self) -> f64 {
-        (self.config.total_memory - self.state.borrow().anonymous).max(0.0)
+        (self.total_memory - self.state.borrow().anonymous).max(0.0)
     }
 
     /// How much more dirty data may be produced before writers must flush:
@@ -461,14 +467,7 @@ impl MemoryManager {
         let mut s = self.state.borrow_mut();
         let cached = s.lru.total_cached();
         let dirty = s.lru.total_dirty();
-        let sample = MemorySample {
-            time: now,
-            total: self.config.total_memory,
-            used: (cached + s.anonymous).min(self.config.total_memory),
-            cached,
-            dirty,
-            anonymous: s.anonymous,
-        };
+        let sample = MemorySample::new(now, self.total_memory, cached, dirty, s.anonymous);
         s.trace.push(sample.clone());
         sample
     }
@@ -544,12 +543,7 @@ mod tests {
             "disk0",
             DeviceSpec::symmetric(DISK_BW, 0.0, f64::INFINITY),
         );
-        let mm = MemoryManager::new(
-            &ctx,
-            PageCacheConfig::with_memory(total_memory),
-            memory,
-            disk,
-        );
+        let mm = MemoryManager::new(&ctx, PageCacheConfig::default(), total_memory, memory, disk);
         (sim, mm)
     }
 
@@ -815,8 +809,10 @@ mod tests {
             "d",
             DeviceSpec::symmetric(DISK_BW, 0.0, f64::INFINITY),
         );
-        let mut cfg = PageCacheConfig::with_memory(1000.0 * MB);
-        cfg.dirty_ratio = 3.0;
-        let _ = MemoryManager::new(&ctx, cfg, memory, disk);
+        let cfg = PageCacheConfig {
+            dirty_ratio: 3.0,
+            ..PageCacheConfig::default()
+        };
+        let _ = MemoryManager::new(&ctx, cfg, 1000.0 * MB, memory, disk);
     }
 }

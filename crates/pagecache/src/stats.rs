@@ -28,6 +28,23 @@ pub struct MemorySample {
     pub anonymous: f64,
 }
 
+impl MemorySample {
+    /// The sample of a host with `total` bytes of RAM holding `cached` bytes
+    /// of page cache (`dirty` of them dirty) and `anonymous` bytes of
+    /// application memory. Used memory is cache plus anonymous memory,
+    /// capped at the host's RAM.
+    pub fn new(time: SimTime, total: f64, cached: f64, dirty: f64, anonymous: f64) -> Self {
+        MemorySample {
+            time,
+            total,
+            used: (cached + anonymous).min(total),
+            cached,
+            dirty,
+            anonymous,
+        }
+    }
+}
+
 /// The memory profile of a simulation run: a time series of [`MemorySample`]s.
 #[derive(Debug, Default, Clone)]
 pub struct MemoryTrace {

@@ -451,21 +451,14 @@ impl Backend {
                 Ok(Backend::Direct(DirectFileSystem::new(ctx, disk)))
             }
             (StorageKind::Local, SimulatorKind::PageCache | SimulatorKind::Prototype) => {
-                let mm = MemoryManager::new(
-                    ctx,
-                    platform.cache_config(platform.host_memory),
-                    memory,
-                    disk,
-                );
-                Ok(Backend::Cached(
-                    IoController::new(ctx, mm).with_chunk_size(platform.chunk_size),
-                ))
+                let mm =
+                    MemoryManager::new(ctx, platform.cache, platform.host_memory, memory, disk);
+                Ok(Backend::Cached(IoController::new(ctx, mm)))
             }
             (StorageKind::Local, SimulatorKind::KernelEmu) => {
-                let cache = KernelCache::new(ctx, platform.kernel_tuning(), memory, disk);
-                Ok(Backend::Kernel(
-                    KernelFileSystem::new(ctx, cache).with_request_size(platform.chunk_size),
-                ))
+                let cache =
+                    KernelCache::new(ctx, platform.cache, platform.host_memory, memory, disk);
+                Ok(Backend::Kernel(KernelFileSystem::new(ctx, cache)))
             }
             (StorageKind::Nfs, SimulatorKind::Cacheless) => {
                 let link = NetworkLink::new(

@@ -63,7 +63,7 @@ use std::rc::Rc;
 use des::{select2, Either, SimContext};
 use pagecache::{
     check_write_range, clamp_io_range, FileId, FileTable, FsError, IoController, IoOpStats,
-    MemoryManager, WriteMode, EPSILON,
+    MemoryManager, PageCacheConfig, WriteMode, EPSILON,
 };
 use storage_model::{AbortHandle, Disk, MemoryDevice, SharedResource, TransferOutcome};
 
@@ -931,8 +931,11 @@ impl FleetClient {
     ) -> Result<FleetClient, ScenarioError> {
         spec.validate().map_err(ScenarioError::InvalidPlatform)?;
         let server_cache = match platform.storage {
-            StorageKind::Nfs => platform.cache_config(platform.server_memory).writethrough(),
-            _ => platform.cache_config(platform.server_memory),
+            StorageKind::Nfs => PageCacheConfig {
+                write_mode: WriteMode::WriteThrough,
+                ..platform.cache
+            },
+            _ => platform.cache,
         };
         let fabric = Fabric::new(ctx);
         let mut servers = Vec::with_capacity(spec.servers);
@@ -943,8 +946,8 @@ impl FleetClient {
             fabric.add_link(&link, devices.network_bandwidth, devices.network_latency);
             let memory = MemoryDevice::new(ctx, devices.memory);
             let disk = Disk::new(ctx, format!("{host}-disk"), devices.remote_disk);
-            let mm = MemoryManager::new(ctx, server_cache, memory, disk);
-            let io = IoController::new(ctx, mm).with_chunk_size(platform.chunk_size);
+            let mm = MemoryManager::new(ctx, server_cache, platform.server_memory, memory, disk);
+            let io = IoController::new(ctx, mm);
             servers.push(ServerNode {
                 host,
                 link,
@@ -964,15 +967,10 @@ impl FleetClient {
             // The client cache holds only clean data; its disk is never
             // written but the Memory Manager needs a flush target.
             let disk = Disk::new(ctx, format!("{host}-disk"), devices.disk);
-            let mm = MemoryManager::new(
-                ctx,
-                platform.cache_config(platform.host_memory),
-                memory,
-                disk,
-            );
+            let mm = MemoryManager::new(ctx, platform.cache, platform.host_memory, memory, disk);
             clients.push(ClientNode {
                 host,
-                io: IoController::new(ctx, mm).with_chunk_size(platform.chunk_size),
+                io: IoController::new(ctx, mm),
                 versions: RefCell::default(),
                 degraded_reads: Cell::new(0),
                 stale_reads: Cell::new(0),

@@ -153,7 +153,7 @@ fn invalid_platforms_are_rejected_before_any_simulation() {
         DeviceSpec::symmetric(4812.0 * MB, 0.0, f64::INFINITY),
         DeviceSpec::symmetric(465.0 * MB, 0.0, f64::INFINITY),
     );
-    platform.dirty_ratio = 7.0;
+    platform.cache.dirty_ratio = 7.0;
     let app = ApplicationSpec::synthetic_pipeline(1.0 * GB);
     let err = run_scenario(&Scenario::new(platform, app, SimulatorKind::PageCache)).unwrap_err();
     assert!(matches!(err, ScenarioError::InvalidPlatform(_)));
@@ -178,7 +178,7 @@ fn malformed_sizes_and_devices_are_rejected_on_every_simulator() {
         ),
         (
             "NaN chunk size".into(),
-            Box::new(|p| p.chunk_size = f64::NAN),
+            Box::new(|p| p.cache.chunk_size = f64::NAN),
         ),
         // Infinite memory used to pass the platform checks and then panic
         // inside the cache models' constructors.
@@ -217,13 +217,21 @@ fn malformed_sizes_and_devices_are_rejected_on_every_simulator() {
     for interval in [0.0, -1.0, f64::NAN, f64::INFINITY] {
         cases.push((
             format!("flush interval {interval}"),
-            Box::new(move |p| p.flush_interval = interval),
+            Box::new(move |p| p.cache.flush_interval = interval),
         ));
     }
     for expire in [-1.0, f64::NAN] {
         cases.push((
             format!("dirty expire {expire}"),
-            Box::new(move |p| p.dirty_expire = expire),
+            Box::new(move |p| p.cache.dirty_expire = expire),
+        ));
+    }
+    // A malformed chunk size used to panic in the builder before the
+    // platform's validation could reject it.
+    for chunk in [0.0, -1.0, f64::NAN] {
+        cases.push((
+            format!("chunk size {chunk} set through the builder"),
+            Box::new(move |p| *p = p.clone().with_chunk_size(chunk)),
         ));
     }
     // Every other page-cache setting the platform's validation rejects, set

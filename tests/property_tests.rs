@@ -257,8 +257,12 @@ fn controller_cold_read_time_matches_analytic_model() {
             "d",
             DeviceSpec::symmetric(465.0 * MB, 0.0, f64::INFINITY),
         );
-        let mm = MemoryManager::new(&ctx, PageCacheConfig::with_memory(16.0 * GB), memory, disk);
-        let io = IoController::new(&ctx, mm).with_chunk_size(chunk_mb * MB);
+        let config = PageCacheConfig {
+            chunk_size: chunk_mb * MB,
+            ..PageCacheConfig::default()
+        };
+        let mm = MemoryManager::new(&ctx, config, 16.0 * GB, memory, disk);
+        let io = IoController::new(&ctx, mm);
         let f: FileId = "f".into();
         io.memory_manager().create_file(&f, size_mb * MB).unwrap();
         let h = sim.spawn(async move {
