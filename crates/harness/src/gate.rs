@@ -44,9 +44,10 @@
 //! is a `"<scenario>/<metric>"` prefix plus the reason. The frozen check
 //! ([`compare_intersection_exact`]) skips, and reports, every reference key
 //! under a retired prefix, so a PR that deletes metrics can still prove the
-//! rest bit-identical against the previous golden. A retired prefix that
-//! matches a metric the run still produces is drift: the list must never
-//! hide a live metric. The list is read from the checked-in golden, never
+//! rest bit-identical against the previous golden; a scenario may be gone
+//! from the run only when every one of its metrics is retired. A retired
+//! prefix that matches a metric the run still produces is drift: the list
+//! must never hide a live metric. The list is read from the checked-in golden, never
 //! from the frozen reference, and `--update-golden` carries it over.
 
 use crate::json::Json;
@@ -397,8 +398,9 @@ pub fn counter_deltas(golden: &Json, results: &Json, drifts: &[Drift]) -> Vec<St
 /// tolerance**: every metric the reference knows must be present in the run
 /// and bit-identical; scenarios and metrics that exist only in the run are
 /// ignored. Reference metrics under a `retired` prefix are skipped, and
-/// returned second so the caller can list them; a metric of the run under a
-/// retired prefix is a [`Drift::LiveRetired`].
+/// returned second so the caller can list them, so a scenario whose every
+/// metric is retired may be gone; a metric of the run under a retired
+/// prefix is a [`Drift::LiveRetired`].
 ///
 /// This is the proof obligation of a PR that *adds* scenarios or metrics:
 /// regenerating `baselines/golden.json` in the same commit is legitimate,
@@ -430,7 +432,16 @@ pub fn compare_intersection_exact(
     }
     for (name, reference_scenario) in reference_scenarios.pairs() {
         let Some(result_scenario) = result_scenarios.get(name) else {
-            drifts.push(Drift::MissingScenario(name.clone()));
+            // A scenario deleted on purpose has every metric retired.
+            let keys: Vec<String> = metric_map(reference_scenario)
+                .iter()
+                .map(|(metric, _)| format!("{name}/{metric}"))
+                .collect();
+            if !keys.is_empty() && keys.iter().all(|key| retired_by(retired, key).is_some()) {
+                skipped.extend(keys);
+            } else {
+                drifts.push(Drift::MissingScenario(name.clone()));
+            }
             continue;
         };
         let actual = metric_map(result_scenario);
@@ -741,6 +752,20 @@ mod tests {
         let (drifts, skipped) = compare_intersection_exact(&reference, &results, &[]).unwrap();
         assert_eq!(drifts.len(), 2);
         assert!(skipped.is_empty());
+    }
+
+    #[test]
+    fn a_scenario_may_vanish_only_when_all_its_metrics_are_retired() {
+        let reference = doc("{\"a\": 1.0, \"b\": 2.0}");
+        let results = parse("{\"scenarios\": {}}").unwrap();
+        let retired = Retired::from_json(&retiring("s/")).unwrap();
+        let (drifts, skipped) = compare_intersection_exact(&reference, &results, &retired).unwrap();
+        assert_eq!(drifts, Vec::new());
+        assert_eq!(skipped, vec!["s/a".to_string(), "s/b".to_string()]);
+        // One metric left unretired keeps the scenario required.
+        let retired = Retired::from_json(&retiring("s/a")).unwrap();
+        let (drifts, _) = compare_intersection_exact(&reference, &results, &retired).unwrap();
+        assert_eq!(drifts, vec![Drift::MissingScenario("s".to_string())]);
     }
 
     #[test]

@@ -158,12 +158,6 @@ pub fn registry() -> Vec<Scenario> {
             run: example_nfs_cluster,
         },
         Scenario {
-            name: "example_concurrent_instances",
-            group: "examples",
-            description: "examples/concurrent_instances.rs: contention plateau",
-            run: example_concurrent_instances,
-        },
-        Scenario {
             name: "example_database_workload",
             group: "examples",
             description: "examples/database_workload.rs: commit loop (Repeat+Fsync) + checkpoint",
@@ -820,29 +814,6 @@ fn example_nfs_cluster() -> Result<Metrics, String> {
     let app = ApplicationSpec::synthetic_pipeline(1.0 * GB);
     let mut m = Metrics::new();
     for instances in [1usize, 4] {
-        for (label, kind) in [
-            ("cacheless", SimulatorKind::Cacheless),
-            ("cache", SimulatorKind::PageCache),
-        ] {
-            let report = run(&mut m, &platform, &app, kind, instances)?;
-            m.push(
-                format!("n{instances:02}/{label}/read_s"),
-                report.mean_total_read_time(),
-            );
-            m.push(
-                format!("n{instances:02}/{label}/write_s"),
-                report.mean_total_write_time(),
-            );
-        }
-    }
-    Ok(m)
-}
-
-fn example_concurrent_instances() -> Result<Metrics, String> {
-    let platform = uniform_platform(32.0 * GB);
-    let app = ApplicationSpec::synthetic_pipeline(1.0 * GB);
-    let mut m = Metrics::new();
-    for instances in [1usize, 4, 8] {
         for (label, kind) in [
             ("cacheless", SimulatorKind::Cacheless),
             ("cache", SimulatorKind::PageCache),
@@ -2092,12 +2063,16 @@ mod tests {
         // A traffic-only run has no instance reports, so its run_stats()
         // are all zeros; the profile still sees the generator's evictions.
         let m = traffic_cache_pressure_tail_latency().unwrap();
-        assert!(m.profile().evict_calls > 0);
+        assert!(m.profile().cache.evict_calls > 0);
         for kind in [SimulatorKind::PageCache, SimulatorKind::KernelEmu] {
             let mut m = Metrics::new();
             let platform = scaled_platform(8.0 * GB);
             run_traffic(&mut m, &platform, kind, vec![pressured(24.0 * MB)]).unwrap();
-            assert!(m.profile().evict_calls > 0, "{kind:?}: {:?}", m.profile());
+            assert!(
+                m.profile().cache.evict_calls > 0,
+                "{kind:?}: {:?}",
+                m.profile()
+            );
         }
     }
 

@@ -16,6 +16,11 @@
 //! This emulator plays the role of the *real cluster node* in our
 //! reproduction: simulators are evaluated by their error against it.
 //!
+//! A [`KernelCache`] is the host core both cache models share,
+//! [`pagecache::Host`], over a [`KernelState`]: the core keeps the memory
+//! accounting, the counters, the memory trace and the flush-interval loop,
+//! and this module keeps only the emulator's own cache state and walks.
+//!
 //! # Mechanism vs. policy
 //!
 //! Like `pagecache::lru`, this module is *mechanism*: the per-file slots of
@@ -42,12 +47,12 @@
 //! [`TwoList`](pagecache::EvictionPolicy::TwoList) policy ranks every file
 //! 0, reproducing the historical behaviour exactly.
 //!
-//! Which files [`KernelCache::evict`] and [`KernelCache::write_back`] may
-//! take is a [`ReclaimScope`], the type the macroscopic model uses too: the
-//! whole host (optionally excluding the file being read, by its slot key)
-//! for global reclaim, or one cache group for
-//! [`KernelCache::enforce_group_limits`], so a tenant's limit runs the same
-//! victim ordering as global reclaim. Each index entry a walk visits is
+//! Which files eviction ([`Host::evict`]) and writeback ([`Host::flush`])
+//! may take is a [`ReclaimScope`], the type the macroscopic model uses too:
+//! the whole host (optionally excluding the file being read, by its slot
+//! key) for global reclaim, or one cache group for
+//! [`Host::enforce_group_limits`], so a tenant's limit runs the same victim
+//! ordering as global reclaim. Each index entry a walk visits is
 //! checked against the scope by slot key, without a name lookup.
 //!
 //! The per-file calls ([`KernelCache::insert_clean_range`],
@@ -76,18 +81,18 @@
 //! ([`KernelCache::touch`], the read-hit path) only marks its slot stale:
 //! the next eviction or writeback re-keys the stale slots before it walks,
 //! so a hot file read many times between reclaims is re-keyed once.
-//! [`KernelCache::work`] counts the reclaim calls and the entries each walk
+//! [`Host::work`] counts the reclaim calls and the entries each walk
 //! visits.
 
-use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
+use std::future::Future;
 use std::ops::Bound::{Excluded, Unbounded};
-use std::rc::Rc;
+use std::ops::Deref;
 
 use des::{JoinHandle, SimContext, SimTime};
 use pagecache::{
-    CacheContentSnapshot, FileId, FileMeta, FileTable, FsError, MemorySample, MemoryTrace,
-    PageCacheConfig, Policy, ReclaimScope, WriteMode, EPSILON,
+    CacheState, CacheWork, FileId, FileMeta, FileTable, FsError, Host, PageCacheConfig, Policy,
+    ReclaimScope, WriteMode, EPSILON,
 };
 use storage_model::{Disk, MemoryDevice};
 
@@ -281,40 +286,6 @@ impl FilePages {
     }
 }
 
-/// Aggregate counters of the emulator.
-#[derive(Debug, Default, Clone, Copy, PartialEq)]
-pub struct KernelCacheCounters {
-    /// Bytes written back by the background writeback threads.
-    pub background_writeback: f64,
-    /// Bytes written back synchronously by throttled writers.
-    pub throttled_writeback: f64,
-    /// Bytes evicted under memory pressure.
-    pub evicted: f64,
-    /// Bytes read from disk by the readahead model ahead of demand.
-    pub prefetched: f64,
-    /// Seconds writers spent blocked in `balance_dirty_pages`-style
-    /// throttling (synchronous threshold writeback plus pacing stalls).
-    pub throttle_stall_seconds: f64,
-}
-
-/// Deterministic work counters of the reclaim walks: calls, and index
-/// entries visited, skipped ones included. Counts, not timers, so they are
-/// identical on any machine.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct KernelCacheWork {
-    /// Calls of [`KernelCache::evict`] with an amount above [`EPSILON`].
-    pub evict_calls: u64,
-    /// Calls of [`KernelCache::write_back`] with an amount above
-    /// [`EPSILON`], including those [`KernelCache::write_back_expired`]
-    /// makes.
-    pub writeback_calls: u64,
-    /// Clean-index entries visited by [`KernelCache::evict`] (both passes).
-    pub evict_visits: u64,
-    /// Dirty-index entries visited by [`KernelCache::write_back`] and
-    /// [`KernelCache::write_back_expired`].
-    pub writeback_visits: u64,
-}
-
 /// Where a slot's entries sit in the reclaim indexes: the clean entry's
 /// `(rank, last_access, write_open)` and the dirty entry's time, `None`
 /// when the file holds no clean (dirty) pages. The name and slot parts of
@@ -384,13 +355,13 @@ impl FileSlot {
     }
 }
 
-/// The mutable state of one [`KernelCache`]: the file table of per-file
-/// slots and the ordered reclaim indexes (see the module docs). For F
-/// cached files: every insert, writeback
-/// step and eviction step re-keys the file it changes in O(log F);
-/// [`KernelCache::touch`] is O(1) and leaves its re-key to the next reclaim
-/// walk; the byte totals, group totals included, are O(1).
-struct State {
+/// The cache state of one [`KernelCache`] on its [`Host`]: the file table
+/// of per-file slots and the ordered reclaim indexes (see the module docs).
+/// For F cached files: every insert, writeback step and eviction step
+/// re-keys the file it changes in O(log F); [`KernelCache::touch`] is O(1)
+/// and leaves its re-key to the next reclaim walk; the byte totals, group
+/// totals included, are O(1).
+pub struct KernelState {
     /// Per-file slots behind the name index, with each file's size and
     /// cache group (file state, not cache state: they survive eviction,
     /// invalidation and crashes) and the group byte totals, moved at every
@@ -406,24 +377,20 @@ struct State {
     /// Slots marked stale by [`KernelCache::touch`] (each listed at least
     /// once while its flag is set), drained before every reclaim walk.
     stale: Vec<u64>,
-    work: KernelCacheWork,
-    anonymous: f64,
+    work: CacheWork,
     /// Incrementally maintained sum of `FilePages::cached` over all files,
     /// so that [`KernelCache::cached`] (polled on every simulated request) is
     /// O(1) instead of a scan over the file table.
     cached_total: f64,
     /// Incrementally maintained sum of `FilePages::dirty` over all files.
     dirty_total: f64,
-    trace: MemoryTrace,
-    counters: KernelCacheCounters,
     /// Replacement policy: decides victim-file ordering and re-access
     /// classification via the file-granular hooks. The
     /// mechanism (file table, indexes, ledgers) above is policy-independent.
     policy: Policy,
-    stop: bool,
 }
 
-impl State {
+impl KernelState {
     /// Moves slot `i`'s index entries to `to`. O(log F) per entry that
     /// moves; a no-op when the position is unchanged.
     fn place(&mut self, i: u64, to: IndexPos) {
@@ -594,17 +561,180 @@ impl State {
             );
         }
     }
+
+    /// The dirty bytes of every file whose oldest dirty page is older than
+    /// `expire` seconds at `now`.
+    fn expired(&mut self, now: SimTime, expire: f64) -> f64 {
+        if self.dirty_total <= EPSILON {
+            return 0.0;
+        }
+        self.drain_stale();
+        // The dirty index is oldest first, so the expired files are a
+        // prefix of it.
+        let mut amount = 0.0;
+        for &(t, _, i) in &self.dirty {
+            self.work.writeback_visits += 1;
+            if now.duration_since(t) <= expire {
+                break;
+            }
+            amount += self.files.get(i).pages.dirty();
+        }
+        amount
+    }
+
+    /// Marks every dirty page of slot `i` clean and clears its durability
+    /// ledger. O(1) bookkeeping via the file's slot. Returns the bytes
+    /// cleaned.
+    fn write_back_file(&mut self, i: u64) -> f64 {
+        let dirty = self.files.get(i).pages.dirty();
+        if dirty <= EPSILON {
+            return 0.0;
+        }
+        let cleaned = self.files.get_mut(i).pages.clean_dirty(dirty);
+        self.rekey(i);
+        // Every written position of the file is now on disk.
+        self.files.get_mut(i).dirty = RangeSet::default();
+        self.dirty_total = (self.dirty_total - cleaned).max(0.0);
+        self.files.adjust_group(i, 0.0, -cleaned);
+        self.debug_validate();
+        cleaned
+    }
 }
 
-/// The emulated kernel page cache of one host.
+impl CacheState for KernelState {
+    fn cached(&self) -> f64 {
+        self.cached_total
+    }
+
+    fn dirty(&self) -> f64 {
+        self.dirty_total
+    }
+
+    fn cached_per_file(&self) -> BTreeMap<FileId, f64> {
+        self.files
+            .iter()
+            .filter(|(_, _, slot)| slot.pages.cached() > EPSILON)
+            .map(|(_, file, slot)| (file.clone(), slot.pages.cached()))
+            .collect()
+    }
+
+    fn work(&self) -> CacheWork {
+        self.work
+    }
+
+    fn group_cached(&self, group: u32) -> f64 {
+        self.files.group_cached(group)
+    }
+
+    fn group_dirty(&self, group: u32) -> f64 {
+        self.files.group_dirty(group)
+    }
+
+    /// Evicts clean pages of the files in `scope`, lowest-ranked and
+    /// least-recently-used file first, skipping files currently being
+    /// written unless nothing else is left to reclaim.
+    ///
+    /// Victims come off the clean index in `(policy rank, last_access, file
+    /// name)` order; the first pass walks only the files not open for
+    /// writing. The default [`TwoList`](pagecache::EvictionPolicy::TwoList)
+    /// policy ranks every file 0, reproducing the historical
+    /// `(last_access, file name)` selection order exactly.
+    fn evict(&mut self, amount: f64, scope: ReclaimScope) -> f64 {
+        if amount <= EPSILON {
+            return 0.0;
+        }
+        self.work.evict_calls += 1;
+        self.drain_stale();
+        let mut evicted = 0.0;
+        // Files left with a residue of at most EPSILON clean bytes (which the
+        // second pass may still take) are re-keyed only after the walk, so
+        // both passes walk the order the call started with.
+        let mut deferred = Vec::new();
+        // First pass: respect the write-open protection; second pass: ignore
+        // it if we are still short (the kernel will reclaim those pages too
+        // under sufficient pressure).
+        for sets in [&[CLOSED][..], &[CLOSED, WRITE_OPEN]] {
+            let mut after = None;
+            loop {
+                if evicted >= amount - EPSILON {
+                    break;
+                }
+                let Some(key) = self.next_clean(sets, after.as_ref()) else {
+                    break;
+                };
+                let i = key.3;
+                after = Some(key);
+                self.work.evict_visits += 1;
+                if !self.files.admits(scope, i) {
+                    continue;
+                }
+                evicted += self.evict_from(i, amount - evicted);
+                let left = self.files.get(i).pages.clean();
+                if left > 0.0 && left <= EPSILON {
+                    deferred.push(i);
+                } else {
+                    // Emptied files leave the index; the key of a file that
+                    // keeps clean pages has not moved.
+                    self.rekey(i);
+                }
+            }
+            if evicted >= amount - EPSILON {
+                break;
+            }
+        }
+        for i in deferred {
+            self.rekey(i);
+        }
+        self.cached_total = (self.cached_total - evicted).max(0.0);
+        self.debug_validate();
+        evicted
+    }
+
+    /// Writes back dirty pages of the files in `scope`, oldest dirty file
+    /// first (ties by file name).
+    fn write_back(&mut self, amount: f64, scope: ReclaimScope) -> f64 {
+        if amount <= EPSILON {
+            return 0.0;
+        }
+        self.work.writeback_calls += 1;
+        self.drain_stale();
+        let mut flushed = 0.0;
+        let mut after = None;
+        loop {
+            if flushed >= amount - EPSILON {
+                break;
+            }
+            let Some(key) = first_after(&self.dirty, after.as_ref()).cloned() else {
+                break;
+            };
+            let i = key.2;
+            after = Some(key);
+            self.work.writeback_visits += 1;
+            if !self.files.admits(scope, i) {
+                continue;
+            }
+            flushed += self.write_back_from(i, amount - flushed);
+        }
+        self.dirty_total = (self.dirty_total - flushed).max(0.0);
+        self.debug_validate();
+        flushed
+    }
+}
+
+/// The emulated kernel page cache of one host: the [`Host`] core over a
+/// [`KernelState`], to which it dereferences. Cloning returns another
+/// handle to the same cache.
 #[derive(Clone)]
 pub struct KernelCache {
-    ctx: SimContext,
-    config: PageCacheConfig,
-    total_memory: f64,
-    memory: MemoryDevice,
-    disk: Disk,
-    state: Rc<RefCell<State>>,
+    host: Host<KernelState>,
+}
+
+impl Deref for KernelCache {
+    type Target = Host<KernelState>;
+
+    fn deref(&self) -> &Host<KernelState> {
+        &self.host
+    }
 }
 
 impl KernelCache {
@@ -622,182 +752,83 @@ impl KernelCache {
         memory: MemoryDevice,
         disk: Disk,
     ) -> Self {
-        config
-            .validate()
-            .and(PageCacheConfig::check_memory(total_memory))
-            .expect("invalid page cache configuration");
+        let state = KernelState {
+            files: FileTable::new(),
+            clean: Default::default(),
+            dirty: BTreeSet::new(),
+            stale: Vec::new(),
+            work: CacheWork::default(),
+            cached_total: 0.0,
+            dirty_total: 0.0,
+            policy: config.eviction_policy.build(),
+        };
+        let host = Host::new(ctx, config, total_memory, memory, disk, state);
         assert_eq!(
             config.write_mode,
             WriteMode::WriteBack,
             "the kernel emulator has no writethrough mode"
         );
-        KernelCache {
-            ctx: ctx.clone(),
-            config,
-            total_memory,
-            memory,
-            disk,
-            state: Rc::new(RefCell::new(State {
-                files: FileTable::new(),
-                clean: Default::default(),
-                dirty: BTreeSet::new(),
-                stale: Vec::new(),
-                work: KernelCacheWork::default(),
-                anonymous: 0.0,
-                cached_total: 0.0,
-                dirty_total: 0.0,
-                trace: MemoryTrace::new(),
-                counters: KernelCacheCounters::default(),
-                policy: config.eviction_policy.build(),
-                stop: false,
-            })),
-        }
-    }
-
-    /// The configuration this cache was created with.
-    pub fn config(&self) -> &PageCacheConfig {
-        &self.config
-    }
-
-    /// The disk dirty pages are written back to.
-    pub fn disk(&self) -> &Disk {
-        &self.disk
-    }
-
-    /// The memory bus.
-    pub fn memory(&self) -> &MemoryDevice {
-        &self.memory
-    }
-
-    /// Total cached bytes. O(1): maintained incrementally by every mutation.
-    pub fn cached(&self) -> f64 {
-        self.state.borrow().cached_total
-    }
-
-    /// Total dirty bytes. O(1): maintained incrementally by every mutation.
-    pub fn dirty(&self) -> f64 {
-        self.state.borrow().dirty_total
-    }
-
-    /// Anonymous application memory.
-    pub fn anonymous(&self) -> f64 {
-        self.state.borrow().anonymous
-    }
-
-    /// Free memory (total minus cache minus anonymous, clamped at zero).
-    pub fn free_memory(&self) -> f64 {
-        (self.total_memory - self.cached() - self.anonymous()).max(0.0)
-    }
-
-    /// Memory available to the page cache (total minus anonymous).
-    pub fn available_memory(&self) -> f64 {
-        (self.total_memory - self.anonymous()).max(0.0)
+        KernelCache { host }
     }
 
     /// Creates `file` with `size` bytes, allocating its space on the disk
     /// (the host's create rule, [`FileTable::create`]), and returns its
     /// slot key.
     pub fn create_file(&self, file: &FileId, size: f64) -> Result<u64, FsError> {
-        let files = &mut self.state.borrow_mut().files;
-        files.create(file, size, |b| self.disk.allocate(b))
+        let files = &mut self.cache_mut().files;
+        files.create(file, size, |b| self.disk().allocate(b))
     }
 
     /// Grows `file` to cover a write of `len` bytes at `offset`, allocating
     /// the growth on the disk (the host's extend rule, [`FileTable::extend`]),
     /// and returns its slot key.
     pub fn extend_file(&self, file: &FileId, offset: f64, len: f64) -> Result<u64, FsError> {
-        let files = &mut self.state.borrow_mut().files;
-        files.extend(file, offset, len, |b| self.disk.allocate(b))
+        let files = &mut self.cache_mut().files;
+        files.extend(file, offset, len, |b| self.disk().allocate(b))
     }
 
     /// The slot key and the size of `file`, or [`FsError::FileNotFound`] if
     /// this host never created it.
     pub fn file_size(&self, file: &FileId) -> Result<(u64, f64), FsError> {
-        self.state.borrow().files.size(file)
+        self.cache().files.size(file)
     }
 
     /// The slot key of `file`, if this host created or cached it.
     pub fn key(&self, file: &FileId) -> Option<u64> {
-        self.state.borrow().files.key(file)
+        self.cache().files.key(file)
     }
 
     /// Name-index lookups of this host's file table so far
     /// ([`FileTable::name_lookups`]).
     pub fn name_lookups(&self) -> u64 {
-        self.state.borrow().files.name_lookups()
+        self.cache().files.name_lookups()
     }
 
     /// Every file this host created, with its size, in key order.
     pub fn list_files(&self) -> Vec<(FileId, f64)> {
-        self.state.borrow().files.list()
+        self.cache().files.list()
     }
 
     /// Advances the readahead stream of slot `i` past the demand request
     /// `[start, end)` ([`Readahead::advance`]) and returns its window.
     pub(crate) fn advance_readahead(&self, i: u64, start: f64, end: f64) -> f64 {
-        let mut s = self.state.borrow_mut();
-        let (min, max) = (self.config.readahead_min, self.config.readahead_max);
-        s.files.get_mut(i).stream.advance(start, end, min, max)
+        let (min, max) = (self.config().readahead_min, self.config().readahead_max);
+        self.cache_mut()
+            .files
+            .get_mut(i)
+            .stream
+            .advance(start, end, min, max)
     }
 
     /// Cached bytes of the file of slot `i`.
     pub fn cached_amount(&self, i: u64) -> f64 {
-        self.state.borrow().files.get(i).pages.cached()
-    }
-
-    /// Cached bytes per file.
-    pub fn cached_per_file(&self) -> BTreeMap<FileId, f64> {
-        let s = self.state.borrow();
-        s.files
-            .iter()
-            .filter(|(_, _, slot)| slot.pages.cached() > EPSILON)
-            .map(|(_, file, slot)| (file.clone(), slot.pages.cached()))
-            .collect()
-    }
-
-    /// Aggregate counters.
-    pub fn counters(&self) -> KernelCacheCounters {
-        self.state.borrow().counters
-    }
-
-    /// Work counters of the reclaim walks (index entries visited).
-    pub fn work(&self) -> KernelCacheWork {
-        self.state.borrow().work
-    }
-
-    /// Records readahead disk traffic (bytes actually read ahead of demand).
-    pub fn note_prefetch(&self, bytes: f64) {
-        if bytes > 0.0 {
-            self.state.borrow_mut().counters.prefetched += bytes;
-        }
-    }
-
-    /// Records time a writer spent blocked in dirty-page throttling.
-    pub fn note_throttle_stall(&self, seconds: f64) {
-        if seconds > 0.0 {
-            self.state.borrow_mut().counters.throttle_stall_seconds += seconds;
-        }
-    }
-
-    /// Registers anonymous application memory.
-    pub fn use_anonymous_memory(&self, amount: f64) {
-        if amount > 0.0 {
-            self.state.borrow_mut().anonymous += amount;
-        }
-    }
-
-    /// Releases anonymous application memory (saturating at zero).
-    pub fn release_anonymous_memory(&self, amount: f64) {
-        if amount > 0.0 {
-            let mut s = self.state.borrow_mut();
-            s.anonymous = (s.anonymous - amount).max(0.0);
-        }
+        self.cache().files.get(i).pages.cached()
     }
 
     /// Marks the file of slot `i` as being written (protected from
     /// eviction) or not.
     pub fn set_write_open(&self, i: u64, open: bool) {
-        let mut s = self.state.borrow_mut();
+        let mut s = self.cache_mut();
         s.files.get_mut(i).pages.write_open = open;
         s.rekey(i);
     }
@@ -806,7 +837,7 @@ impl KernelCache {
     /// slot, size, group and readahead stream; its cache state starts
     /// fresh.
     pub fn invalidate_file(&self, i: u64) -> f64 {
-        let mut s = self.state.borrow_mut();
+        let mut s = self.cache_mut();
         s.place(i, IndexPos::default());
         let pages = s.files.get(i).pages;
         s.files
@@ -824,192 +855,21 @@ impl KernelCache {
     /// the file is attributed there. Assignments survive eviction and
     /// crashes — they are configuration, not cache state.
     pub fn set_file_group(&self, file: &FileId, group: Option<u32>) {
-        let mut s = self.state.borrow_mut();
+        let mut s = self.cache_mut();
         s.files.set_group(file, group, |slot| {
             (slot.pages.cached(), slot.pages.dirty())
         });
         s.debug_validate();
     }
 
-    /// Cached bytes (clean + dirty) currently attributed to a cache group.
-    pub fn group_cached(&self, group: u32) -> f64 {
-        self.state.borrow().files.group_cached(group)
-    }
-
-    /// Dirty bytes currently attributed to a cache group.
-    pub fn group_dirty(&self, group: u32) -> f64 {
-        self.state.borrow().files.group_dirty(group)
-    }
-
-    /// Enforces memcg-style limits on one cache group: writes back the
-    /// group's dirty pages above `max_dirty`, evicts its clean pages above
-    /// `max_bytes`, and — if the group still exceeds its cap because the
-    /// overflow is dirty — flushes and evicts that remainder too. Disk write
-    /// time is simulated. Returns `(evicted, flushed)` byte totals.
-    pub async fn enforce_group_limits(
-        &self,
-        group: u32,
-        max_bytes: f64,
-        max_dirty: f64,
-    ) -> (f64, f64) {
-        let mut flushed = 0.0;
-        let over_dirty = self.group_dirty(group) - max_dirty;
-        if over_dirty > EPSILON {
-            flushed += self
-                .write_back(over_dirty, ReclaimScope::Group(group), true)
-                .await;
-        }
-        let mut evicted = 0.0;
-        let over = self.group_cached(group) - max_bytes;
-        if over > EPSILON {
-            evicted += self.evict(over, ReclaimScope::Group(group));
-        }
-        let still_over = self.group_cached(group) - max_bytes;
-        if still_over > EPSILON {
-            flushed += self
-                .write_back(still_over, ReclaimScope::Group(group), true)
-                .await;
-            let rest = self.group_cached(group) - max_bytes;
-            if rest > EPSILON {
-                evicted += self.evict(rest, ReclaimScope::Group(group));
-            }
-        }
-        (evicted, flushed)
-    }
-
-    /// Evicts up to `amount` bytes of clean pages of the files in `scope`,
-    /// lowest-ranked and least-recently-used file first, skipping files
-    /// currently being written unless nothing else is left to reclaim.
-    /// Returns the evicted amount.
-    ///
-    /// Victims come off the clean index in `(policy rank, last_access, file
-    /// name)` order; the first pass walks only the files not open for
-    /// writing. The default [`TwoList`](pagecache::EvictionPolicy::TwoList)
-    /// policy ranks every file 0, reproducing the historical
-    /// `(last_access, file name)` selection order exactly.
-    pub fn evict(&self, amount: f64, scope: ReclaimScope) -> f64 {
-        if amount <= EPSILON {
-            return 0.0;
-        }
-        let mut s = self.state.borrow_mut();
-        s.work.evict_calls += 1;
-        s.drain_stale();
-        let mut evicted = 0.0;
-        // Files left with a residue of at most EPSILON clean bytes (which the
-        // second pass may still take) are re-keyed only after the walk, so
-        // both passes walk the order the call started with.
-        let mut deferred = Vec::new();
-        // First pass: respect the write-open protection; second pass: ignore
-        // it if we are still short (the kernel will reclaim those pages too
-        // under sufficient pressure).
-        for sets in [&[CLOSED][..], &[CLOSED, WRITE_OPEN]] {
-            let mut after = None;
-            loop {
-                if evicted >= amount - EPSILON {
-                    break;
-                }
-                let Some(key) = s.next_clean(sets, after.as_ref()) else {
-                    break;
-                };
-                let i = key.3;
-                after = Some(key);
-                let st = &mut *s;
-                st.work.evict_visits += 1;
-                if !st.files.admits(scope, i) {
-                    continue;
-                }
-                evicted += st.evict_from(i, amount - evicted);
-                let left = st.files.get(i).pages.clean();
-                if left > 0.0 && left <= EPSILON {
-                    deferred.push(i);
-                } else {
-                    // Emptied files leave the index; the key of a file that
-                    // keeps clean pages has not moved.
-                    st.rekey(i);
-                }
-            }
-            if evicted >= amount - EPSILON {
-                break;
-            }
-        }
-        for i in deferred {
-            s.rekey(i);
-        }
-        s.counters.evicted += evicted;
-        s.cached_total = (s.cached_total - evicted).max(0.0);
-        s.debug_validate();
-        evicted
-    }
-
-    /// Writes back up to `amount` bytes of dirty pages of the files in
-    /// `scope`, oldest dirty file first (ties by file name), and simulates
-    /// the disk writes. The bytes count as throttled (synchronous) or
-    /// background writeback. Returns the amount written back.
-    pub async fn write_back(&self, amount: f64, scope: ReclaimScope, throttled: bool) -> f64 {
-        if amount <= EPSILON {
-            return 0.0;
-        }
-        let flushed = {
-            let mut s = self.state.borrow_mut();
-            s.work.writeback_calls += 1;
-            s.drain_stale();
-            let mut flushed = 0.0;
-            let mut after = None;
-            loop {
-                if flushed >= amount - EPSILON {
-                    break;
-                }
-                let Some(key) = first_after(&s.dirty, after.as_ref()).cloned() else {
-                    break;
-                };
-                let i = key.2;
-                after = Some(key);
-                s.work.writeback_visits += 1;
-                if !s.files.admits(scope, i) {
-                    continue;
-                }
-                flushed += s.write_back_from(i, amount - flushed);
-            }
-            if throttled {
-                s.counters.throttled_writeback += flushed;
-            } else {
-                s.counters.background_writeback += flushed;
-            }
-            s.dirty_total = (s.dirty_total - flushed).max(0.0);
-            s.debug_validate();
-            flushed
-        };
-        if flushed > EPSILON {
-            self.disk.write(flushed).await;
-        }
-        flushed
-    }
-
-    /// Writes back every dirty page older than the expiration age.
-    pub async fn write_back_expired(&self) -> f64 {
-        let now = self.ctx.now();
-        if self.dirty() <= EPSILON {
-            return 0.0;
-        }
-        let amount = {
-            let mut s = self.state.borrow_mut();
-            s.drain_stale();
-            let st = &mut *s;
-            // The dirty index is oldest first, so the expired files are a
-            // prefix of it.
-            let mut amount = 0.0;
-            for &(t, _, i) in &st.dirty {
-                st.work.writeback_visits += 1;
-                let expired = now.duration_since(t) > self.config.dirty_expire;
-                if !expired {
-                    break;
-                }
-                amount += st.files.get(i).pages.dirty();
-            }
-            amount
-        };
-        self.write_back(amount, ReclaimScope::Host(None), false)
-            .await
+    /// Writes back every dirty page older than the expiration age, counted
+    /// as background writeback.
+    pub fn write_back_expired(&self) -> impl Future<Output = f64> + '_ {
+        let (now, expire) = (self.ctx().now(), self.config().dirty_expire);
+        self.flush_with(true, move |s| {
+            let amount = s.expired(now, expire);
+            s.write_back(amount, ReclaimScope::Host(None))
+        })
     }
 
     /// The sub-ranges of `[start, end)` of the file of slot `i` that are
@@ -1018,7 +878,7 @@ impl KernelCache {
     /// bytes they insert afterwards are exactly the bytes they read from
     /// disk.
     pub fn uncovered(&self, i: u64, start: f64, end: f64) -> Vec<(f64, f64)> {
-        self.state.borrow().files.get(i).resident.gaps(start, end)
+        self.cache().files.get(i).resident.gaps(start, end)
     }
 
     /// Adds the *non-resident* part of `[start, end)` of slot `i` as clean
@@ -1030,8 +890,8 @@ impl KernelCache {
         if end - start <= EPSILON {
             return 0.0;
         }
-        let now = self.ctx.now();
-        let mut s = self.state.borrow_mut();
+        let now = self.ctx().now();
+        let mut s = self.cache_mut();
         let added = {
             let st = &mut *s;
             let (file, slot) = st.files.named_mut(i);
@@ -1062,8 +922,8 @@ impl KernelCache {
         if end - start <= EPSILON {
             return;
         }
-        let now = self.ctx.now();
-        let mut s = self.state.borrow_mut();
+        let now = self.ctx().now();
+        let mut s = self.cache_mut();
         let (added, redirtied) = {
             let st = &mut *s;
             let (file, slot) = st.files.named_mut(i);
@@ -1096,37 +956,17 @@ impl KernelCache {
     }
 
     /// Writes back every dirty page of the file of slot `i` (`fsync`),
-    /// simulating the disk write. O(1) bookkeeping via the file's slot.
-    /// Counted as throttled (synchronous) writeback. Returns the amount
-    /// written back.
-    pub async fn write_back_file(&self, i: u64) -> f64 {
-        let flushed = {
-            let mut s = self.state.borrow_mut();
-            let dirty = s.files.get(i).pages.dirty();
-            if dirty <= EPSILON {
-                return 0.0;
-            }
-            let cleaned = s.files.get_mut(i).pages.clean_dirty(dirty);
-            s.rekey(i);
-            // Every written position of the file is now on disk.
-            s.files.get_mut(i).dirty = RangeSet::default();
-            s.counters.throttled_writeback += cleaned;
-            s.dirty_total = (s.dirty_total - cleaned).max(0.0);
-            s.files.adjust_group(i, 0.0, -cleaned);
-            s.debug_validate();
-            cleaned
-        };
-        if flushed > EPSILON {
-            self.disk.write(flushed).await;
-        }
-        flushed
+    /// simulating the disk write. Counted as synchronous writeback. Returns
+    /// the amount written back.
+    pub fn write_back_file(&self, i: u64) -> impl Future<Output = f64> + '_ {
+        self.flush_with(false, move |s| s.write_back_file(i))
     }
 
     /// The byte ranges of the file of slot `i` that were written but have
     /// not yet reached the disk — the durability ledger a crash turns into
     /// lost data. Sorted and disjoint; empty for a fully written-back file.
     pub fn dirty_ranges(&self, i: u64) -> Vec<(f64, f64)> {
-        self.state.borrow().files.get(i).dirty.spans.clone()
+        self.cache().files.get(i).dirty.spans.clone()
     }
 
     /// Simulated power loss: drops every cached page and all anonymous
@@ -1135,24 +975,24 @@ impl KernelCache {
     /// state — and so do the files: their sizes, groups and readahead
     /// streams. Takes no simulated time.
     pub fn crash_discard(&self) -> BTreeMap<FileId, Vec<(f64, f64)>> {
-        let mut s = self.state.borrow_mut();
-        // Group *totals* are volatile cache state and reset with it; the
-        // group *assignments* are configuration and survive the crash.
-        let mut lost = BTreeMap::new();
-        s.files.reset_all(|file, slot| {
-            let spans = slot.reset().dirty.spans;
-            if !spans.is_empty() {
-                lost.insert(file.clone(), spans);
-            }
-        });
-        s.clean = Default::default();
-        s.dirty.clear();
-        s.stale.clear();
-        s.anonymous = 0.0;
-        s.cached_total = 0.0;
-        s.dirty_total = 0.0;
-        s.debug_validate();
-        lost
+        self.crash(|s| {
+            // Group *totals* are volatile cache state and reset with it; the
+            // group *assignments* are configuration and survive the crash.
+            let mut lost = BTreeMap::new();
+            s.files.reset_all(|file, slot| {
+                let spans = slot.reset().dirty.spans;
+                if !spans.is_empty() {
+                    lost.insert(file.clone(), spans);
+                }
+            });
+            s.clean = Default::default();
+            s.dirty.clear();
+            s.stale.clear();
+            s.cached_total = 0.0;
+            s.dirty_total = 0.0;
+            s.debug_validate();
+            lost
+        })
     }
 
     /// Records a second access to `bytes` of the file of slot `i`: promotes
@@ -1163,8 +1003,8 @@ impl KernelCache {
         if bytes <= EPSILON {
             return;
         }
-        let now = self.ctx.now();
-        let mut s = self.state.borrow_mut();
+        let now = self.ctx().now();
+        let mut s = self.cache_mut();
         let st = &mut *s;
         let slot = st.files.get_mut(i);
         slot.pages.promote(bytes);
@@ -1181,74 +1021,26 @@ impl KernelCache {
         }
     }
 
-    /// The dirty threshold in bytes (`dirty_ratio * available memory`).
-    pub fn dirty_threshold(&self) -> f64 {
-        self.config.dirty_ratio * self.available_memory()
-    }
-
-    /// The background writeback threshold in bytes.
-    pub fn background_threshold(&self) -> f64 {
-        self.config.dirty_background_ratio * self.available_memory()
-    }
-
-    /// Records a memory sample into the trace and returns it.
-    pub fn sample(&self) -> MemorySample {
-        let now = self.ctx.now();
-        let cached = self.cached();
-        let dirty = self.dirty();
-        let anonymous = self.anonymous();
-        let sample = MemorySample::new(now, self.total_memory, cached, dirty, anonymous);
-        self.state.borrow_mut().trace.push(sample.clone());
-        sample
-    }
-
-    /// The memory profile collected so far.
-    pub fn trace(&self) -> MemoryTrace {
-        self.state.borrow().trace.clone()
-    }
-
-    /// Labelled snapshot of the cache content per file.
-    pub fn cache_content_snapshot(&self, label: impl Into<String>) -> CacheContentSnapshot {
-        CacheContentSnapshot {
-            label: label.into(),
-            time: self.ctx.now().as_secs(),
-            per_file: self.cached_per_file(),
-        }
-    }
-
     /// Spawns the background writeback threads (kupdate/flusher): every
     /// `flush_interval` seconds they write back expired dirty pages, plus
     /// everything above the background dirty threshold.
     pub fn spawn_writeback_threads(&self) -> JoinHandle<()> {
         let cache = self.clone();
-        self.ctx
-            .clone()
+        self.ctx()
             .spawn(async move { cache.run_writeback_loop().await })
     }
 
-    /// Body of the background writeback loop.
+    /// Body of the background writeback loop ([`Host::run_flush_loop`]).
     pub async fn run_writeback_loop(&self) {
-        loop {
-            if self.state.borrow().stop {
-                break;
-            }
-            let start = self.ctx.now();
+        self.run_flush_loop(|| async {
             self.write_back_expired().await;
             let over_background = self.dirty() - self.background_threshold();
-            if over_background > EPSILON {
-                self.write_back(over_background, ReclaimScope::Host(None), false)
-                    .await;
-            }
-            let elapsed = self.ctx.now().duration_since(start);
-            if elapsed < self.config.flush_interval {
-                self.ctx.sleep(self.config.flush_interval - elapsed).await;
-            }
-        }
-    }
-
-    /// Asks the background writeback loop to exit at its next wakeup.
-    pub fn stop(&self) {
-        self.state.borrow_mut().stop = true;
+            self.flush_with(true, |s| {
+                s.write_back(over_background, ReclaimScope::Host(None))
+            })
+            .await;
+        })
+        .await
     }
 }
 
@@ -1284,20 +1076,20 @@ mod tests {
 
         /// The readahead stream of slot `i`.
         pub(crate) fn readahead(&self, i: u64) -> Readahead {
-            self.state.borrow().files.get(i).stream
+            self.cache().files.get(i).stream
         }
 
         /// End offset of the highest resident span of slot `i` (0 when
         /// nothing is cached).
         fn resident_high_water(&self, i: u64) -> f64 {
-            self.state.borrow().files.get(i).resident.high_water()
+            self.cache().files.get(i).resident.high_water()
         }
     }
 
     /// The slot key of `name` in `cache`, made if needed: the tests here
     /// drive cache traffic for files they never create.
     fn key(cache: &KernelCache, name: &str) -> u64 {
-        cache.state.borrow_mut().files.key_or_insert(&name.into())
+        cache.cache_mut().files.key_or_insert(&name.into())
     }
 
     fn setup(total_mb: f64) -> (Simulation, KernelCache) {
@@ -1343,9 +1135,7 @@ mod tests {
             approx(c.group_cached(2), 80.0 * MB);
             approx(c.group_dirty(2), 80.0 * MB);
             // Group writeback cleans only group 2.
-            let flushed = c
-                .write_back(f64::INFINITY, ReclaimScope::Group(2), true)
-                .await;
+            let flushed = c.flush(f64::INFINITY, ReclaimScope::Group(2)).await;
             approx(flushed, 80.0 * MB);
             approx(c.group_dirty(2), 0.0);
             approx(c.group_cached(2), 80.0 * MB);
@@ -1355,28 +1145,6 @@ mod tests {
             approx(c.group_cached(1), 0.0);
             approx(c.cached_amount(shared), 50.0 * MB);
             approx(c.cached_amount(b), 80.0 * MB);
-        });
-        sim.run();
-        assert!(h.is_finished());
-    }
-
-    #[test]
-    fn enforce_group_limits_caps_cached_and_dirty_bytes() {
-        let (sim, cache) = setup(10_000.0);
-        let t = key(&cache, "t");
-        let t2 = key(&cache, "t2");
-        cache.set_file_group(&"t".into(), Some(9));
-        cache.insert_clean(t, 300.0 * MB);
-        let c = cache.clone();
-        let h = sim.spawn(async move {
-            c.insert_dirty(t2, 200.0 * MB);
-            c.set_file_group(&"t2".into(), Some(9));
-            // 500 MB cached / 200 MB dirty; cap at 250 / 50.
-            let (evicted, flushed) = c.enforce_group_limits(9, 250.0 * MB, 50.0 * MB).await;
-            approx(flushed, 150.0 * MB);
-            approx(evicted, 250.0 * MB);
-            approx(c.group_cached(9), 250.0 * MB);
-            approx(c.group_dirty(9), 50.0 * MB);
         });
         sim.run();
         assert!(h.is_finished());
@@ -1396,6 +1164,7 @@ mod tests {
         approx(cache.group_cached(3), 40.0 * MB);
         // And after an invalidation: its new bytes count to the group again.
         approx(cache.invalidate_file(f), 40.0 * MB);
+        approx(cache.cached(), 0.0);
         approx(cache.group_cached(3), 0.0);
         cache.insert_dirty(f, 25.0 * MB);
         approx(cache.group_cached(3), 25.0 * MB);
@@ -1404,7 +1173,7 @@ mod tests {
 
     /// The state of slot `i`, formatted.
     fn slot_state(cache: &KernelCache, i: u64) -> String {
-        format!("{:?}", cache.state.borrow().files.get(i))
+        format!("{:?}", cache.cache().files.get(i))
     }
 
     #[test]
@@ -1420,7 +1189,7 @@ mod tests {
             cache.touch(i, 10.0 * MB); // sets the 2Q hot flag
             approx(cache.invalidate_file(i), 30.0 * MB);
             cache.insert_dirty_range(i, 0.0, 10.0 * MB);
-            let s = cache.state.borrow();
+            let s = cache.cache();
             let slot = s.files.get(i);
             assert!(!slot.pages.write_open, "{group:?}: still protected");
             assert_eq!(slot.meta, FileMeta::default(), "{group:?}: stale metadata");
@@ -1436,24 +1205,6 @@ mod tests {
             (a - b).abs() < 1e-6 * b.abs().max(1.0),
             "expected {b}, got {a}"
         );
-    }
-
-    #[test]
-    fn accounting_and_thresholds() {
-        let (_sim, cache) = setup(1000.0);
-        let f = key(&cache, "f");
-        let g = key(&cache, "g");
-        cache.insert_clean(f, 100.0 * MB);
-        cache.insert_dirty(g, 50.0 * MB);
-        cache.use_anonymous_memory(200.0 * MB);
-        approx(cache.cached(), 150.0 * MB);
-        approx(cache.dirty(), 50.0 * MB);
-        approx(cache.free_memory(), 650.0 * MB);
-        approx(cache.available_memory(), 800.0 * MB);
-        approx(cache.dirty_threshold(), 160.0 * MB);
-        approx(cache.background_threshold(), 80.0 * MB);
-        approx(cache.cached_amount(f), 100.0 * MB);
-        assert_eq!(cache.cached_per_file().len(), 2);
     }
 
     #[test]
@@ -1486,11 +1237,7 @@ mod tests {
         cache.insert_dirty_range(f, 0.0, 100.0 * MB);
         let h = sim.spawn({
             let cache = cache.clone();
-            async move {
-                cache
-                    .write_back(40.0 * MB, ReclaimScope::Host(None), false)
-                    .await
-            }
+            async move { cache.flush(40.0 * MB, ReclaimScope::Host(None)).await }
         });
         sim.run();
         approx(h.try_take_result().unwrap(), 40.0 * MB);
@@ -1518,6 +1265,8 @@ mod tests {
         });
         sim.run();
         approx(h.try_take_result().unwrap(), 10.0 * MB);
+        // Every file holding pages, "fresh" (no pages yet) left out.
+        assert_eq!(cache.cache().cached_per_file().len(), 4);
         let lost = cache.crash_discard();
         assert_eq!(
             lost,
@@ -1529,7 +1278,7 @@ mod tests {
         approx(cache.cached(), 0.0);
         approx(cache.dirty(), 0.0);
         approx(cache.anonymous(), 0.0);
-        assert!(cache.cached_per_file().is_empty());
+        assert!(cache.cache().cached_per_file().is_empty());
         // The cache keeps working after the reset.
         cache.insert_clean(fresh, 10.0 * MB);
         approx(cache.cached(), 10.0 * MB);
@@ -1544,13 +1293,12 @@ mod tests {
         let c = cache.clone();
         let h = sim.spawn(async move {
             c.evict(0.0, ReclaimScope::Host(None));
-            c.write_back(-1.0, ReclaimScope::Host(None), false).await;
+            c.flush(-1.0, ReclaimScope::Host(None)).await;
             assert_eq!((c.work().evict_calls, c.work().writeback_calls), (0, 0));
             c.evict(10.0 * MB, ReclaimScope::Host(None));
             c.evict(10.0 * MB, ReclaimScope::Group(1)); // nothing in the group
-            c.write_back(10.0 * MB, ReclaimScope::Host(None), true)
-                .await;
-            c.write_back(10.0 * MB, ReclaimScope::Group(1), true).await;
+            c.flush(10.0 * MB, ReclaimScope::Host(None)).await;
+            c.flush(10.0 * MB, ReclaimScope::Group(1)).await;
             c.write_back_file(d).await; // not a reclaim call
             c.write_back_expired().await; // nothing dirty: no call
             c.work()
@@ -1613,9 +1361,7 @@ mod tests {
             let cache = cache.clone();
             async move {
                 cache.insert_dirty(f, 420.0 * MB);
-                let flushed = cache
-                    .write_back(420.0 * MB, ReclaimScope::Host(None), true)
-                    .await;
+                let flushed = cache.flush(420.0 * MB, ReclaimScope::Host(None)).await;
                 (flushed, cache.dirty())
             }
         });
@@ -1624,13 +1370,13 @@ mod tests {
         approx(flushed, 420.0 * MB);
         approx(dirty, 0.0);
         approx(sim.now().as_secs(), 1.0); // 420 MB at 420 MB/s write bandwidth
-        approx(cache.counters().throttled_writeback, 420.0 * MB);
+        approx(cache.counters().synchronous_flushed, 420.0 * MB);
         // Data stays cached (clean) after writeback.
         approx(cache.cached(), 420.0 * MB);
     }
 
     #[test]
-    fn background_writeback_starts_at_background_threshold() {
+    fn background_flushed_starts_at_background_threshold() {
         let (sim, cache) = setup(1000.0);
         let f = key(&cache, "f");
         cache.spawn_writeback_threads();
@@ -1646,7 +1392,7 @@ mod tests {
             c.stop();
         });
         sim.run();
-        assert!(cache.counters().background_writeback >= 49.0 * MB);
+        assert!(cache.counters().background_flushed >= 49.0 * MB);
     }
 
     #[test]
@@ -1677,7 +1423,7 @@ mod tests {
         // LRU order; total stays the same.
         approx(cache.cached_amount(key(&cache, "f")), 100.0 * MB);
         let f = key(&cache, "f");
-        let pages = cache.state.borrow().files.get(f).pages;
+        let pages = cache.cache().files.get(f).pages;
         approx(pages.active_clean, 60.0 * MB);
         approx(pages.inactive_clean, 40.0 * MB);
     }
@@ -1697,20 +1443,6 @@ mod tests {
         // The one-shot scan ranks below the ghost-hit file and goes first.
         approx(cache.cached_amount(hot), 50.0 * MB);
         approx(cache.cached_amount(scan), 0.0);
-    }
-
-    #[test]
-    fn invalidate_and_release() {
-        let (_sim, cache) = setup(1000.0);
-        let f = key(&cache, "f");
-        cache.insert_clean(f, 100.0 * MB);
-        cache.use_anonymous_memory(50.0 * MB);
-        approx(cache.invalidate_file(f), 100.0 * MB);
-        approx(cache.cached(), 0.0);
-        cache.release_anonymous_memory(500.0 * MB);
-        approx(cache.anonymous(), 0.0);
-        let snap = cache.cache_content_snapshot("end");
-        assert_eq!(snap.per_file.len(), 0);
     }
 
     /// Tiny xorshift PRNG (no external dependencies; same generator family
@@ -1864,31 +1596,30 @@ mod tests {
     /// name against each candidate's). Byte bookkeeping
     /// goes through the same helpers as the indexed walks; the indexes are
     /// re-keyed afterwards only so the oracle holds.
-    impl KernelCache {
-        fn in_scope(s: &State, scope: ReclaimScope, i: u64) -> bool {
+    impl KernelState {
+        fn in_scope(&self, scope: ReclaimScope, i: u64) -> bool {
             match scope {
                 ReclaimScope::Host(exclude) => {
-                    exclude.map(|k| s.files.name(k)) != Some(s.files.name(i))
+                    exclude.map(|k| self.files.name(k)) != Some(self.files.name(i))
                 }
-                ReclaimScope::Group(g) => s.files.group(i) == Some(g),
+                ReclaimScope::Group(g) => self.files.group(i) == Some(g),
             }
         }
 
-        fn evict_by_sort(&self, amount: f64, scope: ReclaimScope) -> f64 {
+        fn evict_by_sort(&mut self, amount: f64, scope: ReclaimScope) -> f64 {
             if amount <= EPSILON {
                 return 0.0;
             }
-            let mut s = self.state.borrow_mut();
-            let mut order: Vec<u64> = s
+            let mut order: Vec<u64> = self
                 .files
                 .iter()
                 .filter(|(_, _, slot)| slot.pages.clean() > EPSILON)
                 .map(|(i, _, _)| i)
                 .collect();
             order.sort_by_key(|&i| {
-                let slot = s.files.get(i);
-                let rank = s.policy.file_rank(&slot.meta);
-                (rank, slot.pages.last_access, s.files.name(i).clone())
+                let slot = self.files.get(i);
+                let rank = self.policy.file_rank(&slot.meta);
+                (rank, slot.pages.last_access, self.files.name(i).clone())
             });
             let mut evicted = 0.0;
             for respect_protection in [true, false] {
@@ -1896,95 +1627,84 @@ mod tests {
                     if evicted >= amount - EPSILON {
                         break;
                     }
-                    let st = &mut *s;
-                    if !Self::in_scope(st, scope, i) {
+                    if !self.in_scope(scope, i) {
                         continue;
                     }
-                    if respect_protection && st.files.get(i).pages.write_open {
+                    if respect_protection && self.files.get(i).pages.write_open {
                         continue;
                     }
-                    evicted += st.evict_from(i, amount - evicted);
+                    evicted += self.evict_from(i, amount - evicted);
                 }
                 if evicted >= amount - EPSILON {
                     break;
                 }
             }
             for &i in &order {
-                s.rekey(i);
+                self.rekey(i);
             }
-            s.counters.evicted += evicted;
-            s.cached_total = (s.cached_total - evicted).max(0.0);
-            s.debug_validate();
+            self.cached_total = (self.cached_total - evicted).max(0.0);
+            self.debug_validate();
             evicted
         }
 
         /// Files with dirty pages in writeback order.
-        fn dirty_order_by_sort(s: &State) -> Vec<u64> {
-            let mut order: Vec<u64> = s
+        fn dirty_order_by_sort(&self) -> Vec<u64> {
+            let mut order: Vec<u64> = self
                 .files
                 .iter()
                 .filter(|(_, _, slot)| slot.pages.dirty() > EPSILON)
                 .map(|(i, _, _)| i)
                 .collect();
             order.sort_by_key(|&i| {
-                let p = &s.files.get(i).pages;
+                let p = &self.files.get(i).pages;
                 (
                     p.oldest_dirty.unwrap_or(p.last_access),
-                    s.files.name(i).clone(),
+                    self.files.name(i).clone(),
                 )
             });
             order
         }
 
-        async fn write_back_by_sort(
-            &self,
-            amount: f64,
-            scope: ReclaimScope,
-            throttled: bool,
-        ) -> f64 {
+        fn write_back_by_sort(&mut self, amount: f64, scope: ReclaimScope) -> f64 {
             if amount <= EPSILON {
                 return 0.0;
             }
-            let flushed = {
-                let mut s = self.state.borrow_mut();
-                let mut flushed = 0.0;
-                for i in Self::dirty_order_by_sort(&s) {
-                    if flushed >= amount - EPSILON {
-                        break;
-                    }
-                    if Self::in_scope(&s, scope, i) {
-                        flushed += s.write_back_from(i, amount - flushed);
-                    }
+            let mut flushed = 0.0;
+            for i in self.dirty_order_by_sort() {
+                if flushed >= amount - EPSILON {
+                    break;
                 }
-                if throttled {
-                    s.counters.throttled_writeback += flushed;
-                } else {
-                    s.counters.background_writeback += flushed;
+                if self.in_scope(scope, i) {
+                    flushed += self.write_back_from(i, amount - flushed);
                 }
-                s.dirty_total = (s.dirty_total - flushed).max(0.0);
-                s.debug_validate();
-                flushed
-            };
-            if flushed > EPSILON {
-                self.disk.write(flushed).await;
             }
+            self.dirty_total = (self.dirty_total - flushed).max(0.0);
+            self.debug_validate();
             flushed
         }
 
         /// The expired amount: every file whose oldest dirty page passed
         /// the expiration age, summed in writeback order.
-        fn expired_by_sort(&self) -> f64 {
-            let now = self.ctx.now();
-            let s = self.state.borrow();
-            Self::dirty_order_by_sort(&s)
+        fn expired_by_sort(&self, now: SimTime, expire: f64) -> f64 {
+            self.dirty_order_by_sort()
                 .into_iter()
-                .map(|i| &s.files.get(i).pages)
+                .map(|i| &self.files.get(i).pages)
                 .filter(|p| {
                     p.oldest_dirty
-                        .is_some_and(|t| now.duration_since(t) > self.config.dirty_expire)
+                        .is_some_and(|t| now.duration_since(t) > expire)
                 })
                 .map(FilePages::dirty)
                 .sum()
+        }
+    }
+
+    impl KernelCache {
+        /// [`KernelState::evict_by_sort`], counted the way [`Host::evict`]
+        /// counts.
+        fn evict_by_sort(&self, amount: f64, scope: ReclaimScope) -> f64 {
+            let evicted = self.cache_mut().evict_by_sort(amount, scope);
+            self.counters_mut().evicted += evicted;
+            evicted
         }
     }
 
@@ -1992,7 +1712,7 @@ mod tests {
     /// range ledgers and group, the totals and counters, the policy's own
     /// state (2Q ghost queue) and the simulated time.
     fn observe(sim: &Simulation, cache: &KernelCache) -> String {
-        let s = cache.state.borrow();
+        let s = cache.cache();
         let mut files: Vec<_> = s
             .files
             .iter()
@@ -2006,7 +1726,7 @@ mod tests {
             "{files:?} {} {} {:?} {:?} {:?}",
             s.cached_total,
             s.dirty_total,
-            s.counters,
+            cache.counters(),
             s.policy,
             sim.now()
         )
@@ -2117,7 +1837,8 @@ mod tests {
                                     1 => ReclaimScope::Group(group),
                                     _ => ReclaimScope::Host(None),
                                 };
-                                ca.write_back(amount, scope, throttled).await
+                                ca.flush_with(!throttled, |s| s.write_back(amount, scope))
+                                    .await
                             }),
                             complete(&sim_b, async move {
                                 let scope = match pick {
@@ -2125,19 +1846,23 @@ mod tests {
                                     1 => ReclaimScope::Group(group),
                                     _ => ReclaimScope::Host(None),
                                 };
-                                cb.write_back_by_sort(amount, scope, throttled).await
+                                cb.flush_with(!throttled, |s| s.write_back_by_sort(amount, scope))
+                                    .await
                             }),
                         );
                         (r.0.to_bits(), r.1.to_bits())
                     }
                     82..=86 => {
-                        let expired = sorted.expired_by_sort();
+                        let (now, expire) = (sim_b.now(), sorted.config().dirty_expire);
+                        let expired = sorted.cache().expired_by_sort(now, expire);
                         let (ca, cb) = (indexed.clone(), sorted.clone());
                         let r = (
                             complete(&sim_a, async move { ca.write_back_expired().await }),
                             complete(&sim_b, async move {
-                                cb.write_back_by_sort(expired, ReclaimScope::Host(None), false)
-                                    .await
+                                cb.flush_with(true, |s| {
+                                    s.write_back_by_sort(expired, ReclaimScope::Host(None))
+                                })
+                                .await
                             }),
                         );
                         (r.0.to_bits(), r.1.to_bits())
@@ -2163,7 +1888,7 @@ mod tests {
                         // Advance time; zero-length steps keep access-time
                         // ties (broken by file name) common.
                         let dt = rng.below(4) as f64 * 5.0;
-                        let (ca, cb) = (indexed.ctx.clone(), sorted.ctx.clone());
+                        let (ca, cb) = (indexed.ctx().clone(), sorted.ctx().clone());
                         complete(&sim_a, async move { ca.sleep(dt).await });
                         complete(&sim_b, async move { cb.sleep(dt).await });
                         (0, 0)

@@ -43,8 +43,8 @@
 //! request proportionally to how deep into the band the host is,
 //! converging on disk write bandwidth at the limit, exactly the steady state
 //! of the kernel's task rate limit. Time spent in either leg is reported as
-//! `IoOpStats::throttle_stall` and accumulated in
-//! [`KernelCacheCounters`](crate::KernelCacheCounters).
+//! `IoOpStats::throttle_stall` and accumulated in the host's
+//! [`CacheCounters`](pagecache::CacheCounters).
 
 use des::SimContext;
 use pagecache::{clamp_io_range, FileId, FsError, IoOpStats, ReclaimScope, EPSILON};
@@ -163,10 +163,7 @@ impl KernelFileSystem {
                 if still > EPSILON {
                     // Direct reclaim also writes back dirty pages if eviction
                     // alone is not enough.
-                    let flushed = self
-                        .cache
-                        .write_back(still, ReclaimScope::Host(None), true)
-                        .await;
+                    let flushed = self.cache.flush(still, ReclaimScope::Host(None)).await;
                     stats.bytes_to_disk += flushed;
                     self.cache.evict(still, ReclaimScope::Host(None));
                 }
@@ -241,7 +238,7 @@ impl KernelFileSystem {
         for &(a, b) in &plan {
             self.cache.insert_clean_range(key, a, b);
         }
-        self.cache.note_prefetch(planned);
+        self.cache.counters_mut().prefetched += planned;
         stats.bytes_from_disk += planned;
         stats.bytes_to_cache += planned;
         stats.bytes_prefetched += planned;
@@ -280,14 +277,11 @@ impl KernelFileSystem {
             if projected_dirty > self.cache.dirty_threshold() {
                 let stall_start = self.ctx.now();
                 let target = (projected_dirty - self.cache.background_threshold()).max(0.0);
-                let flushed = self
-                    .cache
-                    .write_back(target, ReclaimScope::Host(None), true)
-                    .await;
+                let flushed = self.cache.flush(target, ReclaimScope::Host(None)).await;
                 stats.bytes_to_disk += flushed;
                 let stalled = self.ctx.now().duration_since(stall_start);
                 stats.throttle_stall += stalled;
-                self.cache.note_throttle_stall(stalled);
+                self.cache.counters_mut().throttle_stall_seconds += stalled;
             }
 
             // Make room for the new dirty pages.
@@ -297,7 +291,7 @@ impl KernelFileSystem {
                 if missing - evicted > EPSILON {
                     let flushed = self
                         .cache
-                        .write_back(missing - evicted, ReclaimScope::Host(None), true)
+                        .flush(missing - evicted, ReclaimScope::Host(None))
                         .await;
                     stats.bytes_to_disk += flushed;
                     self.cache
@@ -327,7 +321,7 @@ impl KernelFileSystem {
                     if pause > EPSILON {
                         self.ctx.sleep(pause).await;
                         stats.throttle_stall += pause;
-                        self.cache.note_throttle_stall(pause);
+                        self.cache.counters_mut().throttle_stall_seconds += pause;
                     }
                 }
             }
@@ -358,7 +352,7 @@ impl KernelFileSystem {
         let start = self.ctx.now();
         let flushed = self
             .cache
-            .write_back(self.cache.dirty(), ReclaimScope::Host(None), true)
+            .flush(self.cache.dirty(), ReclaimScope::Host(None))
             .await;
         IoOpStats {
             bytes_to_disk: flushed,
@@ -530,7 +524,7 @@ mod tests {
         approx_pct(stats.bytes_to_disk, 420.0 * MB, 0.1);
         approx_pct(elapsed, 1.0, 1.0); // 420 MB at 420 MB/s write bandwidth
         assert!(fs.cache().dirty() > 99.0 * MB); // b stays dirty
-        approx_pct(fs.cache().counters().throttled_writeback, 420.0 * MB, 0.1);
+        approx_pct(fs.cache().counters().synchronous_flushed, 420.0 * MB, 0.1);
         let h2 = sim.spawn({
             let fs = fs.clone();
             async move { fs.sync().await }

@@ -32,6 +32,6 @@
 mod cache;
 mod fs;
 
-pub use cache::{KernelCache, KernelCacheCounters, KernelCacheWork};
+pub use cache::{KernelCache, KernelState};
 pub use fs::KernelFileSystem;
 pub use storage_model::units::PAGE_SIZE;

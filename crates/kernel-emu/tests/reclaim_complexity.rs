@@ -11,8 +11,8 @@
 //! about one entry per file actually reclaimed, whatever the writer count.
 
 use des::Simulation;
-use kernel_emu::{KernelCache, KernelCacheWork};
-use pagecache::{FileId, PageCacheConfig, ReclaimScope};
+use kernel_emu::KernelCache;
+use pagecache::{CacheState, CacheWork, FileId, PageCacheConfig, ReclaimScope};
 use storage_model::units::MB;
 use storage_model::{DeviceSpec, Disk, MemoryDevice};
 
@@ -31,7 +31,7 @@ const WRITES_PER_READ: usize = 4;
 /// What one run measured.
 struct Run {
     /// The cache's work counters, call counts included.
-    work: KernelCacheWork,
+    work: CacheWork,
     /// Files holding cached pages, summed over the eviction calls: what a
     /// collect-and-sort selection visits.
     cached_files: u64,
@@ -55,7 +55,7 @@ fn serve(writers: usize) -> Run {
         let cache = cache.clone();
         async move {
             let mut run = Run {
-                work: KernelCacheWork::default(),
+                work: CacheWork::default(),
                 cached_files: 0,
                 files_written_back: 0,
                 evicted_while_written: 0.0,
@@ -63,7 +63,7 @@ fn serve(writers: usize) -> Run {
             let make_room = |run: &mut Run| {
                 let excess = cache.cached() + CHUNK - CAPACITY;
                 if excess > 0.0 {
-                    run.cached_files += cache.cached_per_file().len() as u64;
+                    run.cached_files += cache.cache().cached_per_file().len() as u64;
                     cache.evict(excess, ReclaimScope::Host(None));
                 }
             };
@@ -93,9 +93,7 @@ fn serve(writers: usize) -> Run {
                         .iter()
                         .filter(|&&f| !cache.dirty_ranges(f).is_empty())
                         .count() as u64;
-                    cache
-                        .write_back(cache.dirty(), ReclaimScope::Host(None), false)
-                        .await;
+                    cache.flush(cache.dirty(), ReclaimScope::Host(None)).await;
                 }
                 // Access times differ, so victims go by age, not by name.
                 ctx.sleep(1e-3).await;

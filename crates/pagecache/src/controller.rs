@@ -279,10 +279,13 @@ impl IoController {
         // Lines 10-11: make room by flushing dirty data, then evicting clean
         // data. Negative amounts are no-ops, and so is the flush on a cache
         // that holds no dirty data (read-only client caches, writethrough
-        // servers).
+        // servers). This step runs on every chunk of every read, and most
+        // chunks need no flush, so the flush call is skipped then.
         let others = ReclaimScope::Host(Some(key));
         let flush_amount = required_mem - self.mm.free_memory() - self.mm.evictable(Some(key));
-        stats.bytes_to_disk += self.mm.flush(flush_amount, others).await;
+        if flush_amount > EPSILON {
+            stats.bytes_to_disk += self.mm.flush(flush_amount, others).await;
+        }
         self.mm.evict(required_mem - self.mm.free_memory(), others);
         // Algorithm 2 assumes the file fits in memory. If it does not, the
         // exclusion above prevents reclaiming the file's own pages and the
@@ -324,7 +327,7 @@ impl IoController {
         let mut stats = IoOpStats::default();
 
         // Line 5: how much dirty data may still be produced.
-        let remain_dirty = self.mm.dirty_headroom();
+        let remain_dirty = self.mm.dirty_threshold() - self.mm.dirty();
         let mut mem_amt = 0.0;
         if remain_dirty > EPSILON {
             // Lines 6-9: make room (if needed) and write to the cache.

@@ -16,6 +16,11 @@
 //!   writes and flushes files through it, and creates them in its Memory
 //!   Manager.
 //!
+//! The Memory Manager's host state — memory accounting, counters, memory
+//! trace and the flush-interval loop — is the [`Host`] core, which the
+//! kernel emulator's cache is built on too, so both cache models account,
+//! count and sample one way.
+//!
 //! Device times (disk, memory bus) are simulated by the flow-level models of
 //! the [`storage_model`] crate on top of the [`des`] engine, so concurrent
 //! applications contend for bandwidth exactly as in the paper's SimGrid-based
@@ -54,6 +59,7 @@ mod config;
 mod controller;
 mod error;
 mod file_table;
+mod host;
 mod lru;
 mod manager;
 pub mod policy;
@@ -64,7 +70,10 @@ pub use config::{PageCacheConfig, WriteMode, LINUX_READAHEAD_MAX, LINUX_READAHEA
 pub use controller::{check_write_range, clamp_io_range, IoController};
 pub use error::FsError;
 pub use file_table::{FileTable, ReclaimScope};
-pub use lru::{ListKind, LruLists, LruWork, EPSILON};
-pub use manager::{MemoryManager, MemoryManagerCounters};
+pub use host::{CacheState, Host};
+pub use lru::{ListKind, LruLists, EPSILON};
+pub use manager::MemoryManager;
 pub use policy::{EvictionPolicy, FileMeta, Policy, ACTIVE_TIER, MAX_TIERS};
-pub use stats::{CacheContentSnapshot, IoOpStats, MemorySample, MemoryTrace};
+pub use stats::{
+    CacheContentSnapshot, CacheCounters, CacheWork, IoOpStats, MemorySample, MemoryTrace,
+};

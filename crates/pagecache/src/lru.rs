@@ -151,7 +151,9 @@ use des::SimTime;
 
 use crate::block::{DataBlock, FileId};
 use crate::file_table::{FileTable, ReclaimScope};
+use crate::host::CacheState;
 use crate::policy::{EvictionPolicy, Policy, ACTIVE_TIER, MAX_TIERS};
+use crate::stats::CacheWork;
 
 /// Bytes below which two amounts are considered equal.
 pub const EPSILON: f64 = 1e-6;
@@ -405,24 +407,6 @@ impl ListState {
     }
 }
 
-/// Deterministic work counts of the list operations: how often the reclaim
-/// loops ran, how many blocks they visited and how far out-of-order inserts
-/// walked. Counts, not timers, so they repeat exactly on any machine.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct LruWork {
-    /// Calls of [`LruLists::evict`] with an amount above [`EPSILON`].
-    pub evict_calls: u64,
-    /// Calls of [`LruLists::flush_lru`] with an amount above [`EPSILON`].
-    pub flush_calls: u64,
-    /// Blocks visited by [`LruLists::evict`].
-    pub evict_visits: u64,
-    /// Blocks visited by [`LruLists::flush_lru`].
-    pub flush_visits: u64,
-    /// Steps walked by out-of-order sorted inserts (demotions); each step
-    /// advances both cursors by one node. Appends take none.
-    pub insert_steps: u64,
-}
-
 /// A file's state in the file table: its byte aggregates and per-tier file
 /// chains.
 #[derive(Debug, Default, Clone)]
@@ -452,10 +436,45 @@ pub struct LruLists {
     /// `agg_clean_in_place`, `agg_shrink`).
     pub(crate) files: FileTable<FileState>,
     policy: Policy,
-    work: LruWork,
+    work: CacheWork,
     /// The nodes [`LruLists::read_cached`] takes off the tiers, kept
     /// between calls so a read allocates no buffer.
     taken: Vec<Idx>,
+}
+
+/// The LRU lists are the page cache model's state on its host
+/// ([`crate::MemoryManager`]). Every total is O(1) except
+/// [`CacheState::cached_per_file`], which is O(F log F) in the number of
+/// files, independent of the number of blocks.
+impl CacheState for LruLists {
+    fn cached(&self) -> f64 {
+        self.total_cached()
+    }
+    fn dirty(&self) -> f64 {
+        self.total_dirty()
+    }
+    fn cached_per_file(&self) -> BTreeMap<FileId, f64> {
+        self.files
+            .iter()
+            .filter(|(_, _, f)| f.bytes.cached > EPSILON)
+            .map(|(_, file, f)| (file.clone(), f.bytes.cached))
+            .collect()
+    }
+    fn work(&self) -> CacheWork {
+        self.work
+    }
+    fn group_cached(&self, group: u32) -> f64 {
+        self.files.group_cached(group)
+    }
+    fn group_dirty(&self, group: u32) -> f64 {
+        self.files.group_dirty(group)
+    }
+    fn evict(&mut self, amount: f64, scope: ReclaimScope) -> f64 {
+        LruLists::evict(self, amount, scope)
+    }
+    fn write_back(&mut self, amount: f64, scope: ReclaimScope) -> f64 {
+        self.flush_lru(amount, scope)
+    }
 }
 
 impl Default for LruLists {
@@ -478,7 +497,7 @@ impl LruLists {
             lists: Default::default(),
             files: FileTable::new(),
             policy: policy.build(),
-            work: LruWork::default(),
+            work: CacheWork::default(),
             taken: Vec::new(),
         }
     }
@@ -486,11 +505,6 @@ impl LruLists {
     /// The eviction policy this cache runs under.
     pub fn policy_kind(&self) -> EvictionPolicy {
         self.policy.kind()
-    }
-
-    /// Work counts accumulated since the lists were created.
-    pub fn work(&self) -> LruWork {
-        self.work
     }
 
     /// Total number of blocks across all tiers.
@@ -563,18 +577,6 @@ impl LruLists {
         self.files.get(s).bytes.dirty
     }
 
-    /// Cached bytes per file (used to reproduce Fig. 4c). O(F log F) in the
-    /// number of files, independent of the number of blocks; the returned keys
-    /// share the interned file names (cloning a [`FileId`] is a refcount
-    /// bump, not a string copy).
-    pub fn cached_per_file(&self) -> BTreeMap<FileId, f64> {
-        self.files
-            .iter()
-            .filter(|(_, _, f)| f.bytes.cached > EPSILON)
-            .map(|(_, file, f)| (file.clone(), f.bytes.cached))
-            .collect()
-    }
-
     /// Clean bytes on the evictable tiers that [`LruLists::evict`] could
     /// remove, optionally excluding the file of one slot. O(1).
     pub fn evictable(&self, excluded: Option<u64>) -> f64 {
@@ -600,16 +602,6 @@ impl LruLists {
     /// The cache group `file` is assigned to, if any. O(1) expected.
     pub fn file_group(&self, file: &FileId) -> Option<u32> {
         self.files.key(file).and_then(|s| self.files.group(s))
-    }
-
-    /// Cached bytes of cache group `group` (clean + dirty, all tiers). O(1).
-    pub fn group_cached(&self, group: u32) -> f64 {
-        self.files.group_cached(group)
-    }
-
-    /// Dirty bytes of cache group `group` (all tiers). O(1).
-    pub fn group_dirty(&self, group: u32) -> f64 {
-        self.files.group_dirty(group)
     }
 
     /// Iterates over all blocks, tier 0 first, LRU first within each tier.
@@ -1111,7 +1103,7 @@ impl LruLists {
         if amount <= EPSILON {
             return 0.0;
         }
-        self.work.flush_calls += 1;
+        self.work.writeback_calls += 1;
         let dirty = match scope {
             ReclaimScope::Host(_) => self.total_dirty(),
             ReclaimScope::Group(group) => self.group_dirty(group),
@@ -1131,7 +1123,7 @@ impl LruLists {
                     self.debug_validate();
                     return flushed;
                 }
-                self.work.flush_visits += 1;
+                self.work.writeback_visits += 1;
                 if self.admits(scope, i) {
                     let need = amount - flushed;
                     let size = node_ref(&self.arena, i).block.size;
@@ -2269,15 +2261,15 @@ mod tests {
         lru.add_clean(c, 100.0, t(2.0));
         lru.evict(0.0, ReclaimScope::Host(None));
         lru.flush_lru(-1.0, ReclaimScope::Host(None));
-        assert_eq!((lru.work().evict_calls, lru.work().flush_calls), (0, 0));
+        assert_eq!((lru.work().evict_calls, lru.work().writeback_calls), (0, 0));
         lru.evict(10.0, ReclaimScope::Host(None));
         lru.evict(10.0, ReclaimScope::Group(1)); // nothing in the group
         lru.flush_lru(10.0, ReclaimScope::Host(None));
         lru.flush_lru(10.0, ReclaimScope::Group(1));
         lru.flush_lru(10.0, ReclaimScope::Host(None));
         let work = lru.work();
-        assert_eq!((work.evict_calls, work.flush_calls), (2, 3));
-        assert_eq!((work.evict_visits, work.flush_visits), (1, 2));
+        assert_eq!((work.evict_calls, work.writeback_calls), (2, 3));
+        assert_eq!((work.evict_visits, work.writeback_visits), (1, 2));
     }
 
     #[test]
@@ -2476,9 +2468,13 @@ mod tests {
             assert_eq!(churn_bits(&lru), bits, "{policy}");
             assert_eq!(lru.block_count(), blocks, "{policy}");
             let work = lru.work();
-            assert_eq!((work.evict_calls, work.flush_calls), (252, 245), "{policy}");
             assert_eq!(
-                (work.evict_visits, work.flush_visits, work.insert_steps),
+                (work.evict_calls, work.writeback_calls),
+                (252, 245),
+                "{policy}"
+            );
+            assert_eq!(
+                (work.evict_visits, work.writeback_visits, work.insert_steps),
                 (evict_visits, flush_visits, insert_steps),
                 "{policy}"
             );

@@ -186,6 +186,70 @@ impl IoOpStats {
     }
 }
 
+/// Cumulative byte and run counters of one host's page cache, kept the same
+/// way by both cache models ([`crate::Host`]).
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+pub struct CacheCounters {
+    /// Bytes written back by the background flusher: the model's periodical
+    /// flusher, the emulator's writeback threads.
+    pub background_flushed: f64,
+    /// Bytes written back synchronously: `fsync`, `sync`, the dirty ratio,
+    /// memory pressure and cache-group limits.
+    pub synchronous_flushed: f64,
+    /// Bytes evicted from the cache.
+    pub evicted: f64,
+    /// Wakeups of the background flusher.
+    pub flusher_runs: u64,
+    /// Bytes read from disk ahead of demand (the emulator's readahead).
+    pub prefetched: f64,
+    /// Seconds writers spent blocked in the emulator's
+    /// `balance_dirty_pages`-style throttling (synchronous threshold
+    /// writeback plus pacing stalls).
+    pub throttle_stall_seconds: f64,
+}
+
+impl CacheCounters {
+    /// Adds another cache's counters.
+    pub fn merge(&mut self, other: &CacheCounters) {
+        self.background_flushed += other.background_flushed;
+        self.synchronous_flushed += other.synchronous_flushed;
+        self.evicted += other.evicted;
+        self.flusher_runs += other.flusher_runs;
+        self.prefetched += other.prefetched;
+        self.throttle_stall_seconds += other.throttle_stall_seconds;
+    }
+}
+
+/// Deterministic work counts of a cache model: how often its reclaim walks
+/// ran, how many blocks or index entries they visited, and how far
+/// out-of-order inserts walked. Counts, not timers, so they repeat exactly
+/// on any machine.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct CacheWork {
+    /// Eviction walks with an amount above [`crate::EPSILON`].
+    pub evict_calls: u64,
+    /// Writeback walks with an amount above [`crate::EPSILON`].
+    pub writeback_calls: u64,
+    /// Blocks or index entries visited by the eviction walks.
+    pub evict_visits: u64,
+    /// Blocks or index entries visited by the writeback walks.
+    pub writeback_visits: u64,
+    /// Steps walked by the page cache model's out-of-order sorted inserts
+    /// (demotions); each step advances both cursors by one node.
+    pub insert_steps: u64,
+}
+
+impl CacheWork {
+    /// Adds another cache's work counts.
+    pub fn merge(&mut self, other: &CacheWork) {
+        self.evict_calls += other.evict_calls;
+        self.writeback_calls += other.writeback_calls;
+        self.evict_visits += other.evict_visits;
+        self.writeback_visits += other.writeback_visits;
+        self.insert_steps += other.insert_steps;
+    }
+}
+
 /// Snapshot of the cache content per file at a given instant (Fig. 4c).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct CacheContentSnapshot {

@@ -12,7 +12,7 @@
 use std::collections::{BTreeMap, HashMap};
 
 use des::SimTime;
-use pagecache::{FileId, LruLists, ReclaimScope, EPSILON};
+use pagecache::{CacheState, FileId, LruLists, ReclaimScope, EPSILON};
 
 /// The naive models' reclaim scope: [`ReclaimScope`] with the excluded file
 /// named, not keyed, as a specification written without the file table

@@ -12,7 +12,7 @@
 //!   grow linearly with the number of requests.
 
 use des::SimTime;
-use pagecache::{FileId, LruLists, LruWork, ReclaimScope};
+use pagecache::{CacheState, CacheWork, FileId, LruLists, ReclaimScope};
 
 /// Deterministic xorshift64* PRNG (no registry crates in this build).
 struct Rng(u64);
@@ -42,7 +42,7 @@ const WARMUP: usize = 1_000;
 
 /// Runs `WARMUP + ops` requests and returns the lists' work over the last
 /// `ops`. Asserts after every eviction that it visited no dirty block.
-fn serve(ops: usize) -> LruWork {
+fn serve(ops: usize) -> CacheWork {
     let mut lru = LruLists::new();
     let files: Vec<u64> = (0..FILES)
         .map(|i| lru.key_or_insert(&FileId::new(format!("f{i}"))))
@@ -52,7 +52,7 @@ fn serve(ops: usize) -> LruWork {
     let weights: Vec<f64> = (1..=FILES).map(|k| 1.0 / k as f64).collect();
     let total: f64 = weights.iter().sum();
     let mut rng = Rng(0x5EED);
-    let mut warm = LruWork::default();
+    let mut warm = CacheWork::default();
     for op in 0..WARMUP + ops {
         if op == WARMUP {
             warm = lru.work();
@@ -96,11 +96,11 @@ fn serve(ops: usize) -> LruWork {
         }
     }
     let work = lru.work();
-    LruWork {
+    CacheWork {
         evict_calls: work.evict_calls - warm.evict_calls,
-        flush_calls: work.flush_calls - warm.flush_calls,
+        writeback_calls: work.writeback_calls - warm.writeback_calls,
         evict_visits: work.evict_visits - warm.evict_visits,
-        flush_visits: work.flush_visits - warm.flush_visits,
+        writeback_visits: work.writeback_visits - warm.writeback_visits,
         insert_steps: work.insert_steps - warm.insert_steps,
     }
 }

@@ -27,7 +27,7 @@
 //! |---|---|---|
 //! | cached local | targeted per-file dirty writeback at disk bandwidth | flush all dirty data |
 //! | direct (local or NFS) | no-op (writes are synchronous) | no-op |
-//! | kernel emulator | per-file dirty-page writeback, counted as throttled writeback | flush all dirty pages |
+//! | kernel emulator | per-file dirty-page writeback, counted as synchronous writeback | flush all dirty pages |
 //! | fleet | flush the file on every reachable replica (write-back servers) | flush all reachable servers |
 //! | fleet on NFS | flushes nothing (no client write cache; writethrough server) | flushes nothing |
 
@@ -36,8 +36,8 @@ use std::collections::BTreeMap;
 use des::SimContext;
 use kernel_emu::{KernelCache, KernelFileSystem};
 use pagecache::{
-    CacheContentSnapshot, FileId, FsError, IoController, IoOpStats, MemoryManager, MemorySample,
-    MemoryTrace,
+    CacheContentSnapshot, CacheCounters, CacheState, FileId, FsError, Host, IoController,
+    IoOpStats, MemoryManager, MemorySample, MemoryTrace,
 };
 use storage_model::{Disk, MemoryDevice, NetworkLink};
 
@@ -45,7 +45,7 @@ use crate::direct::DirectFileSystem;
 use crate::faults::{CrashReport, FileDurability, InjectedFault};
 use crate::net::{FleetClient, FleetSpec, NetReport};
 use crate::platform::{DeviceSet, PlatformSpec, StorageKind};
-use crate::report::{ProfileStats, WritebackCounters};
+use crate::report::ProfileStats;
 
 /// Which simulator runs the scenario.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -313,17 +313,10 @@ impl Backend {
     /// Cumulative writeback/eviction counters of the back-end's page cache
     /// (the fleet sums its servers'), if it has one. These are the per-run
     /// statistics the sweep harness records next to the simulated times.
-    pub fn writeback_counters(&self) -> Option<WritebackCounters> {
+    pub fn writeback_counters(&self) -> Option<CacheCounters> {
         match self {
-            Backend::Cached(io) => Some(model_writeback(io.memory_manager())),
-            Backend::Kernel(fs) => {
-                let c = fs.cache().counters();
-                Some(WritebackCounters {
-                    background_flushed: c.background_writeback,
-                    synchronous_flushed: c.throttled_writeback,
-                    evicted: c.evicted,
-                })
-            }
+            Backend::Cached(io) => Some(io.memory_manager().counters()),
+            Backend::Kernel(fs) => Some(fs.cache().counters()),
             Backend::Fleet(fleet) => Some(fleet.writeback_counters()),
             Backend::Direct(_) => None,
         }
@@ -333,19 +326,8 @@ impl Backend {
     /// sums its clients and servers); the engine's are left at zero.
     pub fn profile(&self) -> ProfileStats {
         match self {
-            Backend::Cached(io) => model_profile(io.memory_manager()),
-            Backend::Kernel(fs) => {
-                let (cache, work) = (fs.cache(), fs.cache().work());
-                ProfileStats {
-                    evict_calls: work.evict_calls,
-                    evict_visits: work.evict_visits,
-                    writeback_calls: work.writeback_calls,
-                    writeback_visits: work.writeback_visits,
-                    flows_completed: cache.memory().completed_flows()
-                        + cache.disk().completed_flows(),
-                    ..ProfileStats::default()
-                }
-            }
+            Backend::Cached(io) => host_profile(io.memory_manager()),
+            Backend::Kernel(fs) => host_profile(fs.cache()),
             Backend::Fleet(fleet) => fleet.profile(),
             Backend::Direct(fs) => ProfileStats {
                 flows_completed: fs.disk().completed_flows()
@@ -526,28 +508,13 @@ impl Backend {
     }
 }
 
-/// Work counters of one host of the page cache model: its LRU lists, its
-/// memory bus and its disk.
-pub(crate) fn model_profile(mm: &MemoryManager) -> ProfileStats {
-    let work = mm.counters().lru;
+/// Work counters of one page-cached host, under either cache model: its
+/// cache, its memory bus and its disk.
+pub(crate) fn host_profile<S: CacheState>(host: &Host<S>) -> ProfileStats {
     ProfileStats {
-        evict_calls: work.evict_calls,
-        evict_visits: work.evict_visits,
-        writeback_calls: work.flush_calls,
-        writeback_visits: work.flush_visits,
-        insert_steps: work.insert_steps,
-        flows_completed: mm.memory().completed_flows() + mm.disk().completed_flows(),
+        cache: host.work(),
+        flows_completed: host.memory().completed_flows() + host.disk().completed_flows(),
         ..ProfileStats::default()
-    }
-}
-
-/// Writeback/eviction counters of a macroscopic page cache.
-pub(crate) fn model_writeback(mm: &MemoryManager) -> WritebackCounters {
-    let c = mm.counters();
-    WritebackCounters {
-        background_flushed: c.flushed_background,
-        synchronous_flushed: c.flushed_on_demand,
-        evicted: c.evicted,
     }
 }
 
@@ -998,6 +965,68 @@ mod tests {
         });
         sim.run();
         assert_eq!(h.try_take_result().unwrap().bytes_to_disk, 0.0);
+    }
+
+    /// Both cache models count through one `CacheCounters`: each step of
+    /// the table moves the same counter by the same bytes on both, and the
+    /// shared flush-interval loop wakes as often on both over the same span.
+    #[test]
+    fn both_cache_models_count_writeback_alike() {
+        // (step, synchronous bytes, background bytes) in MB.
+        let table = [
+            ("fsync", 100.0, 0.0),
+            ("sync", 60.0, 0.0),
+            ("group limit", 80.0, 0.0),
+            ("expired writeback", 0.0, 40.0),
+        ];
+        let mut flusher_runs = Vec::new();
+        for kind in [SimulatorKind::PageCache, SimulatorKind::KernelEmu] {
+            let sim = Simulation::new();
+            let ctx = sim.context();
+            let backend = Backend::build(&ctx, &platform(), kind).unwrap();
+            backend.start_background();
+            let h = sim.spawn({
+                let b = backend.clone();
+                async move {
+                    let mut after = vec![b.writeback_counters().unwrap()];
+                    let write = |name: &str, mb: f64| {
+                        let b = b.clone();
+                        let file = FileId::from(name);
+                        async move { b.write_range(&file, 0.0, mb * MB).await.unwrap() }
+                    };
+                    write("fsynced", 100.0).await;
+                    b.fsync(&"fsynced".into()).await.unwrap();
+                    after.push(b.writeback_counters().unwrap());
+                    write("synced", 60.0).await;
+                    b.sync().await.unwrap();
+                    after.push(b.writeback_counters().unwrap());
+                    b.set_file_group(&"capped".into(), 1);
+                    write("capped", 80.0).await;
+                    b.enforce_group_limits(1, f64::INFINITY, 0.0).await;
+                    after.push(b.writeback_counters().unwrap());
+                    // Past the 30 s expiry and the next flusher wakeup.
+                    write("expired", 40.0).await;
+                    ctx.sleep(40.0).await;
+                    after.push(b.writeback_counters().unwrap());
+                    b.stop_background();
+                    after
+                }
+            });
+            sim.run();
+            let after = h.try_take_result().unwrap();
+            for (i, (step, synchronous, background)) in table.into_iter().enumerate() {
+                let (a, b) = (after[i], after[i + 1]);
+                let sync = b.synchronous_flushed - a.synchronous_flushed;
+                let bg = b.background_flushed - a.background_flushed;
+                assert!(
+                    (sync - synchronous * MB).abs() < 1.0 && (bg - background * MB).abs() < 1.0,
+                    "{kind:?} {step}: {sync} synchronous, {bg} background bytes"
+                );
+            }
+            flusher_runs.push(backend.writeback_counters().unwrap().flusher_runs);
+        }
+        assert!(flusher_runs[0] > 0);
+        assert_eq!(flusher_runs[0], flusher_runs[1]);
     }
 
     #[test]

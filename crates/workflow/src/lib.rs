@@ -105,7 +105,7 @@ pub use pagecache::EvictionPolicy;
 pub use platform::{DeviceSet, PlatformSpec, StorageKind};
 pub use report::{
     absolute_relative_error_pct, InstanceReport, ProfileStats, RunStats, ScenarioReport,
-    TaskReport, TaskStatus, WritebackCounters,
+    TaskReport, TaskStatus,
 };
 pub use runner::{run_scenario, scoped_file, Scenario};
 pub use spec::{

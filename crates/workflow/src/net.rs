@@ -62,17 +62,17 @@ use std::rc::Rc;
 
 use des::{select2, Either, SimContext};
 use pagecache::{
-    check_write_range, clamp_io_range, FileId, FileTable, FsError, IoController, IoOpStats,
-    MemoryManager, PageCacheConfig, WriteMode, EPSILON,
+    check_write_range, clamp_io_range, CacheCounters, FileId, FileTable, FsError, IoController,
+    IoOpStats, MemoryManager, PageCacheConfig, WriteMode, EPSILON,
 };
 use storage_model::{AbortHandle, Disk, MemoryDevice, SharedResource, TransferOutcome};
 
-use crate::backend::{crash_cached, model_profile, model_writeback, ScenarioError};
+use crate::backend::{crash_cached, host_profile, ScenarioError};
 use crate::faults::{
     CrashReport, FileDurability, InjectedFault, InjectedFaultKind, OpClass, RetryPolicy,
 };
 use crate::platform::{DeviceSet, PlatformSpec, StorageKind};
-use crate::report::{ProfileStats, WritebackCounters};
+use crate::report::ProfileStats;
 
 /// Why a network operation could not complete.
 #[derive(Debug, Clone, PartialEq)]
@@ -1281,13 +1281,10 @@ impl FleetClient {
     }
 
     /// Writeback/eviction counters summed over the servers' page caches.
-    pub fn writeback_counters(&self) -> WritebackCounters {
-        let mut total = WritebackCounters::default();
+    pub fn writeback_counters(&self) -> CacheCounters {
+        let mut total = CacheCounters::default();
         for node in &self.inner.servers {
-            let c = model_writeback(node.io.memory_manager());
-            total.background_flushed += c.background_flushed;
-            total.synchronous_flushed += c.synchronous_flushed;
-            total.evicted += c.evicted;
+            total.merge(&node.io.memory_manager().counters());
         }
         total
     }
@@ -1297,10 +1294,10 @@ impl FleetClient {
     pub(crate) fn profile(&self) -> ProfileStats {
         let mut total = ProfileStats::default();
         for client in &self.inner.clients {
-            total.merge(&model_profile(client.io.memory_manager()));
+            total.merge(&host_profile(client.io.memory_manager()));
         }
         for node in &self.inner.servers {
-            total.merge(&model_profile(node.io.memory_manager()));
+            total.merge(&host_profile(node.io.memory_manager()));
             total.flows_completed += self
                 .inner
                 .fabric

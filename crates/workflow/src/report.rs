@@ -1,7 +1,7 @@
 //! Result types produced by scenario runs.
 
 use des::EngineStats;
-use pagecache::{CacheContentSnapshot, IoOpStats, MemoryTrace};
+use pagecache::{CacheContentSnapshot, CacheCounters, CacheWork, IoOpStats, MemoryTrace};
 
 use crate::backend::SimulatorKind;
 use crate::faults::{CrashReport, InjectedFault};
@@ -92,22 +92,6 @@ impl InstanceReport {
     }
 }
 
-/// Cumulative writeback and eviction counters of a back-end's page cache.
-///
-/// The macroscopic simulators report the Memory Manager counters; the kernel
-/// emulator reports its writeback-thread counters. Cacheless back-ends have
-/// no cache and therefore no counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct WritebackCounters {
-    /// Bytes flushed asynchronously by background writeback.
-    pub background_flushed: f64,
-    /// Bytes flushed synchronously (dirty-ratio throttling / memory
-    /// pressure).
-    pub synchronous_flushed: f64,
-    /// Bytes evicted from the cache.
-    pub evicted: f64,
-}
-
 /// Aggregated per-run statistics of a scenario: the numbers the sweep
 /// harness records in `RESULTS.json` next to the simulated times.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
@@ -156,16 +140,8 @@ pub struct RunStats {
 pub struct ProfileStats {
     /// The engine's counters.
     pub engine: EngineStats,
-    /// Reclaim calls of the cache model that evicted (0 without a cache).
-    pub evict_calls: u64,
-    /// Blocks or index entries those calls visited.
-    pub evict_visits: u64,
-    /// Reclaim calls of the cache model that wrote dirty data back.
-    pub writeback_calls: u64,
-    /// Blocks or index entries those calls visited.
-    pub writeback_visits: u64,
-    /// Steps walked by the page cache model's out-of-order inserts.
-    pub insert_steps: u64,
+    /// The cache model's work counts (0 without a cache).
+    pub cache: CacheWork,
     /// Transfers completed on every device and link of the back-end.
     pub flows_completed: u64,
 }
@@ -181,11 +157,11 @@ impl ProfileStats {
             ("engine.timers_scheduled", e.timers_scheduled),
             ("engine.timers_cancelled", e.timers_cancelled),
             ("engine.peak_live_timers", e.peak_live_timers),
-            ("cache.evict_calls", self.evict_calls),
-            ("cache.evict_visits", self.evict_visits),
-            ("cache.writeback_calls", self.writeback_calls),
-            ("cache.writeback_visits", self.writeback_visits),
-            ("cache.insert_steps", self.insert_steps),
+            ("cache.evict_calls", self.cache.evict_calls),
+            ("cache.evict_visits", self.cache.evict_visits),
+            ("cache.writeback_calls", self.cache.writeback_calls),
+            ("cache.writeback_visits", self.cache.writeback_visits),
+            ("cache.insert_steps", self.cache.insert_steps),
             ("io.flows_completed", self.flows_completed),
         ]
     }
@@ -199,11 +175,7 @@ impl ProfileStats {
         e.timers_scheduled += o.timers_scheduled;
         e.timers_cancelled += o.timers_cancelled;
         e.peak_live_timers = e.peak_live_timers.max(o.peak_live_timers);
-        self.evict_calls += other.evict_calls;
-        self.evict_visits += other.evict_visits;
-        self.writeback_calls += other.writeback_calls;
-        self.writeback_visits += other.writeback_visits;
-        self.insert_steps += other.insert_steps;
+        self.cache.merge(&other.cache);
         self.flows_completed += other.flows_completed;
     }
 }
@@ -224,7 +196,7 @@ pub struct ScenarioReport {
     /// Final virtual time of the simulation, seconds.
     pub simulated_duration: f64,
     /// Writeback/eviction counters of the back-end's cache, if it has one.
-    pub writeback: Option<WritebackCounters>,
+    pub writeback: Option<CacheCounters>,
     /// Durability oracle verdict of the simulated crash, if one was injected
     /// and fired before the run completed.
     pub crash: Option<CrashReport>,

@@ -56,6 +56,6 @@ pub mod prelude {
         run_scenario, ApplicationSpec, ClientPolicy, CrashReport, ErrorMode, FaultEvent, FaultPlan,
         FileSpec, FleetSpec, IoErrorSpec, NetReport, Op, OpClass, PlatformSpec, RetryPolicy,
         RunStats, Scenario, ScenarioReport, SimulatorKind, StorageKind, TaskSpec, TaskStatus,
-        TenantSpec, TrafficGenReport, TrafficReport, TrafficSpec, Trigger, WritebackCounters,
+        TenantSpec, TrafficGenReport, TrafficReport, TrafficSpec, Trigger,
     };
 }

@@ -8,7 +8,7 @@
 
 use des::{SimTime, Simulation};
 use linux_pagecache_sim::prelude::*;
-use pagecache::{LruLists, ReclaimScope};
+use pagecache::{CacheState, LruLists, ReclaimScope};
 use storage_model::SharedResource;
 
 /// Deterministic xorshift64* PRNG, good enough for property sampling.
